@@ -168,39 +168,9 @@ let run_cmd =
        would have worked, exactly like a bad experiment id. *)
     let max_domains = Parallel.Pool.available_domains () in
     let kills =
-      (* "S@P[,S@P...]"; a shard's n-th listed kill targets its n-th
-         execution attempt. *)
       match kill_shard with
       | None -> Ok []
-      | Some spec ->
-        let attempts = Hashtbl.create 4 in
-        (try
-           Ok
-             (List.map
-                (fun part ->
-                  match String.split_on_char '@' (String.trim part) with
-                  | [ s; p ] ->
-                    let shard = int_of_string (String.trim s) in
-                    let progress = int_of_string (String.trim p) in
-                    if shard < 0 || progress < 1 then failwith "range";
-                    let attempt =
-                      try Hashtbl.find attempts shard with Not_found -> 0
-                    in
-                    Hashtbl.replace attempts shard (attempt + 1);
-                    {
-                      Parallel.Supervisor.k_shard = shard;
-                      k_attempt = attempt;
-                      k_progress = progress;
-                      k_stall = false;
-                    }
-                  | _ -> failwith "syntax")
-                (String.split_on_char ',' spec))
-         with _ ->
-           Error
-             (Printf.sprintf
-                "invalid --kill-shard %S; expected comma-separated S@P pairs \
-                 with shard S >= 0 and progress P >= 1 (e.g. 0@500,1@200,0@900)"
-                spec))
+      | Some spec -> Parallel.Supervisor.parse_kills spec
     in
     let domains_error =
       match domains with
@@ -1194,35 +1164,7 @@ let chaos_cmd =
       let kills =
         match kill_shard with
         | None -> Ok None
-        | Some spec ->
-          let attempts = Hashtbl.create 4 in
-          (try
-             Ok
-               (Some
-                  (List.map
-                     (fun part ->
-                       match String.split_on_char '@' (String.trim part) with
-                       | [ s; p ] ->
-                         let shard = int_of_string (String.trim s) in
-                         let progress = int_of_string (String.trim p) in
-                         if shard < 0 || progress < 1 then failwith "range";
-                         let attempt =
-                           try Hashtbl.find attempts shard with Not_found -> 0
-                         in
-                         Hashtbl.replace attempts shard (attempt + 1);
-                         {
-                           Resilience.Chaos.sk_shard = shard;
-                           sk_attempt = attempt;
-                           sk_progress = progress;
-                           sk_stall = false;
-                         }
-                       | _ -> failwith "syntax")
-                     (String.split_on_char ',' spec)))
-           with _ ->
-             Error
-               (Printf.sprintf
-                  "invalid --kill-shard %S; expected comma-separated S@P pairs"
-                  spec))
+        | Some spec -> Result.map Option.some (Parallel.Supervisor.parse_kills spec)
       in
       (match kills with
        | Error msg -> `Error (false, msg)

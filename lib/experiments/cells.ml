@@ -593,25 +593,6 @@ let par_paging_cell =
 (* --- par_chaos: supervised sharded engines under drawn kills --------- *)
 
 let par_chaos_cell =
-  let traces_equal a b =
-    Array.length a = Array.length b
-    && begin
-      let ok = ref true in
-      Array.iteri
-        (fun i ev ->
-          if
-            not
-              (String.equal (Obs.Event.to_json ev) (Obs.Event.to_json b.(i)))
-          then ok := false)
-        a;
-      !ok
-    end
-  in
-  let collector () =
-    let buf = ref [] in
-    let sink = Obs.Sink.collect (fun ev -> buf := ev :: !buf) in
-    (sink, fun () -> Array.of_list (List.rev !buf))
-  in
   let run (ctx : Cell.ctx) =
     let* () = Cell.check_known ctx [ "fault_rate"; "domains"; "shards"; "steps" ] in
     let* fault_rate = Cell.get_float ctx "fault_rate" ~default:0.5 in
@@ -649,64 +630,43 @@ let par_chaos_cell =
                           }
                       else None))))
       in
-      let crashes = ref 0
-      and restarts = ref 0
-      and checkpoints = ref 0
-      and escalated = ref 0
-      and diverged = ref [] in
-      let tally name reference = function
-        | Error (_ : Resilience.Failure.t) -> incr escalated
-        | Ok ((), outcomes, events) ->
-          Array.iter
-            (fun (o : Parallel.Supervisor.outcome) ->
-              crashes := !crashes + o.o_crashes;
-              restarts := !restarts + o.o_restarts;
-              checkpoints := !checkpoints + o.o_checkpoints)
-            outcomes;
-          if not (traces_equal reference events) then
-            diverged := name :: !diverged
+      let subjects =
+        [
+          ( "alloc",
+            (Par_chaos.recover_alloc ~domains ~kills ~checkpoint_every:32
+               (Parallel.Sharded.alloc_config ~shards ~ops_per_shard:steps
+                  ~slots_per_shard:64 ~slot_words:8 ~seed:ctx.seed ()))
+              .subject );
+          ( "paging",
+            (Par_chaos.recover_paging ~domains ~kills ~checkpoint_every:32
+               (Parallel.Sharded.paging_config ~shards ~refs_per_shard:steps
+                  ~frames_per_shard:6 ~pages_per_shard:12 ~seed:ctx.seed ()))
+              .subject );
+        ]
       in
-      let supervised runner =
-        let sink, contents = collector () in
-        match runner ~obs:sink with
-        | Error f -> Error f
-        | Ok (_, outcomes) -> Ok ((), outcomes, contents ())
+      let recovered = List.filter_map (fun (_, s) -> Result.to_option s) subjects in
+      let sum f =
+        List.fold_left (fun acc (r : Par_chaos.recovered) -> acc + f r) 0 recovered
       in
-      let acfg =
-        Parallel.Sharded.alloc_config ~shards ~ops_per_shard:steps
-          ~slots_per_shard:64 ~slot_words:8 ~seed:ctx.seed ()
+      let diverged =
+        List.filter_map
+          (fun (name, s) ->
+            match s with
+            | Ok (r : Par_chaos.recovered) when not r.identical -> Some name
+            | Ok _ | Error _ -> None)
+          subjects
       in
-      let pcfg =
-        Parallel.Sharded.paging_config ~shards ~refs_per_shard:steps
-          ~frames_per_shard:6 ~pages_per_shard:12 ~seed:ctx.seed ()
-      in
-      let a_sink, a_ref = collector () in
-      let (_ : Parallel.Sharded.alloc_report) =
-        Parallel.Sharded.run_alloc ~obs:a_sink ~domains:1 acfg
-      in
-      let p_sink, p_ref = collector () in
-      let (_ : Parallel.Sharded.paging_report) =
-        Parallel.Sharded.run_paging ~obs:p_sink ~domains:1 pcfg
-      in
-      tally "alloc" (a_ref ())
-        (supervised (fun ~obs ->
-             Parallel.Sharded.run_alloc_supervised ~obs ~kills
-               ~checkpoint_every:32 ~domains acfg));
-      tally "paging" (p_ref ())
-        (supervised (fun ~obs ->
-             Parallel.Sharded.run_paging_supervised ~obs ~kills
-               ~checkpoint_every:32 ~domains pcfg));
       Cell.count ctx "kills" (List.length kills);
-      Cell.count ctx "crashes" !crashes;
-      Cell.count ctx "restarts" !restarts;
-      Cell.count ctx "checkpoints" !checkpoints;
-      Cell.count ctx "escalated" !escalated;
-      Cell.count ctx "diverged" (List.length !diverged);
-      if !diverged <> [] then
+      Cell.count ctx "crashes" (sum (fun r -> r.crashes));
+      Cell.count ctx "restarts" (sum (fun r -> r.restarts));
+      Cell.count ctx "checkpoints" (sum (fun r -> r.checkpoints));
+      Cell.count ctx "escalated" (List.length subjects - List.length recovered);
+      Cell.count ctx "diverged" (List.length diverged);
+      if diverged <> [] then
         Error
           (Printf.sprintf
              "recovered %s trace diverged from the fault-free reference"
-             (String.concat "+" (List.rev !diverged)))
+             (String.concat "+" diverged))
       else Ok ()
     end
   in

@@ -25,9 +25,45 @@ val steps : quick:bool -> int
     to {!Resilience.Chaos.run_sharded} so drawn kill points land
     inside the run. *)
 
-val to_kills :
-  Resilience.Chaos.shard_kill list -> Parallel.Supervisor.kill list
-(** Convert the chaos layer's pure-data kills into supervisor kills. *)
+(** {2 Recovered vs fault-free}
+
+    The one check behind X11, these scenarios and the [par_chaos]
+    campaign cell: run the engine fault-free at width 1, then
+    supervised at [domains] under [kills] (checkpointing every
+    [checkpoint_every] steps), and compare the merged engine traces
+    byte for byte. *)
+
+type recovered = {
+  trace : Obs.Event.t array;  (** merged engine trace of the supervised run *)
+  outcomes : Parallel.Supervisor.outcome array;  (** in shard order *)
+  supervision : Obs.Event.t array;  (** merged supervision stream *)
+  identical : bool;  (** [trace] is byte-identical to the reference's *)
+  crashes : int;  (** [outcomes] summed over shards *)
+  restarts : int;
+  checkpoints : int;
+}
+
+type 'r recovery = {
+  reference : 'r;  (** report of the fault-free width-1 run *)
+  reference_trace : Obs.Event.t array;
+  subject : (recovered, Resilience.Failure.t) result;
+      (** the supervised run, or the typed failure a shard escalated
+          with (nothing emitted) *)
+}
+
+val recover_alloc :
+  domains:int ->
+  kills:Parallel.Supervisor.kill list ->
+  checkpoint_every:int ->
+  Parallel.Sharded.alloc_config ->
+  Parallel.Sharded.alloc_report recovery
+
+val recover_paging :
+  domains:int ->
+  kills:Parallel.Supervisor.kill list ->
+  checkpoint_every:int ->
+  Parallel.Sharded.paging_config ->
+  Parallel.Sharded.paging_report recovery
 
 val scenarios :
   ?quick:bool -> ?domains:int -> unit -> Resilience.Chaos.shard_scenario list

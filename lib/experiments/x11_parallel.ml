@@ -14,99 +14,38 @@
    crashes, restarts and checkpoints appear only in the separate
    supervision stream. *)
 
-let collector () =
-  let buf = ref [] in
-  let sink = Obs.Sink.collect (fun ev -> buf := ev :: !buf) in
-  (sink, fun () -> Array.of_list (List.rev !buf))
-
-let collect_alloc ~domains cfg =
-  let sink, contents = collector () in
-  let report = Parallel.Sharded.run_alloc ~obs:sink ~domains cfg in
-  (report, contents ())
-
-let collect_paging ~domains cfg =
-  let sink, contents = collector () in
-  let report = Parallel.Sharded.run_paging ~obs:sink ~domains cfg in
-  (report, contents ())
-
-let supervised_alloc ~domains ~kills cfg =
-  let sink, contents = collector () in
-  let sup, sup_contents = collector () in
-  match
-    Parallel.Sharded.run_alloc_supervised ~obs:sink ~supervision:sup ~kills
-      ~checkpoint_every:256 ~domains cfg
-  with
-  | Ok (_, outcomes) -> Ok (contents (), outcomes, sup_contents ())
-  | Error f -> Error f
-
-let supervised_paging ~domains ~kills cfg =
-  let sink, contents = collector () in
-  let sup, sup_contents = collector () in
-  match
-    Parallel.Sharded.run_paging_supervised ~obs:sink ~supervision:sup ~kills
-      ~checkpoint_every:256 ~domains cfg
-  with
-  | Ok (_, outcomes) -> Ok (contents (), outcomes, sup_contents ())
-  | Error f -> Error f
-
-(* The determinism check is byte-for-byte on the wire encoding — the
-   same bytes a --trace file would hold. *)
-let traces_equal a b =
-  Array.length a = Array.length b
-  && begin
-    let ok = ref true in
-    Array.iteri
-      (fun i ev ->
-        if not (String.equal (Obs.Event.to_json ev) (Obs.Event.to_json b.(i)))
-        then ok := false)
-      a;
-    !ok
-  end
-
 let emit_segment ?seed ~config ~run ~offset obs events =
-  if Obs.Sink.is_active obs then begin
-    let s = Obs.Sink.segment ?seed ~config ~run ~offset obs in
-    Array.iter (fun ev -> Obs.Sink.emit s ev) events
-  end
+  Array.iter (Obs.Sink.emit (Obs.Sink.segment ?seed ~config ~run ~offset obs)) events
 
 let max_t events =
   Array.fold_left (fun acc (ev : Obs.Event.t) -> max acc ev.t_us) 0 events
 
-(* One of the two subject runs: either the recovered streams and
-   per-shard outcomes, or the typed failure a shard escalated with. *)
-type 'r subject = ('r, Resilience.Failure.t) result
-
-let fault_columns (subject : _ subject) shard =
-  match subject with
+let fault_columns (r : _ Par_chaos.recovery) shard =
+  match r.subject with
   | Error _ -> [ "-"; "-"; "-" ]
-  | Ok (_, outcomes, _) ->
-    let o : Parallel.Supervisor.outcome = outcomes.(shard) in
+  | Ok s ->
+    let o : Parallel.Supervisor.outcome = s.outcomes.(shard) in
     [
       string_of_int o.o_crashes;
       string_of_int o.o_restarts;
       string_of_int o.o_checkpoints;
     ]
 
-let verdict name (subject : _ subject) ~reference =
-  match subject with
+let verdict name (r : _ Par_chaos.recovery) =
+  match r.subject with
   | Error f ->
     Printf.printf "%-44s ESCALATED: %s\n" name (Resilience.Failure.to_string f)
-  | Ok (events, _, _) ->
+  | Ok s ->
     Printf.printf "%-44s %s (%d events)\n" name
-      (if traces_equal reference events then "identical" else "DIVERGED")
-      (Array.length reference)
+      (if s.identical then "identical" else "DIVERGED")
+      (Array.length r.reference_trace)
 
-let supervision_line name (subject : _ subject) =
-  match subject with
+let supervision_line name (r : _ Par_chaos.recovery) =
+  match r.subject with
   | Error _ -> Printf.printf "%-8s escalated\n" name
-  | Ok (_, outcomes, sup) ->
-    let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outcomes in
+  | Ok s ->
     Printf.printf "%-8s crashes %d, restarts %d, checkpoints %d (%d supervision events)\n"
-      name
-      (sum (fun (o : Parallel.Supervisor.outcome) -> o.o_crashes))
-      (sum (fun (o : Parallel.Supervisor.outcome) -> o.o_restarts))
-      (sum (fun (o : Parallel.Supervisor.outcome) -> o.o_checkpoints))
-      (Array.length sup)
+      name s.crashes s.restarts s.checkpoints (Array.length s.supervision)
 
 let run ?(quick = false) ?(obs = Obs.Sink.null) ?seed ?(domains = 1)
     ?(kills = []) () =
@@ -126,10 +65,8 @@ let run ?(quick = false) ?(obs = Obs.Sink.null) ?seed ?(domains = 1)
   (* Unsupervised width-1 reference, then the supervised subject at the
      requested width under the kill schedule; the contract says the
      merged engine streams and every count must match exactly. *)
-  let a_ref, a_ref_ev = collect_alloc ~domains:1 alloc_cfg in
-  let a_sub = supervised_alloc ~domains ~kills alloc_cfg in
-  let p_ref, p_ref_ev = collect_paging ~domains:1 paging_cfg in
-  let p_sub = supervised_paging ~domains ~kills paging_cfg in
+  let a = Par_chaos.recover_alloc ~domains ~kills ~checkpoint_every:256 alloc_cfg in
+  let p = Par_chaos.recover_paging ~domains ~kills ~checkpoint_every:256 paging_cfg in
   print_endline "== X11: sharded multicore execution ==";
   Printf.printf
     "(%d alloc shards, %d paging shards; shard count fixes the workload, \
@@ -155,8 +92,8 @@ let run ?(quick = false) ?(obs = Obs.Sink.null) ?seed ?(domains = 1)
               string_of_int s.sa_live;
               Printf.sprintf "%.1f" (float_of_int s.sa_elapsed_us /. 1000.);
             ]
-            @ fault_columns a_sub s.sa_shard)
-          a_ref.Parallel.Sharded.ar_shards));
+            @ fault_columns a s.sa_shard)
+          a.reference.Parallel.Sharded.ar_shards));
   print_newline ();
   print_endline "-- sharded demand paging (one engine per shard, private clocks) --";
   Metrics.Table.print
@@ -173,41 +110,41 @@ let run ?(quick = false) ?(obs = Obs.Sink.null) ?seed ?(domains = 1)
               string_of_int s.sp_writebacks;
               Printf.sprintf "%.1f" (float_of_int s.sp_elapsed_us /. 1000.);
             ]
-            @ fault_columns p_sub s.sp_shard)
-          p_ref.Parallel.Sharded.pr_shards));
+            @ fault_columns p s.sp_shard)
+          p.reference.Parallel.Sharded.pr_shards));
   print_newline ();
   print_endline "-- supervision: bounded restarts over crash-consistent checkpoints --";
-  supervision_line "alloc" a_sub;
-  supervision_line "paging" p_sub;
+  supervision_line "alloc" a;
+  supervision_line "paging" p;
   print_newline ();
   print_endline
     "-- determinism contract: recovered trace vs width-1 unsupervised reference --";
-  verdict "alloc merged trace:" a_sub ~reference:a_ref_ev;
-  verdict "paging merged trace:" p_sub ~reference:p_ref_ev;
+  verdict "alloc merged trace:" a;
+  verdict "paging merged trace:" p;
   print_newline ();
   (* Splice the streams into the experiment's sink: engine traces as
      runs 0-1, supervision streams (a different vocabulary, so their
      own segments) as runs 2-3, each shifted past everything before
      it.  An escalated run emitted nothing, so emission is all-or-none:
      a partial trace would not re-check. *)
-  (match (a_sub, p_sub) with
-   | Ok (a_sub_ev, _, a_sup_ev), Ok (p_sub_ev, _, p_sup_ev) ->
-     let off1 = max_t a_sub_ev + 1 in
-     let off2 = off1 + max_t p_sub_ev + 1 in
-     let off3 = off2 + max_t a_sup_ev + 1 in
-     emit_segment ?seed
-       ~config:
-         (Printf.sprintf "x11 par_alloc shards=%d"
-            alloc_cfg.Parallel.Sharded.a_shards)
-       ~run:0 ~offset:0 obs a_sub_ev;
-     emit_segment ?seed
-       ~config:
-         (Printf.sprintf "x11 par_paging shards=%d"
-            paging_cfg.Parallel.Sharded.p_shards)
-       ~run:1 ~offset:off1 obs p_sub_ev;
-     emit_segment ?seed ~config:"x11 par_alloc supervision" ~run:2 ~offset:off2
-       obs a_sup_ev;
-     emit_segment ?seed ~config:"x11 par_paging supervision" ~run:3 ~offset:off3
-       obs p_sup_ev
-   | _ -> ());
-  (match (a_sub, p_sub) with Ok _, Ok _ -> true | _ -> false)
+  match (a.subject, p.subject) with
+  | Ok a, Ok p ->
+    let off1 = max_t a.trace + 1 in
+    let off2 = off1 + max_t p.trace + 1 in
+    let off3 = off2 + max_t a.supervision + 1 in
+    emit_segment ?seed
+      ~config:
+        (Printf.sprintf "x11 par_alloc shards=%d"
+           alloc_cfg.Parallel.Sharded.a_shards)
+      ~run:0 ~offset:0 obs a.trace;
+    emit_segment ?seed
+      ~config:
+        (Printf.sprintf "x11 par_paging shards=%d"
+           paging_cfg.Parallel.Sharded.p_shards)
+      ~run:1 ~offset:off1 obs p.trace;
+    emit_segment ?seed ~config:"x11 par_alloc supervision" ~run:2 ~offset:off2
+      obs a.supervision;
+    emit_segment ?seed ~config:"x11 par_paging supervision" ~run:3 ~offset:off3
+      obs p.supervision;
+    true
+  | _ -> false

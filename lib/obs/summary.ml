@@ -31,86 +31,23 @@ type trace_stats = {
 
 let count t name = match List.assoc_opt name t.kinds with Some n -> n | None -> 0
 
-(* Fold events into an accumulator keyed by kind name. *)
-type acc = {
-  mutable n : int;
-  mutable first : int;
-  mutable last : int;
-  table : (string, int ref) Hashtbl.t;
-}
-
-let acc_create () = { n = 0; first = 0; last = 0; table = Hashtbl.create 16 }
-
-let acc_add acc ev =
-  if acc.n = 0 then acc.first <- ev.Event.t_us;
-  acc.last <- ev.Event.t_us;
-  acc.n <- acc.n + 1;
-  let name = Event.kind_name ev.Event.kind in
-  match Hashtbl.find_opt acc.table name with
-  | Some r -> incr r
-  | None -> Hashtbl.replace acc.table name (ref 1)
-
-let acc_finish acc =
+let of_events events =
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun (ev : Event.t) ->
+      let name = Event.kind_name ev.kind in
+      match Hashtbl.find_opt table name with
+      | Some r -> incr r
+      | None -> Hashtbl.replace table name (ref 1))
+    events;
   {
-    events = acc.n;
-    t_first_us = acc.first;
-    t_last_us = acc.last;
+    events = List.length events;
+    t_first_us = (match events with [] -> 0 | ev :: _ -> ev.Event.t_us);
+    t_last_us = List.fold_left (fun _ (ev : Event.t) -> ev.t_us) 0 events;
     kinds =
       (* lint: allow L3 — the bindings are sorted by the enclosing List.sort *)
-      List.sort compare (Hashtbl.fold (fun k r l -> (k, !r) :: l) acc.table []);
+      List.sort compare (Hashtbl.fold (fun k r l -> (k, !r) :: l) table []);
   }
-
-let of_events events =
-  let acc = acc_create () in
-  List.iter (acc_add acc) events;
-  acc_finish acc
-
-let scan_jsonl filename =
-  match open_in filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let acc = acc_create () in
-    let lineno = ref 0 in
-    (* Scan the whole file rather than stopping at the first bad line:
-       a truncated or interleaved trace usually has more than one, and
-       the caller wants them all in one pass. *)
-    let bad = ref [] in
-    let bad_count = ref 0 in
-    (try
-       let rec loop () =
-         match input_line ic with
-         | line ->
-           incr lineno;
-           let trimmed = String.trim line in
-           if trimmed <> "" && trimmed.[0] <> '#' then begin
-             match Event.of_json trimmed with
-             | Some ev -> acc_add acc ev
-             | None ->
-               incr bad_count;
-               if !bad_count <= 5 then
-                 bad :=
-                   Printf.sprintf "line %d: not an event: %S" !lineno
-                     (if String.length trimmed > 60 then
-                        String.sub trimmed 0 60 ^ "..."
-                      else trimmed)
-                   :: !bad
-           end;
-           loop ()
-         | exception End_of_file -> ()
-       in
-       loop ();
-       close_in ic
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    if !bad_count = 0 then Ok (acc_finish acc)
-    else
-      Error
-        (Printf.sprintf "%s: %d malformed line(s)\n  %s%s" filename !bad_count
-           (String.concat "\n  " (List.rev !bad))
-           (if !bad_count > 5 then
-              Printf.sprintf "\n  (... %d more not shown)" (!bad_count - 5)
-            else ""))
 
 let trace_stats_to_json t =
   Json.obj

@@ -11,6 +11,17 @@
     streams by (virtual time, shard index, arrival order) into the
     caller's sink.
 
+    One runner.  All four entry points go through one runner and one
+    per-shard loop.  The loop owns the checkpoint-prefix event buffer,
+    the progress bound and the per-step tick; an engine supplies only
+    start, resume, step, checkpoint payload and report.  After the
+    join, on the caller's domain, the runner derives each shard's
+    {!Obs.Telemetry} stream from its buffered events
+    ({!Obs.Telemetry.of_events}, in plain and supervised runs alike),
+    evaluates the watch rules and performs both merges.  Every entry
+    point raises [Invalid_argument] naming itself, before any shard
+    runs, if [domains < 1] or a [telemetry] cadence is [< 1].
+
     The determinism contract.  The shard count is part of the workload
     description; [domains] is only an execution width.  Because no
     shard shares mutable state with another and the merge key is a
@@ -78,13 +89,10 @@ val run_alloc :
 (** Run the workload: each shard drives a private {!Fixed_alloc} over
     its arena with a mixed alloc/free stream (holding roughly half the
     arena live), buffering [Alloc]/[Free] events when [obs] is active.
-    [telemetry] (a cadence in simulated µs) additionally derives each
-    shard's {!Obs.Telemetry} snapshot stream from its buffered events
-    — on the shard's own domain — and merges them into
-    [ar_telemetry]; it forces event buffering even when [obs] is
-    inactive.  The report, the merged stream, and the merged telemetry
-    are bit-identical for any [domains >= 1].  Raises
-    [Invalid_argument] if [domains < 1]. *)
+    [telemetry] (a cadence in simulated µs) also merges the per-shard
+    snapshot streams into [ar_telemetry], and forces event buffering
+    even when [obs] is inactive.  The report, the merged stream, and
+    the merged telemetry are bit-identical for any [domains >= 1]. *)
 
 (** {2 Demand paging} *)
 
@@ -156,7 +164,8 @@ val run_paging :
     references before the checkpoint with emission suppressed and
     verifying clock, RNG, event count and fault digest against the
     checkpoint ({!Checkpoint.Inconsistent} poisons an untrustworthy
-    checkpoint and costs a restart).
+    checkpoint and costs a restart).  Each strategy is its engine's
+    [resume]; restarts follow the default {!Supervisor.policy}.
 
     [checkpoint_every] counts workload steps (default 512; 0 disables
     checkpointing).  With [checkpoint_dir], checkpoints are mirrored
@@ -178,7 +187,6 @@ val run_alloc_supervised :
   ?supervision:Obs.Sink.t ->
   ?telemetry:int ->
   ?watch:Obs.Watch.rule list ->
-  ?policy:Supervisor.policy ->
   ?kills:Supervisor.kill list ->
   ?checkpoint_every:int ->
   ?checkpoint_dir:string ->
@@ -191,7 +199,6 @@ val run_paging_supervised :
   ?supervision:Obs.Sink.t ->
   ?telemetry:int ->
   ?watch:Obs.Watch.rule list ->
-  ?policy:Supervisor.policy ->
   ?kills:Supervisor.kill list ->
   ?checkpoint_every:int ->
   ?checkpoint_dir:string ->

@@ -17,12 +17,39 @@
 
 type fault = Crash | Stall
 
-type kill = {
+type kill = Resilience.Chaos.shard_kill = {
   k_shard : int;
   k_attempt : int;
   k_progress : int;
   k_stall : bool;
 }
+
+(* "S@P[,S@P...]"; a shard's n-th listed kill targets its n-th
+   execution attempt. *)
+let parse_kills spec =
+  let invalid =
+    Error
+      (Printf.sprintf
+         "invalid --kill-shard %S; expected comma-separated S@P pairs with shard S \
+          >= 0 and progress P >= 1 (e.g. 0@500,1@200,0@900)"
+         spec)
+  in
+  let rec parse acc = function
+    | [] -> Ok (List.rev acc)
+    | part :: rest -> (
+      match String.split_on_char '@' (String.trim part) with
+      | [ s; p ] -> (
+        match (int_of_string_opt (String.trim s), int_of_string_opt (String.trim p)) with
+        | Some shard, Some progress when shard >= 0 && progress >= 1 ->
+          let attempt = List.length (List.filter (fun k -> k.k_shard = shard) acc) in
+          let k =
+            { k_shard = shard; k_attempt = attempt; k_progress = progress; k_stall = false }
+          in
+          parse (k :: acc) rest
+        | _ -> invalid)
+      | _ -> invalid)
+  in
+  parse [] (String.split_on_char ',' spec)
 
 exception Injected of fault
 

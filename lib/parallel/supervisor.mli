@@ -20,12 +20,22 @@
 
 type fault = Crash | Stall
 
-type kill = {
+type kill = Resilience.Chaos.shard_kill = {
   k_shard : int;  (** which shard to kill *)
   k_attempt : int;  (** on which execution attempt (0 = first run) *)
   k_progress : int;  (** after how many completed workload steps *)
   k_stall : bool;  (** [true] simulates a detected stall, not a crash *)
 }
+(** The chaos layer's shard-kill record, re-exported: drawn chaos
+    schedules and explicit kill lists are the same type. *)
+
+val parse_kills : string -> (kill list, string) result
+(** Parse a [--kill-shard] spec: comma-separated [S@P] pairs, each
+    killing shard [S >= 0] after it completes workload step [P >= 1].
+    Repeating a shard targets its successive execution attempts in
+    order (attempt 0, 1, ...).  Spaces around parts and numbers are
+    ignored.  Never raises: bad syntax, an empty part, an integer out
+    of range or outside those bounds is an [Error] quoting the spec. *)
 
 exception Injected of fault
 (** How an injected fault tears down the body mid-step.  Bodies do not

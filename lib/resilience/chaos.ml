@@ -102,14 +102,14 @@ let counter s name = match List.assoc_opt name s.totals with Some n -> n | None 
 
 (* {2 Multicore chaos} *)
 
-(* Pure data: this module sits below lib/parallel, so shard-kill
-   schedules are described here and converted to Supervisor kills by
-   the experiments layer. *)
+(* Pure data: this module sits below lib/parallel, so the one
+   shard-kill record lives here and Parallel.Supervisor re-exports it
+   as its [kill]. *)
 type shard_kill = {
-  sk_shard : int;
-  sk_attempt : int;
-  sk_progress : int;
-  sk_stall : bool;
+  k_shard : int;
+  k_attempt : int;
+  k_progress : int;
+  k_stall : bool;
 }
 
 (* 0-2 kills per shard keeps every schedule inside the default restart
@@ -129,8 +129,8 @@ let shard_schedule rng ~shards ~steps =
          in
          List.mapi
            (fun a p ->
-             { sk_shard = s; sk_attempt = a; sk_progress = p;
-               sk_stall = Sim.Rng.int rng 5 = 0 })
+             { k_shard = s; k_attempt = a; k_progress = p;
+               k_stall = Sim.Rng.int rng 5 = 0 })
            points))
 
 type shard_scenario = {
@@ -173,15 +173,13 @@ let run_sharded ?(trace = Obs.Sink.null) ?progress ?kills ~scenarios ~shards
   let n = List.length scenarios in
   let results = ref [] in
   let offset = ref 0 in
+  (* The buffered events carry raw engine stamps, shifted by the
+     segment; the next segment starts one past this one's last stamp. *)
   let emit_segment ~seed ~config ~run events =
     let seg = Obs.Sink.segment ~seed ~config ~run ~offset:!offset trace in
     List.iter (Obs.Sink.emit seg) events;
-    List.iter
-      (fun (ev : Obs.Event.t) ->
-        if !offset + ev.t_us >= !offset then
-          offset := max !offset (!offset + ev.t_us))
-      events;
-    incr offset
+    offset :=
+      !offset + List.fold_left (fun acc (ev : Obs.Event.t) -> max acc ev.t_us) 0 events + 1
   in
   for index = 0 to runs - 1 do
     let scenario = List.nth scenarios (index mod n) in

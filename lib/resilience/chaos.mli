@@ -70,14 +70,14 @@ val counter : summary -> string -> int
     The sharded variant injects {e shard} faults — simulated domain
     crashes and stalls at chosen workload steps — instead of device
     faults.  This module sits below [lib/parallel], so a kill is pure
-    data here; the experiments layer converts it to a supervisor kill
-    and runs the workload under supervision. *)
+    data here: {!Parallel.Supervisor.kill} is this same record, which
+    the supervised engines take directly. *)
 
 type shard_kill = {
-  sk_shard : int;  (** which shard to kill *)
-  sk_attempt : int;  (** on which execution attempt (0 = first run) *)
-  sk_progress : int;  (** after how many completed workload steps *)
-  sk_stall : bool;  (** simulate a detected stall instead of a crash *)
+  k_shard : int;  (** which shard to kill *)
+  k_attempt : int;  (** on which execution attempt (0 = first run) *)
+  k_progress : int;  (** after how many completed workload steps *)
+  k_stall : bool;  (** simulate a detected stall instead of a crash *)
 }
 
 val shard_schedule :

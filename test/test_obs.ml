@@ -504,37 +504,6 @@ let test_summary_of_events () =
   check_bool "zero counts omitted" true
     (List.for_all (fun (_, n) -> n > 0) stats.Obs.Summary.kinds)
 
-let test_scan_jsonl_roundtrip () =
-  let file = Filename.temp_file "dsas_obs" ".jsonl" in
-  let oc = open_out file in
-  output_string oc "# comment line\n\n";
-  let s = Obs.Sink.jsonl oc in
-  List.iter (Obs.Sink.emit s) one_of_each;
-  close_out oc;
-  let stats = Obs.Summary.scan_jsonl file in
-  Sys.remove file;
-  check_bool "same aggregate as in-memory" true
-    (stats = Ok (Obs.Summary.of_events one_of_each))
-
-let test_scan_jsonl_rejects_garbage () =
-  let file = Filename.temp_file "dsas_obs" ".jsonl" in
-  let oc = open_out file in
-  output_string oc "{\"t_us\":1,\"ev\":\"fault\",\"page\":2}\nnot json\n";
-  close_out oc;
-  let result =
-    match Obs.Summary.scan_jsonl file with
-    | Ok _ -> "no error"
-    | Error msg -> msg
-  in
-  Sys.remove file;
-  check_bool "failure names line 2" true
-    (let needle = "line 2" in
-     let nl = String.length needle in
-     let rec find i =
-       i + nl <= String.length result && (String.sub result i nl = needle || find (i + 1))
-     in
-     find 0)
-
 let () =
   Alcotest.run "obs"
     [
@@ -585,7 +554,5 @@ let () =
         [
           Alcotest.test_case "of_events" `Quick test_summary_of_events;
           Alcotest.test_case "of no events" `Quick test_summary_of_no_events;
-          Alcotest.test_case "scan_jsonl roundtrip" `Quick test_scan_jsonl_roundtrip;
-          Alcotest.test_case "scan_jsonl garbage" `Quick test_scan_jsonl_rejects_garbage;
         ] );
     ]

@@ -798,6 +798,65 @@ let test_recovered_fixture_check_clean () =
       Alcotest.fail "committed recovered fixture violated trace invariants"
     end
 
+(* Both supervised entry points check their arguments before any shard
+   runs: a zero telemetry cadence is refused under the entry point's own
+   name, with no checkpoint directory created and nothing emitted. *)
+let test_supervised_rejects_zero_cadence () =
+  with_temp_dir (fun dir ->
+      let emitted = ref 0 in
+      let obs = Obs.Sink.collect (fun _ -> incr emitted) in
+      let rejects name run =
+        match run () with
+        | _ -> Alcotest.failf "%s accepted a zero telemetry cadence" name
+        | exception Invalid_argument msg ->
+          Alcotest.(check string) "own message" (name ^ ": telemetry cadence < 1") msg
+      in
+      rejects "Sharded.run_alloc_supervised" (fun () ->
+          Parallel.Sharded.run_alloc_supervised ~obs ~telemetry:0 ~checkpoint_every:8
+            ~checkpoint_dir:dir ~domains:2 (alloc_cfg 1));
+      rejects "Sharded.run_paging_supervised" (fun () ->
+          Parallel.Sharded.run_paging_supervised ~obs ~telemetry:0 ~checkpoint_every:8
+            ~checkpoint_dir:dir ~domains:2 (paging_cfg 1));
+      check_bool "no shard ran: no checkpoint directory" false (Sys.file_exists dir);
+      check_int "nothing emitted" 0 !emitted)
+
+(* --- The --kill-shard parser --- *)
+
+let test_parse_kills_valid () =
+  let parses spec expected =
+    match Parallel.Supervisor.parse_kills spec with
+    | Ok ks -> check_bool spec true (ks = expected)
+    | Error e -> Alcotest.failf "%S rejected: %s" spec e
+  in
+  parses "0@50,2@120,0@400"
+    [ kill 0 ~attempt:0 ~progress:50; kill 2 ~attempt:0 ~progress:120;
+      kill 0 ~attempt:1 ~progress:400 ];
+  (* a repeated shard numbers its attempts in listed order *)
+  parses " 3 @ 7 , 3@9,1@1, 3@2 "
+    [ kill 3 ~attempt:0 ~progress:7; kill 3 ~attempt:1 ~progress:9;
+      kill 1 ~attempt:0 ~progress:1; kill 3 ~attempt:2 ~progress:2 ];
+  parses "0@500,0@500,0@500,0@500"
+    (List.init 4 (fun a -> kill 0 ~attempt:a ~progress:500))
+
+let test_parse_kills_rejects () =
+  List.iter
+    (fun spec ->
+      match Parallel.Supervisor.parse_kills spec with
+      | Ok _ -> Alcotest.failf "%S accepted" spec
+      | Error msg ->
+        check_bool ("quotes the spec: " ^ msg) true
+          (contains_substring msg (Printf.sprintf "%S" spec)))
+    [
+      (* bad syntax *)
+      "0-50"; "0@5@6"; "a@5"; "0@x"; "0@5;1@6";
+      (* S < 0 and P < 1 *)
+      "-1@5"; "0@0"; "2@-3";
+      (* empty parts *)
+      ""; ","; "0@5,,1@3"; "0@5,"; "@5"; "0@"; " @ ";
+      (* out-of-range integers *)
+      "99999999999999999999@5"; "0@99999999999999999999";
+    ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -864,6 +923,13 @@ let () =
             test_supervise_resumes_from_checkpoint;
           Alcotest.test_case "inconsistent checkpoint is poisoned" `Quick
             test_supervise_poisons_inconsistent_checkpoint;
+          Alcotest.test_case "zero cadence refused up front" `Quick
+            test_supervised_rejects_zero_cadence;
+        ] );
+      ( "kill-shard",
+        [
+          Alcotest.test_case "valid specs and attempts" `Quick test_parse_kills_valid;
+          Alcotest.test_case "bad specs are errors" `Quick test_parse_kills_rejects;
         ] );
       ( "checkpoint",
         [

@@ -557,6 +557,47 @@ let collect_events f =
   f (Obs.Sink.collect (fun e -> acc := e :: !acc));
   List.rev !acc
 
+(* Multicore chaos splices each round's engine and supervision streams
+   as consecutive segments of raw engine stamps.  Each segment must
+   start one past the previous segment's last shifted stamp, as in
+   Chaos.run, not past the running sum of its stamps. *)
+let test_chaos_sharded_segment_offsets () =
+  let scenario =
+    {
+      Resilience.Chaos.sh_name = "synthetic";
+      sh_run =
+        (fun ~seed:_ ~kills:_ ~engine ~supervision ->
+          List.iter
+            (fun t -> Obs.Sink.emit engine (ev ~t_us:t (Obs.Event.Fault { page = t })))
+            [ 100; 250; 400 ];
+          List.iter
+            (fun t ->
+              Obs.Sink.emit supervision
+                (ev ~t_us:t
+                   (Obs.Event.Shard_checkpoint { shard = 0; progress = t; events = 0 })))
+            [ 300; 900 ];
+          []);
+    }
+  in
+  let events =
+    collect_events (fun trace ->
+        let (_ : Resilience.Chaos.sharded_summary) =
+          Resilience.Chaos.run_sharded ~trace ~scenarios:[ scenario ] ~shards:1
+            ~steps:1 ~runs:2 ~seed:7 ()
+        in
+        ())
+  in
+  let starts =
+    List.filter_map
+      (fun (e : Obs.Event.t) ->
+        match e.kind with Obs.Event.Run_start _ -> Some e.t_us | _ -> None)
+      events
+  in
+  (* engine [0, 400], supervision 401 + [300, 900], then round two *)
+  Alcotest.(check (list int)) "run_start stamps" [ 0; 401; 1302; 1703 ] starts;
+  check_int "last stamp" (1703 + 900)
+    (List.fold_left (fun acc (e : Obs.Event.t) -> max acc e.t_us) 0 events)
+
 let fault_schedule_gen =
   QCheck.(
     quad (int_range 0 10_000) (float_range 0. 1.) (float_range 0. 1.)
@@ -632,6 +673,8 @@ let () =
           Alcotest.test_case "schedule bounds" `Quick test_chaos_schedule_bounds;
           Alcotest.test_case "reproducible" `Quick test_chaos_reproducible;
           Alcotest.test_case "200-run sweep" `Slow test_chaos_sweep_200;
+          Alcotest.test_case "sharded segment offsets" `Quick
+            test_chaos_sharded_segment_offsets;
           QCheck_alcotest.to_alcotest mirror_absorbs_any_schedule;
         ] );
     ]
