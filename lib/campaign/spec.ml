@@ -128,6 +128,15 @@ let string_of_num f =
   if Float.is_integer f && abs_float f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
 
+(* JSON numbers are doubles: an integer field takes only integral values
+   small enough to be exact. *)
+let int_of_num what f =
+  if Float.is_integer f && abs_float f <= 0x1p53 then Ok (int_of_float f)
+  else
+    Error
+      (Printf.sprintf "%s must be an integer of magnitude at most 2^53 (got %s)" what
+         (string_of_num f))
+
 let of_json text =
   let ( let* ) = Result.bind in
   match Obs.Json.parse_tree text with
@@ -155,21 +164,25 @@ let of_json text =
       | Some (Obs.Json.TArr items) ->
         let rec ints acc = function
           | [] -> Ok (List.rev acc)
-          | Obs.Json.TNum f :: rest -> ints (int_of_float f :: acc) rest
+          | Obs.Json.TNum f :: rest ->
+            let* seed = int_of_num "a seed" f in
+            ints (seed :: acc) rest
           | _ -> Error "\"seeds\" must be an array of integers"
         in
         ints [] items
       | Some _ -> Error "\"seeds\" must be an array of integers"
     in
-    let quick =
+    let* quick =
       match Obs.Json.tree_mem doc "quick" with
-      | Some (Obs.Json.TBool b) -> b
-      | _ -> false
+      | None -> Ok false
+      | Some (Obs.Json.TBool b) -> Ok b
+      | Some _ -> Error "\"quick\" must be true or false"
     in
-    let trace_every =
-      match Obs.Json.tree_num doc "trace_every" with
-      | Some f -> int_of_float f
-      | None -> 0
+    let* trace_every =
+      match Obs.Json.tree_mem doc "trace_every" with
+      | None -> Ok 0
+      | Some (Obs.Json.TNum f) -> int_of_num "\"trace_every\"" f
+      | Some _ -> Error "\"trace_every\" must be an integer"
     in
     let* axes =
       match Obs.Json.tree_mem doc "axes" with

@@ -41,7 +41,9 @@ val to_json : t -> string
 val of_json : string -> (t, string) result
 (** Parse and {!validate}.  [seeds] defaults to [[0]], [quick] to
     [false], [trace_every] to [0], [axes] to [[]] (a single point per
-    seed).  Numeric axis values are stringified. *)
+    seed).  Numeric axis values are stringified.  A seed or
+    [trace_every] that is not an integer of magnitude at most 2^53, or
+    a [quick] that is not a boolean, is an [Error]. *)
 
 val load : string -> (t, string) result
 

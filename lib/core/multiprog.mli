@@ -70,5 +70,4 @@ val run :
     set is evicted, [load_shed] is traced) and re-admission wakes the
     longest-shed one ([load_admit]); if scheduling would otherwise go
     idle with parked jobs remaining, they are force re-admitted.  Read
-    shed/admit counts and the multiprogramming-level series off the
-    controller afterwards. *)
+    shed/admit counts off the controller afterwards. *)

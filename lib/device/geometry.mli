@@ -4,7 +4,7 @@
     with its head at cylinder [head], when does servicing a request for
     [page] start, when does it finish, and where does the head end up?
     All times are microseconds on the caller's simulated clock; the
-    rotating surface is phase-locked to t = 0, as in {!Memstore.Drum}.
+    rotating surface is phase-locked to t = 0.
 
     - [Fixed] charges {!Memstore.Device.transfer_us} with no positional
       state — the flat latency every engine used before this subsystem

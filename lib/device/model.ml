@@ -30,7 +30,6 @@ type t = {
   completions : int Sim.Heap.t;  (* finish_us -> req id, undelivered *)
   finish_of : (int, int) Hashtbl.t;  (* req id -> finish_us, undelivered *)
   failures : (int, failure) Hashtbl.t;  (* req id -> terminal failure, unconsumed *)
-  depth_series : Obs.Series.t;
   mutable next_id : int;
   mutable last_arrival_us : int;
   mutable served : int;
@@ -70,7 +69,6 @@ let create ?(obs = Obs.Sink.null) cfg =
     completions = Sim.Heap.create ();
     finish_of = Hashtbl.create 64;
     failures = Hashtbl.create 8;
-    depth_series = Obs.Series.create ();
     next_id = 0;
     last_arrival_us = 0;
     served = 0;
@@ -92,12 +90,12 @@ let note_depth t =
   let depth = List.length t.queue in
   t.depth_sum <- t.depth_sum + depth;
   t.depth_samples <- t.depth_samples + 1;
-  if depth > t.max_depth then t.max_depth <- depth;
-  Obs.Series.sample t.depth_series ~t_us:t.last_arrival_us (float_of_int depth)
+  if depth > t.max_depth then t.max_depth <- depth
 
 let submit ?(immune = false) t ~now ~kind ~page ~words =
-  (* The series needs monotone time; engine clocks are, but clamp so a
-     late-stamped submission cannot crash the probe. *)
+  (* Arrival times are monotone in submission order: engine clocks
+     are, and a late-stamped submission is clamped to the latest
+     arrival, so it queues behind everything already submitted. *)
   let now = max now t.last_arrival_us in
   t.last_arrival_us <- now;
   let id = t.next_id in
@@ -338,8 +336,6 @@ let rec take_completion t =
     else pop_completion t
 
 (* ---- reporting ---- *)
-
-let queue_depth_series t = t.depth_series
 
 let pending t = List.length t.queue
 

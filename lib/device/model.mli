@@ -25,8 +25,7 @@
     Obs note: [Io_start]/[Io_done]/[Io_retry] events are stamped with
     the planned service times, which run ahead of the engine's clock;
     they may interleave out of order with engine events (see
-    {!Obs.Event}).  The queue-depth series is sampled at submission
-    times only, so it stays monotone. *)
+    {!Obs.Event}). *)
 
 type config = {
   geometry : Geometry.t;
@@ -118,9 +117,6 @@ val take_completion : t -> (int * int) option
 (** Next completion [(id, finish_us)] in finish order, dispatching as
     needed; the engine blocks until then.  [None] iff the device is
     idle and the queue empty. *)
-
-val queue_depth_series : t -> Obs.Series.t
-(** Queue depth sampled at each submission. *)
 
 val pending : t -> int
 (** Requests submitted but not yet dispatched. *)

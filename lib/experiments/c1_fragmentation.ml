@@ -8,12 +8,14 @@ type row = {
 
 let page_sizes = [ 64; 256; 1024; 4096 ]
 
+let store_words = 1 lsl 17
+
 let mix rng ~steps =
   Workload.Alloc_stream.live_stream rng ~steps
     ~size:(Workload.Alloc_stream.Geometric { mean = 90.; min_size = 1 })
     ~target_live:300
 
-(* The live set at the end of the stream, as (id, size). *)
+(* Feed a stream's births and deaths to one discipline. *)
 let replay events ~on_alloc ~on_free =
   List.iter
     (function
@@ -21,46 +23,25 @@ let replay events ~on_alloc ~on_free =
       | Workload.Alloc_stream.Free { id } -> on_free ~id)
     events
 
-let boundary_tag_row events =
-  let words = 1 lsl 17 in
-  let mem = Memstore.Physical.create ~name:"core" ~words in
-  let a = Freelist.Allocator.create mem ~base:0 ~len:words ~policy:Freelist.Policy.Best_fit in
-  let table = Hashtbl.create 512 in
-  let requested = Hashtbl.create 512 in
-  let live = ref 0 in
-  replay events
-    ~on_alloc:(fun ~id ~size ->
-      match Freelist.Allocator.alloc a size with
-      | Some addr ->
-        Hashtbl.replace table id addr;
-        Hashtbl.replace requested id size;
-        live := !live + size
-      | None -> ())
-    ~on_free:(fun ~id ->
-      match Hashtbl.find_opt table id with
-      | Some addr ->
-        Freelist.Allocator.free a addr;
-        live := !live - Hashtbl.find requested id;
-        Hashtbl.remove table id;
-        Hashtbl.remove requested id
-      | None -> ());
-  let free_sizes = Freelist.Allocator.free_block_sizes a in
-  let external_frag = Metrics.Fragmentation.external_of_free_blocks free_sizes in
-  (* Claimed = live payloads + tag overhead; waste = claimed - requested,
-     plus the shattering of what remains free. *)
-  let claimed = words - Freelist.Allocator.free_words a in
+let point ?obs ?(words = store_words) ~rng ~steps policy =
+  C2_placement.serve ?obs ~words policy (mix rng ~steps)
+
+(* Claimed = live payloads + tag overhead; waste = claimed - requested,
+   plus the shattering of what remains free. *)
+let variable_row (o : C2_placement.outcome) =
+  let claimed = store_words - o.free_words in
   {
     discipline = "variable (best-fit)";
     claimed;
-    live = !live;
-    wasted_fraction = float_of_int (claimed - !live) /. float_of_int claimed;
+    live = o.requested;
+    wasted_fraction = float_of_int (claimed - o.requested) /. float_of_int claimed;
     detail =
       Printf.sprintf "external frag %s over %d holes"
-        (Metrics.Table.fmt_pct external_frag) (List.length free_sizes);
+        (Metrics.Table.fmt_pct o.external_frag) o.holes;
   }
 
 let buddy_row events =
-  let b = Freelist.Buddy.create ~words:(1 lsl 17) in
+  let b = Freelist.Buddy.create ~words:store_words in
   let table = Hashtbl.create 512 in
   replay events
     ~on_alloc:(fun ~id ~size ->
@@ -106,10 +87,13 @@ let paged_row events page_size =
   }
 
 let measure ?(quick = false) ?seed () =
-  let rng = Sim.Rng.derive ?override:seed 2024 in
-  let events = mix rng ~steps:(if quick then 2_000 else 20_000) in
-  (boundary_tag_row events :: buddy_row events
-   :: List.map (paged_row events) page_sizes)
+  let steps = if quick then 2_000 else 20_000 in
+  (* Every discipline serves the same stream, drawn afresh from one site. *)
+  let stream () = Sim.Rng.derive ?override:seed 2024 in
+  let events = mix (stream ()) ~steps in
+  variable_row (point ~rng:(stream ()) ~steps Freelist.Policy.Best_fit)
+  :: buddy_row events
+  :: List.map (paged_row events) page_sizes
 
 let run ?quick ?obs:_ ?seed () =
   let rows = measure ?quick ?seed () in

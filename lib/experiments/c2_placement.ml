@@ -1,46 +1,66 @@
-type row = {
-  policy : string;
-  mix : string;
+type outcome = {
   external_frag : float;
   holes : int;
   mean_search : float;
   failures : int;
   largest_free : int;
+  live_words : int;
+  free_words : int;
+  requested : int;
 }
 
-let mixes ~steps =
-  [
-    ( "small-skewed",
-      fun rng ->
-        Workload.Alloc_stream.live_stream rng ~steps
-          ~size:(Workload.Alloc_stream.Geometric { mean = 40.; min_size = 1 })
-          ~target_live:400 );
-    ( "bimodal 16/2048",
-      fun rng ->
-        Workload.Alloc_stream.live_stream rng ~steps
-          ~size:(Workload.Alloc_stream.Bimodal { small = 16; large = 2048; large_fraction = 0.05 })
-          ~target_live:400 );
-  ]
+type row = { policy : string; mix : string; outcome : outcome }
 
-let serve ?(obs = Obs.Sink.null) policy events =
-  let words = 1 lsl 16 in
+type mix = Small_skewed | Bimodal
+
+let mix_name = function Small_skewed -> "small-skewed" | Bimodal -> "bimodal 16/2048"
+
+let serve ?(obs = Obs.Sink.null) ~words policy events =
   let mem = Memstore.Physical.create ~name:"core" ~words in
   let a = Freelist.Allocator.create ~obs mem ~base:0 ~len:words ~policy in
   let table = Hashtbl.create 512 in
+  let requested = ref 0 in
   List.iter
     (function
       | Workload.Alloc_stream.Alloc { id; size } ->
         (match Freelist.Allocator.alloc a size with
-         | Some addr -> Hashtbl.replace table id addr
+         | Some addr ->
+           Hashtbl.replace table id (addr, size);
+           requested := !requested + size
          | None -> ())
       | Workload.Alloc_stream.Free { id } ->
         (match Hashtbl.find_opt table id with
-         | Some addr ->
+         | Some (addr, size) ->
            Freelist.Allocator.free a addr;
-           Hashtbl.remove table id
+           Hashtbl.remove table id;
+           requested := !requested - size
          | None -> ()))
     events;
-  a
+  let sizes = Freelist.Allocator.free_block_sizes a in
+  {
+    external_frag = Metrics.Fragmentation.external_of_free_blocks sizes;
+    holes = List.length sizes;
+    mean_search = Metrics.Stats.mean (Freelist.Allocator.search_stats a);
+    failures = Freelist.Allocator.failures a;
+    largest_free = Freelist.Allocator.largest_free a;
+    live_words = Freelist.Allocator.live_words a;
+    free_words = Freelist.Allocator.free_words a;
+    requested = !requested;
+  }
+
+let point ?obs ?seed ?(words = 1 lsl 16) ?(target_live = 400) ~steps ~mix policy =
+  let size =
+    match mix with
+    | Small_skewed -> Workload.Alloc_stream.Geometric { mean = 40.; min_size = 1 }
+    | Bimodal ->
+      Workload.Alloc_stream.Bimodal { small = 16; large = 2048; large_fraction = 0.05 }
+  in
+  (* Same stream for every policy: same seed. *)
+  let events =
+    Workload.Alloc_stream.live_stream (Sim.Rng.derive ?override:seed 77) ~steps ~size
+      ~target_live
+  in
+  serve ?obs ~words policy events
 
 let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let steps = if quick then 2_000 else 25_000 in
@@ -56,33 +76,18 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
     s
   in
   List.concat_map
-    (fun (mix_name, make_events) ->
+    (fun mix ->
       List.map
         (fun policy ->
-          (* Same stream for every policy: same seed. *)
-          let events = make_events (Sim.Rng.derive ?override:seed 77) in
-          let a =
-            serve
-              ~obs:
-                (seg
-                   ~config:
-                     (Printf.sprintf "c2 mix=%s policy=%s" mix_name
-                        (Freelist.Policy.to_string policy)))
-              policy events
+          let config =
+            Printf.sprintf "c2 mix=%s policy=%s" (mix_name mix)
+              (Freelist.Policy.to_string policy)
           in
-          t_base := !t_base + List.length events;
-          let sizes = Freelist.Allocator.free_block_sizes a in
-          {
-            policy = Freelist.Policy.to_string policy;
-            mix = mix_name;
-            external_frag = Metrics.Fragmentation.external_of_free_blocks sizes;
-            holes = List.length sizes;
-            mean_search = Metrics.Stats.mean (Freelist.Allocator.search_stats a);
-            failures = Freelist.Allocator.failures a;
-            largest_free = Freelist.Allocator.largest_free a;
-          })
+          let outcome = point ~obs:(seg ~config) ?seed ~steps ~mix policy in
+          t_base := !t_base + steps;
+          { policy = Freelist.Policy.to_string policy; mix = mix_name mix; outcome })
         Freelist.Policy.all_standard)
-    (mixes ~steps)
+    [ Small_skewed; Bimodal ]
 
 let run ?quick ?obs ?seed () =
   let rows = measure ?quick ?obs ?seed () in
@@ -91,15 +96,15 @@ let run ?quick ?obs ?seed () =
   Metrics.Table.print
     ~headers:[ "mix"; "policy"; "ext frag"; "holes"; "mean search"; "failures"; "largest hole" ]
     (List.map
-       (fun r ->
+       (fun { policy; mix; outcome = o } ->
          [
-           r.mix;
-           r.policy;
-           Metrics.Table.fmt_pct r.external_frag;
-           string_of_int r.holes;
-           Metrics.Table.fmt_float r.mean_search;
-           string_of_int r.failures;
-           string_of_int r.largest_free;
+           mix;
+           policy;
+           Metrics.Table.fmt_pct o.external_frag;
+           string_of_int o.holes;
+           Metrics.Table.fmt_float o.mean_search;
+           string_of_int o.failures;
+           string_of_int o.largest_free;
          ])
        rows);
   print_newline ()

@@ -4,20 +4,37 @@ type curve = {
   points : (int * float) list;
 }
 
+type shape = Loop | Phases | Zipf
+
+let shape_name = function
+  | Loop -> "loop(40 of 64)"
+  | Phases -> "working-set phases"
+  | Zipf -> "zipf(1.0)"
+
+let trace rng ~length = function
+  | Loop -> Workload.Trace.loop ~length ~extent:64 ~working_set:40
+  | Phases ->
+    Workload.Trace.working_set_phases rng ~length ~extent:128 ~set_size:24
+      ~phase_length:(length / 10) ~locality:0.9
+  | Zipf -> Workload.Trace.zipf rng ~length ~extent:128 ~skew:1.0
+
+(* The two random traces share one stream: zipf is drawn first. *)
 let traces ~quick rng =
   let length = if quick then 2_000 else 30_000 in
-  [
-    ("loop(40 of 64)", Workload.Trace.loop ~length ~extent:64 ~working_set:40);
-    ( "working-set phases",
-      Workload.Trace.working_set_phases rng ~length ~extent:128 ~set_size:24
-        ~phase_length:(length / 10) ~locality:0.9 );
-    ("zipf(1.0)", Workload.Trace.zipf rng ~length ~extent:128 ~skew:1.0);
-  ]
+  let zipf = trace rng ~length Zipf in
+  let phases = trace rng ~length Phases in
+  [ (Loop, trace rng ~length Loop); (Phases, phases); (Zipf, zipf) ]
 
 let frame_points ~quick =
   if quick then [ 16; 32 ] else [ 8; 16; 24; 32; 40; 48; 56; 64 ]
 
 let specs = Paging.Spec.all_practical @ [ Paging.Spec.Opt ]
+
+let point ?obs ?seed ~frames spec trace =
+  let policy =
+    Paging.Spec.instantiate spec ~rng:(Sim.Rng.derive ?override:seed 9) ~trace:(Some trace)
+  in
+  Paging.Fault_sim.run ?obs ~frames ~policy trace
 
 let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let rng = Sim.Rng.derive ?override:seed 555 in
@@ -32,24 +49,18 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
     s
   in
   List.concat_map
-    (fun (trace_name, trace) ->
+    (fun (shape, trace) ->
+      let trace_name = shape_name shape in
       List.map
         (fun spec ->
           let points =
             List.map
               (fun frames ->
-                let policy =
-                  Paging.Spec.instantiate spec ~rng:(Sim.Rng.derive ?override:seed 9) ~trace:(Some trace)
+                let config =
+                  Printf.sprintf "c3 trace=%s policy=%s frames=%d" trace_name
+                    (Paging.Spec.to_string spec) frames
                 in
-                let r =
-                  Paging.Fault_sim.run
-                    ~obs:
-                      (seg
-                         ~config:
-                           (Printf.sprintf "c3 trace=%s policy=%s frames=%d"
-                              trace_name (Paging.Spec.to_string spec) frames))
-                    ~frames ~policy trace
-                in
+                let r = point ~obs:(seg ~config) ?seed ~frames spec trace in
                 t_base := !t_base + Array.length trace;
                 (frames, Paging.Fault_sim.fault_rate r))
               (frame_points ~quick)

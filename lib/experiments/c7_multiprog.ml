@@ -9,6 +9,14 @@ type row = {
 
 let pages_per_job = 24
 
+let point ?obs ?seed ~refs_per_job ~frames ~fetch_us jobs =
+  let rng = Sim.Rng.derive ?override:seed (jobs + (fetch_us * 7)) in
+  let mix =
+    Workload.Job.mix rng ~jobs ~refs_per_job ~pages_per_job ~locality:0.9
+      ~compute_us_per_ref:15
+  in
+  Dsas.Multiprog.run ?obs ~frames ~policy:(Paging.Replacement.lru ()) ~fetch_us mix
+
 let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let refs_per_job = if quick then 300 else 2_000 in
   let ks = if quick then [ 1; 4 ] else [ 1; 2; 3; 4; 6; 8 ] in
@@ -24,20 +32,8 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
     s
   in
   let one ~regime ~frames k fetch_us =
-    let rng = Sim.Rng.derive ?override:seed (k + (fetch_us * 7)) in
-    let jobs =
-      Workload.Job.mix rng ~jobs:k ~refs_per_job ~pages_per_job ~locality:0.9
-        ~compute_us_per_ref:15
-    in
-    let report =
-      Dsas.Multiprog.run
-        ~obs:
-          (seg
-             ~config:
-               (Printf.sprintf "c7 regime=%s jobs=%d fetch_us=%d" regime k fetch_us))
-        ~frames
-        ~policy:(Paging.Replacement.lru ()) ~fetch_us jobs
-    in
+    let config = Printf.sprintf "c7 regime=%s jobs=%d fetch_us=%d" regime k fetch_us in
+    let report = point ~obs:(seg ~config) ?seed ~refs_per_job ~frames ~fetch_us k in
     t_base := !t_base + report.Dsas.Multiprog.elapsed_us;
     {
       jobs = k;

@@ -16,6 +16,20 @@ type row = {
   elapsed_us : int;
 }
 
+val point :
+  ?obs:Obs.Sink.t ->
+  ?seed:int ->
+  refs_per_job:int ->
+  frames:int ->
+  fetch_us:int ->
+  int ->
+  Dsas.Multiprog.report
+(** [point ~refs_per_job ~frames ~fetch_us k]: one scheduler run, the
+    grid point behind {!measure} and the campaign multiprog cell.  [k]
+    jobs of [refs_per_job] references over 24 pages each (their stream
+    seeded by [k] and [fetch_us]) share [frames] frames under LRU, each
+    fault costing [fetch_us]. *)
+
 val measure : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> row list
 (** With a sink, each scheduler run reports job_start / job_stop and
     fault / eviction events; runs are spliced with {!Obs.Sink.shift} by

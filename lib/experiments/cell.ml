@@ -48,8 +48,9 @@ let get_float (ctx : ctx) name ~default =
   | None -> Ok default
   | Some v ->
     (match float_of_string_opt v with
-     | Some f -> Ok f
-     | None -> Error (Printf.sprintf "parameter %S: %S is not a number" name v))
+     | Some f when Float.is_finite f -> Ok f
+     | Some _ | None ->
+       Error (Printf.sprintf "parameter %S: %S is not a finite number" name v))
 
 let get_enum ctx name ~default ~values =
   let v = get ctx name ~default in
@@ -58,6 +59,11 @@ let get_enum ctx name ~default ~values =
     Error
       (Printf.sprintf "parameter %S: %S is not one of %s" name v
          (String.concat ", " values))
+
+let get_choice ctx name ~default ~choices =
+  Result.map
+    (fun v -> List.assoc v choices)
+    (get_enum ctx name ~default ~values:(List.map fst choices))
 
 let require_positive name n =
   if n > 0 then Ok n else Error (Printf.sprintf "parameter %S must be positive (got %d)" name n)

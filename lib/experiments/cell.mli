@@ -35,9 +35,15 @@ val get : ctx -> string -> default:string -> string
 val get_int : ctx -> string -> default:int -> (int, string) result
 
 val get_float : ctx -> string -> default:float -> (float, string) result
+(** [Error] on anything but a finite number: NaN would slip past every
+    range check. *)
 
 val get_enum :
   ctx -> string -> default:string -> values:string list -> (string, string) result
+
+val get_choice :
+  ctx -> string -> default:string -> choices:(string * 'a) list -> ('a, string) result
+(** {!get_enum} over the names of [choices], returning the named value. *)
 
 val require_positive : string -> int -> (int, string) result
 

@@ -1,57 +1,56 @@
 (* The campaign cell catalogue: one parameterizable grid point per
    simulation family.  Each cell validates its parameters strictly,
-   runs the simulation the corresponding experiment runs (same
-   generators, same derive constants where it shares a family), and
-   records its results as gauges/counters in the cell's registry —
-   exported by the executor as one dsas-metrics/1 file per grid
-   point. *)
+   calls the grid point its experiment's [measure] runs (the X11 cells:
+   the sharded engines), and records the results as gauges/counters in
+   the cell's registry — exported by the executor as one
+   dsas-metrics/1 file per grid point.
+
+   At their defaults (seed 0, quick) four cells reproduce an experiment
+   row exactly: paging is F3's drum row, placement C2's small-skewed
+   best-fit row, multiprog C7's fixed-32-frames k=4 fetch_us=5000 row,
+   and replacement with trace=zipf C3's zipf LRU point at 32 frames.
+   Two streams differ from their experiment's: frag_unit draws at site
+   31 where C1 draws at 2024, and the replacement cell draws its phases
+   trace from a fresh site-555 stream where C3 draws it after its zipf
+   trace. *)
 
 let ( let* ) = Result.bind
 
-let policy_of_string = function
-  | "first-fit" -> Ok Freelist.Policy.First_fit
-  | "next-fit" -> Ok Freelist.Policy.Next_fit
-  | "best-fit" -> Ok Freelist.Policy.Best_fit
-  | "worst-fit" -> Ok Freelist.Policy.Worst_fit
-  | "two-ends" -> Ok (Freelist.Policy.Two_ends { small_max = 64 })
-  | other -> Error (Printf.sprintf "unknown placement policy %S" other)
+let policies =
+  [
+    ("first-fit", Freelist.Policy.First_fit);
+    ("next-fit", Freelist.Policy.Next_fit);
+    ("best-fit", Freelist.Policy.Best_fit);
+    ("worst-fit", Freelist.Policy.Worst_fit);
+    ("two-ends", Freelist.Policy.Two_ends { small_max = 64 });
+  ]
 
-let policy_names = [ "first-fit"; "next-fit"; "best-fit"; "worst-fit"; "two-ends" ]
+let specs ~frames =
+  [
+    ("fifo", Paging.Spec.Fifo);
+    ("lru", Paging.Spec.Lru);
+    ("clock", Paging.Spec.Clock);
+    ("random", Paging.Spec.Random);
+    ("nru", Paging.Spec.Nru);
+    ("lfu", Paging.Spec.Lfu);
+    ("atlas", Paging.Spec.Atlas);
+    ("m44", Paging.Spec.M44);
+    ("working-set", Paging.Spec.Working_set (2 * frames));
+    ("opt", Paging.Spec.Opt);
+  ]
 
-let spec_of_string ~frames = function
-  | "fifo" -> Ok Paging.Spec.Fifo
-  | "lru" -> Ok Paging.Spec.Lru
-  | "clock" -> Ok Paging.Spec.Clock
-  | "random" -> Ok Paging.Spec.Random
-  | "nru" -> Ok Paging.Spec.Nru
-  | "lfu" -> Ok Paging.Spec.Lfu
-  | "atlas" -> Ok Paging.Spec.Atlas
-  | "m44" -> Ok Paging.Spec.M44
-  | "working-set" -> Ok (Paging.Spec.Working_set (2 * frames))
-  | "opt" -> Ok Paging.Spec.Opt
-  | other -> Error (Printf.sprintf "unknown replacement policy %S" other)
-
-let spec_names =
-  [ "fifo"; "lru"; "clock"; "random"; "nru"; "lfu"; "atlas"; "m44"; "working-set"; "opt" ]
+let spec_names = List.map fst (specs ~frames:0)
 
 (* --- paging: F3's one-program demand-paging run, device swept ------- *)
-
-let paging_devices =
-  [
-    ("fast-drum", Memstore.Device.custom ~label:"fast-drum" ~latency_us:1_000 ~word_ns:2_000);
-    ("drum", Memstore.Device.drum);
-    ("slow-drum", Memstore.Device.custom ~label:"slow-drum" ~latency_us:20_000 ~word_ns:8_000);
-    ("disk", Memstore.Device.disk);
-  ]
 
 let paging_cell =
   let run (ctx : Cell.ctx) =
     let* () =
       Cell.check_known ctx [ "device"; "frames"; "refs"; "policy" ]
     in
-    let* device_name =
-      Cell.get_enum ctx "device" ~default:"drum"
-        ~values:(List.map fst paging_devices)
+    let* device =
+      Cell.get_choice ctx "device" ~default:"drum"
+        ~choices:(List.map (fun d -> (d.Memstore.Device.label, d)) Fig3.devices)
     in
     let* frames = Cell.get_int ctx "frames" ~default:12 in
     let* frames = Cell.require_positive "frames" frames in
@@ -59,37 +58,14 @@ let paging_cell =
       Cell.get_int ctx "refs" ~default:(if ctx.quick then 2_000 else 20_000)
     in
     let* refs = Cell.require_positive "refs" refs in
-    let* spec = Cell.get_enum ctx "policy" ~default:"lru" ~values:spec_names in
-    let device = List.assoc device_name paging_devices in
-    let page_size = 256 in
-    let pages = 24 in
-    let rng = Sim.Rng.derive ~override:ctx.seed 42 in
-    let page_trace =
-      Workload.Trace.working_set_phases rng ~length:refs ~extent:pages ~set_size:6
-        ~phase_length:(refs / 8) ~locality:0.98
-    in
-    let trace =
-      Array.map (fun p -> (p * page_size) + Sim.Rng.int rng page_size) page_trace
-    in
-    let* policy_spec = spec_of_string ~frames spec in
-    let clock = Sim.Clock.create () in
-    let page_numbers = Workload.Trace.to_pages ~page_size trace in
-    let engine =
-      Paging.Spec.build ~obs:ctx.obs ~clock
-        ~rng:(Sim.Rng.derive ~override:ctx.seed 9)
-        ~trace:page_numbers
-        { Paging.Spec.e_page_size = page_size; e_frames = frames;
-          e_pages = pages; e_device = device; e_policy = policy_spec;
-          e_tlb_slots = None; e_compute_us_per_ref = 50 }
-    in
-    Paging.Demand.run engine trace;
-    let st = Paging.Demand.space_time engine in
-    Cell.gauge ctx "st.active" (Metrics.Space_time.active st);
-    Cell.gauge ctx "st.waiting" (Metrics.Space_time.waiting st);
-    Cell.gauge ctx "st.waiting_fraction" (Metrics.Space_time.waiting_fraction st);
-    Cell.count ctx "faults" (Paging.Demand.faults engine);
-    Cell.count ctx "refs" (Paging.Demand.refs engine);
-    Cell.count ctx "elapsed_us" (Sim.Clock.now clock);
+    let* policy = Cell.get_choice ctx "policy" ~default:"lru" ~choices:(specs ~frames) in
+    let r = Fig3.point ~obs:ctx.obs ~seed:ctx.seed ~frames ~policy ~refs device in
+    Cell.gauge ctx "st.active" r.Fig3.active;
+    Cell.gauge ctx "st.waiting" r.Fig3.waiting;
+    Cell.gauge ctx "st.waiting_fraction" r.Fig3.waiting_fraction;
+    Cell.count ctx "faults" r.Fig3.faults;
+    Cell.count ctx "refs" r.Fig3.refs;
+    Cell.count ctx "elapsed_us" r.Fig3.elapsed_us;
     Ok ()
   in
   {
@@ -112,13 +88,11 @@ let placement_cell =
     let* () =
       Cell.check_known ctx [ "policy"; "mix"; "steps"; "words"; "target_live" ]
     in
-    let* policy_name =
-      Cell.get_enum ctx "policy" ~default:"best-fit" ~values:policy_names
-    in
-    let* policy = policy_of_string policy_name in
+    let* policy = Cell.get_choice ctx "policy" ~default:"best-fit" ~choices:policies in
     let* mix =
-      Cell.get_enum ctx "mix" ~default:"small-skewed"
-        ~values:[ "small-skewed"; "bimodal" ]
+      Cell.get_choice ctx "mix" ~default:"small-skewed"
+        ~choices:
+          [ ("small-skewed", C2_placement.Small_skewed); ("bimodal", C2_placement.Bimodal) ]
     in
     let* steps =
       Cell.get_int ctx "steps" ~default:(if ctx.quick then 2_000 else 25_000)
@@ -128,43 +102,16 @@ let placement_cell =
     let* words = Cell.require_positive "words" words in
     let* target_live = Cell.get_int ctx "target_live" ~default:400 in
     let* target_live = Cell.require_positive "target_live" target_live in
-    let size =
-      match mix with
-      | "bimodal" ->
-        Workload.Alloc_stream.Bimodal { small = 16; large = 2048; large_fraction = 0.05 }
-      | _ -> Workload.Alloc_stream.Geometric { mean = 40.; min_size = 1 }
+    let o =
+      C2_placement.point ~obs:ctx.obs ~seed:ctx.seed ~words ~target_live ~steps ~mix
+        policy
     in
-    let rng = Sim.Rng.derive ~override:ctx.seed 77 in
-    let events = Workload.Alloc_stream.live_stream rng ~steps ~size ~target_live in
-    let mem = Memstore.Physical.create ~name:"core" ~words in
-    let a =
-      Freelist.Allocator.build ~obs:ctx.obs mem
-        { Freelist.Allocator.s_base = 0; s_len = words; s_policy = policy }
-    in
-    let table = Hashtbl.create 512 in
-    List.iter
-      (function
-        | Workload.Alloc_stream.Alloc { id; size } ->
-          (match Freelist.Allocator.alloc a size with
-           | Some addr -> Hashtbl.replace table id addr
-           | None -> ())
-        | Workload.Alloc_stream.Free { id } ->
-          (match Hashtbl.find_opt table id with
-           | Some addr ->
-             Freelist.Allocator.free a addr;
-             Hashtbl.remove table id
-           | None -> ()))
-      events;
-    let sizes = Freelist.Allocator.free_block_sizes a in
-    Cell.gauge ctx "frag.external"
-      (Metrics.Fragmentation.external_of_free_blocks sizes);
-    Cell.gauge ctx "frag.holes" (float_of_int (List.length sizes));
-    Cell.gauge ctx "alloc.mean_search"
-      (Metrics.Stats.mean (Freelist.Allocator.search_stats a));
-    Cell.gauge ctx "alloc.largest_free"
-      (float_of_int (Freelist.Allocator.largest_free a));
-    Cell.count ctx "alloc.failures" (Freelist.Allocator.failures a);
-    Cell.count ctx "live_words" (Freelist.Allocator.live_words a);
+    Cell.gauge ctx "frag.external" o.C2_placement.external_frag;
+    Cell.gauge ctx "frag.holes" (float_of_int o.C2_placement.holes);
+    Cell.gauge ctx "alloc.mean_search" o.C2_placement.mean_search;
+    Cell.gauge ctx "alloc.largest_free" (float_of_int o.C2_placement.largest_free);
+    Cell.count ctx "alloc.failures" o.C2_placement.failures;
+    Cell.count ctx "live_words" o.C2_placement.live_words;
     Ok ()
   in
   {
@@ -192,27 +139,20 @@ let replacement_cell =
       Cell.get_int ctx "refs" ~default:(if ctx.quick then 2_000 else 30_000)
     in
     let* refs = Cell.require_positive "refs" refs in
-    let* spec_name = Cell.get_enum ctx "policy" ~default:"lru" ~values:spec_names in
-    let* spec = spec_of_string ~frames spec_name in
-    let* trace_name =
-      Cell.get_enum ctx "trace" ~default:"loop"
-        ~values:[ "loop"; "phases"; "zipf" ]
+    let* spec = Cell.get_choice ctx "policy" ~default:"lru" ~choices:(specs ~frames) in
+    let* shape =
+      Cell.get_choice ctx "trace" ~default:"loop"
+        ~choices:
+          [
+            ("loop", C3_replacement.Loop);
+            ("phases", C3_replacement.Phases);
+            ("zipf", C3_replacement.Zipf);
+          ]
     in
-    let rng = Sim.Rng.derive ~override:ctx.seed 555 in
     let trace =
-      match trace_name with
-      | "phases" ->
-        Workload.Trace.working_set_phases rng ~length:refs ~extent:128 ~set_size:24
-          ~phase_length:(refs / 10) ~locality:0.9
-      | "zipf" -> Workload.Trace.zipf rng ~length:refs ~extent:128 ~skew:1.0
-      | _ -> Workload.Trace.loop ~length:refs ~extent:64 ~working_set:40
+      C3_replacement.trace (Sim.Rng.derive ~override:ctx.seed 555) ~length:refs shape
     in
-    let policy =
-      Paging.Spec.instantiate spec
-        ~rng:(Sim.Rng.derive ~override:ctx.seed 9)
-        ~trace:(Some trace)
-    in
-    let r = Paging.Fault_sim.run ~obs:ctx.obs ~frames ~policy trace in
+    let r = C3_replacement.point ~obs:ctx.obs ~seed:ctx.seed ~frames spec trace in
     Cell.gauge ctx "fault_rate" (Paging.Fault_sim.fault_rate r);
     Cell.count ctx "faults" r.Paging.Fault_sim.faults;
     Cell.count ctx "cold_faults" r.Paging.Fault_sim.cold;
@@ -248,14 +188,8 @@ let multiprog_cell =
       Cell.get_int ctx "refs_per_job" ~default:(if ctx.quick then 300 else 2_000)
     in
     let* refs_per_job = Cell.require_positive "refs_per_job" refs_per_job in
-    let rng = Sim.Rng.derive ~override:ctx.seed (jobs + (fetch_us * 7)) in
-    let mix =
-      Workload.Job.mix rng ~jobs ~refs_per_job ~pages_per_job:24 ~locality:0.9
-        ~compute_us_per_ref:15
-    in
     let report =
-      Dsas.Multiprog.run ~obs:ctx.obs ~frames
-        ~policy:(Paging.Replacement.lru ()) ~fetch_us mix
+      C7_multiprog.point ~obs:ctx.obs ~seed:ctx.seed ~refs_per_job ~frames ~fetch_us jobs
     in
     Cell.gauge ctx "cpu_utilization" report.Dsas.Multiprog.cpu_utilization;
     Cell.count ctx "total_faults" report.Dsas.Multiprog.total_faults;
@@ -362,48 +296,22 @@ let resilience_cell =
 let frag_unit_cell =
   let run (ctx : Cell.ctx) =
     let* () = Cell.check_known ctx [ "policy"; "steps"; "words" ] in
-    let* policy_name =
-      Cell.get_enum ctx "policy" ~default:"best-fit" ~values:policy_names
-    in
-    let* policy = policy_of_string policy_name in
+    let* policy = Cell.get_choice ctx "policy" ~default:"best-fit" ~choices:policies in
     let* steps =
       Cell.get_int ctx "steps" ~default:(if ctx.quick then 2_000 else 20_000)
     in
     let* steps = Cell.require_positive "steps" steps in
     let* words = Cell.get_int ctx "words" ~default:(1 lsl 17) in
     let* words = Cell.require_positive "words" words in
-    let rng = Sim.Rng.derive ~override:ctx.seed 31 in
-    let events =
-      Workload.Alloc_stream.live_stream rng ~steps
-        ~size:(Workload.Alloc_stream.Geometric { mean = 90.; min_size = 1 })
-        ~target_live:300
+    let o =
+      C1_fragmentation.point ~obs:ctx.obs ~words
+        ~rng:(Sim.Rng.derive ~override:ctx.seed 31) ~steps policy
     in
-    let mem = Memstore.Physical.create ~name:"core" ~words in
-    let a =
-      Freelist.Allocator.build ~obs:ctx.obs mem
-        { Freelist.Allocator.s_base = 0; s_len = words; s_policy = policy }
-    in
-    let table = Hashtbl.create 512 in
-    List.iter
-      (function
-        | Workload.Alloc_stream.Alloc { id; size } ->
-          (match Freelist.Allocator.alloc a size with
-           | Some addr -> Hashtbl.replace table id addr
-           | None -> ())
-        | Workload.Alloc_stream.Free { id } ->
-          (match Hashtbl.find_opt table id with
-           | Some addr ->
-             Freelist.Allocator.free a addr;
-             Hashtbl.remove table id
-           | None -> ()))
-      events;
-    let sizes = Freelist.Allocator.free_block_sizes a in
-    Cell.gauge ctx "frag.external"
-      (Metrics.Fragmentation.external_of_free_blocks sizes);
-    Cell.gauge ctx "frag.holes" (float_of_int (List.length sizes));
-    Cell.count ctx "live_words" (Freelist.Allocator.live_words a);
-    Cell.count ctx "free_words" (Freelist.Allocator.free_words a);
-    Cell.count ctx "alloc.failures" (Freelist.Allocator.failures a);
+    Cell.gauge ctx "frag.external" o.C2_placement.external_frag;
+    Cell.gauge ctx "frag.holes" (float_of_int o.C2_placement.holes);
+    Cell.count ctx "live_words" o.C2_placement.live_words;
+    Cell.count ctx "free_words" o.C2_placement.free_words;
+    Cell.count ctx "alloc.failures" o.C2_placement.failures;
     Ok ()
   in
   {
@@ -427,10 +335,7 @@ let fss_cell =
     in
     let* words = Cell.get_int ctx "words" ~default:65_536 in
     let* words = Cell.require_positive "words" words in
-    let* policy_name =
-      Cell.get_enum ctx "policy" ~default:"best-fit" ~values:policy_names
-    in
-    let* policy = policy_of_string policy_name in
+    let* policy = Cell.get_choice ctx "policy" ~default:"best-fit" ~choices:policies in
     let* mean_size = Cell.get_float ctx "mean_size" ~default:64. in
     let* occupancy = Cell.get_float ctx "occupancy" ~default:0.5 in
     let* churn = Cell.get_int ctx "churn" ~default:12 in
@@ -544,8 +449,7 @@ let par_paging_cell =
     let* frames = Cell.require_positive "frames" frames in
     let* pages = Cell.get_int ctx "pages" ~default:24 in
     let* pages = Cell.require_positive "pages" pages in
-    let* spec_name = Cell.get_enum ctx "policy" ~default:"lru" ~values:spec_names in
-    let* spec = spec_of_string ~frames spec_name in
+    let* spec = Cell.get_choice ctx "policy" ~default:"lru" ~choices:(specs ~frames) in
     let* domains = Cell.get_int ctx "domains" ~default:1 in
     let* domains = Cell.require_positive "domains" domains in
     if pages < frames then Error "parameter \"pages\" must be >= \"frames\""

@@ -5,11 +5,14 @@ type row = {
   waiting : float;
   waiting_fraction : float;
   profile : string;  (* the Fig. 3 silhouette for this run *)
+  faults : int;
+  refs : int;
+  elapsed_us : int;
 }
 
 let page_size = 256
 
-let frames = 12
+let pages = 24
 
 (* Fetch-speed sweep: from core-to-core speeds through drum to disk. *)
 let devices =
@@ -20,11 +23,8 @@ let devices =
     Memstore.Device.disk;
   ]
 
-let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
-  let refs = if quick then 2_000 else 20_000 in
+let point ?obs ?seed ?(frames = 12) ?(policy = Paging.Spec.Lru) ~refs device =
   let rng = Sim.Rng.derive ?override:seed 42 in
-  let pages = 24 in
-  let extent = pages * page_size in
   (* Page-grained phases: each phase works a 6-page set that fits in
      core, so faults cluster at phase changes — the bursts the figure
      shades. *)
@@ -33,6 +33,30 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
       ~phase_length:(refs / 8) ~locality:0.98
   in
   let trace = Array.map (fun p -> (p * page_size) + Sim.Rng.int rng page_size) page_trace in
+  let clock = Sim.Clock.create () in
+  let engine =
+    Paging.Spec.build ?obs ~clock ~rng:(Sim.Rng.derive ?override:seed 9)
+      ~trace:(Workload.Trace.to_pages ~page_size trace)
+      { Paging.Spec.e_page_size = page_size; e_frames = frames; e_pages = pages;
+        e_device = device; e_policy = policy; e_tlb_slots = None;
+        e_compute_us_per_ref = 50 }
+  in
+  Paging.Demand.run engine trace;
+  let st = Paging.Demand.space_time engine in
+  {
+    device = device.Memstore.Device.label;
+    fetch_us = Memstore.Device.transfer_us device ~words:page_size;
+    active = Metrics.Space_time.active st;
+    waiting = Metrics.Space_time.waiting st;
+    waiting_fraction = Metrics.Space_time.waiting_fraction st;
+    profile = Metrics.Timeline.render ~width:64 ~height:8 (Paging.Demand.timeline engine);
+    faults = Paging.Demand.faults engine;
+    refs = Paging.Demand.refs engine;
+    elapsed_us = Sim.Clock.now clock;
+  }
+
+let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
+  let refs = if quick then 2_000 else 20_000 in
   (* Each device run starts a fresh clock; shifting by the accumulated
      elapsed time splices the runs into one monotone event stream, and
      the segment boundary tells `dsas_sim check` where engines restart. *)
@@ -43,40 +67,13 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
     incr runs;
     s
   in
-  let one device =
-    let clock = Sim.Clock.create () in
-    let core =
-      Memstore.Level.make clock Memstore.Device.core ~name:"core"
-        ~words:(frames * page_size)
-    in
-    let backing = Memstore.Level.make clock device ~name:device.Memstore.Device.label ~words:extent in
-    let engine =
-      Paging.Demand.create
-        ~obs:(seg ~config:(Printf.sprintf "fig3 device=%s" device.Memstore.Device.label))
-        {
-          Paging.Demand.page_size;
-          frames;
-          pages = extent / page_size;
-          core;
-          backing;
-          policy = Paging.Replacement.lru ();
-          tlb = None;
-          compute_us_per_ref = 50;
-        }
-    in
-    Paging.Demand.run engine trace;
-    t_base := !t_base + Sim.Clock.now clock;
-    let st = Paging.Demand.space_time engine in
-    {
-      device = device.Memstore.Device.label;
-      fetch_us = Memstore.Device.transfer_us device ~words:page_size;
-      active = Metrics.Space_time.active st;
-      waiting = Metrics.Space_time.waiting st;
-      waiting_fraction = Metrics.Space_time.waiting_fraction st;
-      profile = Metrics.Timeline.render ~width:64 ~height:8 (Paging.Demand.timeline engine);
-    }
-  in
-  List.map one devices
+  List.map
+    (fun device ->
+      let config = Printf.sprintf "fig3 device=%s" device.Memstore.Device.label in
+      let row = point ~obs:(seg ~config) ?seed ~refs device in
+      t_base := !t_base + row.elapsed_us;
+      row)
+    devices
 
 let run ?quick ?obs ?seed () =
   let rows = measure ?quick ?obs ?seed () in

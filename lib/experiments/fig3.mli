@@ -17,7 +17,26 @@ type row = {
   waiting : float;
   waiting_fraction : float;
   profile : string;  (** the rendered Fig. 3 silhouette of this run *)
+  faults : int;
+  refs : int;
+  elapsed_us : int;  (** simulated time the run took *)
 }
+
+val devices : Memstore.Device.t list
+(** The fetch-speed sweep: fast-drum, drum, slow-drum, disk. *)
+
+val point :
+  ?obs:Obs.Sink.t ->
+  ?seed:int ->
+  ?frames:int ->
+  ?policy:Paging.Spec.t ->
+  refs:int ->
+  Memstore.Device.t ->
+  row
+(** One timed demand-paging run, the grid point behind {!measure} and
+    the campaign paging cell: a [refs]-reference phased trace over 24
+    pages of 256 words, in [frames] core frames (12) under [policy]
+    (LRU), paging from one backing device. *)
 
 val measure : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> row list
 (** With a sink, every device run reports its paging events; successive

@@ -47,37 +47,17 @@ let point ?seed ?(rep = 0) ?(mean_size = default_mean_size)
       ~size:(Workload.Alloc_stream.Geometric { mean = mean_size; min_size = 1 })
       ~target_live:live
   in
-  let mem = Memstore.Physical.create ~name:"core" ~words in
-  let a =
-    Freelist.Allocator.build mem
-      { Freelist.Allocator.s_base = 0; s_len = words; s_policy = policy }
-  in
-  let table = Hashtbl.create 512 in
-  List.iter
-    (function
-      | Workload.Alloc_stream.Alloc { id; size } ->
-        (match Freelist.Allocator.alloc a size with
-         | Some addr -> Hashtbl.replace table id addr
-         | None -> ())
-      | Workload.Alloc_stream.Free { id } ->
-        (match Hashtbl.find_opt table id with
-         | Some addr ->
-           Freelist.Allocator.free a addr;
-           Hashtbl.remove table id
-         | None -> ()))
-    events;
-  let sizes = Freelist.Allocator.free_block_sizes a in
-  let free = Freelist.Allocator.free_words a in
+  let o = C2_placement.serve ~words policy events in
   {
     words;
     rep;
-    live_words = Freelist.Allocator.live_words a;
-    external_frag = Metrics.Fragmentation.external_of_free_blocks sizes;
+    live_words = o.live_words;
+    external_frag = o.external_frag;
     largest_free_share =
-      (if free = 0 then 0.
-       else float_of_int (Freelist.Allocator.largest_free a) /. float_of_int free);
-    holes = List.length sizes;
-    mean_search = Metrics.Stats.mean (Freelist.Allocator.search_stats a);
+      (if o.free_words = 0 then 0.
+       else float_of_int o.largest_free /. float_of_int o.free_words);
+    holes = o.holes;
+    mean_search = o.mean_search;
   }
 
 let sizes ~quick =

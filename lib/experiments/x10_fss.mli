@@ -30,7 +30,8 @@ val point :
   words:int ->
   unit ->
   row
-(** One steady-state run: churn a live set of ~[occupancy * words /
+(** One steady-state run, the grid point behind {!measure} and the
+    campaign fss cell: churn a live set of ~[occupancy * words /
     mean_size] objects for [churn] events per object, then read the
     final fragmentation state.  [rep] perturbs the stream seed so
     replicates are independent; [seed] shifts the whole family. *)

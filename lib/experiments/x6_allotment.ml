@@ -13,17 +13,17 @@ let fetch_us = 8_000
 
 let compute_us_per_ref = 5
 
+(* The three traces share one stream, drawn last-listed first. *)
 let programs ~quick rng =
   let length = if quick then 4_000 else 40_000 in
-  [
-    ( "tight (WS~12)",
-      Workload.Trace.working_set_phases rng ~length ~extent:96 ~set_size:12
-        ~phase_length:(length / 6) ~locality:1.0 );
-    ( "loose (WS~36)",
-      Workload.Trace.working_set_phases rng ~length ~extent:96 ~set_size:36
-        ~phase_length:(length / 6) ~locality:1.0 );
-    ("scattered (zipf)", Workload.Trace.zipf rng ~length ~extent:96 ~skew:0.8);
-  ]
+  let phases set_size =
+    Workload.Trace.working_set_phases rng ~length ~extent:96 ~set_size
+      ~phase_length:(length / 6) ~locality:1.0
+  in
+  let scattered = Workload.Trace.zipf rng ~length ~extent:96 ~skew:0.8 in
+  let loose = phases 36 in
+  let tight = phases 12 in
+  [ ("tight (WS~12)", tight); ("loose (WS~36)", loose); ("scattered (zipf)", scattered) ]
 
 let frames_swept = [ 4; 8; 16; 24; 32; 48; 64; 96 ]
 

@@ -5,20 +5,43 @@ type row = {
   revolutions_per_page : float;
 }
 
-let sectors = 16
+let geometry = Device.Geometry.atlas_drum
 
-let rotation_us = 16_000  (* ~ATLAS-class drum *)
+let sectors, rotation_us =
+  match geometry with
+  | Device.Geometry.Drum { sectors; rotation_us; _ } -> (sectors, rotation_us)
+  | Device.Geometry.Fixed _ | Device.Geometry.Disk _ -> assert false
 
-(* Page requests with exponential interarrivals and uniform sectors. *)
+(* Page requests with exponential interarrivals and uniform sectors
+   (page [s] lives in sector [s]). *)
 let request_stream rng ~count ~mean_gap_us =
   let now = ref 0. in
   List.init count (fun id ->
       now := !now +. Sim.Rng.exponential rng mean_gap_us;
-      {
-        Memstore.Drum.id;
-        arrival_us = int_of_float !now;
-        sector = Sim.Rng.int rng sectors;
-      })
+      let page = Sim.Rng.int rng sectors in
+      Device.Request.make ~id ~kind:Device.Request.Demand ~page ~words:0
+        ~arrival_us:(int_of_float !now) ())
+
+(* Serve the whole batch on one channel: whenever the drum is free,
+   the policy picks among the requests that have arrived (idling to
+   the next arrival if none has); returns the mean fetch latency. *)
+let mean_latency_us sched requests =
+  let pending = ref requests and now = ref 0 and total = ref 0. in
+  let arrival (r : Device.Request.t) = r.arrival_us in
+  while !pending <> [] do
+    let arrived = List.filter (fun r -> arrival r <= !now) !pending in
+    match Device.Sched.pick sched ~geometry ~at:!now ~head:0 arrived with
+    | None -> now := List.fold_left (fun m r -> min m (arrival r)) max_int !pending
+    | Some chosen ->
+      let _, finish, _ =
+        Device.Geometry.service geometry ~at:!now ~head:0 ~page:chosen.page
+          ~words:chosen.words
+      in
+      total := !total +. float_of_int (finish - chosen.arrival_us);
+      now := finish;
+      pending := List.filter (fun (r : Device.Request.t) -> r.id <> chosen.id) !pending
+  done;
+  !total /. float_of_int (List.length requests)
 
 let measure ?(quick = false) ?seed () =
   let count = if quick then 400 else 4_000 in
@@ -28,19 +51,17 @@ let measure ?(quick = false) ?seed () =
     (fun load ->
       let mean_gap_us = float_of_int rotation_us /. load in
       List.map
-        (fun (name, policy) ->
+        (fun (name, sched) ->
           let rng = Sim.Rng.derive ?override:seed 777 in
-          let drum = Memstore.Drum.create ~sectors ~rotation_us policy in
-          let completions = Memstore.Drum.serve drum (request_stream rng ~count ~mean_gap_us) in
-          let latency = Memstore.Drum.mean_latency_us completions in
+          let latency = mean_latency_us sched (request_stream rng ~count ~mean_gap_us) in
           {
             policy = name;
             load;
             mean_latency_us = latency;
             revolutions_per_page = latency /. float_of_int rotation_us;
           })
-        [ ("arrival order (FIFO)", Memstore.Drum.Fifo_order);
-          ("shortest access first", Memstore.Drum.Shortest_access) ])
+        [ ("arrival order (FIFO)", Device.Sched.Fifo);
+          ("shortest access first", Device.Sched.Satf) ])
     loads
 
 let run ?quick ?obs:_ ?seed () =

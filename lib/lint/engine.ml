@@ -38,6 +38,50 @@ let is_equality lid =
   | [ ("=" | "<>" | "==" | "!=") ] | [ "Stdlib"; ("=" | "<>" | "==" | "!=") ] -> true
   | _ -> false
 
+(* Whether evaluating [e] passes the identifier [rng] to a call.  A
+   closure draws nothing until it is called, so function bodies are not
+   searched. *)
+let draws_rng (e : Parsetree.expression) =
+  let found = ref false in
+  let is_rng ((_, a) : _ * Parsetree.expression) =
+    match a.pexp_desc with
+    | Pexp_ident { txt = Longident.Lident "rng"; _ } -> true
+    | _ -> false
+  in
+  let expr (self : Ast_iterator.iterator) (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> ()
+    | Pexp_apply (_, args) when List.exists is_rng args -> found := true
+    | _ -> Ast_iterator.default_iterator.expr self e
+  in
+  let iterator = { Ast_iterator.default_iterator with expr } in
+  iterator.expr iterator e;
+  !found
+
+let cons_cell (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_construct
+      ({ txt = Longident.Lident "::"; _ }, Some { pexp_desc = Pexp_tuple [ hd; tl ]; _ }) ->
+    Some (hd, tl)
+  | _ -> None
+
+(* The elements of a list built with [::], and its tail unless [[]]. *)
+let rec list_parts (e : Parsetree.expression) =
+  match (cons_cell e, e.pexp_desc) with
+  | Some (hd, tl), _ -> hd :: list_parts tl
+  | None, Pexp_construct ({ txt = Longident.Lident "[]"; _ }, None) -> []
+  | None, _ -> [ e ]
+
+(* The parts of an expression whose evaluation order OCaml leaves
+   unspecified, and what to call the whole in a message. *)
+let unordered_parts (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | _ when Option.is_some (cons_cell e) -> Some ("list", list_parts e)
+  | Pexp_tuple parts -> Some ("tuple", parts)
+  | Pexp_record (fields, base) -> Some ("record", Option.to_list base @ List.map snd fields)
+  | Pexp_apply (f, args) -> Some ("application", f :: List.map snd args)
+  | _ -> None
+
 let check_ident add txt (loc : Location.t) =
   match Longident.flatten txt with
   | "Random" :: f :: _ when f <> "State" ->
@@ -78,6 +122,13 @@ let collect_violations structure =
       :: !found
   in
   let expr (self : Ast_iterator.iterator) (e : Parsetree.expression) =
+    (match unordered_parts e with
+     | Some (what, parts) when List.length (List.filter draws_rng parts) >= 2 ->
+       add Rule.L7 e.pexp_loc
+         (Printf.sprintf
+            "several parts of this %s draw from rng, in an order OCaml leaves \
+             unspecified: bind each draw with let, in the intended order" what)
+     | _ -> ());
     (match e.pexp_desc with
      | Pexp_ident { txt; loc } -> check_ident add txt loc
      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, [ (_, a); (_, b) ])
@@ -92,7 +143,11 @@ let collect_violations structure =
           result carrying a typed failure would vanish): discard with a \
           type ascription (let (_ : t) = ...) or handle the value"
      | _ -> ());
-    Ast_iterator.default_iterator.expr self e
+    if Option.is_some (cons_cell e) then
+      (* the spine's inner cells are parts of this one list, not lists
+         of their own *)
+      List.iter (self.expr self) (list_parts e)
+    else Ast_iterator.default_iterator.expr self e
   in
   let iterator = { Ast_iterator.default_iterator with expr } in
   iterator.structure iterator structure;

@@ -1,6 +1,6 @@
-type t = L1 | L2 | L3 | L4 | L5 | L6
+type t = L1 | L2 | L3 | L4 | L5 | L6 | L7
 
-let all = [ L1; L2; L3; L4; L5; L6 ]
+let all = [ L1; L2; L3; L4; L5; L6; L7 ]
 
 let id = function
   | L1 -> "L1"
@@ -9,6 +9,7 @@ let id = function
   | L4 -> "L4"
   | L5 -> "L5"
   | L6 -> "L6"
+  | L7 -> "L7"
 
 let slug = function
   | L1 -> "nondeterminism"
@@ -17,6 +18,7 @@ let slug = function
   | L4 -> "partial-function"
   | L5 -> "float-equality"
   | L6 -> "ignored-result"
+  | L7 -> "rng-order"
 
 let summary = function
   | L1 ->
@@ -43,6 +45,11 @@ let summary = function
      type is invisible, so a result carrying a typed failure vanishes \
      silently.  Discard with a type ascription (let (_ : t) = ... ) so the \
      reader sees what is dropped, or handle the result"
+  | L7 ->
+    "no two draws from rng in one list, tuple, record or function \
+     application: OCaml leaves the evaluation order of their parts \
+     unspecified, so which part gets which draw is up to the compiler.  \
+     Bind the draws with let, in the intended order"
 
 let of_string s =
   let s = String.trim s in

@@ -7,11 +7,12 @@ type t =
   | L4  (** bare [failwith]/[List.hd]/[Option.get] outside boundary modules *)
   | L5  (** float equality comparison *)
   | L6  (** ignore of a function application (invisible discarded type) *)
+  | L7  (** several [rng] draws in one expression (unspecified order) *)
 
 val all : t list
 
 val id : t -> string
-(** ["L1"] .. ["L6"] — what pragmas name. *)
+(** ["L1"] .. ["L7"] — what pragmas name. *)
 
 val slug : t -> string
 (** Human-readable short name, e.g. ["hashtbl-order"]. *)

@@ -16,30 +16,6 @@ let points t = List.rev t.rev_points
 
 let last t = match t.rev_points with [] -> None | p :: _ -> Some p
 
-let to_timeline t =
-  let tl = Metrics.Timeline.create () in
-  let pts = points t in
-  (* Mean gap, for the duration of the final (open-ended) sample. *)
-  let mean_gap =
-    match (pts, t.rev_points) with
-    | (first, _) :: _ :: _, (last, _) :: _ -> max 1 ((last - first) / max 1 (t.len - 1))
-    | _ -> 1
-  in
-  let rec record = function
-    | (at, v) :: ((at', _) :: _ as rest) ->
-      Metrics.Timeline.record tl ~at ~dt:(max 1 (at' - at))
-        ~words:(int_of_float (Float.max 0. v))
-        Metrics.Space_time.Active;
-      record rest
-    | [ (at, v) ] ->
-      Metrics.Timeline.record tl ~at ~dt:mean_gap
-        ~words:(int_of_float (Float.max 0. v))
-        Metrics.Space_time.Active
-    | [] -> ()
-  in
-  record pts;
-  tl
-
 let to_json t =
   Json.array
     (List.map (fun (at, v) -> Json.Raw (Json.array [ Json.Int at; Json.Float v ])) (points t))

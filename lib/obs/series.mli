@@ -1,9 +1,5 @@
-(** A sampled time series: (simulated time, value) points.
-
-    The bridge between mid-run probes (see {!Sink.sample} and
-    {!Registry}) and the plotting substrate — a resident-set-size or
-    fragmentation series converts to a {!Metrics.Timeline} for the
-    Fig. 3-style silhouettes. *)
+(** A sampled time series: (simulated time, value) points, the series
+    a {!Registry} holds for mid-run probes (see {!Sink.sample}). *)
 
 type t
 
@@ -18,11 +14,6 @@ val points : t -> (int * float) list
 (** Chronological. *)
 
 val last : t -> (int * float) option
-
-val to_timeline : t -> Metrics.Timeline.t
-(** Each sample becomes an [Active] segment holding [value] words until
-    the next sample (the final sample gets the mean preceding gap, or 1
-    us for a single point). *)
 
 val to_json : t -> string
 (** [[[t_us, value], ...]] — a compact JSON array of pairs. *)

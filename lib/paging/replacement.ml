@@ -280,16 +280,3 @@ let opt trace =
           (fun best p -> if next_use p > next_use best then p else best)
           candidates.(0) candidates);
   }
-
-let all_practical rng =
-  [
-    fifo ();
-    lru ();
-    clock_sweep ();
-    random (Sim.Rng.split rng);
-    nru (Sim.Rng.split rng);
-    lfu ();
-    atlas_learning ();
-    m44 (Sim.Rng.split rng);
-    working_set ~tau:64;
-  ]

@@ -72,7 +72,3 @@ val opt : Workload.Trace.t -> t
     the page whose next use is farthest in the future.  The policy
     counts references via [on_reference] to know its position, so it
     must only be driven by exactly this trace. *)
-
-val all_practical : Sim.Rng.t -> t list
-(** The realizable policies compared in experiment C3 (fresh instances):
-    FIFO, LRU, CLOCK, RANDOM, NRU, LFU, ATLAS, M44, working-set. *)

@@ -21,7 +21,6 @@ type t = {
   mutable busy_us : int;  (* compute time spent inside the current window *)
   window_faults : (int, int) Hashtbl.t;  (* job -> faults, current window *)
   scored_faults : (int, int) Hashtbl.t;  (* job -> faults, last closed window *)
-  level : Obs.Series.t;
   mutable ticks : int;
   mutable sheds : int;
   mutable admits : int;
@@ -34,7 +33,6 @@ let create cfg =
     busy_us = 0;
     window_faults = Hashtbl.create 8;
     scored_faults = Hashtbl.create 8;
-    level = Obs.Series.create ();
     ticks = 0;
     sheds = 0;
     admits = 0;
@@ -52,7 +50,6 @@ let tick t ~now ~n_active ~n_parked =
   else begin
     t.ticks <- t.ticks + 1;
     let utilization = float_of_int t.busy_us /. float_of_int elapsed in
-    Obs.Series.sample t.level ~t_us:now (float_of_int n_active);
     (* Close the window: victim scoring sees the finished window's
        per-job fault counts, the next window starts clean. *)
     Hashtbl.reset t.scored_faults;
@@ -96,5 +93,3 @@ let ticks t = t.ticks
 let sheds t = t.sheds
 
 let admits t = t.admits
-
-let level_series t = t.level

@@ -68,6 +68,3 @@ val ticks : t -> int
 val sheds : t -> int
 
 val admits : t -> int
-
-val level_series : t -> Obs.Series.t
-(** Active multiprogramming level, sampled at each window boundary. *)

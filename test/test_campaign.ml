@@ -98,6 +98,53 @@ let test_spec_rejects () =
   rejects ~why:"empty seeds"
     {|{"schema":"dsas-campaign-spec/1","name":"t","cell":"c","seeds":[]}|}
 
+(* JSON numbers are doubles and a spec's integers must be exact; a
+   misspelt boolean must not silently read as false. *)
+let test_spec_rejects_inexact () =
+  let spec fields =
+    Printf.sprintf {|{"schema":"dsas-campaign-spec/1","name":"t","cell":"fss",%s}|} fields
+  in
+  let rejects ~why fields =
+    match Campaign.Spec.of_json (spec fields) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "accepted %s" why
+  in
+  rejects ~why:"fractional seed" {|"seeds":[1.5]|};
+  rejects ~why:"seed beyond 2^53" {|"seeds":[0,1e300]|};
+  rejects ~why:"fractional trace_every" {|"trace_every":2.5|};
+  rejects ~why:"trace_every beyond 2^53" {|"trace_every":1e20|};
+  rejects ~why:"string trace_every" {|"trace_every":"3"|};
+  rejects ~why:"string quick" {|"quick":"yes"|};
+  rejects ~why:"numeric quick" {|"quick":1|};
+  let s = parse_spec (spec {|"seeds":[-3,9007199254740992],"quick":false|}) in
+  check_bool "exact integers up to 2^53 kept" true
+    (s.Campaign.Spec.seeds = [ -3; 1 lsl 53 ])
+
+(* A float parameter must be finite: NaN fails every range check, so a
+   "nan" error probability used to run as a fault-free cell. *)
+let test_cell_rejects_non_finite () =
+  let ctx value =
+    {
+      Experiments.Cell.params = [ ("error_prob", value) ];
+      seed = 0;
+      quick = true;
+      reg = Obs.Registry.create ();
+      obs = Obs.Sink.null;
+    }
+  in
+  List.iter
+    (fun v ->
+      check_bool (v ^ " rejected") true
+        (Result.is_error (Experiments.Cell.get_float (ctx v) "error_prob" ~default:0.)))
+    [ "nan"; "inf"; "-inf"; "1e400" ];
+  check_bool "finite accepted" true
+    (Experiments.Cell.get_float (ctx "0.25") "error_prob" ~default:0. = Ok 0.25);
+  match Experiments.Cells.find "resilience" with
+  | None -> Alcotest.fail "no resilience cell"
+  | Some cell ->
+    check_bool "resilience cell fails on nan" true
+      (Result.is_error (cell.Experiments.Cell.run (ctx "nan")))
+
 let test_spec_points () =
   let s = parse_spec spec_json in
   let points = Campaign.Spec.points s in
@@ -777,6 +824,10 @@ let () =
           Alcotest.test_case "sweep spec parses" `Quick test_spec_parse;
           Alcotest.test_case "defaults applied" `Quick test_spec_defaults;
           Alcotest.test_case "bad specs rejected" `Quick test_spec_rejects;
+          Alcotest.test_case "inexact numbers and non-boolean quick rejected" `Quick
+            test_spec_rejects_inexact;
+          Alcotest.test_case "non-finite cell floats rejected" `Quick
+            test_cell_rejects_non_finite;
           Alcotest.test_case "grid expansion and ids" `Quick test_spec_points;
           Alcotest.test_case "config hash pins the grid" `Quick test_spec_hash;
         ] );

@@ -46,7 +46,9 @@ let test_every_policy_single_candidate () =
       let r = Paging.Fault_sim.run ~frames:1 ~policy trace in
       check_bool (policy.Paging.Replacement.name ^ " ran") true
         (r.Paging.Fault_sim.faults <= 200))
-    (Paging.Replacement.all_practical rng @ [ Paging.Replacement.opt trace ])
+    (List.map
+       (fun spec -> Paging.Spec.instantiate spec ~rng ~trace:(Some trace))
+       (Paging.Spec.all_practical @ [ Paging.Spec.Opt ]))
 
 let test_tlb_capacity_one () =
   let tlb = Paging.Tlb.create ~capacity:1 Paging.Tlb.Lru_replacement in

@@ -68,11 +68,11 @@ let test_c2_placement_shapes () =
   in
   let mix = "small-skewed" in
   check_bool "worst fit fragments more than best fit" true
-    ((get "worst-fit" mix).Experiments.C2_placement.external_frag
-    > (get "best-fit" mix).Experiments.C2_placement.external_frag);
+    ((get "worst-fit" mix).outcome.external_frag
+    > (get "best-fit" mix).outcome.external_frag);
   check_bool "next fit searches less than best fit" true
-    ((get "next-fit" mix).Experiments.C2_placement.mean_search
-    < (get "best-fit" mix).Experiments.C2_placement.mean_search)
+    ((get "next-fit" mix).outcome.mean_search
+    < (get "best-fit" mix).outcome.mean_search)
 
 (* C3: OPT lower-bounds everything; anomaly present. *)
 let test_c3_opt_and_anomaly () =
@@ -419,6 +419,104 @@ let test_registry_all_run () =
     (Experiments.Registry.find "FIG3" <> None);
   check_bool "unknown id" true (Experiments.Registry.find "nope" = None)
 
+(* --- campaign cells -------------------------------------------------- *)
+
+(* A cell run as the campaign runner runs it: quick, seed 0, stamped
+   with its id and bindings before it fills the registry. *)
+let run_cell ?(params = []) id =
+  match Experiments.Cells.find id with
+  | None -> Alcotest.failf "no cell %s" id
+  | Some cell ->
+    let reg = Obs.Registry.create () in
+    let ctx =
+      { Experiments.Cell.params; seed = 0; quick = true; reg; obs = Obs.Sink.null }
+    in
+    Experiments.Cell.stamp ~cell:id ctx;
+    (match cell.Experiments.Cell.run ctx with
+     | Ok () -> reg
+     | Error msg -> Alcotest.failf "cell %s failed: %s" id msg)
+
+let gauge reg name = Obs.Registry.gauge_value (Obs.Registry.gauge reg name)
+
+let counter reg name = Obs.Registry.counter_value (Obs.Registry.counter reg name)
+
+let check_exact = Alcotest.(check (float 0.))
+
+(* Every cell kind at its defaults reproduces its committed metrics
+   artifact byte for byte: one fixture line per kind, in catalogue
+   order. *)
+let test_cells_match_fixture () =
+  let path =
+    List.find Sys.file_exists
+      [ "fixtures/cells_quick.jsonl"; "test/fixtures/cells_quick.jsonl" ]
+  in
+  let ic = open_in path in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  let expected = List.filter (fun l -> l <> "") lines in
+  check_int "one line per cell kind" (List.length Experiments.Cells.ids)
+    (List.length expected);
+  List.iter2
+    (fun id line ->
+      Alcotest.(check string) id line (Obs.Registry.to_json (run_cell id)))
+    Experiments.Cells.ids expected
+
+(* At their defaults the family cells are grid points of their
+   experiments: the same numbers as the named experiment row. *)
+let test_cells_equal_experiment_rows () =
+  let paging = run_cell "paging" in
+  let drum =
+    List.find
+      (fun r -> r.Experiments.Fig3.device = "drum")
+      (Experiments.Fig3.measure ~quick:true ())
+  in
+  check_exact "paging active" drum.Experiments.Fig3.active (gauge paging "st.active");
+  check_exact "paging waiting" drum.Experiments.Fig3.waiting (gauge paging "st.waiting");
+  check_exact "paging waiting fraction" drum.Experiments.Fig3.waiting_fraction
+    (gauge paging "st.waiting_fraction");
+  let placement = run_cell "placement" in
+  let best =
+    List.find
+      (fun r ->
+        r.Experiments.C2_placement.mix = "small-skewed"
+        && r.Experiments.C2_placement.policy = "best-fit")
+      (Experiments.C2_placement.measure ~quick:true ())
+  in
+  let best = best.Experiments.C2_placement.outcome in
+  check_exact "placement external frag" best.external_frag (gauge placement "frag.external");
+  check_exact "placement holes" (float_of_int best.holes) (gauge placement "frag.holes");
+  check_exact "placement mean search" best.mean_search (gauge placement "alloc.mean_search");
+  check_exact "placement largest free"
+    (float_of_int best.largest_free)
+    (gauge placement "alloc.largest_free");
+  check_int "placement failures" best.failures (counter placement "alloc.failures");
+  let multiprog = run_cell "multiprog" in
+  let fixed =
+    List.find
+      (fun r ->
+        r.Experiments.C7_multiprog.regime = "fixed 32 frames"
+        && r.Experiments.C7_multiprog.jobs = 4
+        && r.Experiments.C7_multiprog.fetch_us = 5_000)
+      (Experiments.C7_multiprog.measure ~quick:true ())
+  in
+  check_exact "multiprog utilization" fixed.Experiments.C7_multiprog.cpu_utilization
+    (gauge multiprog "cpu_utilization");
+  check_int "multiprog faults" fixed.Experiments.C7_multiprog.total_faults
+    (counter multiprog "total_faults");
+  check_int "multiprog elapsed" fixed.Experiments.C7_multiprog.elapsed_us
+    (counter multiprog "elapsed_us");
+  let replacement = run_cell ~params:[ ("trace", "zipf") ] "replacement" in
+  let zipf_lru =
+    List.find
+      (fun c ->
+        c.Experiments.C3_replacement.trace_name = "zipf(1.0)"
+        && c.Experiments.C3_replacement.policy = "LRU")
+      (Experiments.C3_replacement.measure ~quick:true ())
+  in
+  check_exact "replacement fault rate"
+    (List.assoc 32 zipf_lru.Experiments.C3_replacement.points)
+    (gauge replacement "fault_rate")
+
 let () =
   Alcotest.run "experiments"
     [
@@ -456,4 +554,10 @@ let () =
             test_x8_devices_run_custom_validates;
         ] );
       ("registry", [ Alcotest.test_case "all run" `Quick test_registry_all_run ]);
+      ( "cells",
+        [
+          Alcotest.test_case "defaults match fixture" `Quick test_cells_match_fixture;
+          Alcotest.test_case "defaults equal experiment rows" `Quick
+            test_cells_equal_experiment_rows;
+        ] );
     ]

@@ -72,6 +72,28 @@ let test_l5_float_equality () =
   check_codes "int equality is fine" [] "let b x = x = 1\n";
   check_codes "ordering is fine" [] "let b x = x > 1.0\n"
 
+let test_l7_rng_order () =
+  check_codes "list literal" [ "L7" ]
+    "let f rng = [ Sim.Rng.int rng 3; Sim.Rng.int rng 4 ]\n";
+  check_codes "one finding per list" [ "L7" ]
+    "let f rng = [ g rng; h rng; k rng ]\n";
+  check_codes "tuple" [ "L7" ] "let f rng = (g rng, 1, h rng)\n";
+  check_codes "record" [ "L7" ] "let f rng = { a = g rng; b = h (k rng) }\n";
+  check_codes "application" [ "L7" ] "let f rng = combine (g rng) (h rng)\n";
+  check_codes "labelled arguments" [ "L7" ]
+    "let f rng = make ~a:(g rng) ~b:(Sim.Rng.split rng)\n";
+  Alcotest.(check (list string))
+    "experiments not exempt" [ "L7" ]
+    (codes (lint ~file:"lib/experiments/c3.ml" "let f rng = [ g rng; h rng ]\n"));
+  check_codes "let-sequenced draws are fine" []
+    "let f rng = let a = g rng in let b = h rng in [ a; b ]\n";
+  check_codes "one draw is fine" [] "let f rng = [ g rng; 3; h x ]\n";
+  check_codes "closures draw nothing when built" []
+    "let mixes = [ (fun rng -> g rng); (fun rng -> h rng) ]\n";
+  check_codes "a draw feeding a draw is ordered" []
+    "let f rng = Sim.Rng.int rng (Sim.Rng.int rng 5 + 1)\n";
+  check_codes "cons of a non-literal pair" [] "let f p = (::) p\n"
+
 (* --- pragmas --- *)
 
 let test_pragma_suppression () =
@@ -109,7 +131,7 @@ let test_rule_ids_roundtrip () =
       check_bool "by id" true (Lint.Rule.of_string (Lint.Rule.id r) = Some r);
       check_bool "by slug" true (Lint.Rule.of_string (Lint.Rule.slug r) = Some r))
     Lint.Rule.all;
-  check_bool "unknown" true (Lint.Rule.of_string "L7" = None)
+  check_bool "unknown" true (Lint.Rule.of_string "L8" = None)
 
 let test_diagnostic_json_shape () =
   match lint "let f l = List.hd l\n" with
@@ -305,6 +327,7 @@ let () =
           Alcotest.test_case "L5 float equality" `Quick test_l5_float_equality;
           Alcotest.test_case "L6 ignored result" `Quick test_l6_ignored_result;
           Alcotest.test_case "L6 boundary exemption" `Quick test_l6_boundary_exempt;
+          Alcotest.test_case "L7 rng evaluation order" `Quick test_l7_rng_order;
           Alcotest.test_case "rule ids roundtrip" `Quick test_rule_ids_roundtrip;
         ] );
       ( "pragmas",

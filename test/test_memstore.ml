@@ -1,5 +1,6 @@
 (* Tests for the memstore library: physical stores, devices, levels,
-   channel. *)
+   channel; and the drum batch schedule of experiment X8, served by the
+   lib/device drum model. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -103,6 +104,125 @@ let test_level_transfer_async_queues () =
   check_int "second queues behind first" (2 * unit_cost) t2;
   check_int "busy_until tracks" (2 * unit_cost) (Memstore.Level.busy_until drum)
 
+(* --- Drum batches: the x8 schedule --- *)
+
+type served = { id : int; arrival : int; sector : int; start : int; finish : int }
+
+(* Serve a batch of (arrival_us, sector) requests on one channel of a
+   [sectors]-sector drum turning once per [sectors] ms (page [s] lives
+   in sector [s]).  Requests are submitted in arrival order, so ids
+   follow arrival and FIFO ties break by submission.  Returns the
+   services in completion order, start read off the Io_start events. *)
+let serve_drum ~sched ~sectors batch =
+  let starts = Hashtbl.create 64 in
+  let obs =
+    Obs.Sink.collect (fun ev ->
+        match ev.Obs.Event.kind with
+        | Obs.Event.Io_start { req; _ } -> Hashtbl.replace starts req ev.Obs.Event.t_us
+        | _ -> ())
+  in
+  let geometry = Device.Geometry.drum ~sectors ~rotation_us:(sectors * 1_000) () in
+  let m = Device.Model.create ~obs (Device.Model.config ~sched geometry) in
+  let submitted =
+    List.stable_sort (fun (a, _) (b, _) -> compare a b) batch
+    |> List.map (fun (arrival, sector) ->
+           let id =
+             Device.Model.submit m ~now:arrival ~kind:Device.Request.Demand ~page:sector
+               ~words:0
+           in
+           (id, (arrival, sector)))
+  in
+  let rec collect acc =
+    match Device.Model.take_completion m with
+    | None -> List.rev acc
+    | Some (id, finish) ->
+      let arrival, sector = List.assoc id submitted in
+      collect ({ id; arrival; sector; start = Hashtbl.find starts id; finish } :: acc)
+  in
+  collect []
+
+let span services = List.fold_left (fun m s -> max m s.finish) 0 services
+
+let test_drum_single_request_alignment () =
+  (* At t=0 the heads are at sector 0: a request for sector 2 starts at
+     2000 and takes one sector time. *)
+  (match serve_drum ~sched:Device.Sched.Fifo ~sectors:4 [ (0, 2) ] with
+   | [ s ] ->
+     check_int "start" 2000 s.start;
+     check_int "finish" 3000 s.finish
+   | _ -> Alcotest.fail "one completion expected");
+  (* A request for the sector just passed waits a full revolution. *)
+  match serve_drum ~sched:Device.Sched.Fifo ~sectors:4 [ (100, 0) ] with
+  | [ s ] -> check_int "full revolution" 4000 s.start
+  | _ -> Alcotest.fail "one completion expected"
+
+let test_drum_satf_reorders () =
+  (* Two requests at t=0: sector 3, then sector 1.  FIFO serves the
+     first submitted (sector 3) first; SATF serves sector 1 first. *)
+  let first sched =
+    match serve_drum ~sched ~sectors:4 [ (0, 3); (0, 1) ] with
+    | s :: _ -> s.sector
+    | [] -> Alcotest.fail "completions expected"
+  in
+  check_int "fifo serves arrival order" 3 (first Device.Sched.Fifo);
+  check_int "satf serves nearest sector" 1 (first Device.Sched.Satf)
+
+let test_drum_satf_under_load_approaches_sector_time () =
+  let rng = Sim.Rng.create 5 in
+  let n = 500 in
+  (* Saturating arrivals: everything queued at t=0. *)
+  let batch = List.init n (fun _ -> (0, Sim.Rng.int rng 16)) in
+  let services = serve_drum ~sched:Device.Sched.Satf ~sectors:16 batch in
+  (* SATF on a saturated queue transfers nearly back-to-back sectors. *)
+  check_bool "throughput near one sector per sector-time" true
+    (span services < n * 1_000 * 3 / 2)
+
+let test_drum_all_served_once () =
+  let rng = Sim.Rng.create 6 in
+  let batch =
+    List.init 100 (fun _ ->
+        let arrival = Sim.Rng.int rng 50_000 in
+        (arrival, Sim.Rng.int rng 8))
+  in
+  let services = serve_drum ~sched:Device.Sched.Satf ~sectors:8 batch in
+  check_int "every request served" 100 (List.length services);
+  check_int "served exactly once" 100
+    (List.length (List.sort_uniq compare (List.map (fun s -> s.id) services)));
+  List.iter
+    (fun s -> check_bool "no service before arrival" true (s.start >= s.arrival))
+    services
+
+(* Drum properties: service is exclusive and aligned; SATF never takes
+   longer than FIFO to drain a saturated batch. *)
+let drum_service_property =
+  QCheck.Test.make ~name:"drum service is exclusive, aligned and complete" ~count:60
+    QCheck.(list_of_size Gen.(int_range 1 40) (pair (int_bound 20_000) (int_bound 7)))
+    (fun batch ->
+      let services = serve_drum ~sched:Device.Sched.Satf ~sectors:8 batch in
+      List.length services = List.length batch
+      && List.for_all
+           (fun s ->
+             s.start >= s.arrival
+             && s.start mod 1000 = 0
+             && (s.start / 1000) mod 8 = s.sector
+             && s.finish = s.start + 1000)
+           services
+      (* no two services overlap *)
+      &&
+      let rec disjoint = function
+        | a :: (b :: _ as rest) -> a.finish <= b.start && disjoint rest
+        | [ _ ] | [] -> true
+      in
+      disjoint (List.sort (fun a b -> compare a.start b.start) services))
+
+let drum_satf_no_slower_property =
+  QCheck.Test.make ~name:"SATF drains a saturated batch no slower than FIFO" ~count:60
+    QCheck.(list_of_size Gen.(int_range 1 50) (int_bound 7))
+    (fun sectors ->
+      let batch = List.map (fun sector -> (0, sector)) sectors in
+      span (serve_drum ~sched:Device.Sched.Satf ~sectors:8 batch)
+      <= span (serve_drum ~sched:Device.Sched.Fifo ~sectors:8 batch))
+
 (* --- Channel --- *)
 
 let test_channel_moves_and_charges () =
@@ -126,111 +246,6 @@ let test_channel_cheaper_than_processor () =
   Memstore.Channel.move hw mem ~src:1024 ~dst:0 ~len:1024;
   Memstore.Channel.move sw mem ~src:1024 ~dst:0 ~len:1024;
   check_bool "hardware channel faster" true (Sim.Clock.now clock_a < Sim.Clock.now clock_b)
-
-(* --- Drum --- *)
-
-let req id arrival_us sector = { Memstore.Drum.id; arrival_us; sector }
-
-let test_drum_single_request_alignment () =
-  let drum = Memstore.Drum.create ~sectors:4 ~rotation_us:4000 Memstore.Drum.Fifo_order in
-  check_int "sector time" 1000 (Memstore.Drum.sector_us drum);
-  (* At t=0 the head is at sector 0: a request for sector 2 starts at
-     2000 and finishes at 3000. *)
-  (match Memstore.Drum.serve drum [ req 0 0 2 ] with
-   | [ c ] ->
-     check_int "start" 2000 c.Memstore.Drum.start_us;
-     check_int "finish" 3000 c.Memstore.Drum.finish_us
-   | _ -> Alcotest.fail "one completion expected");
-  (* A request for the sector currently under the heads waits a full
-     revolution. *)
-  match Memstore.Drum.serve drum [ req 0 100 0 ] with
-  | [ c ] -> check_int "full revolution" 4000 c.Memstore.Drum.start_us
-  | _ -> Alcotest.fail "one completion expected"
-
-let test_drum_satf_reorders () =
-  (* Two requests at t=0: sector 3 and sector 1.  FIFO serves id 0
-     (sector 3) first; SATF serves sector 1 first. *)
-  let batch = [ req 0 0 3; req 1 0 1 ] in
-  let first policy =
-    let drum = Memstore.Drum.create ~sectors:4 ~rotation_us:4000 policy in
-    (List.hd (Memstore.Drum.serve drum batch)).Memstore.Drum.request.Memstore.Drum.id
-  in
-  check_int "fifo serves arrival order" 0 (first Memstore.Drum.Fifo_order);
-  check_int "satf serves nearest sector" 1 (first Memstore.Drum.Shortest_access)
-
-let test_drum_satf_under_load_approaches_sector_time () =
-  let rng = Sim.Rng.create 5 in
-  let n = 500 in
-  (* Saturating arrivals: everything queued at t=0. *)
-  let batch = List.init n (fun id -> req id 0 (Sim.Rng.int rng 16)) in
-  let drum = Memstore.Drum.create ~sectors:16 ~rotation_us:16000 Memstore.Drum.Shortest_access in
-  let completions = Memstore.Drum.serve drum batch in
-  let span = List.fold_left (fun m c -> max m c.Memstore.Drum.finish_us) 0 completions in
-  (* SATF on a saturated queue transfers nearly back-to-back sectors. *)
-  check_bool "throughput near one sector per sector-time" true
-    (span < n * Memstore.Drum.sector_us drum * 3 / 2)
-
-let test_drum_all_served_once () =
-  let rng = Sim.Rng.create 6 in
-  let batch = List.init 100 (fun id -> req id (Sim.Rng.int rng 50_000) (Sim.Rng.int rng 8)) in
-  let drum = Memstore.Drum.create ~sectors:8 ~rotation_us:8000 Memstore.Drum.Shortest_access in
-  let completions = Memstore.Drum.serve drum batch in
-  check_int "every request served" 100 (List.length completions);
-  let ids = List.sort_uniq compare
-      (List.map (fun c -> c.Memstore.Drum.request.Memstore.Drum.id) completions) in
-  check_int "served exactly once" 100 (List.length ids);
-  List.iter
-    (fun c ->
-      check_bool "no service before arrival" true
-        (c.Memstore.Drum.start_us >= c.Memstore.Drum.request.Memstore.Drum.arrival_us))
-    completions
-
-(* Drum properties: service is exclusive and aligned; SATF never takes
-   longer than FIFO to drain a saturated batch. *)
-let drum_service_property =
-  QCheck.Test.make ~name:"drum service is exclusive, aligned and complete" ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 40) (pair (int_bound 20_000) (int_bound 7)))
-    (fun reqs ->
-      let batch =
-        List.mapi (fun id (arrival_us, sector) -> { Memstore.Drum.id; arrival_us; sector })
-          reqs
-      in
-      let drum = Memstore.Drum.create ~sectors:8 ~rotation_us:8000 Memstore.Drum.Shortest_access in
-      let completions = Memstore.Drum.serve drum batch in
-      List.length completions = List.length batch
-      && List.for_all
-           (fun c ->
-             c.Memstore.Drum.start_us >= c.Memstore.Drum.request.Memstore.Drum.arrival_us
-             && c.Memstore.Drum.start_us mod 1000 = 0
-             && (c.Memstore.Drum.start_us / 1000) mod 8
-                = c.Memstore.Drum.request.Memstore.Drum.sector
-             && c.Memstore.Drum.finish_us = c.Memstore.Drum.start_us + 1000)
-           completions
-      (* no two services overlap *)
-      && (let sorted =
-            List.sort (fun a b -> compare a.Memstore.Drum.start_us b.Memstore.Drum.start_us)
-              completions
-          in
-          let rec disjoint = function
-            | a :: (b :: _ as rest) ->
-              a.Memstore.Drum.finish_us <= b.Memstore.Drum.start_us && disjoint rest
-            | [ _ ] | [] -> true
-          in
-          disjoint sorted))
-
-let drum_satf_no_slower_property =
-  QCheck.Test.make ~name:"SATF drains a saturated batch no slower than FIFO" ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 50) (int_bound 7))
-    (fun sectors ->
-      let batch =
-        List.mapi (fun id sector -> { Memstore.Drum.id; arrival_us = 0; sector }) sectors
-      in
-      let span policy =
-        let drum = Memstore.Drum.create ~sectors:8 ~rotation_us:8000 policy in
-        List.fold_left (fun m c -> max m c.Memstore.Drum.finish_us) 0
-          (Memstore.Drum.serve drum batch)
-      in
-      span Memstore.Drum.Shortest_access <= span Memstore.Drum.Fifo_order)
 
 (* Property: blit then read back equals source contents. *)
 let physical_blit_roundtrip =
@@ -273,7 +288,8 @@ let () =
         [
           Alcotest.test_case "alignment" `Quick test_drum_single_request_alignment;
           Alcotest.test_case "satf reorders" `Quick test_drum_satf_reorders;
-          Alcotest.test_case "satf throughput" `Quick test_drum_satf_under_load_approaches_sector_time;
+          Alcotest.test_case "satf throughput" `Quick
+            test_drum_satf_under_load_approaches_sector_time;
           Alcotest.test_case "served once" `Quick test_drum_all_served_once;
           QCheck_alcotest.to_alcotest drum_service_property;
           QCheck_alcotest.to_alcotest drum_satf_no_slower_property;

@@ -435,16 +435,13 @@ let test_registry_snapshot () =
 
 (* --- Series --- *)
 
-let test_series_to_timeline () =
+let test_series_length_and_last () =
   let s = Obs.Series.create () in
   Obs.Series.sample s ~t_us:0 10.;
   Obs.Series.sample s ~t_us:100 20.;
   Obs.Series.sample s ~t_us:200 0.;
   check_int "length" 3 (Obs.Series.length s);
-  check_bool "last" true (Obs.Series.last s = Some (200, 0.));
-  let tl = Obs.Series.to_timeline s in
-  check_bool "timeline renders" true
-    (String.length (Metrics.Timeline.render ~width:16 ~height:4 tl) > 0)
+  check_bool "last" true (Obs.Series.last s = Some (200, 0.))
 
 let test_series_rejects_backwards_time () =
   let s = Obs.Series.create () in
@@ -462,27 +459,7 @@ let test_series_empty () =
   check_int "length" 0 (Obs.Series.length s);
   check_bool "points" true (Obs.Series.points s = []);
   check_bool "last" true (Obs.Series.last s = None);
-  check_int "empty timeline has no segments" 0
-    (Metrics.Timeline.segments (Obs.Series.to_timeline s));
   check_string "json" "[]" (Obs.Series.to_json s)
-
-let test_series_single_sample () =
-  let s = Obs.Series.create () in
-  Obs.Series.sample s ~t_us:7 3.5;
-  let tl = Obs.Series.to_timeline s in
-  check_int "one segment" 1 (Metrics.Timeline.segments tl);
-  (* a lone point gets the minimum final gap of 1us: [7, 8) *)
-  check_int "span ends one past the point" 8 (Metrics.Timeline.span_us tl)
-
-let test_series_final_gap_is_mean_gap () =
-  let s = Obs.Series.create () in
-  (* gaps 10 and 20 -> mean gap 15, so the last segment is [30, 45) *)
-  Obs.Series.sample s ~t_us:0 1.;
-  Obs.Series.sample s ~t_us:10 2.;
-  Obs.Series.sample s ~t_us:30 3.;
-  let tl = Obs.Series.to_timeline s in
-  check_int "segments" 3 (Metrics.Timeline.segments tl);
-  check_int "final gap is the mean inter-sample gap" 45 (Metrics.Timeline.span_us tl)
 
 let test_summary_of_no_events () =
   let stats = Obs.Summary.of_events [] in
@@ -544,11 +521,9 @@ let () =
         ] );
       ( "series",
         [
-          Alcotest.test_case "to timeline" `Quick test_series_to_timeline;
+          Alcotest.test_case "length and last" `Quick test_series_length_and_last;
           Alcotest.test_case "backwards time" `Quick test_series_rejects_backwards_time;
           Alcotest.test_case "empty series" `Quick test_series_empty;
-          Alcotest.test_case "single sample" `Quick test_series_single_sample;
-          Alcotest.test_case "final gap rule" `Quick test_series_final_gap_is_mean_gap;
         ] );
       ( "summary",
         [

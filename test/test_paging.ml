@@ -164,7 +164,9 @@ let test_all_policies_run () =
         true
         (r.Paging.Fault_sim.faults >= r.Paging.Fault_sim.cold
         && r.Paging.Fault_sim.faults <= r.Paging.Fault_sim.refs))
-    (Paging.Replacement.all_practical rng)
+    (List.map
+       (fun spec -> Paging.Spec.instantiate spec ~rng ~trace:None)
+       Paging.Spec.all_practical)
 
 (* Property: LRU obeys the stack-inclusion property (faults monotone
    non-increasing in memory size), which FIFO famously violates. *)
@@ -192,7 +194,9 @@ let opt_optimality =
       let rng = Sim.Rng.create 7 in
       List.for_all
         (fun policy -> faults ~frames policy trace >= opt_faults)
-        (Paging.Replacement.all_practical rng))
+        (List.map
+           (fun spec -> Paging.Spec.instantiate spec ~rng ~trace:None)
+           Paging.Spec.all_practical))
 
 (* --- Demand engine --- *)
 
