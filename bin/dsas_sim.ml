@@ -124,9 +124,9 @@ let run_cmd =
   let watch_arg =
     Arg.(value & opt_all string [] & info [ "watch" ] ~docv:"RULE"
            ~doc:"With --telemetry: evaluate a watchdog rule over the snapshot \
-                 stream (repeatable).  Grammar: $(b,METRIC>V\\@K) / \
-                 $(b,METRIC<V\\@K) (threshold held for K snapshots), \
-                 $(b,METRIC=\\@K) (stalled for K), $(b,METRIC+V\\@K) (advanced \
+                 stream (repeatable).  Grammar: $(b,METRIC>V@K) / \
+                 $(b,METRIC<V@K) (threshold held for K snapshots), \
+                 $(b,METRIC=@K) (stalled for K), $(b,METRIC+V@K) (advanced \
                  less than V over K); a trailing $(b,!) escalates — the run \
                  exits non-zero if the rule ever fires.  Fires and clears are \
                  recorded as watchdog_* events in the --trace stream.")
@@ -409,7 +409,7 @@ let replay_cmd =
     Arg.(value & opt (enum policies) Paging.Spec.Lru & info [ "policy"; "p" ]
            ~doc:"Replacement policy: fifo, lru, clock, random, nru, lfu, atlas, m44, opt.")
   in
-  let action file frames page_size policy_spec json =
+  let replay file frames page_size policy_spec json =
     let word_trace = Workload.Trace_io.load_trace file in
     let trace =
       if page_size = 1 then word_trace else Workload.Trace.to_pages ~page_size word_trace
@@ -436,7 +436,16 @@ let replay_cmd =
         (100. *. Obs.Summary.replay_fault_rate summary)
         summary.Obs.Summary.cold summary.Obs.Summary.evictions
   in
-  Cmd.v info Term.(const action $ trace_arg $ frames_arg $ page_arg $ policy_arg $ json_flag)
+  let action file frames page_size policy_spec json =
+    if frames <= 0 then `Error (false, "--frames must be positive")
+    else if page_size <= 0 then `Error (false, "--page-size must be positive")
+    else
+      match replay file frames page_size policy_spec json with
+      | () -> `Ok ()
+      | exception (Failure msg | Sys_error msg) -> `Error (false, msg)
+  in
+  Cmd.v info
+    Term.(ret (const action $ trace_arg $ frames_arg $ page_arg $ policy_arg $ json_flag))
 
 let stats_cmd =
   let doc = "Aggregate a recorded JSONL event stream (from `run --trace`)." in
@@ -1672,7 +1681,7 @@ let campaign_report_cmd =
       `Pre
         "  dsas_sim campaign report d --metric frag.external --by policy\n\
         \  dsas_sim campaign report d --metric frag.holes --by words --winner policy\n\
-        \  dsas_sim campaign report d --metric frag.external --fit words --agg std \\\n\
+        \  dsas_sim campaign report d --metric frag.external --fit words --agg std \\\\\n\
         \      --golden campaigns/x10_fss_golden.json";
     ]
   in

@@ -1,49 +1,67 @@
 type result = { refs : int; faults : int; cold : int; evictions : int }
 
+(* Page states, one byte per page number. *)
+let untouched = '\000'
+
+let touched = '\001'
+
+let resident = '\002'
+
 let run_writes ?(obs = Obs.Sink.null) ~frames ~policy ~write trace =
   assert (frames > 0);
-  let tracing = Obs.Sink.is_active obs in
-  let resident = Hashtbl.create frames in
-  let touched = Hashtbl.create 64 in
-  let faults = ref 0 and cold = ref 0 and evictions = ref 0 in
-  let candidates () =
-    let a = Array.make (Hashtbl.length resident) 0 in
-    let i = ref 0 in
-    (* lint: allow L3 — the array is sorted immediately after filling *)
-    Hashtbl.iter
-      (fun p () ->
-        a.(!i) <- p;
-        incr i)
-      resident;
-    Array.sort compare a;
-    a
+  let extent =
+    Array.fold_left
+      (fun m p ->
+        if p < 0 then invalid_arg (Printf.sprintf "Fault_sim: negative page %d" p);
+        max m (p + 1))
+      0 trace
   in
-  Array.iteri
-    (fun i page ->
-      let w = write i in
-      policy.Replacement.on_reference ~page ~write:w;
-      if not (Hashtbl.mem resident page) then begin
-        incr faults;
-        if tracing then Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Fault { page }));
-        if not (Hashtbl.mem touched page) then begin
-          incr cold;
-          if tracing then
-            Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Cold_fault { page }));
-          Hashtbl.replace touched page ()
-        end;
-        if Hashtbl.length resident >= frames then begin
-          let victim = policy.Replacement.choose_victim ~candidates:(candidates ()) in
-          assert (Hashtbl.mem resident victim);
-          Hashtbl.remove resident victim;
-          policy.Replacement.on_evict ~page:victim;
-          incr evictions;
-          if tracing then
-            Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Eviction { page = victim }))
-        end;
-        Hashtbl.replace resident page ();
-        policy.Replacement.on_load ~page
-      end)
-    trace;
+  let tracing = Obs.Sink.is_active obs in
+  let state = Bytes.make extent untouched in
+  (* The resident pages in ascending order, [set.(0 .. !n - 1)].  Once
+     full it is the candidate array itself. *)
+  let set = Array.make (min frames extent) 0 in
+  let n = ref 0 in
+  (* The index of the first resident page >= [page]. *)
+  let position page =
+    let lo = ref 0 and hi = ref !n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if set.(mid) < page then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let faults = ref 0 and cold = ref 0 and evictions = ref 0 in
+  for i = 0 to Array.length trace - 1 do
+    let page = trace.(i) in
+    policy.Replacement.on_reference ~page ~write:(write i);
+    if Bytes.get state page <> resident then begin
+      incr faults;
+      if tracing then Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Fault { page }));
+      if Bytes.get state page = untouched then begin
+        incr cold;
+        if tracing then Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Cold_fault { page }))
+      end;
+      if !n >= frames then begin
+        let victim = policy.Replacement.choose_victim ~candidates:set in
+        assert (victim >= 0 && victim < extent && Bytes.get state victim = resident);
+        let at = position victim in
+        Array.blit set (at + 1) set at (!n - at - 1);
+        decr n;
+        Bytes.set state victim touched;
+        policy.Replacement.on_evict ~page:victim;
+        incr evictions;
+        if tracing then
+          Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Eviction { page = victim }))
+      end;
+      let at = position page in
+      Array.blit set at set (at + 1) (!n - at);
+      set.(at) <- page;
+      incr n;
+      Bytes.set state page resident;
+      policy.Replacement.on_load ~page
+    end
+  done;
   { refs = Array.length trace; faults = !faults; cold = !cold; evictions = !evictions }
 
 let run ?obs ~frames ~policy trace =

@@ -22,7 +22,13 @@ type result = {
 val run :
   ?obs:Obs.Sink.t -> frames:int -> policy:Replacement.t -> Workload.Trace.t -> result
 (** Process the trace with demand fetch.  [frames] must be positive.
-    The [policy] must be freshly created (policies carry state). *)
+    The [policy] must be freshly created (policies carry state).
+
+    Raises [Invalid_argument] if the trace holds a negative page.  The
+    run keeps one byte per page number up to the largest page
+    referenced, as OPT's tables already do, and the resident pages in
+    one ascending array: once every frame is full, that array is the
+    [candidates] of each victim choice. *)
 
 val fault_rate : result -> float
 (** faults / refs (0. for an empty trace). *)

@@ -10,6 +10,69 @@ let no_ref ~page:_ ~write:_ = ()
 
 let no_page ~page:_ = ()
 
+(* Per-page state.  No policy iterates its table, so the hash reaches no
+   output; this one spreads Multiprog's job-tagged keys
+   ([job lsl 32 lor page]) as well as plain page numbers. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x = x lxor (x lsr 17) lxor (x lsr 32)
+end)
+
+(* Every absent binding reads as 0. *)
+let get tbl page = match Tbl.find tbl page with v -> v | exception Not_found -> 0
+
+(* Membership in the ascending candidates. *)
+let is_candidate (candidates : int array) page =
+  let lo = ref 0 and hi = ref (Array.length candidates) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if candidates.(mid) < page then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length candidates && candidates.(!lo) = page
+
+(* The first candidate with the smallest key; each key is read once. *)
+let argmin (candidates : int array) (key : int -> int) =
+  let best = ref candidates.(0) in
+  let best_key = ref (key !best) in
+  for i = 1 to Array.length candidates - 1 do
+    let p = candidates.(i) in
+    let k = key p in
+    if k < !best_key then begin
+      best := p;
+      best_key := k
+    end
+  done;
+  !best
+
+(* A scratch array of at least [n] ints, reused across victim choices. *)
+let scratch buf n =
+  if Array.length !buf < n then buf := Array.make n 0;
+  !buf
+
+(* Random choice among the candidates of the best (lowest) class.
+   [class_of i] is the class of [candidates.(i)], read once per index in
+   order; the pool keeps candidate order, so the single draw picks what
+   [Sim.Rng.pick] over that pool would. *)
+let pick_best_class rng pool ~candidates ~class_of =
+  let n = Array.length candidates in
+  let pool = scratch pool n in
+  let best = ref max_int and count = ref 0 in
+  for i = 0 to n - 1 do
+    let c = class_of i in
+    if c < !best then begin
+      best := c;
+      count := 0
+    end;
+    if c = !best then begin
+      pool.(!count) <- candidates.(i);
+      incr count
+    end
+  done;
+  pool.(Sim.Rng.int rng !count)
+
 let fifo () =
   (* Load order as a queue; the head among the candidates is the victim. *)
   let order = Queue.create () in
@@ -21,13 +84,12 @@ let fifo () =
     choose_victim =
       (fun ~candidates ->
         assert (Array.length candidates > 0);
-        let is_candidate p = Array.exists (fun q -> q = p) candidates in
         (* Pop until the head is an eligible (e.g. unlocked) page;
            re-queue skipped pages preserving their relative order. *)
         let skipped = Queue.create () in
         let rec pop () =
           let p = Queue.pop order in
-          if is_candidate p then p
+          if is_candidate candidates p then p
           else begin
             Queue.add p skipped;
             pop ()
@@ -40,62 +102,85 @@ let fifo () =
   }
 
 let lru () =
-  let stamp = Hashtbl.create 64 in
+  let stamp = Tbl.create 64 in
   let tick = ref 0 in
+  let oldest = get stamp in
   {
     name = "LRU";
     on_reference =
       (fun ~page ~write:_ ->
         incr tick;
-        Hashtbl.replace stamp page !tick);
-    on_load = (fun ~page -> Hashtbl.replace stamp page !tick);
-    on_evict = (fun ~page -> Hashtbl.remove stamp page);
-    choose_victim =
-      (fun ~candidates ->
-        let oldest p = match Hashtbl.find_opt stamp p with Some s -> s | None -> 0 in
-        Array.fold_left
-          (fun best p -> if oldest p < oldest best then p else best)
-          candidates.(0) candidates);
+        Tbl.replace stamp page !tick);
+    on_load = (fun ~page -> Tbl.replace stamp page !tick);
+    on_evict = (fun ~page -> Tbl.remove stamp page);
+    choose_victim = (fun ~candidates -> argmin candidates oldest);
   }
 
 let clock_sweep () =
-  (* Pages on a circular list in load order; a use bit per page set on
-     reference; the hand clears bits until it finds one clear. *)
-  let used = Hashtbl.create 64 in
-  let ring = ref [] in  (* reversed load order *)
-  let hand = ref [] in
+  (* Pages on a ring in load order, [!ring.(0 .. !len - 1)], and a use
+     bit per page set on reference (a page is in [used] iff its bit is
+     set); the hand clears bits until it finds one clear.  The hand is
+     the range [!h, !hend): what it has left of the ring as the ring
+     stood at its last wrap, so a page loaded since then waits for the
+     next wrap. *)
+  let used = Tbl.create 64 in
+  let ring = ref (Array.make 16 0) and len = ref 0 in
+  let h = ref 0 and hend = ref 0 in
   {
     name = "CLOCK";
-    on_reference = (fun ~page ~write:_ -> Hashtbl.replace used page true);
+    on_reference = (fun ~page ~write:_ -> Tbl.replace used page ());
     on_load =
       (fun ~page ->
-        ring := !ring @ [ page ];
-        Hashtbl.replace used page false);
+        if !len = Array.length !ring then begin
+          let grown = Array.make (2 * !len) 0 in
+          Array.blit !ring 0 grown 0 !len;
+          ring := grown
+        end;
+        !ring.(!len) <- page;
+        incr len;
+        Tbl.remove used page);
     on_evict =
       (fun ~page ->
-        ring := List.filter (fun p -> p <> page) !ring;
-        hand := List.filter (fun p -> p <> page) !hand;
-        Hashtbl.remove used page);
+        (* Drop every occurrence, shifting the rest down; the hand's
+           range shrinks by the occurrences inside or before it. *)
+        let r = !ring and h0 = !h and hend0 = !hend in
+        let kept = ref 0 in
+        for i = 0 to !len - 1 do
+          let p = r.(i) in
+          if p = page then begin
+            if i < h0 then decr h;
+            if i < hend0 then decr hend
+          end
+          else begin
+            r.(!kept) <- p;
+            incr kept
+          end
+        done;
+        len := !kept;
+        Tbl.remove used page);
     choose_victim =
       (fun ~candidates ->
-        let is_candidate p = Array.exists (fun q -> q = p) candidates in
         let rec sweep budget =
           if budget = 0 then candidates.(0)  (* all bits set and ineligible: degrade *)
           else begin
-            (match !hand with [] -> hand := !ring | _ :: _ -> ());
-            match !hand with
-            | [] -> candidates.(0)
-            | p :: rest ->
-              hand := rest;
-              if not (is_candidate p) then sweep (budget - 1)
-              else if Hashtbl.find_opt used p = Some true then begin
-                Hashtbl.replace used p false;
+            if !h >= !hend then begin
+              h := 0;
+              hend := !len
+            end;
+            if !h >= !hend then candidates.(0)
+            else begin
+              let p = !ring.(!h) in
+              incr h;
+              if not (is_candidate candidates p) then sweep (budget - 1)
+              else if Tbl.mem used p then begin
+                Tbl.remove used p;
                 sweep (budget - 1)
               end
               else p
+            end
           end
         in
-        sweep (2 * (List.length !ring + 1)));
+        sweep (2 * (!len + 1)));
   }
 
 let random rng =
@@ -107,109 +192,106 @@ let random rng =
     choose_victim = (fun ~candidates -> Sim.Rng.pick rng candidates);
   }
 
-(* Shared helper: random choice among the candidates of the best
-   (lowest-keyed) class. *)
-let pick_best_class rng ~candidates ~class_of =
-  let best = Array.fold_left (fun acc p -> min acc (class_of p)) max_int candidates in
-  let pool = Array.of_list (List.filter (fun p -> class_of p = best)
-                              (Array.to_list candidates)) in
-  Sim.Rng.pick rng pool
-
 let nru rng =
-  let used = Hashtbl.create 64 and modified = Hashtbl.create 64 in
-  let flag table page = Hashtbl.find_opt table page = Some true in
+  (* Per page, the use bit is worth 2 and the modify bit 1, so the
+     field is the page's class. *)
+  let bits = Tbl.create 64 and pool = ref [||] in
   {
     name = "NRU";
     on_reference =
       (fun ~page ~write ->
-        Hashtbl.replace used page true;
-        if write then Hashtbl.replace modified page true);
+        Tbl.replace bits page (get bits page lor (if write then 3 else 2)));
     on_load = no_page;
-    on_evict =
-      (fun ~page ->
-        Hashtbl.remove used page;
-        Hashtbl.remove modified page);
+    on_evict = (fun ~page -> Tbl.remove bits page);
     choose_victim =
       (fun ~candidates ->
-        let class_of p =
-          (if flag used p then 2 else 0) + if flag modified p then 1 else 0
-        in
-        let victim = pick_best_class rng ~candidates ~class_of in
-        (* Periodic sensor reset, modelled as happening at each decision. *)
-        Array.iter (fun p -> Hashtbl.replace used p false) candidates;
-        victim);
+        (* Periodic sensor reset, modelled as happening at each decision:
+           each candidate's use bit clears once its class is read. *)
+        pick_best_class rng pool ~candidates ~class_of:(fun i ->
+            let p = candidates.(i) in
+            let f = get bits p in
+            if f >= 2 then Tbl.replace bits p (f land 1);
+            f));
   }
 
 let lfu () =
-  let count = Hashtbl.create 64 in
-  let freq p = match Hashtbl.find_opt count p with Some n -> n | None -> 0 in
+  let count = Tbl.create 64 in
+  let freq = get count in
   {
     name = "LFU";
-    on_reference = (fun ~page ~write:_ -> Hashtbl.replace count page (freq page + 1));
-    on_load = (fun ~page -> Hashtbl.replace count page 0);
-    on_evict = (fun ~page -> Hashtbl.remove count page);
-    choose_victim =
-      (fun ~candidates ->
-        Array.fold_left
-          (fun best p -> if freq p < freq best then p else best)
-          candidates.(0) candidates);
+    on_reference = (fun ~page ~write:_ -> Tbl.replace count page (freq page + 1));
+    on_load = (fun ~page -> Tbl.replace count page 0);
+    on_evict = (fun ~page -> Tbl.remove count page);
+    choose_victim = (fun ~candidates -> argmin candidates freq);
   }
+
+(* ATLAS per-page state: the time of last use and T, the previous
+   period of inactivity. *)
+type atlas_page = { mutable last : int; mutable gap : int }
+
+(* What a page never referenced nor loaded reads as; never stored. *)
+let atlas_absent = { last = 0; gap = 0 }
 
 let atlas_learning () =
   let now = ref 0 in
-  let last_use = Hashtbl.create 64 in
-  let prev_gap = Hashtbl.create 64 in  (* T: previous period of inactivity *)
-  let get table page ~default =
-    match Hashtbl.find_opt table page with Some v -> v | None -> default
-  in
+  let pages = Tbl.create 64 in
   {
     name = "ATLAS";
     on_reference =
       (fun ~page ~write:_ ->
         incr now;
-        let last = get last_use page ~default:!now in
-        if last < !now then Hashtbl.replace prev_gap page (!now - last);
-        Hashtbl.replace last_use page !now);
+        match Tbl.find pages page with
+        | r ->
+          if r.last < !now then r.gap <- !now - r.last;
+          r.last <- !now
+        | exception Not_found -> Tbl.add pages page { last = !now; gap = 0 });
     on_load =
       (fun ~page ->
-        Hashtbl.replace last_use page !now;
-        if not (Hashtbl.mem prev_gap page) then Hashtbl.replace prev_gap page 0);
+        match Tbl.find pages page with
+        | r -> r.last <- !now
+        | exception Not_found -> Tbl.add pages page { last = !now; gap = 0 });
     on_evict = no_page;
     choose_victim =
       (fun ~candidates ->
-        let t_of p = !now - get last_use p ~default:0 in
-        let big_t p = get prev_gap p ~default:0 in
-        (* Pages believed out of use: idle longer than their previous
-           inactive period. *)
-        let out_of_use =
-          Array.to_list candidates |> List.filter (fun p -> t_of p > big_t p + 1)
-        in
-        match out_of_use with
-        | first :: _ ->
-          List.fold_left (fun best p -> if t_of p > t_of best then p else best)
-            first out_of_use
-        | [] ->
-          (* Otherwise: the page that, if the recent pattern holds, will
-             be needed last, i.e. maximal T - t. *)
-          Array.fold_left
-            (fun best p -> if big_t p - t_of p > big_t best - t_of best then p else best)
-            candidates.(0) candidates);
+        (* Pages believed out of use are idle longer than their previous
+           inactive period: take the one idle longest.  Otherwise take
+           the page that, if the recent pattern holds, will be needed
+           last, i.e. maximal T - t.  Both keep the first among ties. *)
+        let out = ref (-1) and out_t = ref 0 in
+        let best = ref (-1) and best_key = ref 0 in
+        for i = 0 to Array.length candidates - 1 do
+          let r =
+            match Tbl.find pages candidates.(i) with
+            | r -> r
+            | exception Not_found -> atlas_absent
+          in
+          let t = !now - r.last and big_t = r.gap in
+          if t > big_t + 1 && (!out < 0 || t > !out_t) then begin
+            out := i;
+            out_t := t
+          end;
+          if !best < 0 || big_t - t > !best_key then begin
+            best := i;
+            best_key := big_t - t
+          end
+        done;
+        candidates.(if !out >= 0 then !out else !best));
   }
 
 let m44 rng =
-  let count = Hashtbl.create 64 and modified = Hashtbl.create 64 in
-  let freq p = match Hashtbl.find_opt count p with Some n -> n | None -> 0 in
+  let count = Tbl.create 64 and modified = Tbl.create 64 in
+  let counts = ref [||] and pool = ref [||] in
   {
     name = "M44";
     on_reference =
       (fun ~page ~write ->
-        Hashtbl.replace count page (freq page + 1);
-        if write then Hashtbl.replace modified page true);
-    on_load = (fun ~page -> Hashtbl.replace count page 0);
+        Tbl.replace count page (get count page + 1);
+        if write then Tbl.replace modified page ());
+    on_load = (fun ~page -> Tbl.replace count page 0);
     on_evict =
       (fun ~page ->
-        Hashtbl.remove count page;
-        Hashtbl.remove modified page);
+        Tbl.remove count page;
+        Tbl.remove modified page);
     choose_victim =
       (fun ~candidates ->
         (* Equally acceptable = least frequently used; unmodified
@@ -217,38 +299,27 @@ let m44 rng =
            exponentially at every decision, so a freshly loaded page is
            not condemned merely for having had no time to accumulate
            references. *)
-        let least = Array.fold_left (fun acc p -> min acc (freq p)) max_int candidates in
-        let class_of p =
-          if freq p > least then 2
-          else if Hashtbl.find_opt modified p = Some true then 1
-          else 0
-        in
-        let victim = pick_best_class rng ~candidates ~class_of in
-        Array.iter (fun p -> Hashtbl.replace count p ((freq p / 2) + 1)) candidates;
-        victim);
+        let n = Array.length candidates in
+        let seen = scratch counts n in
+        let least = ref max_int in
+        for i = 0 to n - 1 do
+          let p = candidates.(i) in
+          let c = get count p in
+          seen.(i) <- c;
+          if c < !least then least := c;
+          Tbl.replace count p ((c / 2) + 1)
+        done;
+        pick_best_class rng pool ~candidates ~class_of:(fun i ->
+            if seen.(i) > !least then 2
+            else if Tbl.mem modified candidates.(i) then 1
+            else 0));
   }
 
 let working_set ~tau =
   assert (tau > 0);
-  let now = ref 0 in
-  let last_use = Hashtbl.create 64 in
-  let last p = match Hashtbl.find_opt last_use p with Some v -> v | None -> 0 in
-  {
-    name = Printf.sprintf "WS(%d)" tau;
-    on_reference =
-      (fun ~page ~write:_ ->
-        incr now;
-        Hashtbl.replace last_use page !now);
-    on_load = (fun ~page -> Hashtbl.replace last_use page !now);
-    on_evict = (fun ~page -> Hashtbl.remove last_use page);
-    choose_victim =
-      (fun ~candidates ->
-        (* Oldest page; if it is outside the window that is a true
-           working-set eviction, otherwise it degrades to LRU. *)
-        Array.fold_left
-          (fun best p -> if last p < last best then p else best)
-          candidates.(0) candidates);
-  }
+  (* With a fixed frame count the oldest page goes: outside the window
+     that is a true working-set eviction, inside it is LRU's choice. *)
+  { (lru ()) with name = Printf.sprintf "WS(%d)" tau }
 
 let opt trace =
   (* occurrences.(page) = positions of page in the trace, ascending;
@@ -269,14 +340,12 @@ let opt trace =
       if cursor.(p) >= Array.length occ then max_int else occ.(cursor.(p))
     end
   in
+  (* Farthest next use first: the smallest negated next use. *)
+  let key p = -next_use p in
   {
     name = "OPT";
     on_reference = (fun ~page:_ ~write:_ -> incr position);
     on_load = no_page;
     on_evict = no_page;
-    choose_victim =
-      (fun ~candidates ->
-        Array.fold_left
-          (fun best p -> if next_use p > next_use best then p else best)
-          candidates.(0) candidates);
+    choose_victim = (fun ~candidates -> argmin candidates key);
   }

@@ -15,7 +15,13 @@
     [on_reference] fires for {e every} reference in trace order (hit or
     fault), [on_load]/[on_evict] on residency changes, and
     [choose_victim] must return one of the [candidates] it is given
-    (already filtered for locked pages). *)
+    (already filtered for locked pages).
+
+    The [candidates] array is non-empty and strictly ascending, and it
+    is lent for the call only: the engine may reuse it afterwards (the
+    fault simulator passes its own resident set), so a policy must
+    neither keep it nor modify it.  FIFO and CLOCK test membership by
+    binary search on that order. *)
 
 type t = {
   name : string;
@@ -65,7 +71,9 @@ val m44 : Sim.Rng.t -> t
 val working_set : tau:int -> t
 (** Evict a page outside the working-set window of [tau] references
     (the one longest out), falling back to LRU when every candidate is
-    inside the window. *)
+    inside the window.  With a fixed frame count both cases take the
+    page unreferenced longest, so the choice is LRU's; [tau] names the
+    policy. *)
 
 val opt : Workload.Trace.t -> t
 (** Belady's unrealizable optimum for the given page-number trace: evict

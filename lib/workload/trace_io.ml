@@ -43,7 +43,9 @@ let write_trace oc trace =
 let save_trace filename trace = with_out filename (fun oc -> write_trace oc trace)
 
 let load_trace filename =
-  Array.of_list (fold_lines filename (fun line -> int_of_string_opt line))
+  Array.of_list
+    (fold_lines filename (fun line ->
+         match int_of_string_opt line with Some a when a >= 0 -> Some a | _ -> None))
 
 let event_line = function
   | Alloc_stream.Alloc { id; size } -> Printf.sprintf "a %d %d" id size

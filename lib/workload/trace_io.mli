@@ -12,7 +12,8 @@
 val save_trace : string -> Trace.t -> unit
 
 val load_trace : string -> Trace.t
-(** Raises [Failure] naming the line on malformed input. *)
+(** Raises [Failure] naming the line on malformed input, including a
+    negative address. *)
 
 val write_trace : out_channel -> Trace.t -> unit
 

@@ -67,6 +67,14 @@ let test_empty_trace_everywhere () =
   check_int "extent 0" 0 (Workload.Trace.extent empty);
   check_int "peak of empty stream" 0 (Workload.Alloc_stream.peak_live_words [])
 
+let test_negative_page_rejected () =
+  check_bool "Invalid_argument" true
+    (match
+       Paging.Fault_sim.run ~frames:2 ~policy:(Paging.Replacement.lru ()) [| 3; -1; 4 |]
+     with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 let test_single_page_program () =
   let clock = Sim.Clock.create () in
   let core = Memstore.Level.make clock Memstore.Device.core ~name:"c" ~words:64 in
@@ -200,6 +208,7 @@ let () =
         [
           Alcotest.test_case "empty trace" `Quick test_empty_trace_everywhere;
           Alcotest.test_case "single page program" `Quick test_single_page_program;
+          Alcotest.test_case "negative page" `Quick test_negative_page_rejected;
         ] );
       ( "failure injection",
         [

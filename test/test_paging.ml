@@ -198,6 +198,149 @@ let opt_optimality =
            (fun spec -> Paging.Spec.instantiate spec ~rng ~trace:None)
            Paging.Spec.all_practical))
 
+(* CLOCK driven through callbacks, with evictions that are not the
+   victim the hand just returned, as Demand's advice and Multiprog's
+   shed and abort paths make them: a page still ahead of the hand, one
+   the hand has passed, and one loaded since the last wrap (which waits
+   for the next wrap).  Victims as the list-based ring chose them. *)
+let test_clock_hand_vs_evictions () =
+  let c = Paging.Replacement.clock_sweep () in
+  let load p = c.Paging.Replacement.on_load ~page:p in
+  let evict p = c.Paging.Replacement.on_evict ~page:p in
+  let use p = c.Paging.Replacement.on_reference ~page:p ~write:false in
+  let victim cands = c.Paging.Replacement.choose_victim ~candidates:cands in
+  List.iter load [ 1; 2; 3; 4; 5; 6 ];
+  use 1;
+  use 2;
+  (* wrap; 1 and 2 lose their bits, 3 goes; the hand holds [4; 5; 6] *)
+  check_int "first sweep" 3 (victim [| 1; 2; 3; 4; 5; 6 |]);
+  evict 3;
+  List.iter load [ 7; 8 ];
+  evict 5;  (* ahead of the hand *)
+  evict 1;  (* behind the hand *)
+  evict 8;  (* loaded since the wrap *)
+  use 4;
+  use 6;
+  (* the hand clears 4 and 6, then wraps: 7 waited for it *)
+  check_int "wraps after the hand" 2 (victim [| 2; 4; 6; 7 |]);
+  evict 2;
+  check_int "bits cleared" 4 (victim [| 4; 6; 7 |]);
+  evict 4;
+  check_int "hand moves on" 6 (victim [| 6; 7 |]);
+  evict 6;
+  List.iter load [ 9; 10 ];
+  (* 7 is not a candidate (locked): passed over twice *)
+  check_int "skips a non-candidate" 9 (victim [| 9; 10 |]);
+  evict 9;
+  use 7;
+  use 10;
+  check_int "full sweep" 10 (victim [| 7; 10 |])
+
+(* A policy that checks the candidate contract at every victim choice
+   and delegates the choice to LRU.  With [frames], the candidates must
+   also be exactly the resident set modelled from on_load / on_evict. *)
+let contract_policy ?frames () =
+  let inner = Paging.Replacement.lru () in
+  let resident = Hashtbl.create 16 and ok = ref true and calls = ref 0 in
+  let choose_victim ~candidates =
+    incr calls;
+    let n = Array.length candidates in
+    let ascending = ref (n > 0) in
+    for i = 1 to n - 1 do
+      if candidates.(i - 1) >= candidates.(i) then ascending := false
+    done;
+    let is_resident =
+      match frames with
+      | None -> true
+      | Some f ->
+        n = f && n = Hashtbl.length resident
+        && Array.for_all (Hashtbl.mem resident) candidates
+    in
+    if not (!ascending && is_resident) then ok := false;
+    inner.Paging.Replacement.choose_victim ~candidates
+  in
+  let policy =
+    {
+      inner with
+      Paging.Replacement.on_load =
+        (fun ~page ->
+          Hashtbl.replace resident page ();
+          inner.Paging.Replacement.on_load ~page);
+      on_evict =
+        (fun ~page ->
+          Hashtbl.remove resident page;
+          inner.Paging.Replacement.on_evict ~page);
+      choose_victim;
+    }
+  in
+  (policy, ok, calls)
+
+(* --- Oracles: answers computed independently of the engines --- *)
+
+(* Mattson et al.'s stack distance: a reference faults under LRU with
+   [frames] frames iff its page is deeper than [frames] in the LRU
+   stack (first references are infinitely deep). *)
+let stack_distance_faults trace ~frames =
+  let stack = ref [] and faults = ref 0 in
+  Array.iter
+    (fun p ->
+      let rec depth d = function
+        | [] -> max_int
+        | q :: rest -> if q = p then d else depth (d + 1) rest
+      in
+      if depth 1 !stack > frames then incr faults;
+      stack := p :: List.filter (fun q -> q <> p) !stack)
+    trace;
+  !faults
+
+let lru_stack_distance_oracle =
+  QCheck.Test.make ~name:"LRU = stack distance" ~count:100
+    QCheck.(list_of_size Gen.(int_range 1 300) (int_bound 19))
+    (fun refs ->
+      let trace = Array.of_list refs in
+      let extent = Workload.Trace.extent trace in
+      List.for_all
+        (fun frames ->
+          faults ~frames (Paging.Replacement.lru ()) trace
+          = stack_distance_faults trace ~frames)
+        (List.init (extent + 1) (fun i -> i + 1)))
+
+(* The fewest faults any eviction sequence achieves, by trying every
+   resident page at every eviction (memoized on position and resident
+   set). *)
+let exhaustive_min_faults trace ~frames =
+  let n = Array.length trace in
+  let memo = Hashtbl.create 256 in
+  let rec go i resident =
+    if i = n then 0
+    else
+      match Hashtbl.find_opt memo (i, resident) with
+      | Some f -> f
+      | None ->
+        let p = trace.(i) in
+        let load rest = go (i + 1) (List.sort compare (p :: rest)) in
+        let f =
+          if List.mem p resident then go (i + 1) resident
+          else if List.length resident < frames then 1 + load resident
+          else
+            1
+            + List.fold_left
+                (fun best v -> min best (load (List.filter (fun q -> q <> v) resident)))
+                max_int resident
+        in
+        Hashtbl.replace memo (i, resident) f;
+        f
+  in
+  go 0 []
+
+let opt_exhaustive_oracle =
+  QCheck.Test.make ~name:"OPT = exhaustive minimum" ~count:100
+    QCheck.(pair (int_range 1 3) (list_of_size Gen.(int_range 1 14) (int_bound 5)))
+    (fun (frames, refs) ->
+      let trace = Array.of_list refs in
+      faults ~frames (Paging.Replacement.opt trace) trace
+      = exhaustive_min_faults trace ~frames)
+
 (* --- Demand engine --- *)
 
 let make_demand ?(frames = 4) ?(pages = 16) ?(page_size = 64) ?(tlb = None)
@@ -223,6 +366,72 @@ let make_demand ?(frames = 4) ?(pages = 16) ?(page_size = 64) ?(tlb = None)
     }
   in
   (Paging.Demand.create cfg, core, backing)
+
+let candidates_fault_sim_property =
+  QCheck.Test.make ~name:"candidates: fault_sim" ~count:100
+    QCheck.(
+      pair (int_range 1 6) (list_of_size Gen.(int_range 1 150) (pair (int_bound 15) bool)))
+    (fun (frames, ops) ->
+      let trace = Array.of_list (List.map fst ops) in
+      let writes = Array.of_list (List.map snd ops) in
+      let policy, ok, calls = contract_policy ~frames () in
+      let r =
+        Paging.Fault_sim.run_writes ~frames ~policy ~write:(fun i -> writes.(i)) trace
+      in
+      !ok && !calls = r.Paging.Fault_sim.evictions)
+
+(* Operations: 0 read, 1 write, 2 advise_wont_need, 3 lock then unlock. *)
+let candidates_demand_property =
+  QCheck.Test.make ~name:"candidates: demand" ~count:60
+    QCheck.(
+      pair (int_range 2 5)
+        (list_of_size Gen.(int_range 1 120) (pair (int_bound 3) (int_bound 15))))
+    (fun (frames, ops) ->
+      let policy, ok, _ = contract_policy () in
+      let t, _, _ = make_demand ~frames ~policy () in
+      List.iter
+        (fun (op, page) ->
+          let addr = page * 64 in
+          match op with
+          | 0 -> ignore (Paging.Demand.read t addr)
+          | 1 -> Paging.Demand.write t addr 1L
+          | 2 -> Paging.Demand.advise_wont_need t ~page
+          | _ ->
+            Paging.Demand.lock t ~page;
+            ignore (Paging.Demand.read t ((page + 1) mod 16 * 64));
+            Paging.Demand.unlock t ~page)
+        ops;
+      !ok)
+
+(* A controller that sheds every window exercises Multiprog's shed path,
+   which evicts a job's pages outside any victim choice. *)
+let candidates_multiprog_property =
+  QCheck.Test.make ~name:"candidates: multiprog" ~count:60
+    QCheck.(
+      triple (int_range 1 8) bool
+        (list_of_size Gen.(int_range 1 3)
+           (list_of_size Gen.(int_range 1 80) (int_bound 9))))
+    (fun (frames, shed, jobs) ->
+      let policy, ok, _ = contract_policy () in
+      let controller =
+        if shed then
+          Some
+            (Resilience.Controller.create
+               (Resilience.Controller.config ~period_us:500 ~low_utilization:0.99
+                  ~high_utilization:1.0 ~min_active:1 ()))
+        else None
+      in
+      let specs =
+        List.mapi
+          (fun i refs ->
+            Workload.Job.make ~name:(string_of_int i) ~refs:(Array.of_list refs)
+              ~compute_us_per_ref:10)
+          jobs
+      in
+      let (_ : Dsas.Multiprog.report) =
+        Dsas.Multiprog.run ?controller ~quantum_refs:7 ~frames ~policy ~fetch_us:300 specs
+      in
+      !ok)
 
 let test_demand_reads_backing_data () =
   let t, _, backing = make_demand () in
@@ -515,6 +724,15 @@ let () =
           QCheck_alcotest.to_alcotest lru_stack_property;
           QCheck_alcotest.to_alcotest opt_optimality;
           QCheck_alcotest.to_alcotest demand_model_property;
+          Alcotest.test_case "CLOCK hand vs evictions" `Quick test_clock_hand_vs_evictions;
+          QCheck_alcotest.to_alcotest candidates_fault_sim_property;
+          QCheck_alcotest.to_alcotest candidates_demand_property;
+          QCheck_alcotest.to_alcotest candidates_multiprog_property;
+        ] );
+      ( "oracles",
+        [
+          QCheck_alcotest.to_alcotest lru_stack_distance_oracle;
+          QCheck_alcotest.to_alcotest opt_exhaustive_oracle;
         ] );
       ( "lifetime",
         [

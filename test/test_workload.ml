@@ -244,6 +244,20 @@ let names_line msg n =
   in
   find 0
 
+(* A negative address names no page: rejected like any unparsable line. *)
+let test_load_rejects_negative_address () =
+  let file = temp_file () in
+  let oc = open_out file in
+  output_string oc "3\n1\n-4\n";
+  close_out oc;
+  let result =
+    match Workload.Trace_io.load_trace file with
+    | _ -> "no error"
+    | exception Failure msg -> msg
+  in
+  Sys.remove file;
+  check_bool "names line 3" true (names_line result 3)
+
 let test_load_events_rejects_garbage_with_line_number () =
   let failure_of text =
     let file = temp_file () in
@@ -336,6 +350,7 @@ let () =
           Alcotest.test_case "events crlf/trailing blanks" `Quick
             test_load_events_tolerates_crlf_and_trailing_blanks;
           Alcotest.test_case "garbage rejected" `Quick test_load_rejects_garbage_with_line_number;
+          Alcotest.test_case "negative address" `Quick test_load_rejects_negative_address;
           Alcotest.test_case "events comments/blanks" `Quick
             test_load_events_skips_comments_and_blanks;
           Alcotest.test_case "events garbage rejected" `Quick
