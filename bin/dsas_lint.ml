@@ -59,17 +59,13 @@ let run paths json list_rules boundaries =
       let files, diagnostics = Lint.Engine.lint_paths ~config paths in
       if json then
         print_endline
-          (Obs.Json.obj
-             [
-               ("files", Obs.Json.Int (List.length files));
-               ("count", Obs.Json.Int (List.length diagnostics));
-               ( "violations",
-                 Obs.Json.Raw
-                   (Obs.Json.array
-                      (List.map
-                         (fun d -> Obs.Json.Raw (Lint.Diagnostic.to_json d))
-                         diagnostics)) );
-             ])
+          (Obs.Json.to_string
+             (Obs.Json.Obj
+                [
+                  ("files", Obs.Json.Int (List.length files));
+                  ("count", Obs.Json.Int (List.length diagnostics));
+                  ("violations", Obs.Json.List (List.map Lint.Diagnostic.to_json diagnostics));
+                ]))
       else
         List.iter (fun d -> print_endline (Lint.Diagnostic.to_string d)) diagnostics;
       if diagnostics = [] then begin

@@ -418,23 +418,25 @@ let replay_cmd =
       Paging.Spec.instantiate policy_spec ~rng:(Sim.Rng.create 1) ~trace:(Some trace)
     in
     let r = Paging.Fault_sim.run ~frames ~policy trace in
-    let summary =
-      {
-        Obs.Summary.policy = Paging.Spec.to_string policy_spec;
-        frames;
-        refs = r.Paging.Fault_sim.refs;
-        faults = r.Paging.Fault_sim.faults;
-        cold = r.Paging.Fault_sim.cold;
-        evictions = r.Paging.Fault_sim.evictions;
-      }
-    in
-    if json then print_endline (Obs.Summary.replay_to_json summary)
+    let policy = Paging.Spec.to_string policy_spec in
+    if json then
+      print_endline
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              [
+                ("policy", Obs.Json.String policy);
+                ("frames", Obs.Json.Int frames);
+                ("refs", Obs.Json.Int r.Paging.Fault_sim.refs);
+                ("faults", Obs.Json.Int r.Paging.Fault_sim.faults);
+                ("fault_rate", Obs.Json.Float (Paging.Fault_sim.fault_rate r));
+                ("cold", Obs.Json.Int r.Paging.Fault_sim.cold);
+                ("evictions", Obs.Json.Int r.Paging.Fault_sim.evictions);
+              ]))
     else
       Printf.printf "%s over %d refs with %d frames: %d faults (%.2f%%), %d cold, %d evictions\n"
-        summary.Obs.Summary.policy summary.Obs.Summary.refs frames
-        summary.Obs.Summary.faults
-        (100. *. Obs.Summary.replay_fault_rate summary)
-        summary.Obs.Summary.cold summary.Obs.Summary.evictions
+        policy r.Paging.Fault_sim.refs frames r.Paging.Fault_sim.faults
+        (100. *. Paging.Fault_sim.fault_rate r)
+        r.Paging.Fault_sim.cold r.Paging.Fault_sim.evictions
   in
   let action file frames page_size policy_spec json =
     if frames <= 0 then `Error (false, "--frames must be positive")
@@ -462,8 +464,8 @@ let stats_cmd =
     | Error msg -> `Error (false, msg)
     | Ok q ->
       let stats = Obs.Query.to_summary q in
-      if json then print_endline (Obs.Summary.trace_stats_to_json stats)
-      else Obs.Summary.print_trace_stats stats;
+      if json then print_endline (Obs.Query.summary_to_json stats)
+      else Obs.Query.print_summary stats;
       `Ok ()
   in
   Cmd.v info Term.(ret (const action $ file_arg $ json_flag))
@@ -566,8 +568,7 @@ let query_cmd =
       rows
   in
   let groups_to_json rows =
-    Obs.Json.obj
-      (List.map (fun (label, v) -> (label, Obs.Json.Float v)) rows)
+    Obs.Json.to_string (Obs.Json.Obj (List.map (fun (label, v) -> (label, Obs.Json.Float v)) rows))
   in
   let latency_json (p : Obs.Query.pairing) (l : Obs.Query.latency option) =
     let base =
@@ -585,27 +586,24 @@ let query_cmd =
           Array.to_list (Metrics.Histogram.bucket_counts l.Obs.Query.hist)
           |> List.filter (fun (_, n) -> n > 0)
           |> List.map (fun (label, n) ->
-                 Obs.Json.Raw
-                   (Obs.Json.obj
-                      [ ("bucket", Obs.Json.String label); ("count", Obs.Json.Int n) ]))
+                 Obs.Json.Obj [ ("bucket", Obs.Json.String label); ("count", Obs.Json.Int n) ])
         in
         [
           ( "latency_us",
-            Obs.Json.Raw
-              (Obs.Json.obj
-                 [
-                   ("samples", Obs.Json.Int l.Obs.Query.samples);
-                   ("min", Obs.Json.Int l.Obs.Query.min_us);
-                   ("mean", Obs.Json.Float l.Obs.Query.mean_us);
-                   ("p50", Obs.Json.Int l.Obs.Query.p50_us);
-                   ("p90", Obs.Json.Int l.Obs.Query.p90_us);
-                   ("p99", Obs.Json.Int l.Obs.Query.p99_us);
-                   ("max", Obs.Json.Int l.Obs.Query.max_us);
-                   ("buckets", Obs.Json.Raw (Obs.Json.array buckets));
-                 ] ) );
+            Obs.Json.Obj
+              [
+                ("samples", Obs.Json.Int l.Obs.Query.samples);
+                ("min", Obs.Json.Int l.Obs.Query.min_us);
+                ("mean", Obs.Json.Float l.Obs.Query.mean_us);
+                ("p50", Obs.Json.Int l.Obs.Query.p50_us);
+                ("p90", Obs.Json.Int l.Obs.Query.p90_us);
+                ("p99", Obs.Json.Int l.Obs.Query.p99_us);
+                ("max", Obs.Json.Int l.Obs.Query.max_us);
+                ("buckets", Obs.Json.List buckets);
+              ] );
         ]
     in
-    Obs.Json.obj (base @ latency)
+    Obs.Json.to_string (Obs.Json.Obj (base @ latency))
   in
   let action file kinds run since until group_by agg top pair percentiles exact json =
     match Obs.Query.load file with
@@ -733,27 +731,6 @@ let bench_diff_cmd =
   Cmd.v info
     Term.(ret (const action $ old_arg $ new_arg $ threshold_arg $ json_flag))
 
-(* Read a whole line-oriented input; "-" means stdin (left open — not
-   ours to close). *)
-let read_input_lines filename =
-  let of_channel ic =
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    List.rev !lines
-  in
-  if filename = "-" then Ok ("<stdin>", of_channel stdin)
-  else
-    match open_in filename with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-      let lines = of_channel ic in
-      close_in ic;
-      Ok (filename, lines)
-
 let check_cmd =
   let doc = "Validate a recorded JSONL event stream against the trace invariants." in
   let man =
@@ -792,20 +769,14 @@ let check_cmd =
     Arg.(value & opt int 50 & info [ "limit" ] ~docv:"N"
            ~doc:"Report at most $(docv) individual violations (totals are always exact).")
   in
+  (* A telemetry stream announces itself in its first data line. *)
   let is_telemetry lines =
-    (* Sniff the first data line for the telemetry schema tag. *)
-    let rec first = function
-      | [] -> false
-      | l :: rest ->
-        let t = String.trim l in
-        if t = "" || (String.length t > 0 && t.[0] = '#') then first rest
-        else
-          (match Obs.Json.parse_obj t with
-           | Some fields ->
-             Obs.Json.mem_string fields "schema" = Some Obs.Telemetry.schema
-           | None -> false)
-    in
-    first lines
+    match Obs.Artifact.data lines with
+    | (_, first) :: _ ->
+      Option.bind (Obs.Json.flat first) (fun fields ->
+          Obs.Json.string (List.assoc_opt "schema" fields))
+      = Some Obs.Telemetry.schema
+    | [] -> false
   in
   let action file list_invariants limit json =
     if list_invariants then begin
@@ -818,21 +789,23 @@ let check_cmd =
       match file with
       | None -> `Error (true, "a trace FILE is required (or --list-invariants)")
       | Some file ->
-        (match read_input_lines file with
+        (match Obs.Artifact.read_lines file with
          | Error msg -> `Error (false, msg)
-         | Ok (label, lines) when is_telemetry lines ->
+         | Ok lines when is_telemetry lines ->
+           let label = lines.Obs.Artifact.label in
            (match Obs.Telemetry.parse_lines lines with
-            | Error msg -> `Error (false, Printf.sprintf "%s: %s" label msg)
+            | Error msg -> `Error (false, msg)
             | Ok snaps ->
               let problems = Obs.Telemetry.check snaps in
               if json then
                 print_endline
-                  (Obs.Json.obj
-                     [
-                       ("schema", Obs.Json.String Obs.Telemetry.schema);
-                       ("snapshots", Obs.Json.Int (List.length snaps));
-                       ("problems", Obs.Json.Int (List.length problems));
-                     ])
+                  (Obs.Json.to_string
+                     (Obs.Json.Obj
+                        [
+                          ("schema", Obs.Json.String Obs.Telemetry.schema);
+                          ("snapshots", Obs.Json.Int (List.length snaps));
+                          ("problems", Obs.Json.Int (List.length problems));
+                        ]))
               else begin
                 Printf.printf "%s: %d telemetry snapshot(s)\n" label
                   (List.length snaps);
@@ -846,7 +819,8 @@ let check_cmd =
                   ( false,
                     Printf.sprintf "%s: %d telemetry stream problem(s)" label
                       (List.length problems) ))
-         | Ok (label, lines) ->
+         | Ok lines ->
+           let label = lines.Obs.Artifact.label in
            let report = Obs.Check.check_lines ~limit lines in
            if json then print_endline (Obs.Check.to_json report)
            else Obs.Check.print report;
@@ -901,11 +875,7 @@ let top_cmd =
   in
   (* Lenient load: parse what parses, skip the rest (the stream may
      still be growing under us). *)
-  let load_lenient file =
-    match read_input_lines file with
-    | Error _ -> []
-    | Ok (_, lines) -> List.filter_map Obs.Telemetry.snapshot_of_json lines
-  in
+  let load_lenient file = Obs.Artifact.lenient Obs.Telemetry.snapshot_of_json file in
   (* Group by producer tag, keeping the last two snapshots per producer
      for rate computation; producers render in first-appearance order. *)
   let producers snaps =
@@ -962,44 +932,31 @@ let top_cmd =
   in
   let render_json snaps =
     let producer (key, (prev, (sn : Obs.Telemetry.snapshot))) =
-      Obs.Json.Raw
-        (Obs.Json.obj
-           ((match key with
-             | Some s -> [ ("shard", Obs.Json.Int s) ]
-             | None -> [])
-            @ [
-                ("seq", Obs.Json.Int sn.Obs.Telemetry.sn_seq);
-                ("t_us", Obs.Json.Int sn.Obs.Telemetry.sn_t_us);
-                ( "counters",
-                  Obs.Json.Raw
-                    (Obs.Json.obj
-                       (List.map
-                          (fun (n, v) -> (n, Obs.Json.Int v))
-                          sn.Obs.Telemetry.sn_counters)) );
-                ( "rates",
-                  Obs.Json.Raw
-                    (Obs.Json.obj
-                       (List.filter_map
-                          (fun (n, v) ->
-                            Option.map
-                              (fun r -> (n, Obs.Json.Float r))
-                              (rate prev sn n v))
-                          sn.Obs.Telemetry.sn_counters)) );
-                ( "gauges",
-                  Obs.Json.Raw
-                    (Obs.Json.obj
-                       (List.map
-                          (fun (n, v) -> (n, Obs.Json.Float v))
-                          sn.Obs.Telemetry.sn_gauges)) );
-              ]))
+      Obs.Json.Obj
+        ((match key with Some s -> [ ("shard", Obs.Json.Int s) ] | None -> [])
+         @ [
+             ("seq", Obs.Json.Int sn.Obs.Telemetry.sn_seq);
+             ("t_us", Obs.Json.Int sn.Obs.Telemetry.sn_t_us);
+             ( "counters",
+               Obs.Json.Obj
+                 (List.map (fun (n, v) -> (n, Obs.Json.Int v)) sn.Obs.Telemetry.sn_counters) );
+             ( "rates",
+               Obs.Json.Obj
+                 (List.filter_map
+                    (fun (n, v) -> Option.map (fun r -> (n, Obs.Json.Float r)) (rate prev sn n v))
+                    sn.Obs.Telemetry.sn_counters) );
+             ( "gauges",
+               Obs.Json.Obj
+                 (List.map (fun (n, v) -> (n, Obs.Json.Float v)) sn.Obs.Telemetry.sn_gauges) );
+           ])
     in
     print_endline
-      (Obs.Json.obj
-         [
-           ("snapshots", Obs.Json.Int (List.length snaps));
-           ( "producers",
-             Obs.Json.Raw (Obs.Json.array (List.map producer (producers snaps))) );
-         ]);
+      (Obs.Json.to_string
+         (Obs.Json.Obj
+            [
+              ("snapshots", Obs.Json.Int (List.length snaps));
+              ("producers", Obs.Json.List (List.map producer (producers snaps)));
+            ]));
     flush stdout
   in
   let action file follow interval json =
@@ -1096,11 +1053,11 @@ let export_cmd =
          write (Obs.Export.chrome_of_events (Obs.Query.events q));
          `Ok ())
     | `Flamegraph ->
-      (match read_input_lines file with
+      (match Obs.Artifact.read_lines file with
        | Error msg -> `Error (false, msg)
-       | Ok (label, lines) ->
-         (match Obs.Export.flamegraph (String.concat "\n" lines) with
-          | Error msg -> `Error (false, Printf.sprintf "%s: %s" label msg)
+       | Ok lines ->
+         (match Obs.Export.flamegraph (String.concat "\n" lines.Obs.Artifact.lines) with
+          | Error msg -> `Error (false, Printf.sprintf "%s: %s" lines.Obs.Artifact.label msg)
           | Ok svg ->
             write svg;
             `Ok ()))
@@ -1352,7 +1309,7 @@ let campaign_runner (cell : Experiments.Cell.spec) : Campaign.Exec.runner =
   match result with
   | Error _ as e -> e
   | Ok () ->
-    Campaign.Store.write_atomic metrics_path (Obs.Registry.to_json reg ^ "\n");
+    Obs.Artifact.write_atomic metrics_path (Obs.Registry.to_json reg ^ "\n");
     Ok ()
 
 let campaign_dir_arg =
@@ -1611,29 +1568,23 @@ let campaign_status_cmd =
             | Campaign.Store.Pending ->
               if running id st then "running" else "pending"
           in
-          Obs.Json.Raw
-            (Obs.Json.obj
-               ([ ("id", Obs.Json.String id); ("status", Obs.Json.String status) ]
-                @ (match started id with
-                   | Some s -> [ ("started", Obs.Json.Float s) ]
-                   | None -> [])
-                @
-                match elapsed id st with
-                | Some e -> [ ("elapsed_s", Obs.Json.Float e) ]
-                | None -> []))
+          Obs.Json.Obj
+            ([ ("id", Obs.Json.String id); ("status", Obs.Json.String status) ]
+             @ (match started id with Some s -> [ ("started", Obs.Json.Float s) ] | None -> [])
+             @ match elapsed id st with Some e -> [ ("elapsed_s", Obs.Json.Float e) ] | None -> [])
         in
         print_endline
-          (Obs.Json.obj
-             [
-               ("name", Obs.Json.String spec.Campaign.Spec.name);
-               ("cell", Obs.Json.String spec.Campaign.Spec.cell);
-               ("total", Obs.Json.Int (List.length sts));
-               ("done", Obs.Json.Int n_done);
-               ("failed", Obs.Json.Int n_failed);
-               ("pending", Obs.Json.Int n_pending);
-               ( "cells",
-                 Obs.Json.Raw (Obs.Json.array (List.map cell sts)) );
-             ])
+          (Obs.Json.to_string
+             (Obs.Json.Obj
+                [
+                  ("name", Obs.Json.String spec.Campaign.Spec.name);
+                  ("cell", Obs.Json.String spec.Campaign.Spec.cell);
+                  ("total", Obs.Json.Int (List.length sts));
+                  ("done", Obs.Json.Int n_done);
+                  ("failed", Obs.Json.Int n_failed);
+                  ("pending", Obs.Json.Int n_pending);
+                  ("cells", Obs.Json.List (List.map cell sts));
+                ]))
       else begin
         Printf.printf "campaign %s (cell %s): %d cell(s): %d done, %d failed, %d pending\n"
           spec.Campaign.Spec.name spec.Campaign.Spec.cell (List.length sts) n_done
@@ -1734,23 +1685,21 @@ let campaign_report_cmd =
       f.Campaign.Report.points
   in
   let fit_json (f : Campaign.Report.fitted) =
-    Obs.Json.obj
-      [
-        ("metric", Obs.Json.String f.Campaign.Report.f_metric);
-        ("x", Obs.Json.String f.Campaign.Report.f_x);
-        ("agg", Obs.Json.String (Campaign.Report.string_of_agg f.Campaign.Report.f_agg));
-        ("exponent", Obs.Json.Float f.Campaign.Report.fit.Metrics.Stats.slope);
-        ("intercept", Obs.Json.Float f.Campaign.Report.fit.Metrics.Stats.intercept);
-        ("r_square", Obs.Json.Float f.Campaign.Report.fit.Metrics.Stats.r_square);
-        ( "points",
-          Obs.Json.Raw
-            (Obs.Json.array
+    Obs.Json.to_string
+      (Obs.Json.Obj
+         [
+           ("metric", Obs.Json.String f.Campaign.Report.f_metric);
+           ("x", Obs.Json.String f.Campaign.Report.f_x);
+           ("agg", Obs.Json.String (Campaign.Report.string_of_agg f.Campaign.Report.f_agg));
+           ("exponent", Obs.Json.Float f.Campaign.Report.fit.Metrics.Stats.slope);
+           ("intercept", Obs.Json.Float f.Campaign.Report.fit.Metrics.Stats.intercept);
+           ("r_square", Obs.Json.Float f.Campaign.Report.fit.Metrics.Stats.r_square);
+           ( "points",
+             Obs.Json.List
                (List.map
-                  (fun (x, y) ->
-                    Obs.Json.Raw
-                      (Obs.Json.array [ Obs.Json.Float x; Obs.Json.Float y ]))
-                  f.Campaign.Report.points)) );
-      ]
+                  (fun (x, y) -> Obs.Json.List [ Obs.Json.Float x; Obs.Json.Float y ])
+                  f.Campaign.Report.points) );
+         ])
   in
   let action dir metric by winner maximize fit_x agg_s golden emit_golden json =
     match Campaign.Store.load ~dir with
@@ -1772,17 +1721,16 @@ let campaign_report_cmd =
          let metrics = Campaign.Report.metric_names cells in
          if json then
            print_endline
-             (Obs.Json.obj
-                [
-                  ("name", Obs.Json.String spec.Campaign.Spec.name);
-                  ("cell", Obs.Json.String spec.Campaign.Spec.cell);
-                  ("total", Obs.Json.Int (List.length cells));
-                  ("done", Obs.Json.Int n_done);
-                  ("failed", Obs.Json.Int n_failed);
-                  ( "metrics",
-                    Obs.Json.Raw
-                      (Obs.Json.array (List.map (fun m -> Obs.Json.String m) metrics)) );
-                ])
+             (Obs.Json.to_string
+                (Obs.Json.Obj
+                   [
+                     ("name", Obs.Json.String spec.Campaign.Spec.name);
+                     ("cell", Obs.Json.String spec.Campaign.Spec.cell);
+                     ("total", Obs.Json.Int (List.length cells));
+                     ("done", Obs.Json.Int n_done);
+                     ("failed", Obs.Json.Int n_failed);
+                     ("metrics", Obs.Json.List (List.map (fun m -> Obs.Json.String m) metrics));
+                   ]))
          else begin
            Printf.printf "campaign %s (cell %s): %d cell(s): %d done, %d failed\n"
              spec.Campaign.Spec.name spec.Campaign.Spec.cell (List.length cells)
@@ -1843,17 +1791,17 @@ let campaign_report_cmd =
           | Ok ws ->
             if json then
               print_endline
-                (Obs.Json.obj
-                   (List.map
-                      (fun (w : Campaign.Report.winner) ->
-                        ( w.Campaign.Report.w_key,
-                          Obs.Json.Raw
-                            (Obs.Json.obj
+                (Obs.Json.to_string
+                   (Obs.Json.Obj
+                      (List.map
+                         (fun (w : Campaign.Report.winner) ->
+                           ( w.Campaign.Report.w_key,
+                             Obs.Json.Obj
                                [
                                  ("winner", Obs.Json.String w.Campaign.Report.w_winner);
                                  ("value", Obs.Json.Float w.Campaign.Report.w_value);
-                               ]) ))
-                      ws))
+                               ] ))
+                         ws)))
             else begin
               Printf.printf "%-16s %-16s %s (%s mean)\n" by contender m
                 (if maximize then "highest" else "lowest");
@@ -1870,20 +1818,20 @@ let campaign_report_cmd =
           | Ok groups ->
             if json then
               print_endline
-                (Obs.Json.obj
-                   (List.map
-                      (fun (g : Campaign.Report.group) ->
-                        ( g.Campaign.Report.key,
-                          Obs.Json.Raw
-                            (Obs.Json.obj
+                (Obs.Json.to_string
+                   (Obs.Json.Obj
+                      (List.map
+                         (fun (g : Campaign.Report.group) ->
+                           ( g.Campaign.Report.key,
+                             Obs.Json.Obj
                                [
                                  ("count", Obs.Json.Int g.Campaign.Report.count);
                                  ("mean", Obs.Json.Float g.Campaign.Report.mean);
                                  ("stddev", Obs.Json.Float g.Campaign.Report.stddev);
                                  ("min", Obs.Json.Float g.Campaign.Report.g_min);
                                  ("max", Obs.Json.Float g.Campaign.Report.g_max);
-                               ]) ))
-                      groups))
+                               ] ))
+                         groups)))
             else begin
               Printf.printf "%-16s %6s %14s %14s %14s %14s\n" by "n" "mean" "stddev"
                 "min" "max";

@@ -119,26 +119,26 @@ let print oc c =
 
 let to_json c =
   let row_obj r =
-    Obs.Json.Raw
-      (Obs.Json.obj
-         [
-           ("cell", Obs.Json.String r.cell);
-           ("metric", Obs.Json.String r.metric);
-           ("old", Obs.Json.Float r.old_v);
-           ("new", Obs.Json.Float r.new_v);
-           ( "delta_pct",
-             if Float.is_finite r.delta_pct then Obs.Json.Float r.delta_pct
-             else Obs.Json.String (Printf.sprintf "%g" r.delta_pct) );
-           ("regressed", Obs.Json.Raw (if r.regressed then "true" else "false"));
-         ])
+    Obs.Json.Obj
+      [
+        ("cell", Obs.Json.String r.cell);
+        ("metric", Obs.Json.String r.metric);
+        ("old", Obs.Json.Float r.old_v);
+        ("new", Obs.Json.Float r.new_v);
+        ( "delta_pct",
+          if Float.is_finite r.delta_pct then Obs.Json.Float r.delta_pct
+          else Obs.Json.String (Printf.sprintf "%g" r.delta_pct) );
+        ("regressed", Obs.Json.Bool r.regressed);
+      ]
   in
-  let strs items = Obs.Json.Raw (Obs.Json.array (List.map (fun s -> Obs.Json.String s) items)) in
-  Obs.Json.obj
-    [
-      ("threshold_pct", Obs.Json.Float c.threshold_pct);
-      ("rows", Obs.Json.Raw (Obs.Json.array (List.map row_obj (regressions c))));
-      ("compared", Obs.Json.Int (List.length c.rows));
-      ("only_old", strs c.only_old);
-      ("only_new", strs c.only_new);
-      ("regressions", Obs.Json.Int (List.length (regressions c)));
-    ]
+  let strs items = Obs.Json.List (List.map (fun s -> Obs.Json.String s) items) in
+  Obs.Json.to_string
+    (Obs.Json.Obj
+       [
+         ("threshold_pct", Obs.Json.Float c.threshold_pct);
+         ("rows", Obs.Json.List (List.map row_obj (regressions c)));
+         ("compared", Obs.Json.Int (List.length c.rows));
+         ("only_old", strs c.only_old);
+         ("only_new", strs c.only_new);
+         ("regressions", Obs.Json.Int (List.length (regressions c)));
+       ])

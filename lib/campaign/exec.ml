@@ -47,13 +47,9 @@ let take n items =
   go n [] items
 
 let read_error ~dir id =
-  match open_in_bin (Store.error_path ~dir id) with
+  match In_channel.with_open_bin (Store.error_path ~dir id) In_channel.input_all with
   | exception Sys_error _ -> None
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some (String.trim s)
+  | s -> Some (String.trim s)
 
 (* Runs in the child.  Any escape — an Error, an exception — lands in
    <id>.error.txt; the exit code tells the parent which way it went. *)
@@ -70,7 +66,7 @@ let run_cell ~dir ~spec ~runner (point : Spec.point) =
   match outcome with
   | Ok () -> 0
   | Error msg ->
-    Store.write_atomic (Store.error_path ~dir point.Spec.id) (msg ^ "\n");
+    Obs.Artifact.write_atomic (Store.error_path ~dir point.Spec.id) (msg ^ "\n");
     1
 
 (* One queued attempt: the grid point, failed attempts so far (across

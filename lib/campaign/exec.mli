@@ -15,7 +15,7 @@ type runner =
   metrics_path:string ->
   (unit, string) result
 (** Runs in the child process.  Must write the cell's metrics to
-    [metrics_path] (atomically — use {!Store.write_atomic}) and, when
+    [metrics_path] (atomically — use {!Obs.Artifact.write_atomic}) and, when
     [trace_path] is given, its trace there.  An [Error] (or an
     exception, which is caught) fails the cell. *)
 

@@ -199,55 +199,33 @@ type golden = {
 let golden_schema = "dsas-fit-golden/1"
 
 let golden_to_json g =
-  Obs.Json.obj
-    [
-      ("schema", Obs.Json.String golden_schema);
-      ("metric", Obs.Json.String g.g_metric);
-      ("x", Obs.Json.String g.g_x);
-      ("agg", Obs.Json.String (string_of_agg g.g_agg));
-      ("exponent", Obs.Json.Float g.exponent);
-      ("tolerance", Obs.Json.Float g.tolerance);
-    ]
+  Obs.Json.to_string
+    (Obs.Json.Obj
+       [
+         ("schema", Obs.Json.String golden_schema);
+         ("metric", Obs.Json.String g.g_metric);
+         ("x", Obs.Json.String g.g_x);
+         ("agg", Obs.Json.String (string_of_agg g.g_agg));
+         ("exponent", Obs.Json.Float g.exponent);
+         ("tolerance", Obs.Json.Float g.tolerance);
+       ])
 
-let read_file filename =
-  match open_in_bin filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
-
-let load_golden filename =
-  let ( let* ) = Result.bind in
-  let* text = read_file filename in
-  match Obs.Json.parse_tree text with
-  | None -> Error (Printf.sprintf "%s: malformed JSON" filename)
-  | Some doc ->
-    let* () =
-      match Obs.Json.tree_str doc "schema" with
-      | Some s when s = golden_schema -> Ok ()
-      | Some other ->
-        Error (Printf.sprintf "%s: schema %S, expected %S" filename other golden_schema)
-      | None -> Error (Printf.sprintf "%s: missing \"schema\" field" filename)
-    in
-    let str name =
-      match Obs.Json.tree_str doc name with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "%s: missing %S field" filename name)
-    in
-    let num name =
-      match Obs.Json.tree_num doc name with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "%s: missing %S field" filename name)
-    in
-    let* g_metric = str "metric" in
-    let* g_x = str "x" in
-    let* agg_s = str "agg" in
-    let* g_agg = agg_of_string agg_s in
-    let* exponent = num "exponent" in
-    let* tolerance = num "tolerance" in
-    Ok { g_metric; g_x; g_agg; exponent; tolerance }
+let load_golden path =
+  Obs.Artifact.load ~schema:golden_schema
+    (fun doc ->
+      let ( let* ) = Result.bind in
+      let field get name =
+        Option.to_result ~none:(Printf.sprintf "missing %S field" name)
+          (get (Obs.Json.member name doc))
+      in
+      let* g_metric = field Obs.Json.string "metric" in
+      let* g_x = field Obs.Json.string "x" in
+      let* agg_s = field Obs.Json.string "agg" in
+      let* g_agg = agg_of_string agg_s in
+      let* exponent = field Obs.Json.number "exponent" in
+      let* tolerance = field Obs.Json.number "tolerance" in
+      Ok { g_metric; g_x; g_agg; exponent; tolerance })
+    path
 
 (* The golden pins the fit's identity (metric, axis, aggregation) as
    well as its exponent: comparing a fresh fit of the wrong quantity

@@ -97,27 +97,23 @@ let points t =
     flat
 
 let to_json t =
-  let axis_obj a =
-    Obs.Json.Raw
-      (Obs.Json.obj
-         [
-           ("name", Obs.Json.String a.axis_name);
-           ( "values",
-             Obs.Json.Raw
-               (Obs.Json.array (List.map (fun v -> Obs.Json.String v) a.values)) );
-         ])
-  in
-  Obs.Json.obj
-    [
-      ("schema", Obs.Json.String schema);
-      ("name", Obs.Json.String t.name);
-      ("cell", Obs.Json.String t.cell);
-      ( "seeds",
-        Obs.Json.Raw (Obs.Json.array (List.map (fun s -> Obs.Json.Int s) t.seeds)) );
-      ("quick", Obs.Json.Raw (if t.quick then "true" else "false"));
-      ("trace_every", Obs.Json.Int t.trace_every);
-      ("axes", Obs.Json.Raw (Obs.Json.array (List.map axis_obj t.axes)));
-    ]
+  let strings l = Obs.Json.List (List.map (fun v -> Obs.Json.String v) l) in
+  Obs.Json.to_string
+    (Obs.Json.Obj
+       [
+         ("schema", Obs.Json.String schema);
+         ("name", Obs.Json.String t.name);
+         ("cell", Obs.Json.String t.cell);
+         ("seeds", Obs.Json.List (List.map (fun s -> Obs.Json.Int s) t.seeds));
+         ("quick", Obs.Json.Bool t.quick);
+         ("trace_every", Obs.Json.Int t.trace_every);
+         ( "axes",
+           Obs.Json.List
+             (List.map
+                (fun a ->
+                  Obs.Json.Obj [ ("name", Obs.Json.String a.axis_name); ("values", strings a.values) ])
+                t.axes) );
+       ])
 
 (* The hash is over the canonical serialisation, so any change to the
    grid — name, cell, an axis value, a seed — re-keys the campaign and
@@ -137,108 +133,67 @@ let int_of_num what f =
       (Printf.sprintf "%s must be an integer of magnitude at most 2^53 (got %s)" what
          (string_of_num f))
 
-let of_json text =
+let of_doc doc =
   let ( let* ) = Result.bind in
-  match Obs.Json.parse_tree text with
-  | None -> Error "malformed JSON"
-  | Some doc ->
-    let* () =
-      match Obs.Json.tree_str doc "schema" with
-      | Some s when s = schema -> Ok ()
-      | Some other -> Error (Printf.sprintf "schema %S, expected %S" other schema)
-      | None -> Error "missing \"schema\" field"
-    in
-    let* name =
-      match Obs.Json.tree_str doc "name" with
-      | Some n -> Ok n
-      | None -> Error "missing \"name\" field"
-    in
-    let* cell =
-      match Obs.Json.tree_str doc "cell" with
-      | Some c -> Ok c
-      | None -> Error "missing \"cell\" field"
-    in
-    let* seeds =
-      match Obs.Json.tree_mem doc "seeds" with
-      | None -> Ok [ 0 ]
-      | Some (Obs.Json.TArr items) ->
-        let rec ints acc = function
-          | [] -> Ok (List.rev acc)
-          | Obs.Json.TNum f :: rest ->
-            let* seed = int_of_num "a seed" f in
-            ints (seed :: acc) rest
-          | _ -> Error "\"seeds\" must be an array of integers"
-        in
-        ints [] items
-      | Some _ -> Error "\"seeds\" must be an array of integers"
-    in
-    let* quick =
-      match Obs.Json.tree_mem doc "quick" with
-      | None -> Ok false
-      | Some (Obs.Json.TBool b) -> Ok b
-      | Some _ -> Error "\"quick\" must be true or false"
-    in
-    let* trace_every =
-      match Obs.Json.tree_mem doc "trace_every" with
-      | None -> Ok 0
-      | Some (Obs.Json.TNum f) -> int_of_num "\"trace_every\"" f
-      | Some _ -> Error "\"trace_every\" must be an integer"
-    in
-    let* axes =
-      match Obs.Json.tree_mem doc "axes" with
-      | None -> Ok []
-      | Some (Obs.Json.TArr items) ->
-        let axis_of item =
-          match Obs.Json.tree_str item "name" with
-          | None -> Error "axis missing \"name\""
-          | Some axis_name ->
-            (match Obs.Json.tree_mem item "values" with
-             | Some (Obs.Json.TArr vs) ->
-               let value_of = function
-                 | Obs.Json.TStr s -> Ok s
-                 | Obs.Json.TNum f -> Ok (string_of_num f)
-                 | _ ->
-                   Error
-                     (Printf.sprintf "axis %S values must be strings or numbers"
-                        axis_name)
-               in
-               let rec all acc = function
-                 | [] -> Ok (List.rev acc)
-                 | v :: rest ->
-                   (match value_of v with
-                    | Ok s -> all (s :: acc) rest
-                    | Error e -> Error e)
-               in
-               Result.map (fun values -> { axis_name; values }) (all [] vs)
-             | _ -> Error (Printf.sprintf "axis %S missing \"values\" array" axis_name))
-        in
-        let rec all acc = function
-          | [] -> Ok (List.rev acc)
-          | item :: rest ->
-            (match axis_of item with
-             | Ok a -> all (a :: acc) rest
-             | Error e -> Error e)
-        in
-        all [] items
-      | Some _ -> Error "\"axes\" must be an array"
-    in
-    let t = { name; cell; seeds; quick; trace_every; axes } in
-    let* () = validate t in
-    Ok t
+  let field k = Obs.Json.member k doc in
+  let* name =
+    Option.to_result ~none:"missing \"name\" field" (Obs.Json.string (field "name"))
+  in
+  let* cell =
+    Option.to_result ~none:"missing \"cell\" field" (Obs.Json.string (field "cell"))
+  in
+  let* seeds =
+    match field "seeds" with
+    | None -> Ok [ 0 ]
+    | Some (Obs.Json.List items) ->
+      Obs.Json.all
+        (List.map
+           (fun v ->
+             match Obs.Json.number (Some v) with
+             | Some f -> int_of_num "a seed" f
+             | None -> Error "\"seeds\" must be an array of integers")
+           items)
+    | Some _ -> Error "\"seeds\" must be an array of integers"
+  in
+  let* quick =
+    match field "quick" with
+    | None -> Ok false
+    | Some (Obs.Json.Bool b) -> Ok b
+    | Some _ -> Error "\"quick\" must be true or false"
+  in
+  let* trace_every =
+    match field "trace_every" with
+    | None -> Ok 0
+    | Some v ->
+      (match Obs.Json.number (Some v) with
+       | Some f -> int_of_num "\"trace_every\"" f
+       | None -> Error "\"trace_every\" must be an integer")
+  in
+  let axis_of item =
+    match Obs.Json.string (Obs.Json.member "name" item) with
+    | None -> Error "axis missing \"name\""
+    | Some axis_name ->
+      (match Obs.Json.member "values" item with
+       | Some (Obs.Json.List vs) ->
+         let value_of v =
+           match (v, Obs.Json.number (Some v)) with
+           | Obs.Json.String s, _ -> Ok s
+           | _, Some f -> Ok (string_of_num f)
+           | _, None -> Error (Printf.sprintf "axis %S values must be strings or numbers" axis_name)
+         in
+         Result.map (fun values -> { axis_name; values }) (Obs.Json.all (List.map value_of vs))
+       | _ -> Error (Printf.sprintf "axis %S missing \"values\" array" axis_name))
+  in
+  let* axes =
+    match field "axes" with
+    | None -> Ok []
+    | Some (Obs.Json.List items) -> Obs.Json.all (List.map axis_of items)
+    | Some _ -> Error "\"axes\" must be an array"
+  in
+  let t = { name; cell; seeds; quick; trace_every; axes } in
+  let* () = validate t in
+  Ok t
 
-let read_file filename =
-  match open_in_bin filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
+let of_json text = Result.bind (Obs.Json.document ~schema text) of_doc
 
-let load filename =
-  match read_file filename with
-  | Error msg -> Error msg
-  | Ok text ->
-    (match of_json text with
-     | Ok t -> Ok t
-     | Error msg -> Error (Printf.sprintf "%s: %s" filename msg))
+let load path = Obs.Artifact.load ~schema of_doc path

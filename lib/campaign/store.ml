@@ -45,22 +45,6 @@ let trace_path ~dir id = Filename.concat (cells_dir dir) (id ^ ".trace.jsonl")
 
 let error_path ~dir id = Filename.concat (cells_dir dir) (id ^ ".error.txt")
 
-let read_file filename =
-  match open_in_bin filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
-
-let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
-
 let mkdir_p path =
   let rec make p =
     if p <> "" && p <> "." && p <> "/" && not (Sys.file_exists p) then begin
@@ -72,15 +56,16 @@ let mkdir_p path =
 
 let manifest_json ~spec ~git =
   let points = Spec.points spec in
-  Obs.Json.obj
-    ([
-       ("schema", Obs.Json.String manifest_schema);
-       ("name", Obs.Json.String spec.Spec.name);
-       ("cell", Obs.Json.String spec.Spec.cell);
-       ("config_hash", Obs.Json.String (Spec.config_hash spec));
-       ("total_cells", Obs.Json.Int (List.length points));
-     ]
-     @ match git with None -> [] | Some g -> [ ("git", Obs.Json.String g) ])
+  Obs.Json.to_string
+    (Obs.Json.Obj
+       ([
+          ("schema", Obs.Json.String manifest_schema);
+          ("name", Obs.Json.String spec.Spec.name);
+          ("cell", Obs.Json.String spec.Spec.cell);
+          ("config_hash", Obs.Json.String (Spec.config_hash spec));
+          ("total_cells", Obs.Json.Int (List.length points));
+        ]
+        @ match git with None -> [] | Some g -> [ ("git", Obs.Json.String g) ]))
 
 (* Create or re-open.  Re-opening an existing directory is the resume
    path: the stored spec must hash identically, otherwise the done/
@@ -101,8 +86,8 @@ let init ~dir ~spec ~git =
   end
   else begin
     mkdir_p (cells_dir dir);
-    write_atomic (spec_path dir) (Spec.to_json spec ^ "\n");
-    write_atomic (manifest_path dir) (manifest_json ~spec ~git ^ "\n");
+    Obs.Artifact.write_atomic (spec_path dir) (Spec.to_json spec ^ "\n");
+    Obs.Artifact.write_atomic (manifest_path dir) (manifest_json ~spec ~git ^ "\n");
     Ok ()
   end
 
@@ -121,31 +106,23 @@ let append_log ~dir line =
 let stamp t = match t with Some t -> [ ("t", Obs.Json.Float t) ] | None -> []
 
 let record ?t ~dir id status =
-  let line =
+  let fields =
     match status with
-    | Done ->
-      Obs.Json.obj
-        ([ ("cell", Obs.Json.String id); ("status", Obs.Json.String "done") ]
-         @ stamp t)
+    | Done -> [ ("status", Obs.Json.String "done") ]
     | Failed f ->
       (* [retries] is always written; [timed_out] only when set (an
-         int, to stay within the flat parser) — older logs without
-         either field replay with the defaults. *)
-      Obs.Json.obj
-        ([
-           ("cell", Obs.Json.String id);
-           ("status", Obs.Json.String "failed");
-           ("error", Obs.Json.String f.f_msg);
-           ("retries", Obs.Json.Int f.f_retries);
-         ]
-         @ (if f.f_timed_out then [ ("timed_out", Obs.Json.Int 1) ] else [])
-         @ stamp t)
-    | Pending ->
-      Obs.Json.obj
-        ([ ("cell", Obs.Json.String id); ("status", Obs.Json.String "pending") ]
-         @ stamp t)
+         int: log lines are flat objects of ints, floats and strings) —
+         older logs without either field replay with the defaults. *)
+      [
+        ("status", Obs.Json.String "failed");
+        ("error", Obs.Json.String f.f_msg);
+        ("retries", Obs.Json.Int f.f_retries);
+      ]
+      @ if f.f_timed_out then [ ("timed_out", Obs.Json.Int 1) ] else []
+    | Pending -> [ ("status", Obs.Json.String "pending") ]
   in
-  append_log ~dir line
+  append_log ~dir
+    (Obs.Json.to_string (Obs.Json.Obj ((("cell", Obs.Json.String id) :: fields) @ stamp t)))
 
 (* A "running" line marks the moment an attempt was spawned.  It never
    changes a cell's resume status — [statuses] replays it as Pending —
@@ -153,45 +130,42 @@ let record ?t ~dir id status =
    [campaign status] and [top] spot stragglers. *)
 let record_start ~dir ~t id =
   append_log ~dir
-    (Obs.Json.obj
-       [ ("cell", Obs.Json.String id); ("status", Obs.Json.String "running");
-         ("t", Obs.Json.Float t) ])
+    (Obs.Json.to_string
+       (Obs.Json.Obj
+          [ ("cell", Obs.Json.String id); ("status", Obs.Json.String "running");
+            ("t", Obs.Json.Float t) ]))
+
+(* The log, replayed: every line that parses as a flat object with
+   string "cell" and "status" fields, in order.  Lines that fail to
+   parse are skipped — the log is append-only and a torn final line
+   from a kill is expected. *)
+let log_entries ~dir =
+  List.filter_map
+    (fun fields ->
+      let str k = Obs.Json.string (List.assoc_opt k fields) in
+      match (str "cell", str "status") with
+      | Some id, Some status -> Some (id, status, fields)
+      | _ -> None)
+    (Obs.Artifact.lenient Obs.Json.flat (log_path dir))
 
 (* Last line per cell wins; unknown ids (from an older grid) are
-   ignored, lines that fail to parse are skipped — the log is
-   append-only and a torn final line from a kill is expected. *)
+   ignored. *)
 let statuses ~dir spec =
   let table = Hashtbl.create 64 in
-  (match read_file (log_path dir) with
-   | Error _ -> ()
-   | Ok text ->
-     String.split_on_char '\n' text
-     |> List.iter (fun line ->
-            if String.trim line <> "" then
-              match Obs.Json.parse_obj line with
-              | None -> ()
-              | Some fields ->
-                (match
-                   (Obs.Json.mem_string fields "cell", Obs.Json.mem_string fields "status")
-                 with
-                 | Some id, Some "done" -> Hashtbl.replace table id Done
-                 | Some id, Some "failed" ->
-                   let msg =
-                     match Obs.Json.mem_string fields "error" with
-                     | Some e -> e
-                     | None -> "failed"
-                   in
-                   let retries =
-                     Option.value (Obs.Json.mem_int fields "retries") ~default:0
-                   in
-                   let timed_out = Obs.Json.mem_int fields "timed_out" = Some 1 in
-                   Hashtbl.replace table id
-                     (failed ~timed_out ~retries msg)
-                 | Some id, Some "pending" -> Hashtbl.replace table id Pending
-                 (* a running attempt is not a completion: for resume
-                    purposes the cell is still pending *)
-                 | Some id, Some "running" -> Hashtbl.replace table id Pending
-                 | _ -> ())));
+  List.iter
+    (fun (id, status, fields) ->
+      match status with
+      | "done" -> Hashtbl.replace table id Done
+      | "failed" ->
+        let msg = Option.value (Obs.Json.string (List.assoc_opt "error" fields)) ~default:"failed" in
+        let retries = Option.value (Obs.Json.int (List.assoc_opt "retries" fields)) ~default:0 in
+        let timed_out = Obs.Json.int (List.assoc_opt "timed_out" fields) = Some 1 in
+        Hashtbl.replace table id (failed ~timed_out ~retries msg)
+      (* a running attempt is not a completion: for resume purposes
+         the cell is still pending *)
+      | "pending" | "running" -> Hashtbl.replace table id Pending
+      | _ -> ())
+    (log_entries ~dir);
   List.map
     (fun (p : Spec.point) ->
       match Hashtbl.find_opt table p.Spec.id with
@@ -210,41 +184,25 @@ type timing = { t_started : float option; t_finished : float option }
 let timings ~dir =
   let table : (string, timing) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
-  (match read_file (log_path dir) with
-   | Error _ -> ()
-   | Ok text ->
-     String.split_on_char '\n' text
-     |> List.iter (fun line ->
-            if String.trim line <> "" then
-              match Obs.Json.parse_obj line with
-              | None -> ()
-              | Some fields ->
-                (match
-                   (Obs.Json.mem_string fields "cell", Obs.Json.mem_string fields "status")
-                 with
-                 | Some id, Some status ->
-                   let t =
-                     match List.assoc_opt "t" fields with
-                     | Some (Obs.Json.Float f) -> Some f
-                     | Some (Obs.Json.Int n) -> Some (float_of_int n)
-                     | _ -> None
-                   in
-                   let prev =
-                     match Hashtbl.find_opt table id with
-                     | Some tm -> tm
-                     | None ->
-                       order := id :: !order;
-                       { t_started = None; t_finished = None }
-                   in
-                   let next =
-                     match status with
-                     | "running" -> { t_started = t; t_finished = None }
-                     | "done" | "failed" -> { prev with t_finished = t }
-                     | "pending" -> { t_started = None; t_finished = None }
-                     | _ -> prev
-                   in
-                   Hashtbl.replace table id next
-                 | _ -> ())));
+  List.iter
+    (fun (id, status, fields) ->
+      let t = Obs.Json.number (List.assoc_opt "t" fields) in
+      let prev =
+        match Hashtbl.find_opt table id with
+        | Some tm -> tm
+        | None ->
+          order := id :: !order;
+          { t_started = None; t_finished = None }
+      in
+      let next =
+        match status with
+        | "running" -> { t_started = t; t_finished = None }
+        | "done" | "failed" -> { prev with t_finished = t }
+        | "pending" -> { t_started = None; t_finished = None }
+        | _ -> prev
+      in
+      Hashtbl.replace table id next)
+    (log_entries ~dir);
   List.rev_map (fun id -> (id, Hashtbl.find table id)) !order
 
 (* --- loading results ------------------------------------------------ *)
@@ -260,41 +218,23 @@ type loaded = {
    .p50/.p90/.p99/.count.  Series are shapes, not scalars — skipped. *)
 let flatten_metrics doc =
   let section name f =
-    match Obs.Json.tree_mem doc name with
-    | Some (Obs.Json.TObj fields) -> List.concat_map f fields
+    match Obs.Json.member name doc with
+    | Some (Obs.Json.Obj fields) -> List.concat_map f fields
     | _ -> []
   in
-  let num v = match v with Obs.Json.TNum f -> Some f | _ -> None in
+  let scalar (k, v) = match Obs.Json.number (Some v) with Some f -> [ (k, f) ] | None -> [] in
   let sub keys (k, v) =
     List.filter_map
-      (fun key ->
-        match v with
-        | Obs.Json.TObj _ ->
-          (match Obs.Json.tree_num v key with
-           | Some f -> Some (k ^ "." ^ key, f)
-           | None -> None)
-        | _ -> None)
+      (fun key -> Option.map (fun f -> (k ^ "." ^ key, f)) (Obs.Json.number (Obs.Json.member key v)))
       keys
   in
-  section "counters" (fun (k, v) ->
-      match num v with Some f -> [ (k, f) ] | None -> [])
-  @ section "gauges" (fun (k, v) ->
-        match num v with Some f -> [ (k, f) ] | None -> [])
+  section "counters" scalar
+  @ section "gauges" scalar
   @ section "stats" (sub [ "mean"; "min"; "max"; "count" ])
   @ section "histograms" (sub [ "p50"; "p90"; "p99"; "count" ])
 
 let load_metrics path =
-  match read_file path with
-  | Error msg -> Error msg
-  | Ok text ->
-    (match Obs.Json.parse_tree text with
-     | None -> Error (Printf.sprintf "%s: malformed JSON" path)
-     | Some doc ->
-       (match Obs.Json.tree_str doc "schema" with
-        | Some "dsas-metrics/1" -> Ok (flatten_metrics doc)
-        | Some other ->
-          Error (Printf.sprintf "%s: schema %S, expected \"dsas-metrics/1\"" path other)
-        | None -> Error (Printf.sprintf "%s: missing \"schema\" field" path)))
+  Obs.Artifact.load ~schema:"dsas-metrics/1" (fun doc -> Ok (flatten_metrics doc)) path
 
 (* Strict on done cells: a cell the log claims done must have a
    readable artifact — a missing or torn metrics file is a store

@@ -88,6 +88,4 @@ val load : dir:string -> (Spec.t * loaded list, string) result
     flattened metrics.  Strict: a cell the log claims done must have a
     readable artifact. *)
 
-val write_atomic : string -> string -> unit
-
 val mkdir_p : string -> unit

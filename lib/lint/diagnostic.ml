@@ -28,7 +28,7 @@ let to_string d =
     (code_slug d.code) d.message
 
 let to_json d =
-  Obs.Json.obj
+  Obs.Json.Obj
     [
       ("file", Obs.Json.String d.file);
       ("line", Obs.Json.Int d.line);

@@ -19,5 +19,5 @@ val to_string : t -> string
 (** [file:line:col: [L4 partial-function] message] — one line, the
     human-facing form. *)
 
-val to_json : t -> string
+val to_json : t -> Obs.Json.t
 (** One flat JSON object with [file]/[line]/[col]/[rule]/[name]/[message]. *)

@@ -14,65 +14,52 @@ let schema = "dsas-bench/1"
 
 let to_json r =
   let result_obj (res : result) =
-    Json.Raw
-      (Json.obj
-         (("name", Json.String res.name)
-          :: ("ns_per_run", Json.Float res.ns_per_run)
-          ::
-          (match res.r_square with
-           | Some r2 -> [ ("r_square", Json.Float r2) ]
-           | None -> [])))
+    Json.Obj
+      (("name", Json.String res.name)
+       :: ("ns_per_run", Json.Float res.ns_per_run)
+       :: (match res.r_square with Some r2 -> [ ("r_square", Json.Float r2) ] | None -> []))
   in
-  Json.obj
-    [
-      ("schema", Json.String schema);
-      ("clock", Json.String r.clock);
-      ("quick", Json.Raw (if r.quick then "true" else "false"));
-      ("results", Json.Raw (Json.array (List.map result_obj r.results)));
-    ]
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.String schema);
+         ("clock", Json.String r.clock);
+         ("quick", Json.Bool r.quick);
+         ("results", Json.List (List.map result_obj r.results));
+       ])
 
-let read_file filename =
-  match open_in_bin filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
+(* Every entry must be a kernel: a damaged file is an error, never a
+   shorter list that would compare clean. *)
+let result_of_json i item =
+  let field k = Json.member k item in
+  match (item, Json.string (field "name")) with
+  | Json.Obj _, Some name ->
+    let fail what = Error (Printf.sprintf "results[%d] (%s): %s" i name what) in
+    (match (Json.number (field "ns_per_run"), field "r_square") with
+     | None, _ -> fail "missing numeric \"ns_per_run\""
+     | Some ns_per_run, None -> Ok { name; ns_per_run; r_square = None }
+     | Some ns_per_run, Some r2 ->
+       (match Json.number (Some r2) with
+        | Some r2 -> Ok { name; ns_per_run; r_square = Some r2 }
+        | None -> fail "non-numeric \"r_square\""))
+  | Json.Obj _, None -> Error (Printf.sprintf "results[%d]: missing string \"name\"" i)
+  | _ -> Error (Printf.sprintf "results[%d]: not an object" i)
 
-let load filename =
-  match read_file filename with
-  | Error msg -> Error msg
-  | Ok text ->
-    (match Json.parse_tree text with
-     | None -> Error (Printf.sprintf "%s: malformed JSON" filename)
-     | Some doc ->
-       (match Json.tree_str doc "schema" with
-        | Some s when s = schema ->
-          let results =
-            match Json.tree_mem doc "results" with
-            | Some (Json.TArr items) ->
-              List.filter_map
-                (fun item ->
-                  match (Json.tree_str item "name", Json.tree_num item "ns_per_run") with
-                  | Some name, Some ns_per_run ->
-                    Some { name; ns_per_run; r_square = Json.tree_num item "r_square" }
-                  | _ -> None)
-                items
-            | _ -> []
-          in
-          let clock =
-            match Json.tree_str doc "clock" with Some c -> c | None -> "unknown"
-          in
-          let quick =
-            match Json.tree_mem doc "quick" with
-            | Some (Json.TBool b) -> b
-            | _ -> false
-          in
-          Ok { clock; quick; results }
-        | Some other ->
-          Error (Printf.sprintf "%s: schema %S, expected %S" filename other schema)
-        | None -> Error (Printf.sprintf "%s: missing \"schema\" field" filename)))
+let load path =
+  Artifact.load ~schema
+    (fun doc ->
+      match Json.member "results" doc with
+      | Some (Json.List items) ->
+        Result.map
+          (fun results ->
+            {
+              clock = Option.value (Json.string (Json.member "clock" doc)) ~default:"unknown";
+              quick = Json.member "quick" doc = Some (Json.Bool true);
+              results;
+            })
+          (Json.all (List.mapi result_of_json items))
+      | Some _ | None -> Error "\"results\" must be an array")
+    path
 
 type verdict = {
   v_name : string;
@@ -163,25 +150,22 @@ let print oc c =
 
 let comparison_to_json c =
   let verdict_obj v =
-    Json.Raw
-      (Json.obj
-         [
-           ("name", Json.String v.v_name);
-           ("old_ns", Json.Float v.old_ns);
-           ("new_ns", Json.Float v.new_ns);
-           ("delta_pct", Json.Float v.delta_pct);
-           ("regressed", Json.Raw (if v.regressed then "true" else "false"));
-         ])
+    Json.Obj
+      [
+        ("name", Json.String v.v_name);
+        ("old_ns", Json.Float v.old_ns);
+        ("new_ns", Json.Float v.new_ns);
+        ("delta_pct", Json.Float v.delta_pct);
+        ("regressed", Json.Bool v.regressed);
+      ]
   in
-  Json.obj
-    [
-      ("threshold_pct", Json.Float c.threshold_pct);
-      ( "verdicts",
-        Json.Raw (Json.array (List.map verdict_obj (by_magnitude c.verdicts))) );
-      ( "only_old",
-        Json.Raw (Json.array (List.map (fun s -> Json.String s) c.only_old)) );
-      ( "only_new",
-        Json.Raw (Json.array (List.map (fun s -> Json.String s) c.only_new)) );
-      ( "regressions",
-        Json.Int (List.length (regressions c)) );
-    ]
+  let names l = Json.List (List.map (fun s -> Json.String s) l) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("threshold_pct", Json.Float c.threshold_pct);
+         ("verdicts", Json.List (List.map verdict_obj (by_magnitude c.verdicts)));
+         ("only_old", names c.only_old);
+         ("only_new", names c.only_new);
+         ("regressions", Json.Int (List.length (regressions c)));
+       ])

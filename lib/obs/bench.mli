@@ -26,8 +26,10 @@ val to_json : results -> string
 
 val load : string -> (results, string) Stdlib.result
 (** Parse a results file written by {!to_json} (schema [dsas-bench/1]).
-    [Error] with a diagnostic on unreadable files, malformed JSON, or a
-    wrong/missing schema tag. *)
+    [Error] with a diagnostic on unreadable files, malformed JSON, a
+    wrong/missing schema tag, a ["results"] field that is not an array,
+    and an entry that is not an object with a string ["name"], a
+    numeric ["ns_per_run"] and, when present, a numeric ["r_square"]. *)
 
 type verdict = {
   v_name : string;

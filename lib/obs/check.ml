@@ -562,64 +562,33 @@ let feed_text c ~line trimmed =
       (if String.length trimmed > 60 then String.sub trimmed 0 60 ^ "..."
        else trimmed)
 
-let check_lines ?limit lines =
+let check_lines ?limit (lines : Artifact.lines) =
   let c = create ?limit () in
-  let lineno = ref 0 in
-  List.iter
-    (fun line ->
-      incr lineno;
-      let trimmed = String.trim line in
-      if trimmed <> "" && trimmed.[0] <> '#' then feed_text c ~line:!lineno trimmed)
-    lines;
-  finish c ~line:!lineno
+  List.iter (fun (line, text) -> feed_text c ~line text) (Artifact.data lines);
+  finish c ~line:(List.length lines.lines)
 
-let check_jsonl ?limit filename =
-  match open_in filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let c = create ?limit () in
-    let lineno = ref 0 in
-    (try
-       let rec loop () =
-         match input_line ic with
-         | line ->
-           incr lineno;
-           let trimmed = String.trim line in
-           if trimmed <> "" && trimmed.[0] <> '#' then feed_text c ~line:!lineno trimmed;
-           loop ()
-         | exception End_of_file -> ()
-       in
-       loop ();
-       close_in ic
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    Ok (finish c ~line:!lineno)
+let check_jsonl ?limit path = Result.map (check_lines ?limit) (Artifact.read_lines path)
 
 let to_json (r : report) =
-  Json.obj
-    [
-      ("events", Json.Int r.events);
-      ("runs", Json.Int r.runs);
-      ("ok", Json.Raw (if ok r then "true" else "false"));
-      ( "counts",
-        Json.Raw
-          (Json.obj
-             (List.map (fun (i, n) -> (invariant_id i, Json.Int n)) r.counts)) );
-      ( "violations",
-        Json.Raw
-          (Json.array
+  Json.to_string
+    (Json.Obj
+       [
+         ("events", Json.Int r.events);
+         ("runs", Json.Int r.runs);
+         ("ok", Json.Bool (ok r));
+         ("counts", Json.Obj (List.map (fun (i, n) -> (invariant_id i, Json.Int n)) r.counts));
+         ( "violations",
+           Json.List
              (List.map
                 (fun v ->
-                  Json.Raw
-                    (Json.obj
-                       [
-                         ("line", Json.Int v.line);
-                         ("invariant", Json.String (invariant_id v.invariant));
-                         ("message", Json.String v.message);
-                       ]))
-                r.violations)) );
-    ]
+                  Json.Obj
+                    [
+                      ("line", Json.Int v.line);
+                      ("invariant", Json.String (invariant_id v.invariant));
+                      ("message", Json.String v.message);
+                    ])
+                r.violations) );
+       ])
 
 let print (r : report) =
   Printf.printf "%d events in %d run segment(s)\n" r.events r.runs;

@@ -69,16 +69,14 @@ val check_events : ?limit:int -> Event.t list -> report
     caps the individually-reported violations (default 50); [counts]
     always reflects every violation. *)
 
-val check_lines : ?limit:int -> string list -> report
-(** Validate trace lines already in memory (e.g. read from stdin) —
-    the same per-line treatment as {!check_jsonl}: blank lines and
-    [#] comments skipped, unparsable lines reported as [Schema]
-    violations. *)
+val check_lines : ?limit:int -> Artifact.lines -> report
+(** Validate trace lines already read ({!Artifact.read_lines}): blank
+    lines and [#] comments are skipped, as in {!Query.load}, and
+    unparsable lines are [Schema] violations in the report. *)
 
 val check_jsonl : ?limit:int -> string -> (report, string) result
-(** Validate a JSONL trace file.  [Error] only for an unreadable file;
-    unparsable lines are [Schema] violations in the report.  Blank
-    lines and [#] comments are skipped, as in {!Query.load}. *)
+(** {!check_lines} over a JSONL trace file (["-"] is stdin).  [Error]
+    only for an unreadable file. *)
 
 val to_json : report -> string
 

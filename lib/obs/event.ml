@@ -120,23 +120,23 @@ let fields_of_kind = function
     [ ("rule", Json.String rule); ("snapshots", Json.Int snapshots) ]
 
 let to_json t =
-  Json.obj
-    (("t_us", Json.Int t.t_us)
-     :: ("ev", Json.String (kind_name t.kind))
-     :: fields_of_kind t.kind)
+  Json.to_string
+    (Json.Obj
+       (("t_us", Json.Int t.t_us)
+        :: ("ev", Json.String (kind_name t.kind))
+        :: fields_of_kind t.kind))
 
 let of_json line =
-  match Json.parse_obj line with
+  match Json.flat line with
   | None -> None
   | Some fields ->
-    let int k = Json.mem_int fields k in
+    let int k = Json.int (List.assoc_opt k fields) in
+    let str k = Json.string (List.assoc_opt k fields) in
+    let io () = Option.bind (str "io") io_of_name in
     let kind =
-      match Json.mem_string fields "ev" with
+      match str "ev" with
       | Some "run_start" ->
-        Option.map
-          (fun run ->
-            Run_start
-              { run; seed = int "seed"; config = Json.mem_string fields "config" })
+        Option.map (fun run -> Run_start { run; seed = int "seed"; config = str "config" })
           (int "run")
       | Some "fault" -> Option.map (fun page -> Fault { page }) (int "page")
       | Some "cold_fault" -> Option.map (fun page -> Cold_fault { page }) (int "page")
@@ -165,17 +165,16 @@ let of_json line =
          | Some src, Some dst, Some len -> Some (Compaction_move { src; dst; len })
          | _ -> None)
       | Some "segment_swap" ->
-        (match (int "segment", int "words", Json.mem_string fields "dir") with
-         | Some segment, Some words, Some dir ->
-           (match dir with
-            | "in" -> Some (Segment_swap { segment; words; direction = In })
-            | "out" -> Some (Segment_swap { segment; words; direction = Out })
-            | _ -> None)
+        (match (int "segment", int "words", str "dir") with
+         | Some segment, Some words, Some "in" ->
+           Some (Segment_swap { segment; words; direction = In })
+         | Some segment, Some words, Some "out" ->
+           Some (Segment_swap { segment; words; direction = Out })
          | _ -> None)
       | Some "job_start" -> Option.map (fun job -> Job_start { job }) (int "job")
       | Some "job_stop" -> Option.map (fun job -> Job_stop { job }) (int "job")
       | Some (("io_start" | "io_done") as which) ->
-        (match (int "req", int "page", Option.bind (Json.mem_string fields "io") io_of_name) with
+        (match (int "req", int "page", io ()) with
          | Some req, Some page, Some io ->
            if which = "io_start" then Some (Io_start { req; page; io })
            else Some (Io_done { req; page; io })
@@ -185,10 +184,7 @@ let of_json line =
          | Some req, Some attempt -> Some (Io_retry { req; attempt })
          | _ -> None)
       | Some "io_error" ->
-        (match
-           (int "req", int "page", Option.bind (Json.mem_string fields "io") io_of_name,
-            int "attempts")
-         with
+        (match (int "req", int "page", io (), int "attempts") with
          | Some req, Some page, Some io, Some attempts ->
            Some (Io_error { req; page; io; attempts })
          | _ -> None)
@@ -210,7 +206,7 @@ let of_json line =
            Some (Shard_checkpoint { shard; progress; events })
          | _ -> None)
       | Some (("watchdog_fire" | "watchdog_clear") as which) ->
-        (match (Json.mem_string fields "rule", int "snapshots") with
+        (match (str "rule", int "snapshots") with
          | Some rule, Some snapshots ->
            if which = "watchdog_fire" then Some (Watchdog_fire { rule; snapshots })
            else Some (Watchdog_clear { rule; snapshots })

@@ -119,7 +119,7 @@ val kind_name : kind -> string
 val all_kind_names : string list
 (** Every wire name, in declaration order. *)
 
-val fields_of_kind : kind -> (string * Json.value) list
+val fields_of_kind : kind -> (string * Json.t) list
 (** The payload fields exactly as they appear on the wire, e.g.
     [[("page", Int 7)]] for a fault.  The generic accessor behind
     {!Query}'s field-keyed grouping and pairing. *)

@@ -14,16 +14,13 @@
      everything else        -> instant "i", scope "t", payload as args
    Timestamps are already microseconds, Chrome's native unit. *)
 
-let json_args fields =
-  Json.Raw (Json.obj fields)
-
 let chrome_of_events events =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"traceEvents\":[";
   let first = ref true in
   let emit fields =
     if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf (Json.obj fields)
+    Json.to_buffer buf (Json.Obj fields)
   in
   (* (pid, tid) pairs already announced with metadata events *)
   let named : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -33,7 +30,7 @@ let chrome_of_events events =
       emit
         [ ("name", Json.String "process_name"); ("ph", Json.String "M");
           ("pid", Json.Int pid); ("tid", Json.Int 0);
-          ("args", json_args [ ("name", Json.String (Printf.sprintf "run %d" pid)) ]) ]
+          ("args", Json.Obj [ ("name", Json.String (Printf.sprintf "run %d" pid)) ]) ]
     end;
     if not (Hashtbl.mem named (pid, tid)) then begin
       Hashtbl.replace named (pid, tid) ();
@@ -41,7 +38,7 @@ let chrome_of_events events =
         [ ("name", Json.String "thread_name"); ("ph", Json.String "M");
           ("pid", Json.Int pid); ("tid", Json.Int tid);
           ("args",
-           json_args
+           Json.Obj
              [ ("name",
                 Json.String
                   (if tid = 0 then "engine" else Printf.sprintf "shard %d" (tid - 1))) ]) ]
@@ -69,7 +66,7 @@ let chrome_of_events events =
            :: ("ph", Json.String "b")
            :: ("id", Json.Int req)
            :: common
-           @ [ ("args", json_args [ ("req", Json.Int req); ("page", Json.Int page) ]) ])
+           @ [ ("args", Json.Obj [ ("req", Json.Int req); ("page", Json.Int page) ]) ])
       | Event.Io_done { req; page; io } ->
         emit
           (("name", Json.String (Event.io_name io))
@@ -77,7 +74,7 @@ let chrome_of_events events =
            :: ("ph", Json.String "e")
            :: ("id", Json.Int req)
            :: common
-           @ [ ("args", json_args [ ("req", Json.Int req); ("page", Json.Int page) ]) ])
+           @ [ ("args", Json.Obj [ ("req", Json.Int req); ("page", Json.Int page) ]) ])
       | Event.Io_error { req; page; io; attempts } ->
         emit
           (("name", Json.String (Event.io_name io))
@@ -86,7 +83,7 @@ let chrome_of_events events =
            :: ("id", Json.Int req)
            :: common
            @ [ ("args",
-                json_args
+                Json.Obj
                   [ ("req", Json.Int req); ("page", Json.Int page);
                     ("error", Json.String "terminal"); ("attempts", Json.Int attempts) ]) ])
       | Event.Watchdog_fire { rule; snapshots } ->
@@ -96,7 +93,7 @@ let chrome_of_events events =
            :: ("ph", Json.String "b")
            :: ("id", Json.String rule)
            :: common
-           @ [ ("args", json_args [ ("snapshots", Json.Int snapshots) ]) ])
+           @ [ ("args", Json.Obj [ ("snapshots", Json.Int snapshots) ]) ])
       | Event.Watchdog_clear { rule; snapshots } ->
         emit
           (("name", Json.String rule)
@@ -104,7 +101,7 @@ let chrome_of_events events =
            :: ("ph", Json.String "e")
            :: ("id", Json.String rule)
            :: common
-           @ [ ("args", json_args [ ("snapshots", Json.Int snapshots) ]) ])
+           @ [ ("args", Json.Obj [ ("snapshots", Json.Int snapshots) ]) ])
       | _ ->
         emit
           (("name", Json.String name)
@@ -112,7 +109,7 @@ let chrome_of_events events =
            :: ("ph", Json.String "i")
            :: ("s", Json.String "t")
            :: common
-           @ (match fields with [] -> [] | _ -> [ ("args", json_args fields) ])))
+           @ (match fields with [] -> [] | _ -> [ ("args", Json.Obj fields) ])))
     events;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents buf

@@ -1,8 +1,13 @@
-type value =
+type t =
+  | Null
+  | Bool of bool
   | Int of int
   | Float of float
   | String of string
-  | Raw of string
+  | List of t list
+  | Obj of (string * t) list
+
+(* --- printing --- *)
 
 let add_escaped buf s =
   Buffer.add_char buf '"';
@@ -30,44 +35,44 @@ let float_repr f =
   in
   shortest 12
 
-let add_value buf = function
+let rec to_buffer buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f ->
     if Float.is_integer f && Float.abs f < 1e15 then
       Buffer.add_string buf (Printf.sprintf "%.1f" f)
     else Buffer.add_string buf (float_repr f)
   | String s -> add_escaped buf s
-  | Raw s -> Buffer.add_string buf s
+  | List items ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ',';
+        to_buffer buf v)
+      items;
+    Buffer.add_char buf ']'
+  | Obj fields ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_escaped buf k;
+        Buffer.add_char buf ':';
+        to_buffer buf v)
+      fields;
+    Buffer.add_char buf '}'
 
-let obj fields =
+let to_string v =
   let buf = Buffer.create 64 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_escaped buf k;
-      Buffer.add_char buf ':';
-      add_value buf v)
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-let array values =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_value buf v)
-    values;
-  Buffer.add_char buf ']';
+  to_buffer buf v;
   Buffer.contents buf
 
 (* --- parsing --- *)
 
 exception Bad
 
-let parse_obj s =
+let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let peek () = if !pos < n then s.[!pos] else raise Bad in
@@ -78,6 +83,19 @@ let parse_obj s =
     done
   in
   let expect c = if peek () <> c then raise Bad else advance () in
+  let literal word v =
+    let l = String.length word in
+    if !pos + l > n || String.sub s !pos l <> word then raise Bad;
+    pos := !pos + l;
+    v
+  in
+  let hex c =
+    match c with
+    | '0' .. '9' -> Char.code c - 48
+    | 'a' .. 'f' -> Char.code c - 87
+    | 'A' .. 'F' -> Char.code c - 55
+    | _ -> raise Bad
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -86,19 +104,21 @@ let parse_obj s =
       | '"' -> advance ()
       | '\\' ->
         advance ();
-        (match peek () with
-         | '"' -> Buffer.add_char buf '"'; advance ()
-         | '\\' -> Buffer.add_char buf '\\'; advance ()
-         | '/' -> Buffer.add_char buf '/'; advance ()
-         | 'n' -> Buffer.add_char buf '\n'; advance ()
-         | 'r' -> Buffer.add_char buf '\r'; advance ()
-         | 't' -> Buffer.add_char buf '\t'; advance ()
+        let c = peek () in
+        advance ();
+        (match c with
+         | '"' | '\\' | '/' -> Buffer.add_char buf c
+         | 'n' -> Buffer.add_char buf '\n'
+         | 'r' -> Buffer.add_char buf '\r'
+         | 't' -> Buffer.add_char buf '\t'
          | 'u' ->
-           advance ();
            if !pos + 4 > n then raise Bad;
-           let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-           if code > 0xff then raise Bad;  (* we only ever emit control chars *)
-           Buffer.add_char buf (Char.chr code);
+           let code = ref 0 in
+           for i = 0 to 3 do
+             code := (!code * 16) + hex s.[!pos + i]
+           done;
+           if !code > 0xff then raise Bad;
+           Buffer.add_char buf (Char.chr !code);
            pos := !pos + 4
          | _ -> raise Bad);
         loop ()
@@ -113,197 +133,98 @@ let parse_obj s =
   let parse_number () =
     let start = !pos in
     let is_float = ref false in
-    let numeric = function
+    while
+      !pos < n
+      &&
+      match s.[!pos] with
       | '0' .. '9' | '-' | '+' -> true
       | '.' | 'e' | 'E' ->
         is_float := true;
         true
       | _ -> false
-    in
-    while !pos < n && numeric s.[!pos] do
+    do
       advance ()
     done;
     let tok = String.sub s start (!pos - start) in
     if !is_float then
       match float_of_string_opt tok with Some f -> Float f | None -> raise Bad
-    else
-      match int_of_string_opt tok with Some i -> Int i | None -> raise Bad
+    else match int_of_string_opt tok with Some i -> Int i | None -> raise Bad
   in
-  let parse_value () =
+  (* [items close item] reads "item, item, ... close" after the opener. *)
+  let items close item =
+    skip_ws ();
+    if peek () = close then (advance (); [])
+    else begin
+      let rec loop acc =
+        let acc = item () :: acc in
+        skip_ws ();
+        match peek () with
+        | ',' -> advance (); loop acc
+        | c when c = close -> advance (); List.rev acc
+        | _ -> raise Bad
+      in
+      loop []
+    end
+  in
+  let rec value () =
+    skip_ws ();
     match peek () with
     | '"' -> String (parse_string ())
     | '-' | '0' .. '9' -> parse_number ()
-    | _ -> raise Bad  (* flat objects only: no nesting, no bool/null *)
-  in
-  try
-    skip_ws ();
-    expect '{';
-    skip_ws ();
-    let fields = ref [] in
-    if peek () = '}' then advance ()
-    else begin
-      let rec loop () =
-        skip_ws ();
-        let k = parse_string () in
-        skip_ws ();
-        expect ':';
-        skip_ws ();
-        let v = parse_value () in
-        fields := (k, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | ',' -> advance (); loop ()
-        | '}' -> advance ()
-        | _ -> raise Bad
-      in
-      loop ()
-    end;
-    skip_ws ();
-    if !pos <> n then raise Bad;
-    Some (List.rev !fields)
-  with Bad | Invalid_argument _ | Failure _ -> None
-
-let mem_int fields k =
-  match List.assoc_opt k fields with Some (Int n) -> Some n | _ -> None
-
-let mem_string fields k =
-  match List.assoc_opt k fields with Some (String s) -> Some s | _ -> None
-
-(* --- full (nested) parsing --- *)
-
-type tree =
-  | TNull
-  | TBool of bool
-  | TNum of float
-  | TStr of string
-  | TArr of tree list
-  | TObj of (string * tree) list
-
-let parse_tree s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else raise Bad in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c = if peek () <> c then raise Bad else advance () in
-  let literal word =
-    let l = String.length word in
-    if !pos + l > n || String.sub s !pos l <> word then raise Bad;
-    pos := !pos + l
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-         | '"' -> Buffer.add_char buf '"'; advance ()
-         | '\\' -> Buffer.add_char buf '\\'; advance ()
-         | '/' -> Buffer.add_char buf '/'; advance ()
-         | 'n' -> Buffer.add_char buf '\n'; advance ()
-         | 'r' -> Buffer.add_char buf '\r'; advance ()
-         | 't' -> Buffer.add_char buf '\t'; advance ()
-         | 'u' ->
-           advance ();
-           if !pos + 4 > n then raise Bad;
-           let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-           if code > 0xff then raise Bad;
-           Buffer.add_char buf (Char.chr code);
-           pos := !pos + 4
-         | _ -> raise Bad);
-        loop ()
-      | c ->
-        Buffer.add_char buf c;
-        advance ();
-        loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let numeric = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && numeric s.[!pos] do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with Some f -> TNum f | None -> raise Bad
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> TStr (parse_string ())
-    | '-' | '0' .. '9' -> parse_number ()
-    | 't' -> literal "true"; TBool true
-    | 'f' -> literal "false"; TBool false
-    | 'n' -> literal "null"; TNull
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then (advance (); TArr [])
-      else begin
-        let items = ref [] in
-        let rec loop () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); loop ()
-          | ']' -> advance ()
-          | _ -> raise Bad
-        in
-        loop ();
-        TArr (List.rev !items)
-      end
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' -> advance (); List (items ']' value)
     | '{' ->
       advance ();
-      skip_ws ();
-      if peek () = '}' then (advance (); TObj [])
-      else begin
-        let fields = ref [] in
-        let rec loop () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); loop ()
-          | '}' -> advance ()
-          | _ -> raise Bad
-        in
-        loop ();
-        TObj (List.rev !fields)
-      end
+      Obj
+        (items '}' (fun () ->
+             skip_ws ();
+             let k = parse_string () in
+             skip_ws ();
+             expect ':';
+             (k, value ())))
     | _ -> raise Bad
   in
   try
-    let v = parse_value () in
+    let v = value () in
     skip_ws ();
     if !pos <> n then raise Bad;
     Some v
   with Bad | Invalid_argument _ | Failure _ -> None
 
-let tree_mem obj k =
-  match obj with TObj fields -> List.assoc_opt k fields | _ -> None
+let flat s =
+  match parse s with
+  | Some (Obj fields)
+    when List.for_all (fun (_, v) -> match v with Int _ | Float _ | String _ -> true | _ -> false)
+           fields ->
+    Some fields
+  | _ -> None
 
-let tree_num t k =
-  match tree_mem t k with Some (TNum f) -> Some f | _ -> None
+(* --- reading values back --- *)
 
-let tree_str t k =
-  match tree_mem t k with Some (TStr s) -> Some s | _ -> None
+let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
+
+let int = function Some (Int n) -> Some n | _ -> None
+
+let number = function
+  | Some (Int n) -> Some (float_of_int n)
+  | Some (Float f) -> Some f
+  | _ -> None
+
+let string = function Some (String s) -> Some s | _ -> None
+
+let all results =
+  List.fold_right
+    (fun r acc ->
+      match (r, acc) with Ok x, Ok xs -> Ok (x :: xs) | Error e, _ | _, Error e -> Error e)
+    results (Ok [])
+
+let document ~schema text =
+  match parse text with
+  | None -> Error "malformed JSON"
+  | Some doc ->
+    (match string (member "schema" doc) with
+     | Some s when s = schema -> Ok doc
+     | Some other -> Error (Printf.sprintf "schema %S, expected %S" other schema)
+     | None -> Error "missing \"schema\" field")

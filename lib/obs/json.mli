@@ -1,57 +1,57 @@
-(** Minimal flat JSON, for the event stream and machine-readable
-    summaries.
+(** JSON: one value type, one printer, one parser.
 
-    Only what the observability layer needs: encoding objects whose
-    fields are integers, floats, strings, or pre-encoded fragments, and
-    parsing the single-level objects our own encoders emit.  Not a
-    general JSON library — nested values parse only via [Raw] fragments
-    produced by our own encoders. *)
+    Every artifact the simulator writes and reads back — traces,
+    telemetry, metrics, bench results, campaign specs, logs and goldens,
+    checkpoints — goes through this module.  Not a general JSON library:
+    strings are bytes (a [\u] escape above [00ff] is refused, since
+    the printer never writes one), and numbers keep the int/float split
+    the writers use. *)
 
-type value =
+type t =
+  | Null
+  | Bool of bool
   | Int of int
   | Float of float
   | String of string
-  | Raw of string  (** pre-encoded JSON, injected verbatim (nesting) *)
+  | List of t list
+  | Obj of (string * t) list  (** fields in order; lookups take the first match *)
 
-val obj : (string * value) list -> string
-(** [obj fields] is a compact one-line JSON object, fields in the order
-    given. *)
+val to_buffer : Buffer.t -> t -> unit
+(** Append the compact one-line encoding.  A [Float] is written with a
+    ['.'] or an exponent, so it reads back as a [Float] — except an
+    integral float of magnitude at least [1e15] whose shortest exact
+    form is plain digits (as in [1234567890123456]), which reads back
+    as the equal [Int].  Non-finite floats are written as [nan] or
+    [inf] and do not parse back. *)
 
-val array : value list -> string
-(** A compact JSON array. *)
+val to_string : t -> string
 
-val parse_obj : string -> (string * value) list option
-(** Parse a flat object of int, float, and string fields.  Returns
-    [None] on anything else (nesting, malformed input, trailing
-    garbage).  Numbers with a ['.'], ['e'] or ['E'] parse as [Float],
-    others as [Int]. *)
+val parse : string -> t option
+(** Parse one complete document; [None] on malformed input or trailing
+    garbage.  A number token with a ['.'], ['e'] or ['E'] is a [Float];
+    any other is an [Int], and an integer outside the [int] range is
+    malformed. *)
 
-val mem_int : (string * value) list -> string -> int option
+val flat : string -> (string * t) list option
+(** Parse a flat object: every field an [Int], [Float] or [String].
+    The line formats (events, telemetry snapshots, checkpoint headers,
+    campaign log lines) are flat, and their readers check it here. *)
 
-val mem_string : (string * value) list -> string -> string option
+val member : string -> t -> t option
+(** Field of an [Obj]; [None] for a missing field or any other value. *)
 
-(** {1 Full (nested) parsing}
+val int : t option -> int option
+(** [Some n] for [Some (Int n)]. *)
 
-    [parse_obj] above deliberately rejects nesting — the event stream is
-    flat and we want that checked.  Bench result files and metric
-    snapshots are nested, so they get a proper recursive parser.  All
-    numbers come back as floats. *)
+val number : t option -> float option
+(** An [Int] or [Float] as a float. *)
 
-type tree =
-  | TNull
-  | TBool of bool
-  | TNum of float
-  | TStr of string
-  | TArr of tree list
-  | TObj of (string * tree) list
+val string : t option -> string option
 
-val parse_tree : string -> tree option
-(** Parse a complete JSON document (any nesting, bool/null included).
-    Returns [None] on malformed input or trailing garbage. *)
+val all : ('a, 'e) result list -> ('a list, 'e) result
+(** The values of a list of decoded items, or the first error. *)
 
-val tree_mem : tree -> string -> tree option
-(** Field lookup on a [TObj]; [None] for other constructors. *)
-
-val tree_num : tree -> string -> float option
-
-val tree_str : tree -> string -> string option
+val document : schema:string -> string -> (t, string) result
+(** Parse a whole document whose ["schema"] field must equal [schema].
+    Errors: ["malformed JSON"], ["schema S, expected S'"],
+    ["missing \"schema\" field"]. *)

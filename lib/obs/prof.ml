@@ -116,7 +116,7 @@ let folded () =
 
 let to_json () =
   let span_obj r =
-    Json.obj
+    Json.Obj
       [
         ("path", Json.String r.path);
         ("count", Json.Int r.count);
@@ -125,12 +125,7 @@ let to_json () =
         ("alloc_words", Json.Float r.alloc_words);
       ]
   in
-  Json.obj
-    [
-      ( "spans",
-        Json.Raw (Json.array (List.map (fun r -> Json.Raw (span_obj r)) (all_rows ())))
-      );
-    ]
+  Json.to_string (Json.Obj [ ("spans", Json.List (List.map span_obj (all_rows ()))) ])
 
 let depth_of path =
   String.fold_left (fun acc c -> if c = ';' then acc + 1 else acc) 0 path

@@ -16,60 +16,9 @@ let tag numbered_events =
 
 let of_events events = tag (List.mapi (fun i ev -> (i + 1, ev)) events)
 
-let load_channel ~label ic =
-  let lineno = ref 0 in
-  let events = ref [] in
-  let bad = ref [] in
-  let bad_count = ref 0 in
-  let rec loop () =
-    match input_line ic with
-    | line ->
-      incr lineno;
-      let trimmed = String.trim line in
-      if trimmed <> "" && trimmed.[0] <> '#' then begin
-        match Event.of_json trimmed with
-        | Some ev -> events := (!lineno, ev) :: !events
-        | None ->
-          incr bad_count;
-          if !bad_count <= 5 then
-            bad :=
-              Printf.sprintf "line %d: not an event: %S" !lineno
-                (if String.length trimmed > 60 then
-                   String.sub trimmed 0 60 ^ "..."
-                 else trimmed)
-              :: !bad
-      end;
-      loop ()
-    | exception End_of_file -> ()
-  in
-  loop ();
-  if !bad_count > 0 then
-    Error
-      (Printf.sprintf "%s: %d malformed line(s)\n  %s%s" label !bad_count
-         (String.concat "\n  " (List.rev !bad))
-         (if !bad_count > 5 then
-            Printf.sprintf "\n  (... %d more not shown)" (!bad_count - 5)
-          else ""))
-  else if !events = [] then Error (Printf.sprintf "%s: contains no events" label)
-  else Ok (tag (List.rev !events))
-
-let load filename =
-  (* "-" reads the trace from stdin, so checks and queries can sit at
-     the end of a pipe without a temp file.  Stdin is not ours to
-     close. *)
-  if filename = "-" then load_channel ~label:"<stdin>" stdin
-  else
-    match open_in filename with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-      let result =
-        try load_channel ~label:filename ic
-        with e ->
-          close_in_noerr ic;
-          raise e
-      in
-      close_in ic;
-      result
+let load path =
+  Result.bind (Artifact.read_lines path) (fun lines ->
+      Result.map tag (Artifact.parse_lines ~what:"an event" ~plural:"events" Event.of_json lines))
 
 let length t = List.length t
 
@@ -96,18 +45,14 @@ type group_key = By_kind | By_run | By_field of string
 
 type agg = Count | Sum of string | Mean of string
 
-let field_value fields name =
-  match List.assoc_opt name fields with
-  | Some (Json.Int n) -> Some (float_of_int n)
-  | Some (Json.Float f) -> Some f
-  | Some (Json.String _) | Some (Json.Raw _) | None -> None
+let field_value fields name = Json.number (List.assoc_opt name fields)
 
 let field_label fields name =
   match List.assoc_opt name fields with
   | Some (Json.Int n) -> Some (string_of_int n)
   | Some (Json.Float f) -> Some (string_of_float f)
   | Some (Json.String s) -> Some s
-  | Some (Json.Raw _) | None -> None
+  | Some (Json.Null | Json.Bool _ | Json.List _ | Json.Obj _) | None -> None
 
 let group t ~key ~agg =
   let label_of e =
@@ -178,15 +123,10 @@ type pairing = {
   unmatched_dones : int;
 }
 
-let req_of (ev : Event.t) =
-  match List.assoc_opt "req" (Event.fields_of_kind ev.kind) with
-  | Some (Json.Int r) -> Some r
-  | _ -> None
+let req_of (ev : Event.t) = Json.int (List.assoc_opt "req" (Event.fields_of_kind ev.kind))
 
 let io_of (ev : Event.t) =
-  match List.assoc_opt "io" (Event.fields_of_kind ev.kind) with
-  | Some (Json.String s) -> s
-  | _ -> ""
+  Option.value (Json.string (List.assoc_opt "io" (Event.fields_of_kind ev.kind))) ~default:""
 
 let pair t ~start_kind ~done_kind =
   if not (List.mem start_kind Event.all_kind_names) then
@@ -310,9 +250,51 @@ let exact_latency_of p =
         p99_us = exact_percentile sorted 0.99;
       }
 
-(* --- bridges --- *)
+(* --- summary --- *)
 
-let to_summary t = Summary.of_events (events t)
+type summary = {
+  events : int;
+  t_first_us : int;
+  t_last_us : int;
+  kinds : (string * int) list;
+}
+
+let kind_count s name = match List.assoc_opt name s.kinds with Some n -> n | None -> 0
+
+let to_summary t =
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      let name = Event.kind_name e.ev.Event.kind in
+      match Hashtbl.find_opt table name with
+      | Some r -> incr r
+      | None -> Hashtbl.replace table name (ref 1))
+    t;
+  {
+    events = List.length t;
+    t_first_us = (match t with [] -> 0 | e :: _ -> e.ev.Event.t_us);
+    t_last_us = List.fold_left (fun _ e -> e.ev.Event.t_us) 0 t;
+    kinds =
+      (* lint: allow L3 — the bindings are sorted by the enclosing List.sort *)
+      List.sort compare (Hashtbl.fold (fun k r l -> (k, !r) :: l) table []);
+  }
+
+let summary_to_json s =
+  Json.to_string
+    (Json.Obj
+       [
+         ("events", Json.Int s.events);
+         ("t_first_us", Json.Int s.t_first_us);
+         ("t_last_us", Json.Int s.t_last_us);
+         ("kinds", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) s.kinds));
+       ])
+
+let print_summary s =
+  Printf.printf "%d events spanning %d us (t_us %d .. %d)\n" s.events
+    (s.t_last_us - s.t_first_us) s.t_first_us s.t_last_us;
+  List.iter (fun (k, n) -> Printf.printf "  %-16s %d\n" k n) s.kinds
+
+(* --- bridges --- *)
 
 let metrics_sink reg =
   let opens : (int, int) Hashtbl.t = Hashtbl.create 64 in

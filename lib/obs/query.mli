@@ -1,10 +1,10 @@
 (** Trace analytics: composable queries over recorded event streams.
 
-    Where {!Summary} gives one fixed roll-up, this module loads a JSONL
-    trace (or takes in-memory events) into an indexed form — every event
-    tagged with its line number and run segment — and offers filters,
-    group-by aggregation, start/done pairing into latency distributions,
-    and top-N tables.  The [dsas_sim query] subcommand is a thin shell
+    This module loads a JSONL trace (or takes in-memory events) into an
+    indexed form — every event tagged with its line number and run
+    segment — and offers filters, group-by aggregation, start/done
+    pairing into latency distributions, top-N tables and one fixed
+    roll-up ({!to_summary}).  The [dsas_sim query] subcommand is a thin shell
     over these; [dsas_sim stats] is {!to_summary} of an unfiltered
     {!load}.
 
@@ -120,9 +120,26 @@ val exact_latency_of : pairing -> latency option
     field still carries the log-bucketed histogram for display.  Costs
     a sort of all samples; [latency_of] streams. *)
 
-(** {1 Bridges} *)
+(** {1 Summary} *)
 
-val to_summary : t -> Summary.trace_stats
+type summary = {
+  events : int;
+  t_first_us : int;  (** 0 when the trace is empty *)
+  t_last_us : int;
+  kinds : (string * int) list;  (** events per kind, sorted by name; zero counts omitted *)
+}
+
+val to_summary : t -> summary
+
+val kind_count : summary -> string -> int
+(** Events of one kind (by wire name), 0 if absent. *)
+
+val summary_to_json : summary -> string
+
+val print_summary : summary -> unit
+(** Human-readable table on stdout. *)
+
+(** {1 Bridges} *)
 
 val metrics_sink : Registry.t -> Sink.t
 (** A live sink that folds the stream into a registry as it is emitted:

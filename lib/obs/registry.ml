@@ -102,10 +102,9 @@ let snapshot (t : t) =
    percentiles, stats moments, every series point — so a run's metrics
    survive as a machine-readable artifact ([run --metrics-out]). *)
 let to_json (t : t) =
-  let obj_of fields = Json.Raw (Json.obj fields) in
   let stats_obj s =
     let count = Metrics.Stats.count s in
-    obj_of
+    Json.Obj
       [
         ("count", Json.Int count);
         ("mean", Json.Float (Metrics.Stats.mean s));
@@ -120,9 +119,9 @@ let to_json (t : t) =
       Array.to_list (Metrics.Histogram.bucket_counts h)
       |> List.filter (fun (_, n) -> n > 0)
       |> List.map (fun (label, n) ->
-             Json.Raw (Json.obj [ ("bucket", Json.String label); ("count", Json.Int n) ]))
+             Json.Obj [ ("bucket", Json.String label); ("count", Json.Int n) ])
     in
-    obj_of
+    Json.Obj
       [
         ("count", Json.Int (Metrics.Histogram.count h));
         ( "min",
@@ -132,47 +131,44 @@ let to_json (t : t) =
         ("p50", Json.Int (Metrics.Histogram.percentile h 0.50));
         ("p90", Json.Int (Metrics.Histogram.percentile h 0.90));
         ("p99", Json.Int (Metrics.Histogram.percentile h 0.99));
-        ("buckets", Json.Raw (Json.array buckets));
+        ("buckets", Json.List buckets);
       ]
   in
   let section bindings value_of =
-    obj_of (List.map (fun (k, v) -> (k, value_of v)) bindings)
+    Json.Obj (List.map (fun (k, v) -> (k, value_of v)) bindings)
   in
-  Json.obj
-    (("schema", Json.String "dsas-metrics/1")
-     :: ((if t.meta = [] then []
-          else
-            [ ( "meta",
-                obj_of (List.map (fun (k, v) -> (k, Json.String v)) t.meta) ) ])
-         @ [
-      ("counters", section (sorted_bindings t.counters Fun.id) (fun c -> Json.Int c.n));
-      ("gauges", section (sorted_bindings t.gauges Fun.id) (fun g -> Json.Float g.v));
-      ("stats", section (sorted_bindings t.stats Fun.id) stats_obj);
-      ("histograms", section (sorted_bindings t.histograms Fun.id) histogram_obj);
-      ( "series",
-        section (sorted_bindings t.series Fun.id) (fun s -> Json.Raw (Series.to_json s))
-      );
-    ]))
+  Json.to_string
+    (Json.Obj
+       (("schema", Json.String "dsas-metrics/1")
+        :: ((if t.meta = [] then []
+             else [ ("meta", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) t.meta)) ])
+            @ [
+                ("counters", section (sorted_bindings t.counters Fun.id) (fun c -> Json.Int c.n));
+                ("gauges", section (sorted_bindings t.gauges Fun.id) (fun g -> Json.Float g.v));
+                ("stats", section (sorted_bindings t.stats Fun.id) stats_obj);
+                ("histograms", section (sorted_bindings t.histograms Fun.id) histogram_obj);
+                ("series", section (sorted_bindings t.series Fun.id) Series.to_json);
+              ])))
 
 let snapshot_to_json s =
-  let obj_of fields = Json.Raw (Json.obj fields) in
-  Json.obj
-    [
-      ("counters", obj_of (List.map (fun (k, n) -> (k, Json.Int n)) s.counters));
-      ("gauges", obj_of (List.map (fun (k, v) -> (k, Json.Float v)) s.gauges));
-      ( "distributions",
-        obj_of
-          (List.map
-             (fun (k, d) ->
-               ( k,
-                 obj_of
-                   [
-                     ("count", Json.Int d.count);
-                     ("mean", Json.Float d.mean);
-                     ("min", Json.Float d.min);
-                     ("max", Json.Float d.max);
-                     ("total", Json.Float d.total);
-                   ] ))
-             s.distributions) );
-      ("series", obj_of (List.map (fun (k, n) -> (k, Json.Int n)) s.series_lengths));
-    ]
+  Json.to_string
+    (Json.Obj
+       [
+         ("counters", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) s.counters));
+         ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) s.gauges));
+         ( "distributions",
+           Json.Obj
+             (List.map
+                (fun (k, d) ->
+                  ( k,
+                    Json.Obj
+                      [
+                        ("count", Json.Int d.count);
+                        ("mean", Json.Float d.mean);
+                        ("min", Json.Float d.min);
+                        ("max", Json.Float d.max);
+                        ("total", Json.Float d.total);
+                      ] ))
+                s.distributions) );
+         ("series", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) s.series_lengths));
+       ])

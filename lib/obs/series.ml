@@ -16,6 +16,4 @@ let points t = List.rev t.rev_points
 
 let last t = match t.rev_points with [] -> None | p :: _ -> Some p
 
-let to_json t =
-  Json.array
-    (List.map (fun (at, v) -> Json.Raw (Json.array [ Json.Int at; Json.Float v ])) (points t))
+let to_json t = Json.List (List.map (fun (at, v) -> Json.List [ Json.Int at; Json.Float v ]) (points t))

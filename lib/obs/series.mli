@@ -15,5 +15,5 @@ val points : t -> (int * float) list
 
 val last : t -> (int * float) option
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** [[[t_us, value], ...]] — a compact JSON array of pairs. *)

@@ -62,48 +62,41 @@ let on_capture t f = t.on_capture <- f
 (* --- wire format --- *)
 
 let snapshot_to_json s =
-  Json.obj
-    (("schema", Json.String schema)
-     :: ("seq", Json.Int s.sn_seq)
-     :: ("t_us", Json.Int s.sn_t_us)
-     :: ((match s.sn_shard with Some k -> [ ("shard", Json.Int k) ] | None -> [])
-         @ List.map (fun (name, v) -> ("c." ^ name, Json.Int v)) s.sn_counters
-         @ List.map (fun (name, v) -> ("g." ^ name, Json.Float v)) s.sn_gauges))
+  Json.to_string
+    (Json.Obj
+       (("schema", Json.String schema)
+        :: ("seq", Json.Int s.sn_seq)
+        :: ("t_us", Json.Int s.sn_t_us)
+        :: ((match s.sn_shard with Some k -> [ ("shard", Json.Int k) ] | None -> [])
+            @ List.map (fun (name, v) -> ("c." ^ name, Json.Int v)) s.sn_counters
+            @ List.map (fun (name, v) -> ("g." ^ name, Json.Float v)) s.sn_gauges)))
 
 let snapshot_of_json line =
-  match Json.parse_obj line with
+  match Json.flat line with
   | None -> None
   | Some fields ->
-    (match
-       (Json.mem_string fields "schema", Json.mem_int fields "seq",
-        Json.mem_int fields "t_us")
-     with
+    let field k = List.assoc_opt k fields in
+    (match (Json.string (field "schema"), Json.int (field "seq"), Json.int (field "t_us")) with
      | Some sc, Some sn_seq, Some sn_t_us when sc = schema && sn_seq >= 0 && sn_t_us >= 0
        ->
-       let prefixed prefix =
+       (* Names are stored with a "c." or "g." prefix; a field whose
+          value does not fit its section is dropped. *)
+       let prefixed prefix value =
          List.filter_map
            (fun (k, v) ->
-             let n = String.length prefix in
-             if String.length k > n && String.sub k 0 n = prefix then
-               Some (String.sub k n (String.length k - n), v)
+             if String.length k > 2 && String.starts_with ~prefix k then
+               Option.map (fun x -> (String.sub k 2 (String.length k - 2), x)) (value (Some v))
              else None)
            fields
        in
-       let sn_counters =
-         List.filter_map
-           (fun (k, v) -> match v with Json.Int n -> Some (k, n) | _ -> None)
-           (prefixed "c.")
-       in
-       let sn_gauges =
-         List.filter_map
-           (fun (k, v) ->
-             match v with
-             | Json.Float f -> Some (k, f)
-             | Json.Int n -> Some (k, float_of_int n)
-             | _ -> None)
-           (prefixed "g.")
-       in
-       Some { sn_seq; sn_t_us; sn_shard = Json.mem_int fields "shard"; sn_counters; sn_gauges }
+       Some
+         {
+           sn_seq;
+           sn_t_us;
+           sn_shard = Json.int (field "shard");
+           sn_counters = prefixed "c." Json.int;
+           sn_gauges = prefixed "g." Json.number;
+         }
      | _ -> None)
 
 (* --- capture --- *)
@@ -228,65 +221,11 @@ let merge streams =
 (* --- reading back --- *)
 
 let parse_lines lines =
-  let snaps = ref [] in
-  let bad = ref [] in
-  let bad_count = ref 0 in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let trimmed = String.trim line in
-      if trimmed <> "" && trimmed.[0] <> '#' then
-        match snapshot_of_json trimmed with
-        | Some s -> snaps := s :: !snaps
-        | None ->
-          incr bad_count;
-          if !bad_count <= 5 then
-            bad :=
-              Printf.sprintf "line %d: not a telemetry snapshot: %S" lineno
-                (if String.length trimmed > 60 then String.sub trimmed 0 60 ^ "..."
-                 else trimmed)
-              :: !bad)
-    lines;
-  if !bad_count > 0 then
-    Error
-      (Printf.sprintf "%d malformed line(s)\n  %s%s" !bad_count
-         (String.concat "\n  " (List.rev !bad))
-         (if !bad_count > 5 then
-            Printf.sprintf "\n  (... %d more not shown)" (!bad_count - 5)
-          else ""))
-  else if !snaps = [] then Error "contains no telemetry snapshots"
-  else Ok (List.rev !snaps)
+  Result.map (List.map snd)
+    (Artifact.parse_lines ~what:"a telemetry snapshot" ~plural:"telemetry snapshots"
+       snapshot_of_json lines)
 
-let read_lines ic =
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  List.rev !lines
-
-let load filename =
-  if filename = "-" then
-    match parse_lines (read_lines stdin) with
-    | Ok snaps -> Ok snaps
-    | Error msg -> Error (Printf.sprintf "<stdin>: %s" msg)
-  else
-    match open_in filename with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-      let lines =
-        try
-          let ls = read_lines ic in
-          close_in ic;
-          ls
-        with e ->
-          close_in_noerr ic;
-          raise e
-      in
-      (match parse_lines lines with
-       | Ok snaps -> Ok snaps
-       | Error msg -> Error (Printf.sprintf "%s: %s" filename msg))
+let load path = Result.bind (Artifact.read_lines path) parse_lines
 
 (* --- stream validation --- *)
 

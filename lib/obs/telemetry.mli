@@ -104,9 +104,10 @@ val snapshot_of_json : string -> snapshot option
 (** Inverse of {!snapshot_to_json}; [None] on malformed input or a
     wrong/missing schema tag. *)
 
-val parse_lines : string list -> (snapshot list, string) result
-(** Strict parse of mirror-file lines (blank and [#] comment lines
-    skipped): any malformed line, or an empty stream, is an error. *)
+val parse_lines : Artifact.lines -> (snapshot list, string) result
+(** Strict parse of mirror-file lines ({!Artifact.parse_lines}: blank
+    and [#] comment lines skipped): any malformed line, or an empty
+    stream, is an error. *)
 
 val load : string -> (snapshot list, string) result
 (** {!parse_lines} over a file, or over stdin when the name is

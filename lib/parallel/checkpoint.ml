@@ -6,10 +6,10 @@
 
    A store is owned by exactly one shard and touched only on its
    worker domain.  The authoritative copy lives in memory; when a
-   directory is given, every save is mirrored to disk with the same
-   tmp+rename discipline as Campaign.Store, so a torn write can never
-   be observed — the file is either the old checkpoint or the new
-   one.  Loading tolerates any malformed or truncated file by
+   directory is given, every save is mirrored to disk with the
+   tmp+rename writer every artifact uses (Obs.Artifact), so a torn
+   write can never be observed — the file is either the old checkpoint
+   or the new one.  Loading tolerates any malformed or truncated file by
    reporting no checkpoint at all: resuming from scratch is always
    correct, just slower. *)
 
@@ -41,26 +41,20 @@ let store ?dir ~shard () =
   { latest = ref None; path }
 
 let header st =
-  Obs.Json.obj
-    [
-      ("schema", Obs.Json.String schema);
-      ("shard", Obs.Json.Int st.ck_shard);
-      ("progress", Obs.Json.Int st.ck_progress);
-      ("clock_us", Obs.Json.Int st.ck_clock_us);
-      ("rng", Obs.Json.String (Int64.to_string st.ck_rng));
-      ("events", Obs.Json.Int (Array.length st.ck_events));
-      ( "payload",
-        Obs.Json.String
-          (String.concat " "
-             (Array.to_list (Array.map string_of_int st.ck_payload))) );
-    ]
-
-let write_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc contents;
-  close_out oc;
-  Sys.rename tmp path
+  Obs.Json.to_string
+    (Obs.Json.Obj
+       [
+         ("schema", Obs.Json.String schema);
+         ("shard", Obs.Json.Int st.ck_shard);
+         ("progress", Obs.Json.Int st.ck_progress);
+         ("clock_us", Obs.Json.Int st.ck_clock_us);
+         ("rng", Obs.Json.String (Int64.to_string st.ck_rng));
+         ("events", Obs.Json.Int (Array.length st.ck_events));
+         (* one space-joined string keeps the header a flat object *)
+         ( "payload",
+           Obs.Json.String
+             (String.concat " " (Array.to_list (Array.map string_of_int st.ck_payload))) );
+       ])
 
 let save t st =
   t.latest := Some st;
@@ -75,7 +69,7 @@ let save t st =
         Buffer.add_string buf (Obs.Event.to_json ev);
         Buffer.add_char buf '\n')
       st.ck_events;
-    write_atomic path (Buffer.contents buf)
+    Obs.Artifact.write_atomic path (Buffer.contents buf)
 
 let parse_payload s =
   if String.trim s = "" then Some [||]
@@ -85,50 +79,39 @@ let parse_payload s =
     if List.length ints <> List.length parts then None
     else Some (Array.of_list ints)
 
+(* The first [n] event lines of [lines], or [None] at the first missing
+   or garbled one: a torn file, or a header claiming more events than
+   the body holds. *)
+let rec take_events n lines acc =
+  if n = 0 then Some (Array.of_list (List.rev acc))
+  else
+    match lines with
+    | [] -> None
+    | line :: rest ->
+      (match Obs.Event.of_json line with
+       | Some ev -> take_events (n - 1) rest (ev :: acc)
+       | None -> None)
+
 let load_file path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let result =
-      match input_line ic with
-      | exception End_of_file -> None
-      | first ->
-        (match Obs.Json.parse_obj first with
-         | None -> None
-         | Some fields ->
-           let int k = Obs.Json.mem_int fields k in
-           (match
-              ( Obs.Json.mem_string fields "schema",
-                int "shard", int "progress", int "clock_us", int "events",
-                Obs.Json.mem_string fields "rng",
-                Obs.Json.mem_string fields "payload" )
-            with
-            | Some s, Some ck_shard, Some ck_progress, Some ck_clock_us,
-              Some n_events, Some rng_s, Some payload_s
-              when s = schema && ck_progress >= 0 && ck_clock_us >= 0
-                   && n_events >= 0 ->
-              (match (Int64.of_string_opt rng_s, parse_payload payload_s) with
-               | Some ck_rng, Some ck_payload ->
-                 let events = ref [] in
-                 let torn = ref false in
-                 for _ = 1 to n_events do
-                   match input_line ic with
-                   | exception End_of_file -> torn := true
-                   | line ->
-                     (match Obs.Event.of_json line with
-                      | Some ev -> events := ev :: !events
-                      | None -> torn := true)
-                 done;
-                 if !torn then None
-                 else
-                   Some
-                     { ck_shard; ck_progress; ck_clock_us; ck_rng; ck_payload;
-                       ck_events = Array.of_list (List.rev !events) }
-               | _ -> None)
-            | _ -> None))
-    in
-    close_in_noerr ic;
-    result
+  match Obs.Artifact.read_lines path with
+  | Error _ | Ok { lines = []; _ } -> None
+  | Ok { lines = first :: body; _ } ->
+    Option.bind (Obs.Json.flat first) (fun fields ->
+        let int k = Obs.Json.int (List.assoc_opt k fields) in
+        let str k = Obs.Json.string (List.assoc_opt k fields) in
+        match
+          ( str "schema", int "shard", int "progress", int "clock_us", int "events",
+            Option.bind (str "rng") Int64.of_string_opt,
+            Option.bind (str "payload") parse_payload )
+        with
+        | ( Some s, Some ck_shard, Some ck_progress, Some ck_clock_us, Some n_events,
+            Some ck_rng, Some ck_payload )
+          when s = schema && ck_progress >= 0 && ck_clock_us >= 0 && n_events >= 0 ->
+          Option.map
+            (fun ck_events ->
+              { ck_shard; ck_progress; ck_clock_us; ck_rng; ck_payload; ck_events })
+            (take_events n_events body [])
+        | _ -> None)
 
 let load t =
   match !(t.latest) with

@@ -9,8 +9,8 @@
     A {!store} is owned by one shard and touched only on that shard's
     worker domain.  The authoritative copy is in memory; with a
     directory the store mirrors every save to
-    [DIR/shard<N>.ckpt] via the atomic tmp+rename discipline of
-    [Campaign.Store], so readers can never observe a torn write.
+    [DIR/shard<N>.ckpt] via the atomic tmp+rename writer
+    {!Obs.Artifact.write_atomic}, so readers can never observe a torn write.
     {!load} treats any malformed, truncated or missing file as "no
     checkpoint": resuming from scratch is always correct. *)
 

@@ -178,6 +178,23 @@ let test_spec_hash () =
   check_bool "hash re-keys on any grid change" true
     (Campaign.Spec.config_hash s <> Campaign.Spec.config_hash widened)
 
+(* The hash digests Spec.to_json's bytes, so it pins the encoder: a
+   committed campaign directory must still resume. *)
+let test_spec_hash_matches_committed_manifest () =
+  let dir = fixture_dir "campaign_base" in
+  match Campaign.Store.load_spec ~dir with
+  | Error msg -> Alcotest.failf "fixture spec unreadable: %s" msg
+  | Ok spec ->
+    let manifest =
+      In_channel.with_open_bin (Campaign.Store.manifest_path dir) In_channel.input_all
+    in
+    check_string "config_hash of the committed spec" "2df15939b79bf0937282345ed00ed519"
+      (Campaign.Spec.config_hash spec);
+    check_bool "equals the committed manifest's" true
+      (Option.bind (Obs.Json.parse manifest) (fun m ->
+           Obs.Json.string (Obs.Json.member "config_hash" m))
+      = Some (Campaign.Spec.config_hash spec))
+
 (* --- store ----------------------------------------------------------- *)
 
 let small_spec =
@@ -240,7 +257,7 @@ let write_metrics ~score path =
   let reg = Obs.Registry.create () in
   Obs.Registry.set (Obs.Registry.gauge reg "score") score;
   Obs.Registry.incr (Obs.Registry.counter reg "runs");
-  Campaign.Store.write_atomic path (Obs.Registry.to_json reg ^ "\n")
+  Obs.Artifact.write_atomic path (Obs.Registry.to_json reg ^ "\n")
 
 let test_store_load_flattens () =
   with_temp_dir (fun dir ->
@@ -256,7 +273,7 @@ let test_store_load_flattens () =
       in
       Metrics.Histogram.add h 5;
       let path = Campaign.Store.metrics_path ~dir "p=a,seed=0" in
-      Campaign.Store.write_atomic path (Obs.Registry.to_json reg ^ "\n");
+      Obs.Artifact.write_atomic path (Obs.Registry.to_json reg ^ "\n");
       Campaign.Store.record ~dir "p=a,seed=0" Campaign.Store.Done;
       match Campaign.Store.load ~dir with
       | Error msg -> Alcotest.failf "load failed: %s" msg
@@ -290,7 +307,7 @@ let test_store_load_strict () =
        | Error _ -> ()
        | Ok _ -> Alcotest.fail "missing artifact for a done cell loaded");
       (* a wrong-schema artifact is also refused *)
-      Campaign.Store.write_atomic
+      Obs.Artifact.write_atomic
         (Campaign.Store.metrics_path ~dir "p=a,seed=0")
         {|{"schema":"other/1"}|};
       match Campaign.Store.load ~dir with
@@ -830,6 +847,8 @@ let () =
             test_cell_rejects_non_finite;
           Alcotest.test_case "grid expansion and ids" `Quick test_spec_points;
           Alcotest.test_case "config hash pins the grid" `Quick test_spec_hash;
+          Alcotest.test_case "config hash matches the committed manifest" `Quick
+            test_spec_hash_matches_committed_manifest;
         ] );
       ( "store",
         [

@@ -136,7 +136,7 @@ let test_rule_ids_roundtrip () =
 let test_diagnostic_json_shape () =
   match lint "let f l = List.hd l\n" with
   | [ d ] ->
-    let js = Lint.Diagnostic.to_json d in
+    let js = Obs.Json.to_string (Lint.Diagnostic.to_json d) in
     let has needle =
       let nl = String.length needle and jl = String.length js in
       let rec go i = i + nl <= jl && (String.sub js i nl = needle || go (i + 1)) in

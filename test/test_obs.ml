@@ -459,27 +459,7 @@ let test_series_empty () =
   check_int "length" 0 (Obs.Series.length s);
   check_bool "points" true (Obs.Series.points s = []);
   check_bool "last" true (Obs.Series.last s = None);
-  check_string "json" "[]" (Obs.Series.to_json s)
-
-let test_summary_of_no_events () =
-  let stats = Obs.Summary.of_events [] in
-  check_int "events" 0 stats.Obs.Summary.events;
-  check_int "first" 0 stats.Obs.Summary.t_first_us;
-  check_int "last" 0 stats.Obs.Summary.t_last_us;
-  check_bool "kinds" true (stats.Obs.Summary.kinds = [])
-
-(* --- Summary --- *)
-
-let test_summary_of_events () =
-  let stats = Obs.Summary.of_events one_of_each in
-  check_int "events" (List.length one_of_each) stats.Obs.Summary.events;
-  check_int "first" 0 stats.Obs.Summary.t_first_us;
-  check_int "last" 27 stats.Obs.Summary.t_last_us;
-  check_int "faults" 1 (Obs.Summary.count stats "fault");
-  check_int "swaps" 2 (Obs.Summary.count stats "segment_swap");
-  check_int "absent kind" 0 (Obs.Summary.count stats "no_such");
-  check_bool "zero counts omitted" true
-    (List.for_all (fun (_, n) -> n > 0) stats.Obs.Summary.kinds)
+  check_string "json" "[]" (Obs.Json.to_string (Obs.Series.to_json s))
 
 let () =
   Alcotest.run "obs"
@@ -524,10 +504,5 @@ let () =
           Alcotest.test_case "length and last" `Quick test_series_length_and_last;
           Alcotest.test_case "backwards time" `Quick test_series_rejects_backwards_time;
           Alcotest.test_case "empty series" `Quick test_series_empty;
-        ] );
-      ( "summary",
-        [
-          Alcotest.test_case "of_events" `Quick test_summary_of_events;
-          Alcotest.test_case "of no events" `Quick test_summary_of_no_events;
         ] );
     ]

@@ -744,6 +744,22 @@ let test_checkpoint_torn_file_is_no_checkpoint () =
       output_string oc "this is not a checkpoint\n";
       close_out oc;
       check_bool "garbage mirror means no checkpoint" true (reload () = None);
+      (* a header claiming far more events than the body holds *)
+      let header = List.hd (String.split_on_char '\n' whole) in
+      let inflated =
+        match Obs.Json.flat header with
+        | Some fields ->
+          Obs.Json.to_string
+            (Obs.Json.Obj
+               (List.map
+                  (fun (k, v) -> if k = "events" then (k, Obs.Json.Int 1_000_000_000_000) else (k, v))
+                  fields))
+        | None -> Alcotest.fail "checkpoint header unreadable"
+      in
+      let oc = open_out_bin path in
+      output_string oc (inflated ^ "\n");
+      close_out oc;
+      check_bool "inflated event count means no checkpoint" true (reload () = None);
       (* and a missing file *)
       Sys.remove path;
       check_bool "missing mirror means no checkpoint" true (reload () = None))

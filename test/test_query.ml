@@ -1,8 +1,7 @@
 (* Tests for the analysis half of observability: Obs.Query (filters,
    grouping, io pairing, latency percentiles), Obs.Bench (results files
    and regression diffing), Obs.Prof (span profiler, including the
-   disabled-overhead guard), Obs.Json.parse_tree, and
-   Obs.Registry.to_json. *)
+   disabled-overhead guard), Obs.Json, and Obs.Registry.to_json. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -29,31 +28,276 @@ let contains_substring haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-(* --- Json.parse_tree --- *)
+(* One event of every kind (two segment swaps), t_us 0 .. 27. *)
+let one_of_each =
+  Obs.Event.
+    [
+      ev ~t_us:0 (Run_start { run = 0; seed = None; config = None });
+      ev ~t_us:0 (Fault { page = 7 });
+      ev ~t_us:1 (Cold_fault { page = 7 });
+      ev ~t_us:2 (Eviction { page = 3 });
+      ev ~t_us:2 (Writeback { page = 3 });
+      ev ~t_us:5 (Tlb_hit { key = 99 });
+      ev ~t_us:6 (Tlb_miss { key = 100 });
+      ev ~t_us:7 (Alloc { addr = 4096; size = 128 });
+      ev ~t_us:8 (Free { addr = 4096; size = 128 });
+      ev ~t_us:9 (Split { addr = 0; size = 64; remainder = 192 });
+      ev ~t_us:10 (Coalesce { addr = 0; size = 256 });
+      ev ~t_us:11 (Compaction_move { src = 512; dst = 0; len = 40 });
+      ev ~t_us:12 (Segment_swap { segment = 2; words = 300; direction = In });
+      ev ~t_us:13 (Segment_swap { segment = 2; words = 300; direction = Out });
+      ev ~t_us:14 (Job_start { job = 0 });
+      ev ~t_us:15 (Job_stop { job = 0 });
+      ev ~t_us:16 (Io_start { req = 4; page = 9; io = Demand });
+      ev ~t_us:17 (Io_done { req = 4; page = 9; io = Writeback });
+      ev ~t_us:18 (Io_retry { req = 4; attempt = 1 });
+      ev ~t_us:19 (Io_error { req = 4; page = 9; io = Demand; attempts = 3 });
+      ev ~t_us:20 (Job_abort { job = 0; restarts = 1 });
+      ev ~t_us:21 (Load_shed { job = 1 });
+      ev ~t_us:22 (Load_admit { job = 1 });
+      ev ~t_us:23 (Shard_crash { shard = 2; attempt = 1 });
+      ev ~t_us:24 (Shard_restart { shard = 2; attempt = 1 });
+      ev ~t_us:25 (Shard_checkpoint { shard = 2; progress = 512; events = 300 });
+      ev ~t_us:26 (Watchdog_fire { rule = "ev.fault>100@3"; snapshots = 3 });
+      ev ~t_us:27 (Watchdog_clear { rule = "ev.fault>100@3"; snapshots = 5 });
+    ]
 
-let test_parse_tree () =
+(* --- Json --- *)
+
+let test_parse_nested () =
   let doc =
     {|{"s":"hi","n":3.5,"i":7,"b":true,"nil":null,"arr":[1,2,[3]],"obj":{"k":"v"}}|}
   in
-  match Obs.Json.parse_tree doc with
+  match Obs.Json.parse doc with
   | None -> Alcotest.fail "nested doc did not parse"
   | Some t ->
-    check_string "str" "hi" (Option.get (Obs.Json.tree_str t "s"));
-    check_bool "num" true (Obs.Json.tree_num t "n" = Some 3.5);
-    check_bool "int as num" true (Obs.Json.tree_num t "i" = Some 7.);
-    check_bool "bool" true (Obs.Json.tree_mem t "b" = Some (Obs.Json.TBool true));
-    check_bool "null" true (Obs.Json.tree_mem t "nil" = Some Obs.Json.TNull);
-    (match Obs.Json.tree_mem t "arr" with
-     | Some (Obs.Json.TArr [ TNum 1.; TNum 2.; TArr [ TNum 3. ] ]) -> ()
+    let field k = Obs.Json.member k t in
+    check_string "str" "hi" (Option.get (Obs.Json.string (field "s")));
+    check_bool "num" true (Obs.Json.number (field "n") = Some 3.5);
+    check_bool "int stays int" true (field "i" = Some (Obs.Json.Int 7));
+    check_bool "int as num" true (Obs.Json.number (field "i") = Some 7.);
+    check_bool "bool" true (field "b" = Some (Obs.Json.Bool true));
+    check_bool "null" true (field "nil" = Some Obs.Json.Null);
+    (match field "arr" with
+     | Some (Obs.Json.List [ Int 1; Int 2; List [ Int 3 ] ]) -> ()
      | _ -> Alcotest.fail "array shape");
-    (match Obs.Json.tree_mem t "obj" with
-     | Some inner -> check_string "nested obj" "v" (Option.get (Obs.Json.tree_str inner "k"))
-     | None -> Alcotest.fail "nested obj missing")
+    (match field "obj" with
+     | Some inner ->
+       check_string "nested obj" "v" (Option.get (Obs.Json.string (Obs.Json.member "k" inner)))
+     | None -> Alcotest.fail "nested obj missing");
+    check_bool "flat rejects nesting" true (Obs.Json.flat doc = None);
+    check_bool "flat keeps scalars" true
+      (Obs.Json.flat {|{"a":1,"b":2.5,"c":"x"}|}
+      = Some [ ("a", Obs.Json.Int 1); ("b", Obs.Json.Float 2.5); ("c", Obs.Json.String "x") ])
 
-let test_parse_tree_rejects () =
+let test_parse_rejects () =
   List.iter
-    (fun s -> check_bool s true (Obs.Json.parse_tree s = None))
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "{} trailing"; "tru"; "{\"a\":1,}" ]
+    (fun s -> check_bool s true (Obs.Json.parse s = None))
+    [ ""; "{"; "[1,]"; "{\"a\":}"; "{} trailing"; "tru"; "{\"a\":1,}";
+      (* an integer outside the int range, and a code point past one byte *)
+      "4611686018427387904"; "[-4611686018427387905]"; {|"\u0100"|}; {|"\u00g0"|} ];
+  List.iter
+    (fun s -> check_bool s true (Obs.Json.flat s = None))
+    [ "[1]"; {|{"a":true}|}; {|{"a":null}|}; {|{"a":[1]}|}; {|{"a":{}}|} ]
+
+(* The printer's bytes are the on-disk format of every artifact: pin
+   each escape class and each float form. *)
+let test_printer_bytes () =
+  List.iter
+    (fun (v, expected) -> check_string expected expected (Obs.Json.to_string v))
+    Obs.Json.
+      [
+        ( String "q\"b\\s/n\nr\rt\tc\001d\031\127\255",
+          {|"q\"b\\s/n\nr\rt\tc\u0001d\u001f|} ^ "\127\255\"" );
+        (Float 1.0, "1.0");
+        (Float (-0.), "-0.0");
+        (Float 0.1, "0.1");
+        (Float 2.5e-7, "2.5e-07");
+        (Float 1e15, "1e+15");
+        (Float 1234567890123456., "1234567890123456");
+        (Float (1. /. 3.), "0.3333333333333333");
+        (Int min_int, "-4611686018427387904");
+        (Int max_int, "4611686018427387903");
+        (Obj [ ("a", List [ Null; Bool true; Bool false ]); ("", Obj []) ], {|{"a":[null,true,false],"":{}}|});
+      ]
+
+(* Round trip over the whole value space.  The one documented
+   exception: an integral float of magnitude >= 1e15 may print as plain
+   digits, and then reads back as the equal Int. *)
+let rec same a b =
+  match (a, b) with
+  | Obs.Json.Float f, Obs.Json.Float g -> Float.equal f g
+  | Obs.Json.Float f, Obs.Json.Int n -> Float.abs f >= 1e15 && float_of_int n = f
+  | Obs.Json.List xs, Obs.Json.List ys ->
+    List.length xs = List.length ys && List.for_all2 same xs ys
+  | Obs.Json.Obj xs, Obs.Json.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, v) (k', v') -> k = k' && same v v') xs ys
+  | _ -> a = b
+
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size ~gen:(oneof [ char; oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\000'; '\031' ] ])
+      (int_range 0 10)
+  in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let leaf =
+    frequency
+      [
+        (1, pure Obs.Json.Null);
+        (1, map (fun b -> Obs.Json.Bool b) bool);
+        (3, map (fun n -> Obs.Json.Int n) (oneof [ int; small_signed_int; oneofl [ min_int; max_int ] ]));
+        ( 3,
+          map
+            (fun f -> Obs.Json.Float f)
+            (oneof
+               [
+                 finite;
+                 map float_of_int int;
+                 map float_of_int small_signed_int;
+                 map (fun n -> float_of_int n +. 0.25) small_signed_int;
+               ]) );
+        (2, map (fun s -> Obs.Json.String s) str);
+      ]
+  in
+  sized
+    (fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Obs.Json.List l) (list_size (int_range 0 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun l -> Obs.Json.Obj l)
+                   (list_size (int_range 0 4) (pair str (self (n / 3)))) );
+             ]))
+
+let json_roundtrip_property =
+  QCheck.Test.make ~name:"parse (to_string v) reads v back" ~count:1000
+    (QCheck.make ~print:Obs.Json.to_string json_gen)
+    (fun v ->
+      match Obs.Json.parse (Obs.Json.to_string v) with
+      | Some v' -> same v v'
+      | None -> false)
+
+(* --- every reader of a written artifact --- *)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* Each reader of something the simulator writes, with one valid
+   artifact and an acceptance test over raw bytes (file readers go
+   through a scratch directory). *)
+let readers =
+  lazy
+  (let dir = Filename.temp_file "dsas_readers" "" in
+   Sys.remove dir;
+   Sys.mkdir dir 0o755;
+   at_exit (fun () -> rm_rf dir);
+  let in_file name text =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let read_fixture name = In_channel.with_open_bin (fixture name) In_channel.input_all in
+  let spec_text = read_fixture "campaign_base/spec.json" in
+  let spec = Result.get_ok (Campaign.Spec.of_json spec_text) in
+  let ckpt =
+    let ck_dir = Filename.concat dir "ck_src" in
+    Parallel.Checkpoint.save
+      (Parallel.Checkpoint.store ~dir:ck_dir ~shard:0 ())
+      {
+        Parallel.Checkpoint.ck_shard = 0;
+        ck_progress = 128;
+        ck_clock_us = 6400;
+        ck_rng = 7L;
+        ck_payload = [| 1; 2; 3 |];
+        ck_events = Array.of_list (List.filteri (fun i _ -> i < 3) one_of_each);
+      };
+    In_channel.with_open_bin (Filename.concat ck_dir "shard0.ckpt") In_channel.input_all
+  in
+  let snapshot =
+    {
+      Obs.Telemetry.sn_seq = 3;
+      sn_t_us = 900;
+      sn_shard = Some 1;
+      sn_counters = [ ("ev.fault", 12) ];
+      sn_gauges = [ ("io.inflight", 1.5) ];
+    }
+  in
+  let golden =
+    {
+      Campaign.Report.g_metric = "frag.holes";
+      g_x = "words";
+      g_agg = Campaign.Report.Mean;
+      exponent = 0.745;
+      tolerance = 0.05;
+    }
+  in
+  let campaign_log text =
+    ignore (in_file "spec.json" spec_text);
+    ignore (in_file "cells.jsonl" text);
+    List.exists (fun (_, st) -> st = Campaign.Store.Done) (Campaign.Store.statuses ~dir spec)
+  in
+  [
+    ( "event",
+      Obs.Event.to_json (List.nth one_of_each 9),
+      fun s -> Obs.Event.of_json s <> None );
+    ( "telemetry snapshot",
+      Obs.Telemetry.snapshot_to_json snapshot,
+      fun s -> Obs.Telemetry.snapshot_of_json s <> None );
+    ( "checkpoint",
+      ckpt,
+      fun s ->
+        ignore (in_file "shard0.ckpt" s);
+        Parallel.Checkpoint.load (Parallel.Checkpoint.store ~dir ~shard:0 ()) <> None );
+    ("spec", Campaign.Spec.to_json spec, fun s -> Result.is_ok (Campaign.Spec.of_json s));
+    ( "bench results",
+      read_fixture "bench_base.json",
+      fun s -> Result.is_ok (Obs.Bench.load (in_file "bench.json" s)) );
+    ("campaign log", {|{"cell":"policy=first-fit,words=1024,seed=0","status":"done","t":17.5}|}, campaign_log);
+    ( "metrics",
+      read_fixture "campaign_base/cells/policy=best-fit,words=1024,seed=0.metrics.json",
+      fun s -> Result.is_ok (Campaign.Store.load_metrics (in_file "m.json" s)) );
+    ( "golden",
+      Campaign.Report.golden_to_json golden,
+      fun s -> Result.is_ok (Campaign.Report.load_golden (in_file "g.json" s)) );
+  ])
+
+let is_blank s = String.for_all (function ' ' | '\t' | '\n' | '\r' -> true | _ -> false) s
+
+(* A reader must refuse any strict prefix of its artifact that drops a
+   non-whitespace byte: a torn write never reads as a shorter value. *)
+let test_readers_refuse_prefixes () =
+  List.iter
+    (fun (name, artifact, accepts) ->
+      check_bool (name ^ ": the artifact itself reads") true (accepts artifact);
+      let n = String.length artifact in
+      for k = 0 to n - 1 do
+        if not (is_blank (String.sub artifact k (n - k))) then
+          if accepts (String.sub artifact 0 k) then
+            Alcotest.failf "%s: prefix of %d/%d bytes accepted" name k n
+      done)
+    (Lazy.force readers)
+
+(* No reader raises on any single-byte mutation of its artifact. *)
+let readers_total_property =
+  QCheck.Test.make ~name:"no reader raises on a single-byte mutation" ~count:3000
+    QCheck.(triple (int_bound 7) (int_bound 100_000) (int_bound 255))
+    (fun (which, at, byte) ->
+      let _, artifact, accepts = List.nth (Lazy.force readers) which in
+      let b = Bytes.of_string artifact in
+      Bytes.set b (at mod Bytes.length b) (Char.chr byte);
+      match accepts (Bytes.to_string b) with
+      | _ -> true
+      | exception e -> QCheck.Test.fail_reportf "%s" (Printexc.to_string e))
 
 (* --- Query loading --- *)
 
@@ -99,8 +343,8 @@ let test_load_skips_comments () =
   | Error msg -> Alcotest.failf "load failed: %s" msg
   | Ok q ->
     check_int "only the events" (List.length events) (Obs.Query.length q);
-    check_bool "same stats as Summary.of_events" true
-      (Obs.Query.to_summary q = Obs.Summary.of_events events)
+    check_bool "same stats as the in-memory events" true
+      (Obs.Query.to_summary q = Obs.Query.to_summary (Obs.Query.of_events events))
 
 let test_load_names_bad_line () =
   let path = temp_file "{\"t_us\":1,\"ev\":\"fault\",\"page\":2}\nnot json\n" in
@@ -109,6 +353,26 @@ let test_load_names_bad_line () =
   match loaded with
   | Error msg -> check_bool ("names line 2: " ^ msg) true (contains_substring msg "line 2")
   | Ok _ -> Alcotest.fail "garbage line loaded"
+
+(* --- summary --- *)
+
+let test_summary_of_no_events () =
+  let stats = Obs.Query.to_summary (Obs.Query.of_events []) in
+  check_int "events" 0 stats.Obs.Query.events;
+  check_int "first" 0 stats.Obs.Query.t_first_us;
+  check_int "last" 0 stats.Obs.Query.t_last_us;
+  check_bool "kinds" true (stats.Obs.Query.kinds = [])
+
+let test_summary_of_events () =
+  let stats = Obs.Query.to_summary (Obs.Query.of_events one_of_each) in
+  check_int "events" (List.length one_of_each) stats.Obs.Query.events;
+  check_int "first" 0 stats.Obs.Query.t_first_us;
+  check_int "last" 27 stats.Obs.Query.t_last_us;
+  check_int "faults" 1 (Obs.Query.kind_count stats "fault");
+  check_int "swaps" 2 (Obs.Query.kind_count stats "segment_swap");
+  check_int "absent kind" 0 (Obs.Query.kind_count stats "no_such");
+  check_bool "zero counts omitted" true
+    (List.for_all (fun (_, n) -> n > 0) stats.Obs.Query.kinds)
 
 (* --- filtering and grouping --- *)
 
@@ -411,29 +675,25 @@ let test_registry_to_json () =
   Obs.Series.sample (Obs.Registry.series reg "ts") ~t_us:1 10.;
   Obs.Series.sample (Obs.Registry.series reg "ts") ~t_us:2 20.;
   let json = Obs.Registry.to_json reg in
-  match Obs.Json.parse_tree json with
+  match Obs.Json.parse json with
   | None -> Alcotest.failf "to_json not parseable: %s" json
   | Some t ->
-    check_string "schema" "dsas-metrics/1" (Option.get (Obs.Json.tree_str t "schema"));
-    let counters = Option.get (Obs.Json.tree_mem t "counters") in
-    check_bool "counter" true (Obs.Json.tree_num counters "c" = Some 3.);
-    let gauges = Option.get (Obs.Json.tree_mem t "gauges") in
-    check_bool "gauge" true (Obs.Json.tree_num gauges "g" = Some 2.5);
-    let s = Option.get (Obs.Json.tree_mem (Option.get (Obs.Json.tree_mem t "stats")) "s") in
-    check_bool "stats mean" true (Obs.Json.tree_num s "mean" = Some 5.);
-    check_bool "stats count" true (Obs.Json.tree_num s "count" = Some 2.);
-    let h' =
-      Option.get (Obs.Json.tree_mem (Option.get (Obs.Json.tree_mem t "histograms")) "h")
-    in
-    check_bool "hist count" true (Obs.Json.tree_num h' "count" = Some 2.);
-    check_bool "hist min exact" true (Obs.Json.tree_num h' "min" = Some 5.);
-    check_bool "hist max exact" true (Obs.Json.tree_num h' "max" = Some 9.);
-    (match Obs.Json.tree_mem h' "buckets" with
-     | Some (Obs.Json.TArr buckets) ->
+    let path keys = List.fold_left (fun v k -> Option.bind v (Obs.Json.member k)) (Some t) keys in
+    let num keys = Obs.Json.number (path keys) in
+    check_string "schema" "dsas-metrics/1" (Option.get (Obs.Json.string (path [ "schema" ])));
+    check_bool "counter" true (num [ "counters"; "c" ] = Some 3.);
+    check_bool "gauge" true (num [ "gauges"; "g" ] = Some 2.5);
+    check_bool "stats mean" true (num [ "stats"; "s"; "mean" ] = Some 5.);
+    check_bool "stats count" true (num [ "stats"; "s"; "count" ] = Some 2.);
+    check_bool "hist count" true (num [ "histograms"; "h"; "count" ] = Some 2.);
+    check_bool "hist min exact" true (num [ "histograms"; "h"; "min" ] = Some 5.);
+    check_bool "hist max exact" true (num [ "histograms"; "h"; "max" ] = Some 9.);
+    (match path [ "histograms"; "h"; "buckets" ] with
+     | Some (Obs.Json.List buckets) ->
        check_int "only non-empty buckets" 2 (List.length buckets)
      | _ -> Alcotest.fail "buckets missing");
-    (match Obs.Json.tree_mem (Option.get (Obs.Json.tree_mem t "series")) "ts" with
-     | Some (Obs.Json.TArr [ TArr [ TNum 1.; TNum 10. ]; TArr [ TNum 2.; TNum 20. ] ]) -> ()
+    (match path [ "series"; "ts" ] with
+     | Some (Obs.Json.List [ List [ Int 1; Float 10. ]; List [ Int 2; Float 20. ] ]) -> ()
      | _ -> Alcotest.fail "series points wrong")
 
 (* --- Bench --- *)
@@ -470,7 +730,29 @@ let test_bench_load_errors () =
    | Error msg ->
      check_bool ("mentions schema: " ^ msg) true (contains_substring msg "schema")
    | Ok _ -> Alcotest.fail "wrong schema loaded");
-  Sys.remove wrong
+  Sys.remove wrong;
+  (* a damaged file is an error naming the entry, never zero kernels *)
+  (match Obs.Bench.load (fixture "bench_damaged.json") with
+   | Error msg ->
+     check_bool ("names the entry and field: " ^ msg) true
+       (contains_substring msg "k/alpha" && contains_substring msg "ns_per_run")
+   | Ok _ -> Alcotest.fail "entries without ns_per_run loaded");
+  List.iter
+    (fun (body, needle) ->
+      let path = temp_file ({|{"schema":"dsas-bench/1","clock":"monotonic","quick":true|} ^ body ^ "}") in
+      (match Obs.Bench.load path with
+       | Error msg -> check_bool (Printf.sprintf "%s -> %s" body msg) true (contains_substring msg needle)
+       | Ok _ -> Alcotest.failf "damaged results loaded: %s" body);
+      Sys.remove path)
+    [
+      ("", "results");
+      ({|,"results":{"name":"k/alpha","ns_per_run":100.0}|}, "results");
+      ({|,"results":[{"name":"k/alpha","ns_per_run":100.0},7]|}, "results[1]");
+      ({|,"results":[{"ns_per_run":100.0}]|}, "name");
+      ({|,"results":[{"name":3,"ns_per_run":100.0}]|}, "name");
+      ({|,"results":[{"name":"k/alpha","ns_per_run":"fast"}]|}, "ns_per_run");
+      ({|,"results":[{"name":"k/alpha","ns_per_run":100.0,"r_square":"good"}]|}, "r_square");
+    ]
 
 let test_bench_diff_identical () =
   match Obs.Bench.load (fixture "bench_base.json") with
@@ -566,10 +848,10 @@ let test_prof_outputs () =
         let n = String.sub line (i + 1) (String.length line - i - 1) in
         check_bool ("numeric self time: " ^ line) true (int_of_string_opt n <> None))
     lines;
-  (match Obs.Json.parse_tree (Obs.Prof.to_json ()) with
+  (match Obs.Json.parse (Obs.Prof.to_json ()) with
    | Some t ->
-     (match Obs.Json.tree_mem t "spans" with
-      | Some (Obs.Json.TArr spans) -> check_int "two spans in json" 2 (List.length spans)
+     (match Obs.Json.member "spans" t with
+      | Some (Obs.Json.List spans) -> check_int "two spans in json" 2 (List.length spans)
       | _ -> Alcotest.fail "spans array missing")
    | None -> Alcotest.fail "prof json not parseable");
   Obs.Prof.reset ()
@@ -662,8 +944,15 @@ let () =
     [
       ( "json-tree",
         [
-          Alcotest.test_case "nested documents parse" `Quick test_parse_tree;
-          Alcotest.test_case "malformed documents rejected" `Quick test_parse_tree_rejects;
+          Alcotest.test_case "nested documents parse" `Quick test_parse_nested;
+          Alcotest.test_case "malformed documents rejected" `Quick test_parse_rejects;
+          Alcotest.test_case "printer bytes pinned" `Quick test_printer_bytes;
+          QCheck_alcotest.to_alcotest json_roundtrip_property;
+        ] );
+      ( "readers",
+        [
+          Alcotest.test_case "every strict prefix refused" `Quick test_readers_refuse_prefixes;
+          QCheck_alcotest.to_alcotest readers_total_property;
         ] );
       ( "load",
         [
@@ -673,6 +962,11 @@ let () =
             test_load_truncated_fixture;
           Alcotest.test_case "comments and blanks skipped" `Quick test_load_skips_comments;
           Alcotest.test_case "bad line named by number" `Quick test_load_names_bad_line;
+        ] );
+      ( "summary",
+        [
+          Alcotest.test_case "of_events" `Quick test_summary_of_events;
+          Alcotest.test_case "of no events" `Quick test_summary_of_no_events;
         ] );
       ( "filter-group",
         [

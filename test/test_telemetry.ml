@@ -112,8 +112,8 @@ let test_snapshot_json_roundtrip () =
   in
   let line = Obs.Telemetry.snapshot_to_json s in
   check_bool "schema stamped" true
-    (Obs.Json.parse_obj line
-     |> Option.map (fun f -> Obs.Json.mem_string f "schema")
+    (Obs.Json.flat line
+     |> Option.map (fun f -> Obs.Json.string (List.assoc_opt "schema" f))
     = Some (Some Obs.Telemetry.schema));
   (match Obs.Telemetry.snapshot_of_json line with
    | None -> Alcotest.fail "round-trip lost the snapshot"
@@ -122,8 +122,8 @@ let test_snapshot_json_roundtrip () =
   let plain = snap ~seq:0 ~t:10 ~counters:[ ("c", 1) ] () in
   let line = Obs.Telemetry.snapshot_to_json plain in
   check_bool "no shard field for whole-run" true
-    (Obs.Json.parse_obj line
-     |> Option.map (fun f -> Obs.Json.mem_int f "shard")
+    (Obs.Json.flat line
+     |> Option.map (fun f -> Obs.Json.int (List.assoc_opt "shard" f))
     = Some None);
   check_bool "whole-run round-trips" true
     (Obs.Telemetry.snapshot_of_json line = Some plain)
@@ -141,20 +141,22 @@ let test_snapshot_json_rejects () =
        (Printf.sprintf {|{"schema":%S,"seq":0,"t_us":-5}|} Obs.Telemetry.schema)
     = None)
 
+let lines l = { Obs.Artifact.label = "<test>"; lines = l }
+
 let test_parse_lines_strict () =
   let good =
     List.map Obs.Telemetry.snapshot_to_json
       [ snap ~seq:0 ~t:10 ~counters:[ ("c", 1) ] (); snap ~seq:1 ~t:20 () ]
   in
-  (match Obs.Telemetry.parse_lines ("# comment" :: "" :: good) with
+  (match Obs.Telemetry.parse_lines (lines ("# comment" :: "" :: good)) with
    | Error e -> Alcotest.failf "clean stream refused: %s" e
    | Ok snaps -> check_int "comments and blanks skipped" 2 (List.length snaps));
-  (match Obs.Telemetry.parse_lines (good @ [ "{torn" ]) with
+  (match Obs.Telemetry.parse_lines (lines (good @ [ "{torn" ])) with
    | Ok _ -> Alcotest.fail "malformed line accepted"
    | Error e ->
      check_bool ("mentions the line: " ^ e) true
        (contains_substring e "line 3"));
-  match Obs.Telemetry.parse_lines [ "# only a comment" ] with
+  match Obs.Telemetry.parse_lines (lines [ "# only a comment" ]) with
   | Ok _ -> Alcotest.fail "empty stream accepted"
   | Error e ->
     check_bool ("empty stream is an error: " ^ e) true
@@ -393,18 +395,16 @@ let test_alert_events_render () =
 (* --- Export: Chrome trace events ------------------------------------- *)
 
 let chrome_events trace =
-  match Obs.Json.parse_tree trace with
+  match Obs.Json.parse trace with
   | None -> Alcotest.fail "chrome export is not valid JSON"
   | Some tree ->
-    (match Obs.Json.tree_mem tree "traceEvents" with
-     | Some (Obs.Json.TArr items) -> items
+    (match Obs.Json.member "traceEvents" tree with
+     | Some (Obs.Json.List items) -> items
      | _ -> Alcotest.fail "no traceEvents array")
 
-let field_str item name =
-  match item with Obs.Json.TObj _ -> Obs.Json.tree_str item name | _ -> None
+let field_str item name = Obs.Json.string (Obs.Json.member name item)
 
-let field_num item name =
-  match item with Obs.Json.TObj _ -> Obs.Json.tree_num item name | _ -> None
+let field_num item name = Obs.Json.number (Obs.Json.member name item)
 
 let test_chrome_mapping () =
   let events =
@@ -530,25 +530,25 @@ let test_watchdog_paired_invariant () =
       {|{"t_us":20,"ev":"watchdog_clear","rule":"r","snapshots":4}|} ]
   in
   check_bool "clean episode passes" true
-    (Obs.Check.ok (Obs.Check.check_lines clean));
+    (Obs.Check.ok (Obs.Check.check_lines (lines clean)));
   (* an episode left open at end of stream is legal (the run may be live) *)
   let open_ended =
     [ run_start; {|{"t_us":10,"ev":"watchdog_fire","rule":"r","snapshots":2}|} ]
   in
   check_bool "open episode passes" true
-    (Obs.Check.ok (Obs.Check.check_lines open_ended));
+    (Obs.Check.ok (Obs.Check.check_lines (lines open_ended)));
   let double_fire =
     [ run_start;
       {|{"t_us":10,"ev":"watchdog_fire","rule":"r","snapshots":2}|};
       {|{"t_us":20,"ev":"watchdog_fire","rule":"r","snapshots":3}|} ]
   in
   check_bool "double fire violates watchdog-paired" true
-    (violated (Obs.Check.check_lines double_fire) Obs.Check.Watchdog_paired);
+    (violated (Obs.Check.check_lines (lines double_fire)) Obs.Check.Watchdog_paired);
   let orphan_clear =
     [ run_start; {|{"t_us":10,"ev":"watchdog_clear","rule":"r","snapshots":1}|} ]
   in
   check_bool "clear without fire violates watchdog-paired" true
-    (violated (Obs.Check.check_lines orphan_clear) Obs.Check.Watchdog_paired)
+    (violated (Obs.Check.check_lines (lines orphan_clear)) Obs.Check.Watchdog_paired)
 
 let test_watchdog_bounded_invariant () =
   let shrinking =
@@ -556,7 +556,7 @@ let test_watchdog_bounded_invariant () =
       {|{"t_us":10,"ev":"watchdog_fire","rule":"r","snapshots":5}|};
       {|{"t_us":20,"ev":"watchdog_clear","rule":"r","snapshots":2}|} ]
   in
-  let report = Obs.Check.check_lines shrinking in
+  let report = Obs.Check.check_lines (lines shrinking) in
   check_bool "clear below fire violates watchdog-bounded" true
     (violated report Obs.Check.Watchdog_bounded);
   check_bool "pairing itself was fine" false
