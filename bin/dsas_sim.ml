@@ -9,8 +9,7 @@
    `dsas_sim query f.jsonl ...`           filter/group/pair a recorded stream
    `dsas_sim run fig3 --telemetry t.jsonl`  ... with live periodic snapshots
    `dsas_sim top t.jsonl --follow`        tail a telemetry stream live
-   `dsas_sim export f.jsonl --format chrome`  Perfetto / flamegraph / CSV export
-   `dsas_sim bench-diff OLD NEW`          compare two bench result files *)
+   `dsas_sim export f.jsonl --format chrome`  Perfetto / flamegraph / CSV export *)
 
 open Cmdliner
 
@@ -409,8 +408,7 @@ let replay_cmd =
     Arg.(value & opt (enum policies) Paging.Spec.Lru & info [ "policy"; "p" ]
            ~doc:"Replacement policy: fifo, lru, clock, random, nru, lfu, atlas, m44, opt.")
   in
-  let replay file frames page_size policy_spec json =
-    let word_trace = Workload.Trace_io.load_trace file in
+  let replay word_trace frames page_size policy_spec json =
     let trace =
       if page_size = 1 then word_trace else Workload.Trace.to_pages ~page_size word_trace
     in
@@ -442,9 +440,11 @@ let replay_cmd =
     if frames <= 0 then `Error (false, "--frames must be positive")
     else if page_size <= 0 then `Error (false, "--page-size must be positive")
     else
-      match replay file frames page_size policy_spec json with
-      | () -> `Ok ()
-      | exception (Failure msg | Sys_error msg) -> `Error (false, msg)
+      match Workload.Trace_io.load_trace file with
+      | Error msg -> `Error (false, msg)
+      | Ok word_trace ->
+        replay word_trace frames page_size policy_spec json;
+        `Ok ()
   in
   Cmd.v info
     Term.(ret (const action $ trace_arg $ frames_arg $ page_arg $ policy_arg $ json_flag))
@@ -678,58 +678,6 @@ let query_cmd =
         (const action $ file_arg $ kinds_arg $ run_arg $ since_arg $ until_arg
          $ group_by_arg $ agg_arg $ top_arg $ pair_arg $ percentiles_flag
          $ exact_flag $ json_flag))
-
-let bench_diff_cmd =
-  let doc = "Compare two bench result files; exit non-zero on regression." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Reads two dsas-bench/1 JSON files (written by \
-         `dune exec bench/main.exe -- --json FILE`) and compares ns/run per \
-         kernel.  A kernel whose time grew more than $(b,--threshold) percent \
-         is a regression; any regression makes the command exit non-zero.  \
-         Kernels present in only one file are reported but are not failures.";
-      `P
-        "ns/run measured on different machines (or under different load) are \
-         not comparable at tight thresholds; CI diffs against a committed \
-         baseline use a deliberately loose one.";
-    ]
-  in
-  let info = Cmd.info "bench-diff" ~doc ~man in
-  let old_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD"
-           ~doc:"Baseline results file.")
-  in
-  let new_arg =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW"
-           ~doc:"New results file.")
-  in
-  let threshold_arg =
-    Arg.(value & opt float 20. & info [ "threshold" ] ~docv:"PCT"
-           ~doc:"Regression threshold: ns/run growth in percent (default 20).")
-  in
-  let action old_file new_file threshold json =
-    if threshold < 0. then `Error (false, "--threshold must be >= 0")
-    else
-      match (Obs.Bench.load old_file, Obs.Bench.load new_file) with
-      | Error msg, _ | _, Error msg -> `Error (false, msg)
-      | Ok old_r, Ok new_r ->
-        let c = Obs.Bench.compare_results ~threshold_pct:threshold ~old_r ~new_r in
-        if json then print_endline (Obs.Bench.comparison_to_json c)
-        else Obs.Bench.print stdout c;
-        (match Obs.Bench.regressions c with
-         | [] -> `Ok ()
-         | regs ->
-           `Error
-             ( false,
-               Printf.sprintf "%d kernel(s) regressed more than %.1f%%: %s"
-                 (List.length regs) threshold
-                 (String.concat ", "
-                    (List.map (fun v -> v.Obs.Bench.v_name) regs)) ))
-  in
-  Cmd.v info
-    Term.(ret (const action $ old_arg $ new_arg $ threshold_arg $ json_flag))
 
 let check_cmd =
   let doc = "Validate a recorded JSONL event stream against the trace invariants." in
@@ -1932,6 +1880,6 @@ let main =
   let info = Cmd.info "dsas_sim" ~version:"1.0.0" ~doc in
   Cmd.group info
     [ list_cmd; run_cmd; replay_cmd; stats_cmd; query_cmd; check_cmd; top_cmd;
-      export_cmd; chaos_cmd; bench_diff_cmd; campaign_cmd ]
+      export_cmd; chaos_cmd; campaign_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -78,4 +78,4 @@ let () =
   print_endline "\n--- 3. where next ---\n";
   print_endline "  dune exec bin/dsas_sim.exe -- list      (the paper's experiments)";
   print_endline "  dune exec bin/dsas_sim.exe -- run fig3  (one figure, full scale)";
-  print_endline "  dune exec bench/main.exe                (regenerate everything)"
+  print_endline "  dune exec bin/dsas_sim.exe -- run all   (regenerate everything)"

@@ -1,7 +1,6 @@
-(* Cross-campaign regression diffing, mirroring Obs.Bench's comparator
-   at campaign granularity: cells matched by id, metrics matched by
-   name, verdicts ordered worst-first, cells present in only one
-   campaign reported.
+(* Cross-campaign regression diffing: cells matched by id, metrics
+   matched by name, verdicts ordered worst-first, cells present in only
+   one campaign reported.
 
    Cells are deterministic given their seed, so two campaigns of the
    same grid on the same code agree exactly; the threshold is percent

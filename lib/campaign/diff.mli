@@ -1,10 +1,10 @@
 (** Cross-campaign regression diffing.
 
-    Mirrors {!Obs.Bench}'s comparator at campaign granularity: done
-    cells matched by id, metrics matched by name, verdicts ordered by
-    drift magnitude, cells or metrics present in only one campaign
-    reported.  Cells are deterministic given their seed, so drift in
-    {e either} direction beyond the threshold is a regression. *)
+    Done cells matched by id, metrics matched by name, verdicts
+    ordered by drift magnitude, cells or metrics present in only one
+    campaign reported.  Cells are deterministic given their seed, so
+    drift in {e either} direction beyond the threshold is a
+    regression. *)
 
 type row = {
   cell : string;

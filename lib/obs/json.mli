@@ -1,7 +1,7 @@
 (** JSON: one value type, one printer, one parser.
 
     Every artifact the simulator writes and reads back — traces,
-    telemetry, metrics, bench results, campaign specs, logs and goldens,
+    telemetry, metrics, campaign specs, logs and goldens,
     checkpoints — goes through this module.  Not a general JSON library:
     strings are bytes (a [\u] escape above [00ff] is refused, since
     the printer never writes one), and numbers keep the int/float split

@@ -25,6 +25,7 @@ type state = {
 }
 
 type store = {
+  shard : int;
   latest : state option ref;
   path : string option;
 }
@@ -38,7 +39,7 @@ let store ?dir ~shard () =
   (match (path, dir) with
    | Some _, Some d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755
    | _ -> ());
-  { latest = ref None; path }
+  { shard; latest = ref None; path }
 
 let header st =
   Obs.Json.to_string
@@ -92,7 +93,9 @@ let rec take_events n lines acc =
        | Some ev -> take_events (n - 1) rest (ev :: acc)
        | None -> None)
 
-let load_file path =
+(* A file whose header names another shard is not this shard's
+   checkpoint, whatever its name says. *)
+let load_file ~shard path =
   match Obs.Artifact.read_lines path with
   | Error _ | Ok { lines = []; _ } -> None
   | Ok { lines = first :: body; _ } ->
@@ -106,7 +109,8 @@ let load_file path =
         with
         | ( Some s, Some ck_shard, Some ck_progress, Some ck_clock_us, Some n_events,
             Some ck_rng, Some ck_payload )
-          when s = schema && ck_progress >= 0 && ck_clock_us >= 0 && n_events >= 0 ->
+          when s = schema && ck_shard = shard && ck_progress >= 0 && ck_clock_us >= 0
+               && n_events >= 0 ->
           Option.map
             (fun ck_events ->
               { ck_shard; ck_progress; ck_clock_us; ck_rng; ck_payload; ck_events })
@@ -120,7 +124,7 @@ let load t =
     (match t.path with
      | None -> None
      | Some path ->
-       let st = load_file path in
+       let st = load_file ~shard:t.shard path in
        t.latest := st;
        st)
 

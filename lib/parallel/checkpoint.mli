@@ -43,7 +43,8 @@ val save : store -> state -> unit
 val load : store -> state option
 (** The latest checkpoint, falling back to the on-disk mirror when
     the in-memory copy is empty (a fresh store over an old
-    directory).  [None] when there is no usable checkpoint. *)
+    directory).  [None] when there is no usable checkpoint, including
+    a mirror whose header names another shard. *)
 
 val clear : store -> unit
 (** Discard the checkpoint (memory and disk) — used to poison a

@@ -9,32 +9,22 @@ let with_out filename f =
 (* Apply [parse] to every meaningful line, with 1-based line numbers in
    errors. *)
 let fold_lines filename parse =
-  let ic = open_in filename in
-  let acc = ref [] in
-  let lineno = ref 0 in
-  (try
-     let rec loop () =
-       match input_line ic with
-       | line ->
-         incr lineno;
-         let line = String.trim line in
-         if line <> "" && line.[0] <> '#' then begin
-           match parse line with
-           | Some v -> acc := v :: !acc
-           | None ->
-             (* lint: allow L4 — file-format errors surface as Failure with file:line context; tests rely on it *)
-             failwith
-               (Printf.sprintf "%s: line %d: cannot parse %S" filename !lineno line)
-         end;
-         loop ()
-       | exception End_of_file -> ()
-     in
-     loop ();
-     close_in ic
-   with e ->
-     close_in_noerr ic;
-     raise e);
-  List.rev !acc
+  match open_in filename with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+    let rec loop lineno acc =
+      match input_line ic with
+      | exception End_of_file -> Ok (List.rev acc)
+      | exception Sys_error msg -> Error msg
+      | line ->
+        let line = String.trim line in
+        if line = "" || line.[0] = '#' then loop (lineno + 1) acc
+        else (
+          match parse line with
+          | Some v -> loop (lineno + 1) (v :: acc)
+          | None -> Error (Printf.sprintf "%s: line %d: cannot parse %S" filename lineno line))
+    in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> loop 1 [])
 
 let write_trace oc trace =
   output_string oc "# dsas reference trace: one address per line\n";
@@ -43,7 +33,7 @@ let write_trace oc trace =
 let save_trace filename trace = with_out filename (fun oc -> write_trace oc trace)
 
 let load_trace filename =
-  Array.of_list
+  Result.map Array.of_list
     (fold_lines filename (fun line ->
          match int_of_string_opt line with Some a when a >= 0 -> Some a | _ -> None))
 

@@ -11,14 +11,16 @@
 
 val save_trace : string -> Trace.t -> unit
 
-val load_trace : string -> Trace.t
-(** Raises [Failure] naming the line on malformed input, including a
-    negative address. *)
+val load_trace : string -> (Trace.t, string) result
+(** [Error] naming the file and the 1-based line of the first malformed
+    line, including a negative address, or the system's message when
+    the file cannot be read. *)
 
 val write_trace : out_channel -> Trace.t -> unit
 
 val save_events : string -> Alloc_stream.event list -> unit
 
-val load_events : string -> Alloc_stream.event list
+val load_events : string -> (Alloc_stream.event list, string) result
+(** Errors as {!load_trace}. *)
 
 val write_events : out_channel -> Alloc_stream.event list -> unit

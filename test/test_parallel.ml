@@ -760,6 +760,16 @@ let test_checkpoint_torn_file_is_no_checkpoint () =
       output_string oc (inflated ^ "\n");
       close_out oc;
       check_bool "inflated event count means no checkpoint" true (reload () = None);
+      (* another shard's intact checkpoint, copied over this shard's *)
+      let other = Parallel.Checkpoint.store ~dir ~shard:1 () in
+      Parallel.Checkpoint.save other (sample_state 1);
+      let ic = open_in_bin (Filename.concat dir "shard1.ckpt") in
+      let theirs = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let oc = open_out_bin path in
+      output_string oc theirs;
+      close_out oc;
+      check_bool "another shard's mirror means no checkpoint" true (reload () = None);
       (* and a missing file *)
       Sys.remove path;
       check_bool "missing mirror means no checkpoint" true (reload () = None))

@@ -159,7 +159,7 @@ let test_trace_roundtrip () =
   let trace = Workload.Trace.uniform rng ~length:500 ~extent:1000 in
   let file = temp_file () in
   Workload.Trace_io.save_trace file trace;
-  let back = Workload.Trace_io.load_trace file in
+  let back = Result.get_ok (Workload.Trace_io.load_trace file) in
   Sys.remove file;
   Alcotest.(check (array int)) "roundtrip" trace back
 
@@ -171,7 +171,7 @@ let test_events_roundtrip () =
   in
   let file = temp_file () in
   Workload.Trace_io.save_events file events;
-  let back = Workload.Trace_io.load_events file in
+  let back = Result.get_ok (Workload.Trace_io.load_events file) in
   Sys.remove file;
   check_bool "roundtrip" true (events = back)
 
@@ -180,7 +180,7 @@ let test_load_skips_comments_and_blanks () =
   let oc = open_out file in
   output_string oc "# header\n42\n\n  7  \n# tail\n";
   close_out oc;
-  let trace = Workload.Trace_io.load_trace file in
+  let trace = Result.get_ok (Workload.Trace_io.load_trace file) in
   Sys.remove file;
   Alcotest.(check (array int)) "parsed" [| 42; 7 |] trace
 
@@ -191,7 +191,7 @@ let test_load_tolerates_crlf_and_trailing_blanks () =
   let oc = open_out_bin file in
   output_string oc "# dos header\r\n42\r\n  7 \r\n\r\n\n";
   close_out oc;
-  let trace = Workload.Trace_io.load_trace file in
+  let trace = Result.get_ok (Workload.Trace_io.load_trace file) in
   Sys.remove file;
   Alcotest.(check (array int)) "parsed" [| 42; 7 |] trace
 
@@ -200,7 +200,7 @@ let test_load_events_tolerates_crlf_and_trailing_blanks () =
   let oc = open_out_bin file in
   output_string oc "a 1 10\r\nf 1\r\n\r\n\n";
   close_out oc;
-  let events = Workload.Trace_io.load_events file in
+  let events = Result.get_ok (Workload.Trace_io.load_events file) in
   Sys.remove file;
   check_bool "parsed" true
     (events
@@ -213,8 +213,8 @@ let test_load_rejects_garbage_with_line_number () =
   close_out oc;
   let result =
     match Workload.Trace_io.load_trace file with
-    | _ -> "no error"
-    | exception Failure msg -> msg
+    | Ok _ -> "no error"
+    | Error msg -> msg
   in
   Sys.remove file;
   check_bool "names line 3" true
@@ -223,14 +223,16 @@ let test_load_rejects_garbage_with_line_number () =
           i + 6 <= String.length result
           && (String.sub result i 6 = "line 3" || find (i + 1))
         in
-        find 0))
+        find 0));
+  check_bool "a missing file is an Error" true
+    (Result.is_error (Workload.Trace_io.load_trace "/no/such/file.trace"))
 
 let test_load_events_skips_comments_and_blanks () =
   let file = temp_file () in
   let oc = open_out file in
   output_string oc "# alloc stream\na 1 10\n\n  f 1  \n# tail\n";
   close_out oc;
-  let events = Workload.Trace_io.load_events file in
+  let events = Result.get_ok (Workload.Trace_io.load_events file) in
   Sys.remove file;
   check_bool "parsed" true
     (events
@@ -252,8 +254,8 @@ let test_load_rejects_negative_address () =
   close_out oc;
   let result =
     match Workload.Trace_io.load_trace file with
-    | _ -> "no error"
-    | exception Failure msg -> msg
+    | Ok _ -> "no error"
+    | Error msg -> msg
   in
   Sys.remove file;
   check_bool "names line 3" true (names_line result 3)
@@ -266,8 +268,8 @@ let test_load_events_rejects_garbage_with_line_number () =
     close_out oc;
     let result =
       match Workload.Trace_io.load_events file with
-      | _ -> "no error"
-      | exception Failure msg -> msg
+      | Ok _ -> "no error"
+      | Error msg -> msg
     in
     Sys.remove file;
     result
@@ -291,7 +293,7 @@ let events_io_roundtrip_property =
       Workload.Trace_io.save_events file events;
       let back = Workload.Trace_io.load_events file in
       Sys.remove file;
-      back = events)
+      back = Ok events)
 
 let trace_io_roundtrip_property =
   QCheck.Test.make ~name:"trace file roundtrip for arbitrary traces" ~count:50
@@ -302,7 +304,48 @@ let trace_io_roundtrip_property =
       Workload.Trace_io.save_trace file trace;
       let back = Workload.Trace_io.load_trace file in
       Sys.remove file;
-      back = trace)
+      back = Ok trace)
+
+(* Damage to a saved trace or allocation stream reads as an [Error] or
+   as another well-formed file, never as an exception. *)
+let readers_total_property =
+  let saved save value =
+    let file = temp_file () in
+    save file value;
+    let ic = open_in_bin file in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove file;
+    text
+  in
+  let artifacts =
+    lazy
+      (let rng = Sim.Rng.create 47 in
+       [|
+         ( saved Workload.Trace_io.save_trace
+             (Workload.Trace.uniform rng ~length:64 ~extent:1000),
+           fun file -> ignore (Workload.Trace_io.load_trace file) );
+         ( saved Workload.Trace_io.save_events
+             (Workload.Alloc_stream.generate rng ~objects:24
+                ~size:(Workload.Alloc_stream.Uniform (1, 99)) ~mean_lifetime:5.),
+           fun file -> ignore (Workload.Trace_io.load_events file) );
+       |])
+  in
+  QCheck.Test.make ~name:"no single-byte mutation makes a reader raise" ~count:1000
+    QCheck.(triple bool (int_bound 100_000) (int_bound 255))
+    (fun (events, at, byte) ->
+      let text, load = (Lazy.force artifacts).(if events then 1 else 0) in
+      let b = Bytes.of_string text in
+      Bytes.set b (at mod Bytes.length b) (Char.chr byte);
+      let file = temp_file () in
+      let oc = open_out_bin file in
+      output_bytes oc b;
+      close_out oc;
+      let raised = match load file with () -> None | exception e -> Some e in
+      Sys.remove file;
+      match raised with
+      | None -> true
+      | Some e -> QCheck.Test.fail_reportf "%s" (Printexc.to_string e))
 
 let alloc_stream_property =
   QCheck.Test.make ~name:"generate is well-formed for any params" ~count:50
@@ -356,5 +399,6 @@ let () =
           Alcotest.test_case "events garbage rejected" `Quick
             test_load_events_rejects_garbage_with_line_number;
           QCheck_alcotest.to_alcotest events_io_roundtrip_property;
+          QCheck_alcotest.to_alcotest readers_total_property;
         ] );
     ]
