@@ -1,13 +1,13 @@
 (* dsas_lint: enforce the repo's determinism & invariant rules over the
    source tree.
 
-   `dsas_lint lib`              lint every .ml under lib/
+   `dsas_lint lib bin`          lint every .ml under lib/ and bin/
    `dsas_lint --json lib bin`   machine-readable diagnostics
-   `dsas_lint --list-rules`     what L1..L5 mean, for pragma authors
+   `dsas_lint --list-rules`     what each rule means, for pragma authors
 
-   Exit 0 when clean, 1 on any diagnostic.  Violations are suppressed
-   inline with `(* lint: allow L4 — reason *)` on the offending line or
-   the one above it; see --list-rules. *)
+   Exit 0 when clean, 1 on any diagnostic.  A violation is suppressed
+   by a comment whose text begins `lint: allow RULE — reason`, on the
+   offending line or the one above it; see --list-rules. *)
 
 open Cmdliner
 
@@ -35,10 +35,10 @@ let print_rules () =
         (Lint.Rule.summary r))
     Lint.Rule.all;
   print_endline
-    "\nSuppress one finding with `(* lint: allow RULE — reason *)` on the \
-     offending\nline or the line above; `(* lint: allow-file RULE — reason *)` \
-     covers a file.\nThe reason is mandatory, and a pragma that suppresses \
-     nothing is itself an error."
+    "\nSuppress one finding with a comment whose text begins `lint: allow RULE \
+     — reason`,\non the offending line or the line above; one that begins \
+     `lint: allow-file RULE — reason`\ncovers a file.  The reason is \
+     mandatory, and a pragma that suppresses nothing is\nitself an error."
 
 let run paths json list_rules boundaries =
   if list_rules then begin

@@ -1374,6 +1374,7 @@ let campaign_run_cmd =
                     externally via [capture] — the "engine time" is
                     wall-clock microseconds since the campaign started. *)
                  let tele_oc = Option.map open_out telemetry in
+                 (* lint: allow L1 — campaign progress is paced in host time on purpose *)
                  let t0 = Unix.gettimeofday () in
                  let tele =
                    Option.map
@@ -1397,6 +1398,7 @@ let campaign_run_cmd =
                         | Campaign.Store.Done -> Obs.Registry.incr c_done
                         | Campaign.Store.Failed _ -> Obs.Registry.incr c_failed
                         | Campaign.Store.Pending -> ());
+                       (* lint: allow L1 — campaign progress is paced in host time on purpose *)
                        let elapsed = Unix.gettimeofday () -. t0 in
                        Obs.Registry.set g_elapsed elapsed;
                        let settled =
@@ -1483,6 +1485,7 @@ let campaign_status_cmd =
          log shows Pending but with an open attempt is running right
          now (or its worker died without a completion line). *)
       let timings = Campaign.Store.timings ~dir in
+      (* lint: allow L1 — a running cell's elapsed time is host time on purpose *)
       let now = Unix.gettimeofday () in
       let timing id = List.assoc_opt id timings in
       let started id =

@@ -35,6 +35,9 @@ let key ~job ~page = (job lsl key_bits) lor page
 
 let job_of_key k = k lsr key_bits
 
+(* The ready time of a page that is not resident. *)
+let absent = -1
+
 let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
     ?controller ~frames ~policy ~fetch_us specs =
   assert (frames > 0 && fetch_us >= 0 && quantum_refs > 0 && max_restarts >= 0);
@@ -48,7 +51,15 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
          specs)
   in
   assert (Array.length jobs > 0);
-  let resident : (int, int) Hashtbl.t = Hashtbl.create frames in  (* key -> ready_at *)
+  (* The resident pages' keys, and per page, at its slot
+     [job * stride + page], when its fetch completes ([absent] when it
+     is not resident). *)
+  let resident = Paging.Resident.create ~capacity:frames in
+  let stride =
+    Array.fold_left (fun m j -> max m (Workload.Trace.extent j.spec.Workload.Job.refs)) 0 jobs
+  in
+  let ready_at = Array.make (Array.length jobs * stride) absent in
+  let slot k = (job_of_key k * stride) + (k land ((1 lsl key_bits) - 1)) in
   let ready : int Queue.t = Queue.create () in
   let blocked : int Sim.Heap.t = Sim.Heap.create () in
   (* Device mode only: which job is waiting on each request, and jobs
@@ -69,22 +80,20 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
   let in_flight = max_int in
   let emit kind = Obs.Sink.emit obs (Obs.Event.make ~t_us:!now kind) in
   if tracing then Array.iter (fun j -> emit (Obs.Event.Job_start { job = j.index })) jobs;
+  let drop k =
+    Paging.Resident.remove resident k;
+    ready_at.(slot k) <- absent
+  in
   (* Drop every committed-resident page of job [idx] (its in-flight
      pages, if any, stay owned by req_owner and resolve on delivery). *)
   let evict_job_pages idx =
-    let mine =
-      (* lint: allow L3 — the keys are sorted on the next line *)
-      Hashtbl.fold
-        (fun k ready_at acc ->
-          if job_of_key k = idx && ready_at <> in_flight then k :: acc else acc)
-        resident []
-    in
-    List.iter
+    Array.iter
       (fun k ->
-        Hashtbl.remove resident k;
+        drop k;
         policy.Paging.Replacement.on_evict ~page:k;
         if tracing then emit (Obs.Event.Eviction { page = k }))
-      (List.sort compare mine)
+      (Paging.Resident.filter resident (fun k ->
+           job_of_key k = idx && ready_at.(slot k) <> in_flight))
   in
   let unpark j =
     if j.parked then begin
@@ -113,7 +122,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
        was parked; the failure empties its working set anyway, so the
        abort re-admits it rather than restarting a parked job. *)
     unpark j;
-    Hashtbl.remove resident k;
+    drop k;
     (* the fault announced page [k]; retract it before the job's
        committed pages go *)
     if tracing then emit (Obs.Event.Eviction { page = k });
@@ -137,22 +146,17 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
          (match Device.Model.failure_of m req with
           | Some _ -> abort_job jobs.(idx) ~k
           | None ->
-            Hashtbl.replace resident k fin;
+            ready_at.(slot k) <- fin;
             Queue.add idx ready;
             Queue.transfer stalled ready)
        | None ->
-         Hashtbl.replace resident k fin;
+         ready_at.(slot k) <- fin;
          Queue.add idx ready;
          Queue.transfer stalled ready)
   in
   let candidates () =
     (* Frames whose fetch has completed; in-flight pages are pinned. *)
-    let pool =
-      (* lint: allow L3 — the pool is sorted on the next line *)
-      Hashtbl.fold (fun k ready_at acc -> if ready_at <= !now then k :: acc else acc)
-        resident []
-    in
-    Array.of_list (List.sort compare pool)
+    Paging.Resident.filter resident (fun k -> ready_at.(slot k) <= !now)
   in
   let start_fetch j k =
     j.faults <- j.faults + 1;
@@ -165,13 +169,15 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
        let start = max !now !device_free_at in
        let finish = start + fetch_us in
        device_free_at := finish;
-       Hashtbl.replace resident k finish;
+       Paging.Resident.add resident k;
+       ready_at.(slot k) <- finish;
        Sim.Heap.add blocked finish j.index
      | Some m ->
        let req =
          Device.Model.submit m ~now:!now ~kind:Device.Request.Demand ~page:k ~words:0
        in
-       Hashtbl.replace resident k in_flight;
+       Paging.Resident.add resident k;
+       ready_at.(slot k) <- in_flight;
        Hashtbl.replace req_owner req (j.index, k));
     policy.Paging.Replacement.on_load ~page:k
   in
@@ -191,49 +197,51 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
         let page = j.spec.Workload.Job.refs.(j.pos) in
         let k = key ~job:j.index ~page in
         policy.Paging.Replacement.on_reference ~page:k ~write:false;
-        match Hashtbl.find_opt resident k with
-        | Some ready_at when ready_at <= !now ->
+        let ready = ready_at.((j.index * stride) + page) in
+        if ready <> absent && ready <= !now then begin
           j.pos <- j.pos + 1;
           incr executed;
           now := !now + compute_us;
           busy := !busy + compute_us;
           step (quantum - 1)
-        | Some ready_at ->
+        end
+        else if ready <> absent then begin
           (* Our own page is still in flight; wait for it. *)
-          if ready_at = in_flight then Queue.add j.index stalled
-          else Sim.Heap.add blocked ready_at j.index;
+          if ready = in_flight then Queue.add j.index stalled
+          else Sim.Heap.add blocked ready j.index;
           false
-        | None ->
-          if Hashtbl.length resident >= frames then begin
-            let pool = candidates () in
-            if Array.length pool = 0 then begin
-              (* Everything in flight: stall until something arrives. *)
-              (match device with
-               | Some _ -> Queue.add j.index stalled
-               | None ->
-                 let earliest =
-                   (* lint: allow L3 — min over all bindings is order-independent *)
-                   Hashtbl.fold (fun _ r acc -> min r acc) resident max_int
-                 in
-                 Sim.Heap.add blocked earliest j.index);
-              false
-            end
-            else begin
-              let victim =
-                Obs.Prof.span "multiprog.victim" (fun () ->
-                    policy.Paging.Replacement.choose_victim ~candidates:pool)
-              in
-              Hashtbl.remove resident victim;
-              policy.Paging.Replacement.on_evict ~page:victim;
-              if tracing then emit (Obs.Event.Eviction { page = victim });
-              start_fetch j k;
-              false
-            end
+        end
+        else if Paging.Resident.length resident < frames then begin
+          start_fetch j k;
+          false
+        end
+        else begin
+          let pool = candidates () in
+          if Array.length pool = 0 then begin
+            (* Everything in flight: stall until something arrives. *)
+            (match device with
+             | Some _ -> Queue.add j.index stalled
+             | None ->
+               let earliest =
+                 Array.fold_left
+                   (fun acc k -> min acc ready_at.(slot k))
+                   max_int (Paging.Resident.elements resident)
+               in
+               Sim.Heap.add blocked earliest j.index);
+            false
           end
           else begin
+            let victim =
+              Obs.Prof.span "multiprog.victim" (fun () ->
+                  policy.Paging.Replacement.choose_victim ~candidates:pool)
+            in
+            drop victim;
+            policy.Paging.Replacement.on_evict ~page:victim;
+            if tracing then emit (Obs.Event.Eviction { page = victim });
             start_fetch j k;
             false
           end
+        end
       end
     in
     let requeue = step quantum_refs in
@@ -256,10 +264,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
     loop ()
   in
   let occupancy idx =
-    (* lint: allow L3 — commutative count over all bindings is order-independent *)
-    Hashtbl.fold
-      (fun k _ acc -> if job_of_key k = idx then acc + 1 else acc)
-      resident 0
+    Array.length (Paging.Resident.filter resident (fun k -> job_of_key k = idx))
   in
   let shed_one c =
     let candidates =

@@ -8,7 +8,7 @@ type code =
 type t = { file : string; line : int; col : int; code : code; message : string }
 
 val code_id : code -> string
-(** ["L1"].. ["L6"], ["parse"], ["pragma"]. *)
+(** A rule's {!Rule.id}, ["parse"] or ["pragma"]. *)
 
 val code_slug : code -> string
 

@@ -37,6 +37,12 @@ let next_word s i =
   let fin = stop start in
   if fin = start then None else Some (String.sub s start (fin - start), fin)
 
+(* The ids a pragma may name, e.g. "L1..L7", read off the rule list. *)
+let rule_range =
+  match (Rule.all, List.rev Rule.all) with
+  | first :: _, last :: _ -> Printf.sprintf "%s..%s" (Rule.id first) (Rule.id last)
+  | _ -> "no rules"
+
 (* Parse one pragma starting right after its "lint:" marker.  The shape
    is `allow RULE — reason` or `allow-file RULE — reason`; the reason is
    mandatory (an allowlist entry without a why is itself a defect). *)
@@ -56,13 +62,15 @@ let parse_at ~lineno rest =
      | Error _ as e -> e
      | Ok scope ->
        (match next_word rest after_kw with
-        | None -> Error (lineno, "lint pragma names no rule (L1..L6)")
+        | None ->
+          Error (lineno, Printf.sprintf "lint pragma names no rule (%s)" rule_range)
         | Some (rule_word, after_rule) ->
           (match Rule.of_string rule_word with
            | None ->
              Error
                ( lineno,
-                 Printf.sprintf "lint pragma names unknown rule %S (L1..L6)" rule_word )
+                 Printf.sprintf "lint pragma names unknown rule %S (%s)" rule_word
+                   rule_range )
            | Some rule ->
              (* Anything substantive after the rule id is the reason;
                 the comment closer alone does not count. *)

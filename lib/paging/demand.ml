@@ -16,7 +16,8 @@ type t = {
   device : Device.Model.t option;  (* timed backing store; None = flat latency *)
   recovery : recovery;
   page_table : Page_table.t;
-  frame_table : Frame_table.t;
+  resident : Resident.t;  (* resident pages *)
+  free : Resident.t;  (* free frames, the lowest taken first *)
   ready_at : int array;  (* per page: completion time of an in-flight fetch *)
   space_time : Metrics.Space_time.t;
   timeline : Metrics.Timeline.t;
@@ -38,12 +39,17 @@ let create ?(obs = Obs.Sink.null) ?device ?(recovery = Mirror) cfg =
   assert (Memstore.Level.size cfg.core >= cfg.frames * cfg.page_size);
   assert (Memstore.Level.size cfg.backing >= cfg.pages * cfg.page_size);
   let tracing = Obs.Sink.is_active obs in
+  let free = Resident.create ~capacity:cfg.frames in
+  for frame = 0 to cfg.frames - 1 do
+    Resident.add free frame
+  done;
   {
     cfg;
     device;
     recovery;
     page_table = Page_table.create ~pages:cfg.pages;
-    frame_table = Frame_table.create ~frames:cfg.frames;
+    resident = Resident.create ~capacity:cfg.frames;
+    free;
     ready_at = Array.make cfg.pages 0;
     space_time = Metrics.Space_time.create ();
     timeline = Metrics.Timeline.create ();
@@ -75,7 +81,7 @@ let emit_io_pair t ~io ~page ~finish =
   Obs.Sink.emit t.obs (Obs.Event.make ~t_us:start (Obs.Event.Io_start { req; page; io }));
   Obs.Sink.emit t.obs (Obs.Event.make ~t_us:finish (Obs.Event.Io_done { req; page; io }))
 
-let resident_count t = Page_table.resident_count t.page_table
+let resident_count t = Resident.length t.resident
 
 let resident_words t = resident_count t * t.cfg.page_size
 
@@ -91,11 +97,7 @@ let timed t state f =
   result
 
 let candidates t =
-  let unlocked =
-    List.filter (fun p -> not (Page_table.locked t.page_table ~page:p))
-      (Page_table.resident t.page_table)
-  in
-  Array.of_list unlocked
+  Resident.filter t.resident (fun page -> not (Page_table.locked t.page_table ~page))
 
 let evict_page t page =
   let frame =
@@ -130,12 +132,13 @@ let evict_page t page =
     if t.tracing then emit t (Writeback { page })
   end;
   Page_table.evict t.page_table ~page;
-  Frame_table.release t.frame_table ~frame;
+  Resident.remove t.resident page;
+  Resident.add t.free frame;
   t.cfg.policy.Replacement.on_evict ~page;
   if t.tracing then emit t (Eviction { page })
 
 let free_a_frame t =
-  match Frame_table.find_free t.frame_table with
+  match Resident.lowest t.free with
   | Some frame -> frame
   | None ->
     let pool = candidates t in
@@ -146,12 +149,13 @@ let free_a_frame t =
           t.cfg.policy.Replacement.choose_victim ~candidates:pool)
     in
     evict_page t victim;
-    (match Frame_table.find_free t.frame_table with
+    (match Resident.lowest t.free with
      | Some frame -> frame
      | None -> assert false)
 
 let install t ~page ~frame ~finish =
-  Frame_table.assign t.frame_table ~frame ~page;
+  Resident.remove t.free frame;
+  Resident.add t.resident page;
   Page_table.install t.page_table ~page ~frame;
   t.ready_at.(page) <- finish;
   t.cfg.policy.Replacement.on_load ~page
@@ -296,8 +300,7 @@ let touch_result t name ~write =
   match frame with
   | Error _ as e -> e
   | Ok frame ->
-    if write then Page_table.mark_modified t.page_table ~page
-    else Page_table.mark_used t.page_table ~page;
+    if write then Page_table.mark_modified t.page_table ~page;
     Ok ((frame * t.cfg.page_size) + offset)
 
 (* Under the default [Mirror] recovery every fetch succeeds, so the
@@ -344,7 +347,7 @@ let frame_of t ~page = Page_table.frame_of t.page_table page
 
 let advise_will_need t ~page =
   if page >= 0 && page < t.cfg.pages && frame_of t ~page = None then begin
-    match Frame_table.find_free t.frame_table with
+    match Resident.lowest t.free with
     | None -> ()  (* advisory: no free frame, no prefetch *)
     | Some frame ->
       (match start_fetch t ~kind:Device.Request.Prefetch ~page ~frame with
@@ -372,7 +375,7 @@ let lock t ~page =
      await t page
    | Some _ -> ());
   Page_table.lock t.page_table ~page;
-  if Array.length (candidates t) = 0 && Frame_table.free_count t.frame_table = 0 then begin
+  if Array.length (candidates t) = 0 && Resident.length t.free = 0 then begin
     Page_table.unlock t.page_table ~page;
     invalid_arg "Demand.lock: would leave no evictable frame"
   end

@@ -18,19 +18,8 @@ let run_writes ?(obs = Obs.Sink.null) ~frames ~policy ~write trace =
   in
   let tracing = Obs.Sink.is_active obs in
   let state = Bytes.make extent untouched in
-  (* The resident pages in ascending order, [set.(0 .. !n - 1)].  Once
-     full it is the candidate array itself. *)
-  let set = Array.make (min frames extent) 0 in
-  let n = ref 0 in
-  (* The index of the first resident page >= [page]. *)
-  let position page =
-    let lo = ref 0 and hi = ref !n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if set.(mid) < page then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
+  (* Once full, the set's array is the candidate array itself. *)
+  let set = Resident.create ~capacity:(min frames extent) in
   let faults = ref 0 and cold = ref 0 and evictions = ref 0 in
   for i = 0 to Array.length trace - 1 do
     let page = trace.(i) in
@@ -42,22 +31,17 @@ let run_writes ?(obs = Obs.Sink.null) ~frames ~policy ~write trace =
         incr cold;
         if tracing then Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Cold_fault { page }))
       end;
-      if !n >= frames then begin
-        let victim = policy.Replacement.choose_victim ~candidates:set in
+      if Resident.length set >= frames then begin
+        let victim = policy.Replacement.choose_victim ~candidates:(Resident.elements set) in
         assert (victim >= 0 && victim < extent && Bytes.get state victim = resident);
-        let at = position victim in
-        Array.blit set (at + 1) set at (!n - at - 1);
-        decr n;
+        Resident.remove set victim;
         Bytes.set state victim touched;
         policy.Replacement.on_evict ~page:victim;
         incr evictions;
         if tracing then
           Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Eviction { page = victim }))
       end;
-      let at = position page in
-      Array.blit set at set (at + 1) (!n - at);
-      set.(at) <- page;
-      incr n;
+      Resident.add set page;
       Bytes.set state page resident;
       policy.Replacement.on_load ~page
     end

@@ -27,7 +27,7 @@ val run :
     Raises [Invalid_argument] if the trace holds a negative page.  The
     run keeps one byte per page number up to the largest page
     referenced, as OPT's tables already do, and the resident pages in
-    one ascending array: once every frame is full, that array is the
+    a {!Resident.t}: once every frame is full, its array is the
     [candidates] of each victim choice. *)
 
 val fault_rate : result -> float

@@ -13,14 +13,12 @@ type config = {
   device : Device.Model.t option;
 }
 
-(* Per-resident-page state at whichever level holds it. *)
-type entry = { mutable last_use : int; mutable touches : int }
-
 type t = {
   cfg : config;
-  fast : (int, entry) Hashtbl.t;
-  bulk : (int, entry) Hashtbl.t;
-  mutable tick : int;
+  fast : Resident.t;
+  bulk : Resident.t;
+  lru : Replacement.t;  (* one recency order over both levels *)
+  touches : (int, int) Hashtbl.t;  (* per bulk page: touches since arrival, absent = 0 *)
   mutable refs : int;
   mutable faults : int;
   mutable promotions : int;
@@ -33,9 +31,10 @@ let create cfg =
   assert (cfg.fast_frames >= 0 && cfg.bulk_frames > 0);
   {
     cfg;
-    fast = Hashtbl.create 64;
-    bulk = Hashtbl.create 64;
-    tick = 0;
+    fast = Resident.create ~capacity:cfg.fast_frames;
+    bulk = Resident.create ~capacity:cfg.bulk_frames;
+    lru = Replacement.lru ();
+    touches = Hashtbl.create 64;
     refs = 0;
     faults = 0;
     promotions = 0;
@@ -44,49 +43,43 @@ let create cfg =
     hard_failures = 0;
   }
 
-let lru_victim table =
-  let best = ref None in
-  (* lint: allow L3 — argmin under the total (last_use, page) order is order-independent *)
-  Hashtbl.iter
-    (fun page entry ->
-      match !best with
-      | Some (best_page, e)
-        when e.last_use < entry.last_use
-             || (e.last_use = entry.last_use && best_page < page) -> ()
-      | Some _ | None -> best := Some (page, entry))
-    table;
-  match !best with
-  | Some (page, _) -> page
-  | None -> invalid_arg "Hierarchy: eviction from an empty level"
+(* Take the least recently used page out of a full level. *)
+let take_lru t level =
+  let page = t.lru.Replacement.choose_victim ~candidates:(Resident.elements level) in
+  Resident.remove level page;
+  page
 
 (* Make room in bulk core, pushing the LRU page back to the drum. *)
 let ensure_bulk_room t =
-  if Hashtbl.length t.bulk >= t.cfg.bulk_frames then
-    Hashtbl.remove t.bulk (lru_victim t.bulk)
+  if Resident.length t.bulk >= t.cfg.bulk_frames then begin
+    let page = take_lru t t.bulk in
+    Hashtbl.remove t.touches page;
+    t.lru.Replacement.on_evict ~page
+  end
 
-(* Demote fast core's LRU page into bulk core. *)
+(* Demote fast core's LRU page into bulk core; it keeps its last use. *)
 let demote t =
-  let page = lru_victim t.fast in
-  let entry = Hashtbl.find t.fast page in
-  Hashtbl.remove t.fast page;
+  let page = take_lru t t.fast in
   ensure_bulk_room t;
-  entry.touches <- 0;
-  Hashtbl.replace t.bulk page entry
+  Resident.add t.bulk page
 
-let promote t page entry =
+let promote t page =
   if t.cfg.fast_frames > 0 then begin
-    Hashtbl.remove t.bulk page;
-    if Hashtbl.length t.fast >= t.cfg.fast_frames then demote t;
-    entry.touches <- 0;
-    Hashtbl.replace t.fast page entry;
+    Resident.remove t.bulk page;
+    Hashtbl.remove t.touches page;
+    if Resident.length t.fast >= t.cfg.fast_frames then demote t;
+    Resident.add t.fast page;
     t.promotions <- t.promotions + 1
   end
 
-let should_promote t entry =
+(* Count a touch of a bulk page, then promote it if it has earned it. *)
+let touch_bulk t page =
+  let touches = 1 + Option.value (Hashtbl.find_opt t.touches page) ~default:0 in
+  Hashtbl.replace t.touches page touches;
   match t.cfg.promotion with
-  | Always -> true
-  | After k -> entry.touches >= k
-  | Never -> false
+  | Always -> promote t page
+  | After k -> if touches >= k then promote t page
+  | Never -> ()
 
 (* The hierarchy sits below the layers with a redundant copy to fall
    back on, so its recovery policy is Surface: a terminal drum failure
@@ -94,51 +87,47 @@ let should_promote t entry =
    (the wall-clock cost of the failed attempts is still charged). *)
 let touch_result t ~page =
   t.refs <- t.refs + 1;
-  t.tick <- t.tick + 1;
-  match Hashtbl.find_opt t.fast page with
-  | Some entry ->
-    entry.last_use <- t.tick;
-    entry.touches <- entry.touches + 1;
+  t.lru.Replacement.on_reference ~page ~write:false;
+  if Resident.mem t.fast page then begin
     t.fast_hits <- t.fast_hits + 1;
     t.elapsed_us <- t.elapsed_us + t.cfg.fast_us;
     Ok ()
-  | None ->
-    (match Hashtbl.find_opt t.bulk page with
-     | Some entry ->
-       entry.last_use <- t.tick;
-       entry.touches <- entry.touches + 1;
-       t.elapsed_us <- t.elapsed_us + t.cfg.bulk_us;
-       if should_promote t entry then promote t page entry;
-       Ok ()
-     | None ->
-       (* Drum fault: always lands in the bulk level first. *)
-       t.faults <- t.faults + 1;
-       let fetched =
-         match t.cfg.device with
-         | None ->
-           t.elapsed_us <- t.elapsed_us + t.cfg.fetch_us + t.cfg.bulk_us;
+  end
+  else if Resident.mem t.bulk page then begin
+    t.elapsed_us <- t.elapsed_us + t.cfg.bulk_us;
+    touch_bulk t page;
+    Ok ()
+  end
+  else begin
+    (* Drum fault: always lands in the bulk level first. *)
+    t.faults <- t.faults + 1;
+    let fetched =
+      match t.cfg.device with
+      | None ->
+        t.elapsed_us <- t.elapsed_us + t.cfg.fetch_us + t.cfg.bulk_us;
+        Ok ()
+      | Some m ->
+        (match
+           Device.Model.fetch_result m ~now:t.elapsed_us
+             ~kind:Device.Request.Demand ~page ~words:0
+         with
+         | Ok fin ->
+           t.elapsed_us <- fin + t.cfg.bulk_us;
            Ok ()
-         | Some m ->
-           (match
-              Device.Model.fetch_result m ~now:t.elapsed_us
-                ~kind:Device.Request.Demand ~page ~words:0
-            with
-            | Ok fin ->
-              t.elapsed_us <- fin + t.cfg.bulk_us;
-              Ok ()
-            | Error f ->
-              t.hard_failures <- t.hard_failures + 1;
-              t.elapsed_us <- max t.elapsed_us f.at_us;
-              Error (Resilience.Failure.of_device f))
-       in
-       (match fetched with
-        | Error _ as e -> e
-        | Ok () ->
-          ensure_bulk_room t;
-          let entry = { last_use = t.tick; touches = 1 } in
-          Hashtbl.replace t.bulk page entry;
-          if should_promote t entry then promote t page entry;
-          Ok ()))
+         | Error f ->
+           t.hard_failures <- t.hard_failures + 1;
+           t.elapsed_us <- max t.elapsed_us f.at_us;
+           Error (Resilience.Failure.of_device f))
+    in
+    match fetched with
+    | Error _ as e -> e
+    | Ok () ->
+      ensure_bulk_room t;
+      Resident.add t.bulk page;
+      t.lru.Replacement.on_load ~page;
+      touch_bulk t page;
+      Ok ()
+  end
 
 let touch t ~page =
   match touch_result t ~page with

@@ -38,8 +38,9 @@ val create : config -> t
 val touch : t -> page:int -> unit
 (** One reference.  Served from fast core if the page is there; else
     from bulk core (possibly triggering promotion); else faulted in
-    from the drum.  Demotion/eviction is LRU at each level; a page
-    demoted from fast core returns to the bulk level.  A terminal drum
+    from the drum.  Demotion/eviction is LRU at each level, under one
+    recency order across both: a page demoted from fast core returns to
+    the bulk level with its last use.  A terminal drum
     failure (only under a [Fail]-escalation device) raises [Failure];
     use {!touch_result} to handle it. *)
 

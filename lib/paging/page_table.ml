@@ -1,28 +1,20 @@
 type entry = {
   mutable frame : int;
   mutable present : bool;
-  mutable used : bool;
   mutable modified : bool;
   mutable locked : bool;
 }
 
-type t = { entries : entry array; mutable resident_count : int }
+type t = entry array
 
 let create ~pages =
   assert (pages > 0);
-  {
-    entries =
-      Array.init pages (fun _ ->
-          { frame = -1; present = false; used = false; modified = false; locked = false });
-    resident_count = 0;
-  }
-
-let pages t = Array.length t.entries
+  Array.init pages (fun _ -> { frame = -1; present = false; modified = false; locked = false })
 
 let entry t page =
-  if page < 0 || page >= Array.length t.entries then
+  if page < 0 || page >= Array.length t then
     invalid_arg (Printf.sprintf "Page_table: page %d outside name space" page);
-  t.entries.(page)
+  t.(page)
 
 let frame_of t page =
   let e = entry t page in
@@ -33,28 +25,16 @@ let install t ~page ~frame =
   assert (not e.present);
   e.frame <- frame;
   e.present <- true;
-  e.used <- false;
-  e.modified <- false;
-  t.resident_count <- t.resident_count + 1
+  e.modified <- false
 
 let evict t ~page =
   let e = entry t page in
   if not e.present then invalid_arg "Page_table.evict: page not resident";
   if e.locked then invalid_arg "Page_table.evict: page is locked";
   e.present <- false;
-  e.frame <- -1;
-  t.resident_count <- t.resident_count - 1
+  e.frame <- -1
 
-let mark_used t ~page = (entry t page).used <- true
-
-let mark_modified t ~page =
-  let e = entry t page in
-  e.used <- true;
-  e.modified <- true
-
-let clear_used t ~page = (entry t page).used <- false
-
-let used t ~page = (entry t page).used
+let mark_modified t ~page = (entry t page).modified <- true
 
 let modified t ~page = (entry t page).modified
 
@@ -63,12 +43,3 @@ let lock t ~page = (entry t page).locked <- true
 let unlock t ~page = (entry t page).locked <- false
 
 let locked t ~page = (entry t page).locked
-
-let resident t =
-  let acc = ref [] in
-  for page = Array.length t.entries - 1 downto 0 do
-    if t.entries.(page).present then acc := page :: !acc
-  done;
-  !acc
-
-let resident_count t = t.resident_count

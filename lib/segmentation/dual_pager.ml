@@ -8,7 +8,8 @@ type config = {
 (* One frame pool with LRU replacement over packed page keys. *)
 type pool = {
   capacity : int;
-  resident : (int, int) Hashtbl.t;  (* key -> last use *)
+  resident : Paging.Resident.t;
+  lru : Paging.Replacement.t;
   mutable faults : int;
 }
 
@@ -20,7 +21,6 @@ type t = {
   large : pool;
   mutable segments : seg array;
   mutable seg_count : int;
-  mutable tick : int;
   mutable refs : int;
 }
 
@@ -29,14 +29,20 @@ let key_bits = 24
 let create cfg =
   assert (cfg.small_page > 0 && cfg.large_page mod cfg.small_page = 0);
   assert (cfg.small_frames >= 0 && cfg.large_frames >= 0);
-  let pool capacity = { capacity; resident = Hashtbl.create 64; faults = 0 } in
+  let pool capacity =
+    {
+      capacity;
+      resident = Paging.Resident.create ~capacity;
+      lru = Paging.Replacement.lru ();
+      faults = 0;
+    }
+  in
   {
     cfg;
     small = pool cfg.small_frames;
     large = pool cfg.large_frames;
     segments = [||];
     seg_count = 0;
-    tick = 0;
     refs = 0;
   }
 
@@ -52,27 +58,23 @@ let add_segment t ~length =
   t.segments.(id) <- { length };
   id
 
-let pool_touch t pool key =
-  t.tick <- t.tick + 1;
-  if Hashtbl.mem pool.resident key then Hashtbl.replace pool.resident key t.tick
+(* A pool of no frames faults on every reference and holds nothing. *)
+let pool_touch pool key =
+  if pool.capacity = 0 then pool.faults <- pool.faults + 1
   else begin
-    pool.faults <- pool.faults + 1;
-    if pool.capacity = 0 then ()
-    else begin
-      if Hashtbl.length pool.resident >= pool.capacity then begin
-        (* LRU victim. *)
-        let victim = ref (-1) and oldest = ref max_int in
-        (* lint: allow L3 — argmin under the total (last, key) order is order-independent *)
-        Hashtbl.iter
-          (fun k last ->
-            if last < !oldest || (last = !oldest && k < !victim) then begin
-              victim := k;
-              oldest := last
-            end)
-          pool.resident;
-        Hashtbl.remove pool.resident !victim
+    pool.lru.Paging.Replacement.on_reference ~page:key ~write:false;
+    if not (Paging.Resident.mem pool.resident key) then begin
+      pool.faults <- pool.faults + 1;
+      if Paging.Resident.length pool.resident >= pool.capacity then begin
+        let victim =
+          pool.lru.Paging.Replacement.choose_victim
+            ~candidates:(Paging.Resident.elements pool.resident)
+        in
+        Paging.Resident.remove pool.resident victim;
+        pool.lru.Paging.Replacement.on_evict ~page:victim
       end;
-      Hashtbl.replace pool.resident key t.tick
+      Paging.Resident.add pool.resident key;
+      pool.lru.Paging.Replacement.on_load ~page:key
     end
   end
 
@@ -88,9 +90,9 @@ let touch t ~segment ~offset ~write =
   t.refs <- t.refs + 1;
   let body = body_words t s.length in
   if offset < body then
-    pool_touch t t.large ((segment lsl key_bits) lor (offset / t.cfg.large_page))
+    pool_touch t.large ((segment lsl key_bits) lor (offset / t.cfg.large_page))
   else
-    pool_touch t t.small
+    pool_touch t.small
       ((segment lsl key_bits) lor ((offset - body) / t.cfg.small_page))
 
 let refs t = t.refs
@@ -102,20 +104,19 @@ let large_faults t = t.large.faults
 let faults t = t.small.faults + t.large.faults
 
 let resident_words t =
-  (Hashtbl.length t.small.resident * t.cfg.small_page)
-  + (Hashtbl.length t.large.resident * t.cfg.large_page)
+  (Paging.Resident.length t.small.resident * t.cfg.small_page)
+  + (Paging.Resident.length t.large.resident * t.cfg.large_page)
 
 let resident_useful_words t =
   let useful = ref 0 in
   let count pool page_words tail_of =
-    (* lint: allow L3 — commutative sum over all bindings is order-independent *)
-    Hashtbl.iter
-      (fun key _ ->
+    Array.iter
+      (fun key ->
         let segment = key lsr key_bits and page = key land ((1 lsl key_bits) - 1) in
         let s = t.segments.(segment) in
         let base = tail_of s + (page * page_words) in
         useful := !useful + min page_words (s.length - base))
-      pool.resident
+      (Paging.Resident.elements pool.resident)
   in
   count t.large t.cfg.large_page (fun _ -> 0);
   count t.small t.cfg.small_page (fun s -> body_words t s.length);

@@ -16,7 +16,7 @@ type t = {
   cfg : config;
   mutable segments : seg array;
   mutable seg_count : int;
-  resident : (int, unit) Hashtbl.t;  (* resident page keys *)
+  resident : Paging.Resident.t;  (* resident page keys *)
   mutable refs : int;
   mutable faults : int;
   mutable map_accesses : int;
@@ -28,7 +28,7 @@ let create cfg =
     cfg;
     segments = [||];
     seg_count = 0;
-    resident = Hashtbl.create 64;
+    resident = Paging.Resident.create ~capacity:cfg.frames;
     refs = 0;
     faults = 0;
     map_accesses = 0;
@@ -58,18 +58,6 @@ let grow_segment t ~segment ~new_length =
   if new_length <= s.length then invalid_arg "Two_level.grow_segment: not larger";
   s.length <- new_length
 
-let candidates t =
-  let a = Array.make (Hashtbl.length t.resident) 0 in
-  let i = ref 0 in
-  (* lint: allow L3 — the array is sorted immediately after filling *)
-  Hashtbl.iter
-    (fun k () ->
-      a.(!i) <- k;
-      incr i)
-    t.resident;
-  Array.sort compare a;
-  a
-
 let touch t ~segment ~offset ~write =
   let s = seg t segment in
   if offset < 0 || offset >= s.length then
@@ -86,17 +74,20 @@ let touch t ~segment ~offset ~write =
   if not translated then begin
     (* Walk the segment table, then the page table: two map accesses. *)
     t.map_accesses <- t.map_accesses + 2;
-    if not (Hashtbl.mem t.resident k) then begin
+    if not (Paging.Resident.mem t.resident k) then begin
       t.faults <- t.faults + 1;
-      if Hashtbl.length t.resident >= t.cfg.frames then begin
-        let victim = t.cfg.policy.Paging.Replacement.choose_victim ~candidates:(candidates t) in
-        Hashtbl.remove t.resident victim;
+      if Paging.Resident.length t.resident >= t.cfg.frames then begin
+        let victim =
+          t.cfg.policy.Paging.Replacement.choose_victim
+            ~candidates:(Paging.Resident.elements t.resident)
+        in
+        Paging.Resident.remove t.resident victim;
         t.cfg.policy.Paging.Replacement.on_evict ~page:victim;
         match t.cfg.tlb with
         | Some tlb -> Paging.Tlb.invalidate tlb ~key:victim
         | None -> ()
       end;
-      Hashtbl.replace t.resident k ();
+      Paging.Resident.add t.resident k;
       t.cfg.policy.Paging.Replacement.on_load ~page:k
     end;
     match t.cfg.tlb with
@@ -115,7 +106,7 @@ let map_accesses t = t.map_accesses
 
 let tlb t = t.cfg.tlb
 
-let resident_pages t = Hashtbl.length t.resident
+let resident_pages t = Paging.Resident.length t.resident
 
 let effective_access_us t ~word_us =
   if t.refs = 0 then 0.

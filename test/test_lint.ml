@@ -114,6 +114,11 @@ let test_pragma_hygiene () =
     "let f () = failwith \"x\" (* lint: allow L4 *)\n";
   check_codes "unknown rule flagged" [ "pragma" ]
     "(* lint: allow L9 — no such rule *)\nlet x = 1\n";
+  (match lint "(* lint: allow L9 — no such rule *)\nlet x = 1\n" with
+   | [ d ] ->
+     Alcotest.(check string) "message names the rules up to L7"
+       "lint pragma names unknown rule \"L9\" (L1..L7)" d.message
+   | ds -> Alcotest.failf "expected one pragma diagnostic, got %d" (List.length ds));
   check_codes "unknown keyword flagged" [ "pragma" ]
     "(* lint: permit L4 — wrong verb *)\nlet x = 1\n";
   check_codes "marker in string ignored" []

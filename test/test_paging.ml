@@ -1,4 +1,4 @@
-(* Tests for the paging library: page/frame tables, TLB, replacement
+(* Tests for the paging library: page tables, resident sets, TLB, replacement
    policies, the fault simulator and the timed demand engine. *)
 
 let check_int = Alcotest.(check int)
@@ -11,12 +11,12 @@ let test_page_table_lifecycle () =
   check_bool "absent" true (Paging.Page_table.frame_of pt 3 = None);
   Paging.Page_table.install pt ~page:3 ~frame:1;
   check_bool "present" true (Paging.Page_table.frame_of pt 3 = Some 1);
-  check_int "resident" 1 (Paging.Page_table.resident_count pt);
   Paging.Page_table.mark_modified pt ~page:3;
-  check_bool "modified implies used" true (Paging.Page_table.used pt ~page:3);
+  check_bool "modified" true (Paging.Page_table.modified pt ~page:3);
   Paging.Page_table.evict pt ~page:3;
   check_bool "gone" true (Paging.Page_table.frame_of pt 3 = None);
-  check_int "none resident" 0 (Paging.Page_table.resident_count pt)
+  Paging.Page_table.install pt ~page:3 ~frame:0;
+  check_bool "install clears modified" false (Paging.Page_table.modified pt ~page:3)
 
 let test_page_table_bounds () =
   let pt = Paging.Page_table.create ~pages:4 in
@@ -35,23 +35,33 @@ let test_page_table_lock () =
      | exception Invalid_argument _ -> true);
   Paging.Page_table.unlock pt ~page:0;
   Paging.Page_table.evict pt ~page:0;
-  check_int "evictable after unlock" 0 (Paging.Page_table.resident_count pt)
+  check_bool "evictable after unlock" true (Paging.Page_table.frame_of pt 0 = None)
 
-(* --- Frame_table --- *)
+(* --- Resident --- *)
 
-let test_frame_table () =
-  let ft = Paging.Frame_table.create ~frames:3 in
-  check_bool "lowest free" true (Paging.Frame_table.find_free ft = Some 0);
-  Paging.Frame_table.assign ft ~frame:0 ~page:9;
-  check_bool "next free" true (Paging.Frame_table.find_free ft = Some 1);
-  check_bool "occupant" true (Paging.Frame_table.occupant ft 0 = Some 9);
-  check_int "free count" 2 (Paging.Frame_table.free_count ft);
-  check_bool "double assign" true
-    (match Paging.Frame_table.assign ft ~frame:0 ~page:1 with
-     | () -> false
-     | exception Invalid_argument _ -> true);
-  Paging.Frame_table.release ft ~frame:0;
-  check_int "released" 3 (Paging.Frame_table.free_count ft)
+let raises_invalid f = match f () with () -> false | exception Invalid_argument _ -> true
+
+(* Demand's free frames: taken lowest first, returned in any order. *)
+let test_resident_lowest_first () =
+  let free = Paging.Resident.create ~capacity:3 in
+  List.iter (Paging.Resident.add free) [ 2; 0; 1 ];
+  check_bool "lowest free" true (Paging.Resident.lowest free = Some 0);
+  Paging.Resident.remove free 0;
+  check_bool "next free" true (Paging.Resident.lowest free = Some 1);
+  check_int "free count" 2 (Paging.Resident.length free);
+  check_bool "members" true (Paging.Resident.mem free 2);
+  check_bool "taken" false (Paging.Resident.mem free 0);
+  check_bool "double take" true (raises_invalid (fun () -> Paging.Resident.remove free 0));
+  check_bool "double release" true (raises_invalid (fun () -> Paging.Resident.add free 1));
+  Paging.Resident.add free 0;
+  check_bool "over capacity" true (raises_invalid (fun () -> Paging.Resident.add free 7));
+  let all = Paging.Resident.elements free in
+  Alcotest.(check (array int)) "ascending" [| 0; 1; 2 |] all;
+  check_bool "lent when full" true (all == Paging.Resident.elements free);
+  Alcotest.(check (array int)) "filtered copy" [| 0; 2 |]
+    (Paging.Resident.filter free (fun f -> f <> 1));
+  Paging.Resident.remove free 2;
+  Alcotest.(check (array int)) "copy when not full" [| 0; 1 |] (Paging.Resident.elements free)
 
 (* --- Tlb --- *)
 
@@ -340,6 +350,109 @@ let opt_exhaustive_oracle =
       let trace = Array.of_list refs in
       faults ~frames (Paging.Replacement.opt trace) trace
       = exhaustive_min_faults trace ~frames)
+
+(* Hierarchy's faults with a flat drum; the timings do not matter. *)
+let hierarchy_faults ~fast_frames ~bulk_frames promotion trace =
+  let h =
+    Paging.Hierarchy.create
+      {
+        Paging.Hierarchy.fast_frames;
+        bulk_frames;
+        fast_us = 1;
+        bulk_us = 2;
+        fetch_us = 100;
+        promotion;
+        device = None;
+      }
+  in
+  Paging.Hierarchy.run h trace;
+  Paging.Hierarchy.faults h
+
+(* Under Never the fast level stays empty: bulk core is plain LRU. *)
+let hierarchy_never_oracle =
+  QCheck.Test.make ~name:"Hierarchy Never = stack distance at bulk_frames" ~count:100
+    QCheck.(
+      triple (int_range 0 4) (int_range 1 6)
+        (list_of_size Gen.(int_range 1 200) (int_bound 15)))
+    (fun (fast_frames, bulk_frames, refs) ->
+      let trace = Array.of_list refs in
+      hierarchy_faults ~fast_frames ~bulk_frames Paging.Hierarchy.Never trace
+      = stack_distance_faults trace ~frames:bulk_frames)
+
+(* Under Always every touched page moves to fast core and fast core's
+   LRU page moves down, so the two levels hold one LRU stack: fast core
+   its top, bulk core the rest. *)
+let hierarchy_always_oracle =
+  QCheck.Test.make ~name:"Hierarchy Always = stack distance at fast + bulk" ~count:100
+    QCheck.(
+      triple (int_range 1 4) (int_range 1 6)
+        (list_of_size Gen.(int_range 1 200) (int_bound 15)))
+    (fun (fast_frames, bulk_frames, refs) ->
+      let trace = Array.of_list refs in
+      hierarchy_faults ~fast_frames ~bulk_frames Paging.Hierarchy.Always trace
+      = stack_distance_faults trace ~frames:(fast_frames + bulk_frames))
+
+(* Segments of 1..40 words and (segment, offset) references, drawn
+   large; [in_range] reduces each reference into its segment. *)
+let segmented_refs =
+  QCheck.(
+    pair
+      (list_of_size Gen.(int_range 1 4) (int_range 1 40))
+      (list_of_size Gen.(int_range 1 200) (pair small_nat small_nat)))
+
+let in_range (lengths, refs) =
+  let lengths = Array.of_list lengths in
+  let reduce (s, o) =
+    let s = s mod Array.length lengths in
+    (s, o mod lengths.(s))
+  in
+  (lengths, List.map reduce refs)
+
+(* Each Dual_pager pool is LRU over its own pages: a reference falls in
+   the large pool when it lies in its segment's whole large pages.  With
+   no frames, a pool faults on every reference (stack distance at 0). *)
+let dual_pager_oracle =
+  QCheck.Test.make ~name:"Dual_pager pools = stack distance per pool" ~count:100
+    QCheck.(pair (pair (int_range 0 3) (int_range 0 3)) segmented_refs)
+    (fun ((small_frames, large_frames), segmented) ->
+      let module D = Segmentation.Dual_pager in
+      let lengths, refs = in_range segmented in
+      let small_page = 4 and large_page = 16 in
+      let d = D.create { D.small_page; large_page; small_frames; large_frames } in
+      Array.iter (fun length -> ignore (D.add_segment d ~length)) lengths;
+      List.iter (fun (segment, offset) -> D.touch d ~segment ~offset ~write:false) refs;
+      let body s = lengths.(s) / large_page * large_page in
+      let large, small = List.partition (fun (s, o) -> o < body s) refs in
+      let keys page l = Array.of_list (List.map (fun (s, o) -> (s * 100) + page s o) l) in
+      let large = keys (fun _ o -> o / large_page) large
+      and small = keys (fun s o -> (o - body s) / small_page) small in
+      D.large_faults d = stack_distance_faults large ~frames:large_frames
+      && D.small_faults d = stack_distance_faults small ~frames:small_frames
+      && (large_frames > 0 || D.large_faults d = Array.length large)
+      && (small_frames > 0 || D.small_faults d = Array.length small))
+
+(* Two_level without a TLB is Fault_sim over (segment, page) keys: the
+   same faults as Fault_sim on the keys renamed 0, 1, ... in their own
+   order, which keeps every policy's view of its candidates. *)
+let two_level_oracle =
+  QCheck.Test.make ~name:"Two_level = Fault_sim on dense keys" ~count:60
+    QCheck.(triple (int_range 1 6) small_nat segmented_refs)
+    (fun (frames, seed, segmented) ->
+      let module T = Segmentation.Two_level in
+      let lengths, refs = in_range segmented in
+      let page_size = 4 in
+      let pages = List.map (fun (s, o) -> (s, o / page_size)) refs in
+      let keys = Array.of_list (List.sort_uniq compare pages) in
+      let rec rank p i = if keys.(i) = p then i else rank p (i + 1) in
+      let dense = Array.of_list (List.map (fun p -> rank p 0) pages) in
+      List.for_all
+        (fun spec ->
+          let policy () = Paging.Spec.instantiate spec ~rng:(Sim.Rng.create seed) ~trace:None in
+          let t = T.create { T.page_size; frames; tlb = None; policy = policy () } in
+          Array.iter (fun length -> ignore (T.add_segment t ~length)) lengths;
+          List.iter (fun (segment, offset) -> T.touch t ~segment ~offset ~write:false) refs;
+          T.faults t = (Paging.Fault_sim.run ~frames ~policy:(policy ()) dense).faults)
+        Paging.Spec.all_practical)
 
 (* --- Demand engine --- *)
 
@@ -703,7 +816,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_page_table_bounds;
           Alcotest.test_case "lock" `Quick test_page_table_lock;
         ] );
-      ("frame_table", [ Alcotest.test_case "lifecycle" `Quick test_frame_table ]);
+      ("resident", [ Alcotest.test_case "lowest first" `Quick test_resident_lowest_first ]);
       ( "tlb",
         [
           Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;
@@ -733,6 +846,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest lru_stack_distance_oracle;
           QCheck_alcotest.to_alcotest opt_exhaustive_oracle;
+          QCheck_alcotest.to_alcotest hierarchy_never_oracle;
+          QCheck_alcotest.to_alcotest hierarchy_always_oracle;
+          QCheck_alcotest.to_alcotest dual_pager_oracle;
+          QCheck_alcotest.to_alcotest two_level_oracle;
         ] );
       ( "lifetime",
         [
