@@ -215,7 +215,7 @@ type loaded = {
 
 (* Flatten a dsas-metrics/1 document to scalar bindings: counters and
    gauges by name; stats as .mean/.min/.max/.count; histograms as
-   .p50/.p90/.p99/.count.  Series are shapes, not scalars — skipped. *)
+   .p50/.p90/.p99/.count.  The series section, always empty, is skipped. *)
 let flatten_metrics doc =
   let section name f =
     match Obs.Json.member name doc with

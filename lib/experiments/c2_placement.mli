@@ -54,7 +54,7 @@ val point :
 
 val measure : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> row list
 (** With a sink, each allocator run reports alloc / free / split /
-    coalesce events; runs are spliced with {!Obs.Sink.shift} so
+    coalesce events; runs are spliced with {!Obs.Sink.segment} so
     timestamps stay monotone. *)
 
 val run : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> unit

@@ -37,7 +37,7 @@ val point :
 
 val measure : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> curve list
 (** With a sink, every simulated run reports fault / cold-fault /
-    eviction events; runs are spliced with {!Obs.Sink.shift} (one unit
+    eviction events; runs are spliced with {!Obs.Sink.segment} (one unit
     of time per reference) so timestamps stay monotone. *)
 
 val anomaly_rows : unit -> (int * int * int) list

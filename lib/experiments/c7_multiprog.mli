@@ -32,7 +32,7 @@ val point :
 
 val measure : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> row list
 (** With a sink, each scheduler run reports job_start / job_stop and
-    fault / eviction events; runs are spliced with {!Obs.Sink.shift} by
+    fault / eviction events; runs are spliced with {!Obs.Sink.segment} by
     accumulated elapsed time so timestamps stay monotone. *)
 
 val run : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> unit

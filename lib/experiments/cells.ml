@@ -512,7 +512,7 @@ let par_chaos_cell =
       Error "parameter \"fault_rate\" must be in [0, 1]"
     else begin
       (* Up to two kills per shard, each fired with [fault_rate] — two
-         stays inside the default restart budget, so escalation never
+         stays inside the restart budget, so escalation never
          muddies the grid.  The schedule is a pure function of the
          cell's seed. *)
       let rng = Sim.Rng.derive ~override:ctx.seed 0xC4A05 in

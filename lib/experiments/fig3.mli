@@ -40,7 +40,7 @@ val point :
 
 val measure : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> row list
 (** With a sink, every device run reports its paging events; successive
-    runs (each on a fresh clock) are spliced with {!Obs.Sink.shift} so
+    runs (each on a fresh clock) are spliced with {!Obs.Sink.segment} so
     timestamps stay monotone across the whole sweep. *)
 
 val run : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> unit

@@ -21,6 +21,6 @@ type row = {
 val measure : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> row list
 (** With a sink, each variant reports alloc / free / split / coalesce
     and (for the compacting variant) compaction_move events; variants
-    are spliced with {!Obs.Sink.shift} so timestamps stay monotone. *)
+    are spliced with {!Obs.Sink.segment} so timestamps stay monotone. *)
 
 val run : ?quick:bool -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> unit

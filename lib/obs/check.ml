@@ -42,9 +42,6 @@ let invariant_id = function
   | Watchdog_paired -> "watchdog-paired"
   | Watchdog_bounded -> "watchdog-bounded"
 
-let invariant_of_id s =
-  List.find_opt (fun i -> invariant_id i = s) all_invariants
-
 let invariant_doc = function
   | Schema ->
     "every line is a well-formed event object with sane fields (known event \
@@ -566,8 +563,6 @@ let check_lines ?limit (lines : Artifact.lines) =
   let c = create ?limit () in
   List.iter (fun (line, text) -> feed_text c ~line text) (Artifact.data lines);
   finish c ~line:(List.length lines.lines)
-
-let check_jsonl ?limit path = Result.map (check_lines ?limit) (Artifact.read_lines path)
 
 let to_json (r : report) =
   Json.to_string

@@ -45,8 +45,6 @@ val invariant_id : invariant -> string
     ["shard-restart-bounded"], ["no-lost-shard-events"],
     ["watchdog-paired"], ["watchdog-bounded"]. *)
 
-val invariant_of_id : string -> invariant option
-
 val invariant_doc : invariant -> string
 (** One-sentence description, shown by [dsas_sim check --list-invariants]. *)
 
@@ -73,10 +71,6 @@ val check_lines : ?limit:int -> Artifact.lines -> report
 (** Validate trace lines already read ({!Artifact.read_lines}): blank
     lines and [#] comments are skipped, as in {!Query.load}, and
     unparsable lines are [Schema] violations in the report. *)
-
-val check_jsonl : ?limit:int -> string -> (report, string) result
-(** {!check_lines} over a JSONL trace file (["-"] is stdin).  [Error]
-    only for an unreadable file. *)
 
 val to_json : report -> string
 

@@ -216,5 +216,3 @@ let of_json line =
     (match (kind, int "t_us") with
      | Some kind, Some t_us when t_us >= 0 -> Some { t_us; kind }
      | _ -> None)
-
-let pp fmt t = Format.pp_print_string fmt (to_json t)

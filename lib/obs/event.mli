@@ -131,5 +131,3 @@ val to_json : t -> string
 val of_json : string -> t option
 (** Inverse of {!to_json}; [None] on malformed input or an unknown
     event name. *)
-
-val pp : Format.formatter -> t -> unit

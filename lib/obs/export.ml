@@ -153,7 +153,7 @@ let parse_folded text =
              let stack = String.sub line 0 sp in
              let weight = String.sub line (sp + 1) (String.length line - sp - 1) in
              (match float_of_string_opt weight with
-              | Some w when w > 0. && String.trim stack <> "" ->
+              | Some w when Float.is_finite w && w > 0. && String.trim stack <> "" ->
                 incr ok;
                 add_stack root (String.split_on_char ';' (String.trim stack)) w
               | _ -> ()));

@@ -27,7 +27,8 @@ val flamegraph : ?title:string -> string -> (string, string) result
     bottom-up boxes, width proportional to cumulative weight, sibling
     order = first-appearance order, colors a deterministic hash of the
     frame name, each box carrying a [<title>] tooltip with its weight
-    and share.  [Error] when no line parses. *)
+    and share.  A line whose weight is not a positive finite number is
+    malformed and skipped; [Error] when no line parses. *)
 
 val telemetry_csv : Telemetry.snapshot list -> string
 (** One CSV table: [seq,t_us,shard] then one ["c.<name>"] column per

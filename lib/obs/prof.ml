@@ -38,8 +38,6 @@ let enable () =
 
 let disable () = on := false
 
-let enabled () = !on
-
 let reset () =
   Hashtbl.reset nodes;
   stack := []

@@ -32,8 +32,6 @@ val enable : unit -> unit
 val disable : unit -> unit
 (** Stop recording.  Accumulated rows survive until [reset]. *)
 
-val enabled : unit -> bool
-
 val reset : unit -> unit
 (** Drop all accumulated rows and the span stack. *)
 

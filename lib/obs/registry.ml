@@ -7,7 +7,6 @@ type t = {
   gauges : (string, gauge) Hashtbl.t;
   stats : (string, Metrics.Stats.t) Hashtbl.t;
   histograms : (string, Metrics.Histogram.t) Hashtbl.t;
-  series : (string, Series.t) Hashtbl.t;
   mutable meta : (string * string) list;
 }
 
@@ -17,7 +16,6 @@ let create () =
     gauges = Hashtbl.create 16;
     stats = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
-    series = Hashtbl.create 16;
     meta = [];
   }
 
@@ -48,8 +46,6 @@ let stats t name = get_or_create t.stats name Metrics.Stats.create
 
 let histogram t name ~default = get_or_create t.histograms name default
 
-let series t name = get_or_create t.series name Series.create
-
 let incr ?(by = 1) c = c.n <- c.n + by
 
 let counter_value c = c.n
@@ -58,19 +54,9 @@ let set g v = g.v <- v
 
 let gauge_value g = g.v
 
-type distribution = {
-  count : int;
-  mean : float;
-  min : float;
-  max : float;
-  total : float;
-}
-
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
-  distributions : (string * distribution) list;
-  series_lengths : (string * int) list;
 }
 
 let sorted_bindings tbl value =
@@ -79,28 +65,18 @@ let sorted_bindings tbl value =
     (* lint: allow L3 — the bindings are sorted by the enclosing List.sort *)
     (Hashtbl.fold (fun k v acc -> (k, value v) :: acc) tbl [])
 
-let distribution_of_stats s =
-  let count = Metrics.Stats.count s in
-  {
-    count;
-    mean = Metrics.Stats.mean s;
-    min = (if count = 0 then 0. else Metrics.Stats.min s);
-    max = (if count = 0 then 0. else Metrics.Stats.max s);
-    total = Metrics.Stats.total s;
-  }
-
 let snapshot (t : t) =
   {
     counters = sorted_bindings t.counters (fun c -> c.n);
     gauges = sorted_bindings t.gauges (fun g -> g.v);
-    distributions = sorted_bindings t.stats distribution_of_stats;
-    series_lengths = sorted_bindings t.series Series.length;
   }
 
-(* Full export: unlike [snapshot], which reduces every metric to summary
-   numbers, this serialises complete state — histogram buckets with
-   percentiles, stats moments, every series point — so a run's metrics
-   survive as a machine-readable artifact ([run --metrics-out]). *)
+(* Full export: unlike [snapshot], which keeps only counters and
+   gauges, this serialises complete state — histogram buckets with
+   percentiles, stats moments — so a run's metrics survive as a
+   machine-readable artifact ([run --metrics-out]).  The empty
+   "series" object keeps the dsas-metrics/1 bytes of earlier
+   artifacts. *)
 let to_json (t : t) =
   let stats_obj s =
     let count = Metrics.Stats.count s in
@@ -147,28 +123,5 @@ let to_json (t : t) =
                 ("gauges", section (sorted_bindings t.gauges Fun.id) (fun g -> Json.Float g.v));
                 ("stats", section (sorted_bindings t.stats Fun.id) stats_obj);
                 ("histograms", section (sorted_bindings t.histograms Fun.id) histogram_obj);
-                ("series", section (sorted_bindings t.series Fun.id) Series.to_json);
+                ("series", Json.Obj []);
               ])))
-
-let snapshot_to_json s =
-  Json.to_string
-    (Json.Obj
-       [
-         ("counters", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) s.counters));
-         ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) s.gauges));
-         ( "distributions",
-           Json.Obj
-             (List.map
-                (fun (k, d) ->
-                  ( k,
-                    Json.Obj
-                      [
-                        ("count", Json.Int d.count);
-                        ("mean", Json.Float d.mean);
-                        ("min", Json.Float d.min);
-                        ("max", Json.Float d.max);
-                        ("total", Json.Float d.total);
-                      ] ))
-                s.distributions) );
-         ("series", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) s.series_lengths));
-       ])

@@ -1,12 +1,12 @@
-(** A named-metrics registry: counters, gauges, distributions, and time
-    series, snapshottable mid-run.
+(** A named-metrics registry: counters, gauges and distributions, with
+    a mid-run snapshot of the counters and gauges.
 
     One registry per run (or per engine) gives instrumentation a place
     to accumulate without threading a record of every metric through
     the code.  Handles returned by the accessors are stable: look a
     metric up once, update it on the hot path for free.  Distributions
     are built over {!Metrics.Stats} (streaming moments) and
-    {!Metrics.Histogram}; series over {!Series}. *)
+    {!Metrics.Histogram}. *)
 
 type t
 
@@ -41,8 +41,6 @@ val histogram : t -> string -> default:(unit -> Metrics.Histogram.t) -> Metrics.
 (** [default] builds the histogram (choosing its bucketing scheme) the
     first time the name is seen. *)
 
-val series : t -> string -> Series.t
-
 (** {2 Updates} *)
 
 val incr : ?by:int -> counter -> unit
@@ -55,30 +53,20 @@ val gauge_value : gauge -> float
 
 (** {2 Snapshots} *)
 
-type distribution = {
-  count : int;
-  mean : float;
-  min : float;
-  max : float;
-  total : float;
-}
-
 type snapshot = {
   counters : (string * int) list;  (** sorted by name *)
-  gauges : (string * float) list;
-  distributions : (string * distribution) list;
-  series_lengths : (string * int) list;
+  gauges : (string * float) list;  (** sorted by name *)
 }
 
 val snapshot : t -> snapshot
-(** A consistent view of every registered metric, taken mid-run or at
-    the end.  Cheap: proportional to the number of metrics. *)
-
-val snapshot_to_json : snapshot -> string
+(** The counters and gauges now, taken mid-run or at the end (what
+    {!Telemetry.capture} records).  Cheap: proportional to the number
+    of metrics. *)
 
 val to_json : t -> string
 (** Full-state export, one JSON document: every counter and gauge,
-    stats with moments (count/mean/stddev/min/max/total), histograms
-    with their non-empty buckets plus p50/p90/p99 and exact min/max,
-    and every series point.  The artifact behind
-    [dsas_sim run --metrics-out]. *)
+    stats with moments (count/mean/stddev/min/max/total), and
+    histograms with their non-empty buckets plus p50/p90/p99 and exact
+    min/max.  The artifact behind [dsas_sim run --metrics-out]; its
+    ["series"] section is always empty, kept so that the
+    [dsas-metrics/1] bytes do not change. *)

@@ -1,50 +1,26 @@
-type ring_buffer = {
-  buf : Event.t option array;
-  mutable next : int;  (* slot for the next event *)
-  mutable seen : int;  (* total emitted, including overwritten *)
-}
-
-type sampler = { every : int; mutable count : int; probe : Event.t -> unit }
-
 type t =
   | Null
-  | Ring of ring_buffer
   | Jsonl of out_channel
   | Collect of (Event.t -> unit)
   | Tee of t * t
   | Shift of int * t
-  | Sample of sampler
 
 let null = Null
-
-let ring ~capacity =
-  if capacity < 1 then invalid_arg "Sink.ring: capacity must be positive";
-  Ring { buf = Array.make capacity None; next = 0; seen = 0 }
 
 let jsonl oc = Jsonl oc
 
 let collect f = Collect f
 
 (* Both combinators collapse over [Null] so that wrapping an inactive
-   sink stays inactive: engines given [shift ~offset null] still take
+   sink stays inactive: engines given [segment ~offset null] still take
    the zero-cost path. *)
 let tee a b = match (a, b) with Null, s | s, Null -> s | _ -> Tee (a, b)
-
-let shift ~offset inner = match inner with Null -> Null | _ -> Shift (offset, inner)
-
-let sample ~every probe =
-  if every < 1 then invalid_arg "Sink.sample: every must be positive";
-  Sample { every; count = 0; probe }
 
 let is_active = function Null -> false | _ -> true
 
 let rec emit t ev =
   match t with
   | Null -> ()
-  | Ring r ->
-    r.buf.(r.next) <- Some ev;
-    r.next <- (r.next + 1) mod Array.length r.buf;
-    r.seen <- r.seen + 1
   | Jsonl oc ->
     output_string oc (Event.to_json ev);
     output_char oc '\n'
@@ -53,17 +29,6 @@ let rec emit t ev =
     emit a ev;
     emit b ev
   | Shift (offset, inner) -> emit inner { ev with Event.t_us = ev.Event.t_us + offset }
-  | Sample s ->
-    (* Segment boundaries always pass: a sampled trace with its
-       run_start markers dropped cannot be scoped by Check or Query.
-       Boundaries do not advance the sampling counter, so the kept
-       subsequence of ordinary events is independent of how many
-       segments the stream was spliced from. *)
-    (match ev.Event.kind with
-     | Event.Run_start _ -> s.probe ev
-     | _ ->
-       s.count <- s.count + 1;
-       if s.count mod s.every = 0 then s.probe ev)
 
 let segment ?seed ?config ~run ~offset inner =
   match inner with
@@ -74,26 +39,9 @@ let segment ?seed ?config ~run ~offset inner =
     s
 
 let rec flush = function
-  | Null | Ring _ | Collect _ | Sample _ -> ()
+  | Null | Collect _ -> ()
   | Jsonl oc -> Stdlib.flush oc
   | Tee (a, b) ->
     flush a;
     flush b
   | Shift (_, inner) -> flush inner
-
-let ring_contents = function
-  | Ring r ->
-    (* Oldest first: slots [next..] wrapped around, skipping empties. *)
-    let cap = Array.length r.buf in
-    let acc = ref [] in
-    for i = cap - 1 downto 0 do
-      match r.buf.((r.next + i) mod cap) with
-      | Some ev -> acc := ev :: !acc
-      | None -> ()
-    done;
-    !acc
-  | Null | Jsonl _ | Collect _ | Tee _ | Shift _ | Sample _ -> []
-
-let ring_seen = function
-  | Ring r -> r.seen
-  | Null | Jsonl _ | Collect _ | Tee _ | Shift _ | Sample _ -> 0

@@ -11,49 +11,24 @@ type snapshot = {
 type t = {
   every_us : int;
   shard : int option;
-  ring : snapshot option array;
-  mutable next : int;
   mutable seq : int;
   mutable engine_us : int;  (* running max of non-io event times *)
   mutable due_us : int;
   mutable mirror : out_channel option;
   mutable on_capture : snapshot -> unit;
-  host_every_s : float option;
-  now : unit -> float;
-  mutable host_due : float;
 }
 
-let default_capacity = 256
-
-let create ?(capacity = default_capacity) ?shard ?host_every_s ?now ~every_us () =
+let create ?shard ~every_us () =
   if every_us < 1 then invalid_arg "Telemetry.create: every_us must be positive";
-  if capacity < 1 then invalid_arg "Telemetry.create: capacity must be positive";
-  (match host_every_s with
-   | Some s when s <= 0. -> invalid_arg "Telemetry.create: host_every_s must be positive"
-   | _ -> ());
-  (* The host-time cadence only exists when the caller injects a clock:
-     obs itself never reads wall time, so deterministic users simply
-     omit [now] and get pure engine-time behaviour. *)
-  let now = match now with Some f -> f | None -> fun () -> 0. in
   {
     every_us;
     shard;
-    ring = Array.make capacity None;
-    next = 0;
     seq = 0;
     engine_us = 0;
     due_us = every_us;
     mirror = None;
     on_capture = ignore;
-    host_every_s;
-    now;
-    host_due =
-      (match host_every_s with Some s -> now () +. s | None -> infinity);
   }
-
-let every_us t = t.every_us
-
-let shard t = t.shard
 
 let mirror t oc = t.mirror <- Some oc
 
@@ -113,8 +88,6 @@ let capture t ~t_us reg =
     }
   in
   t.seq <- t.seq + 1;
-  t.ring.(t.next) <- Some s;
-  t.next <- (t.next + 1) mod Array.length t.ring;
   (match t.mirror with
    | Some oc ->
      output_string oc (snapshot_to_json s);
@@ -132,27 +105,6 @@ let observe t ~t_us reg =
     let (_ : snapshot) = capture t ~t_us:t.engine_us reg in
     t.due_us <- ((t.engine_us / t.every_us) + 1) * t.every_us
   end
-  else
-    match t.host_every_s with
-    | None -> ()
-    | Some every_s ->
-      let h = t.now () in
-      if h >= t.host_due then begin
-        let (_ : snapshot) = capture t ~t_us:t.engine_us reg in
-        t.host_due <- h +. every_s
-      end
-
-let snapshots t =
-  let cap = Array.length t.ring in
-  let acc = ref [] in
-  for i = cap - 1 downto 0 do
-    match t.ring.((t.next + i) mod cap) with
-    | Some s -> acc := s :: !acc
-    | None -> ()
-  done;
-  Array.of_list !acc
-
-let captured t = t.seq
 
 (* --- event-stream tap --- *)
 
@@ -189,7 +141,7 @@ let events_sink t reg =
 
 let of_events ?shard ~every_us events =
   let reg = Registry.create () in
-  let ch = create ~capacity:1 ?shard ~every_us () in
+  let ch = create ?shard ~every_us () in
   let acc = ref [] in
   on_capture ch (fun s -> acc := s :: !acc);
   let sink = events_sink ch reg in

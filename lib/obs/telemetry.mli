@@ -1,11 +1,11 @@
 (** Live telemetry: periodic snapshots of a metrics registry.
 
     Traces and metrics files are post-mortem artifacts; telemetry is
-    the live view.  A channel samples a {!Registry} into a bounded ring
-    of timestamped {!snapshot}s on an engine-time cadence (every
-    [every_us] simulated microseconds), optionally mirrored as
-    append-only JSON lines (schema {!schema}) that [dsas_sim top] can
-    tail while the run is still going.
+    the live view.  A channel samples a {!Registry} into timestamped
+    {!snapshot}s on an engine-time cadence (every [every_us] simulated
+    microseconds) and delivers each one to its {!on_capture} callback
+    and its {!mirror}: append-only JSON lines (schema {!schema}) that
+    [dsas_sim top] can tail while the run is still going.
 
     Determinism contract: cadence is driven by {e engine} time — the
     running max of non-io event timestamps, the same clock
@@ -13,9 +13,8 @@
     the event stream.  Per-shard snapshot streams taken on different
     domains merge ({!merge}) into the same sequence at every
     [--domains] width, and {!of_events} recomputes the identical
-    sequence from a recovered trace.  A host-time cadence exists only
-    when the caller injects a wall clock; the library never reads one
-    (lint rule L1). *)
+    sequence from a recovered trace.  The library never reads a wall
+    clock (lint rule L1). *)
 
 val schema : string
 (** ["dsas-telemetry/1"] — stamped on every snapshot line. *)
@@ -29,26 +28,11 @@ type snapshot = {
 }
 
 type t
-(** A telemetry channel: cadence state plus the snapshot ring. *)
+(** A telemetry channel: cadence state and where snapshots go. *)
 
-val create :
-  ?capacity:int ->
-  ?shard:int ->
-  ?host_every_s:float ->
-  ?now:(unit -> float) ->
-  every_us:int ->
-  unit ->
-  t
-(** A channel capturing every [every_us] engine-µs, keeping the last
-    [capacity] (default 256) snapshots in memory.  [host_every_s] adds
-    a host-time fallback cadence — a capture at least every so many
-    wall seconds even when engine time stalls — but only takes effect
-    when [now] (a wall-clock reading, e.g. [Unix.gettimeofday]) is
-    injected by the caller; deterministic users omit both. *)
-
-val every_us : t -> int
-
-val shard : t -> int option
+val create : ?shard:int -> every_us:int -> unit -> t
+(** A channel capturing every [every_us] engine-µs ([every_us >= 1]),
+    tagging its snapshots with [shard]. *)
 
 val mirror : t -> out_channel -> unit
 (** Also append every subsequent snapshot as one JSON line to the
@@ -57,7 +41,7 @@ val mirror : t -> out_channel -> unit
 
 val on_capture : t -> (snapshot -> unit) -> unit
 (** Callback invoked after each capture — the hook watchdogs
-    ({!Watch}) attach to. *)
+    ({!Watch}) attach to, and the way to keep snapshots in memory. *)
 
 val observe : t -> t_us:int -> Registry.t -> unit
 (** Advance engine time to [max engine_us t_us] and capture a snapshot
@@ -70,12 +54,6 @@ val observe : t -> t_us:int -> Registry.t -> unit
 val capture : t -> t_us:int -> Registry.t -> snapshot
 (** Unconditional capture, bypassing the cadence (used at run end and
     by external paced callers such as the campaign parent). *)
-
-val snapshots : t -> snapshot array
-(** Snapshots still held by the ring, oldest first. *)
-
-val captured : t -> int
-(** Total snapshots ever captured (>= length of {!snapshots}). *)
 
 val events_sink : t -> Registry.t -> Sink.t
 (** A self-contained tap: fold every event into [reg] (per-kind

@@ -159,7 +159,7 @@ let run ~fn ?supervised ?(watch = []) ?(obs = Obs.Sink.null)
         match supervised with
         | None -> Ok (shard_run engine ~traced ~tick:noop_tick ~resume:None shard, None)
         | Some sv ->
-          Supervisor.supervise ~policy:(Supervisor.policy ())
+          Supervisor.supervise
             ~inject:
               (if sv.kills = [] then Supervisor.no_inject
                else Supervisor.inject_of_kills sv.kills)

@@ -165,7 +165,8 @@ val run_paging :
     verifying clock, RNG, event count and fault digest against the
     checkpoint ({!Checkpoint.Inconsistent} poisons an untrustworthy
     checkpoint and costs a restart).  Each strategy is its engine's
-    [resume]; restarts follow the default {!Supervisor.policy}.
+    [resume]; restarts follow {!Supervisor}'s fixed budget and
+    backoff.
 
     [checkpoint_every] counts workload steps (default 512; 0 disables
     checkpointing).  With [checkpoint_dir], checkpoints are mirrored

@@ -53,16 +53,13 @@ let parse_kills spec =
 
 exception Injected of fault
 
-type policy = {
-  max_restarts : int;
-  backoff_us : int;
-  backoff_seed : int;
-}
+(* The restart budget per shard, the linear backoff step in simulated
+   wall us, and the seed of the backoff jitter. *)
+let max_restarts = 3
 
-let policy ?(max_restarts = 3) ?(backoff_us = 250) ?(backoff_seed = 0xBAC0FF) () =
-  if max_restarts < 0 then invalid_arg "Supervisor.policy: max_restarts < 0";
-  if backoff_us < 0 then invalid_arg "Supervisor.policy: backoff_us < 0";
-  { max_restarts; backoff_us; backoff_seed }
+let backoff_us = 250
+
+let backoff_seed = 0xBAC0FF
 
 let no_inject ~shard:_ ~attempt:_ ~progress:_ = None
 
@@ -134,7 +131,7 @@ type outcome = {
   o_events : Obs.Event.t array;  (* supervision stream, emission order *)
 }
 
-let supervise ~policy ~inject ~checkpoint_every ~store ~shard ~run =
+let supervise ~inject ~checkpoint_every ~store ~shard ~run =
   let ctl =
     { c_shard = shard; c_every = checkpoint_every; c_store = store;
       c_inject = inject; c_attempt = 0; c_progress = 0; c_last_clock = 0;
@@ -142,9 +139,9 @@ let supervise ~policy ~inject ~checkpoint_every ~store ~shard ~run =
   in
   let crashes = ref 0 in
   let restarts = ref 0 in
-  (* One backoff stream per shard: deterministic for a given policy
-     seed regardless of how shards map to domains. *)
-  let backoff_rng = Sim.Rng.create (policy.backoff_seed lxor (shard * 0x9E3779B)) in
+  (* One backoff stream per shard: deterministic regardless of how
+     shards map to domains. *)
+  let backoff_rng = Sim.Rng.create (backoff_seed lxor (shard * 0x9E3779B)) in
   let rec attempt () =
     let resume = Checkpoint.load store in
     ctl.c_attempt <- !crashes;
@@ -178,7 +175,7 @@ let supervise ~policy ~inject ~checkpoint_every ~store ~shard ~run =
         Obs.Event.make ~t_us:t_crash
           (Obs.Event.Shard_crash { shard; attempt = !crashes })
         :: ctl.c_sup;
-      if !crashes > policy.max_restarts then
+      if !crashes > max_restarts then
         Error
           (match fault with
            | Crash ->
@@ -188,8 +185,8 @@ let supervise ~policy ~inject ~checkpoint_every ~store ~shard ~run =
              Resilience.Failure.Shard_stalled
                { shard; restarts = !restarts; at_us = t_crash })
       else begin
-        let jitter = Sim.Rng.int backoff_rng (max 1 policy.backoff_us) in
-        let backoff = (policy.backoff_us * !crashes) + jitter in
+        let jitter = Sim.Rng.int backoff_rng backoff_us in
+        let backoff = (backoff_us * !crashes) + jitter in
         incr restarts;
         let t_restart = t_crash + backoff in
         ctl.c_sup <-

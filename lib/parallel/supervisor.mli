@@ -14,7 +14,10 @@
     {e separate} trace segment: the engine trace of a recovered run is
     bit-identical to the fault-free run, which is the whole point.
 
-    A shard that exhausts [max_restarts] escalates as a typed
+    Each shard may restart 3 times.  The [n]-th restart waits [250 * n]
+    simulated wall µs plus a jitter below 250 µs, drawn from a seeded
+    per-shard stream — deterministic, independent of domain
+    scheduling.  The next fault escalates as a typed
     {!Resilience.Failure.t} ([Shard_crashed] or [Shard_stalled] after
     the last observed fault) instead of raising. *)
 
@@ -40,18 +43,6 @@ val parse_kills : string -> (kill list, string) result
 exception Injected of fault
 (** How an injected fault tears down the body mid-step.  Bodies do not
     need to catch it; the supervisor does. *)
-
-type policy = {
-  max_restarts : int;  (** restarts allowed per shard before escalation *)
-  backoff_us : int;  (** linear backoff step, in simulated wall us *)
-  backoff_seed : int;  (** seed of the deterministic backoff jitter *)
-}
-
-val policy : ?max_restarts:int -> ?backoff_us:int -> ?backoff_seed:int -> unit -> policy
-(** Defaults: 3 restarts, 250 us backoff step, a fixed jitter seed.
-    The [n]-th restart waits [backoff_us * n] plus a seeded jitter
-    drawn from a per-shard stream — simulated time, deterministic,
-    independent of domain scheduling. *)
 
 val no_inject : shard:int -> attempt:int -> progress:int -> fault option
 (** The zero-fault schedule. *)
@@ -92,7 +83,6 @@ type outcome = {
 }
 
 val supervise :
-  policy:policy ->
   inject:(shard:int -> attempt:int -> progress:int -> fault option) ->
   checkpoint_every:int ->
   store:Checkpoint.store ->
@@ -105,6 +95,6 @@ val supervise :
     and must tick {!step} per workload step.  Any exception out of
     [run] is a fault: {!Injected} keeps its type, a
     {!Checkpoint.Inconsistent} poisons (clears) the checkpoint before
-    the retry, anything else counts as a crash.  After
-    [policy.max_restarts] restarts the next fault escalates as
-    [Error] with a typed {!Resilience.Failure.t}. *)
+    the retry, anything else counts as a crash.  After 3 restarts the
+    next fault escalates as [Error] with a typed
+    {!Resilience.Failure.t}. *)

@@ -45,7 +45,7 @@ let add_counters totals counters =
       | None -> totals @ [ (k, v) ])
     totals counters
 
-let run ?(trace = Obs.Sink.null) ?progress ~scenarios ~runs ~seed () =
+let run ?(trace = Obs.Sink.null) ~scenarios ~runs ~seed () =
   assert (runs >= 1 && scenarios <> []);
   let rng = Sim.Rng.create seed in
   let n = List.length scenarios in
@@ -82,8 +82,7 @@ let run ?(trace = Obs.Sink.null) ?progress ~scenarios ~runs ~seed () =
         events = List.length events;
         check;
       }
-      :: !results;
-    (match progress with Some f -> f index | None -> ())
+      :: !results
   done;
   let runs = List.rev !results in
   let violation_count (r : Obs.Check.report) =
@@ -166,7 +165,7 @@ type sharded_summary = {
    plain buffering sinks; the harness splices the buffers into the
    JSONL trace afterwards as runs 2i (engine) and 2i+1 (supervision),
    when it knows the engine segment's time extent. *)
-let run_sharded ?(trace = Obs.Sink.null) ?progress ?kills ~scenarios ~shards
+let run_sharded ?(trace = Obs.Sink.null) ?kills ~scenarios ~shards
     ~steps ~runs ~seed () =
   assert (runs >= 1 && scenarios <> []);
   let rng = Sim.Rng.create seed in
@@ -218,8 +217,7 @@ let run_sharded ?(trace = Obs.Sink.null) ?progress ?kills ~scenarios ~shards
         sr_supervision_events = List.length sup_events;
         sr_check = check;
       }
-      :: !results;
-    (match progress with Some f -> f index | None -> ())
+      :: !results
   done;
   let rounds = List.rev !results in
   let violation_count (r : Obs.Check.report) =

@@ -46,7 +46,6 @@ val schedule : Sim.Rng.t -> Device.Fault.config
 
 val run :
   ?trace:Obs.Sink.t ->
-  ?progress:(int -> unit) ->
   scenarios:scenario list ->
   runs:int ->
   seed:int ->
@@ -56,8 +55,7 @@ val run :
     fresh {!schedule} draw.  Every round's event stream is collected
     and checked ({!Obs.Check.check_events}); [trace], if given, receives
     the spliced multi-run stream ({!Obs.Sink.segment} boundaries
-    included) for offline re-checking.  [progress] is called after each
-    round with its index. *)
+    included) for offline re-checking. *)
 
 val ok : summary -> bool
 (** Zero invariant violations. *)
@@ -84,9 +82,9 @@ val shard_schedule :
   Sim.Rng.t -> shards:int -> steps:int -> shard_kill list
 (** Draw one kill schedule: per shard, 0-2 kills at ascending workload
     steps in [1, steps], each a stall with probability 1/5.  At most 2
-    kills per shard keeps every schedule inside the default restart
-    budget — chaos exercises recovery; escalation is a deliberate,
-    separate test. *)
+    kills per shard keeps every schedule inside the supervisor's
+    restart budget (3) — chaos exercises recovery; escalation is a
+    deliberate, separate test. *)
 
 type shard_scenario = {
   sh_name : string;
@@ -120,7 +118,6 @@ type sharded_summary = {
 
 val run_sharded :
   ?trace:Obs.Sink.t ->
-  ?progress:(int -> unit) ->
   ?kills:shard_kill list ->
   scenarios:shard_scenario list ->
   shards:int ->

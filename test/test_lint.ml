@@ -268,9 +268,10 @@ let test_corrupt_fixture () =
   let fixture =
     resolve [ "fixtures/corrupt_trace.jsonl"; "test/fixtures/corrupt_trace.jsonl" ]
   in
-  match Obs.Check.check_jsonl fixture with
+  match Obs.Artifact.read_lines fixture with
   | Error msg -> Alcotest.failf "fixture unreadable: %s" msg
-  | Ok r ->
+  | Ok lines ->
+    let r = Obs.Check.check_lines lines in
     check_bool "not ok" false (Obs.Check.ok r);
     let ids = counts_ids r in
     List.iter

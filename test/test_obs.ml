@@ -1,6 +1,6 @@
 (* Tests for the observability layer: event encoding, sinks, the
-   metrics registry, series, run summaries — and the contract that a
-   null sink leaves engine results bit-identical. *)
+   metrics registry — and the contract that a null sink leaves engine
+   results bit-identical. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -142,103 +142,40 @@ let event_json_property =
 
 (* --- Sinks --- *)
 
-let test_ring_wraparound () =
-  let r = Obs.Sink.ring ~capacity:4 in
-  for i = 0 to 9 do
-    Obs.Sink.emit r (ev ~t_us:i (Obs.Event.Fault { page = i }))
-  done;
-  check_int "seen counts overwrites" 10 (Obs.Sink.ring_seen r);
-  let kept = Obs.Sink.ring_contents r in
-  check_int "capacity bounds retention" 4 (List.length kept);
-  Alcotest.(check (list int)) "last four, oldest first" [ 6; 7; 8; 9 ]
-    (List.map (fun e -> e.Obs.Event.t_us) kept)
-
-let test_ring_partial_fill () =
-  let r = Obs.Sink.ring ~capacity:8 in
-  Obs.Sink.emit r (List.hd one_of_each);
-  check_int "seen" 1 (Obs.Sink.ring_seen r);
-  check_int "kept" 1 (List.length (Obs.Sink.ring_contents r))
+let collect_into acc = Obs.Sink.collect (fun e -> acc := e :: !acc)
 
 let test_null_inactive_others_active () =
   check_bool "null inactive" false (Obs.Sink.is_active Obs.Sink.null);
-  check_bool "ring active" true (Obs.Sink.is_active (Obs.Sink.ring ~capacity:1));
-  check_bool "collect active" true (Obs.Sink.is_active (Obs.Sink.collect ignore))
+  check_bool "collect active" true (Obs.Sink.is_active (Obs.Sink.collect ignore));
+  check_bool "segment over collect active" true
+    (Obs.Sink.is_active (Obs.Sink.segment ~run:0 ~offset:0 (Obs.Sink.collect ignore)))
 
 let test_combinators_collapse_over_null () =
-  check_bool "shift null = null" false
-    (Obs.Sink.is_active (Obs.Sink.shift ~offset:100 Obs.Sink.null));
+  check_bool "segment null = null" false
+    (Obs.Sink.is_active (Obs.Sink.segment ~run:0 ~offset:100 Obs.Sink.null));
   check_bool "tee null null = null" false
     (Obs.Sink.is_active (Obs.Sink.tee Obs.Sink.null Obs.Sink.null));
-  let r = Obs.Sink.ring ~capacity:1 in
-  Obs.Sink.emit (Obs.Sink.tee Obs.Sink.null r) (List.hd one_of_each);
-  check_int "tee null s = s" 1 (Obs.Sink.ring_seen r)
+  let acc = ref [] in
+  Obs.Sink.emit (Obs.Sink.tee Obs.Sink.null (collect_into acc)) (List.hd one_of_each);
+  check_int "tee null s = s" 1 (List.length !acc)
 
-let test_shift_offsets_timestamps () =
-  let r = Obs.Sink.ring ~capacity:4 in
-  let s = Obs.Sink.shift ~offset:1000 r in
+let test_segment_offsets_timestamps () =
+  let acc = ref [] in
+  let s = Obs.Sink.segment ~run:3 ~offset:1000 (collect_into acc) in
   Obs.Sink.emit s (ev ~t_us:5 (Obs.Event.Fault { page = 1 }));
-  match Obs.Sink.ring_contents r with
-  | [ e ] -> check_int "shifted" 1005 e.Obs.Event.t_us
-  | l -> Alcotest.failf "expected one event, got %d" (List.length l)
+  match List.rev !acc with
+  | [ b; e ] ->
+    check_bool "boundary first, at the shifted origin" true
+      (b = ev ~t_us:1000 (Obs.Event.Run_start { run = 3; seed = None; config = None }));
+    check_int "shifted" 1005 e.Obs.Event.t_us
+  | l -> Alcotest.failf "expected two events, got %d" (List.length l)
 
 let test_tee_duplicates () =
-  let a = Obs.Sink.ring ~capacity:4 and b = Obs.Sink.ring ~capacity:4 in
-  let s = Obs.Sink.tee a b in
+  let a = ref [] and b = ref [] in
+  let s = Obs.Sink.tee (collect_into a) (collect_into b) in
   List.iter (Obs.Sink.emit s) one_of_each;
-  check_int "left" (List.length one_of_each) (Obs.Sink.ring_seen a);
-  check_int "right" (List.length one_of_each) (Obs.Sink.ring_seen b)
-
-let test_sample_every_n () =
-  let fired = ref [] in
-  let s = Obs.Sink.sample ~every:3 (fun e -> fired := e.Obs.Event.t_us :: !fired) in
-  for i = 1 to 10 do
-    Obs.Sink.emit s (ev ~t_us:i (Obs.Event.Fault { page = i }))
-  done;
-  Alcotest.(check (list int)) "3rd, 6th, 9th" [ 3; 6; 9 ] (List.rev !fired)
-
-(* The sampling contract, as a property: the kept stream is a
-   deterministic subsequence of the input, run_start boundaries always
-   reach the probe, and — because boundaries do not advance the
-   sampling counter — the kept subsequence of ordinary events is
-   exactly every N-th of them, however many segments the stream was
-   spliced from. *)
-let prop_sample_deterministic_subsequence =
-  let gen =
-    QCheck.Gen.(
-      pair (int_range 1 7)
-        (list_size (int_bound 60)
-           (map2
-              (fun boundary t ->
-                if boundary then
-                  ev ~t_us:t (Obs.Event.Run_start { run = 0; seed = None; config = None })
-                else ev ~t_us:t (Obs.Event.Fault { page = t }))
-              bool (int_bound 1000))))
-  in
-  QCheck.Test.make ~name:"sample: deterministic subsequence, boundaries kept"
-    ~count:200 (QCheck.make gen)
-    (fun (every, events) ->
-      let run () =
-        let out = ref [] in
-        let s = Obs.Sink.sample ~every (fun e -> out := e :: !out) in
-        List.iter (Obs.Sink.emit s) events;
-        List.rev !out
-      in
-      let kept = run () in
-      let is_boundary e =
-        match e.Obs.Event.kind with Obs.Event.Run_start _ -> true | _ -> false
-      in
-      let rec subsequence xs ys =
-        match (xs, ys) with
-        | [], _ -> true
-        | _, [] -> false
-        | x :: xs', y :: ys' -> if x = y then subsequence xs' ys' else subsequence xs ys'
-      in
-      let boundaries = List.filter is_boundary in
-      let ordinary = List.filter (fun e -> not (is_boundary e)) in
-      kept = run () (* deterministic: a rerun keeps the same events *)
-      && subsequence kept events
-      && List.length (boundaries kept) = List.length (boundaries events)
-      && List.length (ordinary kept) = List.length (ordinary events) / every)
+  check_int "left" (List.length one_of_each) (List.length !a);
+  check_int "right" (List.length one_of_each) (List.length !b)
 
 let test_jsonl_sink_writes_parseable_lines () =
   let file = Filename.temp_file "dsas_obs" ".jsonl" in
@@ -280,7 +217,6 @@ let count kind_name events =
   List.length
     (List.filter (fun e -> Obs.Event.kind_name e.Obs.Event.kind = kind_name) events)
 
-let collect_into acc = Obs.Sink.collect (fun e -> acc := e :: !acc)
 
 let test_fault_sim_counts_match () =
   let trace = Workload.Trace.loop ~length:2_000 ~extent:16 ~working_set:8 in
@@ -336,7 +272,7 @@ let test_demand_counts_match () =
 
 let test_demand_null_vs_traced_values () =
   let plain = demand_engine ~obs:Obs.Sink.null in
-  let traced = demand_engine ~obs:(Obs.Sink.ring ~capacity:64) in
+  let traced = demand_engine ~obs:(collect_into (ref [])) in
   let vals engine =
     Array.map
       (fun a ->
@@ -419,47 +355,11 @@ let test_registry_snapshot () =
   Obs.Registry.incr ~by:3 (Obs.Registry.counter r "b");
   Obs.Registry.incr (Obs.Registry.counter r "a");
   Obs.Registry.set (Obs.Registry.gauge r "g") 2.5;
-  let st = Obs.Registry.stats r "lat" in
-  Metrics.Stats.add st 10.;
-  Metrics.Stats.add st 20.;
   let snap = Obs.Registry.snapshot r in
   Alcotest.(check (list (pair string int))) "counters sorted" [ ("a", 1); ("b", 3) ]
     snap.Obs.Registry.counters;
-  (match snap.Obs.Registry.distributions with
-   | [ ("lat", d) ] ->
-     check_int "dist count" 2 d.Obs.Registry.count;
-     Alcotest.(check (float 1e-9)) "dist mean" 15. d.Obs.Registry.mean
-   | _ -> Alcotest.fail "expected one distribution");
-  check_bool "snapshot json parses as flat-ish text" true
-    (String.length (Obs.Registry.snapshot_to_json snap) > 2)
-
-(* --- Series --- *)
-
-let test_series_length_and_last () =
-  let s = Obs.Series.create () in
-  Obs.Series.sample s ~t_us:0 10.;
-  Obs.Series.sample s ~t_us:100 20.;
-  Obs.Series.sample s ~t_us:200 0.;
-  check_int "length" 3 (Obs.Series.length s);
-  check_bool "last" true (Obs.Series.last s = Some (200, 0.))
-
-let test_series_rejects_backwards_time () =
-  let s = Obs.Series.create () in
-  Obs.Series.sample s ~t_us:50 1.;
-  check_bool "backwards rejected" true
-    (match Obs.Series.sample s ~t_us:49 2. with
-     | () -> false
-     | exception Invalid_argument _ -> true);
-  (* equal timestamps are fine: the point is replaced-in-order, not rejected *)
-  Obs.Series.sample s ~t_us:50 3.;
-  check_int "equal time accepted" 2 (Obs.Series.length s)
-
-let test_series_empty () =
-  let s = Obs.Series.create () in
-  check_int "length" 0 (Obs.Series.length s);
-  check_bool "points" true (Obs.Series.points s = []);
-  check_bool "last" true (Obs.Series.last s = None);
-  check_string "json" "[]" (Obs.Json.to_string (Obs.Series.to_json s))
+  Alcotest.(check (list (pair string (float 1e-9)))) "gauges" [ ("g", 2.5) ]
+    snap.Obs.Registry.gauges
 
 let () =
   Alcotest.run "obs"
@@ -474,14 +374,10 @@ let () =
         ] );
       ( "sink",
         [
-          Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
-          Alcotest.test_case "ring partial" `Quick test_ring_partial_fill;
           Alcotest.test_case "activeness" `Quick test_null_inactive_others_active;
           Alcotest.test_case "null collapse" `Quick test_combinators_collapse_over_null;
-          Alcotest.test_case "shift" `Quick test_shift_offsets_timestamps;
+          Alcotest.test_case "shift" `Quick test_segment_offsets_timestamps;
           Alcotest.test_case "tee" `Quick test_tee_duplicates;
-          Alcotest.test_case "sample" `Quick test_sample_every_n;
-          QCheck_alcotest.to_alcotest prop_sample_deterministic_subsequence;
           Alcotest.test_case "jsonl" `Quick test_jsonl_sink_writes_parseable_lines;
         ] );
       ( "engines",
@@ -498,11 +394,5 @@ let () =
         [
           Alcotest.test_case "counters/gauges" `Quick test_registry_counters_gauges;
           Alcotest.test_case "snapshot" `Quick test_registry_snapshot;
-        ] );
-      ( "series",
-        [
-          Alcotest.test_case "length and last" `Quick test_series_length_and_last;
-          Alcotest.test_case "backwards time" `Quick test_series_rejects_backwards_time;
-          Alcotest.test_case "empty series" `Quick test_series_empty;
         ] );
     ]

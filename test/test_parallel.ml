@@ -214,9 +214,10 @@ let test_merged_stream_check_clean () =
   end
 
 let test_merged_fixture_check_clean () =
-  match Obs.Check.check_jsonl "fixtures/merged_par_trace.jsonl" with
+  match Obs.Artifact.read_lines "fixtures/merged_par_trace.jsonl" with
   | Error e -> Alcotest.failf "fixture unreadable: %s" e
-  | Ok report ->
+  | Ok lines ->
+    let report = Obs.Check.check_lines lines in
     if not (Obs.Check.ok report) then begin
       Obs.Check.print report;
       Alcotest.fail "committed merged fixture violated trace invariants"
@@ -634,7 +635,6 @@ let test_supervise_resumes_from_checkpoint () =
   let kills = [ kill 0 ~attempt:0 ~progress:10 ] in
   match
     Parallel.Supervisor.supervise
-      ~policy:(Parallel.Supervisor.policy ())
       ~inject:(Parallel.Supervisor.inject_of_kills kills)
       ~checkpoint_every:4 ~store ~shard:0
       ~run:(fun ~resume ctl -> sum_body ~steps:20 ~executed ~resume ctl)
@@ -656,7 +656,6 @@ let test_supervise_poisons_inconsistent_checkpoint () =
   let scratch_runs = ref 0 in
   match
     Parallel.Supervisor.supervise
-      ~policy:(Parallel.Supervisor.policy ())
       ~inject:(Parallel.Supervisor.inject_of_kills kills)
       ~checkpoint_every:4 ~store ~shard:2
       ~run:(fun ~resume ctl ->
@@ -816,9 +815,10 @@ let test_recovered_fixture_check_clean () =
   check_bool "records restarts" true (contains_substring body "shard_restart");
   check_bool "records checkpoints" true
     (contains_substring body "shard_checkpoint");
-  match Obs.Check.check_jsonl path with
+  match Obs.Artifact.read_lines path with
   | Error e -> Alcotest.failf "fixture unreadable: %s" e
-  | Ok report ->
+  | Ok lines ->
+    let report = Obs.Check.check_lines lines in
     if not (Obs.Check.ok report) then begin
       Obs.Check.print report;
       Alcotest.fail "committed recovered fixture violated trace invariants"

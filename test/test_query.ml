@@ -669,8 +669,6 @@ let test_registry_to_json () =
   in
   Metrics.Histogram.add h 5;
   Metrics.Histogram.add h 9;
-  Obs.Series.sample (Obs.Registry.series reg "ts") ~t_us:1 10.;
-  Obs.Series.sample (Obs.Registry.series reg "ts") ~t_us:2 20.;
   let json = Obs.Registry.to_json reg in
   match Obs.Json.parse json with
   | None -> Alcotest.failf "to_json not parseable: %s" json
@@ -689,9 +687,8 @@ let test_registry_to_json () =
      | Some (Obs.Json.List buckets) ->
        check_int "only non-empty buckets" 2 (List.length buckets)
      | _ -> Alcotest.fail "buckets missing");
-    (match path [ "series"; "ts" ] with
-     | Some (Obs.Json.List [ List [ Int 1; Float 10. ]; List [ Int 2; Float 20. ] ]) -> ()
-     | _ -> Alcotest.fail "series points wrong")
+    (* dsas-metrics/1 keeps its "series" section, always empty *)
+    check_bool "series empty" true (path [ "series" ] = Some (Obs.Json.Obj []))
 
 (* --- Prof --- *)
 

@@ -1,6 +1,6 @@
 (* Tests for the live-telemetry layer: Obs.Telemetry (engine-time
-   cadence, bounded ring, wire format, pure recomputation, deterministic
-   merge), Obs.Watch (rule grammar and the threshold / stall / delta
+   cadence, wire format, pure recomputation, deterministic merge),
+   Obs.Watch (rule grammar and the threshold / stall / delta
    detectors), Obs.Export (Chrome trace events, flamegraph SVG,
    telemetry CSV), and the watchdog trace invariants in Obs.Check. *)
 
@@ -26,26 +26,34 @@ let snap ?shard ~seq ~t ?(counters = []) ?(gauges = []) () =
 
 (* --- Telemetry: cadence ---------------------------------------------- *)
 
+(* Keep a channel's snapshots, oldest first, through its capture hook. *)
+let recording chan =
+  let acc = ref [] in
+  Obs.Telemetry.on_capture chan (fun s -> acc := s :: !acc);
+  fun () -> Array.of_list (List.rev !acc)
+
 let test_cadence_collapses_missed_deadlines () =
   let chan = Obs.Telemetry.create ~every_us:100 () in
+  let captured = recording chan in
+  let count () = Array.length (captured ()) in
   let reg = Obs.Registry.create () in
   let c = Obs.Registry.counter reg "ops" in
   Obs.Registry.incr c;
   Obs.Telemetry.observe chan ~t_us:50 reg;
-  check_int "before the first deadline: nothing" 0 (Obs.Telemetry.captured chan);
+  check_int "before the first deadline: nothing" 0 (count ());
   Obs.Telemetry.observe chan ~t_us:100 reg;
-  check_int "deadline reached: one capture" 1 (Obs.Telemetry.captured chan);
+  check_int "deadline reached: one capture" 1 (count ());
   Obs.Telemetry.observe chan ~t_us:150 reg;
-  check_int "mid-interval: still one" 1 (Obs.Telemetry.captured chan);
+  check_int "mid-interval: still one" 1 (count ());
   (* engine time jumps across three deadlines (200, 300, 400): the
      skipped deadlines collapse into a single capture *)
   Obs.Telemetry.observe chan ~t_us:460 reg;
-  check_int "collapsed jump: one more capture" 2 (Obs.Telemetry.captured chan);
+  check_int "collapsed jump: one more capture" 2 (count ());
   Obs.Telemetry.observe chan ~t_us:499 reg;
-  check_int "next deadline is past the jump" 2 (Obs.Telemetry.captured chan);
+  check_int "next deadline is past the jump" 2 (count ());
   Obs.Telemetry.observe chan ~t_us:500 reg;
-  check_int "and fires at 500" 3 (Obs.Telemetry.captured chan);
-  let snaps = Obs.Telemetry.snapshots chan in
+  check_int "and fires at 500" 3 (count ());
+  let snaps = captured () in
   check_bool "dense seqs from 0" true
     (Array.to_list (Array.map (fun s -> s.Obs.Telemetry.sn_seq) snaps) = [ 0; 1; 2 ]);
   check_bool "stamped with engine time at capture" true
@@ -56,50 +64,19 @@ let test_cadence_collapses_missed_deadlines () =
 
 let test_engine_time_never_goes_backwards () =
   let chan = Obs.Telemetry.create ~every_us:10 () in
+  let captured = recording chan in
   let reg = Obs.Registry.create () in
   Obs.Telemetry.observe chan ~t_us:25 reg;
   (* an out-of-order timestamp must not rewind the cadence clock *)
   Obs.Telemetry.observe chan ~t_us:5 reg;
-  check_int "stale timestamp ignored" 1 (Obs.Telemetry.captured chan);
-  let snaps = Obs.Telemetry.snapshots chan in
+  let snaps = captured () in
+  check_int "stale timestamp ignored" 1 (Array.length snaps);
   check_int "capture kept the running max" 25 snaps.(0).Obs.Telemetry.sn_t_us
-
-let test_ring_keeps_newest () =
-  let chan = Obs.Telemetry.create ~capacity:4 ~every_us:1 () in
-  let reg = Obs.Registry.create () in
-  for i = 1 to 10 do
-    ignore (Obs.Telemetry.capture chan ~t_us:(i * 5) reg)
-  done;
-  check_int "all captures counted" 10 (Obs.Telemetry.captured chan);
-  let snaps = Obs.Telemetry.snapshots chan in
-  check_int "ring bounded" 4 (Array.length snaps);
-  check_bool "oldest-first, newest kept" true
-    (Array.to_list (Array.map (fun s -> s.Obs.Telemetry.sn_seq) snaps)
-    = [ 6; 7; 8; 9 ])
 
 let test_create_rejects_bad_arguments () =
   let rejects f = match f () with _ -> false | exception Invalid_argument _ -> true in
   check_bool "every_us = 0" true
-    (rejects (fun () -> Obs.Telemetry.create ~every_us:0 ()));
-  check_bool "capacity = 0" true
-    (rejects (fun () -> Obs.Telemetry.create ~capacity:0 ~every_us:1 ()));
-  check_bool "host_every_s <= 0" true
-    (rejects (fun () -> Obs.Telemetry.create ~host_every_s:0. ~every_us:1 ()))
-
-let test_host_cadence_needs_injected_clock () =
-  let reg = Obs.Registry.create () in
-  (* a fake wall clock the test advances by hand; the library never
-     reads a real one *)
-  let now = ref 0. in
-  let chan =
-    Obs.Telemetry.create ~host_every_s:1.0 ~now:(fun () -> !now) ~every_us:1_000_000 ()
-  in
-  Obs.Telemetry.observe chan ~t_us:10 reg;
-  check_int "engine idle, host young: nothing" 0 (Obs.Telemetry.captured chan);
-  now := 1.5;
-  Obs.Telemetry.observe chan ~t_us:20 reg;
-  check_int "host deadline passed: capture despite engine stall" 1
-    (Obs.Telemetry.captured chan)
+    (rejects (fun () -> Obs.Telemetry.create ~every_us:0 ()))
 
 (* --- Telemetry: wire format ------------------------------------------ *)
 
@@ -179,13 +156,14 @@ let tap_events =
 
 let test_events_sink_folds_and_paces () =
   let chan = Obs.Telemetry.create ~every_us:1000 () in
+  let captured = recording chan in
   let reg = Obs.Registry.create () in
   let sink = Obs.Telemetry.events_sink chan reg in
   List.iter (Obs.Sink.emit sink) tap_events;
   (* deadlines crossed by non-io events: 1000 (at t=1100), 2000 (at
      t=2300) — the io pair at t=5000+ must not have fired one *)
-  check_int "io events do not advance the cadence" 2 (Obs.Telemetry.captured chan);
-  let snaps = Obs.Telemetry.snapshots chan in
+  let snaps = captured () in
+  check_int "io events do not advance the cadence" 2 (Array.length snaps);
   check_bool "captures at non-io engine times" true
     (Array.to_list (Array.map (fun s -> s.Obs.Telemetry.sn_t_us) snaps)
     = [ 1100; 2300 ]);
@@ -207,11 +185,11 @@ let test_of_events_is_pure_and_matches_live () =
   let b = Obs.Telemetry.of_events ~every_us:1000 events in
   check_bool "pure: same input, same snapshots" true (a = b);
   let chan = Obs.Telemetry.create ~every_us:1000 () in
+  let captured = recording chan in
   let reg = Obs.Registry.create () in
   let sink = Obs.Telemetry.events_sink chan reg in
   Array.iter (Obs.Sink.emit sink) events;
-  check_bool "recomputation equals the live tap" true
-    (a = Obs.Telemetry.snapshots chan);
+  check_bool "recomputation equals the live tap" true (a = captured ());
   let tagged = Obs.Telemetry.of_events ~shard:3 ~every_us:1000 events in
   check_bool "shard tag applied" true
     (Array.for_all (fun s -> s.Obs.Telemetry.sn_shard = Some 3) tagged)
@@ -488,8 +466,15 @@ let test_flamegraph_rejects_empty () =
    | Ok _ -> Alcotest.fail "empty input rendered"
    | Error e -> check_bool ("explains the format: " ^ e) true
        (contains_substring e "folded"));
-  match Obs.Export.flamegraph "# comments only\n\n" with
-  | Ok _ -> Alcotest.fail "comment-only input rendered"
+  (match Obs.Export.flamegraph "# comments only\n\n" with
+   | Ok _ -> Alcotest.fail "comment-only input rendered"
+   | Error _ -> ());
+  (* a non-finite weight is a malformed line: skipped, so it cannot
+     swamp the valid lines' share of the total *)
+  check_bool "infinite weight skipped" true
+    (Obs.Export.flamegraph "a;b 5\na;c inf\n" = Obs.Export.flamegraph "a;b 5\n");
+  match Obs.Export.flamegraph "a;c inf\n" with
+  | Ok _ -> Alcotest.fail "only an infinite weight rendered"
   | Error _ -> ()
 
 (* --- Export: telemetry CSV ------------------------------------------- *)
@@ -563,9 +548,10 @@ let test_watchdog_bounded_invariant () =
     (violated report Obs.Check.Watchdog_paired)
 
 let test_stall_fixture_must_fail () =
-  match Obs.Check.check_jsonl "fixtures/watchdog_stall_trace.jsonl" with
+  match Obs.Artifact.read_lines "fixtures/watchdog_stall_trace.jsonl" with
   | Error e -> Alcotest.failf "fixture unreadable: %s" e
-  | Ok report ->
+  | Ok lines ->
+    let report = Obs.Check.check_lines lines in
     check_bool "the committed stall fixture fails check" false (Obs.Check.ok report);
     check_bool "for pairing" true (violated report Obs.Check.Watchdog_paired);
     check_bool "and for bounds" true (violated report Obs.Check.Watchdog_bounded)
@@ -579,11 +565,8 @@ let () =
             test_cadence_collapses_missed_deadlines;
           Alcotest.test_case "engine time is a running max" `Quick
             test_engine_time_never_goes_backwards;
-          Alcotest.test_case "ring keeps the newest" `Quick test_ring_keeps_newest;
           Alcotest.test_case "bad arguments rejected" `Quick
             test_create_rejects_bad_arguments;
-          Alcotest.test_case "host cadence only with an injected clock" `Quick
-            test_host_cadence_needs_injected_clock;
         ] );
       ( "wire",
         [
