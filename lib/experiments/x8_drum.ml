@@ -24,14 +24,30 @@ let request_stream rng ~count ~mean_gap_us =
 
 (* Serve the whole batch on one channel: whenever the drum is free,
    the policy picks among the requests that have arrived (idling to
-   the next arrival if none has); returns the mean fetch latency. *)
+   the next arrival if none has); returns the mean fetch latency.
+   Requests move from [upcoming], in arrival order, to [waiting] as
+   they arrive.  [Sched.pick] breaks ties by (arrival, id), so the
+   order of [waiting] cannot change its choice. *)
 let mean_latency_us sched requests =
-  let pending = ref requests and now = ref 0 and total = ref 0. in
-  let arrival (r : Device.Request.t) = r.arrival_us in
-  while !pending <> [] do
-    let arrived = List.filter (fun r -> arrival r <= !now) !pending in
-    match Device.Sched.pick sched ~geometry ~at:!now ~head:0 arrived with
-    | None -> now := List.fold_left (fun m r -> min m (arrival r)) max_int !pending
+  let upcoming =
+    ref
+      (List.stable_sort
+         (fun (a : Device.Request.t) (b : Device.Request.t) ->
+           Int.compare a.arrival_us b.arrival_us)
+         requests)
+  in
+  let waiting = ref [] and now = ref 0 and total = ref 0. in
+  while !upcoming <> [] || !waiting <> [] do
+    let rec admit = function
+      | (r : Device.Request.t) :: rest when r.arrival_us <= !now ->
+        waiting := r :: !waiting;
+        admit rest
+      | rest -> rest
+    in
+    upcoming := admit !upcoming;
+    match Device.Sched.pick sched ~geometry ~at:!now ~head:0 !waiting with
+    | None -> (
+      match !upcoming with (r : Device.Request.t) :: _ -> now := r.arrival_us | [] -> ())
     | Some chosen ->
       let _, finish, _ =
         Device.Geometry.service geometry ~at:!now ~head:0 ~page:chosen.page
@@ -39,7 +55,7 @@ let mean_latency_us sched requests =
       in
       total := !total +. float_of_int (finish - chosen.arrival_us);
       now := finish;
-      pending := List.filter (fun (r : Device.Request.t) -> r.id <> chosen.id) !pending
+      waiting := List.filter (fun (r : Device.Request.t) -> r.id <> chosen.id) !waiting
   done;
   !total /. float_of_int (List.length requests)
 

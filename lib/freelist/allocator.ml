@@ -5,6 +5,8 @@ type t = {
   policy : Policy.t;
   mutable free_head : int;  (* region-relative offset, Block.null if none *)
   mutable rover : int;  (* next-fit resume point *)
+  holes : Hole_index.t;  (* the free list's holes by offset *)
+  by_size : Hole_index.t option;  (* best fit only: by size, then offset *)
   mutable live_words : int;  (* sum of payload words of live blocks *)
   mutable live_blocks : int;
   mutable failures : int;
@@ -18,35 +20,6 @@ type t = {
 let null = Block.null
 
 type spec = { s_base : int; s_len : int; s_policy : Policy.t }
-
-let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
-  assert (len >= Block.min_block);
-  assert (base >= 0 && base + len <= Memstore.Physical.size mem);
-  let t =
-    {
-      mem;
-      base;
-      len;
-      policy;
-      free_head = 0;
-      rover = null;
-      live_words = 0;
-      live_blocks = 0;
-      failures = 0;
-      searches = Metrics.Stats.create ();
-      obs;
-      tracing = Obs.Sink.is_active obs;
-      clock;
-      ops = 0;
-    }
-  in
-  Block.write_tags mem ~base 0 { size = len; allocated = false };
-  Block.write_next mem ~base 0 null;
-  Block.write_prev mem ~base 0 null;
-  t
-
-let build ?obs ?clock mem spec =
-  create ?obs ?clock mem ~base:spec.s_base ~len:spec.s_len ~policy:spec.s_policy
 
 let emit t kind =
   let t_us = match t.clock with Some c -> Sim.Clock.now c | None -> t.ops in
@@ -66,144 +39,165 @@ let set_next t off v = Block.write_next t.mem ~base:t.base off v
 
 let set_prev t off v = Block.write_prev t.mem ~base:t.base off v
 
-let unlink t off =
+(* The host-side index mirrors every free-list edit below.  It answers
+   the searches the simulated supervisor would make by walking the
+   list; see [find_hole]. *)
+let size_key t off size = (size * (t.len + 1)) + off
+
+let index_add t off size =
+  Hole_index.add t.holes ~key:off ~size;
+  match t.by_size with
+  | Some by_size -> Hole_index.add by_size ~key:(size_key t off size) ~size
+  | None -> ()
+
+let index_remove t off size =
+  Hole_index.remove t.holes off;
+  match t.by_size with
+  | Some by_size -> Hole_index.remove by_size (size_key t off size)
+  | None -> ()
+
+let unlink t off size =
   let next = next_free t off and prev = prev_free t off in
   if prev = null then t.free_head <- next else set_next t prev next;
   if next <> null then set_prev t next prev;
-  if t.rover = off then t.rover <- next
+  if t.rover = off then t.rover <- next;
+  index_remove t off size
 
 (* Replace node [off] by node [off'] at the same list position; used when
    splitting leaves the remainder where the hole's links can be reused in
    address order. *)
-let replace_node t off off' =
+let replace_node t off ~size off' ~size' =
   let next = next_free t off and prev = prev_free t off in
   set_next t off' next;
   set_prev t off' prev;
   if prev = null then t.free_head <- off' else set_next t prev off';
   if next <> null then set_prev t next off';
-  if t.rover = off then t.rover <- off'
+  if t.rover = off then t.rover <- off';
+  index_remove t off size;
+  index_add t off' size'
 
-let insert_ordered t off =
-  if t.free_head = null || t.free_head > off then begin
+(* The new hole goes after its predecessor in address order, which the
+   index finds without walking the list. *)
+let insert_ordered t off size =
+  let cur = Hole_index.floor t.holes off in
+  if cur = null then begin
     set_next t off t.free_head;
     set_prev t off null;
     if t.free_head <> null then set_prev t t.free_head off;
     t.free_head <- off
   end
   else begin
-    let rec find cur =
-      let next = next_free t cur in
-      if next = null || next > off then cur else find next
-    in
-    let cur = find t.free_head in
     let next = next_free t cur in
     set_next t off next;
     set_prev t off cur;
     set_next t cur off;
     if next <> null then set_prev t next off
-  end
+  end;
+  index_add t off size
 
 let mark_free t off size =
   Block.write_tags t.mem ~base:t.base off { size; allocated = false };
-  insert_ordered t off
+  insert_ordered t off size
 
-(* Placement: find a free block whose size covers [needed].  Returns the
-   block offset and whether the allocation should be taken from its high
-   end.  [examined] counts free-list nodes looked at. *)
-let find_hole t ~request ~needed ~examined =
-  let scan_first start =
-    let rec loop off =
-      if off = null then null
-      else begin
-        incr examined;
-        if (header t off).size >= needed then off else loop (next_free t off)
-      end
-    in
-    loop start
+let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
+  assert (len >= Block.min_block);
+  assert (base >= 0 && base + len <= Memstore.Physical.size mem);
+  let t =
+    {
+      mem;
+      base;
+      len;
+      policy;
+      free_head = null;
+      rover = null;
+      holes = Hole_index.create ();
+      by_size =
+        (match policy with
+         | Policy.Best_fit -> Some (Hole_index.create ())
+         | Policy.First_fit | Policy.Next_fit | Policy.Worst_fit | Policy.Two_ends _ -> None);
+      live_words = 0;
+      live_blocks = 0;
+      failures = 0;
+      searches = Metrics.Stats.create ();
+      obs;
+      tracing = Obs.Sink.is_active obs;
+      clock;
+      ops = 0;
+    }
   in
+  mark_free t 0 len;
+  t
+
+let build ?obs ?clock mem spec =
+  create ?obs ?clock mem ~base:spec.s_base ~len:spec.s_len ~policy:spec.s_policy
+
+(* Placement: the offset of a free block whose size covers [needed],
+   or [null].  The index finds the hole the linear scan of the
+   simulated supervisor would pick, and [examined] is set to the number
+   of free-list nodes that scan looks at, from the ranks of holes in
+   address order. *)
+let lowest_fit t ~needed ~examined =
+  let off = Hole_index.first t.holes ~from:0 ~needed in
+  if off <> null then examined := Hole_index.rank t.holes off + 1;
+  off
+
+let find_hole t ~take_high ~needed ~examined =
+  let holes = Hole_index.length t.holes in
+  examined := holes;
   match t.policy with
-  | Policy.First_fit ->
-    let off = scan_first t.free_head in
-    if off = null then None else Some (off, false)
+  | Policy.First_fit -> lowest_fit t ~needed ~examined
   | Policy.Next_fit ->
-    if t.free_head = null then None
+    if holes = 0 then null
     else begin
+      (* Scan cyclically from the rover, or from the head. *)
       let start = if t.rover <> null then t.rover else t.free_head in
-      let rec loop off wrapped =
-        if off = null then if wrapped then null else loop t.free_head true
-        else if wrapped && off >= start then null
-        else begin
-          incr examined;
-          if (header t off).size >= needed then off
-          else loop (next_free t off) wrapped
-        end
-      in
-      let off = loop start false in
-      if off = null then None else Some (off, false)
-    end
-  | Policy.Best_fit ->
-    let best = ref null and best_size = ref max_int in
-    let rec loop off =
+      let skipped = Hole_index.rank t.holes start in
+      let off = Hole_index.first t.holes ~from:start ~needed in
       if off <> null then begin
-        incr examined;
-        let s = (header t off).size in
-        if s >= needed && s < !best_size then begin
-          best := off;
-          best_size := s
-        end;
-        loop (next_free t off)
+        examined := Hole_index.rank t.holes off - skipped + 1;
+        off
       end
-    in
-    loop t.free_head;
-    if !best = null then None else Some (!best, false)
+      else begin
+        let off = Hole_index.first t.holes ~from:0 ~needed in
+        if off <> null then examined := holes - skipped + Hole_index.rank t.holes off + 1;
+        off
+      end
+    end
+  | Policy.Best_fit -> (
+    (* Smallest sufficient size; the scan's strict [<] keeps the lowest
+       offset among equals. *)
+    match t.by_size with
+    | Some by_size ->
+      let key = Hole_index.first by_size ~from:(size_key t 0 needed) ~needed:0 in
+      if key = null then null else key mod (t.len + 1)
+    | None -> assert false (* create builds it for best fit *))
   | Policy.Worst_fit ->
-    let worst = ref null and worst_size = ref 0 in
-    let rec loop off =
-      if off <> null then begin
-        incr examined;
-        let s = (header t off).size in
-        if s >= needed && s > !worst_size then begin
-          worst := off;
-          worst_size := s
-        end;
-        loop (next_free t off)
-      end
-    in
-    loop t.free_head;
-    if !worst = null then None else Some (!worst, false)
-  | Policy.Two_ends { small_max } ->
-    if request <= small_max then begin
-      let off = scan_first t.free_head in
-      if off = null then None else Some (off, false)
-    end
-    else begin
-      (* Highest-addressed sufficient hole, taken from its high end. *)
-      let last = ref null in
-      let rec loop off =
-        if off <> null then begin
-          incr examined;
-          if (header t off).size >= needed then last := off;
-          loop (next_free t off)
-        end
-      in
-      loop t.free_head;
-      if !last = null then None else Some (!last, true)
-    end
+    (* Largest size; the scan's strict [>] keeps the lowest offset. *)
+    let largest = Hole_index.largest t.holes in
+    if largest < needed then null else Hole_index.first t.holes ~from:0 ~needed:largest
+  | Policy.Two_ends _ ->
+    if take_high then Hole_index.last t.holes ~needed else lowest_fit t ~needed ~examined
 
 let alloc t request =
   assert (request >= 1);
   t.ops <- t.ops + 1;
   let needed = max Block.min_block (request + Block.overhead) in
+  (* Two-ends serves large requests from the highest sufficient hole. *)
+  let take_high =
+    match t.policy with
+    | Policy.Two_ends { small_max } -> request > small_max
+    | Policy.First_fit | Policy.Next_fit | Policy.Best_fit | Policy.Worst_fit -> false
+  in
   let examined = ref 0 in
+  let off = find_hole t ~take_high ~needed ~examined in
   let result =
-    match find_hole t ~request ~needed ~examined with
-    | None ->
+    if off = null then begin
       t.failures <- t.failures + 1;
       None
-    | Some (off, take_high) ->
+    end
+    else begin
       let size = (header t off).size in
       let remainder = size - needed in
-      let succ = next_free t off in
       let granted_off, granted_size, rover_after =
         if remainder >= Block.min_block then begin
           if take_high then begin
@@ -211,18 +205,21 @@ let alloc t request =
                unchanged.  The allocation sits at its high end. *)
             Block.write_tags t.mem ~base:t.base off
               { size = remainder; allocated = false };
+            index_remove t off size;
+            index_add t off remainder;
             (off + remainder, needed, off)
           end
           else begin
             let rem_off = off + needed in
             Block.write_tags t.mem ~base:t.base rem_off
               { size = remainder; allocated = false };
-            replace_node t off rem_off;
+            replace_node t off ~size rem_off ~size':remainder;
             (off, needed, rem_off)
           end
         end
         else begin
-          unlink t off;
+          let succ = next_free t off in
+          unlink t off size;
           (off, size, succ)
         end
       in
@@ -244,6 +241,7 @@ let alloc t request =
              { addr = t.base + granted_off + 1; size = granted_size - Block.overhead })
       end;
       Some (t.base + granted_off + 1)
+    end
   in
   Metrics.Stats.add t.searches (float_of_int !examined);
   result
@@ -253,6 +251,11 @@ let block_of_payload t addr =
   if off < 0 || off >= t.len then invalid_arg "Allocator: address outside region";
   let tag = header t off in
   if not tag.Block.allocated then invalid_arg "Allocator: not a live allocation";
+  (* A block freed into the hole below it leaves its old header inside
+     that hole. *)
+  let hole = Hole_index.floor t.holes off in
+  if hole <> null && off < hole + (header t hole).Block.size then
+    invalid_arg "Allocator: not a live allocation";
   if tag.Block.size < Block.min_block || tag.Block.size > t.len - off then
     invalid_arg "Allocator: corrupt block";
   (off, tag.Block.size)
@@ -272,7 +275,7 @@ let free t addr =
   if after < t.len then begin
     let next = header t after in
     if not next.Block.allocated then begin
-      unlink t after;
+      unlink t after next.Block.size;
       new_size := !new_size + next.Block.size
     end
   end;
@@ -280,7 +283,7 @@ let free t addr =
     let prev = Block.read_footer t.mem ~base:t.base off in
     if not prev.Block.allocated then begin
       let prev_off = off - prev.Block.size in
-      unlink t prev_off;
+      unlink t prev_off prev.Block.size;
       new_off := prev_off;
       new_size := !new_size + prev.Block.size
     end
@@ -311,17 +314,15 @@ let walk t =
   in
   loop 0 []
 
-let free_block_sizes t =
-  List.filter_map (fun b -> if b.allocated then None else Some b.size) (walk t)
+let free_block_sizes t = Hole_index.fold t.holes (fun _ size sizes -> size :: sizes) []
 
-let free_words t = List.fold_left ( + ) 0 (free_block_sizes t)
+let free_words t = Hole_index.fold t.holes (fun _ size words -> words + size) 0
 
-let largest_free t =
-  let largest = List.fold_left max 0 (free_block_sizes t) in
-  max 0 (largest - Block.overhead)
+let largest_free t = max 0 (Hole_index.largest t.holes - Block.overhead)
 
 let compact t channel ~relocate =
   let blocks = walk t in
+  List.iter (fun b -> if not b.allocated then index_remove t b.off b.size) blocks;
   t.free_head <- null;
   t.rover <- null;
   let place dst b =
@@ -340,12 +341,7 @@ let compact t channel ~relocate =
   in
   let dst = List.fold_left place 0 blocks in
   let remainder = t.len - dst in
-  if remainder >= Block.min_block then begin
-    Block.write_tags t.mem ~base:t.base dst { size = remainder; allocated = false };
-    set_next t dst null;
-    set_prev t dst null;
-    t.free_head <- dst
-  end
+  if remainder >= Block.min_block then mark_free t dst remainder
   else if remainder > 0 then begin
     (* Too small to describe as a block: pad the final live block. *)
     let rec last_live_end off acc =
@@ -384,7 +380,10 @@ let validate t =
     | [ _ ] | [] -> ()
   in
   adjacent blocks;
-  let walked_free = List.filter_map (fun b -> if b.allocated then None else Some b.off) blocks in
+  let walked_holes =
+    List.filter_map (fun b -> if b.allocated then None else Some (b.off, b.size)) blocks
+  in
+  let walked_free = List.map fst walked_holes in
   let listed_free =
     let rec loop off prev acc =
       if off = null then List.rev acc
@@ -400,6 +399,21 @@ let validate t =
   if walked_free <> listed_free then
     fail "validate: free list (%d nodes) disagrees with walk (%d free blocks)"
       (List.length listed_free) (List.length walked_free);
+  let indexed = Hole_index.fold t.holes (fun off size holes -> (off, size) :: holes) [] in
+  if indexed <> walked_holes then
+    fail "validate: hole index (%d holes) disagrees with walk (%d free blocks)"
+      (List.length indexed) (List.length walked_holes);
+  (match t.by_size with
+   | Some by_size ->
+     let by_offset =
+       Hole_index.fold by_size
+         (fun key _ holes -> (key mod (t.len + 1), key / (t.len + 1)) :: holes)
+         []
+     in
+     if List.sort compare by_offset <> walked_holes then
+       fail "validate: size index (%d holes) disagrees with walk (%d free blocks)"
+         (List.length by_offset) (List.length walked_holes)
+   | None -> ());
   let live = List.filter (fun b -> b.allocated) blocks in
   if List.length live <> t.live_blocks then
     fail "validate: live_blocks counter %d vs %d" t.live_blocks (List.length live);

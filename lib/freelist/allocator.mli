@@ -6,11 +6,14 @@
     free blocks themselves.  Freeing coalesces with both neighbours
     immediately, so the free list never contains adjacent blocks.
 
-    Placement is pluggable ({!Policy.t}).  {!compact} implements the
-    paper's second "course of action" against fragmentation — moving
-    information to consolidate holes — using the autonomous
-    storage-to-storage channel, and is only sound because clients reach
-    their storage through relocatable references (see {!Handle_table}). *)
+    Placement is pluggable ({!Policy.t}).  The simulator finds each
+    policy's hole in a host-side {!Hole_index} rather than by walking
+    the list, and reports what the walk would have cost.  {!compact}
+    implements the paper's second "course of action" against
+    fragmentation — moving information to consolidate holes — using the
+    autonomous storage-to-storage channel, and is only sound because
+    clients reach their storage through relocatable references (see
+    {!Handle_table}). *)
 
 type t
 
@@ -80,8 +83,9 @@ val failures : t -> int
 (** Allocation requests that returned [None]. *)
 
 val search_stats : t -> Metrics.Stats.t
-(** Free-list nodes examined per allocation attempt — the bookkeeping
-    cost the paper weighs against fragmentation. *)
+(** Free-list nodes a linear scan of the list examines per allocation
+    attempt — the bookkeeping cost the paper weighs against
+    fragmentation. *)
 
 val compact : t -> Memstore.Channel.t -> relocate:(int -> int -> unit) -> unit
 (** Slide every live block to the low end of the region, leaving one
@@ -99,5 +103,6 @@ val walk : t -> walk_block list
 val validate : t -> unit
 (** Walk raw memory and the free list and check every invariant
     (tags consistent, sizes tile the region, no adjacent free blocks,
-    free list = free blocks of the walk, counters consistent).
+    free list = hole index = free blocks of the walk, counters
+    consistent).
     Raises [Failure] describing the first violation. *)

@@ -6,29 +6,24 @@ let null = -1
 
 type tag = { size : int; allocated : bool }
 
-let encode { size; allocated } =
-  Int64.of_int ((size lsl 1) lor (if allocated then 1 else 0))
+let encode { size; allocated } = (size lsl 1) lor (if allocated then 1 else 0)
 
-let decode v =
-  let n = Int64.to_int v in
-  { size = n lsr 1; allocated = n land 1 = 1 }
+let decode n = { size = n lsr 1; allocated = n land 1 = 1 }
 
-let read_header mem ~base off = decode (Memstore.Physical.read mem (base + off))
+let read_header mem ~base off = decode (Memstore.Physical.read_int mem (base + off))
 
-let read_footer mem ~base off = decode (Memstore.Physical.read mem (base + off - 1))
+let read_footer mem ~base off = decode (Memstore.Physical.read_int mem (base + off - 1))
 
 let write_tags mem ~base off tag =
   assert (tag.size >= 2);
   let v = encode tag in
-  Memstore.Physical.write mem (base + off) v;
-  Memstore.Physical.write mem (base + off + tag.size - 1) v
+  Memstore.Physical.write_int mem (base + off) v;
+  Memstore.Physical.write_int mem (base + off + tag.size - 1) v
 
-let read_next mem ~base off = Int64.to_int (Memstore.Physical.read mem (base + off + 1))
+let read_next mem ~base off = Memstore.Physical.read_int mem (base + off + 1)
 
-let read_prev mem ~base off = Int64.to_int (Memstore.Physical.read mem (base + off + 2))
+let read_prev mem ~base off = Memstore.Physical.read_int mem (base + off + 2)
 
-let write_next mem ~base off v =
-  Memstore.Physical.write mem (base + off + 1) (Int64.of_int v)
+let write_next mem ~base off v = Memstore.Physical.write_int mem (base + off + 1) v
 
-let write_prev mem ~base off v =
-  Memstore.Physical.write mem (base + off + 2) (Int64.of_int v)
+let write_prev mem ~base off v = Memstore.Physical.write_int mem (base + off + 2) v

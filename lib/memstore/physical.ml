@@ -37,6 +37,16 @@ let write t address v =
   t.writes <- t.writes + 1;
   Bytes.set_int64_le t.bytes (address * 8) v
 
+let read_int t address =
+  check t address;
+  t.reads <- t.reads + 1;
+  Int64.to_int (Bytes.get_int64_le t.bytes (address * 8))
+
+let write_int t address v =
+  check t address;
+  t.writes <- t.writes + 1;
+  Bytes.set_int64_le t.bytes (address * 8) (Int64.of_int v)
+
 let blit ~src ~src_off ~dst ~dst_off ~len =
   check_range src src_off len;
   check_range dst dst_off len;

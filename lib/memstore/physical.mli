@@ -23,6 +23,12 @@ val read : t -> int -> int64
 
 val write : t -> int -> int64 -> unit
 
+val read_int : t -> int -> int
+(** [read] as a native int, without boxing: for bookkeeping words
+    (tags, links, sizes) that hold ints. *)
+
+val write_int : t -> int -> int -> unit
+
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 (** Copy [len] words.  Handles overlapping ranges within one store
     correctly (like [Bytes.blit]). *)

@@ -27,9 +27,9 @@ let create mem ~base ~len =
     searches = Metrics.Stats.create ();
   }
 
-let read t off = Int64.to_int (Memstore.Physical.read t.mem (t.base + off))
+let read t off = Memstore.Physical.read_int t.mem (t.base + off)
 
-let write_word t off v = Memstore.Physical.write t.mem (t.base + off) (Int64.of_int v)
+let write_word t off v = Memstore.Physical.write_int t.mem (t.base + off) v
 
 let block_size t off = read t off
 

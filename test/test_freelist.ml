@@ -65,7 +65,18 @@ let test_free_bad_address_rejected () =
   check_bool "not an allocation" true (raises (fun () -> Freelist.Allocator.free a (addr + 1)));
   check_bool "outside region" true (raises (fun () -> Freelist.Allocator.free a 5000));
   Freelist.Allocator.free a addr;
-  check_bool "double free" true (raises (fun () -> Freelist.Allocator.free a addr))
+  check_bool "double free" true (raises (fun () -> Freelist.Allocator.free a addr));
+  (* Freed into the hole below it, y's old header still reads as a live
+     block. *)
+  let _, a = make_allocator Freelist.Policy.First_fit in
+  let x = Option.get (Freelist.Allocator.alloc a 10) in
+  let y = Option.get (Freelist.Allocator.alloc a 10) in
+  let _z = Option.get (Freelist.Allocator.alloc a 10) in
+  Freelist.Allocator.free a x;
+  Freelist.Allocator.free a y;
+  check_bool "double free after coalescing" true (raises (fun () -> Freelist.Allocator.free a y));
+  check_int "z still live" 1 (Freelist.Allocator.live_blocks a);
+  Freelist.Allocator.validate a
 
 (* --- placement policies --- *)
 
@@ -142,6 +153,30 @@ let test_search_stats_recorded () =
   ignore (Freelist.Allocator.alloc a 5);
   ignore (Freelist.Allocator.alloc a 5);
   check_int "two searches" 2 (Metrics.Stats.count (Freelist.Allocator.search_stats a))
+
+(* The examined count stays that of a linear scan, so only the store's
+   read counter shows whether the allocator walks its free list.  With
+   1,001 holes a walk costs hundreds of reads per operation. *)
+let test_reads_flat_in_hole_count () =
+  List.iter
+    (fun policy ->
+      let words = 65_536 in
+      let mem = Memstore.Physical.create ~name:"core" ~words in
+      let a = Freelist.Allocator.create mem ~base:0 ~len:words ~policy in
+      let blocks = Array.init 2_000 (fun _ -> Option.get (Freelist.Allocator.alloc a 14)) in
+      Array.iteri (fun i addr -> if i mod 2 = 0 then Freelist.Allocator.free a addr) blocks;
+      check_int "holes" 1_001 (List.length (Freelist.Allocator.free_block_sizes a));
+      let before = Memstore.Physical.reads mem in
+      let sizes = [| 5; 14; 30; 100; 300 |] in
+      for i = 0 to 199 do
+        let addr = Option.get (Freelist.Allocator.alloc a sizes.(i mod Array.length sizes)) in
+        Freelist.Allocator.free a addr
+      done;
+      let per_op = float_of_int (Memstore.Physical.reads mem - before) /. 400. in
+      if per_op > 8. then
+        Alcotest.failf "%s: %.1f reads per operation" (Freelist.Policy.to_string policy) per_op;
+      Freelist.Allocator.validate a)
+    Freelist.Policy.all_standard
 
 (* --- compaction --- *)
 
@@ -250,6 +285,182 @@ let allocator_random_ops policy =
           Freelist.Allocator.validate a)
         ops;
       List.for_all intact !live)
+
+(* A naive model of the placement rules, written from the policies'
+   definitions: the holes are an address-ordered list that every search
+   walks, counting the nodes it looks at. *)
+module Model = struct
+  type t = {
+    len : int;
+    policy : Freelist.Policy.t;
+    mutable holes : (int * int) list;  (* (offset, words), ascending *)
+    mutable rover : int option;  (* next fit: the hole to resume at *)
+    mutable live : (int * int) list;  (* (offset, words) of live blocks *)
+  }
+
+  let create policy len = { len; policy; holes = [ (0, len) ]; rover = None; live = [] }
+
+  let successor holes off = Option.map fst (List.find_opt (fun (o, _) -> o > off) holes)
+
+  let head holes = match holes with (o, _) :: _ -> Some o | [] -> None
+
+  (* A rover hole that goes hands the rover to its list successor. *)
+  let remove_hole m off =
+    if m.rover = Some off then m.rover <- successor m.holes off;
+    m.holes <- List.filter (fun (o, _) -> o <> off) m.holes
+
+  let set_hole m off words = m.holes <- List.sort compare ((off, words) :: m.holes)
+
+  (* The chosen hole and the nodes examined. *)
+  let search m ~needed ~take_high =
+    let fits (_, words) = words >= needed in
+    let rec first examined = function
+      | [] -> (None, examined)
+      | h :: rest -> if fits h then (Some h, examined + 1) else first (examined + 1) rest
+    in
+    let pick better =
+      List.fold_left
+        (fun best h ->
+          match best with
+          | Some b when not (better h b) -> best
+          | _ -> if fits h then Some h else best)
+        None m.holes
+    in
+    let all = List.length m.holes in
+    match m.policy with
+    | Freelist.Policy.First_fit -> first 0 m.holes
+    | Freelist.Policy.Next_fit ->
+      let before, from =
+        List.partition (fun (o, _) -> match m.rover with Some r -> o < r | None -> false) m.holes
+      in
+      first 0 (from @ before)
+    | Freelist.Policy.Best_fit -> (pick (fun (_, w) (_, b) -> w < b), all)
+    | Freelist.Policy.Worst_fit -> (pick (fun (_, w) (_, b) -> w > b), all)
+    | Freelist.Policy.Two_ends _ ->
+      if take_high then (pick (fun _ _ -> true), all) else first 0 m.holes
+
+  let alloc m n =
+    let needed = max 4 (n + 2) in
+    let take_high =
+      match m.policy with Freelist.Policy.Two_ends { small_max } -> n > small_max | _ -> false
+    in
+    match search m ~needed ~take_high with
+    | None, examined -> (None, examined)
+    | Some (off, words), examined ->
+      let remainder = words - needed in
+      let block, granted, rover =
+        if remainder >= 4 && take_high then begin
+          remove_hole m off;
+          set_hole m off remainder;
+          (off + remainder, needed, Some off)
+        end
+        else if remainder >= 4 then begin
+          remove_hole m off;
+          set_hole m (off + needed) remainder;
+          (off, needed, Some (off + needed))
+        end
+        else begin
+          let succ = successor m.holes off in
+          remove_hole m off;
+          (off, words, succ)
+        end
+      in
+      if m.policy = Freelist.Policy.Next_fit then
+        m.rover <- (match rover with Some _ -> rover | None -> head m.holes);
+      m.live <- (block, granted) :: m.live;
+      (Some (block + 1), examined)
+
+  let free m addr =
+    let off = addr - 1 in
+    let words = List.assoc off m.live in
+    m.live <- List.remove_assoc off m.live;
+    let words =
+      match List.assoc_opt (off + words) m.holes with
+      | Some above ->
+        remove_hole m (off + words);
+        words + above
+      | None -> words
+    in
+    match List.find_opt (fun (o, w) -> o + w = off) m.holes with
+    | Some (below, w) ->
+      remove_hole m below;
+      set_hole m below (w + words)
+    | None -> set_hole m off words
+
+  (* Slide the live blocks down; returns (old, new) payload addresses. *)
+  let compact m =
+    let moves, dst =
+      List.fold_left
+        (fun (moves, dst) (off, words) -> ((off, dst, words) :: moves, dst + words))
+        ([], 0) (List.sort compare m.live)
+    in
+    let remainder = m.len - dst in
+    m.rover <- None;
+    m.holes <- (if remainder >= 4 then [ (dst, remainder) ] else []);
+    m.live <-
+      List.mapi
+        (fun i (_, off, words) -> (off, if i = 0 && remainder < 4 then words + remainder else words))
+        moves;
+    List.map (fun (off, off', _) -> (off + 1, off' + 1)) moves
+end
+
+(* The allocator and the model in lockstep: allocations, frees at random
+   positions and occasional compactions.  After every request both give
+   the same address or failure, the same examined count and the same
+   holes. *)
+let allocator_matches_model policy =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "placement matches the list model under %s"
+             (Freelist.Policy.to_string policy))
+    ~count:60
+    QCheck.(list_of_size Gen.(int_range 0 150) (pair (int_range 0 99) (int_range 1 120)))
+    (fun ops ->
+      let words = 1024 in
+      let mem = Memstore.Physical.create ~name:"core" ~words in
+      let a = Freelist.Allocator.create mem ~base:0 ~len:words ~policy in
+      let m = Model.create policy words in
+      let channel = Memstore.Channel.create (Sim.Clock.create ()) ~word_ns:500 in
+      let live = ref [] in
+      let examined () = int_of_float (Metrics.Stats.total (Freelist.Allocator.search_stats a)) in
+      List.iteri
+        (fun step (k, n) ->
+          if k < 50 || !live = [] then begin
+            let before = examined () in
+            let got = Freelist.Allocator.alloc a n in
+            let want, want_examined = Model.alloc m n in
+            let show = function Some p -> string_of_int p | None -> "none" in
+            if got <> want then
+              QCheck.Test.fail_reportf "step %d, alloc %d: %s, model %s" step n (show got)
+                (show want);
+            if examined () - before <> want_examined then
+              QCheck.Test.fail_reportf "step %d, alloc %d: examined %d, model %d" step n
+                (examined () - before) want_examined;
+            Option.iter (fun p -> live := p :: !live) got
+          end
+          else if k < 97 then begin
+            let addr = List.nth !live (n mod List.length !live) in
+            live := List.filter (fun p -> p <> addr) !live;
+            Freelist.Allocator.free a addr;
+            Model.free m addr
+          end
+          else begin
+            let moved = ref [] in
+            Freelist.Allocator.compact a channel ~relocate:(fun p p' -> moved := (p, p') :: !moved);
+            let model_moved = Model.compact m in
+            let follow moves p = Option.value (List.assoc_opt p moves) ~default:p in
+            live :=
+              List.map
+                (fun p ->
+                  if follow !moved p <> follow model_moved p then
+                    QCheck.Test.fail_reportf "step %d: compaction moved %d apart" step p;
+                  follow !moved p)
+                !live
+          end;
+          if Freelist.Allocator.free_block_sizes a <> List.map snd m.holes then
+            QCheck.Test.fail_reportf "step %d: holes differ from the model" step;
+          Freelist.Allocator.validate a)
+        ops;
+      true)
 
 let allocator_fill_then_drain policy =
   QCheck.Test.make
@@ -361,6 +572,7 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_exhaustion_fails_cleanly;
           Alcotest.test_case "bad free rejected" `Quick test_free_bad_address_rejected;
           Alcotest.test_case "search stats" `Quick test_search_stats_recorded;
+          Alcotest.test_case "reads flat in hole count" `Quick test_reads_flat_in_hole_count;
         ] );
       ( "placement",
         [
@@ -384,6 +596,11 @@ let () =
             allocator_random_ops Freelist.Policy.Best_fit;
             allocator_random_ops Freelist.Policy.Worst_fit;
             allocator_random_ops (Freelist.Policy.Two_ends { small_max = 20 });
+            allocator_matches_model Freelist.Policy.First_fit;
+            allocator_matches_model Freelist.Policy.Next_fit;
+            allocator_matches_model Freelist.Policy.Best_fit;
+            allocator_matches_model Freelist.Policy.Worst_fit;
+            allocator_matches_model (Freelist.Policy.Two_ends { small_max = 20 });
             allocator_fill_then_drain Freelist.Policy.First_fit;
             allocator_fill_then_drain Freelist.Policy.Best_fit;
             allocator_fill_then_drain (Freelist.Policy.Two_ends { small_max = 20 });
