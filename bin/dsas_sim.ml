@@ -167,6 +167,7 @@ let run_cmd =
         "--kill-shard injects faults into the supervised x11_parallel run; use it \
          with `run x11_parallel`"
     in
+    let* () = Experiments.X11_parallel.check_kills ~quick kills in
     let* () =
       fail_if (telemetry_every < 1) "--telemetry-every must be >= 1 (simulated microseconds)"
     in
@@ -600,6 +601,9 @@ let chaos_cmd =
           match kill_shard with
           | None -> Ok None
           | Some spec -> Result.map Option.some (Parallel.Supervisor.parse_kills spec)
+        in
+        let* () =
+          Option.fold ~none:(Ok ()) ~some:(Experiments.Par_chaos.check_kills ~quick) kills
         in
         (* Device faults through the x9 scenarios, or, with --domains,
            shard kills through the supervised sharded engines. *)

@@ -29,12 +29,6 @@ type job_state = {
   mutable parked : bool;  (* shed by the load controller; not scheduled *)
 }
 
-let key_bits = 32
-
-let key ~job ~page = (job lsl key_bits) lor page
-
-let job_of_key k = k lsr key_bits
-
 (* The ready time of a page that is not resident. *)
 let absent = -1
 
@@ -51,15 +45,18 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
          specs)
   in
   assert (Array.length jobs > 0);
-  (* The resident pages' keys, and per page, at its slot
-     [job * stride + page], when its fetch completes ([absent] when it
-     is not resident). *)
-  let resident = Paging.Resident.create ~capacity:frames in
+  (* A page is known by its slot [job * stride + page]: the policy and
+     the resident set see slots, and [ready_at.(slot)] is when the
+     page's fetch completes ([absent] when it is not resident).  Traces
+     and the device see the job-tagged key, the job above bit 32; slots
+     and keys sort alike. *)
   let stride =
     Array.fold_left (fun m j -> max m (Workload.Trace.extent j.spec.Workload.Job.refs)) 0 jobs
   in
+  let job_of s = s / stride in
+  let key s = (job_of s lsl 32) lor (s mod stride) in
+  let resident = Paging.Resident.create ~capacity:frames in
   let ready_at = Array.make (Array.length jobs * stride) absent in
-  let slot k = (job_of_key k * stride) + (k land ((1 lsl key_bits) - 1)) in
   let ready : int Queue.t = Queue.create () in
   let blocked : int Sim.Heap.t = Sim.Heap.create () in
   (* Device mode only: which job is waiting on each request, and jobs
@@ -80,20 +77,20 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
   let in_flight = max_int in
   let emit kind = Obs.Sink.emit obs (Obs.Event.make ~t_us:!now kind) in
   if tracing then Array.iter (fun j -> emit (Obs.Event.Job_start { job = j.index })) jobs;
-  let drop k =
-    Paging.Resident.remove resident k;
-    ready_at.(slot k) <- absent
+  let drop s =
+    Paging.Resident.remove resident s;
+    ready_at.(s) <- absent
   in
   (* Drop every committed-resident page of job [idx] (its in-flight
      pages, if any, stay owned by req_owner and resolve on delivery). *)
   let evict_job_pages idx =
     Array.iter
-      (fun k ->
-        drop k;
-        policy.Paging.Replacement.on_evict ~page:k;
-        if tracing then emit (Obs.Event.Eviction { page = k }))
-      (Paging.Resident.filter resident (fun k ->
-           job_of_key k = idx && ready_at.(slot k) <> in_flight))
+      (fun s ->
+        drop s;
+        policy.Paging.Replacement.on_evict ~page:s;
+        if tracing then emit (Obs.Event.Eviction { page = key s }))
+      (Paging.Resident.filter resident (fun s ->
+           job_of s = idx && ready_at.(s) <> in_flight))
   in
   let unpark j =
     if j.parked then begin
@@ -117,15 +114,15 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
      from the beginning — its working set is dropped, its reference
      position rewinds — up to [max_restarts] times, after which the job
      is stopped and reported failed. *)
-  let abort_job j ~k =
+  let abort_job j ~s =
     (* A shed job can still have the fetch that was in flight when it
        was parked; the failure empties its working set anyway, so the
        abort re-admits it rather than restarting a parked job. *)
     unpark j;
-    drop k;
-    (* the fault announced page [k]; retract it before the job's
+    drop s;
+    (* the fault announced page [s]; retract it before the job's
        committed pages go *)
-    if tracing then emit (Obs.Event.Eviction { page = k });
+    if tracing then emit (Obs.Event.Eviction { page = key s });
     evict_job_pages j.index;
     if j.restarts < max_restarts then begin
       j.restarts <- j.restarts + 1;
@@ -139,47 +136,48 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
   let deliver req fin =
     match Hashtbl.find_opt req_owner req with
     | None -> ()
-    | Some (idx, k) ->
+    | Some (idx, s) ->
       Hashtbl.remove req_owner req;
       (match device with
        | Some m ->
          (match Device.Model.failure_of m req with
-          | Some _ -> abort_job jobs.(idx) ~k
+          | Some _ -> abort_job jobs.(idx) ~s
           | None ->
-            ready_at.(slot k) <- fin;
+            ready_at.(s) <- fin;
             Queue.add idx ready;
             Queue.transfer stalled ready)
        | None ->
-         ready_at.(slot k) <- fin;
+         ready_at.(s) <- fin;
          Queue.add idx ready;
          Queue.transfer stalled ready)
   in
   let candidates () =
     (* Frames whose fetch has completed; in-flight pages are pinned. *)
-    Paging.Resident.filter resident (fun k -> ready_at.(slot k) <= !now)
+    Paging.Resident.filter resident (fun s -> ready_at.(s) <= !now)
   in
-  let start_fetch j k =
+  let start_fetch j s =
     j.faults <- j.faults + 1;
     (match controller with
      | Some c -> Resilience.Controller.observe_fault c ~job:j.index
      | None -> ());
-    if tracing then emit (Obs.Event.Fault { page = k });
+    if tracing then emit (Obs.Event.Fault { page = key s });
     (match device with
      | None ->
        let start = max !now !device_free_at in
        let finish = start + fetch_us in
        device_free_at := finish;
-       Paging.Resident.add resident k;
-       ready_at.(slot k) <- finish;
+       Paging.Resident.add resident s;
+       ready_at.(s) <- finish;
        Sim.Heap.add blocked finish j.index
      | Some m ->
        let req =
-         Device.Model.submit m ~now:!now ~kind:Device.Request.Demand ~page:k ~words:0
+         Device.Model.submit m ~now:!now ~kind:Device.Request.Demand ~page:(key s)
+           ~words:0
        in
-       Paging.Resident.add resident k;
-       ready_at.(slot k) <- in_flight;
-       Hashtbl.replace req_owner req (j.index, k));
-    policy.Paging.Replacement.on_load ~page:k
+       Paging.Resident.add resident s;
+       ready_at.(s) <- in_flight;
+       Hashtbl.replace req_owner req (j.index, s));
+    policy.Paging.Replacement.on_load ~page:s
   in
   (* Run job [j] until it faults, exhausts its quantum, or finishes.
      Returns true if it should be requeued as ready. *)
@@ -194,10 +192,9 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
       end
       else if quantum = 0 then true
       else begin
-        let page = j.spec.Workload.Job.refs.(j.pos) in
-        let k = key ~job:j.index ~page in
-        policy.Paging.Replacement.on_reference ~page:k ~write:false;
-        let ready = ready_at.((j.index * stride) + page) in
+        let s = (j.index * stride) + j.spec.Workload.Job.refs.(j.pos) in
+        policy.Paging.Replacement.on_reference ~page:s ~write:false;
+        let ready = ready_at.(s) in
         if ready <> absent && ready <= !now then begin
           j.pos <- j.pos + 1;
           incr executed;
@@ -212,7 +209,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
           false
         end
         else if Paging.Resident.length resident < frames then begin
-          start_fetch j k;
+          start_fetch j s;
           false
         end
         else begin
@@ -224,7 +221,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
              | None ->
                let earliest =
                  Array.fold_left
-                   (fun acc k -> min acc ready_at.(slot k))
+                   (fun acc s -> min acc ready_at.(s))
                    max_int (Paging.Resident.elements resident)
                in
                Sim.Heap.add blocked earliest j.index);
@@ -237,8 +234,8 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
             in
             drop victim;
             policy.Paging.Replacement.on_evict ~page:victim;
-            if tracing then emit (Obs.Event.Eviction { page = victim });
-            start_fetch j k;
+            if tracing then emit (Obs.Event.Eviction { page = key victim });
+            start_fetch j s;
             false
           end
         end
@@ -264,7 +261,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
     loop ()
   in
   let occupancy idx =
-    Array.length (Paging.Resident.filter resident (fun k -> job_of_key k = idx))
+    Array.length (Paging.Resident.filter resident (fun s -> job_of s = idx))
   in
   let shed_one c =
     let candidates =

@@ -39,9 +39,13 @@ val run :
   fetch_us:int ->
   Workload.Job.t list ->
   report
-(** [frames] is the shared pool; pages of different jobs never collide
-    (page identities are job-tagged).  [policy] arbitrates the shared
-    pool.  [fetch_us] is the page fetch time; fetches queue on a single
+(** [frames] is the shared pool; pages of different jobs never collide.
+    [policy] arbitrates the shared pool, and it sees each page by its
+    slot [job * stride + page], where [stride] is the largest
+    {!Workload.Trace.extent} among the jobs: dense keys, as
+    {!Paging.Replacement} asks.  Traces and the device see the
+    job-tagged key [(job lsl 32) lor page] instead; slots and keys sort
+    alike, so the policy's choices do not depend on which it sees.  [fetch_us] is the page fetch time; fetches queue on a single
     channel.  [quantum_refs] (default 50) bounds how long a job keeps
     the processor without faulting.
 

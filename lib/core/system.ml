@@ -137,7 +137,7 @@ let segmented_report t store clock ~refs =
     external_fragmentation = Some (Segmentation.Segment_store.external_fragmentation store);
   }
 
-let two_level_engine ~page_size ~frames ~policy_spec ~tlb_capacity ~seed =
+let two_level_engine ~page_size ~frames ~policy_spec ~tlb_capacity ~seed ~segments =
   let rng = Sim.Rng.create seed in
   Segmentation.Two_level.create
     {
@@ -146,6 +146,7 @@ let two_level_engine ~page_size ~frames ~policy_spec ~tlb_capacity ~seed =
       tlb = make_tlb tlb_capacity;
       policy = Paging.Spec.instantiate policy_spec ~rng ~trace:None;
     }
+    ~segments
 
 let two_level_report t engine =
   {
@@ -230,12 +231,11 @@ and run_segmented t ?(seed = 1) ?(obs = Obs.Sink.null) ~segments refs =
       refs;
     segmented_report t store clock ~refs:(Array.length refs)
   | Segmented_paged { page_size; frames; policy; tlb_capacity } ->
-    let engine = two_level_engine ~page_size ~frames ~policy_spec:policy ~tlb_capacity ~seed in
-    let ids =
-      Array.map (fun len -> Segmentation.Two_level.add_segment engine ~length:len) segments
+    let engine =
+      two_level_engine ~page_size ~frames ~policy_spec:policy ~tlb_capacity ~seed ~segments
     in
     Array.iter
-      (fun (s, off) -> Segmentation.Two_level.touch engine ~segment:ids.(s) ~offset:off ~write:false)
+      (fun (segment, offset) -> Segmentation.Two_level.touch engine ~segment ~offset ~write:false)
       refs;
     two_level_report t engine
 

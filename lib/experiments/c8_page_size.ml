@@ -131,10 +131,11 @@ let measure_operational ?(quick = false) ?seed () =
           small_frames = 128;  (* 8K words *)
           large_frames = 8;  (* 8K words *)
         }
+        ~segments
     in
-    let ids = Array.map (fun len -> Segmentation.Dual_pager.add_segment engine ~length:len) segments in
     Array.iter
-      (fun (s, off) -> Segmentation.Dual_pager.touch engine ~segment:ids.(s) ~offset:off ~write:false)
+      (fun (segment, offset) ->
+        Segmentation.Dual_pager.touch engine ~segment ~offset ~write:false)
       pairs;
     {
       scheme = "dual 64+1024 (operational)";
@@ -158,10 +159,11 @@ let measure_operational ?(quick = false) ?seed () =
           tlb = None;
           policy = Paging.Replacement.lru ();
         }
+        ~segments
     in
-    let ids = Array.map (fun len -> Segmentation.Two_level.add_segment engine ~length:len) segments in
     Array.iter
-      (fun (s, off) -> Segmentation.Two_level.touch engine ~segment:ids.(s) ~offset:off ~write:false)
+      (fun (segment, offset) ->
+        Segmentation.Two_level.touch engine ~segment ~offset ~write:false)
       pairs;
     (* Useful fraction of a full pool: mean useful words of the pages the
        segments can offer per frame at this size. *)

@@ -41,9 +41,8 @@ let measure ?(quick = false) ?seed () =
           tlb;
           policy = Paging.Replacement.lru ();
         }
+        ~segments
     in
-    Array.iteri (fun i len -> ignore (Segmentation.Two_level.add_segment engine ~length:len); ignore i)
-      segments;
     Segmentation.Two_level.run_segmented engine refs;
     let n = float_of_int (Segmentation.Two_level.refs engine) in
     let effective = Segmentation.Two_level.effective_access_us engine ~word_us in

@@ -66,6 +66,9 @@ let recover ~reference ~supervised =
   in
   { reference; reference_trace; subject }
 
+let check_kills ~quick kills =
+  Parallel.Supervisor.check_kills ~shards ~steps:(steps ~quick) kills
+
 let recover_alloc ~domains ~kills ~checkpoint_every cfg =
   recover
     ~reference:(fun ~obs -> Parallel.Sharded.run_alloc ~obs ~domains:1 cfg)

@@ -55,6 +55,10 @@ val recover_paging :
   Parallel.Sharded.paging_config ->
   Parallel.Sharded.paging_report recovery
 
+val check_kills : quick:bool -> Parallel.Supervisor.kill list -> (unit, string) result
+(** [Error] names the first kill that would never fire in the
+    scenarios' 4 shards of 150 steps under [quick], 600 otherwise. *)
+
 val scenarios : ?quick:bool -> ?domains:int -> unit -> Resilience.Chaos.scenario list
 (** The two [Shard_kills] scenarios (supervised alloc, supervised
     paging), over 4 shards of 150 workload steps each under [quick],

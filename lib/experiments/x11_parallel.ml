@@ -47,21 +47,29 @@ let supervision_line name (r : _ Par_chaos.recovery) =
     Printf.printf "%-8s crashes %d, restarts %d, checkpoints %d (%d supervision events)\n"
       name s.crashes s.restarts s.checkpoints (Array.length s.supervision)
 
+(* The alloc and paging workloads; their counts do not depend on the
+   seed. *)
+let configs ~quick ~seed =
+  ( Parallel.Sharded.alloc_config ~ops_per_shard:(if quick then 4_000 else 20_000) ~seed (),
+    Parallel.Sharded.paging_config ~refs_per_shard:(if quick then 2_000 else 8_000) ~seed () )
+
+(* Both engines run under the one kill list, so a kill must fire in
+   each. *)
+let check_kills ~quick kills =
+  let (a : Parallel.Sharded.alloc_config), (p : Parallel.Sharded.paging_config) =
+    configs ~quick ~seed:0
+  in
+  Parallel.Supervisor.check_kills
+    ~shards:(min a.a_shards p.p_shards)
+    ~steps:(min a.a_ops_per_shard p.p_refs_per_shard)
+    kills
+
 let run ?(quick = false) ?(obs = Obs.Sink.null) ?seed ?(domains = 1)
     ?(kills = []) () =
   if domains < 1 then invalid_arg "X11_parallel.run: domains < 1";
   (* seed 0 is the no-override stream (0 lxor site = site). *)
   let master = match seed with Some s -> s | None -> 0 in
-  let alloc_cfg =
-    Parallel.Sharded.alloc_config
-      ~ops_per_shard:(if quick then 4_000 else 20_000)
-      ~seed:master ()
-  in
-  let paging_cfg =
-    Parallel.Sharded.paging_config
-      ~refs_per_shard:(if quick then 2_000 else 8_000)
-      ~seed:master ()
-  in
+  let alloc_cfg, paging_cfg = configs ~quick ~seed:master in
   (* Unsupervised width-1 reference, then the supervised subject at the
      requested width under the kill schedule; the contract says the
      merged engine streams and every count must match exactly. *)

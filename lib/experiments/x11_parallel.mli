@@ -22,6 +22,11 @@
     experiment prints a greppable [ESCALATED] verdict, emits nothing,
     and returns [false]. *)
 
+val check_kills : quick:bool -> Parallel.Supervisor.kill list -> (unit, string) result
+(** [Error] names the first kill that would not fire in both engines:
+    4 shards each, and at most 2,000 steps under [quick] (8,000
+    otherwise), the paging engine's count. *)
+
 val run :
   ?quick:bool ->
   ?obs:Obs.Sink.t ->

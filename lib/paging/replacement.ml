@@ -10,19 +10,22 @@ let no_ref ~page:_ ~write:_ = ()
 
 let no_page ~page:_ = ()
 
-(* Per-page state.  No policy iterates its table, so the hash reaches no
-   output; this one spreads Multiprog's job-tagged keys
-   ([job lsl 32 lor page]) as well as plain page numbers. *)
-module Tbl = Hashtbl.Make (struct
-  type t = int
+(* Per-page state: one int per key, in a flat array grown to the
+   largest key written.  A key never written reads as [absent]. *)
+type state = { mutable v : int array; absent : int }
 
-  let equal = Int.equal
+let state absent = { v = [||]; absent }
 
-  let hash x = x lxor (x lsr 17) lxor (x lsr 32)
-end)
+let get s k = if k < Array.length s.v then s.v.(k) else s.absent
 
-(* Every absent binding reads as 0. *)
-let get tbl page = match Tbl.find tbl page with v -> v | exception Not_found -> 0
+let set s k x =
+  let n = Array.length s.v in
+  if k >= n then begin
+    let grown = Array.make (max (k + 1) (2 * n)) s.absent in
+    Array.blit s.v 0 grown 0 n;
+    s.v <- grown
+  end;
+  s.v.(k) <- x
 
 (* Membership in the ascending candidates. *)
 let is_candidate (candidates : int array) page =
@@ -102,7 +105,7 @@ let fifo () =
   }
 
 let lru () =
-  let stamp = Tbl.create 64 in
+  let stamp = state 0 in
   let tick = ref 0 in
   let oldest = get stamp in
   {
@@ -110,25 +113,24 @@ let lru () =
     on_reference =
       (fun ~page ~write:_ ->
         incr tick;
-        Tbl.replace stamp page !tick);
-    on_load = (fun ~page -> Tbl.replace stamp page !tick);
-    on_evict = (fun ~page -> Tbl.remove stamp page);
+        set stamp page !tick);
+    on_load = (fun ~page -> set stamp page !tick);
+    on_evict = (fun ~page -> set stamp page 0);
     choose_victim = (fun ~candidates -> argmin candidates oldest);
   }
 
 let clock_sweep () =
   (* Pages on a ring in load order, [!ring.(0 .. !len - 1)], and a use
-     bit per page set on reference (a page is in [used] iff its bit is
-     set); the hand clears bits until it finds one clear.  The hand is
-     the range [!h, !hend): what it has left of the ring as the ring
-     stood at its last wrap, so a page loaded since then waits for the
-     next wrap. *)
-  let used = Tbl.create 64 in
+     bit per page set on reference (1 in [used]); the hand clears bits
+     until it finds one clear.  The hand is the range [!h, !hend): what
+     it has left of the ring as the ring stood at its last wrap, so a
+     page loaded since then waits for the next wrap. *)
+  let used = state 0 in
   let ring = ref (Array.make 16 0) and len = ref 0 in
   let h = ref 0 and hend = ref 0 in
   {
     name = "CLOCK";
-    on_reference = (fun ~page ~write:_ -> Tbl.replace used page ());
+    on_reference = (fun ~page ~write:_ -> set used page 1);
     on_load =
       (fun ~page ->
         if !len = Array.length !ring then begin
@@ -138,7 +140,7 @@ let clock_sweep () =
         end;
         !ring.(!len) <- page;
         incr len;
-        Tbl.remove used page);
+        set used page 0);
     on_evict =
       (fun ~page ->
         (* Drop every occurrence, shifting the rest down; the hand's
@@ -157,7 +159,7 @@ let clock_sweep () =
           end
         done;
         len := !kept;
-        Tbl.remove used page);
+        set used page 0);
     choose_victim =
       (fun ~candidates ->
         let rec sweep budget =
@@ -172,8 +174,8 @@ let clock_sweep () =
               let p = !ring.(!h) in
               incr h;
               if not (is_candidate candidates p) then sweep (budget - 1)
-              else if Tbl.mem used p then begin
-                Tbl.remove used p;
+              else if get used p = 1 then begin
+                set used p 0;
                 sweep (budget - 1)
               end
               else p
@@ -195,14 +197,14 @@ let random rng =
 let nru rng =
   (* Per page, the use bit is worth 2 and the modify bit 1, so the
      field is the page's class. *)
-  let bits = Tbl.create 64 and pool = ref [||] in
+  let bits = state 0 and pool = ref [||] in
   {
     name = "NRU";
     on_reference =
       (fun ~page ~write ->
-        Tbl.replace bits page (get bits page lor (if write then 3 else 2)));
+        set bits page (get bits page lor (if write then 3 else 2)));
     on_load = no_page;
-    on_evict = (fun ~page -> Tbl.remove bits page);
+    on_evict = (fun ~page -> set bits page 0);
     choose_victim =
       (fun ~candidates ->
         (* Periodic sensor reset, modelled as happening at each decision:
@@ -210,46 +212,35 @@ let nru rng =
         pick_best_class rng pool ~candidates ~class_of:(fun i ->
             let p = candidates.(i) in
             let f = get bits p in
-            if f >= 2 then Tbl.replace bits p (f land 1);
+            if f >= 2 then set bits p (f land 1);
             f));
   }
 
 let lfu () =
-  let count = Tbl.create 64 in
+  let count = state 0 in
   let freq = get count in
   {
     name = "LFU";
-    on_reference = (fun ~page ~write:_ -> Tbl.replace count page (freq page + 1));
-    on_load = (fun ~page -> Tbl.replace count page 0);
-    on_evict = (fun ~page -> Tbl.remove count page);
+    on_reference = (fun ~page ~write:_ -> set count page (freq page + 1));
+    on_load = (fun ~page -> set count page 0);
+    on_evict = (fun ~page -> set count page 0);
     choose_victim = (fun ~candidates -> argmin candidates freq);
   }
 
-(* ATLAS per-page state: the time of last use and T, the previous
-   period of inactivity. *)
-type atlas_page = { mutable last : int; mutable gap : int }
-
-(* What a page never referenced nor loaded reads as; never stored. *)
-let atlas_absent = { last = 0; gap = 0 }
-
 let atlas_learning () =
+  (* Per page, the time of last use ([-1] before the page is first
+     referenced or loaded) and T, the previous period of inactivity. *)
   let now = ref 0 in
-  let pages = Tbl.create 64 in
+  let last = state (-1) and gap = state 0 in
   {
     name = "ATLAS";
     on_reference =
       (fun ~page ~write:_ ->
         incr now;
-        match Tbl.find pages page with
-        | r ->
-          if r.last < !now then r.gap <- !now - r.last;
-          r.last <- !now
-        | exception Not_found -> Tbl.add pages page { last = !now; gap = 0 });
-    on_load =
-      (fun ~page ->
-        match Tbl.find pages page with
-        | r -> r.last <- !now
-        | exception Not_found -> Tbl.add pages page { last = !now; gap = 0 });
+        let l = get last page in
+        if l >= 0 && l < !now then set gap page (!now - l);
+        set last page !now);
+    on_load = (fun ~page -> set last page !now);
     on_evict = no_page;
     choose_victim =
       (fun ~candidates ->
@@ -260,12 +251,10 @@ let atlas_learning () =
         let out = ref (-1) and out_t = ref 0 in
         let best = ref (-1) and best_key = ref 0 in
         for i = 0 to Array.length candidates - 1 do
-          let r =
-            match Tbl.find pages candidates.(i) with
-            | r -> r
-            | exception Not_found -> atlas_absent
-          in
-          let t = !now - r.last and big_t = r.gap in
+          let p = candidates.(i) in
+          let l = get last p in
+          (* a page never seen reads as last used at 0 *)
+          let t = !now - (if l < 0 then 0 else l) and big_t = get gap p in
           if t > big_t + 1 && (!out < 0 || t > !out_t) then begin
             out := i;
             out_t := t
@@ -279,19 +268,19 @@ let atlas_learning () =
   }
 
 let m44 rng =
-  let count = Tbl.create 64 and modified = Tbl.create 64 in
+  let count = state 0 and modified = state 0 in
   let counts = ref [||] and pool = ref [||] in
   {
     name = "M44";
     on_reference =
       (fun ~page ~write ->
-        Tbl.replace count page (get count page + 1);
-        if write then Tbl.replace modified page ());
-    on_load = (fun ~page -> Tbl.replace count page 0);
+        set count page (get count page + 1);
+        if write then set modified page 1);
+    on_load = (fun ~page -> set count page 0);
     on_evict =
       (fun ~page ->
-        Tbl.remove count page;
-        Tbl.remove modified page);
+        set count page 0;
+        set modified page 0);
     choose_victim =
       (fun ~candidates ->
         (* Equally acceptable = least frequently used; unmodified
@@ -307,12 +296,11 @@ let m44 rng =
           let c = get count p in
           seen.(i) <- c;
           if c < !least then least := c;
-          Tbl.replace count p ((c / 2) + 1)
+          set count p ((c / 2) + 1)
         done;
         pick_best_class rng pool ~candidates ~class_of:(fun i ->
             if seen.(i) > !least then 2
-            else if Tbl.mem modified candidates.(i) then 1
-            else 0));
+            else get modified candidates.(i)));
   }
 
 let working_set ~tau =

@@ -21,7 +21,15 @@
     is lent for the call only: the engine may reuse it afterwards (the
     fault simulator passes its own resident set), so a policy must
     neither keep it nor modify it.  FIFO and CLOCK test membership by
-    binary search on that order. *)
+    binary search on that order.
+
+    Keys are dense non-negative ints: every engine numbers its pages
+    [0 .. n-1] for its [n] pages, in an order it keeps fixed.  A
+    policy keeps its per-page state (LRU stamps, use and modify bits,
+    counts, ATLAS's last use and T) in int arrays indexed by key, which
+    grow to the largest key seen, so a sparse key costs memory in
+    proportion to its value.  Those policies raise [Invalid_argument]
+    on a negative key. *)
 
 type t = {
   name : string;

@@ -51,6 +51,16 @@ let parse_kills spec =
   in
   parse [] (String.split_on_char ',' spec)
 
+let check_kills ~shards ~steps kills =
+  match List.find_opt (fun k -> k.k_shard >= shards || k.k_progress > steps) kills with
+  | None -> Ok ()
+  | Some k ->
+    Error
+      (Printf.sprintf
+         "--kill-shard %d@%d would never fire: the workload runs shards 0..%d of %d \
+          steps each"
+         k.k_shard k.k_progress (shards - 1) steps)
+
 exception Injected of fault
 
 (* The restart budget per shard, the linear backoff step in simulated

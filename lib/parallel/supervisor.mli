@@ -40,6 +40,11 @@ val parse_kills : string -> (kill list, string) result
     ignored.  Never raises: bad syntax, an empty part, an integer out
     of range or outside those bounds is an [Error] quoting the spec. *)
 
+val check_kills : shards:int -> steps:int -> kill list -> (unit, string) result
+(** [Error] names the first kill that can never fire in a workload of
+    [shards] shards of [steps] steps each: its shard is [shards] or
+    more, or its step is past [steps]. *)
+
 exception Injected of fault
 (** How an injected fault tears down the body mid-step.  Bodies do not
     need to catch it; the supervisor does. *)

@@ -5,58 +5,62 @@ type config = {
   large_frames : int;
 }
 
-(* One frame pool with LRU replacement over packed page keys. *)
+(* One frame pool with LRU replacement.  Its pages are numbered in one
+   dense key space, segment by segment. *)
 type pool = {
   capacity : int;
   resident : Paging.Resident.t;
   lru : Paging.Replacement.t;
+  first : int array;  (* per segment, the key of its first page here *)
   mutable faults : int;
 }
 
-type seg = { length : int }
-
 type t = {
   cfg : config;
+  lengths : int array;  (* per segment, in words *)
   small : pool;
   large : pool;
-  mutable segments : seg array;
-  mutable seg_count : int;
+  tail_words : int array;  (* per small page, its words inside the segment *)
   mutable refs : int;
 }
 
-let key_bits = 24
+(* A segment's body (whole large pages) then its tail (small pages). *)
+let body_words cfg length = length / cfg.large_page * cfg.large_page
 
-let create cfg =
+let create cfg ~segments =
   assert (cfg.small_page > 0 && cfg.large_page mod cfg.small_page = 0);
   assert (cfg.small_frames >= 0 && cfg.large_frames >= 0);
-  let pool capacity =
+  Array.iter (fun length -> assert (length >= 1)) segments;
+  let tail length = length - body_words cfg length in
+  let small_pages length = (tail length + cfg.small_page - 1) / cfg.small_page in
+  let pool capacity pages =
+    let first = Array.make (Array.length segments) 0 in
+    for i = 1 to Array.length segments - 1 do
+      first.(i) <- first.(i - 1) + pages segments.(i - 1)
+    done;
     {
       capacity;
       resident = Paging.Resident.create ~capacity;
       lru = Paging.Replacement.lru ();
+      first;
       faults = 0;
     }
   in
   {
     cfg;
-    small = pool cfg.small_frames;
-    large = pool cfg.large_frames;
-    segments = [||];
-    seg_count = 0;
+    lengths = Array.copy segments;
+    small = pool cfg.small_frames small_pages;
+    large = pool cfg.large_frames (fun length -> body_words cfg length / cfg.large_page);
+    tail_words =
+      Array.concat
+        (Array.to_list
+           (Array.map
+              (fun length ->
+                Array.init (small_pages length) (fun p ->
+                    min cfg.small_page (tail length - (p * cfg.small_page))))
+              segments));
     refs = 0;
   }
-
-let add_segment t ~length =
-  assert (length >= 1);
-  if t.seg_count >= Array.length t.segments then begin
-    let grown = Array.make (max 8 (2 * Array.length t.segments)) { length = 0 } in
-    Array.blit t.segments 0 grown 0 t.seg_count;
-    t.segments <- grown
-  end;
-  let id = t.seg_count in
-  t.seg_count <- t.seg_count + 1;
-  t.segments.(id) <- { length };
-  id
 
 (* A pool of no frames faults on every reference and holds nothing. *)
 let pool_touch pool key =
@@ -78,22 +82,19 @@ let pool_touch pool key =
     end
   end
 
-(* A segment's body (whole large pages) then its tail (small pages). *)
-let body_words t length = length / t.cfg.large_page * t.cfg.large_page
-
 let touch t ~segment ~offset ~write =
   ignore write;
-  if segment < 0 || segment >= t.seg_count then invalid_arg "Dual_pager: unknown segment";
-  let s = t.segments.(segment) in
-  if offset < 0 || offset >= s.length then
-    raise (Descriptor.Subscript_violation { segment; index = offset; extent = s.length });
+  if segment < 0 || segment >= Array.length t.lengths then
+    invalid_arg "Dual_pager: unknown segment";
+  let extent = t.lengths.(segment) in
+  if offset < 0 || offset >= extent then
+    raise (Descriptor.Subscript_violation { segment; index = offset; extent });
   t.refs <- t.refs + 1;
-  let body = body_words t s.length in
+  let body = body_words t.cfg extent in
   if offset < body then
-    pool_touch t.large ((segment lsl key_bits) lor (offset / t.cfg.large_page))
+    pool_touch t.large (t.large.first.(segment) + (offset / t.cfg.large_page))
   else
-    pool_touch t.small
-      ((segment lsl key_bits) lor ((offset - body) / t.cfg.small_page))
+    pool_touch t.small (t.small.first.(segment) + ((offset - body) / t.cfg.small_page))
 
 let refs t = t.refs
 
@@ -107,20 +108,12 @@ let resident_words t =
   (Paging.Resident.length t.small.resident * t.cfg.small_page)
   + (Paging.Resident.length t.large.resident * t.cfg.large_page)
 
+(* Large pages lie wholly inside their segment's body. *)
 let resident_useful_words t =
-  let useful = ref 0 in
-  let count pool page_words tail_of =
-    Array.iter
-      (fun key ->
-        let segment = key lsr key_bits and page = key land ((1 lsl key_bits) - 1) in
-        let s = t.segments.(segment) in
-        let base = tail_of s + (page * page_words) in
-        useful := !useful + min page_words (s.length - base))
-      (Paging.Resident.elements pool.resident)
-  in
-  count t.large t.cfg.large_page (fun _ -> 0);
-  count t.small t.cfg.small_page (fun s -> body_words t s.length);
-  !useful
+  Array.fold_left
+    (fun acc key -> acc + t.tail_words.(key))
+    (Paging.Resident.length t.large.resident * t.cfg.large_page)
+    (Paging.Resident.elements t.small.resident)
 
 let core_words t =
   (t.cfg.small_frames * t.cfg.small_page) + (t.cfg.large_frames * t.cfg.large_page)

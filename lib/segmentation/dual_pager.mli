@@ -24,9 +24,13 @@ type config = {
 
 type t
 
-val create : config -> t
-
-val add_segment : t -> length:int -> int
+val create : config -> segments:int array -> t
+(** [segments.(i)] is the length in words (at least 1) of segment [i].
+    Each pool numbers its pages in one dense key space, in segment
+    order: a page's key is the number of the pool's pages in the
+    segments before it plus its page number within its segment's body
+    (large pool) or tail (small pool).  Each pool's LRU sees these
+    keys. *)
 
 val touch : t -> segment:int -> offset:int -> write:bool -> unit
 (** Bound-checks (raising {!Descriptor.Subscript_violation}) and faults

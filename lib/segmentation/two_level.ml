@@ -5,65 +5,40 @@ type config = {
   policy : Paging.Replacement.t;
 }
 
-(* Pages are identified across segments by packed keys. *)
-let key_bits = 24
-
-let key ~segment ~page = (segment lsl key_bits) lor page
-
-type seg = { mutable length : int }
-
 type t = {
   cfg : config;
-  mutable segments : seg array;
-  mutable seg_count : int;
+  lengths : int array;  (* per segment, in words *)
+  first : int array;  (* per segment, the key of its page 0 *)
   resident : Paging.Resident.t;  (* resident page keys *)
   mutable refs : int;
   mutable faults : int;
   mutable map_accesses : int;
 }
 
-let create cfg =
+let create cfg ~segments =
   assert (cfg.page_size > 0 && cfg.frames > 0);
+  Array.iter (fun length -> assert (length >= 1)) segments;
+  let first = Array.make (Array.length segments) 0 in
+  for i = 1 to Array.length segments - 1 do
+    first.(i) <- first.(i - 1) + ((segments.(i - 1) + cfg.page_size - 1) / cfg.page_size)
+  done;
   {
     cfg;
-    segments = [||];
-    seg_count = 0;
+    lengths = Array.copy segments;
+    first;
     resident = Paging.Resident.create ~capacity:cfg.frames;
     refs = 0;
     faults = 0;
     map_accesses = 0;
   }
 
-let add_segment t ~length =
-  assert (length >= 1);
-  assert (length < 1 lsl key_bits * t.cfg.page_size);
-  if t.seg_count >= Array.length t.segments then begin
-    let grown = Array.make (max 8 (2 * Array.length t.segments)) { length = 0 } in
-    Array.blit t.segments 0 grown 0 t.seg_count;
-    t.segments <- grown
-  end;
-  let id = t.seg_count in
-  t.seg_count <- t.seg_count + 1;
-  t.segments.(id) <- { length };
-  id
-
-let seg t segment =
-  if segment < 0 || segment >= t.seg_count then invalid_arg "Two_level: unknown segment";
-  t.segments.(segment)
-
-let segment_length t segment = (seg t segment).length
-
-let grow_segment t ~segment ~new_length =
-  let s = seg t segment in
-  if new_length <= s.length then invalid_arg "Two_level.grow_segment: not larger";
-  s.length <- new_length
-
 let touch t ~segment ~offset ~write =
-  let s = seg t segment in
-  if offset < 0 || offset >= s.length then
-    raise (Descriptor.Subscript_violation { segment; index = offset; extent = s.length });
-  let page = offset / t.cfg.page_size in
-  let k = key ~segment ~page in
+  if segment < 0 || segment >= Array.length t.lengths then
+    invalid_arg "Two_level: unknown segment";
+  let extent = t.lengths.(segment) in
+  if offset < 0 || offset >= extent then
+    raise (Descriptor.Subscript_violation { segment; index = offset; extent });
+  let k = t.first.(segment) + (offset / t.cfg.page_size) in
   t.refs <- t.refs + 1;
   t.cfg.policy.Paging.Replacement.on_reference ~page:k ~write;
   let translated =

@@ -24,15 +24,12 @@ type config = {
 
 type t
 
-val create : config -> t
-
-val add_segment : t -> length:int -> int
-(** Declare a segment of [length] words; returns its segment number. *)
-
-val segment_length : t -> int -> int
-
-val grow_segment : t -> segment:int -> new_length:int -> unit
-(** Dynamic segments: extend a segment's extent (its page table grows). *)
+val create : config -> segments:int array -> t
+(** [segments.(i)] is the length in words (at least 1) of segment [i].
+    The pages of all segments are numbered in one dense key space, in
+    segment order: a page's key is the number of pages in the segments
+    before it plus its page number within its segment.  The policy and
+    the associative memory see these keys. *)
 
 val touch : t -> segment:int -> offset:int -> write:bool -> unit
 (** One reference to [segment[offset]].  Bound-checks the offset

@@ -246,14 +246,30 @@ let test_clock_hand_vs_evictions () =
   use 10;
   check_int "full sweep" 10 (victim [| 7; 10 |])
 
-(* A policy that checks the candidate contract at every victim choice
-   and delegates the choice to LRU.  With [frames], the candidates must
-   also be exactly the resident set modelled from on_load / on_evict. *)
-let contract_policy ?frames () =
+(* ATLAS measures T, a page's previous period of inactivity, from its
+   load when the load comes first (page 0, loaded at time 0), and sets
+   T = 0 at a page's first reference (page 2): "never seen" and "last
+   used at time 0" stay apart.  Either slip makes page 2 the victim. *)
+let test_atlas_first_use () =
+  let a = Paging.Replacement.atlas_learning () in
+  a.Paging.Replacement.on_load ~page:0;
+  List.iter (fun p -> a.Paging.Replacement.on_reference ~page:p ~write:false) [ 1; 1; 1; 0; 2 ];
+  (* (t, T): page 0 (1, 4), page 1 (2, 1), page 2 (0, 0); none is out
+     of use, and page 0 has the largest T - t *)
+  check_int "largest T - t" 0 (a.Paging.Replacement.choose_victim ~candidates:[| 0; 1; 2 |])
+
+(* A policy that checks the key contract at every call and delegates
+   to LRU: every key it is given lies in [0, keys), the engine's page
+   count, and at every victim choice the candidates are strictly
+   ascending.  With [frames], the candidates must also be exactly the
+   resident set modelled from on_load / on_evict. *)
+let contract_policy ?frames ~keys () =
   let inner = Paging.Replacement.lru () in
   let resident = Hashtbl.create 16 and ok = ref true and calls = ref 0 in
+  let check page = if page < 0 || page >= keys then ok := false in
   let choose_victim ~candidates =
     incr calls;
+    Array.iter check candidates;
     let n = Array.length candidates in
     let ascending = ref (n > 0) in
     for i = 1 to n - 1 do
@@ -272,12 +288,18 @@ let contract_policy ?frames () =
   let policy =
     {
       inner with
-      Paging.Replacement.on_load =
+      Paging.Replacement.on_reference =
+        (fun ~page ~write ->
+          check page;
+          inner.Paging.Replacement.on_reference ~page ~write);
+      on_load =
         (fun ~page ->
+          check page;
           Hashtbl.replace resident page ();
           inner.Paging.Replacement.on_load ~page);
       on_evict =
         (fun ~page ->
+          check page;
           Hashtbl.remove resident page;
           inner.Paging.Replacement.on_evict ~page);
       choose_victim;
@@ -418,8 +440,7 @@ let dual_pager_oracle =
       let module D = Segmentation.Dual_pager in
       let lengths, refs = in_range segmented in
       let small_page = 4 and large_page = 16 in
-      let d = D.create { D.small_page; large_page; small_frames; large_frames } in
-      Array.iter (fun length -> ignore (D.add_segment d ~length)) lengths;
+      let d = D.create { D.small_page; large_page; small_frames; large_frames } ~segments:lengths in
       List.iter (fun (segment, offset) -> D.touch d ~segment ~offset ~write:false) refs;
       let body s = lengths.(s) / large_page * large_page in
       let large, small = List.partition (fun (s, o) -> o < body s) refs in
@@ -431,9 +452,9 @@ let dual_pager_oracle =
       && (large_frames > 0 || D.large_faults d = Array.length large)
       && (small_frames > 0 || D.small_faults d = Array.length small))
 
-(* Two_level without a TLB is Fault_sim over (segment, page) keys: the
-   same faults as Fault_sim on the keys renamed 0, 1, ... in their own
-   order, which keeps every policy's view of its candidates. *)
+(* Two_level without a TLB is Fault_sim over (segment, page) pairs: the
+   same faults as Fault_sim on the touched pairs renamed 0, 1, ... in
+   their own order, which keeps every policy's view of its candidates. *)
 let two_level_oracle =
   QCheck.Test.make ~name:"Two_level = Fault_sim on dense keys" ~count:60
     QCheck.(triple (int_range 1 6) small_nat segmented_refs)
@@ -448,8 +469,9 @@ let two_level_oracle =
       List.for_all
         (fun spec ->
           let policy () = Paging.Spec.instantiate spec ~rng:(Sim.Rng.create seed) ~trace:None in
-          let t = T.create { T.page_size; frames; tlb = None; policy = policy () } in
-          Array.iter (fun length -> ignore (T.add_segment t ~length)) lengths;
+          let t =
+            T.create { T.page_size; frames; tlb = None; policy = policy () } ~segments:lengths
+          in
           List.iter (fun (segment, offset) -> T.touch t ~segment ~offset ~write:false) refs;
           T.faults t = (Paging.Fault_sim.run ~frames ~policy:(policy ()) dense).faults)
         Paging.Spec.all_practical)
@@ -487,7 +509,8 @@ let candidates_fault_sim_property =
     (fun (frames, ops) ->
       let trace = Array.of_list (List.map fst ops) in
       let writes = Array.of_list (List.map snd ops) in
-      let policy, ok, calls = contract_policy ~frames () in
+      let keys = Workload.Trace.extent trace in
+      let policy, ok, calls = contract_policy ~frames ~keys () in
       let r =
         Paging.Fault_sim.run_writes ~frames ~policy ~write:(fun i -> writes.(i)) trace
       in
@@ -500,7 +523,7 @@ let candidates_demand_property =
       pair (int_range 2 5)
         (list_of_size Gen.(int_range 1 120) (pair (int_bound 3) (int_bound 15))))
     (fun (frames, ops) ->
-      let policy, ok, _ = contract_policy () in
+      let policy, ok, _ = contract_policy ~keys:16 () in
       let t, _, _ = make_demand ~frames ~policy () in
       List.iter
         (fun (op, page) ->
@@ -525,7 +548,11 @@ let candidates_multiprog_property =
         (list_of_size Gen.(int_range 1 3)
            (list_of_size Gen.(int_range 1 80) (int_bound 9))))
     (fun (frames, shed, jobs) ->
-      let policy, ok, _ = contract_policy () in
+      (* slots job * stride + page, stride the largest job's extent *)
+      let stride =
+        List.fold_left (fun m refs -> max m (Workload.Trace.extent (Array.of_list refs))) 0 jobs
+      in
+      let policy, ok, _ = contract_policy ~keys:(List.length jobs * stride) () in
       let controller =
         if shed then
           Some
@@ -545,6 +572,25 @@ let candidates_multiprog_property =
         Dsas.Multiprog.run ?controller ~quantum_refs:7 ~frames ~policy ~fetch_us:300 specs
       in
       !ok)
+
+(* Two_level chooses only when full, from its whole resident set; with
+   a TLB, a hit skips the page table but never names an evicted page. *)
+let candidates_two_level_property =
+  QCheck.Test.make ~name:"candidates: two_level" ~count:60
+    QCheck.(triple (int_range 1 6) (int_range 0 3) segmented_refs)
+    (fun (frames, tlb_capacity, segmented) ->
+      let module T = Segmentation.Two_level in
+      let lengths, refs = in_range segmented in
+      let page_size = 4 in
+      let keys = Array.fold_left (fun n l -> n + ((l + page_size - 1) / page_size)) 0 lengths in
+      let policy, ok, calls = contract_policy ~frames ~keys () in
+      let tlb =
+        if tlb_capacity = 0 then None
+        else Some (Paging.Tlb.create ~capacity:tlb_capacity Paging.Tlb.Lru_replacement)
+      in
+      let t = T.create { T.page_size; frames; tlb; policy } ~segments:lengths in
+      List.iter (fun (segment, offset) -> T.touch t ~segment ~offset ~write:false) refs;
+      !ok && !calls = T.faults t - T.resident_pages t)
 
 let test_demand_reads_backing_data () =
   let t, _, backing = make_demand () in
@@ -838,9 +884,11 @@ let () =
           QCheck_alcotest.to_alcotest opt_optimality;
           QCheck_alcotest.to_alcotest demand_model_property;
           Alcotest.test_case "CLOCK hand vs evictions" `Quick test_clock_hand_vs_evictions;
+          Alcotest.test_case "ATLAS T from load and first use" `Quick test_atlas_first_use;
           QCheck_alcotest.to_alcotest candidates_fault_sim_property;
           QCheck_alcotest.to_alcotest candidates_demand_property;
           QCheck_alcotest.to_alcotest candidates_multiprog_property;
+          QCheck_alcotest.to_alcotest candidates_two_level_property;
         ] );
       ( "oracles",
         [

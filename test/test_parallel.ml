@@ -883,6 +883,34 @@ let test_parse_kills_rejects () =
       "99999999999999999999@5"; "0@99999999999999999999";
     ]
 
+(* A kill fires only at a shard the workload runs and at a step it
+   reaches: the last shard and the last step are the bounds. *)
+let test_check_kills () =
+  let check ks = Parallel.Supervisor.check_kills ~shards:4 ~steps:150 ks in
+  check_bool "last shard, last step" true
+    (check [ kill 3 ~attempt:0 ~progress:150; kill 0 ~attempt:0 ~progress:1 ] = Ok ());
+  List.iter
+    (fun (k, what) ->
+      match check [ kill 0 ~attempt:0 ~progress:5; k ] with
+      | Ok () -> Alcotest.failf "%s accepted" what
+      | Error msg ->
+        check_bool ("names the kill: " ^ msg) true
+          (contains_substring msg
+             (Printf.sprintf "%d@%d" k.Parallel.Supervisor.k_shard k.k_progress)))
+    [
+      (kill 4 ~attempt:0 ~progress:5, "shard past the last");
+      (kill 0 ~attempt:1 ~progress:151, "step past the last");
+    ];
+  check_bool "x11 quick: the paging engine's 2000 steps bound both" true
+    (Experiments.X11_parallel.check_kills ~quick:true [ kill 3 ~attempt:0 ~progress:2000 ]
+     = Ok ()
+    && Experiments.X11_parallel.check_kills ~quick:true [ kill 0 ~attempt:0 ~progress:2001 ]
+       <> Ok ());
+  check_bool "chaos quick: 150 steps" true
+    (Experiments.Par_chaos.check_kills ~quick:true [ kill 0 ~attempt:0 ~progress:151 ] <> Ok ()
+    && Experiments.Par_chaos.check_kills ~quick:false [ kill 0 ~attempt:0 ~progress:600 ]
+       = Ok ())
+
 let () =
   Alcotest.run "parallel"
     [
@@ -956,6 +984,7 @@ let () =
         [
           Alcotest.test_case "valid specs and attempts" `Quick test_parse_kills_valid;
           Alcotest.test_case "bad specs are errors" `Quick test_parse_kills_rejects;
+          Alcotest.test_case "kills past the workload are errors" `Quick test_check_kills;
         ] );
       ( "checkpoint",
         [

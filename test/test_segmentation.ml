@@ -273,17 +273,17 @@ let test_store_too_big_for_core () =
 
 (* --- Two_level --- *)
 
-let make_two_level ?(tlb_capacity = 0) ?(frames = 8) () =
+let make_two_level ?(tlb_capacity = 0) ?(frames = 8) segments =
   let tlb =
     if tlb_capacity = 0 then None
     else Some (Paging.Tlb.create ~capacity:tlb_capacity Paging.Tlb.Lru_replacement)
   in
   Segmentation.Two_level.create
     { Segmentation.Two_level.page_size = 64; frames; tlb; policy = Paging.Replacement.lru () }
+    ~segments
 
 let test_two_level_counts_map_accesses () =
-  let t = make_two_level () in
-  let s = Segmentation.Two_level.add_segment t ~length:1000 in
+  let t = make_two_level [| 1000 |] and s = 0 in
   for i = 0 to 99 do
     Segmentation.Two_level.touch t ~segment:s ~offset:(i mod 128) ~write:false
   done;
@@ -293,8 +293,7 @@ let test_two_level_counts_map_accesses () =
 
 let test_two_level_tlb_cuts_overhead () =
   let run tlb_capacity =
-    let t = make_two_level ~tlb_capacity () in
-    let s = Segmentation.Two_level.add_segment t ~length:1000 in
+    let t = make_two_level ~tlb_capacity [| 1000 |] and s = 0 in
     for i = 0 to 999 do
       Segmentation.Two_level.touch t ~segment:s ~offset:(i mod 128) ~write:false
     done;
@@ -305,9 +304,7 @@ let test_two_level_tlb_cuts_overhead () =
     (with_tlb * 10 < without)
 
 let test_two_level_segments_isolated () =
-  let t = make_two_level ~frames:4 () in
-  let a = Segmentation.Two_level.add_segment t ~length:100 in
-  let b = Segmentation.Two_level.add_segment t ~length:100 in
+  let t = make_two_level ~frames:4 [| 100; 100 |] and a = 0 and b = 1 in
   Segmentation.Two_level.touch t ~segment:a ~offset:0 ~write:false;
   Segmentation.Two_level.touch t ~segment:b ~offset:0 ~write:false;
   (* Same offset in different segments = different pages. *)
@@ -315,23 +312,15 @@ let test_two_level_segments_isolated () =
   check_bool "bounds per segment" true
     (match Segmentation.Two_level.touch t ~segment:a ~offset:100 ~write:false with
      | () -> false
-     | exception Segmentation.Descriptor.Subscript_violation _ -> true)
-
-let test_two_level_dynamic_growth () =
-  let t = make_two_level () in
-  let s = Segmentation.Two_level.add_segment t ~length:10 in
-  check_bool "beyond extent trapped" true
-    (match Segmentation.Two_level.touch t ~segment:s ~offset:50 ~write:false with
-     | () -> false
      | exception Segmentation.Descriptor.Subscript_violation _ -> true);
-  Segmentation.Two_level.grow_segment t ~segment:s ~new_length:100;
-  Segmentation.Two_level.touch t ~segment:s ~offset:50 ~write:false;
-  check_int "grown segment usable" 100 (Segmentation.Two_level.segment_length t s)
+  check_bool "segment numbers end at the last given" true
+    (match Segmentation.Two_level.touch t ~segment:2 ~offset:0 ~write:false with
+     | () -> false
+     | exception Invalid_argument _ -> true)
 
 let test_two_level_effective_access () =
-  let t = make_two_level () in
-  let s = Segmentation.Two_level.add_segment t ~length:100 in
-  Segmentation.Two_level.touch t ~segment:s ~offset:0 ~write:false;
+  let t = make_two_level [| 100 |] in
+  Segmentation.Two_level.touch t ~segment:0 ~offset:0 ~write:false;
   (* 1 data access + 2 map accesses, 2 us each: 6 us per reference. *)
   Alcotest.(check (float 1e-9)) "3x word cost" 6.
     (Segmentation.Two_level.effective_access_us t ~word_us:2)
@@ -466,15 +455,15 @@ let test_store_space_time_accounting () =
 
 (* --- Dual_pager --- *)
 
-let make_dual ?(small_frames = 8) ?(large_frames = 2) () =
+let make_dual ?(small_frames = 8) ?(large_frames = 2) segments =
   Segmentation.Dual_pager.create
     { Segmentation.Dual_pager.small_page = 64; large_page = 1024; small_frames; large_frames }
+    ~segments
 
 let test_dual_pager_classes () =
-  let d = make_dual () in
   (* 2500-word segment: body = 2 large pages, tail = 452 words of small
      pages. *)
-  let s = Segmentation.Dual_pager.add_segment d ~length:2500 in
+  let d = make_dual [| 2500 |] and s = 0 in
   Segmentation.Dual_pager.touch d ~segment:s ~offset:0 ~write:false;
   Segmentation.Dual_pager.touch d ~segment:s ~offset:1500 ~write:false;
   check_int "two large faults" 2 (Segmentation.Dual_pager.large_faults d);
@@ -489,16 +478,19 @@ let test_dual_pager_classes () =
     (Segmentation.Dual_pager.resident_useful_words d)
 
 let test_dual_pager_tail_waste_visible () =
-  let d = make_dual () in
-  (* A 10-word segment holds one small page, 54 words of it waste. *)
-  let s = Segmentation.Dual_pager.add_segment d ~length:10 in
-  Segmentation.Dual_pager.touch d ~segment:s ~offset:5 ~write:false;
+  (* A 10-word segment holds one small page, 54 words of it waste; the
+     small pages of a 1100-word segment after it (76-word tail) come
+     next in the small pool's keys, and its second one holds 12 useful
+     words. *)
+  let d = make_dual [| 10; 1100 |] in
+  Segmentation.Dual_pager.touch d ~segment:0 ~offset:5 ~write:false;
   check_int "one small page held" 64 (Segmentation.Dual_pager.resident_words d);
-  check_int "only the extent useful" 10 (Segmentation.Dual_pager.resident_useful_words d)
+  check_int "only the extent useful" 10 (Segmentation.Dual_pager.resident_useful_words d);
+  Segmentation.Dual_pager.touch d ~segment:1 ~offset:1099 ~write:false;
+  check_int "the next segment's tail" 22 (Segmentation.Dual_pager.resident_useful_words d)
 
 let test_dual_pager_pools_replace_independently () =
-  let d = make_dual ~small_frames:2 ~large_frames:1 () in
-  let s = Segmentation.Dual_pager.add_segment d ~length:4096 in
+  let d = make_dual ~small_frames:2 ~large_frames:1 [| 4096 |] and s = 0 in
   (* Two large pages through one large frame: each touch faults. *)
   Segmentation.Dual_pager.touch d ~segment:s ~offset:0 ~write:false;
   Segmentation.Dual_pager.touch d ~segment:s ~offset:1024 ~write:false;
@@ -507,8 +499,7 @@ let test_dual_pager_pools_replace_independently () =
   check_int "small pool untouched" 0 (Segmentation.Dual_pager.small_faults d)
 
 let test_dual_pager_bounds () =
-  let d = make_dual () in
-  let s = Segmentation.Dual_pager.add_segment d ~length:100 in
+  let d = make_dual [| 100 |] and s = 0 in
   check_bool "subscript trapped" true
     (match Segmentation.Dual_pager.touch d ~segment:s ~offset:100 ~write:false with
      | () -> false
@@ -569,7 +560,6 @@ let () =
           Alcotest.test_case "map access counting" `Quick test_two_level_counts_map_accesses;
           Alcotest.test_case "tlb cuts overhead" `Quick test_two_level_tlb_cuts_overhead;
           Alcotest.test_case "segments isolated" `Quick test_two_level_segments_isolated;
-          Alcotest.test_case "dynamic growth" `Quick test_two_level_dynamic_growth;
           Alcotest.test_case "effective access" `Quick test_two_level_effective_access;
         ] );
     ]
