@@ -362,31 +362,24 @@ let query_cmd =
   in
   let percentiles_flag =
     Arg.(value & flag & info [ "percentiles" ]
-           ~doc:"With --pair: also print p50/p90/p99 and the log-bucketed \
-                 latency histogram.")
+           ~doc:"With --pair: also print the p50/p90/p99 order statistics \
+                 and the log-bucketed latency histogram.")
   in
-  let exact_flag =
-    Arg.(value & flag & info [ "exact" ]
-           ~doc:"With --pair: report exact order-statistic percentiles instead \
-                 of log-bucket lower bounds (the bucketed p99 can understate \
-                 the tail by up to 2x).  Costs a sort of all samples.")
-  in
-  let action file kinds run since until group_by agg top pair percentiles exact json =
+  let action file kinds run since until group_by agg top pair percentiles json =
     usage
     @@
     let* q = Obs.Query.load file in
     let kinds = Option.map (String.split_on_char ',') kinds in
     let q = Obs.Query.filter ?kinds ?run ?since_us:since ?until_us:until q in
     match pair with
-    | Some spec -> Obs.Query.report_pairs q ~spec ~exact ~percentiles ~json
+    | Some spec -> Obs.Query.report_pairs q ~spec ~percentiles ~json
     | None -> Obs.Query.report_groups q ~key:group_by ~agg ~limit:top ~json
   in
   Cmd.v info
     Term.(
       ret
         (const action $ file_arg $ kinds_arg $ run_arg $ since_arg $ until_arg
-         $ group_by_arg $ agg_arg $ top_arg $ pair_arg $ percentiles_flag
-         $ exact_flag $ json_flag))
+         $ group_by_arg $ agg_arg $ top_arg $ pair_arg $ percentiles_flag $ json_flag))
 
 let check_cmd =
   let doc = "Validate a recorded JSONL event stream against the trace invariants." in

@@ -28,7 +28,6 @@ let () =
             frames = 16;
             policy = Paging.Spec.Lru;
             tlb_capacity = 8;
-            device = Device.Spec.legacy;
           };
       compute_us_per_ref = 2;
     }

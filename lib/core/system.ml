@@ -4,7 +4,6 @@ type mechanism =
       frames : int;
       policy : Paging.Spec.t;
       tlb_capacity : int;
-      device : Device.Spec.t;
     }
   | Segmented of {
       placement : Freelist.Policy.t;
@@ -71,8 +70,8 @@ let ceil_div a b = (a + b - 1) / b
 
 (* Build a fresh timed paging engine sized for [pages] pages of name
    space under this system's devices. *)
-let paged_engine t ~obs ~page_size ~frames ~policy_spec ~tlb_capacity ~device ~pages
-    ~page_trace ~seed =
+let paged_engine t ~obs ~page_size ~frames ~policy_spec ~tlb_capacity ~pages ~page_trace
+    ~seed =
   let clock = Sim.Clock.create () in
   let rng = Sim.Rng.create seed in
   let core =
@@ -84,7 +83,7 @@ let paged_engine t ~obs ~page_size ~frames ~policy_spec ~tlb_capacity ~device ~p
       ~words:(max t.backing_words (pages * page_size))
   in
   let policy = Paging.Spec.instantiate policy_spec ~rng ~trace:page_trace in
-  Paging.Demand.create ~obs ?device:(Device.Spec.instantiate ~obs device)
+  Paging.Demand.create ~obs
     {
       Paging.Demand.page_size;
       frames;
@@ -173,12 +172,11 @@ let default_chunk = 1 lsl 18
 
 let rec run_linear t ?(seed = 1) ?(obs = Obs.Sink.null) trace =
   match t.mechanism with
-  | Paged { page_size; frames; policy; tlb_capacity; device } ->
+  | Paged { page_size; frames; policy; tlb_capacity } ->
     let pages = max 1 (ceil_div (Workload.Trace.extent trace) page_size) in
     let page_trace = Some (Workload.Trace.to_pages ~page_size trace) in
     let engine =
-      paged_engine t ~obs ~page_size ~frames ~policy_spec:policy ~tlb_capacity ~device
-        ~pages
+      paged_engine t ~obs ~page_size ~frames ~policy_spec:policy ~tlb_capacity ~pages
         ~page_trace ~seed
     in
     Paging.Demand.run engine trace;
@@ -196,7 +194,7 @@ let rec run_linear t ?(seed = 1) ?(obs = Obs.Sink.null) trace =
 
 and run_segmented t ?(seed = 1) ?(obs = Obs.Sink.null) ~segments refs =
   match t.mechanism with
-  | Paged { page_size; frames; policy; tlb_capacity; device } ->
+  | Paged { page_size; frames; policy; tlb_capacity } ->
     (* Segments packed contiguously into the linear name space: address
        arithmetic runs across segment boundaries unchecked. *)
     let bases = Array.make (Array.length segments) 0 in
@@ -209,8 +207,7 @@ and run_segmented t ?(seed = 1) ?(obs = Obs.Sink.null) ~segments refs =
     let word_trace = Array.map (fun (s, off) -> bases.(s) + off) refs in
     let pages = max 1 (ceil_div !total page_size) in
     let engine =
-      paged_engine t ~obs ~page_size ~frames ~policy_spec:policy ~tlb_capacity ~device
-        ~pages
+      paged_engine t ~obs ~page_size ~frames ~policy_spec:policy ~tlb_capacity ~pages
         ~page_trace:(Some (Workload.Trace.to_pages ~page_size word_trace))
         ~seed
     in
@@ -241,12 +238,11 @@ and run_segmented t ?(seed = 1) ?(obs = Obs.Sink.null) ~segments refs =
 
 let run_annotated t ?(seed = 1) ?(obs = Obs.Sink.null) steps =
   match t.mechanism with
-  | Paged { page_size; frames; policy; tlb_capacity; device } ->
+  | Paged { page_size; frames; policy; tlb_capacity } ->
     let trace = Predictive.Directive.strip steps in
     let pages = max 1 (ceil_div (Workload.Trace.extent trace) page_size) in
     let engine =
-      paged_engine t ~obs ~page_size ~frames ~policy_spec:policy ~tlb_capacity ~device
-        ~pages
+      paged_engine t ~obs ~page_size ~frames ~policy_spec:policy ~tlb_capacity ~pages
         ~page_trace:(Some (Workload.Trace.to_pages ~page_size trace))
         ~seed
     in

@@ -18,9 +18,6 @@ type mechanism =
       frames : int;
       policy : Paging.Spec.t;
       tlb_capacity : int;
-      device : Device.Spec.t;
-          (** backing-store model; {!Device.Spec.legacy} keeps the flat
-              [backing_device] latency, bit-identical to before *)
     }
   | Segmented of {
       placement : Freelist.Policy.t;

@@ -84,12 +84,6 @@ let start_us t ~at ~head ~page ~words =
   let start, _, _ = service t ~at ~head ~page ~words in
   start
 
-let streamed_us t ~words =
-  match t with
-  | Fixed { device } -> max 1 (words_us ~word_ns:device.Memstore.Device.word_ns ~words)
-  | Drum { sectors; rotation_us; word_ns } | Disk { sectors; rotation_us; word_ns; _ } ->
-    (rotation_us / sectors) + words_us ~word_ns ~words
-
 let worst_us t ~words =
   match t with
   | Fixed { device } -> Memstore.Device.transfer_us device ~words

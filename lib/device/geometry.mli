@@ -71,11 +71,6 @@ val service : t -> at:int -> head:int -> page:int -> words:int -> int * int * in
 val start_us : t -> at:int -> head:int -> page:int -> words:int -> int
 (** Just the [start] component of {!service} — what SATF minimises. *)
 
-val streamed_us : t -> words:int -> int
-(** Marginal cost of one more transfer streamed directly behind the
-    previous one (no repositioning) — the unit of writeback batching.
-    At least 1 us. *)
-
 val worst_us : t -> words:int -> int
 (** Upper bound on one service from any state: full seek plus full
     revolution plus transfer.  The degraded-mode fallback charges

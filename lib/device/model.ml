@@ -2,13 +2,12 @@ type config = {
   geometry : Geometry.t;
   sched : Sched.t;
   channels : int;
-  writeback_batch : int;
   fault : Fault.config option;
 }
 
-let config ?(sched = Sched.Fifo) ?(channels = 1) ?(writeback_batch = 1) ?fault geometry =
-  assert (channels >= 1 && writeback_batch >= 1);
-  { geometry; sched; channels; writeback_batch; fault }
+let config ?(sched = Sched.Fifo) ?(channels = 1) ?fault geometry =
+  assert (channels >= 1);
+  { geometry; sched; channels; fault }
 
 type channel = { mutable free_at : int; mutable head : int }
 
@@ -168,32 +167,6 @@ let serve t chan (r : Request.t) ~td =
   in
   go td 1
 
-(* Stream further pending writebacks directly behind a completed one, at
-   marginal cost, up to the batch budget.  Oldest-first keeps it
-   deterministic under every policy. *)
-let rec stream_writebacks t chan ~fin ~budget =
-  if budget <= 0 then fin
-  else
-    let next =
-      List.fold_left
-        (fun acc (r : Request.t) ->
-          if r.kind <> Request.Writeback || r.arrival_us > fin then acc
-          else
-            match acc with
-            | Some (best : Request.t) when Sched.older best r -> acc
-            | _ -> Some r)
-        None t.queue
-    in
-    match next with
-    | None -> fin
-    | Some w ->
-      remove_from_queue t w;
-      let fin' = fin + Geometry.streamed_us t.cfg.geometry ~words:w.words in
-      if t.obs_on then emit t ~t_us:fin (Io_start { req = w.id; page = w.page; io = w.kind });
-      t.busy_us <- t.busy_us + (fin' - fin);
-      record_completion t w ~fin:fin';
-      stream_writebacks t chan ~fin:fin' ~budget:(budget - 1)
-
 let dispatch t chan (r : Request.t) =
   Obs.Prof.span "device.dispatch" @@ fun () ->
   remove_from_queue t r;
@@ -203,11 +176,6 @@ let dispatch t chan (r : Request.t) =
   (match outcome with
    | `Ok -> record_completion t r ~fin
    | `Failed attempts -> record_failure t r ~fin ~attempts);
-  let fin =
-    if r.kind = Request.Writeback then
-      stream_writebacks t chan ~fin ~budget:(t.cfg.writeback_batch - 1)
-    else fin
-  in
   chan.free_at <- fin
 
 (* The channel that frees first; ties go to the lowest index. *)

@@ -31,21 +31,11 @@ type config = {
   geometry : Geometry.t;
   sched : Sched.t;
   channels : int;
-  writeback_batch : int;
-      (** dispatching a writeback streams up to [writeback_batch - 1]
-          further queued writebacks behind it at
-          {!Geometry.streamed_us} marginal cost each *)
   fault : Fault.config option;
 }
 
-val config :
-  ?sched:Sched.t ->
-  ?channels:int ->
-  ?writeback_batch:int ->
-  ?fault:Fault.config ->
-  Geometry.t ->
-  config
-(** Defaults: FIFO, 1 channel, no batching, no faults. *)
+val config : ?sched:Sched.t -> ?channels:int -> ?fault:Fault.config -> Geometry.t -> config
+(** Defaults: FIFO, 1 channel, no faults. *)
 
 type t
 

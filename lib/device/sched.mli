@@ -17,9 +17,6 @@ val of_string : string -> (t, string) result
 
 val all : t list
 
-val older : Request.t -> Request.t -> bool
-(** Strict FIFO order: [(arrival_us, id)] lexicographic. *)
-
 val pick :
   t -> geometry:Geometry.t -> at:int -> head:int -> Request.t list -> Request.t option
 (** [pick t ~geometry ~at ~head candidates] chooses which waiting

@@ -55,7 +55,6 @@ let page_machine page_size =
          frames = core_words / page_size;
          policy = Paging.Spec.Lru;
          tlb_capacity = core_words / page_size;
-         device = Device.Spec.legacy;
        })
 
 let measure ?(quick = false) ?seed () =

@@ -2,9 +2,9 @@
    sweeps: a cell kind names a simulation, its parameters arrive as
    string bindings from a sweep spec, and its results land in a metrics
    registry (exported as one dsas-metrics/1 JSON per cell).  Parameter
-   parsing is strict — an unknown or malformed binding is an error, so
-   a typo in a spec fails the cell loudly instead of silently running
-   defaults. *)
+   parsing is strict: Cells.for_spec refuses an axis the cell does not
+   declare, and a malformed value is an error, so a typo in a spec
+   fails loudly instead of silently running defaults. *)
 
 type ctx = {
   params : (string * string) list;
@@ -20,17 +20,6 @@ type spec = {
   params : (string * string) list;  (* name, doc (with default) *)
   run : ctx -> (unit, string) result;
 }
-
-let check_known (ctx : ctx) known =
-  let unknown =
-    List.filter (fun (name, _) -> not (List.mem name known)) ctx.params
-  in
-  match unknown with
-  | [] -> Ok ()
-  | (name, _) :: _ ->
-    Error
-      (Printf.sprintf "unknown parameter %S; this cell understands: %s" name
-         (String.concat ", " known))
 
 let get (ctx : ctx) name ~default =
   match List.assoc_opt name ctx.params with Some v -> v | None -> default

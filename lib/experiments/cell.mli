@@ -5,9 +5,11 @@
     machine-facing entry point: the campaign executor hands it string
     parameter bindings (one grid point of a sweep spec), a seed, and a
     metrics registry to fill; the registry is then exported as the
-    cell's [dsas-metrics/1] artifact.  Parameter parsing is strict —
-    unknown or malformed bindings fail the cell with a diagnostic
-    rather than silently running defaults. *)
+    cell's [dsas-metrics/1] artifact.  Parameter parsing is strict: a
+    binding for a parameter the cell does not declare in [params] is
+    refused by {!Cells.for_spec} before anything runs, and a malformed
+    value fails the cell with a diagnostic rather than silently running
+    defaults. *)
 
 type ctx = {
   params : (string * string) list;  (** axis bindings from the spec *)
@@ -25,10 +27,6 @@ type spec = {
 }
 
 (** {2 Strict parameter access} *)
-
-val check_known : ctx -> string list -> (unit, string) result
-(** [Error] if the spec supplied a parameter this cell does not
-    understand. *)
 
 val get : ctx -> string -> default:string -> string
 

@@ -45,9 +45,6 @@ let spec_names = List.map fst (specs ~frames:0)
 
 let paging_cell =
   let run (ctx : Cell.ctx) =
-    let* () =
-      Cell.check_known ctx [ "device"; "frames"; "refs"; "policy" ]
-    in
     let* device =
       Cell.get_choice ctx "device" ~default:"drum"
         ~choices:(List.map (fun d -> (d.Memstore.Device.label, d)) Fig3.devices)
@@ -85,9 +82,6 @@ let paging_cell =
 
 let placement_cell =
   let run (ctx : Cell.ctx) =
-    let* () =
-      Cell.check_known ctx [ "policy"; "mix"; "steps"; "words"; "target_live" ]
-    in
     let* policy = Cell.get_choice ctx "policy" ~default:"best-fit" ~choices:policies in
     let* mix =
       Cell.get_choice ctx "mix" ~default:"small-skewed"
@@ -132,7 +126,6 @@ let placement_cell =
 
 let replacement_cell =
   let run (ctx : Cell.ctx) =
-    let* () = Cell.check_known ctx [ "policy"; "trace"; "frames"; "refs" ] in
     let* frames = Cell.get_int ctx "frames" ~default:32 in
     let* frames = Cell.require_positive "frames" frames in
     let* refs =
@@ -177,7 +170,6 @@ let replacement_cell =
 
 let multiprog_cell =
   let run (ctx : Cell.ctx) =
-    let* () = Cell.check_known ctx [ "jobs"; "fetch_us"; "frames"; "refs_per_job" ] in
     let* jobs = Cell.get_int ctx "jobs" ~default:4 in
     let* jobs = Cell.require_positive "jobs" jobs in
     let* fetch_us = Cell.get_int ctx "fetch_us" ~default:5_000 in
@@ -213,7 +205,6 @@ let multiprog_cell =
 
 let device_cell =
   let run (ctx : Cell.ctx) =
-    let* () = Cell.check_known ctx [ "device"; "sched"; "channels" ] in
     let* device =
       Cell.get_enum ctx "device" ~default:"drum" ~values:(List.map fst X8_devices.geometries)
     in
@@ -247,7 +238,6 @@ let device_cell =
 
 let resilience_cell =
   let run (ctx : Cell.ctx) =
-    let* () = Cell.check_known ctx [ "error_prob"; "policy"; "refs_per_job" ] in
     let* error_prob = Cell.get_float ctx "error_prob" ~default:0.15 in
     let* policy =
       Cell.get_enum ctx "policy" ~default:"space-time"
@@ -292,7 +282,6 @@ let resilience_cell =
 
 let frag_unit_cell =
   let run (ctx : Cell.ctx) =
-    let* () = Cell.check_known ctx [ "policy"; "steps"; "words" ] in
     let* policy = Cell.get_choice ctx "policy" ~default:"best-fit" ~choices:policies in
     let* steps =
       Cell.get_int ctx "steps" ~default:(if ctx.quick then 2_000 else 20_000)
@@ -327,9 +316,6 @@ let frag_unit_cell =
 
 let fss_cell =
   let run (ctx : Cell.ctx) =
-    let* () =
-      Cell.check_known ctx [ "words"; "policy"; "mean_size"; "occupancy"; "churn" ]
-    in
     let* words = Cell.get_int ctx "words" ~default:65_536 in
     let* words = Cell.require_positive "words" words in
     let* policy = Cell.get_choice ctx "policy" ~default:"best-fit" ~choices:policies in
@@ -370,10 +356,6 @@ let fss_cell =
 
 let par_alloc_cell =
   let run (ctx : Cell.ctx) =
-    let* () =
-      Cell.check_known ctx
-        [ "shards"; "ops_per_shard"; "slots_per_shard"; "slot_words"; "domains" ]
-    in
     let* shards = Cell.get_int ctx "shards" ~default:4 in
     let* shards = Cell.require_positive "shards" shards in
     let* ops =
@@ -431,10 +413,6 @@ let par_alloc_cell =
 
 let par_paging_cell =
   let run (ctx : Cell.ctx) =
-    let* () =
-      Cell.check_known ctx
-        [ "shards"; "refs_per_shard"; "frames"; "pages"; "policy"; "domains" ]
-    in
     let* shards = Cell.get_int ctx "shards" ~default:4 in
     let* shards = Cell.require_positive "shards" shards in
     let* refs =
@@ -495,7 +473,6 @@ let par_paging_cell =
 
 let par_chaos_cell =
   let run (ctx : Cell.ctx) =
-    let* () = Cell.check_known ctx [ "fault_rate"; "domains"; "shards"; "steps" ] in
     let* fault_rate = Cell.get_float ctx "fault_rate" ~default:0.5 in
     let* domains = Cell.get_int ctx "domains" ~default:1 in
     let* domains = Cell.require_positive "domains" domains in

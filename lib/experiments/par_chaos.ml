@@ -12,6 +12,7 @@
 
 let shards = 4
 let steps ~quick = if quick then 150 else 600
+let checkpoint_every = 32
 
 type recovered = {
   trace : Obs.Event.t array;
@@ -67,7 +68,7 @@ let recover ~reference ~supervised =
   { reference; reference_trace; subject }
 
 let check_kills ~quick kills =
-  Parallel.Supervisor.check_kills ~shards ~steps:(steps ~quick) kills
+  Parallel.Supervisor.check_kills ~shards ~steps:(steps ~quick) ~checkpoint_every kills
 
 let recover_alloc ~domains ~kills ~checkpoint_every cfg =
   recover
@@ -109,11 +110,11 @@ let scenario ~quick name check =
 let scenarios ?(quick = false) ?(domains = 2) () =
   [
     scenario ~quick "par_alloc_supervised" (fun ~seed ~kills ->
-        recover_alloc ~domains ~kills ~checkpoint_every:32
+        recover_alloc ~domains ~kills ~checkpoint_every
           (Parallel.Sharded.alloc_config ~shards ~ops_per_shard:(steps ~quick)
              ~slots_per_shard:64 ~slot_words:8 ~seed ()));
     scenario ~quick "par_paging_supervised" (fun ~seed ~kills ->
-        recover_paging ~domains ~kills ~checkpoint_every:32
+        recover_paging ~domains ~kills ~checkpoint_every
           (Parallel.Sharded.paging_config ~shards ~refs_per_shard:(steps ~quick)
              ~frames_per_shard:6 ~pages_per_shard:12 ~seed ()));
   ]

@@ -57,7 +57,8 @@ val recover_paging :
 
 val check_kills : quick:bool -> Parallel.Supervisor.kill list -> (unit, string) result
 (** [Error] names the first kill that would never fire in the
-    scenarios' 4 shards of 150 steps under [quick], 600 otherwise. *)
+    scenarios' 4 shards of 150 steps under [quick], 600 otherwise,
+    checkpointed every 32 steps ({!Parallel.Supervisor.check_kills}). *)
 
 val scenarios : ?quick:bool -> ?domains:int -> unit -> Resilience.Chaos.scenario list
 (** The two [Shard_kills] scenarios (supervised alloc, supervised

@@ -53,6 +53,8 @@ let configs ~quick ~seed =
   ( Parallel.Sharded.alloc_config ~ops_per_shard:(if quick then 4_000 else 20_000) ~seed (),
     Parallel.Sharded.paging_config ~refs_per_shard:(if quick then 2_000 else 8_000) ~seed () )
 
+let checkpoint_every = 256
+
 (* Both engines run under the one kill list, so a kill must fire in
    each. *)
 let check_kills ~quick kills =
@@ -62,7 +64,7 @@ let check_kills ~quick kills =
   Parallel.Supervisor.check_kills
     ~shards:(min a.a_shards p.p_shards)
     ~steps:(min a.a_ops_per_shard p.p_refs_per_shard)
-    kills
+    ~checkpoint_every kills
 
 let run ?(quick = false) ?(obs = Obs.Sink.null) ?seed ?(domains = 1)
     ?(kills = []) () =
@@ -73,8 +75,8 @@ let run ?(quick = false) ?(obs = Obs.Sink.null) ?seed ?(domains = 1)
   (* Unsupervised width-1 reference, then the supervised subject at the
      requested width under the kill schedule; the contract says the
      merged engine streams and every count must match exactly. *)
-  let a = Par_chaos.recover_alloc ~domains ~kills ~checkpoint_every:256 alloc_cfg in
-  let p = Par_chaos.recover_paging ~domains ~kills ~checkpoint_every:256 paging_cfg in
+  let a = Par_chaos.recover_alloc ~domains ~kills ~checkpoint_every alloc_cfg in
+  let p = Par_chaos.recover_paging ~domains ~kills ~checkpoint_every paging_cfg in
   print_endline "== X11: sharded multicore execution ==";
   Printf.printf
     "(%d alloc shards, %d paging shards; shard count fixes the workload, \

@@ -24,8 +24,9 @@
 
 val check_kills : quick:bool -> Parallel.Supervisor.kill list -> (unit, string) result
 (** [Error] names the first kill that would not fire in both engines:
-    4 shards each, and at most 2,000 steps under [quick] (8,000
-    otherwise), the paging engine's count. *)
+    4 shards each, at most 2,000 steps under [quick] (8,000
+    otherwise), the paging engine's count, and a checkpoint every 256
+    steps ({!Parallel.Supervisor.check_kills}). *)
 
 val run :
   ?quick:bool ->

@@ -32,7 +32,6 @@ let measure ?(quick = false) ?seed () =
             bulk_us = 8;
             fetch_us = 10_000;
             promotion;
-            device = None;
           }
       in
       Paging.Hierarchy.run h trace;

@@ -7,6 +7,7 @@ type t = {
   mutable rover : int;  (* next-fit resume point *)
   holes : Hole_index.t;  (* the free list's holes by offset *)
   by_size : Hole_index.t option;  (* best fit only: by size, then offset *)
+  live : Bytes.t;  (* one bit per word, set at each allocated block's offset *)
   mutable live_words : int;  (* sum of payload words of live blocks *)
   mutable live_blocks : int;
   mutable failures : int;
@@ -91,6 +92,15 @@ let insert_ordered t off size =
   end;
   index_add t off size
 
+(* [free] trusts a header only where this host-side bit is set: a
+   freed block's header survives in memory, inside the hole it joins
+   and then inside whatever is later carved from that hole. *)
+let is_live t off = Char.code (Bytes.get t.live (off lsr 3)) land (1 lsl (off land 7)) <> 0
+
+let set_live t off on =
+  let byte = Char.code (Bytes.get t.live (off lsr 3)) and bit = 1 lsl (off land 7) in
+  Bytes.set t.live (off lsr 3) (Char.chr (if on then byte lor bit else byte land lnot bit))
+
 let mark_free t off size =
   Block.write_tags t.mem ~base:t.base off { size; allocated = false };
   insert_ordered t off size
@@ -111,6 +121,7 @@ let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
         (match policy with
          | Policy.Best_fit -> Some (Hole_index.create ())
          | Policy.First_fit | Policy.Next_fit | Policy.Worst_fit | Policy.Two_ends _ -> None);
+      live = Bytes.make ((len + 7) / 8) '\000';
       live_words = 0;
       live_blocks = 0;
       failures = 0;
@@ -218,6 +229,7 @@ let alloc t request =
       in
       Block.write_tags t.mem ~base:t.base granted_off
         { size = granted_size; allocated = true };
+      set_live t granted_off true;
       (match t.policy with
        | Policy.Next_fit ->
          (* Resume the rove just past the hole we carved. *)
@@ -242,15 +254,11 @@ let alloc t request =
 let block_of_payload t addr =
   let off = addr - t.base - 1 in
   if off < 0 || off >= t.len then invalid_arg "Allocator: address outside region";
+  if not (is_live t off) then invalid_arg "Allocator: not a live allocation";
   let tag = header t off in
-  if not tag.Block.allocated then invalid_arg "Allocator: not a live allocation";
-  (* A block freed into the hole below it leaves its old header inside
-     that hole. *)
-  let hole = Hole_index.floor t.holes off in
-  if hole <> null && off < hole + (header t hole).Block.size then
-    invalid_arg "Allocator: not a live allocation";
-  if tag.Block.size < Block.min_block || tag.Block.size > t.len - off then
-    invalid_arg "Allocator: corrupt block";
+  if (not tag.Block.allocated) || tag.Block.size < Block.min_block
+     || tag.Block.size > t.len - off
+  then invalid_arg "Allocator: corrupt block";
   (off, tag.Block.size)
 
 let payload_size t addr =
@@ -259,6 +267,7 @@ let payload_size t addr =
 
 let free t addr =
   let off, size = block_of_payload t addr in
+  set_live t off false;
   t.ops <- t.ops + 1;
   t.live_words <- t.live_words - (size - Block.overhead);
   t.live_blocks <- t.live_blocks - 1;
@@ -318,8 +327,10 @@ let compact t channel ~relocate =
   List.iter (fun b -> if not b.allocated then index_remove t b.off b.size) blocks;
   t.free_head <- null;
   t.rover <- null;
+  Bytes.fill t.live 0 (Bytes.length t.live) '\000';
   let place dst b =
     if b.allocated then begin
+      set_live t dst true;
       if b.off > dst then begin
         Memstore.Channel.move channel t.mem ~src:(t.base + b.off)
           ~dst:(t.base + dst) ~len:b.size;
@@ -353,6 +364,11 @@ let compact t channel ~relocate =
 
 (* lint: allow L4 — validate below is a documented test-facing checker that raises Failure *)
 let fail fmt = Printf.ksprintf failwith fmt
+
+(* Set bits per byte value. *)
+let ones =
+  let rec bits n = if n = 0 then 0 else (n land 1) + bits (n lsr 1) in
+  Array.init 256 bits
 
 let validate t =
   let blocks = walk t in
@@ -410,6 +426,12 @@ let validate t =
   let live = List.filter (fun b -> b.allocated) blocks in
   if List.length live <> t.live_blocks then
     fail "validate: live_blocks counter %d vs %d" t.live_blocks (List.length live);
+  List.iter
+    (fun b -> if not (is_live t b.off) then fail "validate: block %d not marked live" b.off)
+    live;
+  let marked = Bytes.fold_left (fun acc c -> acc + ones.(Char.code c)) 0 t.live in
+  if marked <> List.length live then
+    fail "validate: %d offsets marked live, %d blocks allocated" marked (List.length live);
   let payload = List.fold_left (fun acc b -> acc + b.size - Block.overhead) 0 live in
   if payload <> t.live_words then
     fail "validate: live_words counter %d vs %d" t.live_words payload;

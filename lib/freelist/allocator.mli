@@ -44,7 +44,9 @@ val alloc : t -> int -> int option
 
 val free : t -> int -> unit
 (** Release a payload address previously returned by {!alloc}.  Raises
-    [Invalid_argument] if the address is not a live allocation. *)
+    [Invalid_argument] if the address is not a live allocation,
+    checked against a host-side record of live block offsets rather
+    than the tags in memory, which a freed block leaves behind. *)
 
 val payload_size : t -> int -> int
 (** Usable words of the live allocation at the given payload address
@@ -89,6 +91,6 @@ val walk : t -> walk_block list
 val validate : t -> unit
 (** Walk raw memory and the free list and check every invariant
     (tags consistent, sizes tile the region, no adjacent free blocks,
-    free list = hole index = free blocks of the walk, counters
-    consistent).
+    free list = hole index = free blocks of the walk, live-block record
+    = allocated blocks of the walk, counters consistent).
     Raises [Failure] describing the first violation. *)

@@ -20,7 +20,6 @@ let system =
           policy = Paging.Spec.Atlas;
           (* One page address register per frame: mapping always hits. *)
           tlb_capacity = 32;
-          device = Device.Spec.legacy;
         };
     compute_us_per_ref = 2;
   }

@@ -22,7 +22,6 @@ let with_page_size page_size =
           frames = 196_608 / page_size;
           policy = Paging.Spec.M44;
           tlb_capacity = 0;  (* mapping via a store, charged per access *)
-          device = Device.Spec.legacy;
         };
     compute_us_per_ref = 8;
   }

@@ -1,31 +1,20 @@
-type align = Left | Right
+(* The first column is left-aligned, the rest right-aligned. *)
+let pad i width s =
+  let fill = String.make (max 0 (width - String.length s)) ' ' in
+  if i = 0 then s ^ fill else fill ^ s
 
-let default_align ncols = List.init ncols (fun i -> if i = 0 then Left else Right)
-
-let pad align width s =
-  let n = String.length s in
-  if n >= width then s
-  else
-    let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
-
-let render ?align ~headers rows =
+let render ~headers rows =
   let ncols = List.length headers in
-  let align = match align with Some a -> a | None -> default_align ncols in
-  assert (List.length align = ncols);
   assert (List.for_all (fun r -> List.length r = ncols) rows);
   let widths = Array.of_list (List.map String.length headers) in
   let note row = List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)) row in
   List.iter note rows;
-  let line cells =
-    let padded = List.mapi (fun i (a, c) -> ignore i; c, a) (List.combine align cells) in
-    String.concat "  " (List.mapi (fun i (c, a) -> pad a widths.(i) c) padded)
-  in
+  let line cells = String.concat "  " (List.mapi (fun i c -> pad i widths.(i) c) cells) in
   let rule = String.concat "  " (Array.to_list (Array.map (fun w -> String.make w '-') widths)) in
   let body = List.map line rows in
   String.concat "\n" ((line headers :: rule :: body) @ [ "" ])
 
-let print ?align ~headers rows = print_string (render ?align ~headers rows)
+let print ~headers rows = print_string (render ~headers rows)
 
 let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 

@@ -3,16 +3,12 @@
     Every experiment in the benchmark harness prints its results through
     this module so that output is uniform and diffable. *)
 
-type align = Left | Right
-
-val render : ?align:align list -> headers:string list -> string list list -> string
+val render : headers:string list -> string list list -> string
 (** [render ~headers rows] lays the rows out in columns sized to the
-    widest cell, with a rule under the header.  [align] gives per-column
-    alignment (default: right for cells that parse as numbers is NOT
-    attempted — default is left for the first column, right for the
-    rest). *)
+    widest cell, with a rule under the header.  The first column is
+    left-aligned, the rest right-aligned. *)
 
-val print : ?align:align list -> headers:string list -> string list list -> unit
+val print : headers:string list -> string list list -> unit
 (** [render] followed by [print_string]. *)
 
 val fmt_float : ?decimals:int -> float -> string

@@ -201,6 +201,9 @@ type latency = {
   hist : Metrics.Histogram.t;
 }
 
+(* A percentile is the ceil(p*n)-th smallest sample itself: the rank
+   rule of [Metrics.Histogram.percentile] without its power-of-two
+   bucket rounding, which can understate the tail by up to 2x. *)
 let latency_of p =
   match p.rows with
   | [] -> None
@@ -212,42 +215,23 @@ let latency_of p =
         Metrics.Histogram.add hist (max 0 r.latency_us);
         Metrics.Stats.add stats (float_of_int r.latency_us))
       rows;
+    let sorted = Array.of_list (List.map (fun r -> max 0 r.latency_us) rows) in
+    Array.sort compare sorted;
+    let n = Array.length sorted in
+    let percentile q =
+      let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
+      sorted.(min rank n - 1)
+    in
     Some
       {
-        samples = Metrics.Histogram.count hist;
+        samples = n;
         min_us = int_of_float (Metrics.Stats.min stats);
         max_us = int_of_float (Metrics.Stats.max stats);
         mean_us = Metrics.Stats.mean stats;
-        p50_us = Metrics.Histogram.percentile hist 0.50;
-        p90_us = Metrics.Histogram.percentile hist 0.90;
-        p99_us = Metrics.Histogram.percentile hist 0.99;
+        p50_us = percentile 0.50;
+        p90_us = percentile 0.90;
+        p99_us = percentile 0.99;
         hist;
-      }
-
-(* Exact percentile: the ceil(p*n)-th smallest sample itself, not the
-   lower bound of its power-of-two bucket — the same rank rule as
-   [Metrics.Histogram.percentile], minus the bucket rounding (which can
-   be off by up to 2x at the tail). *)
-let exact_percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else begin
-    let rank = max 1 (int_of_float (ceil (p *. float_of_int n))) in
-    sorted.(min (rank - 1) (n - 1))
-  end
-
-let exact_latency_of p =
-  match latency_of p with
-  | None -> None
-  | Some l ->
-    let sorted = Array.of_list (List.map (fun r -> max 0 r.latency_us) p.rows) in
-    Array.sort compare sorted;
-    Some
-      {
-        l with
-        p50_us = exact_percentile sorted 0.50;
-        p90_us = exact_percentile sorted 0.90;
-        p99_us = exact_percentile sorted 0.99;
       }
 
 (* --- summary --- *)
@@ -405,19 +389,12 @@ let print_pairing p l ~start_kind ~done_kind ~percentiles =
         (Metrics.Histogram.bucket_counts l.hist)
     end
 
-let report_pairs t ~spec ~exact ~percentiles ~json =
+let report_pairs t ~spec ~percentiles ~json =
   match String.split_on_char ',' spec with
   | [ start_kind; done_kind ] ->
     Result.map
       (fun p ->
-        let l = if exact then exact_latency_of p else latency_of p in
-        (* Bucketed percentiles are lower bounds; whenever a p99 is
-           about to be shown without --exact, say so. *)
-        if (not exact) && (json || percentiles) && Option.is_some l then
-          prerr_endline
-            "warning: p50/p90/p99 are log-bucket lower bounds (the bucketed p99 can \
-             understate the tail by up to 2x); pass --exact for order-statistic \
-             percentiles";
+        let l = latency_of p in
         if json then print_endline (latency_to_json p l)
         else print_pairing p l ~start_kind ~done_kind ~percentiles)
       (pair t ~start_kind ~done_kind)

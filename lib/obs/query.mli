@@ -108,17 +108,11 @@ type latency = {
 }
 
 val latency_of : pairing -> latency option
-(** Log-bucketed latency distribution of the paired rows; [None] if
-    there are none.  Percentiles are bucket lower bounds
-    (see {!Metrics.Histogram.percentile}); min/max/mean are exact. *)
-
-val exact_latency_of : pairing -> latency option
-(** Like {!latency_of}, but [p50_us]/[p90_us]/[p99_us] are the exact
-    ceil-rank order statistics over the raw latencies (the sample the
-    bucketed percentile approximates from below — at the tail the
-    bucket lower bound can understate it by up to 2x).  The [hist]
-    field still carries the log-bucketed histogram for display.  Costs
-    a sort of all samples; [latency_of] streams. *)
+(** Latency distribution of the paired rows; [None] if there are none.
+    [p50_us]/[p90_us]/[p99_us] are the exact ceil-rank order statistics
+    over the raw latencies, not bucket lower bounds (which can
+    understate the tail by up to 2x).  [hist] carries the log-bucketed
+    histogram for display. *)
 
 (** {1 The query command's reports} *)
 
@@ -131,13 +125,11 @@ val report_groups :
     names a malformed [key] or [agg]. *)
 
 val report_pairs :
-  t -> spec:string -> exact:bool -> percentiles:bool -> json:bool -> (unit, string) result
+  t -> spec:string -> percentiles:bool -> json:bool -> (unit, string) result
 (** Pair [spec]'s [START,DONE] kinds ({!pair}) and print the match
-    counts and the latency distribution on stdout, as text (with p50,
-    p90, p99 and the histogram buckets under [percentiles]) or as one
-    JSON object.  Percentiles are {!exact_latency_of} under [exact];
-    otherwise, whenever they are shown, a warning on stderr says they
-    are bucket lower bounds. *)
+    counts and the latency distribution ({!latency_of}) on stdout, as
+    text (with p50, p90, p99 and the histogram buckets under
+    [percentiles]) or as one JSON object. *)
 
 (** {1 Summary} *)
 

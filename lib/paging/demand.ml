@@ -269,7 +269,7 @@ let translate t page =
           Some frame
         | None -> None))
 
-let touch_result t name ~write =
+let access t name ~write =
   let page = name / t.cfg.page_size and offset = name mod t.cfg.page_size in
   if page < 0 || page >= t.cfg.pages then
     raise
@@ -307,13 +307,13 @@ let touch_result t name ~write =
    raising wrappers below can never actually raise; they exist for the
    engines and experiments that predate typed failures. *)
 let touch t name ~write =
-  match touch_result t name ~write with
+  match access t name ~write with
   | Ok addr -> addr
   (* lint: allow L4 — legacy wrapper; unreachable under the default Mirror recovery, documented to raise otherwise *)
   | Error f -> failwith (Resilience.Failure.to_string f)
 
 let read_result t name =
-  match touch_result t name ~write:false with
+  match access t name ~write:false with
   | Error _ as e -> e
   | Ok core_addr ->
     Ok
@@ -325,7 +325,7 @@ let read t name =
   timed t Metrics.Space_time.Active (fun () -> Memstore.Level.read t.cfg.core core_addr)
 
 let write_result t name v =
-  match touch_result t name ~write:true with
+  match access t name ~write:true with
   | Error _ as e -> e
   | Ok core_addr ->
     Ok

@@ -10,7 +10,6 @@ type config = {
   bulk_us : int;
   fetch_us : int;
   promotion : promotion;
-  device : Device.Model.t option;
 }
 
 type t = {
@@ -24,7 +23,6 @@ type t = {
   mutable promotions : int;
   mutable fast_hits : int;
   mutable elapsed_us : int;
-  mutable hard_failures : int;
 }
 
 let create cfg =
@@ -40,7 +38,6 @@ let create cfg =
     promotions = 0;
     fast_hits = 0;
     elapsed_us = 0;
-    hard_failures = 0;
   }
 
 (* Take the least recently used page out of a full level. *)
@@ -81,59 +78,26 @@ let touch_bulk t page =
   | After k -> if touches >= k then promote t page
   | Never -> ()
 
-(* The hierarchy sits below the layers with a redundant copy to fall
-   back on, so its recovery policy is Surface: a terminal drum failure
-   leaves the page absent and is handed to the caller, who decides
-   (the wall-clock cost of the failed attempts is still charged). *)
-let touch_result t ~page =
+let touch t ~page =
   t.refs <- t.refs + 1;
   t.lru.Replacement.on_reference ~page ~write:false;
   if Resident.mem t.fast page then begin
     t.fast_hits <- t.fast_hits + 1;
-    t.elapsed_us <- t.elapsed_us + t.cfg.fast_us;
-    Ok ()
+    t.elapsed_us <- t.elapsed_us + t.cfg.fast_us
   end
   else if Resident.mem t.bulk page then begin
     t.elapsed_us <- t.elapsed_us + t.cfg.bulk_us;
-    touch_bulk t page;
-    Ok ()
+    touch_bulk t page
   end
   else begin
     (* Drum fault: always lands in the bulk level first. *)
     t.faults <- t.faults + 1;
-    let fetched =
-      match t.cfg.device with
-      | None ->
-        t.elapsed_us <- t.elapsed_us + t.cfg.fetch_us + t.cfg.bulk_us;
-        Ok ()
-      | Some m ->
-        (match
-           Device.Model.fetch_result m ~now:t.elapsed_us
-             ~kind:Device.Request.Demand ~page ~words:0
-         with
-         | Ok fin ->
-           t.elapsed_us <- fin + t.cfg.bulk_us;
-           Ok ()
-         | Error f ->
-           t.hard_failures <- t.hard_failures + 1;
-           t.elapsed_us <- max t.elapsed_us f.at_us;
-           Error (Resilience.Failure.of_device f))
-    in
-    match fetched with
-    | Error _ as e -> e
-    | Ok () ->
-      ensure_bulk_room t;
-      Resident.add t.bulk page;
-      t.lru.Replacement.on_load ~page;
-      touch_bulk t page;
-      Ok ()
+    t.elapsed_us <- t.elapsed_us + t.cfg.fetch_us + t.cfg.bulk_us;
+    ensure_bulk_room t;
+    Resident.add t.bulk page;
+    t.lru.Replacement.on_load ~page;
+    touch_bulk t page
   end
-
-let touch t ~page =
-  match touch_result t ~page with
-  | Ok () -> ()
-  (* lint: allow L4 — legacy wrapper; unreachable without a Fail-escalation device, documented to raise otherwise *)
-  | Error f -> failwith (Resilience.Failure.to_string f)
 
 let run t trace = Array.iter (fun page -> touch t ~page) trace
 
@@ -144,8 +108,6 @@ let faults t = t.faults
 let promotions t = t.promotions
 
 let fast_hits t = t.fast_hits
-
-let hard_failures t = t.hard_failures
 
 let elapsed_us t = t.elapsed_us
 

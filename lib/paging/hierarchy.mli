@@ -23,12 +23,8 @@ type config = {
   bulk_frames : int;
   fast_us : int;  (** access cost when served from fast core *)
   bulk_us : int;  (** access cost when served from bulk core *)
-  fetch_us : int;  (** drum fault cost (ignored when [device] is set) *)
+  fetch_us : int;  (** drum fault cost *)
   promotion : promotion;
-  device : Device.Model.t option;
-      (** timed drum/disk model; faults are then charged its actual
-          (position- and queue-dependent) completion latency instead of
-          the flat [fetch_us] *)
 }
 
 type t
@@ -40,15 +36,8 @@ val touch : t -> page:int -> unit
     from bulk core (possibly triggering promotion); else faulted in
     from the drum.  Demotion/eviction is LRU at each level, under one
     recency order across both: a page demoted from fast core returns to
-    the bulk level with its last use.  A terminal drum
-    failure (only under a [Fail]-escalation device) raises [Failure];
-    use {!touch_result} to handle it. *)
-
-val touch_result : t -> page:int -> (unit, Resilience.Failure.t) result
-(** Like {!touch}, but a terminal drum failure returns [Error]: the
-    page is not installed (a later touch faults again), the failed
-    attempts' wall-clock cost is still charged, and the caller decides
-    — the hierarchy's recovery policy is to surface. *)
+    the bulk level with its last use.  A fault costs [fetch_us] plus
+    [bulk_us]. *)
 
 val run : t -> Workload.Trace.t -> unit
 (** Touch every page number in the trace. *)
@@ -61,9 +50,6 @@ val faults : t -> int
 val promotions : t -> int
 
 val fast_hits : t -> int
-
-val hard_failures : t -> int
-(** Terminal drum failures surfaced to the caller. *)
 
 val elapsed_us : t -> int
 (** Total access cost charged. *)

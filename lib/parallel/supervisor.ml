@@ -51,15 +51,32 @@ let parse_kills spec =
   in
   parse [] (String.split_on_char ',' spec)
 
-let check_kills ~shards ~steps kills =
-  match List.find_opt (fun k -> k.k_shard >= shards || k.k_progress > steps) kills with
-  | None -> Ok ()
-  | Some k ->
-    Error
-      (Printf.sprintf
-         "--kill-shard %d@%d would never fire: the workload runs shards 0..%d of %d \
-          steps each"
-         k.k_shard k.k_progress (shards - 1) steps)
+(* [step] checks for a kill before it saves that step's checkpoint, so
+   a kill at step P resumes the next attempt from the last checkpoint
+   below P. *)
+let check_kills ~shards ~steps ~checkpoint_every kills =
+  let never k why =
+    Error (Printf.sprintf "--kill-shard %d@%d would never fire: %s" k.k_shard k.k_progress why)
+  in
+  let resumes_from p =
+    if checkpoint_every > 0 then (p - 1) / checkpoint_every * checkpoint_every else 0
+  in
+  (* [last] maps a shard to the step of its previous kill. *)
+  let rec go last = function
+    | [] -> Ok ()
+    | k :: _ when k.k_shard >= shards || k.k_progress > steps ->
+      never k
+        (Printf.sprintf "the workload runs shards 0..%d of %d steps each" (shards - 1) steps)
+    | k :: rest -> (
+      match List.assoc_opt k.k_shard last with
+      | Some p when k.k_progress <= resumes_from p ->
+        never k
+          (Printf.sprintf
+             "after its kill at step %d, shard %d resumes from the checkpoint at step %d" p
+             k.k_shard (resumes_from p))
+      | _ -> go ((k.k_shard, k.k_progress) :: last) rest)
+  in
+  go [] kills
 
 exception Injected of fault
 

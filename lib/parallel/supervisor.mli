@@ -40,10 +40,16 @@ val parse_kills : string -> (kill list, string) result
     ignored.  Never raises: bad syntax, an empty part, an integer out
     of range or outside those bounds is an [Error] quoting the spec. *)
 
-val check_kills : shards:int -> steps:int -> kill list -> (unit, string) result
+val check_kills :
+  shards:int -> steps:int -> checkpoint_every:int -> kill list -> (unit, string) result
 (** [Error] names the first kill that can never fire in a workload of
-    [shards] shards of [steps] steps each: its shard is [shards] or
-    more, or its step is past [steps]. *)
+    [shards] shards of [steps] steps each, checkpointed every
+    [checkpoint_every] steps ({!supervise}): its shard is [shards] or
+    more, its step is past [steps], or its step is not after the one
+    its attempt resumes from.  A kill at step [P] resumes the shard's
+    next attempt from the last multiple of [checkpoint_every] below
+    [P] (from step 0 when checkpointing is off).  A shard's kills
+    target its attempts in list order, as {!parse_kills} gives them. *)
 
 exception Injected of fault
 (** How an injected fault tears down the body mid-step.  Bodies do not

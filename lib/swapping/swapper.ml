@@ -233,7 +233,7 @@ let swap_in t id =
       (Resilience.Failure.Swap_in_failed
          { segment = id; words = p.size; attempts = f.attempts; at_us = f.at_us })
 
-let touch_result t id name ~write =
+let access t id name ~write =
   let p = program t id in
   (match if p.resident then Ok () else swap_in t id with
    | Error _ as e -> e
@@ -244,20 +244,20 @@ let touch_result t id name ~write =
      Ok (Relocation.translate p.registers name))
 
 let touch t id name ~write =
-  match touch_result t id name ~write with
+  match access t id name ~write with
   | Ok addr -> addr
   (* lint: allow L4 — legacy wrapper; unreachable without a Fail-escalation device, documented to raise otherwise *)
   | Error f -> failwith (Resilience.Failure.to_string f)
 
 let read_result t id name =
-  match touch_result t id name ~write:false with
+  match access t id name ~write:false with
   | Error _ as e -> e
   | Ok addr -> Ok (Memstore.Level.read t.cfg.core addr)
 
 let read t id name = Memstore.Level.read t.cfg.core (touch t id name ~write:false)
 
 let write_result t id name v =
-  match touch_result t id name ~write:true with
+  match access t id name ~write:true with
   | Error _ as e -> e
   | Ok addr -> Ok (Memstore.Level.write t.cfg.core addr v)
 

@@ -35,7 +35,6 @@ run stats fixtures/fig3_quick_trace.jsonl
 run stats fixtures/fig3_quick_trace.jsonl --json
 run query fixtures/fig3_quick_trace.jsonl
 run query fixtures/fig3_quick_trace.jsonl --pair io_start,io_done --percentiles
-run query fixtures/fig3_quick_trace.jsonl --pair io_start,io_done --exact --json
 run query fixtures/fig3_quick_trace.jsonl --pair io_start,io_done --json
 run query fixtures/fig3_quick_trace.jsonl --group-by field:page --top 5
 run query fixtures/pair_trace.jsonl --kinds io_start,io_done --group-by run --json

@@ -1,7 +1,7 @@
 (* Tests for the timed backing-store subsystem (lib/device): geometry
-   timing, scheduling policies, channel overlap, writeback batching,
-   fault injection, and the equivalence of the Fixed geometry with the
-   legacy flat-latency arithmetic in Paging.Demand. *)
+   timing, scheduling policies, channel overlap, fault injection, and
+   the equivalence of the Fixed geometry with the legacy flat-latency
+   arithmetic in Paging.Demand. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -96,19 +96,6 @@ let test_channels_overlap () =
   in
   check_int "one channel serialises" 6_000 (span 1);
   check_int "two channels halve the span" 3_000 (span 2)
-
-let test_writeback_batching () =
-  let busy batch =
-    let m = Device.Model.create (Device.Model.config ~writeback_batch:batch drum) in
-    let ids =
-      List.init 4 (fun k ->
-          Device.Model.submit m ~now:0 ~kind:Device.Request.Writeback ~page:(k * 4)
-            ~words:256)
-    in
-    List.iter (fun id -> ignore (Device.Model.completion_us m id)) ids;
-    (Device.Model.stats m).Device.Model.busy_us
-  in
-  check_bool "streamed writebacks cut channel time" true (busy 4 < busy 1)
 
 let test_event_loop_delivery () =
   let m = Device.Model.create (Device.Model.config (Device.Geometry.fixed_us 1_000)) in
@@ -237,14 +224,6 @@ let test_retries_surface_as_events () =
   ignore (Device.Model.fetch m ~now:0 ~kind:Device.Request.Demand ~page:2 ~words:0);
   check_int "one Io_retry per failed attempt" 2 !retries
 
-(* --- Spec --- *)
-
-let test_spec_legacy_instantiates_to_none () =
-  check_bool "legacy means no model" true
-    (Option.is_none (Device.Spec.instantiate Device.Spec.legacy));
-  check_bool "a geometry means a model" true
-    (Option.is_some (Device.Spec.instantiate (Device.Spec.make drum)))
-
 let () =
   Alcotest.run "device"
     [
@@ -260,14 +239,12 @@ let () =
           Alcotest.test_case "satf beats fifo" `Quick test_satf_beats_fifo;
           Alcotest.test_case "priority" `Quick test_priority_serves_demand_first;
           Alcotest.test_case "channels overlap" `Quick test_channels_overlap;
-          Alcotest.test_case "writeback batching" `Quick test_writeback_batching;
           Alcotest.test_case "event-loop delivery" `Quick test_event_loop_delivery;
           Alcotest.test_case "double completion" `Quick test_double_completion_rejected;
         ] );
       ( "engines",
         [
           Alcotest.test_case "fixed/fifo = legacy" `Quick test_fixed_fifo_matches_legacy;
-          Alcotest.test_case "spec legacy" `Quick test_spec_legacy_instantiates_to_none;
         ] );
       ( "faults",
         [

@@ -20,7 +20,7 @@ let toy_paged ?(policy = Paging.Spec.Lru) ?(tlb_capacity = 0) () =
     backing_device = Memstore.Device.drum;
     mechanism =
       Dsas.System.Paged
-        { page_size = 64; frames = 4; policy; tlb_capacity; device = Device.Spec.legacy };
+        { page_size = 64; frames = 4; policy; tlb_capacity };
     compute_us_per_ref = 1;
   }
 

@@ -546,6 +546,37 @@ let test_cells_equal_experiment_rows () =
     (List.assoc 32 zipf_lru.Experiments.C3_replacement.points)
     (gauge replacement "fault_rate")
 
+(* A cell's declared [params] are the only axes a spec may sweep:
+   [for_spec] takes every declared one and refuses, before anything
+   runs, an axis the cell lacks, naming it. *)
+let test_for_spec_refuses_unknown_axis () =
+  let contains_substring haystack needle =
+    let hl = String.length haystack and nl = String.length needle in
+    let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+    go 0
+  in
+  let spec (cell : Experiments.Cell.spec) names =
+    {
+      Campaign.Spec.name = "t";
+      cell = cell.id;
+      seeds = [ 0 ];
+      quick = true;
+      trace_every = 0;
+      axes = List.map (fun n -> { Campaign.Spec.axis_name = n; values = [ "1" ] }) names;
+    }
+  in
+  List.iter
+    (fun (cell : Experiments.Cell.spec) ->
+      let declared = List.map fst cell.params in
+      check_bool (cell.id ^ " takes its declared params") true
+        (Result.is_ok (Experiments.Cells.for_spec (spec cell declared)));
+      match Experiments.Cells.for_spec (spec cell (declared @ [ "frmaes" ])) with
+      | Ok _ -> Alcotest.failf "%s accepted an axis it lacks" cell.id
+      | Error msg ->
+        check_bool (cell.id ^ " names the axis: " ^ msg) true
+          (contains_substring msg "\"frmaes\""))
+    Experiments.Cells.all
+
 let () =
   Alcotest.run "experiments"
     [
@@ -590,5 +621,7 @@ let () =
           Alcotest.test_case "defaults match fixture" `Quick test_cells_match_fixture;
           Alcotest.test_case "defaults equal experiment rows" `Quick
             test_cells_equal_experiment_rows;
+          Alcotest.test_case "for_spec refuses an axis the cell lacks" `Quick
+            test_for_spec_refuses_unknown_axis;
         ] );
     ]

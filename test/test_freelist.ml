@@ -76,7 +76,22 @@ let test_free_bad_address_rejected () =
   Freelist.Allocator.free a y;
   check_bool "double free after coalescing" true (raises (fun () -> Freelist.Allocator.free a y));
   check_int "z still live" 1 (Freelist.Allocator.live_blocks a);
-  Freelist.Allocator.validate a
+  Freelist.Allocator.validate a;
+  (* ... and then inside w, which a later request carves from that
+     hole: freeing y again must not free a block in the middle of w. *)
+  let _, a = make_allocator Freelist.Policy.First_fit in
+  let x = Option.get (Freelist.Allocator.alloc a 10) in
+  let y = Option.get (Freelist.Allocator.alloc a 10) in
+  Freelist.Allocator.free a x;
+  Freelist.Allocator.free a y;
+  let w = Option.get (Freelist.Allocator.alloc a 40) in
+  check_bool "w covers y's old block" true (w < y && y < w + 40);
+  check_bool "double free under a later allocation" true
+    (raises (fun () -> Freelist.Allocator.free a y));
+  check_int "w still live" 1 (Freelist.Allocator.live_blocks a);
+  Freelist.Allocator.validate a;
+  Freelist.Allocator.free a w;
+  Alcotest.(check (list int)) "one maximal hole" [ 1024 ] (Freelist.Allocator.free_block_sizes a)
 
 (* --- placement policies --- *)
 
@@ -514,31 +529,164 @@ let test_buddy_double_free_rejected () =
      | () -> false
      | exception Invalid_argument _ -> true)
 
-let buddy_random_ops =
-  QCheck.Test.make ~name:"buddy random ops keep invariants" ~count:80
-    QCheck.(list (pair bool (int_range 1 64)))
+(* --- one contract for the variable-unit allocators --- *)
+
+(* The requests the contract makes.  [Free i] and [Double_free i] pick
+   among the live blocks and the freed addresses, [Foreign w] names
+   store word [w] (or one just outside the store) unless it was ever
+   granted. *)
+type op = Alloc of int | Free of int | Double_free of int | Foreign of int
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun n -> Alloc n) (int_range 1 64));
+        (4, map (fun i -> Free i) nat);
+        (1, map (fun i -> Double_free i) nat);
+        (1, map (fun w -> Foreign w) (int_range (-2) 530));
+      ])
+
+let show_op = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Free i -> Printf.sprintf "free #%d" i
+  | Double_free i -> Printf.sprintf "double free #%d" i
+  | Foreign w -> Printf.sprintf "foreign %d" w
+
+(* An engine as the contract drives it: [alloc n] returns the address
+   [free] takes and the extent [lo, hi) of the block granted; the store
+   is [0, words); [validate] is the engine's own check, in its current
+   shape, raising [Failure]; [drained] holds once everything is free. *)
+type engine = {
+  name : string;
+  words : int;
+  alloc : int -> (int * int * int) option;
+  free : int -> unit;
+  validate : unit -> unit;
+  drained : unit -> bool;
+}
+
+let allocator_engine policy =
+  let words = 512 in
+  let mem = Memstore.Physical.create ~name:"core" ~words in
+  let a = Freelist.Allocator.create mem ~base:0 ~len:words ~policy in
+  {
+    name = Freelist.Policy.to_string policy;
+    words;
+    alloc =
+      (fun n ->
+        Option.map
+          (fun p ->
+            (* the block runs from its header to its footer *)
+            (p, p - 1, p + Freelist.Allocator.payload_size a p + 1))
+          (Freelist.Allocator.alloc a n));
+    free = Freelist.Allocator.free a;
+    validate = (fun () -> Freelist.Allocator.validate a);
+    drained = (fun () -> Freelist.Allocator.free_block_sizes a = [ words ]);
+  }
+
+let buddy_engine () =
+  let words = 512 in
+  let b = Freelist.Buddy.create ~words in
+  {
+    name = "buddy";
+    words;
+    alloc =
+      (fun n ->
+        Option.map (fun off -> (off, off, off + Freelist.Buddy.granted_size n))
+          (Freelist.Buddy.alloc b n));
+    free = Freelist.Buddy.free b;
+    validate =
+      (fun () ->
+        match Freelist.Buddy.validate b with
+        | Ok () -> ()
+        | Error e -> failwith (Freelist.Buddy.describe_error e));
+    drained = (fun () -> Freelist.Buddy.largest_free b = words);
+  }
+
+let rice_engine () =
+  let words = 512 in
+  let mem = Memstore.Physical.create ~name:"core" ~words in
+  let c = Segmentation.Rice_chain.create mem ~base:0 ~len:words in
+  {
+    name = "rice chain";
+    words;
+    alloc =
+      (fun n ->
+        (* a back-reference word, then the payload *)
+        Option.map (fun off -> (off, off, off + 1 + n))
+          (Segmentation.Rice_chain.alloc c ~payload:n ~codeword:0));
+    free = Segmentation.Rice_chain.free c;
+    validate = (fun () -> Segmentation.Rice_chain.validate c);
+    (* combining every inactive block gives the whole store back *)
+    drained = (fun () -> Segmentation.Rice_chain.alloc c ~payload:(words - 1) ~codeword:0 = Some 0);
+  }
+
+(* Drive one engine through [ops].  After every request the engine
+   validates and every live block lies in the store and overlaps no
+   other; a free of an address that is not live must raise
+   [Invalid_argument].  At the end every live block frees and the
+   engine drains. *)
+let run_contract e ops =
+  let fail step op fmt =
+    Printf.ksprintf
+      (fun msg -> QCheck.Test.fail_reportf "%s, step %d (%s): %s" e.name step (show_op op) msg)
+      fmt
+  in
+  let live = ref [] (* (address, lo, hi), newest first *)
+  and freed = ref []
+  and granted = Hashtbl.create 64 in
+  let refuse step op p =
+    match e.free p with
+    | () -> fail step op "free of %d accepted" p
+    | exception Invalid_argument _ -> ()
+  in
+  List.iteri
+    (fun step op ->
+      (match op with
+       | Alloc n ->
+         Option.iter
+           (fun ((p, _, _) as b) ->
+             Hashtbl.replace granted p ();
+             freed := List.filter (( <> ) p) !freed;
+             live := b :: !live)
+           (e.alloc n)
+       | Free i when !live <> [] ->
+         let ((p, _, _) as b) = List.nth !live (i mod List.length !live) in
+         e.free p;
+         live := List.filter (( != ) b) !live;
+         freed := p :: !freed
+       | Double_free i when !freed <> [] -> refuse step op (List.nth !freed (i mod List.length !freed))
+       | Foreign w when not (Hashtbl.mem granted w) -> refuse step op w
+       | Free _ | Double_free _ | Foreign _ -> ());
+      (match e.validate () with
+       | () -> ()
+       | exception Failure msg -> fail step op "invalid: %s" msg);
+      let sorted = List.sort (fun (_, a, _) (_, b, _) -> compare a b) !live in
+      ignore
+        (List.fold_left
+           (fun prev_hi (p, lo, hi) ->
+             if lo < 0 || hi > e.words || lo >= hi then
+               fail step op "block %d at [%d, %d) outside the store" p lo hi;
+             if lo < prev_hi then fail step op "block %d at [%d, %d) overlaps" p lo hi;
+             hi)
+           0 sorted))
+    ops;
+  List.iter (fun (p, _, _) -> e.free p) !live;
+  e.validate ();
+  e.drained ()
+
+let allocator_contract =
+  QCheck.Test.make
+    ~name:"allocator contract: every engine stays valid and refuses bad frees" ~count:100
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 0 100) op_gen))
     (fun ops ->
-      let b = Freelist.Buddy.create ~words:512 in
-      let live = ref [] in
-      List.iter
-        (fun (do_alloc, n) ->
-          if do_alloc || !live = [] then begin
-            match Freelist.Buddy.alloc b n with
-            | Some off -> live := off :: !live
-            | None -> ()
-          end
-          else begin
-            match !live with
-            | off :: rest ->
-              Freelist.Buddy.free b off;
-              live := rest
-            | [] -> ()
-          end;
-          check_buddy_valid b)
-        ops;
-      List.iter (Freelist.Buddy.free b) !live;
-      check_buddy_valid b;
-      Freelist.Buddy.largest_free b = 512)
+      List.for_all
+        (fun e -> run_contract e ops)
+        (List.map allocator_engine Freelist.Policy.all_standard
+        @ [ buddy_engine (); rice_engine () ]))
 
 (* --- handle table --- *)
 
@@ -604,7 +752,7 @@ let () =
             allocator_fill_then_drain Freelist.Policy.First_fit;
             allocator_fill_then_drain Freelist.Policy.Best_fit;
             allocator_fill_then_drain (Freelist.Policy.Two_ends { small_max = 20 });
-            buddy_random_ops;
+            allocator_contract;
           ] );
       ( "buddy",
         [

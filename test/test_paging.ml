@@ -384,7 +384,6 @@ let hierarchy_faults ~fast_frames ~bulk_frames promotion trace =
         bulk_us = 2;
         fetch_us = 100;
         promotion;
-        device = None;
       }
   in
   Paging.Hierarchy.run h trace;
@@ -752,7 +751,6 @@ let make_hierarchy promotion =
       bulk_us = 10;
       fetch_us = 1000;
       promotion;
-      device = None;
     }
 
 let test_hierarchy_promotion_rules () =

@@ -886,7 +886,7 @@ let test_parse_kills_rejects () =
 (* A kill fires only at a shard the workload runs and at a step it
    reaches: the last shard and the last step are the bounds. *)
 let test_check_kills () =
-  let check ks = Parallel.Supervisor.check_kills ~shards:4 ~steps:150 ks in
+  let check ks = Parallel.Supervisor.check_kills ~shards:4 ~steps:150 ~checkpoint_every:32 ks in
   check_bool "last shard, last step" true
     (check [ kill 3 ~attempt:0 ~progress:150; kill 0 ~attempt:0 ~progress:1 ] = Ok ());
   List.iter
@@ -910,6 +910,57 @@ let test_check_kills () =
     (Experiments.Par_chaos.check_kills ~quick:true [ kill 0 ~attempt:0 ~progress:151 ] <> Ok ()
     && Experiments.Par_chaos.check_kills ~quick:false [ kill 0 ~attempt:0 ~progress:600 ]
        = Ok ())
+
+(* A kill at step P resumes the shard's next attempt from the last
+   checkpoint below P, so that attempt's kill must name a later step. *)
+let test_check_kills_after_resume () =
+  let check ~every ks =
+    Parallel.Supervisor.check_kills ~shards:4 ~steps:150 ~checkpoint_every:every ks
+  in
+  let twice p q = [ kill 0 ~attempt:0 ~progress:p; kill 0 ~attempt:1 ~progress:q ] in
+  check_bool "100 resumes from 96: 97 fires, 96 does not" true
+    (check ~every:32 (twice 100 97) = Ok () && check ~every:32 (twice 100 96) <> Ok ());
+  check_bool "a kill on a checkpoint step resumes from the one before" true
+    (check ~every:32 (twice 64 33) = Ok () && check ~every:32 (twice 64 32) <> Ok ());
+  check_bool "each shard resumes on its own" true
+    (check ~every:32 [ kill 0 ~attempt:0 ~progress:100; kill 1 ~attempt:0 ~progress:10 ]
+     = Ok ());
+  check_bool "without checkpoints every attempt starts over" true
+    (check ~every:0 (twice 100 1) = Ok ());
+  (match check ~every:32 (twice 100 10) with
+   | Ok () -> Alcotest.fail "kill before the resume step accepted"
+   | Error msg ->
+     check_bool ("names the kill and the resume step: " ^ msg) true
+       (contains_substring msg "0@10" && contains_substring msg "step 96"));
+  check_bool "x11 checkpoints every 256 steps" true
+    (Experiments.X11_parallel.check_kills ~quick:true (twice 400 100) <> Ok ()
+    && Experiments.X11_parallel.check_kills ~quick:true (twice 400 257) = Ok ());
+  check_bool "chaos checkpoints every 32 steps" true
+    (Experiments.Par_chaos.check_kills ~quick:true (twice 100 10) <> Ok ()
+    && Experiments.Par_chaos.check_kills ~quick:true (twice 100 97) = Ok ())
+
+(* check_kills accepts a kill list exactly when the supervisor fires
+   every kill in it: the resume rule is held to [supervise] itself. *)
+let prop_check_kills_matches_supervise =
+  QCheck.Test.make ~name:"check_kills accepts exactly the kills that fire" ~count:300
+    QCheck.(pair (int_range 0 8) (list_of_size Gen.(int_range 1 3) (int_range 1 20)))
+    (fun (every, steps) ->
+      let kills = List.mapi (fun attempt progress -> kill 0 ~attempt ~progress) steps in
+      let store = Parallel.Checkpoint.store ~shard:0 () in
+      match
+        Parallel.Supervisor.supervise
+          ~inject:(Parallel.Supervisor.inject_of_kills kills)
+          ~checkpoint_every:every ~store ~shard:0
+          ~run:(fun ~resume ctl -> sum_body ~steps:20 ~executed:(ref 0) ~resume ctl)
+      with
+      | Error _ -> false
+      | Ok (_, o) ->
+        let fired = o.Parallel.Supervisor.o_crashes = List.length kills in
+        let accepted =
+          Parallel.Supervisor.check_kills ~shards:1 ~steps:20 ~checkpoint_every:every kills
+          = Ok ()
+        in
+        fired = accepted)
 
 let () =
   Alcotest.run "parallel"
@@ -985,6 +1036,9 @@ let () =
           Alcotest.test_case "valid specs and attempts" `Quick test_parse_kills_valid;
           Alcotest.test_case "bad specs are errors" `Quick test_parse_kills_rejects;
           Alcotest.test_case "kills past the workload are errors" `Quick test_check_kills;
+          Alcotest.test_case "kills before the resume step are errors" `Quick
+            test_check_kills_after_resume;
+          QCheck_alcotest.to_alcotest prop_check_kills_matches_supervise;
         ] );
       ( "checkpoint",
         [

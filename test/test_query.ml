@@ -429,22 +429,13 @@ let test_top () =
 
 (* --- pairing --- *)
 
-(* The log2-bucket representative Histogram.percentile returns: the
-   lower bound of the power-of-two bucket holding the value. *)
-let log2_bucket_value v =
-  if v <= 0 then 0
-  else begin
-    let rec bits acc x = if x = 0 then acc else bits (acc + 1) (x lsr 1) in
-    1 lsl (bits 0 v - 1)
-  end
-
 (* Offline oracle: percentile p over raw latencies = the
-   ceil(p*n)-th smallest sample, then bucketed like the histogram. *)
+   ceil(p*n)-th smallest sample. *)
 let oracle_percentile latencies p =
   let sorted = List.sort compare latencies in
   let n = List.length sorted in
   let rank = max 1 (int_of_float (ceil (p *. float_of_int n))) in
-  log2_bucket_value (List.nth sorted (rank - 1))
+  List.nth sorted (rank - 1)
 
 let test_pair_fixture_oracle () =
   match Obs.Query.load (fixture "pair_trace.jsonl") with
@@ -474,8 +465,8 @@ let test_pair_fixture_oracle () =
           check_int "p99 vs oracle" (oracle_percentile latencies 0.99)
             l.Obs.Query.p99_us;
           (* and the oracle values themselves are what a human expects *)
-          check_int "p50 is 77's bucket" 64 l.Obs.Query.p50_us;
-          check_int "p99 is 2048's bucket" 2048 l.Obs.Query.p99_us))
+          check_int "p50 is the 4th sample" 77 l.Obs.Query.p50_us;
+          check_int "p99 is the 7th sample" 2048 l.Obs.Query.p99_us))
 
 (* Independent re-pairing of a trace: match io_start/io_done by req per
    run segment without using Query.pair. *)
@@ -544,10 +535,6 @@ let test_latency_of_empty () =
   check_bool "no rows, no summary" true
     (Obs.Query.latency_of
        { Obs.Query.rows = []; unmatched_starts = 0; unmatched_dones = 0 }
-     = None);
-  check_bool "no rows, no exact summary" true
-    (Obs.Query.exact_latency_of
-       { Obs.Query.rows = []; unmatched_starts = 0; unmatched_dones = 0 }
      = None)
 
 (* --- exact percentiles --- *)
@@ -571,14 +558,6 @@ let pairing_of_latencies latencies =
     unmatched_dones = 0;
   }
 
-(* The unbucketed oracle: percentile p = the ceil(p*n)-th smallest raw
-   sample (no log2 rounding, unlike oracle_percentile above). *)
-let exact_oracle latencies p =
-  let sorted = List.sort compare latencies in
-  let n = List.length sorted in
-  let rank = max 1 (int_of_float (ceil (p *. float_of_int n))) in
-  List.nth sorted (rank - 1)
-
 let test_exact_latency_fixture () =
   match Obs.Query.load (fixture "pair_trace.jsonl") with
   | Error msg -> Alcotest.failf "fixture unreadable: %s" msg
@@ -586,31 +565,28 @@ let test_exact_latency_fixture () =
     (match Obs.Query.pair q ~start_kind:"io_start" ~done_kind:"io_done" with
      | Error msg -> Alcotest.failf "pairing failed: %s" msg
      | Ok p ->
-       (match Obs.Query.exact_latency_of p with
-        | None -> Alcotest.fail "no exact latency summary"
+       (match Obs.Query.latency_of p with
+        | None -> Alcotest.fail "no latency summary"
         | Some l ->
           (* latencies are [3; 9; 10; 77; 100; 1000; 2048] *)
           check_int "exact p50 is the 4th sample" 77 l.Obs.Query.p50_us;
           check_int "exact p90 is the 7th sample" 2048 l.Obs.Query.p90_us;
           check_int "exact p99 is the 7th sample" 2048 l.Obs.Query.p99_us;
-          (* the bucketed view of the same pairing understates p50 *)
-          (match Obs.Query.latency_of p with
-           | None -> Alcotest.fail "no bucketed summary"
-           | Some b ->
-             check_int "bucketed p50 is 77's bucket lower bound" 64
-               b.Obs.Query.p50_us;
-             check_bool "exact >= bucketed at every percentile" true
-               (l.Obs.Query.p50_us >= b.Obs.Query.p50_us
-                && l.Obs.Query.p90_us >= b.Obs.Query.p90_us
-                && l.Obs.Query.p99_us >= b.Obs.Query.p99_us))))
+          (* the summary's own log2 histogram understates p50 *)
+          let bucketed = Metrics.Histogram.percentile l.Obs.Query.hist in
+          check_int "bucketed p50 is 77's bucket lower bound" 64 (bucketed 0.50);
+          check_bool "exact >= bucketed at every percentile" true
+            (l.Obs.Query.p50_us >= bucketed 0.50
+             && l.Obs.Query.p90_us >= bucketed 0.90
+             && l.Obs.Query.p99_us >= bucketed 0.99)))
 
 let exact_latency_property =
   QCheck.Test.make
-    ~name:"exact_latency_of matches the sorted-array oracle on random samples"
+    ~name:"latency_of matches the sorted-array oracle on random samples"
     ~count:300
     QCheck.(list_of_size Gen.(int_range 1 60) (int_range 1 100_000))
     (fun latencies ->
-      match Obs.Query.exact_latency_of (pairing_of_latencies latencies) with
+      match Obs.Query.latency_of (pairing_of_latencies latencies) with
       | None -> false
       | Some l ->
         let n = List.length latencies in
@@ -620,9 +596,9 @@ let exact_latency_property =
         && l.Obs.Query.max_us = List.fold_left max 0 latencies
         && Float.abs (l.Obs.Query.mean_us -. (float_of_int sum /. float_of_int n))
            < 1e-6
-        && l.Obs.Query.p50_us = exact_oracle latencies 0.50
-        && l.Obs.Query.p90_us = exact_oracle latencies 0.90
-        && l.Obs.Query.p99_us = exact_oracle latencies 0.99)
+        && l.Obs.Query.p50_us = oracle_percentile latencies 0.50
+        && l.Obs.Query.p90_us = oracle_percentile latencies 0.90
+        && l.Obs.Query.p99_us = oracle_percentile latencies 0.99)
 
 (* --- metrics sink --- *)
 

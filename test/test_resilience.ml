@@ -1,8 +1,8 @@
 (* Tests for the resilience subsystem: the fault vocabulary and typed
    failure propagation (Device.Fault escalation, Resilience.Failure),
-   per-layer recovery (demand mirror/surface, hierarchy surfacing, the
-   swapper's mirrored write-outs and surfaced swap-in failures, the
-   scheduler's bounded abort-and-restart), the space-time-product load
+   per-layer recovery (demand mirror/surface, the swapper's mirrored
+   write-outs and surfaced swap-in failures, the scheduler's bounded
+   abort-and-restart), the space-time-product load
    controller, and the seeded chaos harness with its three recovery
    invariants. *)
 
@@ -181,35 +181,6 @@ let test_demand_surface_fails () =
   check_bool "retry fails again" true
     (Result.is_error (Paging.Demand.read_result engine 0));
   check_int "both surfaced" 2 (Paging.Demand.hard_failures engine)
-
-(* --- Paging.Hierarchy: the drum level surfaces --- *)
-
-let test_hierarchy_surfaces () =
-  let m = model ~fault:(fail_all ~permanent_prob:1.0 ()) () in
-  let h =
-    Paging.Hierarchy.create
-      {
-        Paging.Hierarchy.fast_frames = 2;
-        bulk_frames = 4;
-        fast_us = 1;
-        bulk_us = 10;
-        fetch_us = 1_000;
-        promotion = Paging.Hierarchy.Always;
-        device = Some m;
-      }
-  in
-  let before = Paging.Hierarchy.elapsed_us h in
-  (match Paging.Hierarchy.touch_result h ~page:0 with
-  | Error (Resilience.Failure.Io_failed _) -> ()
-  | Error f -> Alcotest.failf "wrong failure: %s" (Resilience.Failure.to_string f)
-  | Ok () -> Alcotest.fail "hierarchy must surface the drum failure");
-  check_int "surfaced counted" 1 (Paging.Hierarchy.hard_failures h);
-  check_bool "failed attempts still cost time" true
-    (Paging.Hierarchy.elapsed_us h > before);
-  (* Not installed: the next touch faults (and fails) again. *)
-  check_bool "retouch fails again" true
-    (Result.is_error (Paging.Hierarchy.touch_result h ~page:0));
-  check_int "drum faults counted per try" 2 (Paging.Hierarchy.faults h)
 
 (* --- Swapping.Swapper: surfaced swap-ins, mirrored write-outs --- *)
 
@@ -673,7 +644,6 @@ let () =
         [
           Alcotest.test_case "demand mirror" `Quick test_demand_mirror_recovers;
           Alcotest.test_case "demand surface" `Quick test_demand_surface_fails;
-          Alcotest.test_case "hierarchy surfaces" `Quick test_hierarchy_surfaces;
           Alcotest.test_case "swapper swap-in failure" `Quick
             test_swapper_permanent_swap_in_failure;
           Alcotest.test_case "swapper mirror write" `Quick test_swapper_mirror_write;
