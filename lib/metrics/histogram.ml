@@ -8,6 +8,8 @@ type t = {
   mutable total : int;
   mutable min_v : int;
   mutable max_v : int;
+  mutable samples : int array;  (* the first [total] are every sample added *)
+  mutable sorted : bool;  (* and they are in ascending order *)
 }
 
 let linear ~lo ~hi ~buckets =
@@ -17,7 +19,9 @@ let linear ~lo ~hi ~buckets =
     counts = Array.make buckets 0;
     total = 0;
     min_v = max_int;
-    max_v = min_int }
+    max_v = min_int;
+    samples = [||];
+    sorted = true }
 
 let log2 ~max_exponent =
   assert (max_exponent >= 0);
@@ -25,7 +29,9 @@ let log2 ~max_exponent =
     counts = Array.make (max_exponent + 2) 0;
     total = 0;
     min_v = max_int;
-    max_v = min_int }
+    max_v = min_int;
+    samples = [||];
+    sorted = true }
 
 let clamp n lo hi = if n < lo then lo else if n > hi then hi else n
 
@@ -42,6 +48,13 @@ let bucket_of t x =
 
 let add t x =
   t.counts.(bucket_of t x) <- t.counts.(bucket_of t x) + 1;
+  if t.total = Array.length t.samples then begin
+    let grown = Array.make (max 16 (2 * t.total)) 0 in
+    Array.blit t.samples 0 grown 0 t.total;
+    t.samples <- grown
+  end;
+  t.samples.(t.total) <- x;
+  t.sorted <- t.sorted && (t.total = 0 || t.samples.(t.total - 1) <= x);
   t.total <- t.total + 1;
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x
@@ -68,23 +81,20 @@ let label t i =
 
 let bucket_counts t = Array.init (Array.length t.counts) (fun i -> (label t i, t.counts.(i)))
 
+(* The rank rule: the [ceil (p * n)]-th smallest sample (at least the
+   first). *)
 let percentile t p =
   assert (p >= 0. && p <= 1.);
   if t.total = 0 then 0
   else begin
-    let threshold = int_of_float (ceil (p *. float_of_int t.total)) in
-    let threshold = max 1 threshold in
-    let acc = ref 0 and result = ref (lower_bound t (Array.length t.counts - 1)) in
-    (try
-       for i = 0 to Array.length t.counts - 1 do
-         acc := !acc + t.counts.(i);
-         if !acc >= threshold then begin
-           result := lower_bound t i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
+    if not t.sorted then begin
+      let a = Array.sub t.samples 0 t.total in
+      Array.sort Int.compare a;
+      t.samples <- a;
+      t.sorted <- true
+    end;
+    let rank = max 1 (int_of_float (ceil (p *. float_of_int t.total))) in
+    t.samples.(min rank t.total - 1)
   end
 
 let percentiles t ps = List.map (fun p -> (p, percentile t p)) ps

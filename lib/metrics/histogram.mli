@@ -2,7 +2,9 @@
 
     Two bucketing schemes: linear (equal-width buckets over [lo, hi)) and
     logarithmic (one bucket per power of two), the latter suited to
-    allocation-size and lifetime distributions which span decades. *)
+    allocation-size and lifetime distributions which span decades.  The
+    buckets are for display; a histogram also keeps every sample, so its
+    percentiles and extremes are exact. *)
 
 type t
 
@@ -24,11 +26,11 @@ val bucket_counts : t -> (string * int) array
 (** Label and count of every bucket, in order. *)
 
 val percentile : t -> float -> int
-(** [percentile t p] with [0. <= p <= 1.] returns a representative value
-    (bucket lower bound) at or above the [p]-fraction point of the
-    distribution; 0 if empty.  Precisely: the lower bound of the bucket
-    holding the [ceil (p * count)]-th smallest sample, so it agrees with
-    a sorted-array percentile up to bucket resolution. *)
+(** [percentile t p] with [0. <= p <= 1.] is the [ceil (p * count)]-th
+    smallest sample itself (the smallest for [p = 0.]); 0 if empty.  The
+    one rank rule behind every percentile the simulator reports:
+    [query --pair] ([Obs.Query.latency_of]) and the metrics artifact
+    ([Obs.Registry.to_json]). *)
 
 val percentiles : t -> float list -> (float * int) list
 (** [percentiles t ps] is [percentile] mapped over [ps], keeping the

@@ -215,20 +215,6 @@ let finish_run c ~line =
          (String.concat ", " (List.map fst profiles)));
   c.run <- fresh_run ()
 
-let non_negative c ~line fields =
-  List.iter
-    (fun (name, v) ->
-      if v < 0 then
-        report_violation c ~line Schema "field %S is negative (%d)" name v)
-    fields
-
-let positive c ~line fields =
-  List.iter
-    (fun (name, v) ->
-      if v < 1 then
-        report_violation c ~line Schema "field %S must be positive (got %d)" name v)
-    fields
-
 let check_clock c ~line t_us =
   (match c.run.prev_t with
    | Some prev when t_us < prev ->
@@ -236,103 +222,89 @@ let check_clock c ~line t_us =
    | Some _ | None -> ());
   c.run.prev_t <- Some t_us
 
+(* The [key]'s attempt count [n] goes up by one from 1 (the highest seen
+   is kept in [tbl]) and stays within [cap]. *)
+let count_up ?cap c ~line invariant tbl ~what ~noun key n =
+  let prev = match Hashtbl.find_opt tbl key with Some n -> n | None -> 0 in
+  if n <> prev + 1 then
+    report_violation c ~line invariant "%s %d for %s %d out of sequence (previous was %d)" what
+      n noun key prev;
+  (match cap with
+   | Some (verb, cap) when n > cap ->
+     report_violation c ~line invariant "%s %d %s %d times, above the sanity cap of %d" noun key
+       verb n cap
+   | Some _ | None -> ());
+  Hashtbl.replace tbl key (max n (prev + 1))
+
 let feed c ~line (ev : Event.t) =
   c.events <- c.events + 1;
   let r = c.run in
   let name = Event.kind_name ev.kind in
   (match ev.kind with
-   | Event.Run_start { run; _ } ->
+   | Event.Run_start _ ->
      finish_run c ~line;
-     c.runs <- c.runs + 1;
-     non_negative c ~line [ ("run", run) ];
+     c.runs <- c.runs + 1
+   | Event.Io_start _ | Event.Io_done _ | Event.Io_error _ | Event.Io_retry _ -> ()
+   | _ -> check_clock c ~line ev.t_us);
+  List.iter
+    (fun (key, v, least) ->
+      if least = 1 then
+        report_violation c ~line Schema "field %S must be positive (got %d)" key v
+      else report_violation c ~line Schema "field %S is negative (%d)" key v)
+    (Event.out_of_range ev.kind);
+  (match ev.kind with
+   | Event.Run_start { run; _ } ->
      (match c.last_run_id with
       | Some prev when run <= prev ->
         report_violation c ~line Schema "run id %d not above previous run %d" run prev
       | Some _ | None -> ());
      c.last_run_id <- Some run
    | Event.Io_start { req; page; io } ->
-     non_negative c ~line [ ("req", req); ("page", page) ];
      r.depth <- r.depth + 1;
      (match Hashtbl.find_opt r.opens req with
       | Some (l, _, _) ->
         report_violation c ~line Io_pair
           "second io_start for request %d (already open since line %d)" req l
-      | None -> Hashtbl.replace r.opens req (line, page, io));
-     ignore ev.t_us
-   | Event.Io_done { req; page; io } ->
-     non_negative c ~line [ ("req", req); ("page", page) ];
+      | None -> Hashtbl.replace r.opens req (line, page, io))
+   | Event.Io_done { req; page; io } | Event.Io_error { req; page; io; _ } ->
+     (* io_done and io_error both close the request *)
+     let verb = if name = "io_done" then "done" else "failed" in
      r.depth <- r.depth - 1;
      if r.depth < 0 then
        report_violation c ~line Queue_depth
-         "in-flight request count went negative (io_done for request %d)" req;
+         "in-flight request count went negative (%s for request %d)" name req;
      (match Hashtbl.find_opt r.opens req with
-      | None ->
-        report_violation c ~line Io_pair "io_done for request %d never started" req
+      | None -> report_violation c ~line Io_pair "%s for request %d never started" name req
       | Some (start_line, start_page, start_io) ->
         Hashtbl.remove r.opens req;
         if start_page <> page then
           report_violation c ~line Io_pair
-            "request %d done with page %d but started with page %d (line %d)" req
+            "request %d %s with page %d but started with page %d (line %d)" req verb
             page start_page start_line;
         if start_io <> io then
           report_violation c ~line Io_pair
-            "request %d done as %s but started as %s (line %d)" req
+            "request %d %s as %s but started as %s (line %d)" req verb
             (Event.io_name io) (Event.io_name start_io) start_line);
-     Hashtbl.remove r.retries req
-   | Event.Io_error { req; page; io; attempts } ->
-     non_negative c ~line [ ("req", req); ("page", page) ];
-     positive c ~line [ ("attempts", attempts) ];
-     r.depth <- r.depth - 1;
-     if r.depth < 0 then
-       report_violation c ~line Queue_depth
-         "in-flight request count went negative (io_error for request %d)" req;
-     (match Hashtbl.find_opt r.opens req with
-      | None ->
-        report_violation c ~line Io_pair "io_error for request %d never started" req
-      | Some (start_line, start_page, start_io) ->
-        Hashtbl.remove r.opens req;
-        if start_page <> page then
-          report_violation c ~line Io_pair
-            "request %d failed with page %d but started with page %d (line %d)" req
-            page start_page start_line;
-        if start_io <> io then
-          report_violation c ~line Io_pair
-            "request %d failed as %s but started as %s (line %d)" req
-            (Event.io_name io) (Event.io_name start_io) start_line);
-     (match Hashtbl.find_opt r.retries req with
-      | Some seen when attempts < seen ->
+     (match (ev.kind, Hashtbl.find_opt r.retries req) with
+      | Event.Io_error { attempts; _ }, Some seen when attempts < seen ->
         report_violation c ~line Retry_bounded
           "io_error for request %d reports %d attempts, fewer than the %d \
            retries already seen"
           req attempts seen
-      | Some _ | None -> ());
+      | _ -> ());
      Hashtbl.remove r.retries req
    | Event.Io_retry { req; attempt } ->
-     non_negative c ~line [ ("req", req) ];
-     positive c ~line [ ("attempt", attempt) ];
      if not (Hashtbl.mem r.opens req) then
        report_violation c ~line Io_pair "io_retry for request %d not in flight" req;
-     let prev = match Hashtbl.find_opt r.retries req with Some n -> n | None -> 0 in
-     if attempt <> prev + 1 then
-       report_violation c ~line Retry_bounded
-         "io_retry attempt %d for request %d out of sequence (previous was %d)"
-         attempt req prev;
-     if attempt > retry_cap then
-       report_violation c ~line Retry_bounded
-         "request %d retried %d times, above the sanity cap of %d" req attempt
-         retry_cap;
-     Hashtbl.replace r.retries req (max attempt (prev + 1))
+     count_up c ~line Retry_bounded r.retries ~what:"io_retry attempt" ~noun:"request"
+       ~cap:("retried", retry_cap) req attempt
    | Event.Fault { page } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("page", page) ];
      if Hashtbl.mem r.resident page then
        report_violation c ~line Frames "fault fetches page %d, which is resident" page;
      Hashtbl.replace r.resident page ();
      let n = match Hashtbl.find_opt r.fault_count page with Some n -> n | None -> 0 in
      Hashtbl.replace r.fault_count page (n + 1)
    | Event.Cold_fault { page } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("page", page) ];
      if not (Hashtbl.mem r.resident page) then
        report_violation c ~line Frames "cold_fault for absent page %d" page
      else begin
@@ -344,59 +316,29 @@ let feed c ~line (ev : Event.t) =
        | None -> report_violation c ~line Frames "cold_fault for unfetched page %d" page
      end
    | Event.Eviction { page } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("page", page) ];
      if not (Hashtbl.mem r.resident page) then
        report_violation c ~line Frames "eviction of non-resident page %d" page
      else Hashtbl.remove r.resident page
    | Event.Writeback { page } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("page", page) ];
      if not (Hashtbl.mem r.resident page) then
        report_violation c ~line Frames "writeback of non-resident page %d" page
-   | Event.Tlb_hit { key } | Event.Tlb_miss { key } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("key", key) ]
-   | Event.Alloc { addr; size } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("addr", addr) ];
-     positive c ~line [ ("size", size) ];
+   | Event.Tlb_hit _ | Event.Tlb_miss _ | Event.Split _ | Event.Coalesce _
+   | Event.Compaction_move _ | Event.Segment_swap _ ->
+     ()
+   | Event.Alloc { size; _ } ->
      r.balance <- r.balance + size
    | Event.Free { addr; size } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("addr", addr) ];
-     positive c ~line [ ("size", size) ];
      r.balance <- r.balance - size;
      if r.balance < 0 then
        report_violation c ~line Heap
          "freed words exceed allocated words by %d after free at %d" (-r.balance)
          addr
-   | Event.Split { addr; size; remainder } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("addr", addr); ("remainder", remainder) ];
-     positive c ~line [ ("size", size) ]
-   | Event.Coalesce { addr; size } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("addr", addr) ];
-     positive c ~line [ ("size", size) ]
-   | Event.Compaction_move { src; dst; len } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("src", src); ("dst", dst) ];
-     positive c ~line [ ("len", len) ]
-   | Event.Segment_swap { segment; words; direction = _ } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("segment", segment) ];
-     positive c ~line [ ("words", words) ]
    | Event.Job_start { job } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("job", job) ];
      if Hashtbl.mem r.jobs job then
        report_violation c ~line No_lost_job
          "job %d started again while still live" job
      else Hashtbl.replace r.jobs job `Running
    | Event.Job_stop { job } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("job", job) ];
      (match Hashtbl.find_opt r.jobs job with
       | Some `Running -> Hashtbl.remove r.jobs job
       | Some `Shed ->
@@ -406,9 +348,6 @@ let feed c ~line (ev : Event.t) =
       | None ->
         report_violation c ~line No_lost_job "job %d stopped but never started" job)
    | Event.Job_abort { job; restarts } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("job", job) ];
-     positive c ~line [ ("restarts", restarts) ];
      (match Hashtbl.find_opt r.jobs job with
       | Some `Running -> ()
       | Some `Shed ->
@@ -416,19 +355,9 @@ let feed c ~line (ev : Event.t) =
       | None ->
         report_violation c ~line Restart_bounded
           "job %d aborted but never started" job);
-     let prev = match Hashtbl.find_opt r.restarts job with Some n -> n | None -> 0 in
-     if restarts <> prev + 1 then
-       report_violation c ~line Restart_bounded
-         "job_abort restart count %d for job %d out of sequence (previous was %d)"
-         restarts job prev;
-     if restarts > restart_cap then
-       report_violation c ~line Restart_bounded
-         "job %d restarted %d times, above the sanity cap of %d" job restarts
-         restart_cap;
-     Hashtbl.replace r.restarts job (max restarts (prev + 1))
+     count_up c ~line Restart_bounded r.restarts ~what:"job_abort restart count" ~noun:"job"
+       ~cap:("restarted", restart_cap) job restarts
    | Event.Load_shed { job } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("job", job) ];
      (match Hashtbl.find_opt r.jobs job with
       | Some `Running -> Hashtbl.replace r.jobs job `Shed
       | Some `Shed ->
@@ -437,8 +366,6 @@ let feed c ~line (ev : Event.t) =
         report_violation c ~line No_lost_job
           "load_shed for job %d, which never started" job)
    | Event.Load_admit { job } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("job", job) ];
      (match Hashtbl.find_opt r.jobs job with
       | Some `Shed -> Hashtbl.replace r.jobs job `Running
       | Some `Running ->
@@ -448,44 +375,19 @@ let feed c ~line (ev : Event.t) =
         report_violation c ~line No_lost_job
           "load_admit for job %d, which never started" job)
    | Event.Shard_crash { shard; attempt } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("shard", shard) ];
-     positive c ~line [ ("attempt", attempt) ];
-     let prev =
-       match Hashtbl.find_opt r.shard_crashes shard with Some n -> n | None -> 0
-     in
-     if attempt <> prev + 1 then
-       report_violation c ~line Shard_restart_bounded
-         "shard_crash attempt %d for shard %d out of sequence (previous was %d)"
-         attempt shard prev;
-     if attempt > restart_cap then
-       report_violation c ~line Shard_restart_bounded
-         "shard %d crashed %d times, above the sanity cap of %d" shard attempt
-         restart_cap;
-     Hashtbl.replace r.shard_crashes shard (max attempt (prev + 1))
+     count_up c ~line Shard_restart_bounded r.shard_crashes ~what:"shard_crash attempt"
+       ~noun:"shard" ~cap:("crashed", restart_cap) shard attempt
    | Event.Shard_restart { shard; attempt } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line [ ("shard", shard) ];
-     positive c ~line [ ("attempt", attempt) ];
      let crashes =
        match Hashtbl.find_opt r.shard_crashes shard with Some n -> n | None -> 0
      in
-     let prev =
-       match Hashtbl.find_opt r.shard_restarts shard with Some n -> n | None -> 0
-     in
-     if attempt <> prev + 1 then
-       report_violation c ~line Shard_restart_bounded
-         "shard_restart attempt %d for shard %d out of sequence (previous was %d)"
-         attempt shard prev;
+     count_up c ~line Shard_restart_bounded r.shard_restarts ~what:"shard_restart attempt"
+       ~noun:"shard" shard attempt;
      if attempt > crashes then
        report_violation c ~line Shard_restart_bounded
          "shard_restart %d for shard %d answers no crash (crashes seen: %d)"
-         attempt shard crashes;
-     Hashtbl.replace r.shard_restarts shard (max attempt (prev + 1))
+         attempt shard crashes
    | Event.Shard_checkpoint { shard; progress; events } ->
-     check_clock c ~line ev.t_us;
-     non_negative c ~line
-       [ ("shard", shard); ("progress", progress); ("events", events) ];
      (match Hashtbl.find_opt r.shard_progress shard with
       | Some (p, e) when progress < p || events < e ->
         report_violation c ~line No_lost_shard_events
@@ -500,8 +402,6 @@ let feed c ~line (ev : Event.t) =
      in
      Hashtbl.replace r.shard_progress shard (max progress p0, max events e0)
    | Event.Watchdog_fire { rule; snapshots } ->
-     check_clock c ~line ev.t_us;
-     positive c ~line [ ("snapshots", snapshots) ];
      (match Hashtbl.find_opt r.watchdogs rule with
       | Some _ ->
         report_violation c ~line Watchdog_paired
@@ -509,8 +409,6 @@ let feed c ~line (ev : Event.t) =
       | None -> ());
      Hashtbl.replace r.watchdogs rule snapshots
    | Event.Watchdog_clear { rule; snapshots } ->
-     check_clock c ~line ev.t_us;
-     positive c ~line [ ("snapshots", snapshots) ];
      (match Hashtbl.find_opt r.watchdogs rule with
       | None ->
         report_violation c ~line Watchdog_paired

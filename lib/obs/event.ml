@@ -75,144 +75,210 @@ let kind_name = function
   | Watchdog_fire _ -> "watchdog_fire"
   | Watchdog_clear _ -> "watchdog_clear"
 
-let all_kind_names =
-  [ "run_start"; "fault"; "cold_fault"; "eviction"; "writeback"; "tlb_hit"; "tlb_miss";
-    "alloc"; "free"; "split"; "coalesce"; "compaction_move"; "segment_swap"; "job_start";
-    "job_stop"; "io_start"; "io_done"; "io_retry"; "io_error"; "job_abort"; "load_shed";
-    "load_admit"; "shard_crash"; "shard_restart"; "shard_checkpoint"; "watchdog_fire";
-    "watchdog_clear" ]
-
 let trace_schema = "dsas-trace/1"
 
-let fields_of_kind = function
+(* --- the wire format: one description of every kind ---
+
+   [map_fields c s kind] hands each field of [kind] to the codec [c], in
+   wire order, as its key, type and value, and rebuilds the kind from
+   what [c] hands back: the encoder writes the value and hands it back,
+   the decoder hands back what it read (or raises [Malformed]).  An int
+   field also declares its range.  Keys are plain identifiers, written
+   without escaping. *)
+
+type range = Any | Nat | Pos  (* any int, at least 0, at least 1 *)
+
+type _ ty = Int : range -> int ty | Str : string ty
+
+let any = Int Any and nat = Int Nat and pos = Int Pos
+
+type 's codec = { field : 'a. 's -> string -> 'a ty -> 'a -> 'a }
+
+exception Malformed
+
+let wire of_name name = match of_name name with Some v -> v | None -> raise Malformed
+
+(* A field present only when [Some]: written then, and read as [None]
+   when absent or mistyped.  Its template value must be [Some _]. *)
+let opt c s key ty = function
+  | Some v -> (try Some (c.field s key ty v) with Malformed -> None)
+  | None -> None
+
+let map_fields c s = function
   | Run_start { run; seed; config } ->
-    ("run", Json.Int run)
-    :: ("schema", Json.String trace_schema)
-    :: ((match seed with Some s -> [ ("seed", Json.Int s) ] | None -> [])
-        @ (match config with Some c -> [ ("config", Json.String c) ] | None -> []))
-  | Fault { page } | Cold_fault { page } | Eviction { page } | Writeback { page } ->
-    [ ("page", Json.Int page) ]
-  | Tlb_hit { key } | Tlb_miss { key } -> [ ("key", Json.Int key) ]
-  | Alloc { addr; size } | Free { addr; size } | Coalesce { addr; size } ->
-    [ ("addr", Json.Int addr); ("size", Json.Int size) ]
+    let run = c.field s "run" nat run in
+    (* the schema stamp: always written, not required on reading *)
+    let (_ : string option) = opt c s "schema" Str (Some trace_schema) in
+    let seed = opt c s "seed" any seed in
+    Run_start { run; seed; config = opt c s "config" Str config }
+  | Fault { page } -> Fault { page = c.field s "page" nat page }
+  | Cold_fault { page } -> Cold_fault { page = c.field s "page" nat page }
+  | Eviction { page } -> Eviction { page = c.field s "page" nat page }
+  | Writeback { page } -> Writeback { page = c.field s "page" nat page }
+  | Tlb_hit { key } -> Tlb_hit { key = c.field s "key" nat key }
+  | Tlb_miss { key } -> Tlb_miss { key = c.field s "key" nat key }
+  | Alloc { addr; size } ->
+    let addr = c.field s "addr" nat addr in
+    Alloc { addr; size = c.field s "size" pos size }
+  | Free { addr; size } ->
+    let addr = c.field s "addr" nat addr in
+    Free { addr; size = c.field s "size" pos size }
   | Split { addr; size; remainder } ->
-    [ ("addr", Json.Int addr); ("size", Json.Int size); ("remainder", Json.Int remainder) ]
+    let addr = c.field s "addr" nat addr in
+    let size = c.field s "size" pos size in
+    Split { addr; size; remainder = c.field s "remainder" nat remainder }
+  | Coalesce { addr; size } ->
+    let addr = c.field s "addr" nat addr in
+    Coalesce { addr; size = c.field s "size" pos size }
   | Compaction_move { src; dst; len } ->
-    [ ("src", Json.Int src); ("dst", Json.Int dst); ("len", Json.Int len) ]
+    let src = c.field s "src" nat src in
+    let dst = c.field s "dst" nat dst in
+    Compaction_move { src; dst; len = c.field s "len" pos len }
   | Segment_swap { segment; words; direction } ->
-    [ ("segment", Json.Int segment); ("words", Json.Int words);
-      ("dir", Json.String (match direction with In -> "in" | Out -> "out")) ]
-  | Job_start { job } | Job_stop { job } -> [ ("job", Json.Int job) ]
-  | Io_start { req; page; io } | Io_done { req; page; io } ->
-    [ ("req", Json.Int req); ("page", Json.Int page); ("io", Json.String (io_name io)) ]
-  | Io_retry { req; attempt } -> [ ("req", Json.Int req); ("attempt", Json.Int attempt) ]
+    let segment = c.field s "segment" nat segment in
+    let words = c.field s "words" pos words in
+    let direction =
+      match c.field s "dir" Str (match direction with In -> "in" | Out -> "out") with
+      | "in" -> In
+      | "out" -> Out
+      | _ -> raise Malformed
+    in
+    Segment_swap { segment; words; direction }
+  | Job_start { job } -> Job_start { job = c.field s "job" nat job }
+  | Job_stop { job } -> Job_stop { job = c.field s "job" nat job }
+  | Io_start { req; page; io } ->
+    let req = c.field s "req" nat req in
+    let page = c.field s "page" nat page in
+    Io_start { req; page; io = wire io_of_name (c.field s "io" Str (io_name io)) }
+  | Io_done { req; page; io } ->
+    let req = c.field s "req" nat req in
+    let page = c.field s "page" nat page in
+    Io_done { req; page; io = wire io_of_name (c.field s "io" Str (io_name io)) }
+  | Io_retry { req; attempt } ->
+    let req = c.field s "req" nat req in
+    Io_retry { req; attempt = c.field s "attempt" pos attempt }
   | Io_error { req; page; io; attempts } ->
-    [ ("req", Json.Int req); ("page", Json.Int page); ("io", Json.String (io_name io));
-      ("attempts", Json.Int attempts) ]
-  | Job_abort { job; restarts } -> [ ("job", Json.Int job); ("restarts", Json.Int restarts) ]
-  | Load_shed { job } | Load_admit { job } -> [ ("job", Json.Int job) ]
-  | Shard_crash { shard; attempt } | Shard_restart { shard; attempt } ->
-    [ ("shard", Json.Int shard); ("attempt", Json.Int attempt) ]
+    let req = c.field s "req" nat req in
+    let page = c.field s "page" nat page in
+    let io = wire io_of_name (c.field s "io" Str (io_name io)) in
+    Io_error { req; page; io; attempts = c.field s "attempts" pos attempts }
+  | Job_abort { job; restarts } ->
+    let job = c.field s "job" nat job in
+    Job_abort { job; restarts = c.field s "restarts" pos restarts }
+  | Load_shed { job } -> Load_shed { job = c.field s "job" nat job }
+  | Load_admit { job } -> Load_admit { job = c.field s "job" nat job }
+  | Shard_crash { shard; attempt } ->
+    let shard = c.field s "shard" nat shard in
+    Shard_crash { shard; attempt = c.field s "attempt" pos attempt }
+  | Shard_restart { shard; attempt } ->
+    let shard = c.field s "shard" nat shard in
+    Shard_restart { shard; attempt = c.field s "attempt" pos attempt }
   | Shard_checkpoint { shard; progress; events } ->
-    [ ("shard", Json.Int shard); ("progress", Json.Int progress);
-      ("events", Json.Int events) ]
-  | Watchdog_fire { rule; snapshots } | Watchdog_clear { rule; snapshots } ->
-    [ ("rule", Json.String rule); ("snapshots", Json.Int snapshots) ]
+    let shard = c.field s "shard" nat shard in
+    let progress = c.field s "progress" nat progress in
+    Shard_checkpoint { shard; progress; events = c.field s "events" nat events }
+  | Watchdog_fire { rule; snapshots } ->
+    let rule = c.field s "rule" Str rule in
+    Watchdog_fire { rule; snapshots = c.field s "snapshots" pos snapshots }
+  | Watchdog_clear { rule; snapshots } ->
+    let rule = c.field s "rule" Str rule in
+    Watchdog_clear { rule; snapshots = c.field s "snapshots" pos snapshots }
+
+(* One template of every kind, in declaration order: decoding rebuilds one. *)
+let templates =
+  [ Run_start { run = 0; seed = Some 0; config = Some "" }; Fault { page = 0 };
+    Cold_fault { page = 0 }; Eviction { page = 0 }; Writeback { page = 0 };
+    Tlb_hit { key = 0 }; Tlb_miss { key = 0 }; Alloc { addr = 0; size = 0 };
+    Free { addr = 0; size = 0 }; Split { addr = 0; size = 0; remainder = 0 };
+    Coalesce { addr = 0; size = 0 }; Compaction_move { src = 0; dst = 0; len = 0 };
+    Segment_swap { segment = 0; words = 0; direction = In }; Job_start { job = 0 };
+    Job_stop { job = 0 }; Io_start { req = 0; page = 0; io = Demand };
+    Io_done { req = 0; page = 0; io = Demand }; Io_retry { req = 0; attempt = 0 };
+    Io_error { req = 0; page = 0; io = Demand; attempts = 0 };
+    Job_abort { job = 0; restarts = 0 }; Load_shed { job = 0 }; Load_admit { job = 0 };
+    Shard_crash { shard = 0; attempt = 0 }; Shard_restart { shard = 0; attempt = 0 };
+    Shard_checkpoint { shard = 0; progress = 0; events = 0 };
+    Watchdog_fire { rule = ""; snapshots = 0 }; Watchdog_clear { rule = ""; snapshots = 0 } ]
+
+let all_kind_names = List.map kind_name templates
+
+(* --- encoding --- *)
+
+let encoder =
+  let write : type a. Buffer.t -> string -> a ty -> a -> a =
+   fun buf key ty v ->
+    (* a field opens with a comma unless it is the first of its object *)
+    if Buffer.nth buf (Buffer.length buf - 1) <> '{' then Buffer.add_char buf ',';
+    Buffer.add_char buf '"';
+    Buffer.add_string buf key;
+    Buffer.add_char buf '"';
+    Buffer.add_char buf ':';
+    (match ty with Int _ -> Json.add_int buf v | Str -> Json.add_quoted buf v);
+    v
+  in
+  { field = write }
+
+let fields_to_buffer buf kind =
+  Buffer.add_char buf '{';
+  let (_ : kind) = map_fields encoder buf kind in
+  Buffer.add_char buf '}'
+
+let to_buffer buf t =
+  Buffer.add_string buf {|{"t_us":|};
+  Json.add_int buf t.t_us;
+  Buffer.add_string buf {|,"ev":"|};
+  Buffer.add_string buf (kind_name t.kind);
+  Buffer.add_char buf '"';
+  let (_ : kind) = map_fields encoder buf t.kind in
+  Buffer.add_char buf '}'
+
+(* Each domain encodes [to_json]'s events in its own buffer. *)
+let buffers = Domain.DLS.new_key (fun () -> Buffer.create 256)
 
 let to_json t =
-  Json.to_string
-    (Json.Obj
-       (("t_us", Json.Int t.t_us)
-        :: ("ev", Json.String (kind_name t.kind))
-        :: fields_of_kind t.kind))
+  let buf = Domain.DLS.get buffers in
+  Buffer.clear buf;
+  to_buffer buf t;
+  Buffer.contents buf
+
+(* --- the table read back --- *)
+
+(* What the codec [c] gathers over [kind]'s fields, in wire order. *)
+let gather c kind =
+  let acc = ref [] in
+  let (_ : kind) = map_fields c acc kind in
+  List.rev !acc
+
+let fields_of_kind =
+  gather
+    { field = (fun (type a) acc key (ty : a ty) (v : a) : a ->
+          acc := (key, match ty with Int _ -> Json.Int v | Str -> Json.String v) :: !acc;
+          v) }
+
+let out_of_range =
+  gather
+    { field = (fun (type a) acc key (ty : a ty) (v : a) : a ->
+          (match ty with
+           | Int Nat when v < 0 -> acc := (key, (v : int), 0) :: !acc
+           | Int Pos when v < 1 -> acc := (key, v, 1) :: !acc
+           | Int _ | Str -> ());
+          v) }
 
 let of_json line =
+  let read : type a. (string * Json.t) list -> string -> a ty -> a =
+   fun fields key ty ->
+    match (ty, List.assoc_opt key fields) with
+    | Int _, Some (Json.Int n) -> n
+    | Str, Some (Json.String s) -> s
+    | _ -> raise Malformed
+  in
+  let decoder = { field = (fun fields key ty _ -> read fields key ty) } in
+  let template name = List.find_opt (fun k -> kind_name k = name) templates in
   match Json.flat line with
   | None -> None
   | Some fields ->
-    let int k = Json.int (List.assoc_opt k fields) in
-    let str k = Json.string (List.assoc_opt k fields) in
-    let io () = Option.bind (str "io") io_of_name in
-    let kind =
-      match str "ev" with
-      | Some "run_start" ->
-        Option.map (fun run -> Run_start { run; seed = int "seed"; config = str "config" })
-          (int "run")
-      | Some "fault" -> Option.map (fun page -> Fault { page }) (int "page")
-      | Some "cold_fault" -> Option.map (fun page -> Cold_fault { page }) (int "page")
-      | Some "eviction" -> Option.map (fun page -> Eviction { page }) (int "page")
-      | Some "writeback" -> Option.map (fun page -> Writeback { page }) (int "page")
-      | Some "tlb_hit" -> Option.map (fun key -> Tlb_hit { key }) (int "key")
-      | Some "tlb_miss" -> Option.map (fun key -> Tlb_miss { key }) (int "key")
-      | Some "alloc" ->
-        (match (int "addr", int "size") with
-         | Some addr, Some size -> Some (Alloc { addr; size })
-         | _ -> None)
-      | Some "free" ->
-        (match (int "addr", int "size") with
-         | Some addr, Some size -> Some (Free { addr; size })
-         | _ -> None)
-      | Some "split" ->
-        (match (int "addr", int "size", int "remainder") with
-         | Some addr, Some size, Some remainder -> Some (Split { addr; size; remainder })
-         | _ -> None)
-      | Some "coalesce" ->
-        (match (int "addr", int "size") with
-         | Some addr, Some size -> Some (Coalesce { addr; size })
-         | _ -> None)
-      | Some "compaction_move" ->
-        (match (int "src", int "dst", int "len") with
-         | Some src, Some dst, Some len -> Some (Compaction_move { src; dst; len })
-         | _ -> None)
-      | Some "segment_swap" ->
-        (match (int "segment", int "words", str "dir") with
-         | Some segment, Some words, Some "in" ->
-           Some (Segment_swap { segment; words; direction = In })
-         | Some segment, Some words, Some "out" ->
-           Some (Segment_swap { segment; words; direction = Out })
-         | _ -> None)
-      | Some "job_start" -> Option.map (fun job -> Job_start { job }) (int "job")
-      | Some "job_stop" -> Option.map (fun job -> Job_stop { job }) (int "job")
-      | Some (("io_start" | "io_done") as which) ->
-        (match (int "req", int "page", io ()) with
-         | Some req, Some page, Some io ->
-           if which = "io_start" then Some (Io_start { req; page; io })
-           else Some (Io_done { req; page; io })
-         | _ -> None)
-      | Some "io_retry" ->
-        (match (int "req", int "attempt") with
-         | Some req, Some attempt -> Some (Io_retry { req; attempt })
-         | _ -> None)
-      | Some "io_error" ->
-        (match (int "req", int "page", io (), int "attempts") with
-         | Some req, Some page, Some io, Some attempts ->
-           Some (Io_error { req; page; io; attempts })
-         | _ -> None)
-      | Some "job_abort" ->
-        (match (int "job", int "restarts") with
-         | Some job, Some restarts -> Some (Job_abort { job; restarts })
-         | _ -> None)
-      | Some "load_shed" -> Option.map (fun job -> Load_shed { job }) (int "job")
-      | Some "load_admit" -> Option.map (fun job -> Load_admit { job }) (int "job")
-      | Some (("shard_crash" | "shard_restart") as which) ->
-        (match (int "shard", int "attempt") with
-         | Some shard, Some attempt ->
-           if which = "shard_crash" then Some (Shard_crash { shard; attempt })
-           else Some (Shard_restart { shard; attempt })
-         | _ -> None)
-      | Some "shard_checkpoint" ->
-        (match (int "shard", int "progress", int "events") with
-         | Some shard, Some progress, Some events ->
-           Some (Shard_checkpoint { shard; progress; events })
-         | _ -> None)
-      | Some (("watchdog_fire" | "watchdog_clear") as which) ->
-        (match (str "rule", int "snapshots") with
-         | Some rule, Some snapshots ->
-           if which = "watchdog_fire" then Some (Watchdog_fire { rule; snapshots })
-           else Some (Watchdog_clear { rule; snapshots })
-         | _ -> None)
-      | Some _ | None -> None
-    in
-    (match (kind, int "t_us") with
-     | Some kind, Some t_us when t_us >= 0 -> Some { t_us; kind }
+    (match (Option.bind (Json.string (List.assoc_opt "ev" fields)) template,
+            Json.int (List.assoc_opt "t_us" fields)) with
+     | Some template, Some t_us when t_us >= 0 ->
+       (try Some { t_us; kind = map_fields decoder fields template } with Malformed -> None)
      | _ -> None)

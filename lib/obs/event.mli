@@ -26,8 +26,6 @@ type io = Demand | Prefetch | Writeback
 val io_name : io -> string
 (** ["demand"], ["prefetch"], ["writeback"] — the wire spelling. *)
 
-val io_of_name : string -> io option
-
 type kind =
   | Run_start of { run : int; seed : int option; config : string option }
       (** boundary between the spliced sub-runs of one experiment: the
@@ -119,15 +117,35 @@ val kind_name : kind -> string
 val all_kind_names : string list
 (** Every wire name, in declaration order. *)
 
+(** {2 The wire format}
+
+    [{"t_us":T,"ev":NAME,...}] and then the kind's fields in record
+    order, each an int or a string, as one table in the implementation
+    declares them for every reader and writer below.  [run_start] adds
+    ["schema"] ({!trace_schema}) and writes [seed] and [config] only
+    when present; a [direction] is the field ["dir"]. *)
+
 val fields_of_kind : kind -> (string * Json.t) list
 (** The payload fields exactly as they appear on the wire, e.g.
     [[("page", Int 7)]] for a fault.  The generic accessor behind
     {!Query}'s field-keyed grouping and pairing. *)
 
+val out_of_range : kind -> (string * int * int) list
+(** The int fields below their declared least value (0 for ids,
+    addresses and counts, 1 for sizes, attempts and snapshot counts),
+    as [(key, value, least)]: {!Check}'s schema ranges. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append one compact JSON object, e.g.
+    [{"t_us":1200,"ev":"fault","page":7}]: the bytes of [Json.to_buffer]
+    over ["t_us"], ["ev"] and {!fields_of_kind}, with no [Json.t] built. *)
+
+val fields_to_buffer : Buffer.t -> kind -> unit
+(** Append the payload alone as one object, e.g. [{"page":7}]. *)
+
 val to_json : t -> string
-(** One compact JSON object, e.g.
-    [{"t_us":1200,"ev":"fault","page":7}]. *)
+(** {!to_buffer} as a string. *)
 
 val of_json : string -> t option
-(** Inverse of {!to_json}; [None] on malformed input or an unknown
-    event name. *)
+(** Inverse of {!to_json}; [None] on malformed input, an unknown event
+    name, or a missing or mistyped field. *)

@@ -12,106 +12,104 @@
      io_start/io_done/error -> async span "b"/"e", cat "io", id = req
      watchdog fire/clear    -> async span "b"/"e", cat "watchdog", id = rule
      everything else        -> instant "i", scope "t", payload as args
-   Timestamps are already microseconds, Chrome's native unit. *)
+   Timestamps are already microseconds, Chrome's native unit.  Records
+   are written straight into the buffer, an instant's args by Event. *)
 
 let chrome_of_events events =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let emit fields =
-    if !first then first := false else Buffer.add_char buf ',';
-    Json.to_buffer buf (Json.Obj fields)
+  let buf = Buffer.create 65536 in
+  let add s = Buffer.add_string buf s in
+  let int n = Json.add_int buf n in
+  let str s = Json.add_quoted buf s in
+  let at ~pid ~tid =
+    add {|,"pid":|};
+    int pid;
+    add {|,"tid":|};
+    int tid
   in
-  (* (pid, tid) pairs already announced with metadata events *)
-  let named : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let announce ~pid ~tid =
-    if not (Hashtbl.mem named (pid, -1)) then begin
-      Hashtbl.replace named (pid, -1) ();
-      emit
-        [ ("name", Json.String "process_name"); ("ph", Json.String "M");
-          ("pid", Json.Int pid); ("tid", Json.Int 0);
-          ("args", Json.Obj [ ("name", Json.String (Printf.sprintf "run %d" pid)) ]) ]
-    end;
-    if not (Hashtbl.mem named (pid, tid)) then begin
-      Hashtbl.replace named (pid, tid) ();
-      emit
-        [ ("name", Json.String "thread_name"); ("ph", Json.String "M");
-          ("pid", Json.Int pid); ("tid", Json.Int tid);
-          ("args",
-           Json.Obj
-             [ ("name",
-                Json.String
-                  (if tid = 0 then "engine" else Printf.sprintf "shard %d" (tid - 1))) ]) ]
+  let first = ref true in
+  (* [{"name":], after the comma between records *)
+  let record () =
+    if !first then first := false else Buffer.add_char buf ',';
+    add {|{"name":|}
+  in
+  (* (pid, tid) pairs announced, with tid -1 for the process itself; an
+     event on the previous event's track looks nothing up *)
+  let named = Hashtbl.create 16 and track = ref None in
+  let meta key ~pid ~tid name label =
+    if not (Hashtbl.mem named key) then begin
+      Hashtbl.replace named key ();
+      record ();
+      add name;
+      add {|,"ph":"M"|};
+      at ~pid ~tid;
+      add {|,"args":{"name":|};
+      str label;
+      add "}}"
     end
   in
+  add {|{"traceEvents":[|};
   let run = ref 0 in
   List.iter
     (fun (ev : Event.t) ->
       (match ev.kind with Event.Run_start { run = r; _ } -> run := r | _ -> ());
       let pid = !run in
-      let fields = Event.fields_of_kind ev.kind in
       let tid =
-        match List.assoc_opt "shard" fields with Some (Json.Int s) -> s + 1 | _ -> 0
+        match ev.kind with
+        | Event.Shard_crash { shard; _ } | Event.Shard_restart { shard; _ }
+        | Event.Shard_checkpoint { shard; _ } -> shard + 1
+        | _ -> 0
       in
-      announce ~pid ~tid;
-      let common =
-        [ ("pid", Json.Int pid); ("tid", Json.Int tid); ("ts", Json.Int ev.t_us) ]
-      in
-      let name = Event.kind_name ev.kind in
-      match ev.kind with
-      | Event.Io_start { req; page; io } ->
-        emit
-          (("name", Json.String (Event.io_name io))
-           :: ("cat", Json.String "io")
-           :: ("ph", Json.String "b")
-           :: ("id", Json.Int req)
-           :: common
-           @ [ ("args", Json.Obj [ ("req", Json.Int req); ("page", Json.Int page) ]) ])
-      | Event.Io_done { req; page; io } ->
-        emit
-          (("name", Json.String (Event.io_name io))
-           :: ("cat", Json.String "io")
-           :: ("ph", Json.String "e")
-           :: ("id", Json.Int req)
-           :: common
-           @ [ ("args", Json.Obj [ ("req", Json.Int req); ("page", Json.Int page) ]) ])
-      | Event.Io_error { req; page; io; attempts } ->
-        emit
-          (("name", Json.String (Event.io_name io))
-           :: ("cat", Json.String "io")
-           :: ("ph", Json.String "e")
-           :: ("id", Json.Int req)
-           :: common
-           @ [ ("args",
-                Json.Obj
-                  [ ("req", Json.Int req); ("page", Json.Int page);
-                    ("error", Json.String "terminal"); ("attempts", Json.Int attempts) ]) ])
-      | Event.Watchdog_fire { rule; snapshots } ->
-        emit
-          (("name", Json.String rule)
-           :: ("cat", Json.String "watchdog")
-           :: ("ph", Json.String "b")
-           :: ("id", Json.String rule)
-           :: common
-           @ [ ("args", Json.Obj [ ("snapshots", Json.Int snapshots) ]) ])
-      | Event.Watchdog_clear { rule; snapshots } ->
-        emit
-          (("name", Json.String rule)
-           :: ("cat", Json.String "watchdog")
-           :: ("ph", Json.String "e")
-           :: ("id", Json.String rule)
-           :: common
-           @ [ ("args", Json.Obj [ ("snapshots", Json.Int snapshots) ]) ])
-      | _ ->
-        emit
-          (("name", Json.String name)
-           :: ("cat", Json.String "engine")
-           :: ("ph", Json.String "i")
-           :: ("s", Json.String "t")
-           :: common
-           @ (match fields with [] -> [] | _ -> [ ("args", Json.Obj fields) ])))
+      (match !track with
+       | Some (p, t) when p = pid && t = tid -> ()
+       | _ ->
+         track := Some (pid, tid);
+         meta (pid, -1) ~pid ~tid:0 {|"process_name"|} (Printf.sprintf "run %d" pid);
+         meta (pid, tid) ~pid ~tid {|"thread_name"|}
+           (if tid = 0 then "engine" else Printf.sprintf "shard %d" (tid - 1)));
+      record ();
+      let ph = match ev.kind with Event.Io_start _ | Event.Watchdog_fire _ -> "b" | _ -> "e" in
+      (match ev.kind with
+       | Event.Io_start { req; io; _ } | Event.Io_done { req; io; _ }
+       | Event.Io_error { req; io; _ } ->
+         str (Event.io_name io);
+         add {|,"cat":"io","ph":|};
+         str ph;
+         add {|,"id":|};
+         int req
+       | Event.Watchdog_fire { rule; _ } | Event.Watchdog_clear { rule; _ } ->
+         str rule;
+         add {|,"cat":"watchdog","ph":|};
+         str ph;
+         add {|,"id":|};
+         str rule
+       | kind ->
+         str (Event.kind_name kind);
+         add {|,"cat":"engine","ph":"i","s":"t"|});
+      at ~pid ~tid;
+      add {|,"ts":|};
+      int ev.t_us;
+      add {|,"args":|};
+      (match ev.kind with
+       | Event.Io_start { req; page; _ } | Event.Io_done { req; page; _ }
+       | Event.Io_error { req; page; _ } ->
+         add {|{"req":|};
+         int req;
+         add {|,"page":|};
+         int page;
+         (match ev.kind with
+          | Event.Io_error { attempts; _ } ->
+            add {|,"error":"terminal","attempts":|};
+            int attempts
+          | _ -> ());
+         add "}"
+       | Event.Watchdog_fire { snapshots; _ } | Event.Watchdog_clear { snapshots; _ } ->
+         add {|{"snapshots":|};
+         int snapshots;
+         add "}"
+       | kind -> Event.fields_to_buffer buf kind);
+      add "}")
     events;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
+  add {|],"displayTimeUnit":"ms"}|};
   Buffer.contents buf
 
 (* --- folded stacks -> flamegraph SVG --- *)

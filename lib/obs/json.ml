@@ -9,21 +9,48 @@ type t =
 
 (* --- printing --- *)
 
-let add_escaped buf s =
+(* No byte of [s] from [i] on needs an escape. *)
+let rec clean s i =
+  i = String.length s
+  || match String.unsafe_get s i with
+     | '"' | '\\' | '\000' .. '\031' -> false
+     | _ -> clean s (i + 1)
+
+let add_quoted buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if clean s 0 then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
+
+(* "0000" to "9999": ints are written four digits at a time. *)
+let quads =
+  String.init 40_000 (fun i ->
+      Char.unsafe_chr (48 + (i / 4 / [| 1000; 100; 10; 1 |].(i mod 4) mod 10)))
+
+(* The digits of [-n] for [n <= 0]: the negative side covers [min_int]. *)
+let rec add_magnitude buf n =
+  if n <= -10_000 then add_magnitude buf (n / 10_000);
+  let q = -(n mod 10_000) in
+  let width =
+    if n <= -10_000 || q >= 1000 then 4 else if q >= 100 then 3 else if q >= 10 then 2 else 1
+  in
+  Buffer.add_substring buf quads ((4 * q) + 4 - width) width
+
+let add_int buf n =
+  if n < 0 then Buffer.add_char buf '-';
+  add_magnitude buf (if n < 0 then n else -n)
 
 (* Shortest %g form that still round-trips; %.17g always does. *)
 let float_repr f =
@@ -38,12 +65,12 @@ let float_repr f =
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Int n -> add_int buf n
   | Float f ->
     if Float.is_integer f && Float.abs f < 1e15 then
       Buffer.add_string buf (Printf.sprintf "%.1f" f)
     else Buffer.add_string buf (float_repr f)
-  | String s -> add_escaped buf s
+  | String s -> add_quoted buf s
   | List items ->
     Buffer.add_char buf '[';
     List.iteri
@@ -57,7 +84,7 @@ let rec to_buffer buf = function
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        add_escaped buf k;
+        add_quoted buf k;
         Buffer.add_char buf ':';
         to_buffer buf v)
       fields;

@@ -26,6 +26,12 @@ val to_buffer : Buffer.t -> t -> unit
 
 val to_string : t -> string
 
+val add_int : Buffer.t -> int -> unit
+(** Append an [Int] as {!to_buffer} writes it, with no string built. *)
+
+val add_quoted : Buffer.t -> string -> unit
+(** Append a [String] as {!to_buffer} writes it, quoted and escaped. *)
+
 val parse : string -> t option
 (** Parse one complete document; [None] on malformed input or trailing
     garbage.  A number token with a ['.'], ['e'] or ['E'] is a [Float];

@@ -50,9 +50,8 @@ let field_value fields name = Json.number (List.assoc_opt name fields)
 let field_label fields name =
   match List.assoc_opt name fields with
   | Some (Json.Int n) -> Some (string_of_int n)
-  | Some (Json.Float f) -> Some (string_of_float f)
   | Some (Json.String s) -> Some s
-  | Some (Json.Null | Json.Bool _ | Json.List _ | Json.Obj _) | None -> None
+  | _ -> None  (* an event's fields are ints and strings *)
 
 let group t ~key ~agg =
   let label_of e =
@@ -201,9 +200,6 @@ type latency = {
   hist : Metrics.Histogram.t;
 }
 
-(* A percentile is the ceil(p*n)-th smallest sample itself: the rank
-   rule of [Metrics.Histogram.percentile] without its power-of-two
-   bucket rounding, which can understate the tail by up to 2x. *)
 let latency_of p =
   match p.rows with
   | [] -> None
@@ -215,22 +211,15 @@ let latency_of p =
         Metrics.Histogram.add hist (max 0 r.latency_us);
         Metrics.Stats.add stats (float_of_int r.latency_us))
       rows;
-    let sorted = Array.of_list (List.map (fun r -> max 0 r.latency_us) rows) in
-    Array.sort compare sorted;
-    let n = Array.length sorted in
-    let percentile q =
-      let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
-      sorted.(min rank n - 1)
-    in
     Some
       {
-        samples = n;
+        samples = Metrics.Histogram.count hist;
         min_us = int_of_float (Metrics.Stats.min stats);
         max_us = int_of_float (Metrics.Stats.max stats);
         mean_us = Metrics.Stats.mean stats;
-        p50_us = percentile 0.50;
-        p90_us = percentile 0.90;
-        p99_us = percentile 0.99;
+        p50_us = Metrics.Histogram.percentile hist 0.50;
+        p90_us = Metrics.Histogram.percentile hist 0.90;
+        p99_us = Metrics.Histogram.percentile hist 0.99;
         hist;
       }
 

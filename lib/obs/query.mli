@@ -110,9 +110,10 @@ type latency = {
 val latency_of : pairing -> latency option
 (** Latency distribution of the paired rows; [None] if there are none.
     [p50_us]/[p90_us]/[p99_us] are the exact ceil-rank order statistics
-    over the raw latencies, not bucket lower bounds (which can
-    understate the tail by up to 2x).  [hist] carries the log-bucketed
-    histogram for display. *)
+    over the raw latencies ({!Metrics.Histogram.percentile}, the rule
+    the metrics artifact uses too), not bucket lower bounds (which can
+    understate the tail by up to 2x).  [hist] also carries the
+    log-bucketed counts for display. *)
 
 (** {1 The query command's reports} *)
 

@@ -28,8 +28,6 @@ let set_meta t bindings =
       else t.meta <- t.meta @ [ (k, v) ])
     bindings
 
-let meta t = t.meta
-
 let get_or_create tbl name build =
   match Hashtbl.find_opt tbl name with
   | Some v -> v

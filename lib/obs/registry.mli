@@ -27,8 +27,6 @@ val create : unit -> t
 val set_meta : t -> (string * string) list -> unit
 (** Add or replace metadata bindings (by key; insertion order kept). *)
 
-val meta : t -> (string * string) list
-
 (** {2 Handles} — get-or-create by name} *)
 
 val counter : t -> string -> counter
@@ -66,7 +64,8 @@ val snapshot : t -> snapshot
 val to_json : t -> string
 (** Full-state export, one JSON document: every counter and gauge,
     stats with moments (count/mean/stddev/min/max/total), and
-    histograms with their non-empty buckets plus p50/p90/p99 and exact
-    min/max.  The artifact behind [dsas_sim run --metrics-out]; its
+    histograms with their non-empty buckets plus exact p50/p90/p99
+    ({!Metrics.Histogram.percentile}, as [query --pair] reports them)
+    and min/max.  The artifact behind [dsas_sim run --metrics-out]; its
     ["series"] section is always empty, kept so that the
     [dsas-metrics/1] bytes do not change. *)

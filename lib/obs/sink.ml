@@ -1,13 +1,13 @@
 type t =
   | Null
-  | Jsonl of out_channel
+  | Jsonl of out_channel * Buffer.t  (* each line is encoded in the one buffer *)
   | Collect of (Event.t -> unit)
   | Tee of t * t
   | Shift of int * t
 
 let null = Null
 
-let jsonl oc = Jsonl oc
+let jsonl oc = Jsonl (oc, Buffer.create 256)
 
 let collect f = Collect f
 
@@ -21,9 +21,11 @@ let is_active = function Null -> false | _ -> true
 let rec emit t ev =
   match t with
   | Null -> ()
-  | Jsonl oc ->
-    output_string oc (Event.to_json ev);
-    output_char oc '\n'
+  | Jsonl (oc, buf) ->
+    Buffer.clear buf;
+    Event.to_buffer buf ev;
+    Buffer.add_char buf '\n';
+    Buffer.output_buffer oc buf
   | Collect f -> f ev
   | Tee (a, b) ->
     emit a ev;
@@ -40,7 +42,7 @@ let segment ?seed ?config ~run ~offset inner =
 
 let rec flush = function
   | Null | Collect _ -> ()
-  | Jsonl oc -> Stdlib.flush oc
+  | Jsonl (oc, _) -> Stdlib.flush oc
   | Tee (a, b) ->
     flush a;
     flush b

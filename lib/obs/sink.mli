@@ -19,7 +19,8 @@ val null : t
 (** Discards everything; {!is_active} is [false]. *)
 
 val jsonl : out_channel -> t
-(** Write each event as one JSON object per line ({!Event.to_json}).
+(** Write each event as one JSON object per line ({!Event.to_buffer},
+    through one buffer the sink reuses).
     The caller owns the channel; {!flush} before closing it. *)
 
 val collect : (Event.t -> unit) -> t

@@ -88,8 +88,6 @@ let create rules =
         rules;
   }
 
-let rules t = List.map (fun s -> s.rule) t.states
-
 let lookup (snapshot : Telemetry.snapshot) name =
   match List.assoc_opt name snapshot.Telemetry.sn_counters with
   | Some n -> Some (float_of_int n)

@@ -68,8 +68,6 @@ type alert =
 
 val create : rule list -> t
 
-val rules : t -> rule list
-
 val feed : t -> Telemetry.snapshot -> alert list
 (** Evaluate every rule against the next snapshot; alerts in rule
     order.  A rule whose metric is absent from the snapshot is not

@@ -28,6 +28,7 @@ type store = {
   shard : int;
   latest : state option ref;
   path : string option;
+  buf : Buffer.t;  (* every save encodes its file here *)
 }
 
 let schema = "dsas-shard-ckpt/1"
@@ -39,7 +40,7 @@ let store ?dir ~shard () =
   (match (path, dir) with
    | Some _, Some d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755
    | _ -> ());
-  { shard; latest = ref None; path }
+  { shard; latest = ref None; path; buf = Buffer.create 4096 }
 
 let header st =
   Obs.Json.to_string
@@ -62,12 +63,13 @@ let save t st =
   match t.path with
   | None -> ()
   | Some path ->
-    let buf = Buffer.create 4096 in
+    let buf = t.buf in
+    Buffer.clear buf;
     Buffer.add_string buf (header st);
     Buffer.add_char buf '\n';
     Array.iter
       (fun ev ->
-        Buffer.add_string buf (Obs.Event.to_json ev);
+        Obs.Event.to_buffer buf ev;
         Buffer.add_char buf '\n')
       st.ck_events;
     Obs.Artifact.write_atomic path (Buffer.contents buf)

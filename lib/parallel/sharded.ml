@@ -20,18 +20,23 @@
 let alloc_rng_site shard = 0xA110C + (shard * 7919)
 let paging_rng_site shard = 0x9A61B + (shard * 104729)
 
-(* A shard buffers its (already relabelled) events locally; reversed
-   into an array at the end so streams arrive in emission order.
-   [init] pre-seeds the buffer with a checkpoint's event prefix. *)
+(* A shard buffers its (already relabelled) events locally, in emission
+   order, in an array that doubles as it fills.  [init] pre-seeds the
+   buffer with a checkpoint's event prefix; that array is full, so the
+   first event copies it rather than writing into it.  [contents] copies
+   the events out once. *)
 let buffer_sink ?(init = [||]) () =
-  let buf = ref (List.rev (Array.to_list init)) in
-  let sink = Obs.Sink.collect (fun ev -> buf := ev :: !buf) in
-  let contents () =
-    let arr = Array.of_list !buf in
-    let n = Array.length arr in
-    Array.init n (fun i -> arr.(n - 1 - i))
+  let events = ref init and len = ref (Array.length init) in
+  let push ev =
+    if !len = Array.length !events then begin
+      let grown = Array.make (max 256 (2 * !len)) ev in
+      Array.blit !events 0 grown 0 !len;
+      events := grown
+    end;
+    !events.(!len) <- ev;
+    incr len
   in
-  (sink, contents)
+  (Obs.Sink.collect push, fun () -> Array.sub !events 0 !len)
 
 (* {2 The shard loop and the runner} *)
 

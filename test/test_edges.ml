@@ -174,7 +174,9 @@ let test_histogram_extremes () =
   let h = Metrics.Histogram.log2 ~max_exponent:4 in
   check_int "empty percentile" 0 (Metrics.Histogram.percentile h 0.5);
   Metrics.Histogram.add h 1_000_000;
-  check_int "clamped into last bucket" 16 (Metrics.Histogram.percentile h 1.0)
+  check_int "counted in the last bucket" 1
+    (snd (Metrics.Histogram.bucket_counts h).(5));
+  check_int "exact past the last bucket" 1_000_000 (Metrics.Histogram.percentile h 1.0)
 
 (* --- machine: smallest program --- *)
 

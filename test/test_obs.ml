@@ -87,58 +87,40 @@ let test_all_kind_names_cover () =
         (List.mem (Obs.Event.kind_name e.Obs.Event.kind) Obs.Event.all_kind_names))
     one_of_each
 
-let event_gen =
-  let open QCheck.Gen in
-  let nat = int_bound 1_000_000 in
-  let kinds : Obs.Event.kind QCheck.Gen.t list =
-    Obs.Event.
-      [
-        map (fun page -> Fault { page }) nat;
-        map (fun page -> Cold_fault { page }) nat;
-        map (fun page -> Eviction { page }) nat;
-        map (fun page -> Writeback { page }) nat;
-        map (fun key -> Tlb_hit { key }) nat;
-        map (fun key -> Tlb_miss { key }) nat;
-        map2 (fun addr size -> Alloc { addr; size }) nat nat;
-        map2 (fun addr size -> Free { addr; size }) nat nat;
-        map3 (fun addr size remainder -> Split { addr; size; remainder }) nat nat nat;
-        map2 (fun addr size -> Coalesce { addr; size }) nat nat;
-        map3 (fun src dst len -> Compaction_move { src; dst; len }) nat nat nat;
-        map3
-          (fun segment words dir ->
-            Segment_swap { segment; words; direction = (if dir then In else Out) })
-          nat nat bool;
-        map (fun job -> Job_start { job }) nat;
-        map (fun job -> Job_stop { job }) nat;
-        map3
-          (fun req page io ->
-            Io_start
-              { req; page; io = (match io with 0 -> Demand | 1 -> Prefetch | _ -> Writeback) })
-          nat nat (int_bound 2);
-        map3
-          (fun req page io ->
-            Io_done
-              { req; page; io = (match io with 0 -> Demand | 1 -> Prefetch | _ -> Writeback) })
-          nat nat (int_bound 2);
-        map2 (fun req attempt -> Io_retry { req; attempt }) nat nat;
-        map3
-          (fun req page attempts ->
-            Io_error { req; page; io = Demand; attempts })
-          nat nat nat;
-        map2 (fun job restarts -> Job_abort { job; restarts }) nat nat;
-        map (fun job -> Load_shed { job }) nat;
-        map (fun job -> Load_admit { job }) nat;
-      ]
+let test_generator_covers_every_kind () =
+  let rand = Random.State.make [| 23 |] in
+  let names =
+    List.map
+      (fun g -> Obs.Event.kind_name (QCheck.Gen.generate1 ~rand g))
+      (Event_gen.kinds ~shard:Event_gen.payload)
   in
-  map2
-    (fun t_us kind -> Obs.Event.make ~t_us kind)
-    nat
-    (oneof kinds)
+  Alcotest.(check (list string)) "one generator per kind, in order" Obs.Event.all_kind_names names
 
 let event_json_property =
-  QCheck.Test.make ~name:"event json roundtrip for arbitrary events" ~count:200
-    (QCheck.make event_gen)
+  QCheck.Test.make ~name:"event json roundtrip for arbitrary events" ~count:500
+    (QCheck.make ~print:Obs.Event.to_json Event_gen.event)
     (fun e -> Obs.Event.of_json (Obs.Event.to_json e) = Some e)
+
+(* The direct writer against the Json.t printer: the same bytes as the
+   object of t_us, ev and the kind's wire fields. *)
+let event_bytes_property =
+  QCheck.Test.make ~name:"to_json prints the bytes of the Json.t object" ~count:1000
+    (QCheck.make ~print:Obs.Event.to_json Event_gen.event)
+    (fun e ->
+      Obs.Event.to_json e
+      = Obs.Json.to_string
+          (Obs.Json.Obj
+             (("t_us", Obs.Json.Int e.Obs.Event.t_us)
+              :: ("ev", Obs.Json.String (Obs.Event.kind_name e.Obs.Event.kind))
+              :: Obs.Event.fields_of_kind e.Obs.Event.kind)))
+
+let add_int_property =
+  QCheck.Test.make ~name:"Json.add_int writes string_of_int" ~count:1000
+    QCheck.(oneof [ int; small_signed_int; oneofl [ 0; 9; 10; 9999; 10_000; -10_000; max_int; min_int ] ])
+    (fun n ->
+      let buf = Buffer.create 8 in
+      Obs.Json.add_int buf n;
+      Buffer.contents buf = string_of_int n)
 
 (* --- Sinks --- *)
 
@@ -370,7 +352,11 @@ let () =
           Alcotest.test_case "json shape" `Quick test_event_json_shape;
           Alcotest.test_case "json rejects" `Quick test_event_json_rejects;
           Alcotest.test_case "kind names" `Quick test_all_kind_names_cover;
+          Alcotest.test_case "generator covers every kind" `Quick
+            test_generator_covers_every_kind;
           QCheck_alcotest.to_alcotest event_json_property;
+          QCheck_alcotest.to_alcotest event_bytes_property;
+          QCheck_alcotest.to_alcotest add_int_property;
         ] );
       ( "sink",
         [

@@ -572,8 +572,12 @@ let test_exact_latency_fixture () =
           check_int "exact p50 is the 4th sample" 77 l.Obs.Query.p50_us;
           check_int "exact p90 is the 7th sample" 2048 l.Obs.Query.p90_us;
           check_int "exact p99 is the 7th sample" 2048 l.Obs.Query.p99_us;
-          (* the summary's own log2 histogram understates p50 *)
-          let bucketed = Metrics.Histogram.percentile l.Obs.Query.hist in
+          (* the lower bound of a sample's log2 bucket understates it *)
+          let h = l.Obs.Query.hist in
+          let bucketed p =
+            Metrics.Histogram.lower_bound h
+              (Metrics.Histogram.bucket_of h (Metrics.Histogram.percentile h p))
+          in
           check_int "bucketed p50 is 77's bucket lower bound" 64 (bucketed 0.50);
           check_bool "exact >= bucketed at every percentile" true
             (l.Obs.Query.p50_us >= bucketed 0.50
@@ -630,6 +634,37 @@ let test_metrics_sink () =
   check_int "latency samples" 2 (Metrics.Histogram.count h);
   check_bool "latency min/max exact" true
     (Metrics.Histogram.min_value h = Some 32 && Metrics.Histogram.max_value h = Some 64)
+
+(* The metrics artifact and [query --pair] report the same order
+   statistics for the same requests: one rank rule behind both. *)
+let test_metrics_artifact_percentiles_match_query () =
+  let acc = ref [] in
+  let reg = Obs.Registry.create () in
+  let obs =
+    Obs.Sink.tee (Obs.Sink.collect (fun e -> acc := e :: !acc)) (Obs.Query.metrics_sink reg)
+  in
+  ignore (Experiments.Fig3.measure ~quick:true ~obs ());
+  let q = Obs.Query.of_events (List.rev !acc) in
+  match
+    ( Result.to_option (Obs.Query.pair q ~start_kind:"io_start" ~done_kind:"io_done"),
+      Obs.Json.parse (Obs.Registry.to_json reg) )
+  with
+  | Some p, Some doc ->
+    (match Obs.Query.latency_of p with
+     | None -> Alcotest.fail "no latency summary"
+     | Some l ->
+       let artifact key =
+         List.fold_left
+           (fun v k -> Option.bind v (Obs.Json.member k))
+           (Some doc) [ "histograms"; "io_latency_us"; key ]
+         |> Obs.Json.int
+       in
+       check_bool "artifact counts the pairs" true (artifact "count" = Some l.Obs.Query.samples);
+       check_bool "p50" true (artifact "p50" = Some l.Obs.Query.p50_us);
+       check_bool "p90" true (artifact "p90" = Some l.Obs.Query.p90_us);
+       check_bool "p99" true (artifact "p99" = Some l.Obs.Query.p99_us);
+       check_int "query's p50 on the fig3 quick run" 7024 l.Obs.Query.p50_us)
+  | _ -> Alcotest.fail "no pairing or no artifact"
 
 (* --- Registry.to_json --- *)
 
@@ -876,6 +911,8 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "metrics sink folds the stream" `Quick test_metrics_sink;
+          Alcotest.test_case "artifact percentiles are query's on fig3" `Quick
+            test_metrics_artifact_percentiles_match_query;
           Alcotest.test_case "full registry export round-trips" `Quick
             test_registry_to_json;
         ] );
