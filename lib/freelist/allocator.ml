@@ -41,16 +41,21 @@ let set_prev t off v = Block.write_prev t.mem ~base:t.base off v
    list; see [find_hole]. *)
 let size_key t off size = (size * (t.len + 1)) + off
 
-let index_add t off size =
-  Hole_index.add t.holes ~key:off ~size;
-  match t.by_size with
-  | Some by_size -> Hole_index.add by_size ~key:(size_key t off size) ~size
-  | None -> ()
-
 let index_remove t off size =
   Hole_index.remove t.holes off;
   match t.by_size with
   | Some by_size -> Hole_index.remove by_size (size_key t off size)
+  | None -> ()
+
+(* Hole [off] becomes [off'] of [size'] where it stands in address
+   order.  The size index may reorder, so its node is replaced. *)
+let index_change t off size off' size' =
+  Hole_index.change t.holes off ~key:off' ~size:size';
+  match t.by_size with
+  | Some by_size ->
+    Hole_index.remove by_size (size_key t off size);
+    let (_ : int) = Hole_index.add by_size ~key:(size_key t off' size') ~size:size' in
+    ()
   | None -> ()
 
 let unlink t off size =
@@ -60,23 +65,26 @@ let unlink t off size =
   if t.rover = off then t.rover <- next;
   index_remove t off size
 
-(* Replace node [off] by node [off'] at the same list position; used when
-   splitting leaves the remainder where the hole's links can be reused in
-   address order. *)
-let replace_node t off ~size off' ~size' =
+(* Move node [off] to [off'] at the same list position, when no other
+   hole lies between them, and return its list successor. *)
+let move_node t off ~size off' ~size' =
   let next = next_free t off and prev = prev_free t off in
   set_next t off' next;
   set_prev t off' prev;
   if prev = null then t.free_head <- off' else set_next t prev off';
   if next <> null then set_prev t next off';
-  if t.rover = off then t.rover <- off';
-  index_remove t off size;
-  index_add t off' size'
+  index_change t off size off' size';
+  next
 
-(* The new hole goes after its predecessor in address order, which the
-   index finds without walking the list. *)
+(* The new hole goes after its predecessor in address order, which
+   adding it to the index returns, without walking the list. *)
 let insert_ordered t off size =
-  let cur = Hole_index.floor t.holes off in
+  let cur = Hole_index.add t.holes ~key:off ~size in
+  (match t.by_size with
+   | Some by_size ->
+     let (_ : int) = Hole_index.add by_size ~key:(size_key t off size) ~size in
+     ()
+   | None -> ());
   if cur = null then begin
     set_next t off t.free_head;
     set_prev t off null;
@@ -89,8 +97,7 @@ let insert_ordered t off size =
     set_prev t off cur;
     set_next t cur off;
     if next <> null then set_prev t next off
-  end;
-  index_add t off size
+  end
 
 (* [free] trusts a header only where this host-side bit is set: a
    freed block's header survives in memory, inside the hole it joins
@@ -209,15 +216,14 @@ let alloc t request =
                unchanged.  The allocation sits at its high end. *)
             Block.write_tags t.mem ~base:t.base off
               { size = remainder; allocated = false };
-            index_remove t off size;
-            index_add t off remainder;
+            index_change t off size off remainder;
             (off + remainder, needed, off)
           end
           else begin
             let rem_off = off + needed in
             Block.write_tags t.mem ~base:t.base rem_off
               { size = remainder; allocated = false };
-            replace_node t off ~size rem_off ~size':remainder;
+            let (_ : int) = move_node t off ~size rem_off ~size':remainder in
             (off, needed, rem_off)
           end
         end
@@ -272,27 +278,26 @@ let free t addr =
   t.live_words <- t.live_words - (size - Block.overhead);
   t.live_blocks <- t.live_blocks - 1;
   if t.tracing then emit t (Free { addr; size = size - Block.overhead });
-  let new_off = ref off and new_size = ref size in
-  let after = off + size in
-  if after < t.len then begin
-    let next = header t after in
-    if not next.Block.allocated then begin
-      unlink t after next.Block.size;
-      new_size := !new_size + next.Block.size
-    end
-  end;
-  if off > 0 then begin
-    let prev = Block.read_footer t.mem ~base:t.base off in
-    if not prev.Block.allocated then begin
-      let prev_off = off - prev.Block.size in
-      unlink t prev_off prev.Block.size;
-      new_off := prev_off;
-      new_size := !new_size + prev.Block.size
-    end
-  end;
-  if t.tracing && !new_size > size then
-    emit t (Coalesce { addr = t.base + !new_off; size = !new_size });
-  mark_free t !new_off !new_size
+  let free_size tag = if tag.Block.allocated then 0 else tag.Block.size in
+  let above = off + size in
+  let above_size = if above < t.len then free_size (header t above) else 0 in
+  let below_size = if off > 0 then free_size (Block.read_footer t.mem ~base:t.base off) else 0 in
+  let new_off = off - below_size and new_size = below_size + size + above_size in
+  if t.tracing && new_size > size then
+    emit t (Coalesce { addr = t.base + new_off; size = new_size });
+  Block.write_tags t.mem ~base:t.base new_off { size = new_size; allocated = false };
+  (* A rover on a hole the merge absorbs moves to the merged hole's list
+     successor. *)
+  if below_size > 0 then begin
+    if above_size > 0 then unlink t above above_size;
+    index_change t new_off below_size new_off new_size;
+    if t.rover = new_off then t.rover <- next_free t new_off
+  end
+  else if above_size > 0 then begin
+    let next = move_node t above ~size:above_size off ~size':new_size in
+    if t.rover = above then t.rover <- next
+  end
+  else insert_ordered t off size
 
 let live_words t = t.live_words
 

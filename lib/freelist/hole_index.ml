@@ -11,6 +11,7 @@ type t = {
   mutable root : int;
   mutable spare : int;
   mutable slots : int;  (* slots in use or on the spare chain, with the sentinel *)
+  mutable below : int;  (* [add]'s result *)
 }
 
 let nil = 0
@@ -27,17 +28,17 @@ let create () =
     root = nil;
     spare = nil;
     slots = 1;
+    below = -1;
   }
 
 let length t = t.count.(t.root)
 
 let largest t = t.largest.(t.root)
 
-(* A hash of the key (two xorshift-multiply rounds), so that the tree's
-   shape does not depend on the order of the edits. *)
-let priority t n =
-  let k = t.key.(n) in
-  let h = (k lxor (k lsr 33)) * 0x3f51afd7ed558ccd in
+(* A hash of the slot (two xorshift-multiply rounds), not of the key, so
+   that a node re-keyed by [change] keeps its place in the heap order. *)
+let priority n =
+  let h = (n lxor (n lsr 33)) * 0x3f51afd7ed558ccd in
   let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
   h lxor (h lsr 33)
 
@@ -99,28 +100,34 @@ let rec insert t n i =
   if n = nil then i
   else if t.key.(i) < t.key.(n) then begin
     t.left.(n) <- insert t t.left.(n) i;
-    if priority t t.left.(n) > priority t n then rotate_right t n
+    if priority t.left.(n) > priority n then rotate_right t n
     else begin
       update t n;
       n
     end
   end
   else begin
+    t.below <- t.key.(n);
     t.right.(n) <- insert t t.right.(n) i;
-    if priority t t.right.(n) > priority t n then rotate_left t n
+    if priority t.right.(n) > priority n then rotate_left t n
     else begin
       update t n;
       n
     end
   end
 
-let add t ~key ~size = t.root <- insert t t.root (node t ~key ~size)
+(* The last node at which the descent turns right holds the greatest key
+   below the new one. *)
+let add t ~key ~size =
+  t.below <- -1;
+  t.root <- insert t t.root (node t ~key ~size);
+  t.below
 
 (* Join two treaps, every key of [a] below every key of [b]. *)
 let rec merge t a b =
   if a = nil then b
   else if b = nil then a
-  else if priority t a > priority t b then begin
+  else if priority a > priority b then begin
     t.right.(a) <- merge t t.right.(a) b;
     update t a;
     a
@@ -148,6 +155,17 @@ let rec delete t n k =
 
 let remove t k = t.root <- delete t t.root k
 
+let rec change_in t n k ~key ~size =
+  if n = nil then invalid_arg "Hole_index.change: no such key";
+  if k = t.key.(n) then begin
+    t.key.(n) <- key;
+    t.size.(n) <- size
+  end
+  else change_in t (if k < t.key.(n) then t.left.(n) else t.right.(n)) k ~key ~size;
+  update t n
+
+let change t k ~key ~size = change_in t t.root k ~key ~size
+
 (* The queries below recurse at the top level, not through local
    closures, so that a query allocates nothing. *)
 let rec rank_in t k n below =
@@ -156,13 +174,6 @@ let rec rank_in t k n below =
   else rank_in t k t.right.(n) (below + t.count.(t.left.(n)) + 1)
 
 let rank t k = rank_in t k t.root 0
-
-let rec floor_in t k n best =
-  if n = nil then best
-  else if t.key.(n) <= k then floor_in t k t.right.(n) t.key.(n)
-  else floor_in t k t.left.(n) best
-
-let floor t k = floor_in t k t.root (-1)
 
 (* Subtrees whose largest size falls short are skipped whole, and only
    the subtrees along [from]'s search path can hold keys below it. *)

@@ -5,8 +5,10 @@
     offset, or for best fit by size then offset) and carrying its size.
     Every node also holds its subtree's node count and largest size, so
     the placement queries below and {!rank} take O(log holes) time.
-    The tree is a treap in flat int arrays whose priorities hash the
-    key: its shape depends only on the set of keys it holds.
+    The tree is a treap in flat int arrays whose priorities hash a
+    node's slot, not its key, so that {!change} can re-key a node where
+    it stands.  Its shape is deterministic, but depends on the history
+    of edits as well as on the keys held; no query's answer does.
 
     The index is bookkeeping of the simulator, not of the simulated
     supervisor, whose free list stays in the store it manages; see
@@ -19,18 +21,23 @@ val create : unit -> t
 
 val length : t -> int
 
-val add : t -> key:int -> size:int -> unit
-(** Keys are non-negative and distinct: adding a key already held
+val add : t -> key:int -> size:int -> int
+(** Adds a node and returns the greatest key below the new one, or -1.
+    Keys are non-negative and distinct: adding a key already held
     corrupts the index. *)
 
 val remove : t -> int -> unit
 (** Raises [Invalid_argument] if the key is not held. *)
 
+val change : t -> int -> key:int -> size:int -> unit
+(** [change t k ~key ~size] gives the node of key [k] the key [key] and
+    the size [size] in one descent, without moving it.  [key] may equal
+    [k].  No other held key may lie between [k] and [key], [key]
+    included, or the index is corrupted.  Raises [Invalid_argument] if
+    [k] is not held. *)
+
 val rank : t -> int -> int
 (** The number of keys below the given key. *)
-
-val floor : t -> int -> int
-(** The greatest key at or below the given one, or -1. *)
 
 val first : t -> from:int -> needed:int -> int
 (** The least key at or above [from] whose size is at least [needed],

@@ -159,7 +159,44 @@ let test_next_fit_roves () =
   let x = Option.get (Freelist.Allocator.alloc a 10) in
   let y = Option.get (Freelist.Allocator.alloc a 10) in
   check_bool "successive allocations advance" true (y > x);
-  Freelist.Allocator.validate a
+  Freelist.Allocator.validate a;
+  (* A free that merges the rover's hole hands the rover to the merged
+     hole's list successor.  [blocks] 12-word blocks fill the region,
+     the steps free blocks by number (an allocation takes the next
+     number) and the last one merges the rover's hole.  The final
+     request fits both the merged hole and its successor, so it lands in
+     the successor only if the search starts there. *)
+  let rover_case name ~blocks steps ~want =
+    let _, a = make_allocator ~words:(12 * blocks) Freelist.Policy.Next_fit in
+    let addrs = ref (List.init blocks (fun _ -> Option.get (Freelist.Allocator.alloc a 10))) in
+    List.iter
+      (function
+        | `Free i -> Freelist.Allocator.free a (List.nth !addrs i)
+        | `Alloc n -> addrs := !addrs @ [ Option.get (Freelist.Allocator.alloc a n) ])
+      steps;
+    Freelist.Allocator.validate a;
+    check_int name want (Option.get (Freelist.Allocator.alloc a 10))
+  in
+  (* Block 6, carved from the hole at 12, leaves the rover on 24..35;
+     freeing block 3 grows that hole up to 47. *)
+  rover_case "rover's hole absorbs the block" ~blocks:7
+    [ `Free 1; `Free 2; `Free 5; `Alloc 10; `Free 3 ]
+    ~want:61;
+  (* Block 7, carved from the hole at 24, leaves the rover on 36..47;
+     freeing block 7 moves that hole down to 24. *)
+  rover_case "rover's hole moves down" ~blocks:7
+    [ `Free 2; `Free 3; `Free 5; `Alloc 10; `Free 7 ]
+    ~want:61;
+  (* The rover on 24..35, block 3 between it and the hole at 48. *)
+  rover_case "rover's hole absorbs the hole above" ~blocks:7
+    [ `Free 1; `Free 2; `Free 4; `Free 6; `Alloc 10; `Free 3 ]
+    ~want:73;
+  (* Block 8 skips the hole at 12 and is carved from the one at 36,
+     leaving the rover on 60..71; freeing block 2 grows the hole at 12
+     up to block 8, and freeing block 8 merges all three. *)
+  rover_case "hole below absorbs the rover's hole" ~blocks:8
+    [ `Free 1; `Free 3; `Free 4; `Free 5; `Free 7; `Alloc 22; `Free 2; `Free 8 ]
+    ~want:85
 
 (* --- search cost --- *)
 
@@ -192,6 +229,27 @@ let test_reads_flat_in_hole_count () =
         Alcotest.failf "%s: %.1f reads per operation" (Freelist.Policy.to_string policy) per_op;
       Freelist.Allocator.validate a)
     Freelist.Policy.all_standard
+
+(* Store words one first-fit free reads and writes in each neighbour
+   case.  The freed block lies below every other hole, and the tail of
+   the region is a hole above it.  Only a neighbour hole that moves or
+   leaves the list costs link words. *)
+let test_free_store_traffic () =
+  let traffic ~blocks ~holes =
+    let mem, a = make_allocator Freelist.Policy.First_fit in
+    let addrs = Array.init blocks (fun _ -> Option.get (Freelist.Allocator.alloc a 10)) in
+    List.iter (fun i -> Freelist.Allocator.free a addrs.(i)) holes;
+    let reads = Memstore.Physical.reads mem and writes = Memstore.Physical.writes mem in
+    Freelist.Allocator.free a addrs.(1);
+    let traffic = (Memstore.Physical.reads mem - reads, Memstore.Physical.writes mem - writes) in
+    Freelist.Allocator.validate a;
+    traffic
+  in
+  let check name want got = Alcotest.(check (pair int int)) name want got in
+  check "no free neighbour: tags, links" (3, 5) (traffic ~blocks:3 ~holes:[]);
+  check "hole below grows: tags only" (3, 2) (traffic ~blocks:3 ~holes:[ 0 ]);
+  check "hole above moves down" (5, 5) (traffic ~blocks:4 ~holes:[ 2 ]);
+  check "both: hole above unlinked" (5, 4) (traffic ~blocks:4 ~holes:[ 0; 2 ])
 
 (* --- compaction --- *)
 
@@ -477,6 +535,64 @@ let allocator_matches_model policy =
         ops;
       true)
 
+(* Hole_index alone against a sorted (key, size) list: random adds,
+   removes and changes that cross no other key.  After every operation
+   the index and the list agree on their contents and on the queries
+   at a random probe, and each add returns the key below it. *)
+let hole_index_matches_model =
+  let module H = Freelist.Hole_index in
+  QCheck.Test.make ~name:"hole index matches a sorted list" ~count:200
+    QCheck.(
+      list_of_size Gen.(int_range 0 200)
+        (quad (int_bound 3) (int_bound 999) (int_range 1 120)
+           (pair (int_bound 1000) (int_bound 121))))
+    (fun ops ->
+      let t = H.create () in
+      let model = ref [] in
+      List.iteri
+        (fun step (op, x, size, (probe, needed)) ->
+          let keys = List.map fst !model in
+          let n = List.length keys in
+          (match op with
+           | (0 | 1) when not (List.mem_assoc x !model) ->
+             let below = List.fold_left (fun b k -> if k < x then k else b) (-1) keys in
+             let got = H.add t ~key:x ~size in
+             if got <> below then
+               QCheck.Test.fail_reportf "step %d: add %d returned %d, model %d" step x got below;
+             model := List.sort compare ((x, size) :: !model)
+           | 2 when n > 0 ->
+             let k = List.nth keys (x mod n) in
+             H.remove t k;
+             model := List.remove_assoc k !model
+           | 3 when n > 0 ->
+             (* A new key in the gap between k's neighbours. *)
+             let i = x mod n in
+             let k = List.nth keys i in
+             let lo = if i = 0 then -1 else List.nth keys (i - 1) in
+             let hi = if i = n - 1 then 1000 else List.nth keys (i + 1) in
+             let key = lo + 1 + (probe mod (hi - lo - 1)) in
+             H.change t k ~key ~size;
+             model := List.sort compare ((key, size) :: List.remove_assoc k !model)
+           | _ -> ());
+          let m = !model in
+          let fits (_, s) = s >= needed in
+          let key_of = function Some (k, _) -> k | None -> -1 in
+          let expect what got want =
+            if got <> want then
+              QCheck.Test.fail_reportf "step %d: %s %d, model %d" step what got want
+          in
+          if H.fold t (fun k s acc -> (k, s) :: acc) [] <> m then
+            QCheck.Test.fail_reportf "step %d: fold differs from the model" step;
+          expect "length" (H.length t) (List.length m);
+          expect "largest" (H.largest t) (List.fold_left (fun l (_, s) -> max l s) 0 m);
+          expect "rank" (H.rank t probe) (List.length (List.filter (fun (k, _) -> k < probe) m));
+          expect "first"
+            (H.first t ~from:probe ~needed)
+            (key_of (List.find_opt (fun (k, s) -> k >= probe && fits (k, s)) m));
+          expect "last" (H.last t ~needed) (key_of (List.find_opt fits (List.rev m))))
+        ops;
+      true)
+
 let allocator_fill_then_drain policy =
   QCheck.Test.make
     ~name:(Printf.sprintf "fill then drain returns all store under %s"
@@ -721,6 +837,7 @@ let () =
           Alcotest.test_case "bad free rejected" `Quick test_free_bad_address_rejected;
           Alcotest.test_case "search stats" `Quick test_search_stats_recorded;
           Alcotest.test_case "reads flat in hole count" `Quick test_reads_flat_in_hole_count;
+          Alcotest.test_case "free store traffic" `Quick test_free_store_traffic;
         ] );
       ( "placement",
         [
@@ -753,6 +870,7 @@ let () =
             allocator_fill_then_drain Freelist.Policy.Best_fit;
             allocator_fill_then_drain (Freelist.Policy.Two_ends { small_max = 20 });
             allocator_contract;
+            hole_index_matches_model;
           ] );
       ( "buddy",
         [
