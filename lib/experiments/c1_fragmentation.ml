@@ -15,14 +15,6 @@ let mix rng ~steps =
     ~size:(Workload.Alloc_stream.Geometric { mean = 90.; min_size = 1 })
     ~target_live:300
 
-(* Feed a stream's births and deaths to one discipline. *)
-let replay events ~on_alloc ~on_free =
-  List.iter
-    (function
-      | Workload.Alloc_stream.Alloc { id; size } -> on_alloc ~id ~size
-      | Workload.Alloc_stream.Free { id } -> on_free ~id)
-    events
-
 let point ?obs ?(words = store_words) ~rng ~steps policy =
   C2_placement.serve ?obs ~words policy (mix rng ~steps)
 
@@ -42,18 +34,10 @@ let variable_row (o : C2_placement.outcome) =
 
 let buddy_row events =
   let b = Freelist.Buddy.create ~words:store_words in
-  let table = Hashtbl.create 512 in
-  replay events
-    ~on_alloc:(fun ~id ~size ->
-      match Freelist.Buddy.alloc b size with
-      | Some off -> Hashtbl.replace table id off
-      | None -> ())
-    ~on_free:(fun ~id ->
-      match Hashtbl.find_opt table id with
-      | Some off ->
-        Freelist.Buddy.free b off;
-        Hashtbl.remove table id
-      | None -> ());
+  ignore
+    (Workload.Alloc_stream.replay events
+       ~alloc:(fun ~id:_ size -> Freelist.Buddy.alloc b size)
+       ~free:(Freelist.Buddy.free b));
   let claimed = Freelist.Buddy.live_granted b in
   let live = Freelist.Buddy.live_requested b in
   {
@@ -65,19 +49,15 @@ let buddy_row events =
     detail = "power-of-two rounding";
   }
 
+(* Paging grants every request; the token a free hands back is its size. *)
 let paged_row events page_size =
   let internal = Metrics.Fragmentation.Internal.create ~page_size in
-  let requested = Hashtbl.create 512 in
-  replay events
-    ~on_alloc:(fun ~id ~size ->
-      Hashtbl.replace requested id size;
-      Metrics.Fragmentation.Internal.record internal ~requested:size)
-    ~on_free:(fun ~id ->
-      match Hashtbl.find_opt requested id with
-      | Some size ->
-        Metrics.Fragmentation.Internal.release internal ~requested:size;
-        Hashtbl.remove requested id
-      | None -> ());
+  ignore
+    (Workload.Alloc_stream.replay events
+       ~alloc:(fun ~id:_ size ->
+         Metrics.Fragmentation.Internal.record internal ~requested:size;
+         Some size)
+       ~free:(fun size -> Metrics.Fragmentation.Internal.release internal ~requested:size));
   {
     discipline = Printf.sprintf "paged (%d-word frames)" page_size;
     claimed = Metrics.Fragmentation.Internal.granted_live internal;

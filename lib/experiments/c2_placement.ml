@@ -2,6 +2,7 @@ type outcome = {
   external_frag : float;
   holes : int;
   mean_search : float;
+  placed : int;
   failures : int;
   largest_free : int;
   live_words : int;
@@ -18,34 +19,22 @@ let mix_name = function Small_skewed -> "small-skewed" | Bimodal -> "bimodal 16/
 let serve ?(obs = Obs.Sink.null) ~words policy events =
   let mem = Memstore.Physical.create ~name:"core" ~words in
   let a = Freelist.Allocator.create ~obs mem ~base:0 ~len:words ~policy in
-  let table = Hashtbl.create 512 in
-  let requested = ref 0 in
-  List.iter
-    (function
-      | Workload.Alloc_stream.Alloc { id; size } ->
-        (match Freelist.Allocator.alloc a size with
-         | Some addr ->
-           Hashtbl.replace table id (addr, size);
-           requested := !requested + size
-         | None -> ())
-      | Workload.Alloc_stream.Free { id } ->
-        (match Hashtbl.find_opt table id with
-         | Some (addr, size) ->
-           Freelist.Allocator.free a addr;
-           Hashtbl.remove table id;
-           requested := !requested - size
-         | None -> ()))
-    events;
+  let t =
+    Workload.Alloc_stream.replay events
+      ~alloc:(fun ~id:_ size -> Freelist.Allocator.alloc a size)
+      ~free:(Freelist.Allocator.free a)
+  in
   let sizes = Freelist.Allocator.free_block_sizes a in
   {
     external_frag = Metrics.Fragmentation.external_of_free_blocks sizes;
     holes = List.length sizes;
     mean_search = Metrics.Stats.mean (Freelist.Allocator.search_stats a);
-    failures = Freelist.Allocator.failures a;
+    placed = t.placed;
+    failures = t.unplaced;
     largest_free = Freelist.Allocator.largest_free a;
     live_words = Freelist.Allocator.live_words a;
     free_words = Freelist.Allocator.free_words a;
-    requested = !requested;
+    requested = t.live_requested;
   }
 
 let point ?obs ?seed ?(words = 1 lsl 16) ?(target_live = 400) ~steps ~mix policy =

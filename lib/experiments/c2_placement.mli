@@ -12,6 +12,7 @@ type outcome = {
   external_frag : float;
   holes : int;
   mean_search : float;  (** free-list nodes examined per request *)
+  placed : int;  (** requests placed *)
   failures : int;  (** requests that could not be placed *)
   largest_free : int;
   live_words : int;  (** payload words allocated *)
@@ -26,10 +27,11 @@ val serve :
   Freelist.Policy.t ->
   Workload.Alloc_stream.event list ->
   outcome
-(** Replay a stream against a fresh boundary-tag allocator managing a
-    [words]-word store under one placement policy.  A request that
-    cannot be placed is dropped, and so is its later free.  The one
-    replay loop behind C1's variable-unit row, C2 and X10. *)
+(** Replay a stream through {!Workload.Alloc_stream.replay} against a
+    fresh boundary-tag allocator managing a [words]-word store under one
+    placement policy.  A request that cannot be placed is dropped, and
+    so is its later free.  Behind C1's variable-unit row, C2, C6's
+    boundary-tag rows, X10 and their cells. *)
 
 type row = { policy : string; mix : string; outcome : outcome }
 

@@ -21,29 +21,17 @@ let stream rng ~steps ~fill =
 let rice_row ~pressure events =
   let mem = Memstore.Physical.create ~name:"core" ~words in
   let c = Segmentation.Rice_chain.create mem ~base:0 ~len:words in
-  let table = Hashtbl.create 512 in
-  let placed = ref 0 and unplaced = ref 0 in
-  List.iter
-    (function
-      | Workload.Alloc_stream.Alloc { id; size } ->
-        (match Segmentation.Rice_chain.alloc c ~payload:size ~codeword:id with
-         | Some off ->
-           incr placed;
-           Hashtbl.replace table id off
-         | None -> incr unplaced)
-      | Workload.Alloc_stream.Free { id } ->
-        (match Hashtbl.find_opt table id with
-         | Some off ->
-           Segmentation.Rice_chain.free c off;
-           Hashtbl.remove table id
-         | None -> ()))
-    events;
+  let t =
+    Workload.Alloc_stream.replay events
+      ~alloc:(fun ~id payload -> Segmentation.Rice_chain.alloc c ~payload ~codeword:id)
+      ~free:(Segmentation.Rice_chain.free c)
+  in
   let holes = List.map snd (Segmentation.Rice_chain.chain_blocks c) in
   {
     allocator = "rice-chain";
     pressure;
-    placed = !placed;
-    unplaced = !unplaced;
+    placed = t.placed;
+    unplaced = t.unplaced;
     mean_search = Metrics.Stats.mean (Segmentation.Rice_chain.chain_search_stats c);
     combines = Segmentation.Rice_chain.combines c;
     final_holes = List.length holes;
@@ -51,35 +39,16 @@ let rice_row ~pressure events =
   }
 
 let boundary_row ~pressure events =
-  let mem = Memstore.Physical.create ~name:"core" ~words in
-  let a = Freelist.Allocator.create mem ~base:0 ~len:words ~policy:Freelist.Policy.First_fit in
-  let table = Hashtbl.create 512 in
-  let placed = ref 0 in
-  List.iter
-    (function
-      | Workload.Alloc_stream.Alloc { id; size } ->
-        (match Freelist.Allocator.alloc a size with
-         | Some addr ->
-           incr placed;
-           Hashtbl.replace table id addr
-         | None -> ())
-      | Workload.Alloc_stream.Free { id } ->
-        (match Hashtbl.find_opt table id with
-         | Some addr ->
-           Freelist.Allocator.free a addr;
-           Hashtbl.remove table id
-         | None -> ()))
-    events;
-  let holes = Freelist.Allocator.free_block_sizes a in
+  let o = C2_placement.serve ~words Freelist.Policy.First_fit events in
   {
     allocator = "boundary-tag first-fit";
     pressure;
-    placed = !placed;
-    unplaced = Freelist.Allocator.failures a;
-    mean_search = Metrics.Stats.mean (Freelist.Allocator.search_stats a);
+    placed = o.placed;
+    unplaced = o.failures;
+    mean_search = o.mean_search;
     combines = 0;
-    final_holes = List.length holes;
-    external_frag = Metrics.Fragmentation.external_of_free_blocks holes;
+    final_holes = o.holes;
+    external_frag = o.external_frag;
   }
 
 let measure ?(quick = false) ?seed () =

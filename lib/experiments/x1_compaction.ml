@@ -26,48 +26,35 @@ let stream rng ~steps ~period =
          else [ e ])
        base)
 
-let serve ?(obs = Obs.Sink.null) ~compacting events =
+(* Every variant hands out handles, so compaction can relocate blocks
+   under the stream's feet. *)
+let serve ~obs ~variant ~policy ~compacting events =
   let mem = Memstore.Physical.create ~name:"core" ~words in
-  let a =
-    Freelist.Allocator.create ~obs mem ~base:0 ~len:words ~policy:Freelist.Policy.Best_fit
-  in
-  let clock = Sim.Clock.create () in
-  let channel = Memstore.Channel.create clock ~word_ns:500 in
+  let a = Freelist.Allocator.create ~obs mem ~base:0 ~len:words ~policy in
+  let channel = Memstore.Channel.create (Sim.Clock.create ()) ~word_ns:500 in
   let handles = Freelist.Handle_table.create () in
-  let by_id = Hashtbl.create 512 in
-  let placed = ref 0 and failed = ref 0 and compactions = ref 0 in
-  let try_alloc size =
-    match Freelist.Allocator.alloc a size with
-    | Some addr -> Some addr
-    | None ->
-      if compacting then begin
+  let compactions = ref 0 in
+  let alloc ~id:_ size =
+    let placed =
+      match Freelist.Allocator.alloc a size with
+      | None when compacting ->
         incr compactions;
         Freelist.Allocator.compact a channel ~relocate:(fun old_addr new_addr ->
             Freelist.Handle_table.relocate handles ~old_addr ~new_addr);
         Freelist.Allocator.alloc a size
-      end
-      else None
+      | placed -> placed
+    in
+    Option.map (Freelist.Handle_table.register handles) placed
   in
-  List.iter
-    (function
-      | Workload.Alloc_stream.Alloc { id; size } ->
-        (match try_alloc size with
-         | Some addr ->
-           incr placed;
-           Hashtbl.replace by_id id (Freelist.Handle_table.register handles addr)
-         | None -> incr failed)
-      | Workload.Alloc_stream.Free { id } ->
-        (match Hashtbl.find_opt by_id id with
-         | Some h ->
-           Freelist.Allocator.free a (Freelist.Handle_table.deref handles h);
-           Freelist.Handle_table.release handles h;
-           Hashtbl.remove by_id id
-         | None -> ()))
-    events;
+  let free h =
+    Freelist.Allocator.free a (Freelist.Handle_table.deref handles h);
+    Freelist.Handle_table.release handles h
+  in
+  let t = Workload.Alloc_stream.replay events ~alloc ~free in
   {
-    variant = (if compacting then "best-fit + compaction" else "best-fit, no compaction");
-    placed = !placed;
-    failed = !failed;
+    variant;
+    placed = t.placed;
+    failed = t.unplaced;
     compactions = !compactions;
     words_moved = Memstore.Channel.words_moved channel;
     move_time_us = Memstore.Channel.time_spent_us channel;
@@ -75,68 +62,28 @@ let serve ?(obs = Obs.Sink.null) ~compacting events =
       Metrics.Fragmentation.external_of_free_blocks (Freelist.Allocator.free_block_sizes a);
   }
 
-let serve_two_ends ?(obs = Obs.Sink.null) events =
-  let mem = Memstore.Physical.create ~name:"core" ~words in
-  let a =
-    Freelist.Allocator.create ~obs mem ~base:0 ~len:words
-      ~policy:(Freelist.Policy.Two_ends { small_max = 128 })
-  in
-  let by_id = Hashtbl.create 512 in
-  let placed = ref 0 and failed = ref 0 in
-  List.iter
-    (function
-      | Workload.Alloc_stream.Alloc { id; size } ->
-        (match Freelist.Allocator.alloc a size with
-         | Some addr ->
-           incr placed;
-           Hashtbl.replace by_id id addr
-         | None -> incr failed)
-      | Workload.Alloc_stream.Free { id } ->
-        (match Hashtbl.find_opt by_id id with
-         | Some addr ->
-           Freelist.Allocator.free a addr;
-           Hashtbl.remove by_id id
-         | None -> ()))
-    events;
-  {
-    variant = "two-ends, no compaction";
-    placed = !placed;
-    failed = !failed;
-    compactions = 0;
-    words_moved = 0;
-    move_time_us = 0;
-    final_frag =
-      Metrics.Fragmentation.external_of_free_blocks (Freelist.Allocator.free_block_sizes a);
-  }
-
 let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let steps = if quick then 2_000 else 20_000 in
-  let events () = stream (Sim.Rng.derive ?override:seed 313) ~steps ~period:200 in
+  let events = stream (Sim.Rng.derive ?override:seed 313) ~steps ~period:200 in
   (* Clockless allocators stamp events with their operation counter; a
      compacting alloc can retry, so each variant advances time by at
-     most twice its event count.  Shift keeps the spliced stream
-     monotone. *)
-  let t_base = ref 0 in
-  let runs = ref 0 in
-  let spliced label serve_variant =
-    let evs = events () in
-    let row =
-      serve_variant
-        ~obs:
-          (Obs.Sink.segment ?seed
-             ~config:("x1 variant=" ^ label)
-             ~run:!runs ~offset:!t_base obs)
-        evs
-    in
-    incr runs;
-    t_base := !t_base + (2 * List.length evs);
-    row
-  in
-  [
-    spliced "no-compaction" (fun ~obs evs -> serve ~obs ~compacting:false evs);
-    spliced "compacting" (fun ~obs evs -> serve ~obs ~compacting:true evs);
-    spliced "two-ends" (fun ~obs evs -> serve_two_ends ~obs evs);
-  ]
+     most twice its event count.  Shifting each run past the spans of
+     those before it keeps the spliced stream monotone.  The trace
+     records the variants last row first. *)
+  let span = 2 * List.length events in
+  List.rev
+    (List.mapi
+       (fun run (label, variant, policy, compacting) ->
+         let obs =
+           Obs.Sink.segment ?seed ~config:("x1 variant=" ^ label) ~run ~offset:(run * span) obs
+         in
+         serve ~obs ~variant ~policy ~compacting events)
+       Freelist.Policy.
+         [
+           ("two-ends", "two-ends, no compaction", Two_ends { small_max = 128 }, false);
+           ("compacting", "best-fit + compaction", Best_fit, true);
+           ("no-compaction", "best-fit, no compaction", Best_fit, false);
+         ])
 
 let run ?quick ?obs ?seed () =
   let rows = measure ?quick ?obs ?seed () in

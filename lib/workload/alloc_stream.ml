@@ -24,25 +24,6 @@ let sample_size rng = function
     assert (large_fraction >= 0. && large_fraction <= 1.);
     if Sim.Rng.float rng 1. < large_fraction then large else small
 
-let generate rng ~objects ~size ~mean_lifetime =
-  assert (objects > 0 && mean_lifetime > 0.);
-  let p = 1. /. (mean_lifetime +. 1.) in
-  (* deaths.(i) = ids of objects freed just before birth i. *)
-  let deaths = Array.make (objects + 1) [] in
-  let sizes = Array.make objects 0 in
-  for i = 0 to objects - 1 do
-    sizes.(i) <- sample_size rng size;
-    let lifetime = 1 + Sim.Rng.geometric rng p in
-    let death = min objects (i + lifetime) in
-    deaths.(death) <- i :: deaths.(death)
-  done;
-  let events = ref [] in
-  for i = 0 to objects do
-    List.iter (fun id -> events := Free { id } :: !events) (List.rev deaths.(i));
-    if i < objects then events := Alloc { id = i; size = sizes.(i) } :: !events
-  done;
-  List.rev !events
-
 let live_stream rng ~steps ~size ~target_live =
   assert (steps > 0 && target_live > 0);
   let live = ref [||] in
@@ -80,20 +61,24 @@ let live_stream rng ~steps ~size ~target_live =
   done;
   List.rev !events
 
-let peak_live_words events =
-  let sizes = Hashtbl.create 64 in
-  let live = ref 0 and peak = ref 0 in
-  let step = function
-    | Alloc { id; size } ->
-      Hashtbl.replace sizes id size;
-      live := !live + size;
-      if !live > !peak then peak := !live
-    | Free { id } ->
-      (match Hashtbl.find_opt sizes id with
-       | Some size ->
-         live := !live - size;
-         Hashtbl.remove sizes id
-       | None -> invalid_arg "peak_live_words: free of unknown id")
-  in
-  List.iter step events;
-  !peak
+type tally = { placed : int; unplaced : int; live_requested : int }
+
+let replay events ~alloc ~free =
+  let granted = Hashtbl.create 512 in
+  List.fold_left
+    (fun t -> function
+      | Alloc { id; size } ->
+        (match alloc ~id size with
+         | Some token ->
+           Hashtbl.replace granted id (token, size);
+           { t with placed = t.placed + 1; live_requested = t.live_requested + size }
+         | None -> { t with unplaced = t.unplaced + 1 })
+      | Free { id } ->
+        (match Hashtbl.find_opt granted id with
+         | Some (token, size) ->
+           Hashtbl.remove granted id;
+           free token;
+           { t with live_requested = t.live_requested - size }
+         | None -> t))
+    { placed = 0; unplaced = 0; live_requested = 0 }
+    events

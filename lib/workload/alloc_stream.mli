@@ -1,9 +1,9 @@
 (** Allocation-request streams for the variable-unit allocators.
 
     The classic allocator benchmark shape: objects are born in sequence,
-    each with a size drawn from a distribution and a lifetime measured in
-    subsequent births; the stream interleaves the resulting [Alloc] and
-    [Free] events.  Experiment C2 feeds these to each placement policy. *)
+    each with a size drawn from a distribution, and die in random order;
+    the stream interleaves the resulting [Alloc] and [Free] events.  {!replay} serves one stream to any allocator, so
+    experiments can give every placement system the same requests. *)
 
 type event =
   | Alloc of { id : int; size : int }
@@ -20,14 +20,6 @@ type size_dist =
 
 val sample_size : Sim.Rng.t -> size_dist -> int
 
-val generate :
-  Sim.Rng.t -> objects:int -> size:size_dist -> mean_lifetime:float -> event list
-(** [generate rng ~objects ~size ~mean_lifetime] births [objects]
-    objects; object [i]'s [Free] is emitted just before birth
-    [i + lifetime] where lifetime is geometric with the given mean.
-    Objects outliving the stream are freed at the end, so every [Alloc]
-    has a matching [Free]. *)
-
 val live_stream :
   Sim.Rng.t -> steps:int -> size:size_dist -> target_live:int -> event list
 (** Steady-state stream: at each step allocate if fewer than
@@ -36,6 +28,14 @@ val live_stream :
     are appended: the stream ends with ~[target_live] objects live,
     which is the state in which fragmentation is measured. *)
 
-val peak_live_words : event list -> int
-(** Maximum over time of the total words live, a lower bound on the
-    store size any allocator needs. *)
+type tally = {
+  placed : int;  (** [Alloc]s the allocator granted *)
+  unplaced : int;  (** [Alloc]s it refused *)
+  live_requested : int;  (** words requested by granted ids not yet freed *)
+}
+
+val replay : event list -> alloc:(id:int -> int -> 'a option) -> free:('a -> unit) -> tally
+(** [replay events ~alloc ~free] serves a stream in order.  Each [Alloc]
+    calls [alloc ~id size], and the token it grants (an address, a
+    handle) is what [free] later receives for that id.  A [Free] of an
+    id that was refused, already freed or never allocated is dropped. *)

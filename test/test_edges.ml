@@ -64,8 +64,7 @@ let test_empty_trace_everywhere () =
   let r = Paging.Fault_sim.run ~frames:4 ~policy:(Paging.Replacement.fifo ()) empty in
   check_int "no refs" 0 r.Paging.Fault_sim.refs;
   Alcotest.(check (float 1e-9)) "rate 0" 0. (Paging.Fault_sim.fault_rate r);
-  check_int "extent 0" 0 (Workload.Trace.extent empty);
-  check_int "peak of empty stream" 0 (Workload.Alloc_stream.peak_live_words [])
+  check_int "extent 0" 0 (Workload.Trace.extent empty)
 
 let test_negative_page_rejected () =
   check_bool "Invalid_argument" true

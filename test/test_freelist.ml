@@ -645,6 +645,102 @@ let test_buddy_double_free_rejected () =
      | () -> false
      | exception Invalid_argument _ -> true)
 
+(* An exact model of the binary buddy system, written from its
+   definition: the free blocks are a sorted list of (offset, order).  An
+   allocation takes the smallest free order at least ceil(log2 n) and the
+   lowest offset in it, then splits it down to size, leaving the upper
+   halves free; a free merges the block with its buddy while that buddy
+   is free. *)
+module Buddy_model = struct
+  type t = {
+    max_order : int;
+    mutable free : (int * int) list;  (* (offset, order), ascending *)
+    mutable live : (int * (int * int)) list;  (* offset -> (order, requested) *)
+  }
+
+  let rec order_of ?(o = 0) n = if 1 lsl o >= n then o else order_of ~o:(o + 1) n
+
+  let create words =
+    let max_order = order_of words in
+    { max_order; free = [ (0, max_order) ]; live = [] }
+
+  let alloc m n =
+    let want = order_of n in
+    let by_order (a, o) (b, p) = compare (o, a) (p, b) in
+    match List.sort by_order (List.filter (fun (_, o) -> o >= want) m.free) with
+    | [] -> None
+    | ((off, o) as block) :: _ ->
+      let upper_halves = List.init (o - want) (fun i -> (off + (1 lsl (want + i)), want + i)) in
+      m.free <- List.sort compare (upper_halves @ List.filter (( <> ) block) m.free);
+      m.live <- (off, (want, n)) :: m.live;
+      Some off
+
+  let free m off =
+    let order, _ = List.assoc off m.live in
+    m.live <- List.remove_assoc off m.live;
+    let rec merge off o =
+      let buddy = (off lxor (1 lsl o), o) in
+      if o < m.max_order && List.mem buddy m.free then begin
+        m.free <- List.filter (( <> ) buddy) m.free;
+        merge (min off (fst buddy)) (o + 1)
+      end
+      else m.free <- List.sort compare ((off, o) :: m.free)
+    in
+    merge off order
+
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
+
+  let free_words m = sum (fun (_, o) -> 1 lsl o) m.free
+
+  let largest_free m = List.fold_left (fun l (_, o) -> max l (1 lsl o)) 0 m.free
+
+  let live_granted m = sum (fun (_, (o, _)) -> 1 lsl o) m.live
+
+  let live_requested m = sum (fun (_, (_, n)) -> n) m.live
+end
+
+(* Buddy and its model in lockstep through random allocations (some
+   larger than the store) and frees of live blocks.  After every request
+   both give the same offset or failure and the same counts, and the
+   buddy system validates. *)
+let buddy_matches_model =
+  QCheck.Test.make ~name:"buddy matches an exact model" ~count:200
+    (* sizes are drawn less one, since QCheck shrinks every int towards 0 *)
+    QCheck.(list_of_size Gen.(int_range 0 150) (pair (int_bound 99) (int_bound 129)))
+    (fun ops ->
+      let words = 512 in
+      let b = Freelist.Buddy.create ~words in
+      let m = Buddy_model.create words in
+      let live = ref [] in
+      List.iteri
+        (fun step (k, n) ->
+          let fail fmt =
+            Printf.ksprintf (fun msg -> QCheck.Test.fail_reportf "step %d: %s" step msg) fmt
+          in
+          if k < 55 || !live = [] then begin
+            let n = if k < 5 then 5 * (n + 1) else n + 1 in
+            let got = Freelist.Buddy.alloc b n and want = Buddy_model.alloc m n in
+            let show = function Some off -> string_of_int off | None -> "none" in
+            if got <> want then fail "alloc %d: %s, model %s" n (show got) (show want);
+            Option.iter (fun off -> live := off :: !live) got
+          end
+          else begin
+            let off = List.nth !live (n mod List.length !live) in
+            live := List.filter (( <> ) off) !live;
+            Freelist.Buddy.free b off;
+            Buddy_model.free m off
+          end;
+          let expect what got want = if got <> want then fail "%s %d, model %d" what got want in
+          expect "free_words" (Freelist.Buddy.free_words b) (Buddy_model.free_words m);
+          expect "largest_free" (Freelist.Buddy.largest_free b) (Buddy_model.largest_free m);
+          expect "live_granted" (Freelist.Buddy.live_granted b) (Buddy_model.live_granted m);
+          expect "live_requested" (Freelist.Buddy.live_requested b) (Buddy_model.live_requested m);
+          match Freelist.Buddy.validate b with
+          | Ok () -> ()
+          | Error e -> fail "invalid: %s" (Freelist.Buddy.describe_error e))
+        ops;
+      true)
+
 (* --- one contract for the variable-unit allocators --- *)
 
 (* The requests the contract makes.  [Free i] and [Double_free i] pick
@@ -877,6 +973,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_buddy_basic;
           Alcotest.test_case "split+merge" `Quick test_buddy_split_and_merge;
           Alcotest.test_case "double free" `Quick test_buddy_double_free_rejected;
+          QCheck_alcotest.to_alcotest buddy_matches_model;
         ] );
       ("handle_table", [ Alcotest.test_case "lifecycle" `Quick test_handle_table ]);
     ]

@@ -78,21 +78,6 @@ let events_are_well_formed events =
     events;
   !ok
 
-let test_generate_well_formed () =
-  let rng = Sim.Rng.create 21 in
-  let events =
-    Workload.Alloc_stream.generate rng ~objects:500
-      ~size:(Workload.Alloc_stream.Uniform (1, 64)) ~mean_lifetime:20.
-  in
-  check_bool "well formed" true (events_are_well_formed events);
-  let allocs =
-    List.length
-      (List.filter (function Workload.Alloc_stream.Alloc _ -> true | _ -> false) events)
-  in
-  let frees = List.length events - allocs in
-  check_int "500 allocs" 500 allocs;
-  check_int "every object freed" 500 frees
-
 let test_live_stream_reaches_target () =
   let rng = Sim.Rng.create 22 in
   let events =
@@ -123,14 +108,6 @@ let test_size_distributions () =
     in
     check_bool "bimodal values" true (b = 8 || b = 512)
   done
-
-let test_peak_live_words () =
-  let open Workload.Alloc_stream in
-  let events =
-    [ Alloc { id = 0; size = 10 }; Alloc { id = 1; size = 20 }; Free { id = 0 };
-      Alloc { id = 2; size = 5 } ]
-  in
-  check_int "peak" 30 (peak_live_words events)
 
 (* --- Job --- *)
 
@@ -166,8 +143,8 @@ let test_trace_roundtrip () =
 let test_events_roundtrip () =
   let rng = Sim.Rng.create 43 in
   let events =
-    Workload.Alloc_stream.generate rng ~objects:200
-      ~size:(Workload.Alloc_stream.Uniform (1, 99)) ~mean_lifetime:15.
+    Workload.Alloc_stream.live_stream rng ~steps:400
+      ~size:(Workload.Alloc_stream.Uniform (1, 99)) ~target_live:15
   in
   let file = temp_file () in
   Workload.Trace_io.save_events file events;
@@ -326,8 +303,8 @@ let readers_total_property =
              (Workload.Trace.uniform rng ~length:64 ~extent:1000),
            fun file -> ignore (Workload.Trace_io.load_trace file) );
          ( saved Workload.Trace_io.save_events
-             (Workload.Alloc_stream.generate rng ~objects:24
-                ~size:(Workload.Alloc_stream.Uniform (1, 99)) ~mean_lifetime:5.),
+             (Workload.Alloc_stream.live_stream rng ~steps:48
+                ~size:(Workload.Alloc_stream.Uniform (1, 99)) ~target_live:5),
            fun file -> ignore (Workload.Trace_io.load_events file) );
        |])
   in
@@ -347,17 +324,81 @@ let readers_total_property =
       | None -> true
       | Some e -> QCheck.Test.fail_reportf "%s" (Printexc.to_string e))
 
-let alloc_stream_property =
-  QCheck.Test.make ~name:"generate is well-formed for any params" ~count:50
-    QCheck.(triple (int_range 1 200) (int_range 1 100) (int_range 1 50))
-    (fun (objects, max_size, lifetime) ->
-      let rng = Sim.Rng.create (objects + max_size + lifetime) in
-      let events =
-        Workload.Alloc_stream.generate rng ~objects
-          ~size:(Workload.Alloc_stream.Uniform (1, max_size))
-          ~mean_lifetime:(float_of_int lifetime)
+(* [replay] against a stub allocator and a list model.  The stream
+   gives every [Alloc] a fresh id and names, in its [Free]s, live,
+   refused, already-freed and never-seen ids; the stub grants the
+   allocations the stream marks and hands out tokens 0, 1, 2, ...  Only
+   a granted and not yet freed id's token may reach [free], once, in
+   stream order, and the tally must count what the model counts. *)
+let replay_property =
+  QCheck.Test.make ~name:"replay frees exactly the granted ids, once, in order" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 0 150)
+        (quad (int_bound 7) (int_bound 1000) (int_bound 63) bool))
+    (fun ops ->
+      let open Workload.Alloc_stream in
+      let next_id = ref 0 and live = ref [] and refused = ref [] and freed = ref [] in
+      let grants = Hashtbl.create 64 in
+      let pick pool x = List.nth pool (x mod List.length pool) in
+      let event (kind, x, size, grant) =
+        match kind with
+        | 0 | 1 | 2 ->
+          let id = !next_id in
+          incr next_id;
+          Hashtbl.replace grants id grant;
+          if grant then live := id :: !live else refused := id :: !refused;
+          Alloc { id; size = 1 + size }
+        | (3 | 4) when !live <> [] ->
+          let id = pick !live x in
+          live := List.filter (( <> ) id) !live;
+          freed := id :: !freed;
+          Free { id }
+        | 5 when !refused <> [] -> Free { id = pick !refused x }
+        | 6 when !freed <> [] -> Free { id = pick !freed x }
+        | _ -> Free { id = -1 - x }
       in
-      events_are_well_formed events)
+      let events = List.map event ops in
+      let calls = ref [] and tokens = ref 0 and frees = ref [] in
+      let got =
+        replay events
+          ~alloc:(fun ~id size ->
+            calls := (id, size) :: !calls;
+            if Hashtbl.find grants id then begin
+              incr tokens;
+              Some (!tokens - 1)
+            end
+            else None)
+          ~free:(fun token -> frees := token :: !frees)
+      in
+      (* The model: (id, (token, size)) for each granted id still live. *)
+      let _, model_frees, want =
+        List.fold_left
+          (fun (live, frees, t) -> function
+            | Alloc { id; size } ->
+              if Hashtbl.find grants id then
+                ( (id, (t.placed, size)) :: live,
+                  frees,
+                  { t with placed = t.placed + 1; live_requested = t.live_requested + size } )
+              else (live, frees, { t with unplaced = t.unplaced + 1 })
+            | Free { id } -> (
+              match List.assoc_opt id live with
+              | Some (token, size) ->
+                ( List.remove_assoc id live,
+                  token :: frees,
+                  { t with live_requested = t.live_requested - size } )
+              | None -> (live, frees, t)))
+          ([], [], { placed = 0; unplaced = 0; live_requested = 0 })
+          events
+      in
+      let allocs =
+        List.filter_map (function Alloc { id; size } -> Some (id, size) | Free _ -> None) events
+      in
+      if List.rev !calls <> allocs then QCheck.Test.fail_report "alloc saw other requests";
+      if List.rev !frees <> List.rev model_frees then
+        QCheck.Test.fail_reportf "freed tokens [%s], model [%s]"
+          (String.concat "; " (List.rev_map string_of_int !frees))
+          (String.concat "; " (List.rev_map string_of_int model_frees));
+      got = want)
 
 let () =
   Alcotest.run "workload"
@@ -375,11 +416,9 @@ let () =
         ] );
       ( "alloc_stream",
         [
-          Alcotest.test_case "generate" `Quick test_generate_well_formed;
           Alcotest.test_case "live stream" `Quick test_live_stream_reaches_target;
           Alcotest.test_case "size distributions" `Quick test_size_distributions;
-          Alcotest.test_case "peak live" `Quick test_peak_live_words;
-          QCheck_alcotest.to_alcotest alloc_stream_property;
+          QCheck_alcotest.to_alcotest replay_property;
           QCheck_alcotest.to_alcotest trace_io_roundtrip_property;
         ] );
       ("job", [ Alcotest.test_case "mix" `Quick test_job_mix ]);
