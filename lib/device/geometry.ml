@@ -61,28 +61,29 @@ let cylinder_of t ~page =
   | Disk { cylinders; sectors; _ } ->
     (((page / sectors) mod cylinders) + cylinders) mod cylinders
 
+let start_us t ~at ~head ~page =
+  match t with
+  | Fixed _ -> at
+  | Drum { sectors; rotation_us; _ } ->
+    next_pass ~sectors ~sector_us:(rotation_us / sectors) ~rotation_us ~now:at
+      ~sector:(sector_of t ~page)
+  | Disk { sectors; rotation_us; seek_base_us; seek_per_cyl_us; _ } ->
+    let cyl = cylinder_of t ~page in
+    let seek = if head = cyl then 0 else seek_base_us + (seek_per_cyl_us * abs (head - cyl)) in
+    next_pass ~sectors ~sector_us:(rotation_us / sectors) ~rotation_us ~now:(at + seek)
+      ~sector:(sector_of t ~page)
+
 let service t ~at ~head ~page ~words =
   assert (at >= 0 && words >= 0);
+  let start = start_us t ~at ~head ~page in
   match t with
-  | Fixed { device } -> (at, at + Memstore.Device.transfer_us device ~words, head)
+  | Fixed { device } -> (start, start + Memstore.Device.transfer_us device ~words, head)
   | Drum { sectors; rotation_us; word_ns } ->
-    let sector_us = rotation_us / sectors in
-    let sector = sector_of t ~page in
-    let start = next_pass ~sectors ~sector_us ~rotation_us ~now:at ~sector in
-    (start, start + sector_us + words_us ~word_ns ~words, head)
-  | Disk { sectors; rotation_us; seek_base_us; seek_per_cyl_us; word_ns; _ } ->
-    let sector_us = rotation_us / sectors in
-    let cyl = cylinder_of t ~page in
-    let seek_us =
-      if head = cyl then 0 else seek_base_us + (seek_per_cyl_us * abs (head - cyl))
-    in
-    let sector = sector_of t ~page in
-    let start = next_pass ~sectors ~sector_us ~rotation_us ~now:(at + seek_us) ~sector in
-    (start, start + sector_us + words_us ~word_ns ~words, cyl)
-
-let start_us t ~at ~head ~page ~words =
-  let start, _, _ = service t ~at ~head ~page ~words in
-  start
+    (start, start + (rotation_us / sectors) + words_us ~word_ns ~words, head)
+  | Disk { sectors; rotation_us; word_ns; _ } ->
+    ( start,
+      start + (rotation_us / sectors) + words_us ~word_ns ~words,
+      cylinder_of t ~page )
 
 let worst_us t ~words =
   match t with

@@ -68,8 +68,10 @@ val service : t -> at:int -> head:int -> page:int -> words:int -> int * int * in
     position afterwards.  [start >= at], [finish > start] for any
     non-degenerate geometry. *)
 
-val start_us : t -> at:int -> head:int -> page:int -> words:int -> int
-(** Just the [start] component of {!service} — what SATF minimises. *)
+val start_us : t -> at:int -> head:int -> page:int -> int
+(** The [start] component of {!service}, computed on its own and
+    without allocating: what SATF minimises.  {!service} builds on it,
+    so the two always agree.  [start_us >= at]. *)
 
 val worst_us : t -> words:int -> int
 (** Upper bound on one service from any state: full seek plus full

@@ -19,13 +19,29 @@ type failure = {
   at_us : int;
 }
 
+(* Fills the queue array's unused slots; never read. *)
+let vacant = Request.make ~id:0 ~kind:Demand ~page:0 ~words:0 ~arrival_us:0 ()
+
 type t = {
   cfg : config;
   obs : Obs.Sink.t;
   obs_on : bool;
   fault : Fault.t option;
   chans : channel array;
-  mutable queue : Request.t list;  (* submitted, not yet dispatched; arrival order *)
+  (* Submitted, not yet dispatched: [queue.(first)] to
+     [queue.(first + depth - 1)], oldest first.  Arrivals are clamped
+     monotone and ids only increase, so index order is the
+     (arrival_us, id) tie-break order. *)
+  mutable queue : Request.t array;
+  mutable first : int;
+  mutable depth : int;
+  (* The next dispatch, while [planned]: channel [plan_chan] serves
+     [queue.(plan_index)] from [plan_td].  A submit or a dispatch
+     clears [planned]; nothing else changes the plan. *)
+  mutable planned : bool;
+  mutable plan_chan : int;
+  mutable plan_index : int;
+  mutable plan_td : int;
   completions : int Sim.Heap.t;  (* finish_us -> req id, undelivered *)
   finish_of : (int, int) Hashtbl.t;  (* req id -> finish_us, undelivered *)
   failures : (int, failure) Hashtbl.t;  (* req id -> terminal failure, unconsumed *)
@@ -64,7 +80,13 @@ let create ?(obs = Obs.Sink.null) cfg =
     obs_on = Obs.Sink.is_active obs;
     fault = Option.map Fault.create cfg.fault;
     chans = Array.init cfg.channels (fun _ -> { free_at = 0; head = 0 });
-    queue = [];
+    queue = Array.make 16 vacant;
+    first = 0;
+    depth = 0;
+    planned = false;
+    plan_chan = 0;
+    plan_index = 0;
+    plan_td = 0;
     completions = Sim.Heap.create ();
     finish_of = Hashtbl.create 64;
     failures = Hashtbl.create 8;
@@ -86,10 +108,33 @@ let label t =
 let emit t ~t_us kind = Obs.Sink.emit t.obs (Obs.Event.make ~t_us kind)
 
 let note_depth t =
-  let depth = List.length t.queue in
-  t.depth_sum <- t.depth_sum + depth;
+  t.depth_sum <- t.depth_sum + t.depth;
   t.depth_samples <- t.depth_samples + 1;
-  if depth > t.max_depth then t.max_depth <- depth
+  if t.depth > t.max_depth then t.max_depth <- t.depth
+
+(* Append [r] after the newest request.  With no room past the end, the
+   queue slides down to index 0, into an array twice the size if it
+   fills more than half the old one: amortised O(1), and the array is
+   sized by the deepest queue, not by the number of requests. *)
+let enqueue t r =
+  let cap = Array.length t.queue in
+  if t.first + t.depth = cap then begin
+    let q = if 2 * t.depth > cap then Array.make (2 * cap) vacant else t.queue in
+    Array.blit t.queue t.first q 0 t.depth;
+    t.queue <- q;
+    t.first <- 0
+  end;
+  t.queue.(t.first + t.depth) <- r;
+  t.depth <- t.depth + 1
+
+(* Take [queue.(i)] out by shifting the older requests up one slot: no
+   more work than the choice that found [i]. *)
+let remove t i =
+  let r = t.queue.(i) in
+  Array.blit t.queue t.first t.queue (t.first + 1) (i - t.first);
+  t.first <- t.first + 1;
+  t.depth <- t.depth - 1;
+  r
 
 let submit ?(immune = false) t ~now ~kind ~page ~words =
   (* Arrival times are monotone in submission order: engine clocks
@@ -99,13 +144,10 @@ let submit ?(immune = false) t ~now ~kind ~page ~words =
   t.last_arrival_us <- now;
   let id = t.next_id in
   t.next_id <- id + 1;
-  let r = Request.make ~immune ~id ~kind ~page ~words ~arrival_us:now () in
-  t.queue <- t.queue @ [ r ];
+  enqueue t (Request.make ~immune ~id ~kind ~page ~words ~arrival_us:now ());
+  t.planned <- false;
   note_depth t;
   id
-
-let remove_from_queue t (r : Request.t) =
-  t.queue <- List.filter (fun (q : Request.t) -> q.id <> r.id) t.queue
 
 let record_completion t (r : Request.t) ~fin =
   Sim.Heap.add t.completions fin r.id;
@@ -167,10 +209,42 @@ let serve t chan (r : Request.t) ~td =
   in
   go td 1
 
-let dispatch t chan (r : Request.t) =
+(* The channel that frees first; ties go to the lowest index. *)
+let best_channel t =
+  let best = ref 0 in
+  for c = 1 to Array.length t.chans - 1 do
+    if t.chans.(c).free_at < t.chans.(!best).free_at then best := c
+  done;
+  !best
+
+(* Is a request waiting?  If so, the plan fields say what would be
+   dispatched next, and when, recomputed only if a submit or a dispatch
+   made them stale.  Only requests that have arrived by the dispatch
+   instant compete — SATF must not see the future — and they are a
+   prefix of the queue. *)
+let plan t =
+  if t.depth > 0 && not t.planned then begin
+    let c = best_channel t in
+    let chan = t.chans.(c) in
+    let td = max chan.free_at t.queue.(t.first).arrival_us in
+    t.plan_chan <- c;
+    t.plan_td <- td;
+    t.plan_index <-
+      Sched.pick t.cfg.sched ~geometry:t.cfg.geometry ~at:td ~head:chan.head t.queue
+        ~first:t.first ~last:(t.first + t.depth);
+    t.planned <- true
+  end;
+  t.depth > 0
+
+(* Serve the planned request from the plan's dispatch instant.  That is
+   [max chan.free_at r.arrival_us]: when the oldest arrival is later
+   than the channel's free time, every candidate arrived at that
+   instant. *)
+let dispatch t =
   Obs.Prof.span "device.dispatch" @@ fun () ->
-  remove_from_queue t r;
-  let td = max chan.free_at r.arrival_us in
+  let chan = t.chans.(t.plan_chan) and td = t.plan_td in
+  let r = remove t t.plan_index in
+  t.planned <- false;
   let fin, outcome = serve t chan r ~td in
   t.busy_us <- t.busy_us + (fin - td);
   (match outcome with
@@ -178,31 +252,8 @@ let dispatch t chan (r : Request.t) =
    | `Failed attempts -> record_failure t r ~fin ~attempts);
   chan.free_at <- fin
 
-(* The channel that frees first; ties go to the lowest index. *)
-let best_channel t =
-  let best = ref t.chans.(0) in
-  Array.iter (fun c -> if c.free_at < !best.free_at then best := c) t.chans;
-  !best
-
-(* What would be dispatched next, and when.  Only requests that have
-   arrived by the dispatch instant compete — SATF must not see the
-   future. *)
-let next_plan t =
-  match t.queue with
-  | [] -> None
-  | q ->
-    let chan = best_channel t in
-    let min_arrival =
-      List.fold_left (fun m (r : Request.t) -> min m r.arrival_us) max_int q
-    in
-    let td = max chan.free_at min_arrival in
-    let candidates = List.filter (fun (r : Request.t) -> r.arrival_us <= td) q in
-    let r =
-      match Sched.pick t.cfg.sched ~geometry:t.cfg.geometry ~at:td ~head:chan.head candidates with
-      | Some r -> r
-      | None -> assert false (* candidates holds the earliest arrival by construction of td *)
-    in
-    Some (chan, r, td)
+(* Is an undelivered completion due by [by]? *)
+let due t ~by = (not (Sim.Heap.is_empty t.completions)) && Sim.Heap.min_key t.completions <= by
 
 let pop_completion t =
   match Sim.Heap.pop t.completions with
@@ -214,24 +265,18 @@ let pop_completion t =
 (* ---- synchronous consumption (single-threaded engines) ---- *)
 
 let completion_us t id =
-  match Hashtbl.find_opt t.finish_of id with
-  | Some fin ->
-    Hashtbl.remove t.finish_of id;
-    fin
-  | None ->
-    let rec force () =
-      match next_plan t with
-      | None ->
-        invalid_arg (Printf.sprintf "Device.Model.completion_us: unknown request %d" id)
-      | Some (chan, r, _) ->
-        dispatch t chan r;
-        (match Hashtbl.find_opt t.finish_of id with
-         | Some fin ->
-           Hashtbl.remove t.finish_of id;
-           fin
-         | None -> force ())
-    in
-    force ()
+  let rec force () =
+    match Hashtbl.find_opt t.finish_of id with
+    | Some fin ->
+      Hashtbl.remove t.finish_of id;
+      fin
+    | None ->
+      if not (plan t) then
+        invalid_arg (Printf.sprintf "Device.Model.completion_us: unknown request %d" id);
+      dispatch t;
+      force ()
+  in
+  force ()
 
 let failure_of t id =
   match Hashtbl.find_opt t.failures id with
@@ -258,44 +303,30 @@ let deliver_due t ~now f =
   let progress = ref true in
   while !progress do
     progress := false;
-    (match Sim.Heap.min t.completions with
-     | Some (fin, _) when fin <= now ->
-       (match pop_completion t with
-        | Some (id, fin) ->
-          f id fin;
-          progress := true
-        | None -> ())
-     | _ -> ());
-    (match next_plan t with
-     | Some (chan, r, td) when td <= now -> (
-       (* causality gate: a completion due before the dispatch instant
-          must reach the engine first — it may wake a job whose next
-          request would compete for this very dispatch. *)
-       match Sim.Heap.min t.completions with
-       | Some (fin, _) when fin <= td -> ()
-       | _ ->
-         dispatch t chan r;
-         progress := true)
-     | _ -> ())
+    if due t ~by:now then begin
+      (match pop_completion t with Some (id, fin) -> f id fin | None -> ());
+      progress := true
+    end;
+    (* causality gate: a completion due before the dispatch instant
+       must reach the engine first — it may wake a job whose next
+       request would compete for this very dispatch. *)
+    if plan t && t.plan_td <= now && not (due t ~by:t.plan_td) then begin
+      dispatch t;
+      progress := true
+    end
   done
 
 let rec take_completion t =
-  match (Sim.Heap.min t.completions, next_plan t) with
-  | None, None -> None
-  | Some _, None -> pop_completion t
-  | None, Some (chan, r, _) ->
-    dispatch t chan r;
+  if plan t && (Sim.Heap.is_empty t.completions || t.plan_td < Sim.Heap.min_key t.completions)
+  then begin
+    dispatch t;
     take_completion t
-  | Some (fin, _), Some (chan, r, td) ->
-    if td < fin then begin
-      dispatch t chan r;
-      take_completion t
-    end
-    else pop_completion t
+  end
+  else pop_completion t
 
 (* ---- reporting ---- *)
 
-let pending t = List.length t.queue
+let pending t = t.depth
 
 let stats (t : t) : stats =
   {
@@ -317,5 +348,5 @@ let stats (t : t) : stats =
     failed = (match t.fault with None -> 0 | Some f -> Fault.failed f);
     write_rolls_skipped =
       (match t.fault with None -> 0 | Some f -> Fault.write_rolls_skipped f);
-    pending = List.length t.queue;
+    pending = t.depth;
   }

@@ -22,6 +22,21 @@
       precedes the dispatch instant, since the woken job's next request
       could compete for it.
 
+    {b The queue and the plan.}  Waiting requests sit in one array in
+    arrival order.  {!submit} clamps each arrival to the latest one so
+    far and ids only increase, so index order is the [(arrival_us, id)]
+    order every policy breaks ties by, and the requests that compete at
+    a dispatch instant are a prefix of the queue ({!Sched.pick}).  The
+    next dispatch (channel, request, instant) is planned when it is
+    first asked for and kept until a {!submit} or a dispatch; delivering
+    a completion does not change it.  A plan costs O(channels) plus the
+    prefix the policy reads: one request under FIFO, up to the first
+    demand fault under priority, up to the first request that can start
+    at once under SATF.  Taking the planned request out shifts the
+    requests ahead of it, so costs no more than the plan; recording its
+    completion is O(log) in the undelivered completions.  Nothing is
+    indexed by request id: the array is sized by the deepest queue.
+
     Obs note: [Io_start]/[Io_done]/[Io_retry] events are stamped with
     the planned service times, which run ahead of the engine's clock;
     they may interleave out of order with engine events (see
@@ -61,7 +76,7 @@ val submit :
 (** Enqueue a request arriving at [now] (engine clock, monotone);
     returns its id.  No channel is committed yet.  [immune] (default
     false) exempts the request from fault injection — the transport for
-    recovery re-fetches. *)
+    recovery re-fetches.  O(1) amortised; the plan must be made again. *)
 
 val completion_us : t -> int -> int
 (** [completion_us t id] forces request [id] to completion and returns
@@ -69,7 +84,8 @@ val completion_us : t -> int -> int
     ahead of it first.  Consumes the completion: a second call for the
     same id raises [Invalid_argument], as does an id never submitted.
     A terminally-failed request still finishes in time; use
-    {!failure_of} or {!result_us} to learn the data never arrived. *)
+    {!failure_of} or {!result_us} to learn the data never arrived.
+    Each dispatch it forces costs one plan. *)
 
 val result_us : t -> int -> (int, failure) result
 (** Like {!completion_us}, but [Error] when the request terminally
@@ -96,15 +112,17 @@ val deliver_due : t -> now:int -> (int -> int -> unit) -> unit
 (** [deliver_due t ~now f] advances the device to [now]: dispatches
     every causally-safe request whose dispatch instant is <= [now] and
     calls [f id finish_us] for each completion due by [now], oldest
-    first, interleaved in causal order. *)
+    first, interleaved in causal order.  Each dispatch costs one plan;
+    a call with nothing to deliver or dispatch costs O(1) once the
+    plan is made. *)
 
 val take_completion : t -> (int * int) option
 (** Next completion [(id, finish_us)] in finish order, dispatching as
     needed; the engine blocks until then.  [None] iff the device is
-    idle and the queue empty. *)
+    idle and the queue empty.  Each dispatch costs one plan. *)
 
 val pending : t -> int
-(** Requests submitted but not yet dispatched. *)
+(** Requests submitted but not yet dispatched.  O(1). *)
 
 type stats = {
   served : int;

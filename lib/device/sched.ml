@@ -11,24 +11,34 @@ let of_string s =
 
 let all = [ Fifo; Satf; Priority ]
 
-(* Stable tie-break: submission order.  ids are issued monotonically, so
-   (arrival_us, id) is a total order matching FIFO. *)
-let older (a : Request.t) (b : Request.t) =
-  a.arrival_us < b.arrival_us || (a.arrival_us = b.arrival_us && a.id < b.id)
-
-let pick t ~geometry ~at ~head candidates =
-  match candidates with
-  | [] -> None
-  | first :: rest ->
-    let better a b =
-      match t with
-      | Fifo -> older a b
-      | Satf ->
-        let sa = Geometry.start_us geometry ~at ~head ~page:a.Request.page ~words:a.words in
-        let sb = Geometry.start_us geometry ~at ~head ~page:b.Request.page ~words:b.words in
-        sa < sb || (sa = sb && older a b)
-      | Priority ->
-        let ra = Request.rank a.Request.kind and rb = Request.rank b.Request.kind in
-        ra < rb || (ra = rb && older a b)
-    in
-    Some (List.fold_left (fun best r -> if better r best then r else best) first rest)
+(* A later index wins only by beating every earlier one, so ties stay
+   FIFO.  A scan stops once no later request can win: no rank is below
+   a demand fault's, and no service starts before [at]. *)
+let pick t ~geometry ~at ~head queue ~first ~last =
+  match t with
+  | Fifo -> first
+  | Priority ->
+    let best = ref first and best_rank = ref (Request.rank queue.(first).Request.kind) in
+    let i = ref (first + 1) in
+    while !best_rank > 0 && !i < last && queue.(!i).Request.arrival_us <= at do
+      let rank = Request.rank queue.(!i).Request.kind in
+      if rank < !best_rank then begin
+        best := !i;
+        best_rank := rank
+      end;
+      incr i
+    done;
+    !best
+  | Satf ->
+    let best = ref first
+    and best_start = ref (Geometry.start_us geometry ~at ~head ~page:queue.(first).Request.page) in
+    let i = ref (first + 1) in
+    while !best_start > at && !i < last && queue.(!i).Request.arrival_us <= at do
+      let start = Geometry.start_us geometry ~at ~head ~page:queue.(!i).Request.page in
+      if start < !best_start then begin
+        best := !i;
+        best_start := start
+      end;
+      incr i
+    done;
+    !best

@@ -18,8 +18,24 @@ val of_string : string -> (t, string) result
 val all : t list
 
 val pick :
-  t -> geometry:Geometry.t -> at:int -> head:int -> Request.t list -> Request.t option
-(** [pick t ~geometry ~at ~head candidates] chooses which waiting
-    request a channel free at [at] (head at [head]) serves next.
-    Ties break FIFO — by [(arrival_us, id)] — under every policy, so
-    scheduling is deterministic.  [None] iff [candidates] is empty. *)
+  t ->
+  geometry:Geometry.t ->
+  at:int ->
+  head:int ->
+  Request.t array ->
+  first:int ->
+  last:int ->
+  int
+(** [pick t ~geometry ~at ~head queue ~first ~last] chooses which
+    waiting request a channel free at [at] (head at [head]) serves
+    next, and returns its index.  [queue.(first)] to [queue.(last - 1)]
+    are the waiting requests in arrival order (arrivals non-decreasing,
+    ids increasing), and [queue.(first)] has arrived by [at]
+    ([first < last]).  The requests that compete are the prefix that
+    has arrived by [at]: [Fifo] takes [first], [Priority] the first
+    index of the lowest {!Request.rank}, and [Satf] the first index of
+    the lowest {!Geometry.start_us}.  Taking the first index breaks
+    ties FIFO, by [(arrival_us, id)], under every policy, so scheduling
+    is deterministic.  The scan reads no request past the prefix, and
+    none past the first that no later one can beat.  Allocates
+    nothing. *)

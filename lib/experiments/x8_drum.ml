@@ -12,52 +12,24 @@ let sectors, rotation_us =
   | Device.Geometry.Drum { sectors; rotation_us; _ } -> (sectors, rotation_us)
   | Device.Geometry.Fixed _ | Device.Geometry.Disk _ -> assert false
 
-(* Page requests with exponential interarrivals and uniform sectors
-   (page [s] lives in sector [s]). *)
-let request_stream rng ~count ~mean_gap_us =
+(* The mean fetch latency of [count] page requests with exponential
+   interarrivals and uniform sectors (page [s] lives in sector [s]),
+   submitted in arrival order to one drum channel under [sched] and
+   drained. *)
+let mean_latency_us sched rng ~count ~mean_gap_us =
+  let drum = Device.Model.create (Device.Model.config ~sched geometry) in
   let now = ref 0. in
-  List.init count (fun id ->
-      now := !now +. Sim.Rng.exponential rng mean_gap_us;
-      let page = Sim.Rng.int rng sectors in
-      Device.Request.make ~id ~kind:Device.Request.Demand ~page ~words:0
-        ~arrival_us:(int_of_float !now) ())
-
-(* Serve the whole batch on one channel: whenever the drum is free,
-   the policy picks among the requests that have arrived (idling to
-   the next arrival if none has); returns the mean fetch latency.
-   Requests move from [upcoming], in arrival order, to [waiting] as
-   they arrive.  [Sched.pick] breaks ties by (arrival, id), so the
-   order of [waiting] cannot change its choice. *)
-let mean_latency_us sched requests =
-  let upcoming =
-    ref
-      (List.stable_sort
-         (fun (a : Device.Request.t) (b : Device.Request.t) ->
-           Int.compare a.arrival_us b.arrival_us)
-         requests)
-  in
-  let waiting = ref [] and now = ref 0 and total = ref 0. in
-  while !upcoming <> [] || !waiting <> [] do
-    let rec admit = function
-      | (r : Device.Request.t) :: rest when r.arrival_us <= !now ->
-        waiting := r :: !waiting;
-        admit rest
-      | rest -> rest
-    in
-    upcoming := admit !upcoming;
-    match Device.Sched.pick sched ~geometry ~at:!now ~head:0 !waiting with
-    | None -> (
-      match !upcoming with (r : Device.Request.t) :: _ -> now := r.arrival_us | [] -> ())
-    | Some chosen ->
-      let _, finish, _ =
-        Device.Geometry.service geometry ~at:!now ~head:0 ~page:chosen.page
-          ~words:chosen.words
-      in
-      total := !total +. float_of_int (finish - chosen.arrival_us);
-      now := finish;
-      waiting := List.filter (fun (r : Device.Request.t) -> r.id <> chosen.id) !waiting
+  for _ = 1 to count do
+    now := !now +. Sim.Rng.exponential rng mean_gap_us;
+    let page = Sim.Rng.int rng sectors in
+    ignore
+      (Device.Model.submit drum ~now:(int_of_float !now) ~kind:Device.Request.Demand ~page
+         ~words:0)
   done;
-  !total /. float_of_int (List.length requests)
+  while Device.Model.take_completion drum <> None do
+    ()
+  done;
+  (Device.Model.stats drum).mean_read_latency_us
 
 let measure ?(quick = false) ?seed () =
   let count = if quick then 400 else 4_000 in
@@ -69,7 +41,7 @@ let measure ?(quick = false) ?seed () =
       List.map
         (fun (name, sched) ->
           let rng = Sim.Rng.derive ?override:seed 777 in
-          let latency = mean_latency_us sched (request_stream rng ~count ~mean_gap_us) in
+          let latency = mean_latency_us sched rng ~count ~mean_gap_us in
           {
             policy = name;
             load;

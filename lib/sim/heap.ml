@@ -66,6 +66,8 @@ let add t key value =
 
 let min t = if t.size = 0 then None else Some (t.entries.(0).key, t.entries.(0).value)
 
+let min_key t = if t.size = 0 then invalid_arg "Heap.min_key: empty heap" else t.entries.(0).key
+
 let pop t =
   if t.size = 0 then None
   else begin

@@ -19,6 +19,10 @@ val add : 'a t -> int -> 'a -> unit
 val min : 'a t -> (int * 'a) option
 (** Smallest key and its value, without removing it. *)
 
+val min_key : 'a t -> int
+(** Smallest key, without removing its entry; allocates nothing.
+    Raises [Invalid_argument] if the heap is empty. *)
+
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the entry with the smallest key; [None] if empty.
     Among equal keys, the earliest-inserted entry is returned first. *)

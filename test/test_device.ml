@@ -224,6 +224,560 @@ let test_retries_surface_as_events () =
   ignore (Device.Model.fetch m ~now:0 ~kind:Device.Request.Demand ~page:2 ~words:0);
   check_int "one Io_retry per failed attempt" 2 !retries
 
+(* --- Reference: the list queue the array queue replaced --- *)
+
+(* The device model as it stood with its queue in a list, kept as an
+   oracle for the array queue and its cached plan: each submit appends
+   to the list, and each plan folds and filters the whole queue and
+   picks through the list scheduler below, which compares SATF
+   candidates through [Geometry.service].  Only the three record types
+   are shared with [Device.Model], so that answers compare with [=], and
+   [config] is [Device.Model.config]. *)
+module Reference = struct
+  open Device
+
+  module Geometry = struct
+    include Device.Geometry
+
+    let start_us t ~at ~head ~page ~words =
+      let start, _, _ = service t ~at ~head ~page ~words in
+      start
+  end
+
+  module Sched = struct
+    include Device.Sched
+
+    (* Stable tie-break: submission order.  ids are issued monotonically, so
+       (arrival_us, id) is a total order matching FIFO. *)
+    let older (a : Request.t) (b : Request.t) =
+      a.arrival_us < b.arrival_us || (a.arrival_us = b.arrival_us && a.id < b.id)
+
+    let pick t ~geometry ~at ~head candidates =
+      match candidates with
+      | [] -> None
+      | first :: rest ->
+        let better a b =
+          match t with
+          | Fifo -> older a b
+          | Satf ->
+            let sa = Geometry.start_us geometry ~at ~head ~page:a.Request.page ~words:a.words in
+            let sb = Geometry.start_us geometry ~at ~head ~page:b.Request.page ~words:b.words in
+            sa < sb || (sa = sb && older a b)
+          | Priority ->
+            let ra = Request.rank a.Request.kind and rb = Request.rank b.Request.kind in
+            ra < rb || (ra = rb && older a b)
+        in
+        Some (List.fold_left (fun best r -> if better r best then r else best) first rest)
+  end
+
+  type config = Device.Model.config = {
+    geometry : Geometry.t;
+    sched : Sched.t;
+    channels : int;
+    fault : Fault.config option;
+  }
+
+  type channel = { mutable free_at : int; mutable head : int }
+
+  type failure = Device.Model.failure = {
+    req : int;
+    page : int;
+    kind : Request.kind;
+    attempts : int;
+    at_us : int;
+  }
+
+  type t = {
+    cfg : config;
+    obs : Obs.Sink.t;
+    obs_on : bool;
+    fault : Fault.t option;
+    chans : channel array;
+    mutable queue : Request.t list;  (* submitted, not yet dispatched; arrival order *)
+    completions : int Sim.Heap.t;  (* finish_us -> req id, undelivered *)
+    finish_of : (int, int) Hashtbl.t;  (* req id -> finish_us, undelivered *)
+    failures : (int, failure) Hashtbl.t;  (* req id -> terminal failure, unconsumed *)
+    mutable next_id : int;
+    mutable last_arrival_us : int;
+    mutable served : int;
+    mutable read_served : int;
+    mutable read_latency_sum : int;
+    mutable busy_us : int;
+    mutable depth_sum : int;
+    mutable depth_samples : int;
+    mutable max_depth : int;
+  }
+
+  type stats = Device.Model.stats = {
+    served : int;
+    read_served : int;
+    mean_read_latency_us : float;
+    mean_queue_depth : float;
+    max_queue_depth : int;
+    busy_us : int;
+    injected : int;
+    write_injected : int;
+    permanent : int;
+    retries : int;
+    degraded : int;
+    failed : int;
+    write_rolls_skipped : int;
+    pending : int;
+  }
+
+  let create ?(obs = Obs.Sink.null) cfg =
+    {
+      cfg;
+      obs;
+      obs_on = Obs.Sink.is_active obs;
+      fault = Option.map Fault.create cfg.fault;
+      chans = Array.init cfg.channels (fun _ -> { free_at = 0; head = 0 });
+      queue = [];
+      completions = Sim.Heap.create ();
+      finish_of = Hashtbl.create 64;
+      failures = Hashtbl.create 8;
+      next_id = 0;
+      last_arrival_us = 0;
+      served = 0;
+      read_served = 0;
+      read_latency_sum = 0;
+      busy_us = 0;
+      depth_sum = 0;
+      depth_samples = 0;
+      max_depth = 0;
+    }
+
+  let label t =
+    Printf.sprintf "%s/%s/%dch" (Geometry.label t.cfg.geometry) (Sched.name t.cfg.sched)
+      t.cfg.channels
+
+  let emit t ~t_us kind = Obs.Sink.emit t.obs (Obs.Event.make ~t_us kind)
+
+  let note_depth t =
+    let depth = List.length t.queue in
+    t.depth_sum <- t.depth_sum + depth;
+    t.depth_samples <- t.depth_samples + 1;
+    if depth > t.max_depth then t.max_depth <- depth
+
+  let submit ?(immune = false) t ~now ~kind ~page ~words =
+    (* Arrival times are monotone in submission order: engine clocks
+       are, and a late-stamped submission is clamped to the latest
+       arrival, so it queues behind everything already submitted. *)
+    let now = max now t.last_arrival_us in
+    t.last_arrival_us <- now;
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    let r = Request.make ~immune ~id ~kind ~page ~words ~arrival_us:now () in
+    t.queue <- t.queue @ [ r ];
+    note_depth t;
+    id
+
+  let remove_from_queue t (r : Request.t) =
+    t.queue <- List.filter (fun (q : Request.t) -> q.id <> r.id) t.queue
+
+  let record_completion t (r : Request.t) ~fin =
+    Sim.Heap.add t.completions fin r.id;
+    Hashtbl.replace t.finish_of r.id fin;
+    t.served <- t.served + 1;
+    if Request.is_read r.kind then begin
+      t.read_served <- t.read_served + 1;
+      t.read_latency_sum <- t.read_latency_sum + (fin - r.arrival_us)
+    end;
+    if t.obs_on then emit t ~t_us:fin (Io_done { req = r.id; page = r.page; io = r.kind })
+
+  (* A terminal failure still completes in time (the channel was busy
+     until [fin]); it is delivered like a completion, but the caller can
+     see via [failure_of] / [result_us] that the data never arrived. *)
+  let record_failure t (r : Request.t) ~fin ~attempts =
+    Sim.Heap.add t.completions fin r.id;
+    Hashtbl.replace t.finish_of r.id fin;
+    Hashtbl.replace t.failures r.id
+      { req = r.id; page = r.page; kind = r.kind; attempts; at_us = fin };
+    (match t.fault with Some f -> Fault.note_failed f | None -> ());
+    if t.obs_on then
+      emit t ~t_us:fin (Io_error { req = r.id; page = r.page; io = r.kind; attempts })
+
+  (* One full service of [r] on [chan] starting no earlier than [td]:
+     positioning + transfer, plus fault retries and the escalation pass
+     when the retry budget is exhausted (degraded-mode success, or a
+     terminal failure under [Fault.Fail]).  Returns the finish time and
+     the outcome. *)
+  let serve t chan (r : Request.t) ~td =
+    let g = t.cfg.geometry in
+    let escalate f ~fin ~attempt =
+      match Fault.on_exhausted f with
+      | Fault.Degrade ->
+        Fault.note_degraded f;
+        (fin + Geometry.worst_us g ~words:r.words, `Ok)
+      | Fault.Fail -> (fin, `Failed attempt)
+    in
+    let rec go at attempt =
+      let start, fin, head' = Geometry.service g ~at ~head:chan.head ~page:r.page ~words:r.words in
+      if attempt = 1 && t.obs_on then
+        emit t ~t_us:start (Io_start { req = r.id; page = r.page; io = r.kind });
+      chan.head <- head';
+      match t.fault with
+      | None -> (fin, `Ok)
+      | Some f ->
+        (match Fault.attempt f ~immune:r.immune ~kind:r.kind with
+         | Fault.Clean -> (fin, `Ok)
+         | Fault.Transient ->
+           if t.obs_on then emit t ~t_us:fin (Io_retry { req = r.id; attempt });
+           if attempt <= Fault.max_retries f then begin
+             Fault.note_retry f;
+             go fin (attempt + 1)
+           end
+           else escalate f ~fin ~attempt
+         | Fault.Permanent ->
+           (* beyond retry: no point burning the budget *)
+           if t.obs_on then emit t ~t_us:fin (Io_retry { req = r.id; attempt });
+           escalate f ~fin ~attempt)
+    in
+    go td 1
+
+  let dispatch t chan (r : Request.t) =
+    Obs.Prof.span "device.dispatch" @@ fun () ->
+    remove_from_queue t r;
+    let td = max chan.free_at r.arrival_us in
+    let fin, outcome = serve t chan r ~td in
+    t.busy_us <- t.busy_us + (fin - td);
+    (match outcome with
+     | `Ok -> record_completion t r ~fin
+     | `Failed attempts -> record_failure t r ~fin ~attempts);
+    chan.free_at <- fin
+
+  (* The channel that frees first; ties go to the lowest index. *)
+  let best_channel t =
+    let best = ref t.chans.(0) in
+    Array.iter (fun c -> if c.free_at < !best.free_at then best := c) t.chans;
+    !best
+
+  (* What would be dispatched next, and when.  Only requests that have
+     arrived by the dispatch instant compete — SATF must not see the
+     future. *)
+  let next_plan t =
+    match t.queue with
+    | [] -> None
+    | q ->
+      let chan = best_channel t in
+      let min_arrival =
+        List.fold_left (fun m (r : Request.t) -> min m r.arrival_us) max_int q
+      in
+      let td = max chan.free_at min_arrival in
+      let candidates = List.filter (fun (r : Request.t) -> r.arrival_us <= td) q in
+      let r =
+        match Sched.pick t.cfg.sched ~geometry:t.cfg.geometry ~at:td ~head:chan.head candidates with
+        | Some r -> r
+        | None -> assert false (* candidates holds the earliest arrival by construction of td *)
+      in
+      Some (chan, r, td)
+
+  let pop_completion t =
+    match Sim.Heap.pop t.completions with
+    | None -> None
+    | Some (fin, id) ->
+      Hashtbl.remove t.finish_of id;
+      Some (id, fin)
+
+  (* ---- synchronous consumption (single-threaded engines) ---- *)
+
+  let completion_us t id =
+    match Hashtbl.find_opt t.finish_of id with
+    | Some fin ->
+      Hashtbl.remove t.finish_of id;
+      fin
+    | None ->
+      let rec force () =
+        match next_plan t with
+        | None ->
+          invalid_arg (Printf.sprintf "Device.Model.completion_us: unknown request %d" id)
+        | Some (chan, r, _) ->
+          dispatch t chan r;
+          (match Hashtbl.find_opt t.finish_of id with
+           | Some fin ->
+             Hashtbl.remove t.finish_of id;
+             fin
+           | None -> force ())
+      in
+      force ()
+
+  let failure_of t id =
+    match Hashtbl.find_opt t.failures id with
+    | Some f ->
+      Hashtbl.remove t.failures id;
+      Some f
+    | None -> None
+
+  let result_us t id =
+    let fin = completion_us t id in
+    match failure_of t id with Some f -> Error f | None -> Ok fin
+
+  let fetch t ~now ~kind ~page ~words =
+    let id = submit t ~now ~kind ~page ~words in
+    completion_us t id
+
+  let fetch_result ?immune t ~now ~kind ~page ~words =
+    let id = submit ?immune t ~now ~kind ~page ~words in
+    result_us t id
+
+  (* ---- event-loop consumption (Core.Multiprog) ---- *)
+
+  let deliver_due t ~now f =
+    let progress = ref true in
+    while !progress do
+      progress := false;
+      (match Sim.Heap.min t.completions with
+       | Some (fin, _) when fin <= now ->
+         (match pop_completion t with
+          | Some (id, fin) ->
+            f id fin;
+            progress := true
+          | None -> ())
+       | _ -> ());
+      (match next_plan t with
+       | Some (chan, r, td) when td <= now -> (
+         (* causality gate: a completion due before the dispatch instant
+            must reach the engine first — it may wake a job whose next
+            request would compete for this very dispatch. *)
+         match Sim.Heap.min t.completions with
+         | Some (fin, _) when fin <= td -> ()
+         | _ ->
+           dispatch t chan r;
+           progress := true)
+       | _ -> ())
+    done
+
+  let rec take_completion t =
+    match (Sim.Heap.min t.completions, next_plan t) with
+    | None, None -> None
+    | Some _, None -> pop_completion t
+    | None, Some (chan, r, _) ->
+      dispatch t chan r;
+      take_completion t
+    | Some (fin, _), Some (chan, r, td) ->
+      if td < fin then begin
+        dispatch t chan r;
+        take_completion t
+      end
+      else pop_completion t
+
+  (* ---- reporting ---- *)
+
+  let pending t = List.length t.queue
+
+  let stats (t : t) : stats =
+    {
+      served = t.served;
+      read_served = t.read_served;
+      mean_read_latency_us =
+        (if t.read_served = 0 then 0.
+         else float_of_int t.read_latency_sum /. float_of_int t.read_served);
+      mean_queue_depth =
+        (if t.depth_samples = 0 then 0.
+         else float_of_int t.depth_sum /. float_of_int t.depth_samples);
+      max_queue_depth = t.max_depth;
+      busy_us = t.busy_us;
+      injected = (match t.fault with None -> 0 | Some f -> Fault.injected f);
+      write_injected = (match t.fault with None -> 0 | Some f -> Fault.write_injected f);
+      permanent = (match t.fault with None -> 0 | Some f -> Fault.permanent_count f);
+      retries = (match t.fault with None -> 0 | Some f -> Fault.retried f);
+      degraded = (match t.fault with None -> 0 | Some f -> Fault.degraded f);
+      failed = (match t.fault with None -> 0 | Some f -> Fault.failed f);
+      write_rolls_skipped =
+        (match t.fault with None -> 0 | Some f -> Fault.write_rolls_skipped f);
+      pending = List.length t.queue;
+    }
+end
+
+(* One random script drives the array queue and the reference list
+   queue in lockstep.  Submits move the engine clock by -3 to +6 ms, so
+   arrivals also exercise the clamp.  A script uses one consumption
+   style, as model.mli requires.  Synchronously, [Consume] forces an
+   outstanding request through [completion_us] (then [failure_of]) or
+   [result_us], and [Advance] is a [fetch_result]; in the event loop,
+   [Consume] is [take_completion] and [Advance] moves the clock and
+   calls [deliver_due], and each delivery asks [failure_of], as
+   [Core.Multiprog] does.  At the end the rest is drained.  Every answer
+   must agree as it is given; then the io events, serialised, and the
+   stats must be equal. *)
+type op =
+  | Submit of { dt : int; kind : Device.Request.kind; page : int; words : int; immune : bool }
+  | Consume of int
+  | Advance of int
+
+type script = {
+  sched : Device.Sched.t;
+  channels : int;
+  geometry : int;  (** index into [geometries] *)
+  fault : Device.Fault.config option;
+  event_loop : bool;
+  ops : op list;
+}
+
+let geometries =
+  [|
+    ("fixed", Device.Geometry.fixed Memstore.Device.drum);
+    ("drum", drum);
+    ("disk", Device.Geometry.paper_disk);
+  |]
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 5,
+          map
+            (fun (dt, kind, page, (words, immune)) -> Submit { dt; kind; page; words; immune })
+            (quad (int_range (-3_000) 6_000)
+               (oneofl Device.Request.[ Demand; Prefetch; Writeback ])
+               (int_bound 199)
+               (pair (int_bound 64) bool)) );
+        (3, map (fun x -> Consume x) (int_bound 1_000));
+        (2, map (fun dt -> Advance dt) (int_bound 20_000));
+      ])
+
+let fault_gen =
+  QCheck.Gen.(
+    map
+      (fun (seed, read_error_prob, (write_error_prob, permanent_prob), (max_retries, fail)) ->
+        Device.Fault.config ~seed ~read_error_prob ~write_error_prob ~permanent_prob
+          ~max_retries
+          ~on_exhausted:(if fail then Device.Fault.Fail else Device.Fault.Degrade)
+          ())
+      (quad (int_bound 1_000_000) (oneofl [ 0.1; 0.3; 0.6 ])
+         (pair (oneofl [ 0.; 0.2 ]) (oneofl [ 0.; 0.3 ]))
+         (pair (int_bound 3) bool)))
+
+let script_gen =
+  QCheck.Gen.(
+    map
+      (fun ((sched, channels, geometry), (fault, event_loop, ops)) ->
+        { sched; channels; geometry; fault; event_loop; ops })
+      (pair
+         (triple (oneofl Device.Sched.all) (int_range 1 3) (int_bound 2))
+         (triple (opt fault_gen) bool (list_size (int_range 0 80) op_gen))))
+
+let show_script s =
+  let op = function
+    | Submit { dt; kind; page; words; immune } ->
+      Printf.sprintf "submit %+d %s p%d w%d%s" dt (Obs.Event.io_name kind) page words
+        (if immune then " immune" else "")
+    | Consume x -> Printf.sprintf "consume %d" x
+    | Advance dt -> Printf.sprintf "advance %d" dt
+  in
+  Printf.sprintf "%s/%s/%dch%s %s:\n  %s" (fst geometries.(s.geometry))
+    (Device.Sched.name s.sched) s.channels
+    (match s.fault with
+     | None -> ""
+     | Some f ->
+       Printf.sprintf " fault(seed %d, read %g, write %g, permanent %g, retries %d, %s)"
+         f.seed f.read_error_prob f.write_error_prob f.permanent_prob f.max_retries
+         (match f.on_exhausted with Device.Fault.Fail -> "fail" | Degrade -> "degrade"))
+    (if s.event_loop then "event loop" else "synchronous")
+    (String.concat "\n  " (List.map op s.ops))
+
+let script_arb =
+  QCheck.make ~print:show_script
+    ~shrink:(fun s yield -> QCheck.Shrink.list s.ops (fun ops -> yield { s with ops }))
+    script_gen
+
+let model_matches_reference =
+  QCheck.Test.make ~name:"array queue matches the list queue" ~count:1000 script_arb
+    (fun s ->
+      let cfg =
+        Device.Model.config ~sched:s.sched ~channels:s.channels ?fault:s.fault
+          (snd geometries.(s.geometry))
+      in
+      let sink () =
+        let b = Buffer.create 1024 in
+        (b, Obs.Sink.collect (fun e -> Obs.Event.to_buffer b e; Buffer.add_char b '\n'))
+      in
+      let m_events, m_obs = sink () and r_events, r_obs = sink () in
+      let m = Device.Model.create ~obs:m_obs cfg and r = Reference.create ~obs:r_obs cfg in
+      if Device.Model.label m <> Reference.label r then QCheck.Test.fail_report "labels differ";
+      let now = ref 0 and outstanding = ref [] in
+      let agree step what show a b =
+        if a <> b then
+          QCheck.Test.fail_reportf "step %d, %s: %s, reference %s" step what (show a) (show b)
+      in
+      let show_fin = string_of_int in
+      let show_failure = function
+        | None -> "none"
+        | Some (f : Device.Model.failure) ->
+          Printf.sprintf "failed req %d at %d after %d" f.req f.at_us f.attempts
+      in
+      let show_result = function Ok fin -> string_of_int fin | Error f -> show_failure (Some f) in
+      let show_taken = function
+        | None -> "none"
+        | Some (id, fin) -> Printf.sprintf "(%d, %d)" id fin
+      in
+      let show_delivered l =
+        String.concat "; "
+          (List.map (fun (id, fin, f) -> Printf.sprintf "(%d, %d, %s)" id fin (show_failure f)) l)
+      in
+      let consume step id =
+        outstanding := List.filter (( <> ) id) !outstanding;
+        if id land 1 = 0 then begin
+          agree step "completion_us" show_fin (Device.Model.completion_us m id)
+            (Reference.completion_us r id);
+          agree step "failure_of" show_failure (Device.Model.failure_of m id)
+            (Reference.failure_of r id)
+        end
+        else
+          agree step "result_us" show_result (Device.Model.result_us m id)
+            (Reference.result_us r id)
+      in
+      let take step =
+        let got = Device.Model.take_completion m and want = Reference.take_completion r in
+        agree step "take_completion" show_taken got want;
+        Option.iter
+          (fun (id, _) ->
+            agree step "failure_of" show_failure (Device.Model.failure_of m id)
+              (Reference.failure_of r id))
+          got;
+        got <> None
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+           | Submit { dt; kind; page; words; immune } ->
+             now := max 0 (!now + dt);
+             let id = Device.Model.submit ~immune m ~now:!now ~kind ~page ~words in
+             agree step "submit" string_of_int id
+               (Reference.submit ~immune r ~now:!now ~kind ~page ~words);
+             outstanding := !outstanding @ [ id ]
+           | Consume _ when s.event_loop -> ignore (take step)
+           | Consume x -> (
+             match !outstanding with
+             | [] -> ()
+             | ids -> consume step (List.nth ids (x mod List.length ids)))
+           | Advance dt when s.event_loop ->
+             now := !now + dt;
+             let delivered failure_of t acc id fin = acc := (id, fin, failure_of t id) :: !acc in
+             let got = ref [] and want = ref [] in
+             Device.Model.deliver_due m ~now:!now (delivered Device.Model.failure_of m got);
+             Reference.deliver_due r ~now:!now (delivered Reference.failure_of r want);
+             agree step "deliver_due" show_delivered !got !want
+           | Advance dt ->
+             let now = !now + dt and page = dt mod 200 and words = dt mod 65 in
+             if dt land 1 = 0 then
+               agree step "fetch_result" show_result
+                 (Device.Model.fetch_result m ~now ~kind:Demand ~page ~words)
+                 (Reference.fetch_result r ~now ~kind:Demand ~page ~words)
+             else
+               agree step "fetch" show_fin
+                 (Device.Model.fetch m ~now ~kind:Prefetch ~page ~words)
+                 (Reference.fetch r ~now ~kind:Prefetch ~page ~words));
+          agree step "pending" string_of_int (Device.Model.pending m) (Reference.pending r))
+        s.ops;
+      let last = List.length s.ops in
+      if s.event_loop then while take last do () done
+      else List.iter (consume last) !outstanding;
+      agree last "io events" Fun.id (Buffer.contents m_events) (Buffer.contents r_events);
+      if Device.Model.stats m <> Reference.stats r then
+        QCheck.Test.fail_reportf "stats differ from the reference's";
+      true)
+
 let () =
   Alcotest.run "device"
     [
@@ -253,4 +807,5 @@ let () =
           Alcotest.test_case "writes never fault" `Quick test_writes_never_fault;
           Alcotest.test_case "Io_retry events" `Quick test_retries_surface_as_events;
         ] );
+      ("oracle", [ QCheck_alcotest.to_alcotest model_matches_reference ]);
     ]

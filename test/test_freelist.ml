@@ -315,7 +315,8 @@ let allocator_random_ops policy =
   QCheck.Test.make
     ~name:(Printf.sprintf "random ops sound under %s" (Freelist.Policy.to_string policy))
     ~count:60
-    QCheck.(list (pair bool (int_range 1 80)))
+    (* sizes are drawn less one, since QCheck shrinks every int towards 0 *)
+    QCheck.(list (pair bool (int_bound 79)))
     (fun ops ->
       let words = 2048 in
       let mem = Memstore.Physical.create ~name:"core" ~words in
@@ -337,6 +338,7 @@ let allocator_random_ops policy =
       in
       List.iter
         (fun (do_alloc, n) ->
+          let n = n + 1 in
           if do_alloc || !live = [] then begin
             match Freelist.Allocator.alloc a n with
             | Some addr ->
@@ -486,7 +488,8 @@ let allocator_matches_model policy =
     ~name:(Printf.sprintf "placement matches the list model under %s"
              (Freelist.Policy.to_string policy))
     ~count:60
-    QCheck.(list_of_size Gen.(int_range 0 150) (pair (int_range 0 99) (int_range 1 120)))
+    (* sizes are drawn less one, since QCheck shrinks every int towards 0 *)
+    QCheck.(list_of_size Gen.(int_range 0 150) (pair (int_bound 99) (int_bound 119)))
     (fun ops ->
       let words = 1024 in
       let mem = Memstore.Physical.create ~name:"core" ~words in
@@ -497,6 +500,7 @@ let allocator_matches_model policy =
       let examined () = int_of_float (Metrics.Stats.total (Freelist.Allocator.search_stats a)) in
       List.iteri
         (fun step (k, n) ->
+          let n = n + 1 in
           if k < 50 || !live = [] then begin
             let before = examined () in
             let got = Freelist.Allocator.alloc a n in
@@ -598,12 +602,13 @@ let allocator_fill_then_drain policy =
     ~name:(Printf.sprintf "fill then drain returns all store under %s"
              (Freelist.Policy.to_string policy))
     ~count:30
-    QCheck.(list_of_size Gen.(int_range 1 40) (int_range 1 60))
+    (* sizes are drawn less one, since QCheck shrinks every int towards 0 *)
+    QCheck.(list_of_size Gen.(int_range 1 40) (int_bound 59))
     (fun sizes ->
       let words = 8192 in
       let mem = Memstore.Physical.create ~name:"core" ~words in
       let a = Freelist.Allocator.create mem ~base:0 ~len:words ~policy in
-      let addrs = List.filter_map (Freelist.Allocator.alloc a) sizes in
+      let addrs = List.filter_map (fun n -> Freelist.Allocator.alloc a (n + 1)) sizes in
       List.iter (Freelist.Allocator.free a) addrs;
       Freelist.Allocator.validate a;
       Freelist.Allocator.free_block_sizes a = [ words ])

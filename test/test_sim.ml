@@ -88,7 +88,9 @@ let test_heap_empty () =
   let h : int Sim.Heap.t = Sim.Heap.create () in
   check_bool "empty" true (Sim.Heap.is_empty h);
   check_bool "pop none" true (Sim.Heap.pop h = None);
-  check_bool "min none" true (Sim.Heap.min h = None)
+  check_bool "min none" true (Sim.Heap.min h = None);
+  check_bool "min_key refused" true
+    (match Sim.Heap.min_key h with _ -> false | exception Invalid_argument _ -> true)
 
 let heap_property =
   QCheck.Test.make ~name:"heap pops keys in nondecreasing order" ~count:200
@@ -97,9 +99,10 @@ let heap_property =
       let h = Sim.Heap.create () in
       List.iter (fun k -> Sim.Heap.add h k ()) keys;
       let rec drain prev =
+        let peeked = if Sim.Heap.is_empty h then None else Some (Sim.Heap.min_key h) in
         match Sim.Heap.pop h with
-        | None -> true
-        | Some (k, ()) -> k >= prev && drain k
+        | None -> peeked = None
+        | Some (k, ()) -> peeked = Some k && k >= prev && drain k
       in
       drain min_int)
 
