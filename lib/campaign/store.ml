@@ -149,18 +149,23 @@ let log_entries ~dir =
     (Obs.Artifact.lenient Obs.Json.flat (log_path dir))
 
 (* Last line per cell wins; unknown ids (from an older grid) are
-   ignored. *)
+   ignored.  A "failed" line whose [retries] is not a count is as
+   unreadable as a torn line, and skipped: trusting it would reset the
+   cell's retry budget. *)
 let statuses ~dir spec =
   let table = Hashtbl.create 64 in
   List.iter
     (fun (id, status, fields) ->
       match status with
       | "done" -> Hashtbl.replace table id Done
-      | "failed" ->
+      | "failed" -> (
         let msg = Option.value (Obs.Json.string (List.assoc_opt "error" fields)) ~default:"failed" in
-        let retries = Option.value (Obs.Json.int (List.assoc_opt "retries" fields)) ~default:0 in
         let timed_out = Obs.Json.int (List.assoc_opt "timed_out" fields) = Some 1 in
-        Hashtbl.replace table id (failed ~timed_out ~retries msg)
+        match List.assoc_opt "retries" fields with
+        | None -> Hashtbl.replace table id (failed ~timed_out msg)
+        | Some (Obs.Json.Int retries) when retries >= 0 ->
+          Hashtbl.replace table id (failed ~timed_out ~retries msg)
+        | Some _ -> ())
       (* a running attempt is not a completion: for resume purposes
          the cell is still pending *)
       | "pending" | "running" -> Hashtbl.replace table id Pending

@@ -55,14 +55,15 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
   in
   let job_of s = s / stride in
   let key s = (job_of s lsl 32) lor (s mod stride) in
+  let slot_of_key k = ((k lsr 32) * stride) + (k land 0xFFFF_FFFF) in
   let resident = Paging.Resident.create ~capacity:frames in
   let ready_at = Array.make (Array.length jobs * stride) absent in
   let ready : int Queue.t = Queue.create () in
   let blocked : int Sim.Heap.t = Sim.Heap.create () in
-  (* Device mode only: which job is waiting on each request, and jobs
+  (* Device mode only: how many requests await delivery, and jobs
      stalled because every frame held an in-flight page (woken on any
      completion, which makes a frame evictable again). *)
-  let req_owner : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let outstanding = ref 0 in
   let stalled : int Queue.t = Queue.create () in
   (* Load control: runnable-but-parked jobs, and shed order for FIFO
      re-admission. *)
@@ -82,7 +83,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
     ready_at.(s) <- absent
   in
   (* Drop every committed-resident page of job [idx] (its in-flight
-     pages, if any, stay owned by req_owner and resolve on delivery). *)
+     pages, if any, stay resident and resolve on delivery). *)
   let evict_job_pages idx =
     Array.iter
       (fun s ->
@@ -133,23 +134,19 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
     else finish_job ~completed:false j;
     Queue.transfer stalled ready
   in
-  let deliver req fin =
-    match Hashtbl.find_opt req_owner req with
-    | None -> ()
-    | Some (idx, s) ->
-      Hashtbl.remove req_owner req;
-      (match device with
-       | Some m ->
-         (match Device.Model.failure_of m req with
-          | Some _ -> abort_job jobs.(idx) ~s
-          | None ->
-            ready_at.(s) <- fin;
-            Queue.add idx ready;
-            Queue.transfer stalled ready)
-       | None ->
-         ready_at.(s) <- fin;
-         Queue.add idx ready;
-         Queue.transfer stalled ready)
+  (* A device answer: the request's page is the job-tagged key of an
+     in-flight slot, and the clock catches up when the processor was
+     idle waiting for it. *)
+  let deliver ~id:_ ~page ~finish_us failure =
+    decr outstanding;
+    now := max !now finish_us;
+    let s = slot_of_key page in
+    match failure with
+    | Some _ -> abort_job jobs.(job_of s) ~s
+    | None ->
+      ready_at.(s) <- finish_us;
+      Queue.add (job_of s) ready;
+      Queue.transfer stalled ready
   in
   let candidates () =
     (* Frames whose fetch has completed; in-flight pages are pinned. *)
@@ -170,13 +167,13 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
        ready_at.(s) <- finish;
        Sim.Heap.add blocked finish j.index
      | Some m ->
-       let req =
+       let (_ : int) =
          Device.Model.submit m ~now:!now ~kind:Device.Request.Demand ~page:(key s)
            ~words:0
        in
+       incr outstanding;
        Paging.Resident.add resident s;
-       ready_at.(s) <- in_flight;
-       Hashtbl.replace req_owner req (j.index, s));
+       ready_at.(s) <- in_flight);
     policy.Paging.Replacement.on_load ~page:s
   in
   (* Run job [j] until it faults, exhausts its quantum, or finishes.
@@ -333,7 +330,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
         !progress
         && Queue.is_empty ready
         && (not (Queue.is_empty parked_ready))
-        && Hashtbl.length req_owner = 0
+        && !outstanding = 0
         && Sim.Heap.min blocked = None
       do
         progress := admit_one ()
@@ -350,11 +347,8 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
       (* Processor idle until the next fetch completes. *)
       match device with
       | Some m ->
-        (match Device.Model.take_completion m with
-         | Some (req, fin) ->
-           now := max !now fin;
-           deliver req fin
-         | None -> assert false  (* unfinished jobs must await some request *))
+        (* unfinished jobs must await some request *)
+        if not (Device.Model.take_completion m deliver) then assert false
       | None ->
         (match Sim.Heap.min blocked with
          | Some (at, _) -> now := max !now at

@@ -51,10 +51,13 @@ val run :
 
     With a [device], fetches become queued requests against the timed
     backing-store model instead of the flat [fetch_us] channel: a
-    faulting job sleeps until the device commits and completes its
-    request, so rotational position, multiple channels, and the
-    scheduling policy all shape utilization.  Without it, behaviour is
-    bit-identical to before the device subsystem existed.
+    faulting job sleeps until the device delivers its request, so
+    rotational position, multiple channels, and the scheduling policy
+    all shape utilization.  A delivery names the job-tagged key, from
+    which the job and the slot follow, and carries the failure, if any;
+    the scheduler keeps no table of its requests.  Without a device,
+    behaviour is bit-identical to before the device subsystem
+    existed.
 
     With a sink, the scheduler reports job_start / job_stop plus fault
     and eviction events on the shared simulated clock; fault and

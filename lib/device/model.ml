@@ -42,9 +42,10 @@ type t = {
   mutable plan_chan : int;
   mutable plan_index : int;
   mutable plan_td : int;
-  completions : int Sim.Heap.t;  (* finish_us -> req id, undelivered *)
-  finish_of : (int, int) Hashtbl.t;  (* req id -> finish_us, undelivered *)
-  failures : (int, failure) Hashtbl.t;  (* req id -> terminal failure, unconsumed *)
+  (* Served by [deliver_due] or [take_completion], not yet delivered:
+     each request by its finish time, and the failures among them. *)
+  completions : Request.t Sim.Heap.t;
+  failures : (int, failure) Hashtbl.t;  (* req id -> terminal failure *)
   mutable next_id : int;
   mutable last_arrival_us : int;
   mutable served : int;
@@ -88,7 +89,6 @@ let create ?(obs = Obs.Sink.null) cfg =
     plan_index = 0;
     plan_td = 0;
     completions = Sim.Heap.create ();
-    finish_of = Hashtbl.create 64;
     failures = Hashtbl.create 8;
     next_id = 0;
     last_arrival_us = 0;
@@ -149,41 +149,37 @@ let submit ?(immune = false) t ~now ~kind ~page ~words =
   note_depth t;
   id
 
-let record_completion t (r : Request.t) ~fin =
-  Sim.Heap.add t.completions fin r.id;
-  Hashtbl.replace t.finish_of r.id fin;
+(* Count and trace a served request; its answer is its finish time. *)
+let completed (t : t) (r : Request.t) ~fin =
   t.served <- t.served + 1;
   if Request.is_read r.kind then begin
     t.read_served <- t.read_served + 1;
     t.read_latency_sum <- t.read_latency_sum + (fin - r.arrival_us)
   end;
-  if t.obs_on then emit t ~t_us:fin (Io_done { req = r.id; page = r.page; io = r.kind })
+  if t.obs_on then emit t ~t_us:fin (Io_done { req = r.id; page = r.page; io = r.kind });
+  Ok fin
 
-(* A terminal failure still completes in time (the channel was busy
-   until [fin]); it is delivered like a completion, but the caller can
-   see via [failure_of] / [result_us] that the data never arrived. *)
-let record_failure t (r : Request.t) ~fin ~attempts =
-  Sim.Heap.add t.completions fin r.id;
-  Hashtbl.replace t.finish_of r.id fin;
-  Hashtbl.replace t.failures r.id
-    { req = r.id; page = r.page; kind = r.kind; attempts; at_us = fin };
+(* A terminal failure still completes in time: the channel was busy
+   until [fin], and the answer says the data never arrived. *)
+let failed t (r : Request.t) ~fin ~attempts =
   (match t.fault with Some f -> Fault.note_failed f | None -> ());
   if t.obs_on then
-    emit t ~t_us:fin (Io_error { req = r.id; page = r.page; io = r.kind; attempts })
+    emit t ~t_us:fin (Io_error { req = r.id; page = r.page; io = r.kind; attempts });
+  Error { req = r.id; page = r.page; kind = r.kind; attempts; at_us = fin }
 
 (* One full service of [r] on [chan] starting no earlier than [td]:
    positioning + transfer, plus fault retries and the escalation pass
    when the retry budget is exhausted (degraded-mode success, or a
-   terminal failure under [Fault.Fail]).  Returns the finish time and
-   the outcome. *)
+   terminal failure under [Fault.Fail]).  Returns the outcome: the
+   finish time, or the failure. *)
 let serve t chan (r : Request.t) ~td =
   let g = t.cfg.geometry in
   let escalate f ~fin ~attempt =
     match Fault.on_exhausted f with
     | Fault.Degrade ->
       Fault.note_degraded f;
-      (fin + Geometry.worst_us g ~words:r.words, `Ok)
-    | Fault.Fail -> (fin, `Failed attempt)
+      completed t r ~fin:(fin + Geometry.worst_us g ~words:r.words)
+    | Fault.Fail -> failed t r ~fin ~attempts:attempt
   in
   let rec go at attempt =
     let start, fin, head' = Geometry.service g ~at ~head:chan.head ~page:r.page ~words:r.words in
@@ -191,10 +187,10 @@ let serve t chan (r : Request.t) ~td =
       emit t ~t_us:start (Io_start { req = r.id; page = r.page; io = r.kind });
     chan.head <- head';
     match t.fault with
-    | None -> (fin, `Ok)
+    | None -> completed t r ~fin
     | Some f ->
       (match Fault.attempt f ~immune:r.immune ~kind:r.kind with
-       | Fault.Clean -> (fin, `Ok)
+       | Fault.Clean -> completed t r ~fin
        | Fault.Transient ->
          if t.obs_on then emit t ~t_us:fin (Io_retry { req = r.id; attempt });
          if attempt <= Fault.max_retries f then begin
@@ -236,93 +232,80 @@ let plan t =
   end;
   t.depth > 0
 
-(* Serve the planned request from the plan's dispatch instant.  That is
-   [max chan.free_at r.arrival_us]: when the oldest arrival is later
-   than the channel's free time, every candidate arrived at that
-   instant. *)
+(* Serve the planned request from the plan's dispatch instant and
+   return its outcome.  That instant is [max chan.free_at r.arrival_us]:
+   when the oldest arrival is later than the channel's free time, every
+   candidate arrived at that instant. *)
 let dispatch t =
   Obs.Prof.span "device.dispatch" @@ fun () ->
   let chan = t.chans.(t.plan_chan) and td = t.plan_td in
   let r = remove t t.plan_index in
   t.planned <- false;
-  let fin, outcome = serve t chan r ~td in
+  let outcome = serve t chan r ~td in
+  let fin = match outcome with Ok fin -> fin | Error f -> f.at_us in
   t.busy_us <- t.busy_us + (fin - td);
-  (match outcome with
-   | `Ok -> record_completion t r ~fin
-   | `Failed attempts -> record_failure t r ~fin ~attempts);
-  chan.free_at <- fin
+  chan.free_at <- fin;
+  outcome
+
+(* ---- the synchronous call ---- *)
+
+(* Dispatch in policy order until request [id] is served.  Nothing is
+   kept of the requests served on the way: no one waits for them. *)
+let rec serve_until t id =
+  let (_ : bool) = plan t in  (* [id] waits in the queue until served *)
+  let mine = t.queue.(t.plan_index).id = id in
+  let outcome = dispatch t in
+  if mine then outcome else serve_until t id
+
+let fetch_result ?immune t ~now ~kind ~page ~words =
+  serve_until t (submit ?immune t ~now ~kind ~page ~words)
+
+(* ---- deliveries (event-loop engines) ---- *)
+
+(* Dispatch the planned request and hold its answer for delivery. *)
+let dispatch_held t =
+  let r = t.queue.(t.plan_index) in
+  match dispatch t with
+  | Ok fin -> Sim.Heap.add t.completions fin r
+  | Error f ->
+    Sim.Heap.add t.completions f.at_us r;
+    Hashtbl.replace t.failures r.id f
 
 (* Is an undelivered completion due by [by]? *)
 let due t ~by = (not (Sim.Heap.is_empty t.completions)) && Sim.Heap.min_key t.completions <= by
 
-let pop_completion t =
+(* Hand the earliest held answer to [f], forgetting it; false if none is
+   held. *)
+let deliver t f =
   match Sim.Heap.pop t.completions with
-  | None -> None
-  | Some (fin, id) ->
-    Hashtbl.remove t.finish_of id;
-    Some (id, fin)
-
-(* ---- synchronous consumption (single-threaded engines) ---- *)
-
-let completion_us t id =
-  let rec force () =
-    match Hashtbl.find_opt t.finish_of id with
-    | Some fin ->
-      Hashtbl.remove t.finish_of id;
-      fin
-    | None ->
-      if not (plan t) then
-        invalid_arg (Printf.sprintf "Device.Model.completion_us: unknown request %d" id);
-      dispatch t;
-      force ()
-  in
-  force ()
-
-let failure_of t id =
-  match Hashtbl.find_opt t.failures id with
-  | Some f ->
-    Hashtbl.remove t.failures id;
-    Some f
-  | None -> None
-
-let result_us t id =
-  let fin = completion_us t id in
-  match failure_of t id with Some f -> Error f | None -> Ok fin
-
-let fetch t ~now ~kind ~page ~words =
-  let id = submit t ~now ~kind ~page ~words in
-  completion_us t id
-
-let fetch_result ?immune t ~now ~kind ~page ~words =
-  let id = submit ?immune t ~now ~kind ~page ~words in
-  result_us t id
-
-(* ---- event-loop consumption (Core.Multiprog) ---- *)
+  | None -> false
+  | Some (fin, (r : Request.t)) ->
+    let failure = Hashtbl.find_opt t.failures r.id in
+    if Option.is_some failure then Hashtbl.remove t.failures r.id;
+    f ~id:r.id ~page:r.page ~finish_us:fin failure;
+    true
 
 let deliver_due t ~now f =
   let progress = ref true in
   while !progress do
     progress := false;
-    if due t ~by:now then begin
-      (match pop_completion t with Some (id, fin) -> f id fin | None -> ());
-      progress := true
-    end;
+    if due t ~by:now then progress := deliver t f;
     (* causality gate: a completion due before the dispatch instant
        must reach the engine first — it may wake a job whose next
        request would compete for this very dispatch. *)
     if plan t && t.plan_td <= now && not (due t ~by:t.plan_td) then begin
-      dispatch t;
+      dispatch_held t;
       progress := true
     end
   done
 
-let rec take_completion t =
+let rec take_completion t f =
   if plan t && (Sim.Heap.is_empty t.completions || t.plan_td < Sim.Heap.min_key t.completions)
   then begin
-    dispatch t;
-    take_completion t
+    dispatch_held t;
+    take_completion t f
   end
-  else pop_completion t
+  else deliver t f
 
 (* ---- reporting ---- *)
 

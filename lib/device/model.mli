@@ -9,18 +9,23 @@
     movement stays with the caller (engines blit pages themselves);
     the model answers only {e when}.
 
-    Two consumption styles, which must not be mixed on one instance:
+    A request is answered once, on the path that asked for it, and the
+    model keeps nothing of it afterwards:
 
-    - {b Synchronous} ({!completion_us}, {!fetch}): for single-threaded
-      engines that block on each answer.  Forcing a completion
-      dispatches queued requests in policy order until the target is
-      served — exact, because nothing else can submit while the engine
-      waits.
-    - {b Event-loop} ({!deliver_due}, {!take_completion}): for
-      [Core.Multiprog].  Dispatch is gated on causality: a channel is
-      not committed to a request while an undelivered completion
-      precedes the dispatch instant, since the woken job's next request
-      could compete for it.
+    - {b The synchronous call} ({!fetch_result}): for single-threaded
+      engines that block on each answer.  It queues one request,
+      dispatches queued requests in policy order until that one is
+      served, and returns its outcome — exact, because nothing else can
+      submit while the engine waits.  The requests it serves on the
+      way, such as the writebacks such an engine {!submit}s and never
+      waits for, get no answer.
+    - {b Deliveries} ({!deliver_due}, {!take_completion}): for
+      event-loop engines such as [Core.Multiprog].  Each request they
+      dispatch is handed to the caller's callback once, with its page,
+      finish time and failure.  Dispatch is gated on causality: a
+      channel is not committed to a request while an undelivered
+      completion precedes the dispatch instant, since the woken job's
+      next request could compete for it.
 
     {b The queue and the plan.}  Waiting requests sit in one array in
     arrival order.  {!submit} clamps each arrival to the latest one so
@@ -33,9 +38,10 @@
     prefix the policy reads: one request under FIFO, up to the first
     demand fault under priority, up to the first request that can start
     at once under SATF.  Taking the planned request out shifts the
-    requests ahead of it, so costs no more than the plan; recording its
-    completion is O(log) in the undelivered completions.  Nothing is
-    indexed by request id: the array is sized by the deepest queue.
+    requests ahead of it, so costs no more than the plan; holding its
+    answer for a delivery is O(log) in the undelivered answers.  The
+    array is sized by the deepest queue, and the only table keyed by
+    request id holds the failures not yet delivered.
 
     Obs note: [Io_start]/[Io_done]/[Io_retry] events are stamped with
     the planned service times, which run ahead of the engine's clock;
@@ -76,50 +82,33 @@ val submit :
 (** Enqueue a request arriving at [now] (engine clock, monotone);
     returns its id.  No channel is committed yet.  [immune] (default
     false) exempts the request from fault injection — the transport for
-    recovery re-fetches.  O(1) amortised; the plan must be made again. *)
-
-val completion_us : t -> int -> int
-(** [completion_us t id] forces request [id] to completion and returns
-    its finish time, dispatching any queued requests the policy puts
-    ahead of it first.  Consumes the completion: a second call for the
-    same id raises [Invalid_argument], as does an id never submitted.
-    A terminally-failed request still finishes in time; use
-    {!failure_of} or {!result_us} to learn the data never arrived.
-    Each dispatch it forces costs one plan. *)
-
-val result_us : t -> int -> (int, failure) result
-(** Like {!completion_us}, but [Error] when the request terminally
-    failed.  Consumes both the completion and the failure record. *)
-
-val failure_of : t -> int -> failure option
-(** [failure_of t id] is the terminal failure of a request whose
-    completion was already delivered (via {!completion_us},
-    {!deliver_due} or {!take_completion}), if any; consumes the
-    record.  Event-loop engines call this on every delivery. *)
-
-val fetch : t -> now:int -> kind:Request.kind -> page:int -> words:int -> int
-(** [submit] + [completion_us] in one step — the common synchronous
-    path. *)
+    recovery re-fetches.  O(1) amortised; the plan must be made again.
+    Its answer is a delivery, unless a {!fetch_result} serves it first. *)
 
 val fetch_result :
   ?immune:bool ->
   t -> now:int -> kind:Request.kind -> page:int -> words:int ->
   (int, failure) result
-(** [submit] + [result_us] in one step — the synchronous path for
-    engines that handle failures. *)
+(** [submit], then dispatch until that request is served: its finish
+    time, or [Error] when it terminally failed (it still finishes in
+    time, at [at_us]).  Each dispatch costs one plan. *)
 
-val deliver_due : t -> now:int -> (int -> int -> unit) -> unit
+val deliver_due :
+  t -> now:int -> (id:int -> page:int -> finish_us:int -> failure option -> unit) -> unit
 (** [deliver_due t ~now f] advances the device to [now]: dispatches
     every causally-safe request whose dispatch instant is <= [now] and
-    calls [f id finish_us] for each completion due by [now], oldest
-    first, interleaved in causal order.  Each dispatch costs one plan;
-    a call with nothing to deliver or dispatch costs O(1) once the
-    plan is made. *)
+    calls [f ~id ~page ~finish_us failure] for each completion due by
+    [now], oldest first, interleaved in causal order; [failure] is
+    [Some] when the request terminally failed.  Each dispatch costs one
+    plan; a call with nothing to deliver or dispatch costs O(1) once
+    the plan is made. *)
 
-val take_completion : t -> (int * int) option
-(** Next completion [(id, finish_us)] in finish order, dispatching as
-    needed; the engine blocks until then.  [None] iff the device is
-    idle and the queue empty.  Each dispatch costs one plan. *)
+val take_completion :
+  t -> (id:int -> page:int -> finish_us:int -> failure option -> unit) -> bool
+(** Deliver the next completion in finish order to the callback, as
+    {!deliver_due} does, dispatching as needed; the engine blocks until
+    then.  [false] iff the device is idle and the queue empty.  Each
+    dispatch costs one plan. *)
 
 val pending : t -> int
 (** Requests submitted but not yet dispatched.  O(1). *)

@@ -26,7 +26,7 @@ let mean_latency_us sched rng ~count ~mean_gap_us =
       (Device.Model.submit drum ~now:(int_of_float !now) ~kind:Device.Request.Demand ~page
          ~words:0)
   done;
-  while Device.Model.take_completion drum <> None do
+  while Device.Model.take_completion drum (fun ~id:_ ~page:_ ~finish_us:_ _ -> ()) do
     ()
   done;
   (Device.Model.stats drum).mean_read_latency_us

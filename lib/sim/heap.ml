@@ -10,8 +10,6 @@ type 'a t = {
 
 let create () = { entries = [||]; size = 0; next_seq = 0 }
 
-let size t = t.size
-
 let is_empty t = t.size = 0
 
 let less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
@@ -79,5 +77,3 @@ let pop t =
     end;
     Some (top.key, top.value)
   end
-
-let clear t = t.size <- 0

@@ -9,8 +9,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val size : 'a t -> int
-
 val is_empty : 'a t -> bool
 
 val add : 'a t -> int -> 'a -> unit
@@ -26,5 +24,3 @@ val min_key : 'a t -> int
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the entry with the smallest key; [None] if empty.
     Among equal keys, the earliest-inserted entry is returned first. *)
-
-val clear : 'a t -> unit

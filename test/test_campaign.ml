@@ -555,6 +555,43 @@ let test_exec_resume_skips_exhausted_budget () =
         o2.Campaign.Exec.ran;
       check_int "and succeeds" 1 o2.Campaign.Exec.ok)
 
+(* A "failed" line with a negative retry count is damaged, not a
+   budget: replayed as written, "retries":-3 under a budget of one
+   retry would buy a permanently failing cell three retries.  It is
+   skipped like a torn line, so the cell is pending and gets the one
+   attempt its budget allows. *)
+let test_exec_damaged_retries_skipped () =
+  with_temp_dir (fun dir ->
+      init_ok ~dir small_spec;
+      let oc =
+        open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644
+          (Campaign.Store.log_path dir)
+      in
+      output_string oc
+        "{\"cell\":\"p=a,seed=0\",\"status\":\"failed\",\"error\":\"broken\",\"retries\":-3}\n";
+      close_out oc;
+      let st id sts =
+        List.assoc id
+          (List.map (fun ((p : Campaign.Spec.point), s) -> (p.Campaign.Spec.id, s)) sts)
+      in
+      check_bool "damaged line skipped" true
+        (st "p=a,seed=0" (Campaign.Store.statuses ~dir small_spec) = Campaign.Store.Pending);
+      let broken : Campaign.Exec.runner =
+       fun ~point ~quick:_ ~trace_path:_ ~metrics_path ->
+        if point.Campaign.Spec.id = "p=a,seed=0" then Error "still broken"
+        else begin
+          write_metrics ~score:1. metrics_path;
+          Ok ()
+        end
+      in
+      let o = Campaign.Exec.run ~max_retries:1 ~dir ~spec:small_spec ~runner:broken () in
+      check_int "no retry bought" 0 o.Campaign.Exec.retried;
+      check_int "one failed cell" 1 o.Campaign.Exec.failed;
+      check_bool "its one attempt logged" true
+        (match st "p=a,seed=0" (Campaign.Store.statuses ~dir small_spec) with
+         | Campaign.Store.Failed f -> f.Campaign.Store.f_retries = 1
+         | _ -> false))
+
 (* The checkpoint contract: a limit-bounded first pass (a stand-in for
    a killed campaign) leaves artifacts that a second full pass must not
    recompute. *)
@@ -877,6 +914,8 @@ let () =
             test_exec_retry_budget_eventual_success;
           Alcotest.test_case "resume skips an exhausted budget" `Quick
             test_exec_resume_skips_exhausted_budget;
+          Alcotest.test_case "damaged retry count skipped" `Quick
+            test_exec_damaged_retries_skipped;
           Alcotest.test_case "limit then resume recomputes nothing" `Quick
             test_exec_limit_then_resume;
           Alcotest.test_case "every attempt wall-clock stamped" `Quick

@@ -51,16 +51,28 @@ let test_worst_us_bounds_service () =
 
 (* --- Scheduling --- *)
 
-(* Eight requests to scattered sectors, all queued at t = 0, drained
-   synchronously: the mean latency under each policy. *)
+(* Every delivery [take_completion] makes until the device is idle:
+   (id, finish_us), in finish order. *)
+let drain m =
+  let got = ref [] in
+  while
+    Device.Model.take_completion m (fun ~id ~page:_ ~finish_us _ ->
+        got := (id, finish_us) :: !got)
+  do
+    ()
+  done;
+  List.rev !got
+
+(* Eight requests to scattered sectors, all queued at t = 0, then
+   drained: the mean latency under each policy. *)
 let batch_latency ~sched =
   let m = Device.Model.create (Device.Model.config ~sched drum) in
-  let ids =
-    List.init 8 (fun k ->
-        Device.Model.submit m ~now:0 ~kind:Device.Request.Demand ~page:(k * 5 mod 16)
-          ~words:0)
-  in
-  List.iter (fun id -> ignore (Device.Model.completion_us m id)) ids;
+  for k = 0 to 7 do
+    ignore
+      (Device.Model.submit m ~now:0 ~kind:Device.Request.Demand ~page:(k * 5 mod 16)
+         ~words:0)
+  done;
+  ignore (drain m);
   (Device.Model.stats m).Device.Model.mean_read_latency_us
 
 let test_satf_beats_fifo () =
@@ -76,11 +88,11 @@ let test_priority_serves_demand_first () =
         Device.Model.submit m ~now:0 ~kind:Device.Request.Writeback ~page:(k * 4) ~words:0)
   in
   let d = Device.Model.submit m ~now:0 ~kind:Device.Request.Demand ~page:9 ~words:0 in
-  let d_fin = Device.Model.completion_us m d in
+  let fins = drain m in
+  let d_fin = List.assoc d fins in
   List.iter
     (fun id ->
-      check_bool "demand jumps the writeback queue" true
-        (d_fin < Device.Model.completion_us m id))
+      check_bool "demand jumps the writeback queue" true (d_fin < List.assoc id fins))
     wb
 
 let test_channels_overlap () =
@@ -88,11 +100,10 @@ let test_channels_overlap () =
     let m =
       Device.Model.create (Device.Model.config ~channels (Device.Geometry.fixed_us 1_000))
     in
-    let ids =
-      List.init 6 (fun k ->
-          Device.Model.submit m ~now:0 ~kind:Device.Request.Demand ~page:k ~words:0)
-    in
-    List.fold_left (fun acc id -> max acc (Device.Model.completion_us m id)) 0 ids
+    for k = 0 to 5 do
+      ignore (Device.Model.submit m ~now:0 ~kind:Device.Request.Demand ~page:k ~words:0)
+    done;
+    List.fold_left (fun acc (_, fin) -> max acc fin) 0 (drain m)
   in
   check_int "one channel serialises" 6_000 (span 1);
   check_int "two channels halve the span" 3_000 (span 2)
@@ -103,20 +114,21 @@ let test_event_loop_delivery () =
   let b = Device.Model.submit m ~now:0 ~kind:Device.Request.Demand ~page:1 ~words:0 in
   check_int "both pending" 2 (Device.Model.pending m);
   let got = ref [] in
-  Device.Model.deliver_due m ~now:500 (fun id fin -> got := (id, fin) :: !got);
+  let note ~id ~page ~finish_us failure = got := (id, page, finish_us, failure) :: !got in
+  Device.Model.deliver_due m ~now:500 note;
   check_int "nothing due yet" 0 (List.length !got);
-  Device.Model.deliver_due m ~now:2_000 (fun id fin -> got := (id, fin) :: !got);
-  check_bool "delivered in finish order" true (List.rev !got = [ (a, 1_000); (b, 2_000) ]);
-  check_bool "then idle" true (Device.Model.take_completion m = None)
+  Device.Model.deliver_due m ~now:2_000 note;
+  check_bool "delivered in finish order, with pages" true
+    (List.rev !got = [ (a, 0, 1_000, None); (b, 1, 2_000, None) ]);
+  check_bool "then idle" false (Device.Model.take_completion m note)
 
 let test_double_completion_rejected () =
   let m = Device.Model.create (Device.Model.config drum) in
   let id = Device.Model.submit m ~now:0 ~kind:Device.Request.Demand ~page:1 ~words:0 in
-  ignore (Device.Model.completion_us m id);
-  check_bool "consumed completions cannot be re-read" true
-    (match Device.Model.completion_us m id with
-     | _ -> false
-     | exception Invalid_argument _ -> true)
+  check_bool "one delivery" true (drain m = [ (id, 2_000) ]);
+  let again = ref 0 in
+  Device.Model.deliver_due m ~now:max_int (fun ~id:_ ~page:_ ~finish_us:_ _ -> incr again);
+  check_int "a delivered completion is not delivered again" 0 !again
 
 (* --- Equivalence with the legacy flat path --- *)
 
@@ -199,7 +211,11 @@ let test_faults_are_timing_only () =
 let test_degraded_fallback_is_bounded () =
   let fault = Device.Fault.config ~read_error_prob:1.0 ~max_retries:2 () in
   let m = Device.Model.create (Device.Model.config ~fault drum) in
-  let fin = Device.Model.fetch m ~now:0 ~kind:Device.Request.Demand ~page:5 ~words:0 in
+  let fin =
+    match Device.Model.fetch_result m ~now:0 ~kind:Device.Request.Demand ~page:5 ~words:0 with
+    | Ok fin -> fin
+    | Error _ -> Alcotest.fail "Degrade escalation never fails"
+  in
   let st = Device.Model.stats m in
   check_int "every attempt failed" 3 st.Device.Model.injected;
   check_int "retries stop at the budget" 2 st.Device.Model.retries;
@@ -209,8 +225,7 @@ let test_degraded_fallback_is_bounded () =
 let test_writes_never_fault () =
   let fault = Device.Fault.config ~read_error_prob:1.0 ~max_retries:0 () in
   let m = Device.Model.create (Device.Model.config ~fault drum) in
-  let id = Device.Model.submit m ~now:0 ~kind:Device.Request.Writeback ~page:3 ~words:0 in
-  ignore (Device.Model.completion_us m id);
+  ignore (Device.Model.fetch_result m ~now:0 ~kind:Device.Request.Writeback ~page:3 ~words:0);
   check_int "write path injects nothing" 0 (Device.Model.stats m).Device.Model.injected
 
 let test_retries_surface_as_events () =
@@ -221,8 +236,96 @@ let test_retries_surface_as_events () =
   in
   let fault = Device.Fault.config ~read_error_prob:1.0 ~max_retries:1 () in
   let m = Device.Model.create ~obs:sink (Device.Model.config ~fault drum) in
-  ignore (Device.Model.fetch m ~now:0 ~kind:Device.Request.Demand ~page:2 ~words:0);
+  ignore (Device.Model.fetch_result m ~now:0 ~kind:Device.Request.Demand ~page:2 ~words:0);
   check_int "one Io_retry per failed attempt" 2 !retries
+
+(* --- Memory: an answered request leaves nothing behind --- *)
+
+(* The words a model holds after [calls] requests, each answered as its
+   engine asks: by [fetch_result] ([`Fetch]); by [fetch_result] after a
+   submitted writeback that nobody waits for ([`Fetch_after_writeback]);
+   or by [take_completion] under a fault config whose exhausted retries
+   fail the request, the delivered failure left unread ([`Event_loop]). *)
+let words_after ~calls answer =
+  let fault =
+    match answer with
+    | `Event_loop ->
+      Some
+        (Device.Fault.config ~seed:5 ~read_error_prob:0.5 ~max_retries:1
+           ~on_exhausted:Device.Fault.Fail ())
+    | `Fetch | `Fetch_after_writeback -> None
+  in
+  let m = Device.Model.create (Device.Model.config ?fault drum) in
+  for k = 1 to calls do
+    let now = k * 1_000 and page = k * 7 mod 32 in
+    match answer with
+    | `Fetch -> ignore (Device.Model.fetch_result m ~now ~kind:Demand ~page ~words:0)
+    | `Fetch_after_writeback ->
+      ignore (Device.Model.submit m ~now ~kind:Writeback ~page:(k mod 32) ~words:0);
+      ignore (Device.Model.fetch_result m ~now ~kind:Demand ~page ~words:0)
+    | `Event_loop ->
+      ignore (Device.Model.submit m ~now ~kind:Demand ~page ~words:0);
+      ignore (Device.Model.take_completion m (fun ~id:_ ~page:_ ~finish_us:_ _ -> ()))
+  done;
+  let st = Device.Model.stats m in
+  if answer = `Event_loop && calls >= 100 then
+    check_bool "some requests failed" true (st.Device.Model.failed > 0);
+  check_int "every request answered" 0 st.Device.Model.pending;
+  Obj.reachable_words (Obj.repr m)
+
+let test_answers_leave_nothing () =
+  List.iter
+    (fun (name, answer) ->
+      check_int name (words_after ~calls:100 answer) (words_after ~calls:100_000 answer))
+    [
+      ("fetch_result", `Fetch);
+      ("fetch_result after a writeback", `Fetch_after_writeback);
+      ("take_completion, failures unread", `Event_loop);
+    ]
+
+(* --- Analytic oracle: one FIFO channel of fixed service is M/D/1 --- *)
+
+(* Poisson arrivals at rate lambda to one FIFO channel that serves each
+   request in exactly [d] us form an M/D/1 queue, whose mean time in
+   system is Pollaczek-Khinchine's d + rho d / (2 (1 - rho)), rho =
+   lambda d.
+
+   Tolerance, fixed before the first run.  The sample mean of n
+   correlated sojourn times has standard deviation sqrt (s2 / n), s2
+   being the asymptotic variance constant of the waiting-time average.
+   For M/M/1 with unit mean service, Daley (1968) gives s2 =
+   rho (2 + 5 rho - 4 rho^2 + rho^3) / (1 - rho)^4; deterministic
+   service waits less and less variably, so this bounds the M/D/1
+   constant (in units of d^2).  The test allows four such standard
+   deviations, plus 2 us for arrivals truncated to whole microseconds
+   (each arrival moves by less than 1 us; truncation does not
+   accumulate) and the empty start (its bias is O(1/n)).  With n =
+   200,000 and d = 10 ms: 4 sd is 0.025 d (1.5% of the answer) at
+   rho = 0.3 and 0.084 d (4.8%) at rho = 0.6.
+
+   Arrivals are submitted 1,000 at a time and each batch is drained by
+   [take_completion], which keeps the queue small: one FIFO channel
+   serves in arrival order however the arrivals are batched. *)
+let test_fifo_is_md1 () =
+  let d = 10_000 and n = 200_000 in
+  List.iter
+    (fun (rho, seed) ->
+      let m = Device.Model.create (Device.Model.config (Device.Geometry.fixed_us d)) in
+      let rng = Sim.Rng.create seed and clock = ref 0. in
+      for k = 1 to n do
+        clock := !clock +. Sim.Rng.exponential rng (float_of_int d /. rho);
+        ignore (Device.Model.submit m ~now:(int_of_float !clock) ~kind:Demand ~page:0 ~words:0);
+        if k mod 1_000 = 0 then ignore (drain m)
+      done;
+      let d = float_of_int d in
+      let pk = d +. (rho *. d /. (2. *. (1. -. rho))) in
+      let s2 = rho *. (2. +. (5. *. rho) -. (4. *. rho *. rho) +. (rho ** 3.)) /. ((1. -. rho) ** 4.) in
+      let tolerance = (4. *. d *. sqrt (s2 /. float_of_int n)) +. 2. in
+      let mean = (Device.Model.stats m).Device.Model.mean_read_latency_us in
+      if Float.abs (mean -. pk) > tolerance then
+        Alcotest.failf "rho %.1f: mean time in system %.1f us, Pollaczek-Khinchine %.1f +- %.1f"
+          rho mean pk tolerance)
+    [ (0.3, 301); (0.6, 601) ]
 
 (* --- Reference: the list queue the array queue replaced --- *)
 
@@ -232,7 +335,9 @@ let test_retries_surface_as_events () =
    picks through the list scheduler below, which compares SATF
    candidates through [Geometry.service].  Only the three record types
    are shared with [Device.Model], so that answers compare with [=], and
-   [config] is [Device.Model.config]. *)
+   [config] is [Device.Model.config].  It keeps the API it had then, of
+   which the property below drives only [submit], [fetch_result] and the
+   deliveries with [failure_of]; [fetch] goes unused. *)
 module Reference = struct
   open Device
 
@@ -587,19 +692,19 @@ module Reference = struct
         (match t.fault with None -> 0 | Some f -> Fault.write_rolls_skipped f);
       pending = List.length t.queue;
     }
-end
+end [@@warning "-32"]
 
 (* One random script drives the array queue and the reference list
    queue in lockstep.  Submits move the engine clock by -3 to +6 ms, so
-   arrivals also exercise the clamp.  A script uses one consumption
-   style, as model.mli requires.  Synchronously, [Consume] forces an
-   outstanding request through [completion_us] (then [failure_of]) or
-   [result_us], and [Advance] is a [fetch_result]; in the event loop,
-   [Consume] is [take_completion] and [Advance] moves the clock and
-   calls [deliver_due], and each delivery asks [failure_of], as
-   [Core.Multiprog] does.  At the end the rest is drained.  Every answer
-   must agree as it is given; then the io events, serialised, and the
-   stats must be equal. *)
+   arrivals also exercise the clamp.  A script answers its requests one
+   way.  Synchronously, [Consume] and [Advance] are [fetch_result]s (the
+   reference's [submit] then [result_us]), and submitted requests are
+   served only on their way; in the event loop, [Consume] is
+   [take_completion] and [Advance] moves the clock and calls
+   [deliver_due], and each delivery must carry the page submitted with
+   its id and the failure the reference's [failure_of] gives.  An event
+   loop is drained at the end.  Every answer must agree as it is given;
+   then the io events, serialised, and the stats must be equal. *)
 type op =
   | Submit of { dt : int; kind : Device.Request.kind; page : int; words : int; immune : bool }
   | Consume of int
@@ -695,47 +800,41 @@ let model_matches_reference =
       let m_events, m_obs = sink () and r_events, r_obs = sink () in
       let m = Device.Model.create ~obs:m_obs cfg and r = Reference.create ~obs:r_obs cfg in
       if Device.Model.label m <> Reference.label r then QCheck.Test.fail_report "labels differ";
-      let now = ref 0 and outstanding = ref [] in
+      let now = ref 0 and page_of = Hashtbl.create 64 in
       let agree step what show a b =
         if a <> b then
           QCheck.Test.fail_reportf "step %d, %s: %s, reference %s" step what (show a) (show b)
       in
-      let show_fin = string_of_int in
       let show_failure = function
         | None -> "none"
         | Some (f : Device.Model.failure) ->
           Printf.sprintf "failed req %d at %d after %d" f.req f.at_us f.attempts
       in
       let show_result = function Ok fin -> string_of_int fin | Error f -> show_failure (Some f) in
-      let show_taken = function
-        | None -> "none"
-        | Some (id, fin) -> Printf.sprintf "(%d, %d)" id fin
-      in
       let show_delivered l =
         String.concat "; "
-          (List.map (fun (id, fin, f) -> Printf.sprintf "(%d, %d, %s)" id fin (show_failure f)) l)
+          (List.map
+             (fun (id, page, fin, f) ->
+               Printf.sprintf "(%d, p%d, %d, %s)" id page fin (show_failure f))
+             l)
       in
-      let consume step id =
-        outstanding := List.filter (( <> ) id) !outstanding;
-        if id land 1 = 0 then begin
-          agree step "completion_us" show_fin (Device.Model.completion_us m id)
-            (Reference.completion_us r id);
-          agree step "failure_of" show_failure (Device.Model.failure_of m id)
-            (Reference.failure_of r id)
-        end
-        else
-          agree step "result_us" show_result (Device.Model.result_us m id)
-            (Reference.result_us r id)
+      (* The model's deliveries, and the reference's as [Core.Multiprog]
+         used to read them: an id and a finish, then [failure_of]. *)
+      let note got ~id ~page ~finish_us failure = got := (id, page, finish_us, failure) :: !got in
+      let reference_note want id fin =
+        want := (id, Hashtbl.find page_of id, fin, Reference.failure_of r id) :: !want
+      in
+      let fetch_result step ~now ~kind ~page ~words ~immune =
+        agree step "fetch_result" show_result
+          (Device.Model.fetch_result ~immune m ~now ~kind ~page ~words)
+          (Reference.fetch_result ~immune r ~now ~kind ~page ~words)
       in
       let take step =
-        let got = Device.Model.take_completion m and want = Reference.take_completion r in
-        agree step "take_completion" show_taken got want;
-        Option.iter
-          (fun (id, _) ->
-            agree step "failure_of" show_failure (Device.Model.failure_of m id)
-              (Reference.failure_of r id))
-          got;
-        got <> None
+        let got = ref [] and want = ref [] in
+        let more = Device.Model.take_completion m (note got) in
+        Option.iter (fun (id, fin) -> reference_note want id fin) (Reference.take_completion r);
+        agree step "take_completion" show_delivered !got !want;
+        more
       in
       List.iteri
         (fun step op ->
@@ -745,34 +844,26 @@ let model_matches_reference =
              let id = Device.Model.submit ~immune m ~now:!now ~kind ~page ~words in
              agree step "submit" string_of_int id
                (Reference.submit ~immune r ~now:!now ~kind ~page ~words);
-             outstanding := !outstanding @ [ id ]
-           | Consume _ when s.event_loop -> ignore (take step)
-           | Consume x -> (
-             match !outstanding with
-             | [] -> ()
-             | ids -> consume step (List.nth ids (x mod List.length ids)))
+             Hashtbl.replace page_of id page
+           | Consume _ when s.event_loop -> ignore (take step : bool)
+           | Consume x ->
+             fetch_result step ~now:!now
+               ~kind:Device.Request.(match x mod 3 with 0 -> Demand | 1 -> Prefetch | _ -> Writeback)
+               ~page:(x mod 200) ~words:(x mod 65) ~immune:(x land 4 = 0)
            | Advance dt when s.event_loop ->
              now := !now + dt;
-             let delivered failure_of t acc id fin = acc := (id, fin, failure_of t id) :: !acc in
              let got = ref [] and want = ref [] in
-             Device.Model.deliver_due m ~now:!now (delivered Device.Model.failure_of m got);
-             Reference.deliver_due r ~now:!now (delivered Reference.failure_of r want);
+             Device.Model.deliver_due m ~now:!now (note got);
+             Reference.deliver_due r ~now:!now (reference_note want);
              agree step "deliver_due" show_delivered !got !want
            | Advance dt ->
-             let now = !now + dt and page = dt mod 200 and words = dt mod 65 in
-             if dt land 1 = 0 then
-               agree step "fetch_result" show_result
-                 (Device.Model.fetch_result m ~now ~kind:Demand ~page ~words)
-                 (Reference.fetch_result r ~now ~kind:Demand ~page ~words)
-             else
-               agree step "fetch" show_fin
-                 (Device.Model.fetch m ~now ~kind:Prefetch ~page ~words)
-                 (Reference.fetch r ~now ~kind:Prefetch ~page ~words));
+             fetch_result step ~now:(!now + dt)
+               ~kind:(if dt land 1 = 0 then Demand else Prefetch)
+               ~page:(dt mod 200) ~words:(dt mod 65) ~immune:false);
           agree step "pending" string_of_int (Device.Model.pending m) (Reference.pending r))
         s.ops;
       let last = List.length s.ops in
-      if s.event_loop then while take last do () done
-      else List.iter (consume last) !outstanding;
+      if s.event_loop then while take last do () done;
       agree last "io events" Fun.id (Buffer.contents m_events) (Buffer.contents r_events);
       if Device.Model.stats m <> Reference.stats r then
         QCheck.Test.fail_reportf "stats differ from the reference's";
@@ -807,5 +898,11 @@ let () =
           Alcotest.test_case "writes never fault" `Quick test_writes_never_fault;
           Alcotest.test_case "Io_retry events" `Quick test_retries_surface_as_events;
         ] );
-      ("oracle", [ QCheck_alcotest.to_alcotest model_matches_reference ]);
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest model_matches_reference;
+          Alcotest.test_case "fifo channel is M/D/1" `Quick test_fifo_is_md1;
+        ] );
+      ( "memory",
+        [ Alcotest.test_case "answered requests leave nothing" `Quick test_answers_leave_nothing ] );
     ]

@@ -132,14 +132,17 @@ let serve_drum ~sched ~sectors batch =
            in
            (id, (arrival, sector)))
   in
-  let rec collect acc =
-    match Device.Model.take_completion m with
-    | None -> List.rev acc
-    | Some (id, finish) ->
-      let arrival, sector = List.assoc id submitted in
-      collect ({ id; arrival; sector; start = Hashtbl.find starts id; finish } :: acc)
-  in
-  collect []
+  let served = ref [] in
+  while
+    Device.Model.take_completion m (fun ~id ~page ~finish_us _ ->
+        let arrival, sector = List.assoc id submitted in
+        check_int "delivered page" sector page;
+        served :=
+          { id; arrival; sector; start = Hashtbl.find starts id; finish = finish_us } :: !served)
+  do
+    ()
+  done;
+  List.rev !served
 
 let span services = List.fold_left (fun m s -> max m s.finish) 0 services
 

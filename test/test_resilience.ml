@@ -107,19 +107,25 @@ let test_fault_escalation_modes () =
 
 (* --- Device.Model: terminal-failure records --- *)
 
-let test_model_failure_of_consumes () =
+let test_model_failure_delivered_once () =
   let m = model ~fault:(fail_all ~max_retries:0 ()) () in
   let id = Device.Model.submit m ~now:0 ~kind:Device.Request.Demand ~page:5 ~words:0 in
-  (* The failed request still finishes in time... *)
-  let fin = Device.Model.completion_us m id in
-  check_bool "failure still takes channel time" true (fin > 0);
-  (* ...and the failure record is retrievable exactly once. *)
-  (match Device.Model.failure_of m id with
-  | Some f ->
+  let got = ref [] in
+  let note ~id ~page:_ ~finish_us failure = got := (id, finish_us, failure) :: !got in
+  check_bool "delivered" true (Device.Model.take_completion m note);
+  (match !got with
+  | [ (req, fin, Some f) ] ->
+    (* The failed request still finishes in time, and its delivery
+       carries the failure record. *)
+    check_int "delivered request" id req;
+    check_bool "failure still takes channel time" true (fin > 0);
     check_int "req id" id f.Device.Model.req;
+    check_int "failed when it finished" fin f.Device.Model.at_us;
     check_bool "demand kind" true (f.Device.Model.kind = Device.Request.Demand)
-  | None -> Alcotest.fail "expected a terminal failure record");
-  check_bool "record consumed" true (Device.Model.failure_of m id = None)
+  | _ -> Alcotest.fail "expected one delivery with a terminal failure record");
+  (* Delivered once: nothing is held for the request afterwards. *)
+  check_bool "record consumed" false (Device.Model.take_completion m note);
+  check_int "one delivery" 1 (List.length !got)
 
 let test_failure_vocabulary () =
   let dev =
@@ -637,7 +643,7 @@ let () =
           Alcotest.test_case "write rolls skipped" `Quick test_fault_write_rolls_skipped;
           Alcotest.test_case "permanent marking" `Quick test_fault_permanent_marking;
           Alcotest.test_case "escalation modes" `Quick test_fault_escalation_modes;
-          Alcotest.test_case "failure record consumed" `Quick test_model_failure_of_consumes;
+          Alcotest.test_case "failure record consumed" `Quick test_model_failure_delivered_once;
           Alcotest.test_case "failure vocabulary" `Quick test_failure_vocabulary;
         ] );
       ( "recovery",

@@ -124,12 +124,14 @@ let test_rice_double_free () =
 
 let rice_random_ops =
   QCheck.Test.make ~name:"rice chain random ops keep tiling" ~count:80
-    QCheck.(list (pair bool (int_range 1 40)))
+    (* sizes are drawn less one, since QCheck shrinks every int towards 0 *)
+    QCheck.(list (pair bool (int_bound 39)))
     (fun ops ->
       let _, c = make_chain ~words:512 () in
       let live = ref [] in
       List.iter
         (fun (do_alloc, n) ->
+          let n = n + 1 in
           if do_alloc || !live = [] then begin
             match Segmentation.Rice_chain.alloc c ~payload:n ~codeword:n with
             | Some off -> live := off :: !live
@@ -143,6 +145,133 @@ let rice_random_ops =
             | [] -> ()
           end;
           Segmentation.Rice_chain.validate c)
+        ops;
+      true)
+
+(* An exact model of the Rice chain, in lists: the frontier, the
+   inactive blocks in chain order and the active blocks' sizes.  It
+   places sequentially first; then takes the first fit along the chain,
+   whose leftover replaces the block when it can hold the size and link
+   words, and is granted with it otherwise; then combines adjacent
+   inactive blocks, reclaims one that abuts the frontier and tries the
+   chain, then the frontier, again.  A freed block goes on the head of
+   the chain. *)
+module Rice_model = struct
+  type t = {
+    len : int;
+    mutable frontier : int;
+    mutable chain : (int * int) list;  (* (offset, size), chain order *)
+    mutable active : (int * int) list;  (* offset -> size *)
+    mutable combines : int;
+  }
+
+  let create len = { len; frontier = 0; chain = []; active = []; combines = 0 }
+
+  let claim m off size =
+    m.active <- (off, size) :: m.active;
+    Some off
+
+  let sequential m total =
+    if m.len - m.frontier < total then None
+    else begin
+      let off = m.frontier in
+      m.frontier <- off + total;
+      claim m off total
+    end
+
+  let first_fit m total =
+    let rec go before = function
+      | [] -> None
+      | (off, size) :: after when size >= total ->
+        if size - total >= 2 then begin
+          m.chain <- List.rev_append before ((off + total, size - total) :: after);
+          claim m off total
+        end
+        else begin
+          m.chain <- List.rev_append before after;
+          claim m off size
+        end
+      | block :: after -> go (block :: before) after
+    in
+    go [] m.chain
+
+  let combine m =
+    m.combines <- m.combines + 1;
+    let merged =
+      List.fold_left
+        (fun acc (o, s) ->
+          match acc with
+          | (o', s') :: rest when o' + s' = o -> (o', s' + s) :: rest
+          | _ -> (o, s) :: acc)
+        [] (List.sort compare m.chain)
+    in
+    let merged =
+      match merged with
+      | (o, s) :: rest when o + s = m.frontier ->
+        m.frontier <- o;
+        rest
+      | _ -> merged
+    in
+    m.chain <- List.rev merged
+
+  let alloc m payload =
+    let total = max 2 (payload + 1) in
+    let ( ||| ) a b = match a with Some _ -> a | None -> b () in
+    sequential m total
+    ||| fun () ->
+    first_fit m total
+    ||| fun () ->
+    combine m;
+    first_fit m total ||| fun () -> sequential m total
+
+  let free m off =
+    let size = List.assoc off m.active in
+    m.active <- List.remove_assoc off m.active;
+    m.chain <- (off, size) :: m.chain
+end
+
+(* The chain and its model in lockstep through random allocations and
+   frees of live blocks: after every request both give the same offset
+   or refusal, chain, frontier and combine count, and the chain tiles. *)
+let rice_matches_model =
+  QCheck.Test.make ~name:"rice chain matches an exact model" ~count:300
+    (* sizes are drawn less one, since QCheck shrinks every int towards 0 *)
+    QCheck.(list_of_size Gen.(int_range 0 120) (pair (int_bound 99) (int_bound 39)))
+    (fun ops ->
+      let words = 192 in
+      let _, c = make_chain ~words () in
+      let m = Rice_model.create words in
+      let live = ref [] in
+      let show_blocks l =
+        String.concat " " (List.map (fun (o, s) -> Printf.sprintf "%d+%d" o s) l)
+      in
+      List.iteri
+        (fun step (k, n) ->
+          let fail fmt =
+            Printf.ksprintf (fun msg -> QCheck.Test.fail_reportf "step %d: %s" step msg) fmt
+          in
+          if k < 60 || !live = [] then begin
+            let payload = n + 1 in
+            let got = Segmentation.Rice_chain.alloc c ~payload ~codeword:step
+            and want = Rice_model.alloc m payload in
+            let show = function Some off -> string_of_int off | None -> "none" in
+            if got <> want then fail "alloc %d: %s, model %s" payload (show got) (show want);
+            Option.iter (fun off -> live := off :: !live) got
+          end
+          else begin
+            let off = List.nth !live (n mod List.length !live) in
+            live := List.filter (( <> ) off) !live;
+            Segmentation.Rice_chain.free c off;
+            Rice_model.free m off
+          end;
+          let chain = Segmentation.Rice_chain.chain_blocks c in
+          if chain <> m.chain then fail "chain %s, model %s" (show_blocks chain) (show_blocks m.chain);
+          let expect what got want = if got <> want then fail "%s %d, model %d" what got want in
+          expect "frontier" (Segmentation.Rice_chain.frontier c) m.frontier;
+          expect "combines" (Segmentation.Rice_chain.combines c) m.combines;
+          match Segmentation.Rice_chain.validate c with
+          | () -> ()
+          | exception Failure msg -> fail "invalid: %s" msg)
         ops;
       true)
 
@@ -525,6 +654,7 @@ let () =
           Alcotest.test_case "combine adjacent" `Quick test_rice_combine_adjacent;
           Alcotest.test_case "double free" `Quick test_rice_double_free;
           QCheck_alcotest.to_alcotest rice_random_ops;
+          QCheck_alcotest.to_alcotest rice_matches_model;
         ] );
       ( "segment_store",
         [
