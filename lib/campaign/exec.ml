@@ -18,8 +18,10 @@
 
    With [timeout_s] the parent polls (WNOHANG) instead of blocking in
    wait, and SIGKILLs any child past its wall-clock deadline; the
-   failure is recorded as timed out.  Without it, the legacy blocking
-   reap is kept — no polling overhead on the common path. *)
+   failure is recorded as timed out.  It also polls while a queued
+   retry backs off with a worker free, so the retry starts when its
+   backoff ends rather than when some other cell exits.  Otherwise the
+   blocking reap is kept — no polling overhead on the common path. *)
 
 type runner =
   point:Spec.point ->
@@ -240,7 +242,10 @@ let run ?(jobs = 1) ?limit ?timeout_s ?(max_retries = 0) ?(retry_backoff_s = 0.)
       | None -> spawned := false
     done;
     if Hashtbl.length active > 0 then begin
-      if timeout_s = None then reap_blocking () else reap_polling ()
+      (* Whatever is still queued is backing off: the loop above would
+         have started it otherwise. *)
+      let backing_off = !queue <> [] && Hashtbl.length active < jobs in
+      if timeout_s = None && not backing_off then reap_blocking () else reap_polling ()
     end
     else if all_backing_off () then Unix.sleepf 0.02
   done;

@@ -49,16 +49,18 @@ val run :
     per-cell start/elapsed.
 
     [timeout_s] bounds each attempt's wall-clock time: an overdue
-    child is SIGKILLed and its failure recorded as timed out (the
-    parent switches from a blocking wait to a WNOHANG poll only when a
-    timeout is set).  [max_retries] (default 0) is the per-cell failed
-    attempt budget {e across resumes}: each failure is logged with its
-    attempt count, a failing cell is requeued after a linear
-    [retry_backoff_s] * attempts delay while budget remains, and a
-    resumed campaign skips cells whose recorded retries already
-    exhausted the budget.  With [max_retries = 0] failures are never
-    retried in-run but are re-attempted by a later invocation — the
-    legacy behaviour. *)
+    child is SIGKILLed and its failure recorded as timed out.  The
+    parent polls (WNOHANG) while a timeout is set, or while a queued
+    retry backs off with a worker free, so that retry starts as soon as
+    its backoff ends; otherwise it blocks in wait.
+
+    [max_retries] (default 0) is the per-cell failed attempt budget
+    {e across resumes}: each failure is logged with its attempt count,
+    a failing cell is requeued after a linear [retry_backoff_s] *
+    attempts delay while budget remains, and a resumed campaign skips
+    cells whose recorded retries already exhausted the budget.  With
+    [max_retries = 0] failures are never retried in-run but are
+    re-attempted by a later invocation — the legacy behaviour. *)
 
 val progress : quiet:bool -> Spec.t -> out_channel option -> Spec.point -> Store.status -> unit
 (** An [on_cell] for {!run}: unless [quiet], a [[done]] or [[FAIL]]

@@ -53,17 +53,9 @@ let point ?obs ?seed ?(words = 1 lsl 16) ?(target_live = 400) ~steps ~mix policy
 
 let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let steps = if quick then 2_000 else 25_000 in
-  (* A clockless allocator stamps events with its operation counter
-     (at most one per stream event); shifting each policy's run by the
-     events already served keeps the spliced stream monotone; segment
-     boundaries mark where each policy's fresh store begins. *)
-  let t_base = ref 0 in
-  let runs = ref 0 in
-  let seg ~config =
-    let s = Obs.Sink.segment ?seed ~config ~run:!runs ~offset:!t_base obs in
-    incr runs;
-    s
-  in
+  (* A clockless allocator stamps events with its operation counter (at
+     most one per stream event), so each policy's run spans [steps]. *)
+  let sp = Obs.Sink.splice ?seed obs in
   List.concat_map
     (fun mix ->
       List.map
@@ -72,8 +64,8 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
             Printf.sprintf "c2 mix=%s policy=%s" (mix_name mix)
               (Freelist.Policy.to_string policy)
           in
-          let outcome = point ~obs:(seg ~config) ?seed ~steps ~mix policy in
-          t_base := !t_base + steps;
+          let outcome = point ~obs:(Obs.Sink.next sp ~config) ?seed ~steps ~mix policy in
+          Obs.Sink.advance sp steps;
           { policy = Freelist.Policy.to_string policy; mix = mix_name mix; outcome })
         Freelist.Policy.all_standard)
     [ Small_skewed; Bimodal ]

@@ -38,16 +38,9 @@ let point ?obs ?seed ~frames spec trace =
 
 let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let rng = Sim.Rng.derive ?override:seed 555 in
-  (* Fault_sim stamps events with the reference index; shifting each run
-     by the references already replayed keeps the stream monotone;
-     segment boundaries mark where each policy/frame run restarts. *)
-  let t_base = ref 0 in
-  let runs = ref 0 in
-  let seg ~config =
-    let s = Obs.Sink.segment ?seed ~config ~run:!runs ~offset:!t_base obs in
-    incr runs;
-    s
-  in
+  (* Fault_sim stamps events with the reference index, so each
+     policy/frame run spans its trace's length. *)
+  let sp = Obs.Sink.splice ?seed obs in
   List.concat_map
     (fun (shape, trace) ->
       let trace_name = shape_name shape in
@@ -60,8 +53,8 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
                   Printf.sprintf "c3 trace=%s policy=%s frames=%d" trace_name
                     (Paging.Spec.to_string spec) frames
                 in
-                let r = point ~obs:(seg ~config) ?seed ~frames spec trace in
-                t_base := !t_base + Array.length trace;
+                let r = point ~obs:(Obs.Sink.next sp ~config) ?seed ~frames spec trace in
+                Obs.Sink.advance sp (Array.length trace);
                 (frames, Paging.Fault_sim.fault_rate r))
               (frame_points ~quick)
           in

@@ -13,25 +13,10 @@ let frames = 12
 let total_pages = 48
 
 let make_engine () =
-  let clock = Sim.Clock.create () in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core" ~words:(frames * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"drum"
-      ~words:(total_pages * page_size)
-  in
-  Paging.Demand.create
-    {
-      Paging.Demand.page_size;
-      frames;
-      pages = total_pages;
-      core;
-      backing;
-      policy = Paging.Replacement.lru ();
-      tlb = None;
-      compute_us_per_ref = 20;
-    }
+  Paging.Spec.build ~clock:(Sim.Clock.create ()) ~rng:(Sim.Rng.create 0)
+    { Paging.Spec.e_page_size = page_size; e_frames = frames; e_pages = total_pages;
+      e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = None;
+      e_compute_us_per_ref = 20 }
 
 let stats variant engine =
   {

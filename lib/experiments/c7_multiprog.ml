@@ -21,20 +21,15 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let refs_per_job = if quick then 300 else 2_000 in
   let ks = if quick then [ 1; 4 ] else [ 1; 2; 3; 4; 6; 8 ] in
   let fetches = [ 500; 5_000 ] in
-  (* Each scheduler run has its own simulated clock from 0; shifting by
-     the accumulated elapsed time keeps the spliced stream monotone;
-     segment boundaries mark where each scheduler run restarts. *)
-  let t_base = ref 0 in
-  let runs = ref 0 in
-  let seg ~config =
-    let s = Obs.Sink.segment ?seed ~config ~run:!runs ~offset:!t_base obs in
-    incr runs;
-    s
-  in
+  (* Each scheduler run has its own clock from 0 and spans its elapsed
+     time. *)
+  let sp = Obs.Sink.splice ?seed obs in
   let one ~regime ~frames k fetch_us =
     let config = Printf.sprintf "c7 regime=%s jobs=%d fetch_us=%d" regime k fetch_us in
-    let report = point ~obs:(seg ~config) ?seed ~refs_per_job ~frames ~fetch_us k in
-    t_base := !t_base + report.Dsas.Multiprog.elapsed_us;
+    let report =
+      point ~obs:(Obs.Sink.next sp ~config) ?seed ~refs_per_job ~frames ~fetch_us k
+    in
+    Obs.Sink.advance sp report.Dsas.Multiprog.elapsed_us;
     {
       jobs = k;
       fetch_us;

@@ -7,30 +7,17 @@ let frames = 8
 (* Build an engine and touch pages in an interleaved order so that
    consecutive pages land in non-consecutive frames. *)
 let build () =
-  let clock = Sim.Clock.create () in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core" ~words:(frames * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"drum" ~words:(pages * page_size)
+  let engine =
+    Paging.Spec.build ~clock:(Sim.Clock.create ()) ~rng:(Sim.Rng.create 0)
+      { Paging.Spec.e_page_size = page_size; e_frames = frames; e_pages = pages;
+        e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = None;
+        e_compute_us_per_ref = 1 }
   in
   (* A recognizable pattern per word of backing store. *)
+  let backing = Memstore.Level.physical (Paging.Demand.backing engine) in
   for w = 0 to (pages * page_size) - 1 do
-    Memstore.Physical.write (Memstore.Level.physical backing) w (Int64.of_int (w * 7))
+    Memstore.Physical.write backing w (Int64.of_int (w * 7))
   done;
-  let engine =
-    Paging.Demand.create
-      {
-        Paging.Demand.page_size;
-        frames;
-        pages;
-        core;
-        backing;
-        policy = Paging.Replacement.lru ();
-        tlb = None;
-        compute_us_per_ref = 1;
-      }
-  in
   (* Scatter: 0, 4, 1, 5, 2, 6, 3, 7 claim frames in touch order. *)
   List.iter
     (fun p -> ignore (Paging.Demand.read engine (p * page_size)))

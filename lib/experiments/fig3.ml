@@ -57,21 +57,13 @@ let point ?obs ?seed ?(frames = 12) ?(policy = Paging.Spec.Lru) ~refs device =
 
 let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let refs = if quick then 2_000 else 20_000 in
-  (* Each device run starts a fresh clock; shifting by the accumulated
-     elapsed time splices the runs into one monotone event stream, and
-     the segment boundary tells `dsas_sim check` where engines restart. *)
-  let t_base = ref 0 in
-  let runs = ref 0 in
-  let seg ~config =
-    let s = Obs.Sink.segment ?seed ~config ~run:!runs ~offset:!t_base obs in
-    incr runs;
-    s
-  in
+  (* Each device run starts a fresh clock and spans its elapsed time. *)
+  let sp = Obs.Sink.splice ?seed obs in
   List.map
     (fun device ->
       let config = Printf.sprintf "fig3 device=%s" device.Memstore.Device.label in
-      let row = point ~obs:(seg ~config) ?seed ~refs device in
-      t_base := !t_base + row.elapsed_us;
+      let row = point ~obs:(Obs.Sink.next sp ~config) ?seed ~refs device in
+      Obs.Sink.advance sp row.elapsed_us;
       row)
     devices
 

@@ -14,12 +14,6 @@
    crashes, restarts and checkpoints appear only in the separate
    supervision stream. *)
 
-let emit_segment ?seed ~config ~run ~offset obs events =
-  Array.iter (Obs.Sink.emit (Obs.Sink.segment ?seed ~config ~run ~offset obs)) events
-
-let max_t events =
-  Array.fold_left (fun acc (ev : Obs.Event.t) -> max acc ev.t_us) 0 events
-
 let fault_columns (r : _ Par_chaos.recovery) shard =
   match r.subject with
   | Error _ -> [ "-"; "-"; "-" ]
@@ -134,27 +128,24 @@ let run ?(quick = false) ?(obs = Obs.Sink.null) ?seed ?(domains = 1)
   print_newline ();
   (* Splice the streams into the experiment's sink: engine traces as
      runs 0-1, supervision streams (a different vocabulary, so their
-     own segments) as runs 2-3, each shifted past everything before
+     own segments) as runs 2-3, each at one past the last stamp before
      it.  An escalated run emitted nothing, so emission is all-or-none:
      a partial trace would not re-check. *)
   match (a.subject, p.subject) with
   | Ok a, Ok p ->
-    let off1 = max_t a.trace + 1 in
-    let off2 = off1 + max_t p.trace + 1 in
-    let off3 = off2 + max_t a.supervision + 1 in
-    emit_segment ?seed
-      ~config:
-        (Printf.sprintf "x11 par_alloc shards=%d"
-           alloc_cfg.Parallel.Sharded.a_shards)
-      ~run:0 ~offset:0 obs a.trace;
-    emit_segment ?seed
-      ~config:
-        (Printf.sprintf "x11 par_paging shards=%d"
-           paging_cfg.Parallel.Sharded.p_shards)
-      ~run:1 ~offset:off1 obs p.trace;
-    emit_segment ?seed ~config:"x11 par_alloc supervision" ~run:2 ~offset:off2
-      obs a.supervision;
-    emit_segment ?seed ~config:"x11 par_paging supervision" ~run:3 ~offset:off3
-      obs p.supervision;
+    let sp = Obs.Sink.splice ?seed obs in
+    let emit config events =
+      Array.iter (Obs.Sink.emit (Obs.Sink.next sp ~config)) events;
+      Obs.Sink.advance sp
+        (Array.fold_left (fun acc (ev : Obs.Event.t) -> max acc ev.t_us) 0 events + 1)
+    in
+    emit
+      (Printf.sprintf "x11 par_alloc shards=%d" alloc_cfg.Parallel.Sharded.a_shards)
+      a.trace;
+    emit
+      (Printf.sprintf "x11 par_paging shards=%d" paging_cfg.Parallel.Sharded.p_shards)
+      p.trace;
+    emit "x11 par_alloc supervision" a.supervision;
+    emit "x11 par_paging supervision" p.supervision;
     true
   | _ -> false

@@ -66,17 +66,14 @@ let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let steps = if quick then 2_000 else 20_000 in
   let events = stream (Sim.Rng.derive ?override:seed 313) ~steps ~period:200 in
   (* Clockless allocators stamp events with their operation counter; a
-     compacting alloc can retry, so each variant advances time by at
-     most twice its event count.  Shifting each run past the spans of
-     those before it keeps the spliced stream monotone.  The trace
-     records the variants last row first. *)
-  let span = 2 * List.length events in
+     compacting alloc can retry, so each variant spans at most twice its
+     event count.  The trace records the variants last row first. *)
+  let sp = Obs.Sink.splice ?seed obs in
   List.rev
-    (List.mapi
-       (fun run (label, variant, policy, compacting) ->
-         let obs =
-           Obs.Sink.segment ?seed ~config:("x1 variant=" ^ label) ~run ~offset:(run * span) obs
-         in
+    (List.map
+       (fun (label, variant, policy, compacting) ->
+         let obs = Obs.Sink.next sp ~config:("x1 variant=" ^ label) in
+         Obs.Sink.advance sp (2 * List.length events);
          serve ~obs ~variant ~policy ~compacting events)
        Freelist.Policy.
          [

@@ -48,25 +48,12 @@ let static_overlay ~workload (generated, phases, refs_per_phase) =
 
 let demand_paging ~workload (generated, _, _) =
   let clock = Sim.Clock.create () in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core"
-      ~words:(pages_per_phase * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock drum ~name:"drum" ~words:(total_pages * page_size)
-  in
   let engine =
-    Paging.Demand.create
-      {
-        Paging.Demand.page_size;
-        frames = pages_per_phase;  (* the same worst-case region *)
-        pages = total_pages;
-        core;
-        backing;
-        policy = Paging.Replacement.lru ();
-        tlb = None;
-        compute_us_per_ref;
-      }
+    Paging.Spec.build ~clock ~rng:(Sim.Rng.create 0)
+      { Paging.Spec.e_page_size = page_size;
+        e_frames = pages_per_phase;  (* the same worst-case region *)
+        e_pages = total_pages; e_device = drum; e_policy = Paging.Spec.Lru;
+        e_tlb_slots = None; e_compute_us_per_ref = compute_us_per_ref }
   in
   Paging.Demand.run engine (Predictive.Directive.strip generated.Predictive.Phased.steps);
   {

@@ -73,23 +73,11 @@ let swapping_run ~touched schedule =
 
 let paging_run ~touched schedule =
   let clock = Sim.Clock.create () in
-  let core = Memstore.Level.make clock Memstore.Device.core ~name:"core" ~words:core_words in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"drum"
-      ~words:(programs * program_size)
-  in
   let engine =
-    Paging.Demand.create
-      {
-        Paging.Demand.page_size;
-        frames = core_words / page_size;
-        pages = programs * program_size / page_size;
-        core;
-        backing;
-        policy = Paging.Replacement.lru ();
-        tlb = Some (Paging.Tlb.create ~capacity:16 Paging.Tlb.Lru_replacement);
-        compute_us_per_ref = 0;
-      }
+    Paging.Spec.build ~clock ~rng:(Sim.Rng.create 0)
+      { Paging.Spec.e_page_size = page_size; e_frames = core_words / page_size;
+        e_pages = programs * program_size / page_size; e_device = Memstore.Device.drum;
+        e_policy = Paging.Spec.Lru; e_tlb_slots = Some 16; e_compute_us_per_ref = 0 }
   in
   List.iter
     (fun (p, refs) ->

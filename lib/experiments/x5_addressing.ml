@@ -50,24 +50,11 @@ let relocated_row ~quick =
 let paged_row ~quick =
   let page_size = 64 and frames = 8 and pages = 64 in
   let clock = Sim.Clock.create () in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core" ~words:(frames * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"drum" ~words:(pages * page_size)
-  in
   let engine =
-    Paging.Demand.create
-      {
-        Paging.Demand.page_size;
-        frames;
-        pages;
-        core;
-        backing;
-        policy = Paging.Replacement.lru ();
-        tlb = Some (Paging.Tlb.create ~capacity:8 Paging.Tlb.Lru_replacement);
-        compute_us_per_ref = 1;
-      }
+    Paging.Spec.build ~clock ~rng:(Sim.Rng.create 0)
+      { Paging.Spec.e_page_size = page_size; e_frames = frames; e_pages = pages;
+        e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = Some 8;
+        e_compute_us_per_ref = 1 }
   in
   let cpu = Machine.Cpu.create (Machine.Addressing.paged engine) ~code_at:linear_code in
   execute ~quick cpu ~clock ~seg:0 ~data:1024 ~scratch:1500

@@ -101,27 +101,11 @@ let st_trace ?seed ~refs () =
   in
   Array.map (fun p -> (p * page_size) + Sim.Rng.int rng page_size) page_trace
 
-let demand_engine ?(obs = Obs.Sink.null) ?device () =
-  let clock = Sim.Clock.create () in
-  let extent = 24 * page_size in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core"
-      ~words:(frames * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"backing" ~words:extent
-  in
-  Paging.Demand.create ~obs ?device
-    {
-      Paging.Demand.page_size;
-      frames;
-      pages = 24;
-      core;
-      backing;
-      policy = Paging.Replacement.lru ();
-      tlb = None;
-      compute_us_per_ref = 50;
-    }
+let demand_engine ?obs ?device () =
+  Paging.Spec.build ?obs ?device ~clock:(Sim.Clock.create ()) ~rng:(Sim.Rng.create 0)
+    { Paging.Spec.e_page_size = page_size; e_frames = frames; e_pages = 24;
+      e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = None;
+      e_compute_us_per_ref = 50 }
 
 (* Run the trace with one write in eight: modified evictions then
    enqueue write-backs, which compete with later fetches — the traffic
@@ -136,17 +120,12 @@ let run_trace engine trace =
 let measure_spacetime ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let refs = if quick then 2_000 else 10_000 in
   let trace = st_trace ?seed ~refs () in
-  let t_base = ref 0 in
-  let runs = ref 0 in
+  let sp = Obs.Sink.splice ?seed obs in
   let one config device_of =
-    let sink =
-      Obs.Sink.segment ?seed ~config:("x8 config=" ^ config) ~run:!runs
-        ~offset:!t_base obs
-    in
-    incr runs;
+    let sink = Obs.Sink.next sp ~config:("x8 config=" ^ config) in
     let engine = demand_engine ~obs:sink ?device:(device_of sink) () in
     run_trace engine trace;
-    t_base := !t_base + Sim.Clock.now (Paging.Demand.clock engine);
+    Obs.Sink.advance sp (Sim.Clock.now (Paging.Demand.clock engine));
     let st = Paging.Demand.space_time engine in
     let latency =
       match Paging.Demand.device engine with

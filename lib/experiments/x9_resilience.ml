@@ -83,26 +83,16 @@ let one ?seed ~obs ~refs_per_job ~error_prob ~policy () =
 
 let measure ?(quick = false) ?(obs = Obs.Sink.null) ?seed () =
   let refs_per_job = if quick then 250 else 1_200 in
-  let t_base = ref 0 in
-  let runs = ref 0 in
-  let seg ~config =
-    let s = Obs.Sink.segment ?seed ~config ~run:!runs ~offset:!t_base obs in
-    incr runs;
-    s
-  in
+  let sp = Obs.Sink.splice ?seed obs in
   List.concat_map
     (fun error_prob ->
       List.map
         (fun policy ->
+          let config = Printf.sprintf "x9 error_prob=%g policy=%s" error_prob policy in
           let r =
-            one ?seed
-              ~obs:
-                (seg
-                   ~config:
-                     (Printf.sprintf "x9 error_prob=%g policy=%s" error_prob policy))
-              ~refs_per_job ~error_prob ~policy ()
+            one ?seed ~obs:(Obs.Sink.next sp ~config) ~refs_per_job ~error_prob ~policy ()
           in
-          t_base := !t_base + r.elapsed_us;
+          Obs.Sink.advance sp r.elapsed_us;
           r)
         policies)
     (error_probs ~quick)
@@ -113,27 +103,12 @@ let page_size = 64
 
 let demand_pages = 24
 
-let demand_engine ?(obs = Obs.Sink.null) ~device ~recovery () =
-  let clock = Sim.Clock.create () in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core"
-      ~words:(8 * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"backing"
-      ~words:(demand_pages * page_size)
-  in
-  Paging.Demand.create ~obs ~device ~recovery
-    {
-      Paging.Demand.page_size;
-      frames = 8;
-      pages = demand_pages;
-      core;
-      backing;
-      policy = Paging.Replacement.lru ();
-      tlb = None;
-      compute_us_per_ref = 30;
-    }
+let demand_engine ?obs ~device ~recovery () =
+  Paging.Spec.build ?obs ~device ~recovery ~clock:(Sim.Clock.create ())
+    ~rng:(Sim.Rng.create 0)
+    { Paging.Spec.e_page_size = page_size; e_frames = 8; e_pages = demand_pages;
+      e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = None;
+      e_compute_us_per_ref = 30 }
 
 let demand_trace ?seed ~refs () =
   let rng = Sim.Rng.derive ?override:seed 1109 in

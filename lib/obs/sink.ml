@@ -40,6 +40,17 @@ let segment ?seed ?config ~run ~offset inner =
     emit s (Event.make ~t_us:0 (Event.Run_start { run; seed; config }));
     s
 
+type splice = { into : t; seed : int option; mutable run : int; mutable offset : int }
+
+let splice ?seed into = { into; seed; run = 0; offset = 0 }
+
+let next sp ~config =
+  let s = segment ?seed:sp.seed ~config ~run:sp.run ~offset:sp.offset sp.into in
+  sp.run <- sp.run + 1;
+  s
+
+let advance sp span = sp.offset <- sp.offset + span
+
 let rec flush = function
   | Null | Collect _ -> ()
   | Jsonl (oc, _) -> Stdlib.flush oc

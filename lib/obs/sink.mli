@@ -42,6 +42,29 @@ val segment : ?seed:int -> ?config:string -> run:int -> offset:int -> t -> t
     the recorded stream identifies the run that produced it.
     [segment ~run ~offset null] is {!null} and emits nothing. *)
 
+(** {2 Splicing runs}
+
+    An experiment that runs several engines, each on a fresh clock,
+    splices them into one monotone stream through one splice: run [k]
+    is the [k]th {!next} segment, offset by the sum of the spans
+    {!advance}d before it. *)
+
+type splice
+
+val splice : ?seed:int -> t -> splice
+(** Start a splice into a sink, at run 0 and offset 0.  [seed] is
+    stamped into every run's boundary. *)
+
+val next : splice -> config:string -> t
+(** The next run's {!segment}: numbered one past the previous run, at
+    the current offset, its boundary already emitted.  A splice into
+    {!null} hands out {!null} and emits nothing. *)
+
+val advance : splice -> int -> unit
+(** [advance sp span] moves the offset past the run just taken: [span]
+    is its extent in its own time, e.g. its clock at the end, or one
+    past its last stamp. *)
+
 val is_active : t -> bool
 (** [false] exactly for {!null}.  Hot paths branch on this before
     constructing an event. *)

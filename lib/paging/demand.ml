@@ -404,4 +404,6 @@ let tlb t = t.cfg.tlb
 
 let page_size t = t.cfg.page_size
 
+let backing t = t.cfg.backing
+
 let device t = t.device

@@ -132,6 +132,11 @@ val tlb : t -> Tlb.t option
 
 val page_size : t -> int
 
+val backing : t -> Memstore.Level.t
+(** The backing level: page [p] lives at offset [p * page_size].  A
+    caller that built the engine from a description writes its initial
+    contents here, before the first reference. *)
+
 val device : t -> Device.Model.t option
 (** The timed backing-store model, when one was supplied to {!create}
     (for end-of-run {!Device.Model.stats}). *)

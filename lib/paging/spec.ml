@@ -56,7 +56,7 @@ let instantiate spec ~rng ~trace =
    order (core level, backing level, policy) matches the historical
    hand-written call sites, so rewiring them through [build] leaves
    results bit-identical. *)
-let build ?obs ?(core_name = "core") ~clock ~rng ?trace e =
+let build ?obs ?device ?recovery ?(core_name = "core") ~clock ~rng ?trace e =
   let core =
     Memstore.Level.make clock Memstore.Device.core ~name:core_name
       ~words:(e.e_frames * e.e_page_size)
@@ -71,7 +71,7 @@ let build ?obs ?(core_name = "core") ~clock ~rng ?trace e =
       (fun capacity -> Tlb.create ~clock ~capacity Tlb.Lru_replacement)
       e.e_tlb_slots
   in
-  Demand.create ?obs
+  Demand.create ?obs ?device ?recovery
     {
       Demand.page_size = e.e_page_size;
       frames = e.e_frames;

@@ -49,6 +49,8 @@ type engine = {
 
 val build :
   ?obs:Obs.Sink.t ->
+  ?device:Device.Model.t ->
+  ?recovery:Demand.recovery ->
   ?core_name:string ->
   clock:Sim.Clock.t ->
   rng:Sim.Rng.t ->
@@ -60,4 +62,10 @@ val build :
     after the device), instantiate the policy from [rng] (and [trace],
     required for [Opt]), and assemble the {!Demand} engine.  Building
     the same description twice with equal clocks and rng states yields
-    engines with identical behaviour. *)
+    engines with identical behaviour.
+
+    This is how every demand-paging engine outside [Dsas.System] is
+    assembled (the experiments and the sharded engines).  [obs],
+    [device] and [recovery] are passed unchanged to {!Demand.create};
+    the backing level starts zeroed, and {!Demand.backing} reaches it
+    to write initial contents. *)

@@ -618,6 +618,43 @@ let test_exec_limit_then_resume () =
         check_int "three cells carry the second-pass value" 3
           (List.length (List.filter (fun s -> near s 2.) scores)))
 
+(* Without a timeout the executor still polls while a retry backs off:
+   cell a fails its first attempt and may retry 0.2 s later, while b
+   holds the other worker for 1.5 s.  a's retry takes the free worker
+   at once instead of waiting for b to exit. *)
+let test_exec_retry_not_behind_running_cell () =
+  with_temp_dir (fun dir ->
+      let spec =
+        parse_spec
+          {|{"schema":"dsas-campaign-spec/1","name":"t","cell":"synthetic","seeds":[0],
+             "quick":true,"axes":[{"name":"p","values":["a","b"]}]}|}
+      in
+      init_ok ~dir spec;
+      let failed_once = Filename.concat dir "a_failed_once" in
+      let runner : Campaign.Exec.runner =
+       fun ~point ~quick:_ ~trace_path:_ ~metrics_path ->
+        match List.assoc_opt "p" point.Campaign.Spec.params with
+        | Some "a" when not (Sys.file_exists failed_once) ->
+          close_out (open_out failed_once);
+          Error "first attempt fails"
+        | p ->
+          if p = Some "b" then Unix.sleepf 1.5;
+          write_metrics ~score:1. metrics_path;
+          Ok ()
+      in
+      let o =
+        Campaign.Exec.run ~jobs:2 ~max_retries:2 ~retry_backoff_s:0.2 ~dir ~spec ~runner ()
+      in
+      check_int "both cells ok" 2 o.Campaign.Exec.ok;
+      check_int "a retried once" 1 o.Campaign.Exec.retried;
+      let timings = Campaign.Store.timings ~dir in
+      let a = List.assoc "p=a,seed=0" timings and b = List.assoc "p=b,seed=0" timings in
+      match (a.Campaign.Store.t_started, b.Campaign.Store.t_finished) with
+      | Some a_retry, Some b_done ->
+        if a_retry >= b_done then
+          Alcotest.failf "a's retry started %.3f s after b finished" (a_retry -. b_done)
+      | _ -> Alcotest.fail "executor left a stamp out")
+
 (* --- report ---------------------------------------------------------- *)
 
 let loaded_cell ~params ~seed ~metrics =
@@ -920,6 +957,8 @@ let () =
             test_exec_limit_then_resume;
           Alcotest.test_case "every attempt wall-clock stamped" `Quick
             test_exec_stamps_timings;
+          Alcotest.test_case "retry starts beside a running cell" `Quick
+            test_exec_retry_not_behind_running_cell;
         ] );
       ( "report",
         [

@@ -152,6 +152,71 @@ let test_segment_offsets_timestamps () =
     check_int "shifted" 1005 e.Obs.Event.t_us
   | l -> Alcotest.failf "expected two events, got %d" (List.length l)
 
+(* Each run: its config, the stamps it emits on its own clock, and the
+   span the experiment advances past it. *)
+let emit_runs ~next ~advance runs =
+  List.iter
+    (fun (config, stamps, span) ->
+      let s = next config in
+      List.iter (fun t_us -> Obs.Sink.emit s (ev ~t_us (Obs.Event.Fault { page = t_us }))) stamps;
+      advance span)
+    runs
+
+(* The loop [Sink.splice] replaced: a run counter, and an offset grown
+   by each run's span. *)
+let hand_spliced ?seed obs runs =
+  let t_base = ref 0 and count = ref 0 in
+  emit_runs runs
+    ~next:(fun config ->
+      let s = Obs.Sink.segment ?seed ~config ~run:!count ~offset:!t_base obs in
+      incr count;
+      s)
+    ~advance:(fun span -> t_base := !t_base + span)
+
+let spliced ?seed obs runs =
+  let sp = Obs.Sink.splice ?seed obs in
+  emit_runs runs ~next:(fun config -> Obs.Sink.next sp ~config) ~advance:(Obs.Sink.advance sp)
+
+let splice_runs_gen =
+  QCheck.Gen.(
+    pair (opt (int_bound 1_000))
+      (map
+         (List.mapi (fun i (stamps, span) -> (Printf.sprintf "run %d" i, stamps, span)))
+         (list_size (int_bound 8)
+            (pair (list_size (int_bound 5) (int_bound 100)) (int_bound 200)))))
+
+let splice_matches_hand_loop =
+  QCheck.Test.make ~name:"splice = the hand-rolled segment loop" ~count:300
+    (QCheck.make splice_runs_gen)
+    (fun (seed, runs) ->
+      let got = ref [] and want = ref [] in
+      spliced ?seed (collect_into got) runs;
+      hand_spliced ?seed (collect_into want) runs;
+      (* Run k opens at the sum of the spans before it, carrying the
+         seed and its config. *)
+      let boundaries =
+        List.filter_map
+          (fun (e : Obs.Event.t) ->
+            match e.kind with
+            | Obs.Event.Run_start { run; seed; config } -> Some (e.t_us, run, seed, config)
+            | _ -> None)
+          (List.rev !got)
+      in
+      let expected, _ =
+        List.fold_left
+          (fun (acc, offset) (config, _, span) ->
+            ((offset, List.length acc, seed, Some config) :: acc, offset + span))
+          ([], 0) runs
+      in
+      !got = !want && boundaries = List.rev expected)
+
+let test_splice_over_null () =
+  let sp = Obs.Sink.splice ~seed:7 Obs.Sink.null in
+  for _ = 1 to 3 do
+    check_bool "segment inactive" false (Obs.Sink.is_active (Obs.Sink.next sp ~config:"c"));
+    Obs.Sink.advance sp 10
+  done
+
 let test_tee_duplicates () =
   let a = ref [] and b = ref [] in
   let s = Obs.Sink.tee (collect_into a) (collect_into b) in
@@ -363,6 +428,8 @@ let () =
           Alcotest.test_case "activeness" `Quick test_null_inactive_others_active;
           Alcotest.test_case "null collapse" `Quick test_combinators_collapse_over_null;
           Alcotest.test_case "shift" `Quick test_segment_offsets_timestamps;
+          QCheck_alcotest.to_alcotest splice_matches_hand_loop;
+          Alcotest.test_case "splice over null" `Quick test_splice_over_null;
           Alcotest.test_case "tee" `Quick test_tee_duplicates;
           Alcotest.test_case "jsonl" `Quick test_jsonl_sink_writes_parseable_lines;
         ] );

@@ -851,6 +851,139 @@ let demand_model_property =
       in
       !ok && r.Paging.Fault_sim.faults = Paging.Demand.faults engine)
 
+(* --- Spec.build against the hand assembly it replaced --- *)
+
+type build_case = {
+  b_page_size : int;
+  b_frames : int;
+  b_pages : int;
+  b_compute_us : int;
+  b_tlb_slots : int option;
+  b_policy : Paging.Spec.t;
+  b_device : (int * Device.Sched.t * Device.Fault.config option) option;
+      (* geometry index, scheduling policy, faults *)
+  b_recovery : Paging.Demand.recovery;
+  b_ops : (int * bool) list;  (* word address, is a write *)
+}
+
+let build_geometries =
+  [| Device.Geometry.fixed Memstore.Device.drum; Device.Geometry.atlas_drum;
+     Device.Geometry.paper_disk |]
+
+(* The assembly every experiment wrote before [Spec.build] served it:
+   core level, backing level and the [Demand.create] record, by hand. *)
+let hand_built ~obs ?device c =
+  let clock = Sim.Clock.create () in
+  let core =
+    Memstore.Level.make clock Memstore.Device.core ~name:"core"
+      ~words:(c.b_frames * c.b_page_size)
+  in
+  let backing =
+    Memstore.Level.make clock Memstore.Device.drum ~name:"drum"
+      ~words:(c.b_pages * c.b_page_size)
+  in
+  Paging.Demand.create ~obs ?device ~recovery:c.b_recovery
+    {
+      Paging.Demand.page_size = c.b_page_size;
+      frames = c.b_frames;
+      pages = c.b_pages;
+      core;
+      backing;
+      policy = Paging.Spec.instantiate c.b_policy ~rng:(Sim.Rng.create 5) ~trace:None;
+      tlb =
+        Option.map
+          (fun capacity -> Paging.Tlb.create ~capacity Paging.Tlb.Lru_replacement)
+          c.b_tlb_slots;
+      compute_us_per_ref = c.b_compute_us;
+    }
+
+let spec_built ~obs ?device c =
+  Paging.Spec.build ~obs ?device ~recovery:c.b_recovery ~clock:(Sim.Clock.create ())
+    ~rng:(Sim.Rng.create 5)
+    { Paging.Spec.e_page_size = c.b_page_size; e_frames = c.b_frames; e_pages = c.b_pages;
+      e_device = Memstore.Device.drum; e_policy = c.b_policy; e_tlb_slots = c.b_tlb_slots;
+      e_compute_us_per_ref = c.b_compute_us }
+
+(* Everything one engine shows of a run: counts, clock, the space-time
+   split, what each reference returned, and its event bytes (engine and
+   device share the sink, as in x8 and x9). *)
+let run_built build c =
+  let bytes = Buffer.create 4096 in
+  let obs =
+    Obs.Sink.collect (fun e -> Obs.Event.to_buffer bytes e; Buffer.add_char bytes '\n')
+  in
+  let device =
+    Option.map
+      (fun (g, sched, fault) ->
+        Device.Model.create ~obs
+          (Device.Model.config ~sched ?fault build_geometries.(g)))
+      c.b_device
+  in
+  let engine = build ~obs ?device c in
+  let results =
+    List.mapi
+      (fun i (addr, write) ->
+        let r =
+          if write then
+            Result.map (fun () -> 0L) (Paging.Demand.write_result engine addr (Int64.of_int i))
+          else Paging.Demand.read_result engine addr
+        in
+        Result.map_error Resilience.Failure.to_string r)
+      c.b_ops
+  in
+  let st = Paging.Demand.space_time engine in
+  ( ( Paging.Demand.faults engine,
+      Paging.Demand.writebacks engine,
+      Sim.Clock.now (Paging.Demand.clock engine) ),
+    ( Int64.bits_of_float (Metrics.Space_time.active st),
+      Int64.bits_of_float (Metrics.Space_time.waiting st) ),
+    results,
+    Buffer.contents bytes )
+
+let build_case_gen =
+  QCheck.Gen.(
+    let* b_page_size = oneofl [ 16; 64; 256 ] in
+    let* b_frames = int_range 1 8 in
+    let* b_pages = int_range 1 24 in
+    let* b_compute_us = int_bound 60 in
+    let* b_tlb_slots = opt (int_range 1 8) in
+    let* b_policy = oneofl Paging.Spec.[ Lru; Fifo; Clock; Random ] in
+    let fault =
+      map
+        (fun (seed, read_error_prob) ->
+          Device.Fault.config ~seed ~read_error_prob ~write_error_prob:0.2
+            ~permanent_prob:0.3 ~on_exhausted:Device.Fault.Fail ())
+        (pair (int_bound 1_000_000) (oneofl [ 0.1; 0.4 ]))
+    in
+    let* b_device =
+      opt (triple (int_bound 2) (oneofl Device.Sched.all) (opt fault))
+    in
+    let* b_recovery = oneofl Paging.Demand.[ Mirror; Surface ] in
+    let+ b_ops =
+      list_size (int_range 1 150) (pair (int_bound ((b_pages * b_page_size) - 1)) bool)
+    in
+    { b_page_size; b_frames; b_pages; b_compute_us; b_tlb_slots; b_policy; b_device;
+      b_recovery; b_ops })
+
+let show_build_case c =
+  Printf.sprintf "page %d, %d frames, %d pages, %d us/ref, tlb %s, %s, device %s, %s, ops [%s]"
+    c.b_page_size c.b_frames c.b_pages c.b_compute_us
+    (match c.b_tlb_slots with None -> "none" | Some n -> string_of_int n)
+    (Paging.Spec.to_string c.b_policy)
+    (match c.b_device with
+     | None -> "none"
+     | Some (g, sched, fault) ->
+       Printf.sprintf "%s/%s%s" (Device.Geometry.label build_geometries.(g))
+         (Device.Sched.name sched) (if fault = None then "" else " faulty"))
+    (match c.b_recovery with Paging.Demand.Mirror -> "mirror" | Surface -> "surface")
+    (String.concat " "
+       (List.map (fun (a, w) -> (if w then "w" else "r") ^ string_of_int a) c.b_ops))
+
+let spec_build_matches_hand_assembly =
+  QCheck.Test.make ~name:"Spec.build = the hand assembly" ~count:300
+    (QCheck.make ~print:show_build_case build_case_gen)
+    (fun c -> run_built spec_built c = run_built hand_built c)
+
 let () =
   Alcotest.run "paging"
     [
@@ -881,6 +1014,7 @@ let () =
           QCheck_alcotest.to_alcotest lru_stack_property;
           QCheck_alcotest.to_alcotest opt_optimality;
           QCheck_alcotest.to_alcotest demand_model_property;
+          QCheck_alcotest.to_alcotest spec_build_matches_hand_assembly;
           Alcotest.test_case "CLOCK hand vs evictions" `Quick test_clock_hand_vs_evictions;
           Alcotest.test_case "ATLAS T from load and first use" `Quick test_atlas_first_use;
           QCheck_alcotest.to_alcotest candidates_fault_sim_property;
