@@ -11,6 +11,7 @@ type t = {
   mutable live_words : int;  (* sum of payload words of live blocks *)
   mutable live_blocks : int;
   mutable failures : int;
+  mutable examined : int;  (* free-list nodes the last search's scan looked at *)
   searches : Metrics.Stats.t;
   obs : Obs.Sink.t;
   tracing : bool;
@@ -109,7 +110,7 @@ let set_live t off on =
   Bytes.set t.live (off lsr 3) (Char.chr (if on then byte lor bit else byte land lnot bit))
 
 let mark_free t off size =
-  Block.write_tags t.mem ~base:t.base off { size; allocated = false };
+  Block.write_tags t.mem ~base:t.base off ~size ~allocated:false;
   insert_ordered t off size
 
 let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
@@ -132,6 +133,7 @@ let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
       live_words = 0;
       live_blocks = 0;
       failures = 0;
+      examined = 0;
       searches = Metrics.Stats.create ();
       obs;
       tracing = Obs.Sink.is_active obs;
@@ -144,19 +146,19 @@ let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
 
 (* Placement: the offset of a free block whose size covers [needed],
    or [null].  The index finds the hole the linear scan of the
-   simulated supervisor would pick, and [examined] is set to the number
-   of free-list nodes that scan looks at, from the ranks of holes in
-   address order. *)
-let lowest_fit t ~needed ~examined =
+   simulated supervisor would pick, and [t.examined] is set to the
+   number of free-list nodes that scan looks at, from the ranks of holes
+   in address order. *)
+let lowest_fit t ~needed =
   let off = Hole_index.first t.holes ~from:0 ~needed in
-  if off <> null then examined := Hole_index.rank t.holes off + 1;
+  if off <> null then t.examined <- Hole_index.rank t.holes off + 1;
   off
 
-let find_hole t ~take_high ~needed ~examined =
+let find_hole t ~take_high ~needed =
   let holes = Hole_index.length t.holes in
-  examined := holes;
+  t.examined <- holes;
   match t.policy with
-  | Policy.First_fit -> lowest_fit t ~needed ~examined
+  | Policy.First_fit -> lowest_fit t ~needed
   | Policy.Next_fit ->
     if holes = 0 then null
     else begin
@@ -165,12 +167,12 @@ let find_hole t ~take_high ~needed ~examined =
       let skipped = Hole_index.rank t.holes start in
       let off = Hole_index.first t.holes ~from:start ~needed in
       if off <> null then begin
-        examined := Hole_index.rank t.holes off - skipped + 1;
+        t.examined <- Hole_index.rank t.holes off - skipped + 1;
         off
       end
       else begin
         let off = Hole_index.first t.holes ~from:0 ~needed in
-        if off <> null then examined := holes - skipped + Hole_index.rank t.holes off + 1;
+        if off <> null then t.examined <- holes - skipped + Hole_index.rank t.holes off + 1;
         off
       end
     end
@@ -187,7 +189,25 @@ let find_hole t ~take_high ~needed ~examined =
     let largest = Hole_index.largest t.holes in
     if largest < needed then null else Hole_index.first t.holes ~from:0 ~needed:largest
   | Policy.Two_ends _ ->
-    if take_high then Hole_index.last t.holes ~needed else lowest_fit t ~needed ~examined
+    if take_high then Hole_index.last t.holes ~needed else lowest_fit t ~needed
+
+(* Mark the [size] words at [off], carved from the hole at [hole],
+   allocated and account for them.  A next-fit rove resumes at
+   [rover_after], the list successor of what is left of the hole. *)
+let grant t ~hole ~off ~size ~remainder ~rover_after =
+  Block.write_tags t.mem ~base:t.base off ~size ~allocated:true;
+  set_live t off true;
+  (match t.policy with
+   | Policy.Next_fit -> t.rover <- (if rover_after <> null then rover_after else t.free_head)
+   | Policy.First_fit | Policy.Best_fit | Policy.Worst_fit | Policy.Two_ends _ -> ());
+  t.live_words <- t.live_words + size - Block.overhead;
+  t.live_blocks <- t.live_blocks + 1;
+  if t.tracing then begin
+    if remainder >= Block.min_block then
+      emit t (Split { addr = t.base + hole; size; remainder });
+    emit t (Alloc { addr = t.base + off + 1; size = size - Block.overhead })
+  end;
+  Some (t.base + off + 1)
 
 let alloc t request =
   assert (request >= 1);
@@ -199,93 +219,67 @@ let alloc t request =
     | Policy.Two_ends { small_max } -> request > small_max
     | Policy.First_fit | Policy.Next_fit | Policy.Best_fit | Policy.Worst_fit -> false
   in
-  let examined = ref 0 in
-  let off = find_hole t ~take_high ~needed ~examined in
+  let off = find_hole t ~take_high ~needed in
   let result =
     if off = null then begin
       t.failures <- t.failures + 1;
       None
     end
     else begin
-      let size = (header t off).size in
+      let size = Block.size (header t off) in
       let remainder = size - needed in
-      let granted_off, granted_size, rover_after =
-        if remainder >= Block.min_block then begin
-          if take_high then begin
-            (* The hole shrinks in place; its links and position are
-               unchanged.  The allocation sits at its high end. *)
-            Block.write_tags t.mem ~base:t.base off
-              { size = remainder; allocated = false };
-            index_change t off size off remainder;
-            (off + remainder, needed, off)
-          end
-          else begin
-            let rem_off = off + needed in
-            Block.write_tags t.mem ~base:t.base rem_off
-              { size = remainder; allocated = false };
-            let (_ : int) = move_node t off ~size rem_off ~size':remainder in
-            (off, needed, rem_off)
-          end
-        end
-        else begin
-          let succ = next_free t off in
-          unlink t off size;
-          (off, size, succ)
-        end
-      in
-      Block.write_tags t.mem ~base:t.base granted_off
-        { size = granted_size; allocated = true };
-      set_live t granted_off true;
-      (match t.policy with
-       | Policy.Next_fit ->
-         (* Resume the rove just past the hole we carved. *)
-         t.rover <- (if rover_after <> null then rover_after else t.free_head)
-       | Policy.First_fit | Policy.Best_fit | Policy.Worst_fit | Policy.Two_ends _ -> ());
-      t.live_words <- t.live_words + granted_size - Block.overhead;
-      t.live_blocks <- t.live_blocks + 1;
-      if t.tracing then begin
-        if remainder >= Block.min_block then
-          emit t
-            (Split { addr = t.base + off; size = granted_size; remainder });
-        emit t
-          (Alloc
-             { addr = t.base + granted_off + 1; size = granted_size - Block.overhead })
-      end;
-      Some (t.base + granted_off + 1)
+      if remainder < Block.min_block then begin
+        let succ = next_free t off in
+        unlink t off size;
+        grant t ~hole:off ~off ~size ~remainder ~rover_after:succ
+      end
+      else if take_high then begin
+        (* The hole shrinks in place; its links and position are
+           unchanged.  The allocation sits at its high end. *)
+        Block.write_tags t.mem ~base:t.base off ~size:remainder ~allocated:false;
+        index_change t off size off remainder;
+        grant t ~hole:off ~off:(off + remainder) ~size:needed ~remainder ~rover_after:off
+      end
+      else begin
+        let rem_off = off + needed in
+        Block.write_tags t.mem ~base:t.base rem_off ~size:remainder ~allocated:false;
+        let (_ : int) = move_node t off ~size rem_off ~size':remainder in
+        grant t ~hole:off ~off ~size:needed ~remainder ~rover_after:rem_off
+      end
     end
   in
-  Metrics.Stats.add t.searches (float_of_int !examined);
+  Metrics.Stats.add t.searches (float_of_int t.examined);
   result
 
-let block_of_payload t addr =
+(* The size of the live block whose payload starts at [addr]. *)
+let block_size t addr =
   let off = addr - t.base - 1 in
   if off < 0 || off >= t.len then invalid_arg "Allocator: address outside region";
   if not (is_live t off) then invalid_arg "Allocator: not a live allocation";
   let tag = header t off in
-  if (not tag.Block.allocated) || tag.Block.size < Block.min_block
-     || tag.Block.size > t.len - off
-  then invalid_arg "Allocator: corrupt block";
-  (off, tag.Block.size)
+  let size = Block.size tag in
+  if (not (Block.allocated tag)) || size < Block.min_block || size > t.len - off then
+    invalid_arg "Allocator: corrupt block";
+  size
 
-let payload_size t addr =
-  let _, size = block_of_payload t addr in
-  size - Block.overhead
+let payload_size t addr = block_size t addr - Block.overhead
 
 let free t addr =
-  let off, size = block_of_payload t addr in
+  let size = block_size t addr in
+  let off = addr - t.base - 1 in
   set_live t off false;
   t.ops <- t.ops + 1;
   t.live_words <- t.live_words - (size - Block.overhead);
   t.live_blocks <- t.live_blocks - 1;
   if t.tracing then emit t (Free { addr; size = size - Block.overhead });
-  let free_size tag = if tag.Block.allocated then 0 else tag.Block.size in
+  let free_size tag = if Block.allocated tag then 0 else Block.size tag in
   let above = off + size in
   let above_size = if above < t.len then free_size (header t above) else 0 in
   let below_size = if off > 0 then free_size (Block.read_footer t.mem ~base:t.base off) else 0 in
   let new_off = off - below_size and new_size = below_size + size + above_size in
   if t.tracing && new_size > size then
     emit t (Coalesce { addr = t.base + new_off; size = new_size });
-  Block.write_tags t.mem ~base:t.base new_off { size = new_size; allocated = false };
+  Block.write_tags t.mem ~base:t.base new_off ~size:new_size ~allocated:false;
   (* A rover on a hole the merge absorbs moves to the merged hole's list
      successor. *)
   if below_size > 0 then begin
@@ -314,9 +308,9 @@ let walk t =
     if off >= t.len then List.rev acc
     else begin
       let tag = header t off in
-      assert (tag.Block.size >= 2);
-      loop (off + tag.Block.size)
-        ({ off; size = tag.Block.size; allocated = tag.Block.allocated } :: acc)
+      let size = Block.size tag in
+      assert (size >= 2);
+      loop (off + size) ({ off; size; allocated = Block.allocated tag } :: acc)
     end
   in
   loop 0 []
@@ -356,14 +350,14 @@ let compact t channel ~relocate =
     let rec last_live_end off acc =
       if off >= dst then acc
       else
-        let tag = header t off in
-        last_live_end (off + tag.Block.size) (off, tag.Block.size)
+        let size = Block.size (header t off) in
+        last_live_end (off + size) (off, size)
     in
     match last_live_end 0 (-1, 0) with
     | -1, _ -> assert false (* dst > 0 implies at least one live block *)
     | last_off, last_size ->
-      Block.write_tags t.mem ~base:t.base last_off
-        { size = last_size + remainder; allocated = true };
+      Block.write_tags t.mem ~base:t.base last_off ~size:(last_size + remainder)
+        ~allocated:true;
       t.live_words <- t.live_words + remainder
   end
 
@@ -382,7 +376,7 @@ let validate t =
   List.iter
     (fun b ->
       let footer = Block.read_footer t.mem ~base:t.base (b.off + b.size) in
-      if footer.Block.size <> b.size || footer.Block.allocated <> b.allocated then
+      if Block.size footer <> b.size || Block.allocated footer <> b.allocated then
         fail "validate: footer mismatch at %d" b.off;
       if b.size < Block.min_block then fail "validate: runt block at %d" b.off)
     blocks;
@@ -404,7 +398,7 @@ let validate t =
       else begin
         if prev_free t off <> prev then fail "validate: bad prev link at %d" off;
         if prev <> null && off <= prev then fail "validate: free list not ascending at %d" off;
-        if (header t off).Block.allocated then fail "validate: allocated block %d on free list" off;
+        if Block.allocated (header t off) then fail "validate: allocated block %d on free list" off;
         loop (next_free t off) off (off :: acc)
       end
     in

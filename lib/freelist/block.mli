@@ -23,15 +23,26 @@ val overhead : int
 val null : int
 (** -1, the nil link. *)
 
-type tag = { size : int; allocated : bool }
+(** A tag is read and written as its encoded word, so reading one
+    builds nothing on the host heap. *)
 
-val read_header : Memstore.Physical.t -> base:int -> int -> tag
+val tag : size:int -> allocated:bool -> int
+(** The encoded word: [(size lsl 1) lor allocated-bit]. *)
 
-val read_footer : Memstore.Physical.t -> base:int -> int -> tag
-(** [read_footer mem ~base off] reads the tag of the block {e ending}
-    just before region offset [off] (i.e. the word at [off - 1]). *)
+val size : int -> int
+(** The block size a tag word records. *)
 
-val write_tags : Memstore.Physical.t -> base:int -> int -> tag -> unit
+val allocated : int -> bool
+
+val read_header : Memstore.Physical.t -> base:int -> int -> int
+(** The tag word of the block at region offset [off]. *)
+
+val read_footer : Memstore.Physical.t -> base:int -> int -> int
+(** [read_footer mem ~base off] reads the tag word of the block
+    {e ending} just before region offset [off] (i.e. the word at
+    [off - 1]). *)
+
+val write_tags : Memstore.Physical.t -> base:int -> int -> size:int -> allocated:bool -> unit
 (** Write both header and footer of the block at region offset. *)
 
 val read_next : Memstore.Physical.t -> base:int -> int -> int

@@ -1,5 +1,7 @@
+(* All floats, so the record is stored flat and [add] boxes nothing;
+   [count] holds whole numbers, exact up to 2^53 samples. *)
 type t = {
-  mutable count : int;
+  mutable count : float;
   mutable mean : float;
   mutable m2 : float;
   mutable min : float;
@@ -8,22 +10,22 @@ type t = {
 }
 
 let create () =
-  { count = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; total = 0. }
+  { count = 0.; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; total = 0. }
 
 let add t x =
-  t.count <- t.count + 1;
+  t.count <- t.count +. 1.;
   let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.count);
+  t.mean <- t.mean +. (delta /. t.count);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x;
   t.total <- t.total +. x
 
-let count t = t.count
+let count t = int_of_float t.count
 
-let mean t = if t.count = 0 then 0. else t.mean
+let mean t = if t.count < 1. then 0. else t.mean
 
-let variance t = if t.count < 2 then 0. else t.m2 /. float_of_int t.count
+let variance t = if t.count < 2. then 0. else t.m2 /. t.count
 
 let stddev t = sqrt (variance t)
 

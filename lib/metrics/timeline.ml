@@ -1,4 +1,4 @@
-type segment = { at : int; dt : int; words : int; state : Space_time.state }
+type segment = { at : int; mutable dt : int; words : int; state : Space_time.state }
 
 type t = { mutable segments : segment list; mutable count : int; mutable span : int }
 
@@ -7,8 +7,12 @@ let create () = { segments = []; count = 0; span = 0 }
 let record t ~at ~dt ~words state =
   assert (at >= 0 && dt >= 0 && words >= 0);
   if dt > 0 then begin
-    t.segments <- { at; dt; words; state } :: t.segments;
-    t.count <- t.count + 1;
+    (match t.segments with
+     | last :: _ when last.at + last.dt = at && last.words = words && last.state = state ->
+       last.dt <- last.dt + dt
+     | _ ->
+       t.segments <- { at; dt; words; state } :: t.segments;
+       t.count <- t.count + 1);
     t.span <- max t.span (at + dt)
   end
 

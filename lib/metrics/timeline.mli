@@ -14,9 +14,13 @@ val create : unit -> t
 val record : t -> at:int -> dt:int -> words:int -> Space_time.state -> unit
 (** Append a segment covering [at, at+dt) during which [words] of
     working storage were held in the given state.  Zero-length segments
-    are ignored. *)
+    are ignored.  A segment that continues the newest one (it starts
+    where that one ends, with the same words and state) extends it
+    instead, so an engine's timeline grows with its changes of
+    residency or state, not with its steps. *)
 
 val segments : t -> int
+(** Segments kept: continuations merged, zero-length ones ignored. *)
 
 val span_us : t -> int
 (** Time covered, from 0 to the end of the last segment. *)

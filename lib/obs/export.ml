@@ -12,39 +12,44 @@
      io_start/io_done/error -> async span "b"/"e", cat "io", id = req
      watchdog fire/clear    -> async span "b"/"e", cat "watchdog", id = rule
      everything else        -> instant "i", scope "t", payload as args
-   Timestamps are already microseconds, Chrome's native unit.  Records
-   are written straight into the buffer, an instant's args by Event. *)
+   Timestamps are already microseconds, Chrome's native unit.
+
+   Records are written straight into one buffer of about [chunk] bytes,
+   an instant's args by Event.  Whenever the buffer passes [chunk] its
+   contents move to a list of chunks, joined once at the end, so at its
+   peak the export holds its output twice and one buffer, never a buffer
+   grown past the output.  A record's fixed text is one string, a
+   track's [,"pid":P,"tid":T,"ts":] is built when the track changes, and
+   kind names, io names and the announced labels are fixed identifiers,
+   written without an escape scan. *)
+
+let chunk = 65536
 
 let chrome_of_events events =
-  let buf = Buffer.create 65536 in
+  (* room past [chunk] for the record that crosses it *)
+  let buf = Buffer.create (chunk + 1024) in
+  let chunks = ref [] in
   let add s = Buffer.add_string buf s in
   let int n = Json.add_int buf n in
-  let str s = Json.add_quoted buf s in
-  let at ~pid ~tid =
-    add {|,"pid":|};
-    int pid;
-    add {|,"tid":|};
-    int tid
-  in
   let first = ref true in
-  (* [{"name":], after the comma between records *)
-  let record () =
-    if !first then first := false else Buffer.add_char buf ',';
-    add {|{"name":|}
-  in
   (* (pid, tid) pairs announced, with tid -1 for the process itself; an
      event on the previous event's track looks nothing up *)
-  let named = Hashtbl.create 16 and track = ref None in
-  let meta key ~pid ~tid name label =
+  let named = Hashtbl.create 16 and track = ref None and at = ref "" in
+  (* The first record is always an announcement, so only an
+     announcement can lack the comma before it. *)
+  let announce key ~pid ~tid name label =
     if not (Hashtbl.mem named key) then begin
       Hashtbl.replace named key ();
-      record ();
+      if !first then first := false else Buffer.add_char buf ',';
+      add {|{"name":"|};
       add name;
-      add {|,"ph":"M"|};
-      at ~pid ~tid;
-      add {|,"args":{"name":|};
-      str label;
-      add "}}"
+      add {|","ph":"M","pid":|};
+      int pid;
+      add {|,"tid":|};
+      int tid;
+      add {|,"args":{"name":"|};
+      label ();
+      add {|"}}|}
     end
   in
   add {|{"traceEvents":[|};
@@ -63,36 +68,29 @@ let chrome_of_events events =
        | Some (p, t) when p = pid && t = tid -> ()
        | _ ->
          track := Some (pid, tid);
-         meta (pid, -1) ~pid ~tid:0 {|"process_name"|} (Printf.sprintf "run %d" pid);
-         meta (pid, tid) ~pid ~tid {|"thread_name"|}
-           (if tid = 0 then "engine" else Printf.sprintf "shard %d" (tid - 1)));
-      record ();
-      let ph = match ev.kind with Event.Io_start _ | Event.Watchdog_fire _ -> "b" | _ -> "e" in
+         at := Printf.sprintf {|,"pid":%d,"tid":%d,"ts":|} pid tid;
+         announce (pid, -1) ~pid ~tid:0 "process_name" (fun () ->
+             add "run ";
+             int pid);
+         announce (pid, tid) ~pid ~tid "thread_name" (fun () ->
+             if tid = 0 then add "engine"
+             else begin
+               add "shard ";
+               int (tid - 1)
+             end));
       (match ev.kind with
-       | Event.Io_start { req; io; _ } | Event.Io_done { req; io; _ }
-       | Event.Io_error { req; io; _ } ->
-         str (Event.io_name io);
-         add {|,"cat":"io","ph":|};
-         str ph;
-         add {|,"id":|};
-         int req
-       | Event.Watchdog_fire { rule; _ } | Event.Watchdog_clear { rule; _ } ->
-         str rule;
-         add {|,"cat":"watchdog","ph":|};
-         str ph;
-         add {|,"id":|};
-         str rule
-       | kind ->
-         str (Event.kind_name kind);
-         add {|,"cat":"engine","ph":"i","s":"t"|});
-      at ~pid ~tid;
-      add {|,"ts":|};
-      int ev.t_us;
-      add {|,"args":|};
-      (match ev.kind with
-       | Event.Io_start { req; page; _ } | Event.Io_done { req; page; _ }
-       | Event.Io_error { req; page; _ } ->
-         add {|{"req":|};
+       | Event.Io_start { req; page; io } | Event.Io_done { req; page; io }
+       | Event.Io_error { req; page; io; _ } ->
+         add {|,{"name":"|};
+         add (Event.io_name io);
+         add
+           (match ev.kind with
+            | Event.Io_start _ -> {|","cat":"io","ph":"b","id":|}
+            | _ -> {|","cat":"io","ph":"e","id":|});
+         int req;
+         add !at;
+         int ev.t_us;
+         add {|,"args":{"req":|};
          int req;
          add {|,"page":|};
          int page;
@@ -101,16 +99,36 @@ let chrome_of_events events =
             add {|,"error":"terminal","attempts":|};
             int attempts
           | _ -> ());
-         add "}"
-       | Event.Watchdog_fire { snapshots; _ } | Event.Watchdog_clear { snapshots; _ } ->
-         add {|{"snapshots":|};
+         add "}}"
+       | Event.Watchdog_fire { rule; snapshots } | Event.Watchdog_clear { rule; snapshots } ->
+         add {|,{"name":|};
+         Json.add_quoted buf rule;
+         add
+           (match ev.kind with
+            | Event.Watchdog_fire _ -> {|,"cat":"watchdog","ph":"b","id":|}
+            | _ -> {|,"cat":"watchdog","ph":"e","id":|});
+         Json.add_quoted buf rule;
+         add !at;
+         int ev.t_us;
+         add {|,"args":{"snapshots":|};
          int snapshots;
-         add "}"
-       | kind -> Event.fields_to_buffer buf kind);
-      add "}")
+         add "}}"
+       | kind ->
+         add {|,{"name":"|};
+         add (Event.kind_name kind);
+         add {|","cat":"engine","ph":"i","s":"t"|};
+         add !at;
+         int ev.t_us;
+         add {|,"args":|};
+         Event.fields_to_buffer buf kind;
+         add "}");
+      if Buffer.length buf >= chunk then begin
+        chunks := Buffer.contents buf :: !chunks;
+        Buffer.clear buf
+      end)
     events;
   add {|],"displayTimeUnit":"ms"}|};
-  Buffer.contents buf
+  String.concat "" (List.rev (Buffer.contents buf :: !chunks))
 
 (* --- folded stacks -> flamegraph SVG --- *)
 

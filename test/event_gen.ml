@@ -61,9 +61,12 @@ let t_us = frequency [ (3, int_bound 1_000_000); (1, map (fun n -> n land max_in
 let event = map2 (fun t_us kind -> Obs.Event.make ~t_us kind) t_us (oneof (kinds ~shard:payload))
 
 (* A stream of several runs whose events fall on a few shard tracks, as
-   a merged sharded trace does, with now and then any shard number. *)
-let stream =
+   a merged sharded trace does, with now and then any shard number;
+   [length] draws its number of events. *)
+let stream_of length =
   let shard = frequency [ (4, int_bound 3); (1, payload) ] in
   let run = map (fun run -> Obs.Event.Run_start { run; seed = None; config = None }) (int_bound 3) in
   let kind = frequency [ (1, run); (8, oneof (kinds ~shard)) ] in
-  list_size (int_range 0 40) (map2 (fun t_us kind -> Obs.Event.make ~t_us kind) t_us kind)
+  list_size length (map2 (fun t_us kind -> Obs.Event.make ~t_us kind) t_us kind)
+
+let stream = stream_of (int_range 0 40)

@@ -136,27 +136,11 @@ let page_size = 64
 let frames = 4
 let pages = 12
 
-let demand_engine ?device () =
-  let clock = Sim.Clock.create () in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core"
-      ~words:(frames * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"backing"
-      ~words:(pages * page_size)
-  in
-  Paging.Demand.create ?device
-    {
-      Paging.Demand.page_size;
-      frames;
-      pages;
-      core;
-      backing;
-      policy = Paging.Replacement.lru ();
-      tlb = None;
-      compute_us_per_ref = 5;
-    }
+let demand_engine ?device ?(clock = Sim.Clock.create ()) () =
+  Paging.Spec.build ?device ~clock ~rng:(Sim.Rng.create 0)
+    { Paging.Spec.e_page_size = page_size; e_frames = frames; e_pages = pages;
+      e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = None;
+      e_compute_us_per_ref = 5 }
 
 let mixed_trace ~refs =
   let rng = Sim.Rng.create 7 in
@@ -172,20 +156,19 @@ let run_trace engine trace =
 
 let test_fixed_fifo_matches_legacy () =
   let trace = mixed_trace ~refs:600 in
-  let legacy = demand_engine () in
+  let legacy_clock = Sim.Clock.create () and timed_clock = Sim.Clock.create () in
+  let legacy = demand_engine ~clock:legacy_clock () in
   run_trace legacy trace;
   let timed =
     demand_engine
       ~device:
         (Device.Model.create
            (Device.Model.config (Device.Geometry.fixed Memstore.Device.drum)))
-      ()
+      ~clock:timed_clock ()
   in
   run_trace timed trace;
   check_int "same fault count" (Paging.Demand.faults legacy) (Paging.Demand.faults timed);
-  check_int "same simulated clock"
-    (Sim.Clock.now (Paging.Demand.clock legacy))
-    (Sim.Clock.now (Paging.Demand.clock timed))
+  check_int "same simulated clock" (Sim.Clock.now legacy_clock) (Sim.Clock.now timed_clock)
 
 (* --- Fault injection --- *)
 

@@ -75,21 +75,11 @@ let test_negative_page_rejected () =
      | exception Invalid_argument _ -> true)
 
 let test_single_page_program () =
-  let clock = Sim.Clock.create () in
-  let core = Memstore.Level.make clock Memstore.Device.core ~name:"c" ~words:64 in
-  let backing = Memstore.Level.make clock Memstore.Device.drum ~name:"d" ~words:64 in
   let engine =
-    Paging.Demand.create
-      {
-        Paging.Demand.page_size = 64;
-        frames = 1;
-        pages = 1;
-        core;
-        backing;
-        policy = Paging.Replacement.lru ();
-        tlb = None;
-        compute_us_per_ref = 1;
-      }
+    Paging.Spec.build ~clock:(Sim.Clock.create ()) ~rng:(Sim.Rng.create 0)
+      { Paging.Spec.e_page_size = 64; e_frames = 1; e_pages = 1;
+        e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = None;
+        e_compute_us_per_ref = 1 }
   in
   Paging.Demand.run engine (Workload.Trace.sequential ~length:100 ~extent:64);
   check_int "one cold fault only" 1 (Paging.Demand.faults engine)

@@ -151,26 +151,11 @@ let relocated_cpu () =
   (cpu, level, registers, 1024, 1024 + 256)
 
 let paged_cpu ?(frames = 8) () =
-  let page_size = 64 and pages = 64 in
-  let clock = Sim.Clock.create () in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core" ~words:(frames * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"drum" ~words:(pages * page_size)
-  in
   let engine =
-    Paging.Demand.create
-      {
-        Paging.Demand.page_size;
-        frames;
-        pages;
-        core;
-        backing;
-        policy = Paging.Replacement.lru ();
-        tlb = None;
-        compute_us_per_ref = 1;
-      }
+    Paging.Spec.build ~clock:(Sim.Clock.create ()) ~rng:(Sim.Rng.create 0)
+      { Paging.Spec.e_page_size = 64; e_frames = frames; e_pages = 64;
+        e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = None;
+        e_compute_us_per_ref = 1 }
   in
   let unit = Machine.Addressing.paged engine in
   (Machine.Cpu.create unit ~code_at:(fun pc -> access 0 pc), engine, 1024, 1024 + 256)

@@ -157,6 +157,34 @@ let test_timeline_heights_follow_words () =
   check_bool "short column absent at top" true (cell top 0 = ' ' && cell top 1 = '#');
   check_bool "both present at bottom" true (cell bottom 0 = '#' && cell bottom 1 = '#')
 
+let test_timeline_merges_continuations () =
+  let open Metrics in
+  let tl = Timeline.create () in
+  let record at dt words state = Timeline.record tl ~at ~dt ~words state in
+  record 0 10 64 Space_time.Active;
+  record 10 5 64 Space_time.Active;
+  record 15 0 128 Space_time.Waiting;
+  record 15 5 64 Space_time.Active;
+  check_int "contiguous equal segments are one" 1 (Timeline.segments tl);
+  check_int "span kept" 20 (Timeline.span_us tl);
+  record 25 5 64 Space_time.Active;
+  check_int "a gap starts a segment" 2 (Timeline.segments tl);
+  record 30 5 64 Space_time.Waiting;
+  check_int "a different state starts a segment" 3 (Timeline.segments tl);
+  record 35 5 128 Space_time.Waiting;
+  check_int "a different word count starts a segment" 4 (Timeline.segments tl);
+  record 40 10 128 Space_time.Waiting;
+  check_int "and is extended in turn" 4 (Timeline.segments tl);
+  check_int "span" 50 (Timeline.span_us tl);
+  (* The merged run renders as the same run recorded in one piece. *)
+  let whole = Timeline.create () in
+  Timeline.record whole ~at:0 ~dt:20 ~words:64 Space_time.Active;
+  Timeline.record whole ~at:25 ~dt:5 ~words:64 Space_time.Active;
+  Timeline.record whole ~at:30 ~dt:5 ~words:64 Space_time.Waiting;
+  Timeline.record whole ~at:35 ~dt:15 ~words:128 Space_time.Waiting;
+  Alcotest.(check string) "render" (Timeline.render ~width:10 ~height:4 whole)
+    (Timeline.render ~width:10 ~height:4 tl)
+
 (* --- Fragmentation --- *)
 
 let test_external_fragmentation () =
@@ -249,6 +277,7 @@ let () =
         [
           Alcotest.test_case "records+renders" `Quick test_timeline_records_and_renders;
           Alcotest.test_case "heights follow words" `Quick test_timeline_heights_follow_words;
+          Alcotest.test_case "continuations merge" `Quick test_timeline_merges_continuations;
         ] );
       ( "fragmentation",
         [

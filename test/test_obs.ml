@@ -275,27 +275,10 @@ let test_fault_sim_counts_match () =
   check_int "evictions" r.Paging.Fault_sim.evictions (count "eviction" events)
 
 let demand_engine ~obs =
-  let clock = Sim.Clock.create () in
-  let page_size = 16 and frames = 3 and pages = 8 in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core"
-      ~words:(frames * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"drum"
-      ~words:(pages * page_size)
-  in
-  Paging.Demand.create ~obs
-    {
-      Paging.Demand.page_size;
-      frames;
-      pages;
-      core;
-      backing;
-      policy = Paging.Replacement.lru ();
-      tlb = None;
-      compute_us_per_ref = 10;
-    }
+  Paging.Spec.build ~obs ~clock:(Sim.Clock.create ()) ~rng:(Sim.Rng.create 0)
+    { Paging.Spec.e_page_size = 16; e_frames = 3; e_pages = 8;
+      e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = None;
+      e_compute_us_per_ref = 10 }
 
 let demand_trace =
   (* Writes force writebacks; span > frames forces evictions. *)

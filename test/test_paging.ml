@@ -477,29 +477,12 @@ let two_level_oracle =
 
 (* --- Demand engine --- *)
 
-let make_demand ?(frames = 4) ?(pages = 16) ?(page_size = 64) ?(tlb = None)
-    ?(backing_device = Memstore.Device.drum) ?policy () =
-  let clock = Sim.Clock.create () in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core" ~words:(frames * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock backing_device ~name:"backing" ~words:(pages * page_size)
-  in
-  let policy = match policy with Some p -> p | None -> Paging.Replacement.lru () in
-  let cfg =
-    {
-      Paging.Demand.page_size;
-      frames;
-      pages;
-      core;
-      backing;
-      policy;
-      tlb;
-      compute_us_per_ref = 1;
-    }
-  in
-  (Paging.Demand.create cfg, core, backing)
+let make_demand ?(clock = Sim.Clock.create ()) ?(frames = 4) ?(pages = 16) ?(page_size = 64)
+    ?tlb_slots ?(backing_device = Memstore.Device.drum) ?(policy = Paging.Spec.Lru) () =
+  Paging.Spec.build ~clock ~rng:(Sim.Rng.create 0)
+    { Paging.Spec.e_page_size = page_size; e_frames = frames; e_pages = pages;
+      e_device = backing_device; e_policy = policy; e_tlb_slots = tlb_slots;
+      e_compute_us_per_ref = 1 }
 
 let candidates_fault_sim_property =
   QCheck.Test.make ~name:"candidates: fault_sim" ~count:100
@@ -523,7 +506,22 @@ let candidates_demand_property =
         (list_of_size Gen.(int_range 1 120) (pair (int_bound 3) (int_bound 15))))
     (fun (frames, ops) ->
       let policy, ok, _ = contract_policy ~keys:16 () in
-      let t, _, _ = make_demand ~frames ~policy () in
+      (* by hand: a contract-checking policy, which no [Spec.t] describes *)
+      let clock = Sim.Clock.create () in
+      let level device name words = Memstore.Level.make clock device ~name ~words in
+      let t =
+        Paging.Demand.create
+          {
+            Paging.Demand.page_size = 64;
+            frames;
+            pages = 16;
+            core = level Memstore.Device.core "core" (frames * 64);
+            backing = level Memstore.Device.drum "drum" (16 * 64);
+            policy;
+            tlb = None;
+            compute_us_per_ref = 1;
+          }
+      in
       List.iter
         (fun (op, page) ->
           let addr = page * 64 in
@@ -592,10 +590,13 @@ let candidates_two_level_property =
       !ok && !calls = T.faults t - T.resident_pages t)
 
 let test_demand_reads_backing_data () =
-  let t, _, backing = make_demand () in
+  let t = make_demand () in
   (* Pre-load backing store with a recognizable pattern. *)
   for w = 0 to (16 * 64) - 1 do
-    Memstore.Physical.write (Memstore.Level.physical backing) w (Int64.of_int (w * 3))
+    Memstore.Physical.write
+      (Memstore.Level.physical (Paging.Demand.backing t))
+      w
+      (Int64.of_int (w * 3))
   done;
   Alcotest.(check int64) "word 0" 0L (Paging.Demand.read t 0);
   Alcotest.(check int64) "word 100" (Int64.of_int 300) (Paging.Demand.read t 100);
@@ -603,7 +604,7 @@ let test_demand_reads_backing_data () =
   check_int "three pages faulted" 3 (Paging.Demand.faults t)
 
 let test_demand_write_survives_eviction () =
-  let t, _, _ = make_demand ~frames:2 () in
+  let t = make_demand ~frames:2 () in
   Paging.Demand.write t 5 12345L;
   (* Touch enough other pages to force page 0 out (2 frames). *)
   List.iter (fun w -> ignore (Paging.Demand.read t w)) [ 100; 200; 300; 400 ];
@@ -614,7 +615,7 @@ let test_demand_write_survives_eviction () =
 let test_demand_fault_counting_matches_fault_sim () =
   let rng = Sim.Rng.create 17 in
   let word_trace = Workload.Trace.uniform rng ~length:500 ~extent:(16 * 64) in
-  let t, _, _ = make_demand ~policy:(Paging.Replacement.fifo ()) () in
+  let t = make_demand ~policy:Paging.Spec.Fifo () in
   Paging.Demand.run t word_trace;
   let page_trace = Workload.Trace.to_pages ~page_size:64 word_trace in
   let expected = Paging.Fault_sim.run ~frames:4 ~policy:(Paging.Replacement.fifo ()) page_trace in
@@ -626,7 +627,7 @@ let test_demand_space_time_tracks_device_speed () =
   let rng = Sim.Rng.create 23 in
   let word_trace = Workload.Trace.uniform rng ~length:300 ~extent:(16 * 64) in
   let run device =
-    let t, _, _ = make_demand ~backing_device:device () in
+    let t = make_demand ~backing_device:device () in
     Paging.Demand.run t word_trace;
     Metrics.Space_time.waiting_fraction (Paging.Demand.space_time t)
   in
@@ -636,17 +637,18 @@ let test_demand_space_time_tracks_device_speed () =
 
 let test_demand_tlb_saves_time () =
   let trace = Workload.Trace.loop ~length:2000 ~extent:(4 * 64) ~working_set:128 in
-  let run tlb =
-    let t, core, _ = make_demand ~tlb () in
+  let run tlb_slots =
+    let clock = Sim.Clock.create () in
+    let t = make_demand ~clock ?tlb_slots () in
     Paging.Demand.run t trace;
-    Sim.Clock.now (Memstore.Level.clock core)
+    Sim.Clock.now clock
   in
   let without = run None in
-  let with_tlb = run (Some (Paging.Tlb.create ~capacity:8 Paging.Tlb.Lru_replacement)) in
+  let with_tlb = run (Some 8) in
   check_bool "TLB reduces elapsed time" true (with_tlb < without)
 
 let test_demand_prefetch_avoids_fault () =
-  let t, _, _ = make_demand ~frames:4 () in
+  let t = make_demand ~frames:4 () in
   ignore (Paging.Demand.read t 0);
   check_int "one cold fault" 1 (Paging.Demand.faults t);
   Paging.Demand.advise_will_need t ~page:1;
@@ -659,7 +661,7 @@ let test_demand_prefetch_avoids_fault () =
   check_int "no demand fault for prefetched page" 1 (Paging.Demand.faults t)
 
 let test_demand_wont_need_frees_frame () =
-  let t, _, _ = make_demand ~frames:4 () in
+  let t = make_demand ~frames:4 () in
   ignore (Paging.Demand.read t 0);
   ignore (Paging.Demand.read t 64);
   check_int "two resident" 2 (Paging.Demand.resident_count t);
@@ -669,7 +671,7 @@ let test_demand_wont_need_frees_frame () =
   check_bool "page gone" true (Paging.Demand.frame_of t ~page:0 = None)
 
 let test_demand_lock_pins_page () =
-  let t, _, _ = make_demand ~frames:2 () in
+  let t = make_demand ~frames:2 () in
   Paging.Demand.lock t ~page:0;
   (* Stream many other pages through the single remaining frame. *)
   List.iter (fun p -> ignore (Paging.Demand.read t (p * 64))) [ 1; 2; 3; 4; 5; 6 ];
@@ -677,11 +679,24 @@ let test_demand_lock_pins_page () =
   Paging.Demand.unlock t ~page:0
 
 let test_demand_bound_violation () =
-  let t, _, _ = make_demand () in
+  let t = make_demand () in
   check_bool "out of name space" true
     (match Paging.Demand.read t (16 * 64) with
      | _ -> false
      | exception Memstore.Physical.Bound_violation _ -> true)
+
+(* A trace that fits in the frames changes residency only at its cold
+   faults, each of which starts one waiting and one active run, so the
+   timeline stays that small however long the run. *)
+let test_demand_timeline_grows_with_residency () =
+  let frames = 4 in
+  let t = make_demand ~frames () in
+  Paging.Demand.run t (Array.init 10_000 (fun i -> (i mod frames * 64) + (i * 7 mod 64)));
+  check_int "refs" 10_000 (Paging.Demand.refs t);
+  check_int "cold faults only" frames (Paging.Demand.faults t);
+  let segments = Metrics.Timeline.segments (Paging.Demand.timeline t) in
+  check_bool (Printf.sprintf "%d segments, at most %d" segments ((2 * frames) + 1)) true
+    (segments <= (2 * frames) + 1)
 
 (* --- Lifetime --- *)
 
@@ -800,37 +815,17 @@ let demand_model_property =
               (list_of_size Gen.(int_range 20 150) (pair (int_bound 1023) bool)))
     (fun (frames, ops) ->
       let page_size = 64 and pages = 16 in
-      let clock = Sim.Clock.create () in
-      let core =
-        Memstore.Level.make clock Memstore.Device.core ~name:"core"
-          ~words:(frames * page_size)
-      in
-      let backing =
-        Memstore.Level.make clock Memstore.Device.drum ~name:"drum"
-          ~words:(pages * page_size)
-      in
+      let engine = make_demand ~frames ~pages ~page_size () in
       (* Model: backing starts as w -> 31w; writes overwrite. *)
       let model = Hashtbl.create 64 in
+      let backing = Memstore.Level.physical (Paging.Demand.backing engine) in
       for w = 0 to (pages * page_size) - 1 do
-        Memstore.Physical.write (Memstore.Level.physical backing) w (Int64.of_int (31 * w))
+        Memstore.Physical.write backing w (Int64.of_int (31 * w))
       done;
       let expected w =
         match Hashtbl.find_opt model w with
         | Some v -> v
         | None -> Int64.of_int (31 * w)
-      in
-      let engine =
-        Paging.Demand.create
-          {
-            Paging.Demand.page_size;
-            frames;
-            pages;
-            core;
-            backing;
-            policy = Paging.Replacement.lru ();
-            tlb = None;
-            compute_us_per_ref = 1;
-          }
       in
       let ok = ref true in
       List.iteri
@@ -1055,5 +1050,7 @@ let () =
           Alcotest.test_case "wont-need frees frame" `Quick test_demand_wont_need_frees_frame;
           Alcotest.test_case "lock pins page" `Quick test_demand_lock_pins_page;
           Alcotest.test_case "bound violation" `Quick test_demand_bound_violation;
+          Alcotest.test_case "timeline grows with residency" `Quick
+            test_demand_timeline_grows_with_residency;
         ] );
     ]

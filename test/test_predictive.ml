@@ -5,25 +5,10 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let make_engine ?(frames = 8) ?(pages = 32) () =
-  let page_size = 64 in
-  let clock = Sim.Clock.create () in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core" ~words:(frames * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"drum" ~words:(pages * page_size)
-  in
-  Paging.Demand.create
-    {
-      Paging.Demand.page_size;
-      frames;
-      pages;
-      core;
-      backing;
-      policy = Paging.Replacement.lru ();
-      tlb = None;
-      compute_us_per_ref = 10;
-    }
+  Paging.Spec.build ~clock:(Sim.Clock.create ()) ~rng:(Sim.Rng.create 0)
+    { Paging.Spec.e_page_size = 64; e_frames = frames; e_pages = pages;
+      e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = None;
+      e_compute_us_per_ref = 10 }
 
 let test_directives_map_to_engine () =
   let engine = make_engine () in

@@ -27,26 +27,10 @@ let pages = 24
 
 (* A small demand engine over [device]; 8 frames, LRU. *)
 let demand_engine ?obs ?recovery ~device () =
-  let clock = Sim.Clock.create () in
-  let core =
-    Memstore.Level.make clock Memstore.Device.core ~name:"core"
-      ~words:(8 * page_size)
-  in
-  let backing =
-    Memstore.Level.make clock Memstore.Device.drum ~name:"backing"
-      ~words:(pages * page_size)
-  in
-  Paging.Demand.create ?obs ~device ?recovery
-    {
-      Paging.Demand.page_size;
-      frames = 8;
-      pages;
-      core;
-      backing;
-      policy = Paging.Replacement.lru ();
-      tlb = None;
-      compute_us_per_ref = 30;
-    }
+  Paging.Spec.build ?obs ~device ?recovery ~clock:(Sim.Clock.create ()) ~rng:(Sim.Rng.create 0)
+    { Paging.Spec.e_page_size = page_size; e_frames = 8; e_pages = pages;
+      e_device = Memstore.Device.drum; e_policy = Paging.Spec.Lru; e_tlb_slots = None;
+      e_compute_us_per_ref = 30 }
 
 let jobs ?(seed = 31) ~refs_per_job () =
   Workload.Job.mix (Sim.Rng.create seed) ~jobs:4 ~refs_per_job ~pages_per_job:12

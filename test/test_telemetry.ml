@@ -550,6 +550,18 @@ let chrome_matches_reference =
        Event_gen.stream)
     (fun events -> Obs.Export.chrome_of_events events = reference_chrome events)
 
+(* Streams long enough that the export moves its buffer to the chunk
+   list at least twice (the writer's chunk is 64 KiB). *)
+let chrome_chunks_match_reference =
+  QCheck.Test.make ~name:"chrome export across chunk boundaries equals the reference"
+    ~count:10
+    (QCheck.make
+       ~print:(fun evs -> Printf.sprintf "%d events" (List.length evs))
+       (Event_gen.stream_of (QCheck.Gen.int_range 3000 4000)))
+    (fun events ->
+      let chrome = Obs.Export.chrome_of_events events in
+      String.length chrome > 2 * 65536 && chrome = reference_chrome events)
+
 let test_chrome_fixtures_match_reference () =
   List.iter
     (fun name ->
@@ -729,6 +741,7 @@ let () =
         [
           Alcotest.test_case "chrome mapping" `Quick test_chrome_mapping;
           QCheck_alcotest.to_alcotest chrome_matches_reference;
+          QCheck_alcotest.to_alcotest chrome_chunks_match_reference;
           Alcotest.test_case "chrome fixtures equal the reference" `Quick
             test_chrome_fixtures_match_reference;
           Alcotest.test_case "chrome deterministic, empty ok" `Quick
