@@ -202,44 +202,185 @@ let templates =
 
 let all_kind_names = List.map kind_name templates
 
-(* --- encoding --- *)
+(* --- the writer ---
 
+   Every event byte is written by one writer: a [Bytes.t] and a
+   position.  Each piece (a field, an int, a text) checks the capacity
+   once and then writes its bytes in place, with no call per byte: a
+   field's [,"key":], the kind name and every fixed text are copied in
+   4- and 8-byte words, and ints take their digits two at a time from
+   [Json.quads].  The writer is reused, so it allocates only when it
+   grows.  The loops stay in this module: with [-opaque] no call into
+   another one is inlined. *)
+
+type writer = { mutable bytes : Bytes.t; mutable pos : int }
+
+let writer capacity = { bytes = Bytes.create (max 16 capacity); pos = 0 }
+
+let written w = w.pos
+
+let take w =
+  let s = Bytes.sub_string w.bytes 0 w.pos in
+  w.pos <- 0;
+  s
+
+(* Make room for [n] more bytes; callers check first. *)
+let grow w n =
+  let bytes = Bytes.create (max (w.pos + n) (2 * Bytes.length w.bytes)) in
+  Bytes.blit w.bytes 0 bytes 0 w.pos;
+  w.bytes <- bytes
+
+(* Each [put] writes at [p], in room already made, and returns the
+   next free position.  A text of 4 bytes or more is copied as words,
+   the last one overlapping the one before when the length is not a
+   multiple of the word. *)
+let put b p s =
+  let n = String.length s in
+  if n < 4 then
+    for i = 0 to n - 1 do
+      Bytes.unsafe_set b (p + i) (String.unsafe_get s i)
+    done
+  else if n < 8 then begin
+    Bytes.set_int32_ne b p (String.get_int32_ne s 0);
+    Bytes.set_int32_ne b (p + n - 4) (String.get_int32_ne s (n - 4))
+  end
+  else begin
+    let i = ref 0 in
+    while !i < n - 8 do
+      Bytes.set_int64_ne b (p + !i) (String.get_int64_ne s !i);
+      i := !i + 8
+    done;
+    Bytes.set_int64_ne b (p + n - 8) (String.get_int64_ne s (n - 8))
+  end;
+  p + n
+
+(* The number of digits of [-n], for [n <= 0]. *)
+let rec digits n =
+  if n > -10 then 1
+  else if n > -100 then 2
+  else if n > -1000 then 3
+  else if n > -10_000 then 4
+  else 4 + digits (n / 10_000)
+
+(* At most 20 bytes.  The digits are those of [-n] for [n <= 0], so
+   [min_int] needs no special case; they are written from the last one
+   back, two at a time: "00" to "99" end the first hundred quads. *)
+let put_int b p n =
+  let p = if n < 0 then (Bytes.unsafe_set b p '-'; p + 1) else p in
+  let n = ref (if n < 0 then n else -n) in
+  let quads = Json.quads and stop = p + digits !n in
+  let i = ref stop in
+  while !n <= -10 do
+    let q = -4 * (!n mod 100) in
+    Bytes.unsafe_set b (!i - 1) (String.unsafe_get quads (q + 3));
+    Bytes.unsafe_set b (!i - 2) (String.unsafe_get quads (q + 2));
+    n := !n / 100;
+    i := !i - 2
+  done;
+  if !i > p then Bytes.unsafe_set b (!i - 1) (Char.unsafe_chr (48 - !n));
+  stop
+
+(* The bytes [put_quoted] writes for [s]: the escapes of [Json.t]'s
+   printer, quotes included. *)
+let quoted_length s =
+  let n = ref (String.length s + 2) in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\n' | '\r' | '\t' -> incr n
+    | '\000' .. '\031' -> n := !n + 5
+    | _ -> ()
+  done;
+  !n
+
+let put_quoted b p s =
+  Bytes.unsafe_set b p '"';
+  let p = ref (p + 1) in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\n' | '\r' | '\t') as c ->
+      Bytes.unsafe_set b !p '\\';
+      Bytes.unsafe_set b (!p + 1)
+        (match c with '\n' -> 'n' | '\r' -> 'r' | '\t' -> 't' | c -> c);
+      p := !p + 2
+    | '\000' .. '\031' as c ->
+      let p' = put b !p "\\u00" in
+      Bytes.unsafe_set b p' (Char.unsafe_chr (48 + (Char.code c lsr 4)));
+      Bytes.unsafe_set b (p' + 1) (String.unsafe_get "0123456789abcdef" (Char.code c land 15));
+      p := p' + 2
+    | c ->
+      Bytes.unsafe_set b !p c;
+      incr p
+  done;
+  Bytes.unsafe_set b !p '"';
+  !p + 1
+
+let add_text w s =
+  if w.pos + String.length s > Bytes.length w.bytes then grow w (String.length s);
+  w.pos <- put w.bytes w.pos s
+
+let add_int w n =
+  if w.pos + 20 > Bytes.length w.bytes then grow w 20;
+  w.pos <- put_int w.bytes w.pos n
+
+let add_quoted w s =
+  let n = quoted_length s in
+  if w.pos + n > Bytes.length w.bytes then grow w n;
+  w.pos <- put_quoted w.bytes w.pos s
+
+(* Every field opens with [,"key":], and an object's opening brace
+   takes the place of its first field's comma (every kind has one). *)
 let encoder =
-  let write : type a. Buffer.t -> string -> a ty -> a -> a =
-   fun buf key ty v ->
-    (* a field opens with a comma unless it is the first of its object *)
-    if Buffer.nth buf (Buffer.length buf - 1) <> '{' then Buffer.add_char buf ',';
-    Buffer.add_char buf '"';
-    Buffer.add_string buf key;
-    Buffer.add_char buf '"';
-    Buffer.add_char buf ':';
-    (match ty with Int _ -> Json.add_int buf v | Str -> Json.add_quoted buf v);
-    v
-  in
-  { field = write }
+  { field =
+      (fun (type a) w key (ty : a ty) (v : a) : a ->
+        let room = 4 + String.length key + (match ty with Int _ -> 20 | Str -> quoted_length v) in
+        if w.pos + room > Bytes.length w.bytes then grow w room;
+        let b = w.bytes in
+        Bytes.unsafe_set b w.pos ',';
+        Bytes.unsafe_set b (w.pos + 1) '"';
+        let p = put b (w.pos + 2) key in
+        Bytes.unsafe_set b p '"';
+        Bytes.unsafe_set b (p + 1) ':';
+        w.pos <- (match ty with Int _ -> put_int b (p + 2) v | Str -> put_quoted b (p + 2) v);
+        v) }
 
-let fields_to_buffer buf kind =
-  Buffer.add_char buf '{';
-  let (_ : kind) = map_fields encoder buf kind in
-  Buffer.add_char buf '}'
+let add_fields w kind =
+  let start = w.pos in
+  let (_ : kind) = map_fields encoder w kind in
+  Bytes.set w.bytes start '{';
+  add_text w "}"
+
+let add_event w t =
+  let name = kind_name t.kind in
+  (* the two fixed texts hold 15 bytes, the int at most 20 *)
+  let room = 36 + String.length name in
+  if w.pos + room > Bytes.length w.bytes then grow w room;
+  let b = w.bytes in
+  let p = put_int b (put b w.pos {|{"t_us":|}) t.t_us in
+  let p = put b (put b p {|,"ev":"|}) name in
+  Bytes.unsafe_set b p '"';
+  w.pos <- p + 1;
+  let (_ : kind) = map_fields encoder w t.kind in
+  add_text w "}"
+
+(* Each domain encodes [to_json]'s events in its own writer. *)
+let writers = Domain.DLS.new_key (fun () -> writer 256)
+
+let encode t =
+  let w = Domain.DLS.get writers in
+  w.pos <- 0;
+  add_event w t;
+  w
+
+let to_json t = take (encode t)
 
 let to_buffer buf t =
-  Buffer.add_string buf {|{"t_us":|};
-  Json.add_int buf t.t_us;
-  Buffer.add_string buf {|,"ev":"|};
-  Buffer.add_string buf (kind_name t.kind);
-  Buffer.add_char buf '"';
-  let (_ : kind) = map_fields encoder buf t.kind in
-  Buffer.add_char buf '}'
+  let w = encode t in
+  Buffer.add_subbytes buf w.bytes 0 w.pos
 
-(* Each domain encodes [to_json]'s events in its own buffer. *)
-let buffers = Domain.DLS.new_key (fun () -> Buffer.create 256)
-
-let to_json t =
-  let buf = Domain.DLS.get buffers in
-  Buffer.clear buf;
-  to_buffer buf t;
-  Buffer.contents buf
+let to_channel oc t =
+  let w = encode t in
+  add_text w "\n";
+  output oc w.bytes 0 w.pos
 
 (* --- the table read back --- *)
 

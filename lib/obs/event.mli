@@ -135,16 +135,50 @@ val out_of_range : kind -> (string * int * int) list
     addresses and counts, 1 for sizes, attempts and snapshot counts),
     as [(key, value, least)]: {!Check}'s schema ranges. *)
 
-val to_buffer : Buffer.t -> t -> unit
-(** Append one compact JSON object, e.g.
-    [{"t_us":1200,"ev":"fault","page":7}]: the bytes of [Json.to_buffer]
-    over ["t_us"], ["ev"] and {!fields_of_kind}, with no [Json.t] built. *)
+(** {2 The writer}
 
-val fields_to_buffer : Buffer.t -> kind -> unit
+    Every event byte is written by one writer: a byte array and a
+    position, checked for room once per piece, with no [Buffer] call
+    or allocation per byte.  {!to_json}, {!to_buffer} and
+    {!to_channel} encode into one writer per domain; {!Export} writes
+    its Chrome records into a writer of its own. *)
+
+type writer
+
+val writer : int -> writer
+(** An empty writer with room for about that many bytes; it grows as
+    needed. *)
+
+val written : writer -> int
+(** The bytes written since the writer was made or last {!take}n. *)
+
+val take : writer -> string
+(** The bytes written, as a string; the writer is then empty. *)
+
+val add_text : writer -> string -> unit
+(** Append bytes as they are: fixed text, written without an escape
+    scan. *)
+
+val add_int : writer -> int -> unit
+(** Append an int as [Json.to_buffer] writes an [Int]. *)
+
+val add_quoted : writer -> string -> unit
+(** Append a string as [Json.to_buffer] writes a [String], quoted and
+    escaped. *)
+
+val add_fields : writer -> kind -> unit
 (** Append the payload alone as one object, e.g. [{"page":7}]. *)
 
 val to_json : t -> string
-(** {!to_buffer} as a string. *)
+(** One compact JSON object, e.g.
+    [{"t_us":1200,"ev":"fault","page":7}]: the bytes of [Json.to_buffer]
+    over ["t_us"], ["ev"] and {!fields_of_kind}, with no [Json.t] built. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append {!to_json}'s bytes, with no string built. *)
+
+val to_channel : out_channel -> t -> unit
+(** Write {!to_json}'s bytes and a newline: one JSONL line. *)
 
 val of_json : string -> t option
 (** Inverse of {!to_json}; [None] on malformed input, an unknown event

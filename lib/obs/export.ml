@@ -14,33 +14,34 @@
      everything else        -> instant "i", scope "t", payload as args
    Timestamps are already microseconds, Chrome's native unit.
 
-   Records are written straight into one buffer of about [chunk] bytes,
-   an instant's args by Event.  Whenever the buffer passes [chunk] its
-   contents move to a list of chunks, joined once at the end, so at its
-   peak the export holds its output twice and one buffer, never a buffer
-   grown past the output.  A record's fixed text is one string, a
-   track's [,"pid":P,"tid":T,"ts":] is built when the track changes, and
-   kind names, io names and the announced labels are fixed identifiers,
-   written without an escape scan. *)
+   Records are written by one Event writer of about [chunk] bytes, an
+   instant's args by Event's field writer.  Whenever the writer passes
+   [chunk] its bytes move to a list of chunks, joined once at the end,
+   so at its peak the export holds its output twice and one writer,
+   never a writer grown past the output.  A record's fixed text is one
+   string, a track's [,"pid":P,"tid":T,"ts":] is written when the track
+   changes and copied into each record, and kind names, io names and
+   the announced labels are fixed identifiers, written without an
+   escape scan. *)
 
 let chunk = 65536
 
 let chrome_of_events events =
   (* room past [chunk] for the record that crosses it *)
-  let buf = Buffer.create (chunk + 1024) in
+  let w = Event.writer (chunk + 1024) in
   let chunks = ref [] in
-  let add s = Buffer.add_string buf s in
-  let int n = Json.add_int buf n in
+  let add s = Event.add_text w s in
+  let int n = Event.add_int w n in
   let first = ref true in
   (* (pid, tid) pairs announced, with tid -1 for the process itself; an
      event on the previous event's track looks nothing up *)
-  let named = Hashtbl.create 16 and track = ref None and at = ref "" in
+  let named = Hashtbl.create 16 and track = ref None in
   (* The first record is always an announcement, so only an
      announcement can lack the comma before it. *)
   let announce key ~pid ~tid name label =
     if not (Hashtbl.mem named key) then begin
       Hashtbl.replace named key ();
-      if !first then first := false else Buffer.add_char buf ',';
+      if !first then first := false else add ",";
       add {|{"name":"|};
       add name;
       add {|","ph":"M","pid":|};
@@ -52,6 +53,8 @@ let chrome_of_events events =
       add {|"}}|}
     end
   in
+  (* the current track's [,"pid":P,"tid":T,"ts":] *)
+  let at = ref "" and tw = Event.writer 64 in
   add {|{"traceEvents":[|};
   let run = ref 0 in
   List.iter
@@ -68,7 +71,12 @@ let chrome_of_events events =
        | Some (p, t) when p = pid && t = tid -> ()
        | _ ->
          track := Some (pid, tid);
-         at := Printf.sprintf {|,"pid":%d,"tid":%d,"ts":|} pid tid;
+         Event.add_text tw {|,"pid":|};
+         Event.add_int tw pid;
+         Event.add_text tw {|,"tid":|};
+         Event.add_int tw tid;
+         Event.add_text tw {|,"ts":|};
+         at := Event.take tw;
          announce (pid, -1) ~pid ~tid:0 "process_name" (fun () ->
              add "run ";
              int pid);
@@ -102,12 +110,12 @@ let chrome_of_events events =
          add "}}"
        | Event.Watchdog_fire { rule; snapshots } | Event.Watchdog_clear { rule; snapshots } ->
          add {|,{"name":|};
-         Json.add_quoted buf rule;
+         Event.add_quoted w rule;
          add
            (match ev.kind with
             | Event.Watchdog_fire _ -> {|,"cat":"watchdog","ph":"b","id":|}
             | _ -> {|,"cat":"watchdog","ph":"e","id":|});
-         Json.add_quoted buf rule;
+         Event.add_quoted w rule;
          add !at;
          int ev.t_us;
          add {|,"args":{"snapshots":|};
@@ -120,15 +128,12 @@ let chrome_of_events events =
          add !at;
          int ev.t_us;
          add {|,"args":|};
-         Event.fields_to_buffer buf kind;
+         Event.add_fields w kind;
          add "}");
-      if Buffer.length buf >= chunk then begin
-        chunks := Buffer.contents buf :: !chunks;
-        Buffer.clear buf
-      end)
+      if Event.written w >= chunk then chunks := Event.take w :: !chunks)
     events;
   add {|],"displayTimeUnit":"ms"}|};
-  String.concat "" (List.rev (Buffer.contents buf :: !chunks))
+  String.concat "" (List.rev (Event.take w :: !chunks))
 
 (* --- folded stacks -> flamegraph SVG --- *)
 

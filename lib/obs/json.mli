@@ -29,8 +29,10 @@ val to_string : t -> string
 val add_int : Buffer.t -> int -> unit
 (** Append an [Int] as {!to_buffer} writes it, with no string built. *)
 
-val add_quoted : Buffer.t -> string -> unit
-(** Append a [String] as {!to_buffer} writes it, quoted and escaped. *)
+val quads : string
+(** ["0000"] to ["9999"], concatenated: the digit table both int
+    writers read, {!add_int} four digits at a time and
+    {!Event.add_int} two. *)
 
 val parse : string -> t option
 (** Parse one complete document; [None] on malformed input or trailing

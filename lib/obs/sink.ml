@@ -1,13 +1,13 @@
 type t =
   | Null
-  | Jsonl of out_channel * Buffer.t  (* each line is encoded in the one buffer *)
+  | Jsonl of out_channel
   | Collect of (Event.t -> unit)
   | Tee of t * t
   | Shift of int * t
 
 let null = Null
 
-let jsonl oc = Jsonl (oc, Buffer.create 256)
+let jsonl oc = Jsonl oc
 
 let collect f = Collect f
 
@@ -21,11 +21,7 @@ let is_active = function Null -> false | _ -> true
 let rec emit t ev =
   match t with
   | Null -> ()
-  | Jsonl (oc, buf) ->
-    Buffer.clear buf;
-    Event.to_buffer buf ev;
-    Buffer.add_char buf '\n';
-    Buffer.output_buffer oc buf
+  | Jsonl oc -> Event.to_channel oc ev
   | Collect f -> f ev
   | Tee (a, b) ->
     emit a ev;
@@ -53,7 +49,7 @@ let advance sp span = sp.offset <- sp.offset + span
 
 let rec flush = function
   | Null | Collect _ -> ()
-  | Jsonl (oc, _) -> Stdlib.flush oc
+  | Jsonl oc -> Stdlib.flush oc
   | Tee (a, b) ->
     flush a;
     flush b

@@ -19,8 +19,8 @@ val null : t
 (** Discards everything; {!is_active} is [false]. *)
 
 val jsonl : out_channel -> t
-(** Write each event as one JSON object per line ({!Event.to_buffer},
-    through one buffer the sink reuses).
+(** Write each event as one JSON object per line
+    ({!Event.to_channel}: the writer's bytes go straight to the channel).
     The caller owns the channel; {!flush} before closing it. *)
 
 val collect : (Event.t -> unit) -> t

@@ -2,7 +2,9 @@
    everything a shard body needs to resume mid-workload and re-emit a
    byte-identical suffix: its progress counter, virtual clock, RNG
    stream position, an engine-specific payload (the arena encoding, or
-   a verification digest), and the event prefix already emitted.
+   a verification digest), and the event prefix already emitted: the
+   shard's own buffer and a count, since the shard never rewrites the
+   cells below it.
 
    A store is owned by exactly one shard and touched only on its
    worker domain.  The authoritative copy lives in memory; when a
@@ -22,6 +24,7 @@ type state = {
   ck_rng : int64;
   ck_payload : int array;
   ck_events : Obs.Event.t array;
+  ck_count : int;
 }
 
 type store = {
@@ -51,7 +54,7 @@ let header st =
          ("progress", Obs.Json.Int st.ck_progress);
          ("clock_us", Obs.Json.Int st.ck_clock_us);
          ("rng", Obs.Json.String (Int64.to_string st.ck_rng));
-         ("events", Obs.Json.Int (Array.length st.ck_events));
+         ("events", Obs.Json.Int st.ck_count);
          (* one space-joined string keeps the header a flat object *)
          ( "payload",
            Obs.Json.String
@@ -67,11 +70,10 @@ let save t st =
     Buffer.clear buf;
     Buffer.add_string buf (header st);
     Buffer.add_char buf '\n';
-    Array.iter
-      (fun ev ->
-        Obs.Event.to_buffer buf ev;
-        Buffer.add_char buf '\n')
-      st.ck_events;
+    for i = 0 to st.ck_count - 1 do
+      Obs.Event.to_buffer buf st.ck_events.(i);
+      Buffer.add_char buf '\n'
+    done;
     Obs.Artifact.write_atomic path (Buffer.contents buf)
 
 let parse_payload s =
@@ -115,7 +117,8 @@ let load_file ~shard path =
                && n_events >= 0 ->
           Option.map
             (fun ck_events ->
-              { ck_shard; ck_progress; ck_clock_us; ck_rng; ck_payload; ck_events })
+              { ck_shard; ck_progress; ck_clock_us; ck_rng; ck_payload; ck_events;
+                ck_count = n_events })
             (take_events n_events body [])
         | _ -> None)
 

@@ -27,7 +27,11 @@ type state = {
   ck_clock_us : int;  (** the shard's virtual clock *)
   ck_rng : int64;  (** {!Sim.Rng.state} of the shard's stream *)
   ck_payload : int array;  (** engine-specific encoding or digest *)
-  ck_events : Obs.Event.t array;  (** emitted event prefix, in order *)
+  ck_events : Obs.Event.t array;
+      (** holds the emitted event prefix, in order, in its first
+          [ck_count] cells: a saved state shares the shard's buffer, and
+          a loaded one holds exactly the prefix *)
+  ck_count : int;
 }
 
 type store

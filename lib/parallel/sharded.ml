@@ -21,22 +21,20 @@ let alloc_rng_site shard = 0xA110C + (shard * 7919)
 let paging_rng_site shard = 0x9A61B + (shard * 104729)
 
 (* A shard buffers its (already relabelled) events locally, in emission
-   order, in an array that doubles as it fills.  [init] pre-seeds the
-   buffer with a checkpoint's event prefix; that array is full, so the
-   first event copies it rather than writing into it.  [contents] copies
-   the events out once. *)
-let buffer_sink ?(init = [||]) () =
-  let events = ref init and len = ref (Array.length init) in
-  let push ev =
-    if !len = Array.length !events then begin
-      let grown = Array.make (max 256 (2 * !len)) ev in
-      Array.blit !events 0 grown 0 !len;
-      events := grown
-    end;
-    !events.(!len) <- ev;
-    incr len
-  in
-  (Obs.Sink.collect push, fun () -> Array.sub !events 0 !len)
+   order, in an array that doubles as it fills.  The cells below [len]
+   are never written again, so a checkpoint keeps the array and the
+   count instead of a copy.  A resumed attempt starts from a copy of its
+   checkpoint's prefix, which its first event grows. *)
+type buffer = { mutable events : Obs.Event.t array; mutable len : int }
+
+let push b ev =
+  if b.len = Array.length b.events then begin
+    let grown = Array.make (max 256 (2 * b.len)) ev in
+    Array.blit b.events 0 grown 0 b.len;
+    b.events <- grown
+  end;
+  b.events.(b.len) <- ev;
+  b.len <- b.len + 1
 
 (* {2 The shard loop and the runner} *)
 
@@ -65,19 +63,18 @@ type ('r, 'report) engine = {
 }
 
 let shard_run engine ~traced ~tick ~resume shard =
-  let start, prefix =
+  let start, buf =
     match resume with
-    | None -> (0, [||])
+    | None -> (0, { events = [||]; len = 0 })
     | Some (st : Checkpoint.state) ->
       if st.ck_progress > engine.steps then
         raise
           (Checkpoint.Inconsistent
              (Printf.sprintf "shard %d checkpoint progress %d beyond %d steps" shard
                 st.ck_progress engine.steps));
-      (st.ck_progress, st.ck_events)
+      (st.ck_progress, { events = Array.sub st.ck_events 0 st.ck_count; len = st.ck_count })
   in
-  let sink, contents = buffer_sink ~init:prefix () in
-  let obs = if traced then sink else Obs.Sink.null in
+  let obs = if traced then Obs.Sink.collect (fun ev -> push buf ev) else Obs.Sink.null in
   let s =
     match resume with
     | None -> engine.start ~shard ~obs
@@ -89,10 +86,10 @@ let shard_run engine ~traced ~tick ~resume shard =
         { Supervisor.sn_clock_us = Sim.Clock.now s.clock;
           sn_rng = Sim.Rng.state s.rng;
           sn_payload = s.payload ();
-          sn_events = contents () })
+          sn_events = buf.events;
+          sn_count = buf.len })
   done;
-  let events = contents () in
-  (s.report ~events:(Array.length events), events)
+  (s.report ~events:buf.len, Array.sub buf.events 0 buf.len)
 
 let noop_tick ~clock_us:_ ~snapshot:_ = ()
 
@@ -483,10 +480,9 @@ let paging_engine cfg =
            (Sim.Clock.now clock) st.Checkpoint.ck_clock_us;
        if Sim.Rng.state rng <> st.Checkpoint.ck_rng then
          fail "shard %d replay rng stream disagrees with checkpoint" shard;
-       if traced && !suppressed <> Array.length st.Checkpoint.ck_events then
+       if traced && !suppressed <> st.Checkpoint.ck_count then
          fail "shard %d replay emitted %d events where checkpoint recorded %d"
-           shard !suppressed
-           (Array.length st.Checkpoint.ck_events);
+           shard !suppressed st.Checkpoint.ck_count;
        (match st.Checkpoint.ck_payload with
         | [| faults; writebacks |] ->
           if Paging.Demand.faults engine <> faults

@@ -104,6 +104,7 @@ type snap = {
   sn_rng : int64;
   sn_payload : int array;
   sn_events : Obs.Event.t array;
+  sn_count : int;
 }
 
 type ctl = {
@@ -138,7 +139,8 @@ let step ctl ~clock_us ~snapshot =
         ck_clock_us = sn.sn_clock_us;
         ck_rng = sn.sn_rng;
         ck_payload = sn.sn_payload;
-        ck_events = sn.sn_events };
+        ck_events = sn.sn_events;
+        ck_count = sn.sn_count };
     ctl.c_checkpoints <- ctl.c_checkpoints + 1;
     ctl.c_sup <-
       Obs.Event.make
@@ -146,7 +148,7 @@ let step ctl ~clock_us ~snapshot =
         (Obs.Event.Shard_checkpoint
            { shard = ctl.c_shard;
              progress = ctl.c_progress;
-             events = Array.length sn.sn_events })
+             events = sn.sn_count })
       :: ctl.c_sup
   end
 

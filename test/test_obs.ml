@@ -122,6 +122,102 @@ let add_int_property =
       Obs.Json.add_int buf n;
       Buffer.contents buf = string_of_int n)
 
+(* --- The writer's edges --- *)
+
+(* The Json.t printer's bytes for an event: what every writer must
+   produce. *)
+let printed (e : Obs.Event.t) =
+  Obs.Json.to_string
+    (Obs.Json.Obj
+       (("t_us", Obs.Json.Int e.t_us)
+        :: ("ev", Obs.Json.String (Obs.Event.kind_name e.kind))
+        :: Obs.Event.fields_of_kind e.kind))
+
+(* Quotes, backslashes, every control byte and every other byte, so
+   an escaped string is several times its length. *)
+let long_text n =
+  String.init n (fun i ->
+      match i mod 5 with 0 -> '"' | 1 -> '\\' | 2 -> Char.chr (i mod 32) | _ -> Char.chr (i mod 256))
+
+(* Strings past the writer's first capacity, and past the export's
+   64 KiB chunk. *)
+let long_events =
+  List.concat_map
+    (fun n ->
+      let s = long_text n in
+      Obs.Event.
+        [ ev ~t_us:1 (Run_start { run = 1; seed = Some 3; config = Some s });
+          ev ~t_us:2 (Watchdog_fire { rule = s; snapshots = 2 });
+          ev ~t_us:3 (Fault { page = n });
+          ev ~t_us:4 (Watchdog_clear { rule = s; snapshots = 4 }) ])
+    [ 300; 70_000 ]
+
+(* Every digit count from 1 to 19, at both ends of each count, of both
+   signs, and the ends of the int range. *)
+let every_width =
+  let rec widths k low acc =
+    if k > 19 then acc
+    else
+      let high = if k = 19 then max_int else (low * 10) - 1 in
+      widths (k + 1) (low * 10) (low :: high :: (-low) :: (-high) :: acc)
+  in
+  min_int :: max_int :: widths 1 1 [ 0 ]
+
+let test_to_buffer_appends () =
+  List.iter
+    (fun e ->
+      let buf = Buffer.create 4 in
+      Buffer.add_string buf "already here\n";
+      Obs.Event.to_buffer buf e;
+      check_string (Obs.Event.to_json e) ("already here\n" ^ Obs.Event.to_json e)
+        (Buffer.contents buf))
+    (one_of_each @ long_events)
+
+let test_jsonl_writes_to_json_lines () =
+  let events = one_of_each @ long_events in
+  let file = Filename.temp_file "dsas_obs" ".jsonl" in
+  let oc = open_out_bin file in
+  let s = Obs.Sink.jsonl oc in
+  List.iter (Obs.Sink.emit s) events;
+  Obs.Sink.flush s;
+  close_out oc;
+  let got = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  check_bool "to_json and a newline per event" true
+    (got = String.concat "" (List.map (fun e -> Obs.Event.to_json e ^ "\n") events))
+
+let test_long_strings () =
+  List.iter
+    (fun e ->
+      let buf = Buffer.create 16 in
+      Obs.Event.to_buffer buf e;
+      check_bool "to_json" true (Obs.Event.to_json e = printed e);
+      check_bool "to_buffer" true (Buffer.contents buf = printed e))
+    long_events;
+  let stream = one_of_each @ long_events @ one_of_each in
+  check_bool "chrome_of_events" true
+    (Obs.Export.chrome_of_events stream = Chrome_reference.of_events stream)
+
+let test_every_int_width () =
+  check_int "four per digit count, zero and the ends" 79 (List.length every_width);
+  let events =
+    List.concat_map
+      (fun n ->
+        Obs.Event.
+          [ ev ~t_us:n (Fault { page = 1 });
+            ev ~t_us:0 (Run_start { run = 0; seed = Some n; config = None }) ])
+      every_width
+  in
+  List.iter
+    (fun e ->
+      let buf = Buffer.create 16 in
+      Obs.Event.to_buffer buf e;
+      check_string "to_json" (printed e) (Obs.Event.to_json e);
+      check_string "to_buffer" (printed e) (Buffer.contents buf))
+    events;
+  check_bool "chrome_of_events" true
+    (Obs.Export.chrome_of_events events = Chrome_reference.of_events events)
+
 (* --- Sinks --- *)
 
 let collect_into acc = Obs.Sink.collect (fun e -> acc := e :: !acc)
@@ -405,6 +501,13 @@ let () =
           QCheck_alcotest.to_alcotest event_json_property;
           QCheck_alcotest.to_alcotest event_bytes_property;
           QCheck_alcotest.to_alcotest add_int_property;
+        ] );
+      ( "writer",
+        [
+          Alcotest.test_case "to_buffer appends to_json" `Quick test_to_buffer_appends;
+          Alcotest.test_case "jsonl writes to_json lines" `Quick test_jsonl_writes_to_json_lines;
+          Alcotest.test_case "long escaped strings" `Quick test_long_strings;
+          Alcotest.test_case "ints of every width" `Quick test_every_int_width;
         ] );
       ( "sink",
         [

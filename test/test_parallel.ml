@@ -625,6 +625,7 @@ let sum_body ~steps ~executed ~resume ctl =
           sn_rng = 0L;
           sn_payload = [| !acc |];
           sn_events = [||];
+          sn_count = 0;
         })
   done;
   !acc
@@ -649,6 +650,61 @@ let test_supervise_resumes_from_checkpoint () =
        really resumed mid-run instead of starting over *)
     check_int "resumed from the checkpoint" 22 !executed;
     check_bool "checkpoints taken" true (o.Parallel.Supervisor.o_checkpoints >= 2)
+
+(* Every checkpoint's event count, with and without kills, against a
+   count of its own: the engine-trace events in the shard's arena
+   stamped no later than the checkpoint's step.  Step i of a shard is
+   stamped (i + 1) x op_us and emits at most one event, so those are
+   exactly the events of its first [progress] steps. *)
+let test_checkpoint_counts_match_trace () =
+  let slots = 64 and slot_words = 8 and op_us = 5 and steps = 300 and every = 32 in
+  let cfg =
+    Parallel.Sharded.alloc_config ~shards:4 ~ops_per_shard:steps ~slots_per_shard:slots
+      ~slot_words ~op_us ~seed:11 ()
+  in
+  let arena = slots * slot_words in
+  List.iter
+    (fun kills ->
+      let eng = ref [] and sup = ref [] in
+      match
+        Parallel.Sharded.run_alloc_supervised
+          ~obs:(Obs.Sink.collect (fun ev -> eng := ev :: !eng))
+          ~supervision:(Obs.Sink.collect (fun ev -> sup := ev :: !sup))
+          ~kills ~checkpoint_every:every ~domains:2 cfg
+      with
+      | Error f -> Alcotest.failf "escalated: %s" (Resilience.Failure.to_string f)
+      | Ok _ ->
+        let emitted ~shard ~progress =
+          List.length
+            (List.filter
+               (fun (ev : Obs.Event.t) ->
+                 match ev.kind with
+                 | Obs.Event.Alloc { addr; _ } | Obs.Event.Free { addr; _ } ->
+                   addr >= shard * arena && addr < (shard + 1) * arena
+                   && ev.t_us <= progress * op_us
+                 | _ -> false)
+               !eng)
+        in
+        let checkpoints =
+          List.filter_map
+            (fun (ev : Obs.Event.t) ->
+              match ev.kind with
+              | Obs.Event.Shard_checkpoint { shard; progress; events } ->
+                Some (shard, progress, events)
+              | _ -> None)
+            !sup
+        in
+        check_bool "every shard checkpointed at every multiple" true
+          (List.length checkpoints >= 4 * (steps / every));
+        List.iter
+          (fun (shard, progress, events) ->
+            check_int
+              (Printf.sprintf "shard %d events at step %d" shard progress)
+              (emitted ~shard ~progress) events)
+          checkpoints)
+    [ [];
+      [ kill 0 ~attempt:0 ~progress:100; kill 2 ~attempt:0 ~progress:50;
+        kill 0 ~attempt:1 ~progress:200 ] ]
 
 let test_supervise_poisons_inconsistent_checkpoint () =
   let store = Parallel.Checkpoint.store ~shard:2 () in
@@ -685,11 +741,14 @@ let sample_state shard =
     ck_clock_us = 6400;
     ck_rng = Sim.Rng.state (Sim.Rng.create 7);
     ck_payload = [| 1; 2; 3 |];
+    (* a shard's buffer: the prefix is its first two cells *)
     ck_events =
       [|
         Obs.Event.make ~t_us:5 (Obs.Event.Alloc { addr = 0; size = 8 });
         Obs.Event.make ~t_us:9 (Obs.Event.Free { addr = 0; size = 8 });
+        Obs.Event.make ~t_us:12 (Obs.Event.Alloc { addr = 8; size = 8 });
       |];
+    ck_count = 2;
   }
 
 let test_checkpoint_disk_roundtrip () =
@@ -709,9 +768,10 @@ let test_checkpoint_disk_roundtrip () =
            (s.Parallel.Checkpoint.ck_rng = state.Parallel.Checkpoint.ck_rng);
          check_bool "payload" true
            (s.Parallel.Checkpoint.ck_payload = [| 1; 2; 3 |]);
-         check_bool "event prefix" true
+         check_int "event count" 2 s.Parallel.Checkpoint.ck_count;
+         check_bool "the prefix alone" true
            (Array.map Obs.Event.to_json s.Parallel.Checkpoint.ck_events
-           = Array.map Obs.Event.to_json state.Parallel.Checkpoint.ck_events));
+           = Array.map Obs.Event.to_json (Array.sub state.Parallel.Checkpoint.ck_events 0 2)));
       (* clear wipes memory and disk *)
       Parallel.Checkpoint.clear st2;
       check_bool "cleared on disk too" true
@@ -1028,6 +1088,8 @@ let () =
             test_supervise_resumes_from_checkpoint;
           Alcotest.test_case "inconsistent checkpoint is poisoned" `Quick
             test_supervise_poisons_inconsistent_checkpoint;
+          Alcotest.test_case "checkpoint counts match the trace" `Quick
+            test_checkpoint_counts_match_trace;
           Alcotest.test_case "zero cadence refused up front" `Quick
             test_supervised_rejects_zero_cadence;
         ] );

@@ -220,6 +220,7 @@ let readers =
         ck_rng = 7L;
         ck_payload = [| 1; 2; 3 |];
         ck_events = Array.of_list (List.filteri (fun i _ -> i < 3) one_of_each);
+        ck_count = 3;
       };
     In_channel.with_open_bin (Filename.concat ck_dir "shard0.ckpt") In_channel.input_all
   in
