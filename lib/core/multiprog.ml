@@ -51,7 +51,9 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
      and the device see the job-tagged key, the job above bit 32; slots
      and keys sort alike. *)
   let stride =
-    Array.fold_left (fun m j -> max m (Workload.Trace.extent j.spec.Workload.Job.refs)) 0 jobs
+    Array.fold_left
+      (fun m j -> Int.max m (Workload.Trace.extent j.spec.Workload.Job.refs))
+      0 jobs
   in
   let job_of s = s / stride in
   let key s = (job_of s lsl 32) lor (s mod stride) in
@@ -121,8 +123,9 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
        abort re-admits it rather than restarting a parked job. *)
     unpark j;
     drop s;
-    (* the fault announced page [s]; retract it before the job's
-       committed pages go *)
+    (* the fault announced page [s], and the policy saw it load; retract
+       it before the job's committed pages go *)
+    policy.Paging.Replacement.on_evict ~page:s;
     if tracing then emit (Obs.Event.Eviction { page = key s });
     evict_job_pages j.index;
     if j.restarts < max_restarts then begin
@@ -139,7 +142,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
      idle waiting for it. *)
   let deliver ~id:_ ~page ~finish_us failure =
     decr outstanding;
-    now := max !now finish_us;
+    now := Int.max !now finish_us;
     let s = slot_of_key page in
     match failure with
     | Some _ -> abort_job jobs.(job_of s) ~s
@@ -149,8 +152,25 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
       Queue.transfer stalled ready
   in
   let candidates () =
-    (* Frames whose fetch has completed; in-flight pages are pinned. *)
-    Paging.Resident.filter resident (fun s -> ready_at.(s) <= !now)
+    (* Frames whose fetch has completed; in-flight pages are pinned.
+       With none in flight, the resident array itself. *)
+    let members = Paging.Resident.elements resident in
+    let n = Array.length members and pinned = ref 0 in
+    for i = 0 to n - 1 do
+      if ready_at.(members.(i)) > !now then incr pinned
+    done;
+    if !pinned = 0 then members
+    else begin
+      let pool = Array.make (n - !pinned) 0 and kept = ref 0 in
+      for i = 0 to n - 1 do
+        let s = members.(i) in
+        if ready_at.(s) <= !now then begin
+          pool.(!kept) <- s;
+          incr kept
+        end
+      done;
+      pool
+    end
   in
   let start_fetch j s =
     j.faults <- j.faults + 1;
@@ -160,10 +180,9 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
     if tracing then emit (Obs.Event.Fault { page = key s });
     (match device with
      | None ->
-       let start = max !now !device_free_at in
+       let start = Int.max !now !device_free_at in
        let finish = start + fetch_us in
        device_free_at := finish;
-       Paging.Resident.add resident s;
        ready_at.(s) <- finish;
        Sim.Heap.add blocked finish j.index
      | Some m ->
@@ -172,7 +191,6 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
            ~words:0
        in
        incr outstanding;
-       Paging.Resident.add resident s;
        ready_at.(s) <- in_flight);
     policy.Paging.Replacement.on_load ~page:s
   in
@@ -206,6 +224,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
           false
         end
         else if Paging.Resident.length resident < frames then begin
+          Paging.Resident.add resident s;
           start_fetch j s;
           false
         end
@@ -218,7 +237,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
              | None ->
                let earliest =
                  Array.fold_left
-                   (fun acc s -> min acc ready_at.(s))
+                   (fun acc s -> Int.min acc ready_at.(s))
                    max_int (Paging.Resident.elements resident)
                in
                Sim.Heap.add blocked earliest j.index);
@@ -229,7 +248,8 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
               Obs.Prof.span "multiprog.victim" (fun () ->
                   policy.Paging.Replacement.choose_victim ~candidates:pool)
             in
-            drop victim;
+            Paging.Resident.replace resident ~victim s;
+            ready_at.(victim) <- absent;
             policy.Paging.Replacement.on_evict ~page:victim;
             if tracing then emit (Obs.Event.Eviction { page = key victim });
             start_fetch j s;
@@ -351,7 +371,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
         if not (Device.Model.take_completion m deliver) then assert false
       | None ->
         (match Sim.Heap.min blocked with
-         | Some (at, _) -> now := max !now at
+         | Some (at, _) -> now := Int.max !now at
          | None -> assert false  (* unfinished jobs must be ready or blocked *))
     end
     else begin

@@ -140,7 +140,7 @@ let submit ?(immune = false) t ~now ~kind ~page ~words =
   (* Arrival times are monotone in submission order: engine clocks
      are, and a late-stamped submission is clamped to the latest
      arrival, so it queues behind everything already submitted. *)
-  let now = max now t.last_arrival_us in
+  let now = Int.max now t.last_arrival_us in
   t.last_arrival_us <- now;
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -222,7 +222,7 @@ let plan t =
   if t.depth > 0 && not t.planned then begin
     let c = best_channel t in
     let chan = t.chans.(c) in
-    let td = max chan.free_at t.queue.(t.first).arrival_us in
+    let td = Int.max chan.free_at t.queue.(t.first).arrival_us in
     t.plan_chan <- c;
     t.plan_td <- td;
     t.plan_index <-

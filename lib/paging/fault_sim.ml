@@ -9,17 +9,17 @@ let resident = '\002'
 
 let run_writes ?(obs = Obs.Sink.null) ~frames ~policy ~write trace =
   assert (frames > 0);
-  let extent =
-    Array.fold_left
-      (fun m p ->
-        if p < 0 then invalid_arg (Printf.sprintf "Fault_sim: negative page %d" p);
-        max m (p + 1))
-      0 trace
-  in
+  let extent = ref 0 in
+  for i = 0 to Array.length trace - 1 do
+    let p = trace.(i) in
+    if p < 0 then invalid_arg (Printf.sprintf "Fault_sim: negative page %d" p);
+    if p >= !extent then extent := p + 1
+  done;
+  let extent = !extent in
   let tracing = Obs.Sink.is_active obs in
   let state = Bytes.make extent untouched in
   (* Once full, the set's array is the candidate array itself. *)
-  let set = Resident.create ~capacity:(min frames extent) in
+  let set = Resident.create ~capacity:(Int.min frames extent) in
   let faults = ref 0 and cold = ref 0 and evictions = ref 0 in
   for i = 0 to Array.length trace - 1 do
     let page = trace.(i) in
@@ -34,14 +34,14 @@ let run_writes ?(obs = Obs.Sink.null) ~frames ~policy ~write trace =
       if Resident.length set >= frames then begin
         let victim = policy.Replacement.choose_victim ~candidates:(Resident.elements set) in
         assert (victim >= 0 && victim < extent && Bytes.get state victim = resident);
-        Resident.remove set victim;
+        Resident.replace set ~victim page;
         Bytes.set state victim touched;
         policy.Replacement.on_evict ~page:victim;
         incr evictions;
         if tracing then
           Obs.Sink.emit obs (Obs.Event.make ~t_us:i (Eviction { page = victim }))
-      end;
-      Resident.add set page;
+      end
+      else Resident.add set page;
       Bytes.set state page resident;
       policy.Replacement.on_load ~page
     end

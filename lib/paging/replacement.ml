@@ -10,21 +10,31 @@ let no_ref ~page:_ ~write:_ = ()
 
 let no_page ~page:_ = ()
 
-(* Per-page state: one int per key, in a flat array grown to the
-   largest key written.  A key never written reads as [absent]. *)
+(* Per-page state: one int per key, in a flat array grown to a power of
+   two past the largest key written.  A key never written reads as
+   [absent].  Victim scans read every candidate's state through [get],
+   so [get] and [set] are inlined wherever they are called. *)
 type state = { mutable v : int array; absent : int }
 
 let state absent = { v = [||]; absent }
 
-let get s k = if k < Array.length s.v then s.v.(k) else s.absent
+let[@inline] get s k = if k < Array.length s.v then s.v.(k) else s.absent
 
-let set s k x =
+(* Powers of two keep the arrays a run leaves behind in few sizes, so
+   the few that a minor collection promotes need few of the major
+   heap's size-classed pools. *)
+let grow s k =
   let n = Array.length s.v in
-  if k >= n then begin
-    let grown = Array.make (max (k + 1) (2 * n)) s.absent in
-    Array.blit s.v 0 grown 0 n;
-    s.v <- grown
-  end;
+  let size = ref (Int.max 1 (2 * n)) in
+  while !size <= k do
+    size := 2 * !size
+  done;
+  let grown = Array.make !size s.absent in
+  Array.blit s.v 0 grown 0 n;
+  s.v <- grown
+
+let[@inline] set s k x =
+  if k >= Array.length s.v then grow s k;
   s.v.(k) <- x
 
 (* Membership in the ascending candidates. *)
@@ -36,13 +46,13 @@ let is_candidate (candidates : int array) page =
   done;
   !lo < Array.length candidates && candidates.(!lo) = page
 
-(* The first candidate with the smallest key; each key is read once. *)
-let argmin (candidates : int array) (key : int -> int) =
+(* The first candidate whose state is smallest. *)
+let least s (candidates : int array) =
   let best = ref candidates.(0) in
-  let best_key = ref (key !best) in
+  let best_key = ref (get s !best) in
   for i = 1 to Array.length candidates - 1 do
     let p = candidates.(i) in
-    let k = key p in
+    let k = get s p in
     if k < !best_key then begin
       best := p;
       best_key := k
@@ -55,59 +65,69 @@ let scratch buf n =
   if Array.length !buf < n then buf := Array.make n 0;
   !buf
 
-(* Random choice among the candidates of the best (lowest) class.
-   [class_of i] is the class of [candidates.(i)], read once per index in
-   order; the pool keeps candidate order, so the single draw picks what
-   [Sim.Rng.pick] over that pool would. *)
-let pick_best_class rng pool ~candidates ~class_of =
-  let n = Array.length candidates in
-  let pool = scratch pool n in
-  let best = ref max_int and count = ref 0 in
-  for i = 0 to n - 1 do
-    let c = class_of i in
-    if c < !best then begin
-      best := c;
-      count := 0
-    end;
-    if c = !best then begin
-      pool.(!count) <- candidates.(i);
-      incr count
-    end
-  done;
-  pool.(Sim.Rng.int rng !count)
-
 let fifo () =
-  (* Load order as a queue; the head among the candidates is the victim. *)
-  let order = Queue.create () in
+  (* Load order on a ring of [!len] pages from [!head], oldest first,
+     whose size is a power of two; [queued] marks the pages on it.  The
+     victim is the oldest candidate, and a page evicted outside FIFO's
+     own choice leaves the ring too.  Either way the pages loaded before
+     it close up behind it, keeping their order.  (A load stamp per page
+     would be shorter, but finding the least stamp reads every candidate
+     at each fault, where the ring looks at its head.) *)
+  let ring = ref (Array.make 16 0) and head = ref 0 and len = ref 0 in
+  let queued = state 0 in
+  let slot i = (!head + i) land (Array.length !ring - 1) in
+  let drop k =
+    let r = !ring in
+    for i = k downto 1 do
+      r.(slot i) <- r.(slot (i - 1))
+    done;
+    head := slot 1;
+    decr len
+  in
   {
     name = "FIFO";
     on_reference = no_ref;
-    on_load = (fun ~page -> Queue.add page order);
-    on_evict = no_page;
+    on_load =
+      (fun ~page ->
+        let r = !ring in
+        if !len = Array.length r then begin
+          let grown = Array.make (2 * !len) 0 in
+          for i = 0 to !len - 1 do
+            grown.(i) <- r.(slot i)
+          done;
+          ring := grown;
+          head := 0
+        end;
+        !ring.(slot !len) <- page;
+        incr len;
+        set queued page 1);
+    on_evict =
+      (fun ~page ->
+        if get queued page = 1 then begin
+          let k = ref 0 in
+          while !ring.(slot !k) <> page do
+            incr k
+          done;
+          drop !k;
+          set queued page 0
+        end);
     choose_victim =
       (fun ~candidates ->
         assert (Array.length candidates > 0);
-        (* Pop until the head is an eligible (e.g. unlocked) page;
-           re-queue skipped pages preserving their relative order. *)
-        let skipped = Queue.create () in
-        let rec pop () =
-          let p = Queue.pop order in
-          if is_candidate candidates p then p
-          else begin
-            Queue.add p skipped;
-            pop ()
-          end
-        in
-        let victim = pop () in
-        Queue.transfer order skipped;
-        Queue.transfer skipped order;
+        let k = ref 0 in
+        while !k < !len && not (is_candidate candidates !ring.(slot !k)) do
+          incr k
+        done;
+        if !k = !len then invalid_arg "Replacement.fifo: no candidate was loaded";
+        let victim = !ring.(slot !k) in
+        drop !k;
+        set queued victim 0;
         victim);
   }
 
 let lru () =
   let stamp = state 0 in
   let tick = ref 0 in
-  let oldest = get stamp in
   {
     name = "LRU";
     on_reference =
@@ -116,7 +136,7 @@ let lru () =
         set stamp page !tick);
     on_load = (fun ~page -> set stamp page !tick);
     on_evict = (fun ~page -> set stamp page 0);
-    choose_victim = (fun ~candidates -> argmin candidates oldest);
+    choose_victim = (fun ~candidates -> least stamp candidates);
   }
 
 let clock_sweep () =
@@ -162,27 +182,30 @@ let clock_sweep () =
         set used page 0);
     choose_victim =
       (fun ~candidates ->
-        let rec sweep budget =
-          if budget = 0 then candidates.(0)  (* all bits set and ineligible: degrade *)
+        let budget = ref (2 * (!len + 1)) and victim = ref candidates.(0) in
+        let sweeping = ref true in
+        while !sweeping do
+          if !budget = 0 then sweeping := false  (* all bits set and ineligible: degrade *)
           else begin
             if !h >= !hend then begin
               h := 0;
               hend := !len
             end;
-            if !h >= !hend then candidates.(0)
+            if !h >= !hend then sweeping := false
             else begin
               let p = !ring.(!h) in
               incr h;
-              if not (is_candidate candidates p) then sweep (budget - 1)
-              else if get used p = 1 then begin
-                set used p 0;
-                sweep (budget - 1)
-              end
-              else p
+              decr budget;
+              if is_candidate candidates p then
+                if get used p = 1 then set used p 0
+                else begin
+                  victim := p;
+                  sweeping := false
+                end
             end
           end
-        in
-        sweep (2 * (!len + 1)));
+        done;
+        !victim);
   }
 
 let random rng =
@@ -208,23 +231,37 @@ let nru rng =
     choose_victim =
       (fun ~candidates ->
         (* Periodic sensor reset, modelled as happening at each decision:
-           each candidate's use bit clears once its class is read. *)
-        pick_best_class rng pool ~candidates ~class_of:(fun i ->
-            let p = candidates.(i) in
-            let f = get bits p in
-            if f >= 2 then set bits p (f land 1);
-            f));
+           each candidate's use bit clears once its class is read.  The
+           pool holds the candidates of the best class so far in
+           candidate order, so the single draw picks what [Sim.Rng.pick]
+           over that class would. *)
+        let n = Array.length candidates in
+        let pool = scratch pool n in
+        let best = ref max_int and pooled = ref 0 in
+        for i = 0 to n - 1 do
+          let p = candidates.(i) in
+          let f = get bits p in
+          if f >= 2 then set bits p (f land 1);
+          if f < !best then begin
+            best := f;
+            pooled := 0
+          end;
+          if f = !best then begin
+            pool.(!pooled) <- p;
+            incr pooled
+          end
+        done;
+        pool.(Sim.Rng.int rng !pooled));
   }
 
 let lfu () =
   let count = state 0 in
-  let freq = get count in
   {
     name = "LFU";
-    on_reference = (fun ~page ~write:_ -> set count page (freq page + 1));
+    on_reference = (fun ~page ~write:_ -> set count page (get count page + 1));
     on_load = (fun ~page -> set count page 0);
     on_evict = (fun ~page -> set count page 0);
-    choose_victim = (fun ~candidates -> argmin candidates freq);
+    choose_victim = (fun ~candidates -> least count candidates);
   }
 
 let atlas_learning () =
@@ -298,9 +335,23 @@ let m44 rng =
           if c < !least then least := c;
           set count p ((c / 2) + 1)
         done;
-        pick_best_class rng pool ~candidates ~class_of:(fun i ->
-            if seen.(i) > !least then 2
-            else get modified candidates.(i)));
+        (* Class 2 for the more used, else the modify bit; the draw is
+           NRU's, over the best class in candidate order. *)
+        let pool = scratch pool n in
+        let best = ref max_int and pooled = ref 0 in
+        for i = 0 to n - 1 do
+          let p = candidates.(i) in
+          let c = if seen.(i) > !least then 2 else get modified p in
+          if c < !best then begin
+            best := c;
+            pooled := 0
+          end;
+          if c = !best then begin
+            pool.(!pooled) <- p;
+            incr pooled
+          end
+        done;
+        pool.(Sim.Rng.int rng !pooled));
   }
 
 let working_set ~tau =
@@ -309,31 +360,47 @@ let working_set ~tau =
      that is a true working-set eviction, inside it is LRU's choice. *)
   { (lru ()) with name = Printf.sprintf "WS(%d)" tau }
 
+(* An int array of at most this many elements is made on the minor
+   heap; a longer one goes straight to the major heap. *)
+let chunk = 256
+
 let opt trace =
-  (* occurrences.(page) = positions of page in the trace, ascending;
-     cursor.(page) = index of the first occurrence not yet consumed. *)
-  let extent = Workload.Trace.extent trace in
-  let occurrences = Array.make extent [] in
-  Array.iteri (fun i p -> occurrences.(p) <- i :: occurrences.(p)) trace;
-  let occurrences = Array.map (fun l -> Array.of_list (List.rev l)) occurrences in
-  let cursor = Array.make extent 0 in
-  let position = ref (-1) in
-  let next_use p =
-    if p >= extent then max_int
-    else begin
-      let occ = occurrences.(p) in
-      while cursor.(p) < Array.length occ && occ.(cursor.(p)) <= !position do
-        cursor.(p) <- cursor.(p) + 1
-      done;
-      if cursor.(p) >= Array.length occ then max_int else occ.(cursor.(p))
-    end
+  (* Each position's next use: [next.(i / chunk).(i mod chunk)] is the
+     position of the next reference to [trace.(i)] after [i], max_int if
+     none, and [upcoming.(p)] is page [p]'s next use after the current
+     position.  Chunks keep every array of a run off the major heap. *)
+  let n = Array.length trace and extent = Workload.Trace.extent trace in
+  let upcoming = Array.make extent max_int in
+  let next =
+    Array.init ((n + chunk - 1) / chunk) (fun c -> Array.make (Int.min chunk (n - (c * chunk))) 0)
   in
-  (* Farthest next use first: the smallest negated next use. *)
-  let key p = -next_use p in
+  for i = n - 1 downto 0 do
+    let p = trace.(i) in
+    next.(i / chunk).(i mod chunk) <- upcoming.(p);
+    upcoming.(p) <- i
+  done;
+  let position = ref (-1) in
   {
     name = "OPT";
-    on_reference = (fun ~page:_ ~write:_ -> incr position);
+    on_reference =
+      (fun ~page:_ ~write:_ ->
+        incr position;
+        let i = !position in
+        if i < n then upcoming.(trace.(i)) <- next.(i / chunk).(i mod chunk));
     on_load = no_page;
     on_evict = no_page;
-    choose_victim = (fun ~candidates -> argmin candidates key);
+    choose_victim =
+      (fun ~candidates ->
+        (* The farthest next use, the first candidate among ties; a page
+           not used again is farthest. *)
+        let best = ref 0 and best_use = ref (-1) in
+        for i = 0 to Array.length candidates - 1 do
+          let p = candidates.(i) in
+          let use = if p >= extent then max_int else upcoming.(p) in
+          if use > !best_use then begin
+            best := i;
+            best_use := use
+          end
+        done;
+        candidates.(!best));
   }

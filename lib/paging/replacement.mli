@@ -23,13 +23,20 @@
     neither keep it nor modify it.  FIFO and CLOCK test membership by
     binary search on that order.
 
+    [on_evict] fires for every page that leaves working storage, the
+    policy's own victims and pages an engine drops outside any choice
+    (Demand's [advise_wont_need], Multiprog's aborts and load shedding)
+    alike.
+
     Keys are dense non-negative ints: every engine numbers its pages
     [0 .. n-1] for its [n] pages, in an order it keeps fixed.  A
     policy keeps its per-page state (LRU stamps, use and modify bits,
-    counts, ATLAS's last use and T) in int arrays indexed by key, which
-    grow to the largest key seen, so a sparse key costs memory in
-    proportion to its value.  Those policies raise [Invalid_argument]
-    on a negative key. *)
+    counts, ATLAS's last use and T, FIFO's mark of the pages on its
+    ring) in int arrays indexed by key, which grow to the power of two
+    past the largest key seen, so a sparse key costs memory in
+    proportion to its value.  A victim choice reads those arrays
+    directly, candidate by candidate, and allocates nothing.  Those
+    policies raise [Invalid_argument] on a negative key. *)
 
 type t = {
   name : string;
@@ -40,7 +47,9 @@ type t = {
 }
 
 val fifo : unit -> t
-(** Evict the page resident longest. *)
+(** Evict the page resident longest.  The load order is a ring of the
+    resident pages; a page evicted outside FIFO's own choice leaves it
+    too, so when it is loaded again it is the newest page. *)
 
 val lru : unit -> t
 (** Evict the page unreferenced longest. *)
@@ -87,4 +96,7 @@ val opt : Workload.Trace.t -> t
 (** Belady's unrealizable optimum for the given page-number trace: evict
     the page whose next use is farthest in the future.  The policy
     counts references via [on_reference] to know its position, so it
-    must only be driven by exactly this trace. *)
+    must only be driven by exactly this trace.  Building it indexes the
+    trace once, keeping for each position the position of the next
+    reference to the same page, in arrays of at most 256 ints; a victim
+    choice then reads one next use per candidate. *)

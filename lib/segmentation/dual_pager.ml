@@ -74,10 +74,10 @@ let pool_touch pool key =
           pool.lru.Paging.Replacement.choose_victim
             ~candidates:(Paging.Resident.elements pool.resident)
         in
-        Paging.Resident.remove pool.resident victim;
+        Paging.Resident.replace pool.resident ~victim key;
         pool.lru.Paging.Replacement.on_evict ~page:victim
-      end;
-      Paging.Resident.add pool.resident key;
+      end
+      else Paging.Resident.add pool.resident key;
       pool.lru.Paging.Replacement.on_load ~page:key
     end
   end

@@ -56,13 +56,13 @@ let touch t ~segment ~offset ~write =
           t.cfg.policy.Paging.Replacement.choose_victim
             ~candidates:(Paging.Resident.elements t.resident)
         in
-        Paging.Resident.remove t.resident victim;
+        Paging.Resident.replace t.resident ~victim k;
         t.cfg.policy.Paging.Replacement.on_evict ~page:victim;
         match t.cfg.tlb with
         | Some tlb -> Paging.Tlb.invalidate tlb ~key:victim
         | None -> ()
-      end;
-      Paging.Resident.add t.resident k;
+      end
+      else Paging.Resident.add t.resident k;
       t.cfg.policy.Paging.Replacement.on_load ~page:k
     end;
     match t.cfg.tlb with

@@ -1,13 +1,19 @@
-type t = { mutable state : int64 }
+(* The whole generator is its splitmix64 counter, kept in 8 bytes: a
+   draw reads, advances and mixes it as an unboxed int64, so no draw
+   that returns an int allocates. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+(* Checkpoint hooks: a saved state restores the exact stream position. *)
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-(* Checkpoint hooks: the whole generator is its 64-bit counter, so a
-   saved state restores the exact stream position. *)
-let state t = t.state
-let of_state s = { state = s }
+let state t = Bytes.get_int64_ne t 0
+
+let create seed = of_state (Int64.of_int seed)
 
 (* [derive ?override default]: the per-site historical seed, unless a
    global --seed overrides the run.  The override is folded into the
@@ -19,17 +25,20 @@ let derive ?override default =
   | None -> create default
   | Some s -> create (s lxor default)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+(* Inlined into every draw, so its result is never boxed. *)
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = bits64 t }
+let bits64 t = next t
+
+let split t = of_state (next t)
 
 (* A non-negative 62-bit int, safe on 64-bit OCaml's 63-bit [int]. *)
-let nonneg t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+let nonneg t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let int t n =
   assert (n > 0);
@@ -39,11 +48,11 @@ let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
-let unit_float t =
-  (* 53 random bits into [0, 1). *)
-  let mantissa = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+(* 53 random bits into [0, 1). *)
+let[@inline] unit_float t =
+  let mantissa = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int mantissa *. 0x1p-53
 
 let float t x = unit_float t *. x

@@ -2,7 +2,13 @@
 
     Every stochastic component of the simulator draws from an explicit
     [Rng.t] so that experiments are reproducible from a single seed and
-    independent components can be given independent streams via {!split}. *)
+    independent components can be given independent streams via {!split}.
+
+    The whole generator is its 64-bit counter, kept in 8 bytes that each
+    draw reads and advances in place: a draw that returns an int
+    ({!int}, {!int_in}, {!bool}, {!geometric}, {!pick} of an int array,
+    {!shuffle}) allocates nothing.  {!bits64} and the float draws return
+    boxed values. *)
 
 type t
 (** Mutable generator state. *)

@@ -63,6 +63,75 @@ let test_resident_lowest_first () =
   Paging.Resident.remove free 2;
   Alcotest.(check (array int)) "copy when not full" [| 0; 1 |] (Paging.Resident.elements free)
 
+(* Every operation of a set of [capacity], [replace] included, against a
+   sorted list: the same answers, the same members after each operation,
+   and an [Invalid_argument] exactly when the list says the operation is
+   refused, after which the set is unchanged. *)
+type resident_op = Add of int | Remove of int | Replace of int * int | Mem of int
+
+let show_resident_op = function
+  | Add x -> Printf.sprintf "add %d" x
+  | Remove x -> Printf.sprintf "remove %d" x
+  | Replace (v, x) -> Printf.sprintf "replace ~victim:%d %d" v x
+  | Mem x -> Printf.sprintf "mem %d" x
+
+let resident_model_property =
+  let op =
+    QCheck.Gen.(
+      let x = int_bound 15 in
+      frequency
+        [
+          (3, map (fun x -> Add x) x);
+          (2, map (fun x -> Remove x) x);
+          (4, map2 (fun v x -> Replace (v, x)) x x);
+          (1, map (fun x -> Mem x) x);
+        ])
+  in
+  QCheck.Test.make ~name:"resident: sorted-list model" ~count:300
+    (QCheck.make
+       ~print:(fun (c, ops) ->
+         Printf.sprintf "capacity %d: %s" c (String.concat "; " (List.map show_resident_op ops)))
+       QCheck.Gen.(pair (int_range 1 10) (list_size (int_range 1 60) op)))
+    (fun (capacity, ops) ->
+      let t = Paging.Resident.create ~capacity in
+      let model = ref [] in
+      let insert x l = List.sort compare (x :: l) in
+      let step op =
+        let refused, next =
+          match op with
+          | Add x ->
+            let refused = List.length !model = capacity || List.mem x !model in
+            (refused, fun () -> Paging.Resident.add t x; insert x !model)
+          | Remove x ->
+            (not (List.mem x !model), fun () -> Paging.Resident.remove t x; List.filter (( <> ) x) !model)
+          | Replace (v, x) ->
+            ( (not (List.mem v !model)) || (x <> v && List.mem x !model),
+              fun () ->
+                Paging.Resident.replace t ~victim:v x;
+                insert x (List.filter (( <> ) v) !model) )
+          | Mem x ->
+            if Paging.Resident.mem t x <> List.mem x !model then
+              QCheck.Test.fail_reportf "%s answered wrong" (show_resident_op op);
+            (false, fun () -> !model)
+        in
+        (match next () with
+         | l ->
+           if refused then QCheck.Test.fail_reportf "%s was not refused" (show_resident_op op);
+           model := l
+         | exception Invalid_argument _ ->
+           if not refused then QCheck.Test.fail_reportf "%s was refused" (show_resident_op op));
+        let members = Array.to_list (Paging.Resident.elements t) in
+        if members <> !model
+           || Paging.Resident.length t <> List.length !model
+           || Paging.Resident.lowest t <> (match !model with [] -> None | x :: _ -> Some x)
+        then
+          QCheck.Test.fail_reportf "after %s: [%s], model [%s]" (show_resident_op op)
+            (String.concat " " (List.map string_of_int members))
+            (String.concat " " (List.map string_of_int !model))
+      in
+      List.iter step ops;
+      true)
+
 (* --- Tlb --- *)
 
 let test_tlb_hit_miss () =
@@ -257,6 +326,172 @@ let test_atlas_first_use () =
   (* (t, T): page 0 (1, 4), page 1 (2, 1), page 2 (0, 0); none is out
      of use, and page 0 has the largest T - t *)
   check_int "largest T - t" 0 (a.Paging.Replacement.choose_victim ~candidates:[| 0; 1; 2 |])
+
+(* --- Every policy against the reference ---
+
+   Each policy is driven by hand, as an engine would drive it, beside
+   its reference in Fault_path_reference: references with writes, faults
+   that fill a free frame or evict, prefetches that load a page without
+   a reference, and evictions outside any victim choice (Demand's
+   advice, Multiprog's aborts).  A victim choice is given the resident
+   set, or, when the step pins some pages, a strict subset of it.  Both
+   sides must choose the same victim every time, and their generators
+   must then give the same next 100 draws. *)
+
+module Ref = Fault_path_reference
+
+type policy_step =
+  | Touch of int * bool * int  (* page, write, pinned: bit i pins resident i *)
+  | Prefetch of int
+  | Drop of int  (* the resident page at this index, mod the count *)
+
+let show_policy_step = function
+  | Touch (p, w, pin) -> Printf.sprintf "%s %d pin %x" (if w then "write" else "read") p pin
+  | Prefetch p -> Printf.sprintf "prefetch %d" p
+  | Drop i -> Printf.sprintf "drop #%d" i
+
+let policy_names = [| "FIFO"; "LRU"; "CLOCK"; "RANDOM"; "NRU"; "LFU"; "ATLAS"; "M44"; "WS(64)"; "OPT" |]
+
+(* Policy [k] on each side, each drawing from its own side's generator. *)
+let policy_pair k ~rng ~reference_rng trace =
+  let module P = Paging.Replacement in
+  let module Q = Ref.Replacement in
+  match k with
+  | 0 -> (P.fifo (), Q.fifo ())
+  | 1 -> (P.lru (), Q.lru ())
+  | 2 -> (P.clock_sweep (), Q.clock_sweep ())
+  | 3 -> (P.random rng, Q.random reference_rng)
+  | 4 -> (P.nru rng, Q.nru reference_rng)
+  | 5 -> (P.lfu (), Q.lfu ())
+  | 6 -> (P.atlas_learning (), Q.atlas_learning ())
+  | 7 -> (P.m44 rng, Q.m44 reference_rng)
+  | 8 -> (P.working_set ~tau:64, Q.working_set ~tau:64)
+  | _ -> (P.opt trace, Q.opt trace)
+
+(* Pages are drawn from [0, span]: a span near the frame count makes
+   most references hits, which sets the use bits that CLOCK and NRU
+   clear, and a wide one makes most of them faults.  Half the choices
+   pin nothing; the rest pin each resident page with probability 1/2 or
+   3/4, so that few candidates remain, which is when CLOCK's hand can
+   run out of budget. *)
+let policies_match_reference =
+  let step span =
+    QCheck.Gen.(
+      let page = int_bound span in
+      frequency
+        [
+          ( 8,
+            map3
+              (fun p w pin -> Touch (p, w, pin))
+              page bool
+              (frequency
+                 [
+                   (2, return 0);
+                   (1, int_bound 0xFFFFF);
+                   (1, map2 ( lor ) (int_bound 0xFFFFF) (int_bound 0xFFFFF));
+                 ])
+          );
+          (1, map (fun p -> Prefetch p) page);
+          (1, map (fun i -> Drop i) (int_bound 7));
+        ])
+  in
+  QCheck.Test.make ~name:"every policy chooses as its reference" ~count:1000
+    (QCheck.make
+       ~print:(fun (seed, frames, steps) ->
+         Printf.sprintf "seed %d, %d frames: %s" seed frames
+           (String.concat "; " (List.map show_policy_step steps)))
+       QCheck.Gen.(
+         triple (int_bound 1000) (int_range 1 20) (int_range 1 24)
+         >>= fun (seed, frames, span) ->
+         map (fun steps -> (seed, frames, steps)) (list_size (int_range 1 200) (step span))))
+    (fun (seed, frames, steps) ->
+      let trace =
+        Array.of_list (List.filter_map (function Touch (p, _, _) -> Some p | _ -> None) steps)
+      in
+      for k = 0 to Array.length policy_names - 1 do
+        let rng = Sim.Rng.create seed and reference_rng = Ref.Rng.create seed in
+        let p, q = policy_pair k ~rng ~reference_rng trace in
+        let resident = ref [] in
+        let load page =
+          resident := List.sort compare (page :: !resident);
+          p.Paging.Replacement.on_load ~page;
+          q.Ref.Replacement.on_load ~page
+        in
+        let evict page =
+          resident := List.filter (( <> ) page) !resident;
+          p.Paging.Replacement.on_evict ~page;
+          q.Ref.Replacement.on_evict ~page
+        in
+        List.iteri
+          (fun i step ->
+            match step with
+            | Touch (page, write, pin) ->
+              p.Paging.Replacement.on_reference ~page ~write;
+              q.Ref.Replacement.on_reference ~page ~write;
+              if not (List.mem page !resident) then begin
+                if List.length !resident >= frames then begin
+                  let unpinned = List.filteri (fun j _ -> pin land (1 lsl j) = 0) !resident in
+                  let candidates =
+                    Array.of_list (if unpinned = [] then !resident else unpinned)
+                  in
+                  let v = p.Paging.Replacement.choose_victim ~candidates:(Array.copy candidates) in
+                  let w = q.Ref.Replacement.choose_victim ~candidates:(Array.copy candidates) in
+                  if v <> w || not (Array.mem v candidates) then
+                    QCheck.Test.fail_reportf "%s, step %d: victim %d, reference %d"
+                      policy_names.(k) i v w;
+                  evict v
+                end;
+                load page
+              end
+            | Prefetch page ->
+              if List.length !resident < frames && not (List.mem page !resident) then load page
+            | Drop j ->
+              (match !resident with
+               | [] -> ()
+               | l -> evict (List.nth l (j mod List.length l))))
+          steps;
+        for d = 1 to 100 do
+          if Sim.Rng.bits64 rng <> Ref.Rng.bits64 reference_rng then
+            QCheck.Test.fail_reportf "%s: draw %d after the run differs" policy_names.(k) d
+        done
+      done;
+      true)
+
+(* --- The fault path makes no garbage ---
+
+   [Gc.minor_words] is read, never set: it is the runtime's exact count
+   of words allocated on the minor heap.  [Gc.quick_stat], which
+   [Obs.Prof] reads, counts them only at each minor collection. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A run over ten copies of a 2,000-reference trace allocates what a run
+   over one copy does, give or take a few words: no reference, fault or
+   victim choice allocates.  OPT is left out, because it indexes its
+   whole trace when it is built. *)
+let test_fault_path_allocates_nothing () =
+  let short =
+    Workload.Trace.working_set_phases (Sim.Rng.create 5) ~length:2_000 ~extent:96 ~set_size:24
+      ~phase_length:200 ~locality:0.9
+  in
+  let long = Array.concat (List.init 10 (fun _ -> short)) in
+  List.iter
+    (fun spec ->
+      let run trace =
+        minor_words (fun () ->
+            let policy = Paging.Spec.instantiate spec ~rng:(Sim.Rng.create 1) ~trace:None in
+            let r = Paging.Fault_sim.run ~frames:16 ~policy trace in
+            assert (r.Paging.Fault_sim.evictions > 0))
+      in
+      let a = run short and b = run long in
+      check_bool
+        (Printf.sprintf "%s: %.0f words over 2,000 references, %.0f over 20,000"
+           (Paging.Spec.to_string spec) a b)
+        true
+        (Float.abs (b -. a) <= 8.))
+    Paging.Spec.all_practical
 
 (* A policy that checks the key contract at every call and delegates
    to LRU: every key it is given lies in [0, keys), the engine's page
@@ -670,6 +905,68 @@ let test_demand_wont_need_frees_frame () =
   check_int "release recorded" 1 (Paging.Demand.advice_releases t);
   check_bool "page gone" true (Paging.Demand.frame_of t ~page:0 = None)
 
+(* A page released by advice leaves FIFO's load order: loaded again, it
+   is the newest page, not the oldest. *)
+let test_fifo_forgets_advised_page () =
+  let t = make_demand ~frames:2 ~policy:Paging.Spec.Fifo () in
+  ignore (Paging.Demand.read t 0);
+  ignore (Paging.Demand.read t 64);
+  Paging.Demand.advise_wont_need t ~page:0;
+  ignore (Paging.Demand.read t 0);
+  ignore (Paging.Demand.read t 128);
+  check_bool "page 1, loaded first, went" true (Paging.Demand.frame_of t ~page:1 = None);
+  check_bool "page 0, loaded last, stayed" true (Paging.Demand.frame_of t ~page:0 <> None)
+
+(* FIFO beside its own account of the load order, kept from the
+   engine's on_load and on_evict calls: [wrong] counts the victims that
+   are not the candidate loaded longest ago. *)
+let fifo_watched () =
+  let inner = Paging.Replacement.fifo () in
+  let order = ref [] and wrong = ref 0 and choices = ref 0 in
+  let forget page = order := List.filter (( <> ) page) !order in
+  ( {
+      inner with
+      Paging.Replacement.on_load =
+        (fun ~page ->
+          forget page;
+          order := !order @ [ page ];
+          inner.Paging.Replacement.on_load ~page);
+      on_evict =
+        (fun ~page ->
+          forget page;
+          inner.Paging.Replacement.on_evict ~page);
+      choose_victim =
+        (fun ~candidates ->
+          let v = inner.Paging.Replacement.choose_victim ~candidates in
+          incr choices;
+          if List.find_opt (fun p -> Array.mem p candidates) !order <> Some v then incr wrong;
+          v);
+    },
+    wrong,
+    choices )
+
+(* Multiprog drops an aborted job's pages outside any victim choice, the
+   page whose fetch failed among them; when the restarted job loads them
+   again, FIFO must count them as new. *)
+let test_fifo_after_multiprog_abort () =
+  let policy, wrong, choices = fifo_watched () in
+  let device =
+    Device.Model.create
+      (Device.Model.config
+         ~fault:
+           (Device.Fault.config ~seed:11 ~read_error_prob:0.12 ~write_error_prob:0.
+              ~permanent_prob:0.3 ~max_retries:1 ~on_exhausted:Device.Fault.Fail ())
+         Device.Geometry.atlas_drum)
+  in
+  let report =
+    Dsas.Multiprog.run ~device ~max_restarts:50 ~frames:10 ~policy ~fetch_us:3_000
+      (Workload.Job.mix (Sim.Rng.create 31) ~jobs:4 ~refs_per_job:200 ~pages_per_job:12
+         ~locality:0.9 ~compute_us_per_ref:60)
+  in
+  check_bool "jobs were aborted" true (report.Dsas.Multiprog.restarts > 0);
+  check_bool "victims were chosen" true (!choices > 0);
+  check_int "every victim the oldest candidate" 0 !wrong
+
 let test_demand_lock_pins_page () =
   let t = make_demand ~frames:2 () in
   Paging.Demand.lock t ~page:0;
@@ -988,7 +1285,11 @@ let () =
           Alcotest.test_case "bounds" `Quick test_page_table_bounds;
           Alcotest.test_case "lock" `Quick test_page_table_lock;
         ] );
-      ("resident", [ Alcotest.test_case "lowest first" `Quick test_resident_lowest_first ]);
+      ( "resident",
+        [
+          Alcotest.test_case "lowest first" `Quick test_resident_lowest_first;
+          QCheck_alcotest.to_alcotest resident_model_property;
+        ] );
       ( "tlb",
         [
           Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;
@@ -1012,6 +1313,8 @@ let () =
           QCheck_alcotest.to_alcotest spec_build_matches_hand_assembly;
           Alcotest.test_case "CLOCK hand vs evictions" `Quick test_clock_hand_vs_evictions;
           Alcotest.test_case "ATLAS T from load and first use" `Quick test_atlas_first_use;
+          QCheck_alcotest.to_alcotest policies_match_reference;
+          Alcotest.test_case "no garbage per fault" `Quick test_fault_path_allocates_nothing;
           QCheck_alcotest.to_alcotest candidates_fault_sim_property;
           QCheck_alcotest.to_alcotest candidates_demand_property;
           QCheck_alcotest.to_alcotest candidates_multiprog_property;
@@ -1048,6 +1351,8 @@ let () =
           Alcotest.test_case "tlb saves time" `Quick test_demand_tlb_saves_time;
           Alcotest.test_case "prefetch avoids fault" `Quick test_demand_prefetch_avoids_fault;
           Alcotest.test_case "wont-need frees frame" `Quick test_demand_wont_need_frees_frame;
+          Alcotest.test_case "FIFO forgets an advised page" `Quick test_fifo_forgets_advised_page;
+          Alcotest.test_case "FIFO after a Multiprog abort" `Quick test_fifo_after_multiprog_abort;
           Alcotest.test_case "lock pins page" `Quick test_demand_lock_pins_page;
           Alcotest.test_case "bound violation" `Quick test_demand_bound_violation;
           Alcotest.test_case "timeline grows with residency" `Quick

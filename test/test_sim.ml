@@ -56,6 +56,86 @@ let test_rng_geometric_mean () =
   let mean = float_of_int !sum /. float_of_int n in
   check_bool "mean near 3" true (mean > 2.8 && mean < 3.2)
 
+(* The generator against its boxed reference (Fault_path_reference):
+   10^5 draws of every function give the same values, floats bit for
+   bit, and a saved state resumes the same stream on either side. *)
+module Ref_rng = Fault_path_reference.Rng
+
+let test_rng_matches_reference () =
+  let n = 100_000 in
+  let same name ~seed draw reference_draw =
+    let t = Sim.Rng.create seed and r = Ref_rng.create seed in
+    for i = 1 to n do
+      let a = draw t and b = reference_draw r in
+      if a <> b then Alcotest.failf "%s, draw %d: %Ld against %Ld" name i a b
+    done;
+    Alcotest.(check int64) (name ^ ": state after") (Ref_rng.state r) (Sim.Rng.state t)
+  in
+  let of_int x = Int64.of_int x and of_float x = Int64.bits_of_float x in
+  let a = Array.init 37 (fun i -> i * i) in
+  same "bits64" ~seed:1 Sim.Rng.bits64 Ref_rng.bits64;
+  same "int" ~seed:2 (fun t -> of_int (Sim.Rng.int t 1_000_003)) (fun r -> of_int (Ref_rng.int r 1_000_003));
+  same "int_in" ~seed:3 (fun t -> of_int (Sim.Rng.int_in t (-50) 50)) (fun r -> of_int (Ref_rng.int_in r (-50) 50));
+  same "bool" ~seed:4 (fun t -> of_int (Bool.to_int (Sim.Rng.bool t))) (fun r -> of_int (Bool.to_int (Ref_rng.bool r)));
+  same "float" ~seed:5 (fun t -> of_float (Sim.Rng.float t 3.5)) (fun r -> of_float (Ref_rng.float r 3.5));
+  same "exponential" ~seed:6
+    (fun t -> of_float (Sim.Rng.exponential t 10.))
+    (fun r -> of_float (Ref_rng.exponential r 10.));
+  same "geometric" ~seed:7 (fun t -> of_int (Sim.Rng.geometric t 0.25)) (fun r -> of_int (Ref_rng.geometric r 0.25));
+  same "pick" ~seed:8 (fun t -> of_int (Sim.Rng.pick t a)) (fun r -> of_int (Ref_rng.pick r a));
+  same "split" ~seed:9
+    (fun t -> Sim.Rng.bits64 (Sim.Rng.split t))
+    (fun r -> Ref_rng.bits64 (Ref_rng.split r));
+  same "derive" ~seed:10
+    (fun t -> Sim.Rng.bits64 (Sim.Rng.derive ~override:(Sim.Rng.int t 1000) 0xC3))
+    (fun r -> Ref_rng.bits64 (Ref_rng.derive ~override:(Ref_rng.int r 1000) 0xC3));
+  let t = Sim.Rng.create 11 and r = Ref_rng.create 11 in
+  let b = Array.init 1000 Fun.id and c = Array.init 1000 Fun.id in
+  for _ = 1 to 100 do
+    Sim.Rng.shuffle t b;
+    Ref_rng.shuffle r c
+  done;
+  Alcotest.(check (array int)) "shuffle" c b
+
+let test_rng_state_round_trip () =
+  let t = Sim.Rng.create 12 in
+  for _ = 1 to 1000 do
+    ignore (Sim.Rng.bits64 t)
+  done;
+  let saved = Sim.Rng.state t in
+  let resumed = Sim.Rng.of_state saved and reference = Ref_rng.of_state saved in
+  Alcotest.(check int64) "state of of_state" saved (Sim.Rng.state resumed);
+  for _ = 1 to 1000 do
+    let x = Sim.Rng.bits64 t in
+    Alcotest.(check int64) "resumed" x (Sim.Rng.bits64 resumed);
+    Alcotest.(check int64) "reference resumed" x (Ref_rng.bits64 reference)
+  done;
+  List.iter
+    (fun s -> Alcotest.(check int64) "any state" s (Sim.Rng.state (Sim.Rng.of_state s)))
+    [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x9E3779B97F4A7C15L ]
+
+(* No draw that returns an int allocates: [Gc.minor_words] (read, never
+   set) does not move over 10^5 draws of each.  [bits64] and the float
+   draws return boxed values, so they are not here. *)
+let test_rng_draws_allocate_nothing () =
+  let t = Sim.Rng.create 13 and a = Array.init 10 Fun.id in
+  List.iter
+    (fun (name, draw) ->
+      let before = Gc.minor_words () in
+      for _ = 1 to 100_000 do
+        draw ()
+      done;
+      let words = Gc.minor_words () -. before in
+      check_bool (Printf.sprintf "%s: %.0f words" name words) true (words = 0.))
+    [
+      ("int", fun () -> ignore (Sim.Rng.int t 1000));
+      ("int_in", fun () -> ignore (Sim.Rng.int_in t 5 9));
+      ("bool", fun () -> ignore (Sim.Rng.bool t));
+      ("geometric", fun () -> ignore (Sim.Rng.geometric t 0.3));
+      ("pick", fun () -> ignore (Sim.Rng.pick t a));
+      ("shuffle", fun () -> Sim.Rng.shuffle t a);
+    ]
+
 (* --- Clock --- *)
 
 let test_clock_advances () =
@@ -133,6 +213,9 @@ let () =
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in_bounds;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
+          Alcotest.test_case "matches its boxed reference" `Quick test_rng_matches_reference;
+          Alcotest.test_case "state round trip" `Quick test_rng_state_round_trip;
+          Alcotest.test_case "int draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
         ] );
