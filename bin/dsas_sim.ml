@@ -275,26 +275,26 @@ let replay_cmd =
   Cmd.v info
     Term.(ret (const action $ trace_arg $ frames_arg $ page_arg $ policy_arg $ json_flag))
 
+(* The trace that stats and query read. *)
+let trace_file_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
+         ~doc:"JSONL trace file, one event object per line; $(b,-) reads \
+               standard input.")
+
 let stats_cmd =
   let doc = "Aggregate a recorded JSONL event stream (from `run --trace`)." in
   let info = Cmd.info "stats" ~doc in
-  let file_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
-           ~doc:"JSONL trace file, one event object per line; $(b,-) reads \
-                 standard input.")
-  in
-  (* Strict loading via Query: an empty or truncated trace is an error
+  (* Strict reading via Query: an empty or truncated trace is an error
      (exit non-zero), never a silently empty summary. *)
   let action file json =
     usage
       (Result.map
-         (fun q ->
-           let stats = Obs.Query.to_summary q in
+         (fun stats ->
            if json then print_endline (Obs.Query.summary_to_json stats)
            else Obs.Query.print_summary stats)
-         (Obs.Query.load file))
+         (Obs.Query.read_file (Obs.Query.summary ()) file))
   in
-  Cmd.v info Term.(ret (const action $ file_arg $ json_flag))
+  Cmd.v info Term.(ret (const action $ trace_file_arg $ json_flag))
 
 let query_cmd =
   let doc = "Query a recorded JSONL event stream: filter, group, pair, rank." in
@@ -302,15 +302,15 @@ let query_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Loads a trace recorded by $(b,run --trace) and answers composable \
+        "Reads a trace recorded by $(b,run --trace) and answers composable \
          questions about it.  Filters ($(b,--kinds), $(b,--run), \
          $(b,--since)/$(b,--until)) restrict the working set; then either \
          $(b,--pair) turns start/done event pairs into a latency distribution, \
          or $(b,--group-by) aggregates ($(b,--agg), $(b,--top)).  With neither, \
          prints the per-kind event counts of whatever survived the filters.";
       `P
-        "Loading is strict: a missing, malformed, truncated, or empty trace \
-         exits non-zero with a diagnostic.";
+        "Reading is strict, line by line: a missing, malformed, truncated, \
+         or empty trace exits non-zero with a diagnostic.";
       `S Manpage.s_examples;
       `Pre
         "  dsas_sim query t.jsonl --pair io_start,io_done --percentiles\n\
@@ -319,11 +319,6 @@ let query_cmd =
     ]
   in
   let info = Cmd.info "query" ~doc ~man in
-  let file_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
-           ~doc:"JSONL trace file, one event object per line; $(b,-) reads \
-                 standard input.")
-  in
   let kinds_arg =
     Arg.(value & opt (some string) None & info [ "kinds" ] ~docv:"K1,K2"
            ~doc:"Keep only events of these comma-separated kinds.")
@@ -368,17 +363,16 @@ let query_cmd =
   let action file kinds run since until group_by agg top pair percentiles json =
     usage
     @@
-    let* q = Obs.Query.load file in
     let kinds = Option.map (String.split_on_char ',') kinds in
-    let q = Obs.Query.filter ?kinds ?run ?since_us:since ?until_us:until q in
+    let keep = Obs.Query.filter ?kinds ?run ?since_us:since ?until_us:until in
     match pair with
-    | Some spec -> Obs.Query.report_pairs q ~spec ~percentiles ~json
-    | None -> Obs.Query.report_groups q ~key:group_by ~agg ~limit:top ~json
+    | Some spec -> Obs.Query.report_pairs ~keep ~spec ~percentiles ~json file
+    | None -> Obs.Query.report_groups ~keep ~key:group_by ~agg ~limit:top ~json file
   in
   Cmd.v info
     Term.(
       ret
-        (const action $ file_arg $ kinds_arg $ run_arg $ since_arg $ until_arg
+        (const action $ trace_file_arg $ kinds_arg $ run_arg $ since_arg $ until_arg
          $ group_by_arg $ agg_arg $ top_arg $ pair_arg $ percentiles_flag $ json_flag))
 
 let check_cmd =
@@ -507,6 +501,11 @@ let export_cmd =
          self-contained SVG.  $(b,--format telemetry-csv) flattens a \
          dsas-telemetry/1 stream (from $(b,run --telemetry)) into one CSV \
          table for spreadsheets.";
+      `P
+        "A Chrome export is written as the trace is read: on standard output \
+         a damaged trace may already have printed the records before its bad \
+         line (the exit status still fails); $(b,-o) replaces $(i,OUT) only \
+         once the whole input was read.";
       `S Manpage.s_examples;
       `Pre
         "  dsas_sim run x11_parallel --quick --trace t.jsonl\n\

@@ -135,18 +135,20 @@ let record_start ~dir ~t id =
           [ ("cell", Obs.Json.String id); ("status", Obs.Json.String "running");
             ("t", Obs.Json.Float t) ]))
 
-(* The log, replayed: every line that parses as a flat object with
-   string "cell" and "status" fields, in order.  Lines that fail to
+(* The log, replayed: [f] sees every line that parses as a flat object
+   with string "cell" and "status" fields, in order.  Lines that fail to
    parse are skipped — the log is append-only and a torn final line
-   from a kill is expected. *)
-let log_entries ~dir =
-  List.filter_map
-    (fun fields ->
-      let str k = Obs.Json.string (List.assoc_opt k fields) in
-      match (str "cell", str "status") with
-      | Some id, Some status -> Some (id, status, fields)
-      | _ -> None)
-    (Obs.Artifact.lenient Obs.Json.flat (log_path dir))
+   from a kill is expected — and so is an unreadable log. *)
+let iter_log ~dir f =
+  let entry line =
+    Option.bind (Obs.Json.flat line) (fun fields ->
+        let str k = Obs.Json.string (List.assoc_opt k fields) in
+        match (str "cell", str "status") with
+        | Some id, Some status -> Some (id, status, fields)
+        | _ -> None)
+  in
+  match Obs.Artifact.fold_file entry (fun () _ e -> f e) () (log_path dir) with
+  | Ok _ | Error _ -> ()
 
 (* Last line per cell wins; unknown ids (from an older grid) are
    ignored.  A "failed" line whose [retries] is not a count is as
@@ -154,8 +156,7 @@ let log_entries ~dir =
    cell's retry budget. *)
 let statuses ~dir spec =
   let table = Hashtbl.create 64 in
-  List.iter
-    (fun (id, status, fields) ->
+  iter_log ~dir (fun (id, status, fields) ->
       match status with
       | "done" -> Hashtbl.replace table id Done
       | "failed" -> (
@@ -169,8 +170,7 @@ let statuses ~dir spec =
       (* a running attempt is not a completion: for resume purposes
          the cell is still pending *)
       | "pending" | "running" -> Hashtbl.replace table id Pending
-      | _ -> ())
-    (log_entries ~dir);
+      | _ -> ());
   List.map
     (fun (p : Spec.point) ->
       match Hashtbl.find_opt table p.Spec.id with
@@ -189,8 +189,7 @@ type timing = { t_started : float option; t_finished : float option }
 let timings ~dir =
   let table : (string, timing) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
-  List.iter
-    (fun (id, status, fields) ->
+  iter_log ~dir (fun (id, status, fields) ->
       let t = Obs.Json.number (List.assoc_opt "t" fields) in
       let prev =
         match Hashtbl.find_opt table id with
@@ -206,8 +205,7 @@ let timings ~dir =
         | "pending" -> { t_started = None; t_finished = None }
         | _ -> prev
       in
-      Hashtbl.replace table id next)
-    (log_entries ~dir);
+      Hashtbl.replace table id next);
   List.rev_map (fun id -> (id, Hashtbl.find table id)) !order
 
 (* --- loading results ------------------------------------------------ *)

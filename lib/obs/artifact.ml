@@ -26,45 +26,53 @@ let load ~schema decode path =
 
 (* --- JSON lines --- *)
 
-type lines = {
+type report = {
   label : string;
-  lines : string list;
+  lines : int;
+  parsed : int;
+  malformed : int;
+  first_malformed : (int * string) list;
 }
 
-let read_lines path =
-  if path = "-" then Ok { label = "<stdin>"; lines = In_channel.input_lines stdin }
-  else
-    match In_channel.with_open_bin path In_channel.input_lines with
+let fold ~label parse step init ic =
+  let rec go lineno st parsed malformed first =
+    match In_channel.input_line ic with
     | exception Sys_error msg -> Error msg
-    | lines -> Ok { label = path; lines }
-
-let data t =
-  List.mapi (fun i line -> (i + 1, String.trim line)) t.lines
-  |> List.filter (fun (_, line) -> line <> "" && line.[0] <> '#')
-
-let parse_lines ~what ~plural parse t =
-  let parsed, bad =
-    List.partition_map
-      (fun (lineno, line) ->
-        match parse line with Some v -> Left (lineno, v) | None -> Right (lineno, line))
-      (data t)
+    | None ->
+      Ok (st, { label; lines = lineno; parsed; malformed; first_malformed = List.rev first })
+    | Some line ->
+      let lineno = lineno + 1 in
+      let line = String.trim line in
+      if line = "" || line.[0] = '#' then go lineno st parsed malformed first
+      else (
+        match parse line with
+        | Some v -> go lineno (step st lineno v) (parsed + 1) malformed first
+        | None ->
+          go lineno st parsed (malformed + 1)
+            (if malformed < 5 then (lineno, line) :: first else first))
   in
-  let shown =
-    List.filteri (fun i _ -> i < 5) bad
-    |> List.map (fun (lineno, line) ->
-           Printf.sprintf "line %d: not %s: %S" lineno what
-             (if String.length line > 60 then String.sub line 0 60 ^ "..." else line))
-  in
-  match (bad, parsed) with
-  | _ :: _, _ ->
-    let n = List.length bad in
+  go 0 init 0 0 []
+
+let fold_file parse step init path =
+  if path = "-" then fold ~label:"<stdin>" parse step init stdin
+  else
+    match In_channel.with_open_bin path (fold ~label:path parse step init) with
+    | exception Sys_error msg -> Error msg
+    | result -> result
+
+let strict ~what ~plural r =
+  if r.malformed > 0 then
+    let shown =
+      List.map
+        (fun (lineno, line) ->
+          Printf.sprintf "line %d: not %s: %S" lineno what
+            (if String.length line > 60 then String.sub line 0 60 ^ "..." else line))
+        r.first_malformed
+    in
     Error
-      (Printf.sprintf "%s: %d malformed line(s)\n  %s%s" t.label n (String.concat "\n  " shown)
-         (if n > 5 then Printf.sprintf "\n  (... %d more not shown)" (n - 5) else ""))
-  | [], [] -> Error (Printf.sprintf "%s: contains no %s" t.label plural)
-  | [], _ -> Ok parsed
-
-let lenient parse path =
-  match read_lines path with
-  | Error _ -> []
-  | Ok t -> List.filter_map parse t.lines
+      (Printf.sprintf "%s: %d malformed line(s)\n  %s%s" r.label r.malformed
+         (String.concat "\n  " shown)
+         (if r.malformed > 5 then Printf.sprintf "\n  (... %d more not shown)" (r.malformed - 5)
+          else ""))
+  else if r.parsed = 0 then Error (Printf.sprintf "%s: contains no %s" r.label plural)
+  else Ok ()

@@ -1,7 +1,7 @@
 (** Artifact files: the one whole-document loader, the one atomic
-    writer, the one streamed-output opener and the one JSON-lines
-    reader behind every command that writes a file or reads back what
-    the simulator wrote. *)
+    writer, the one streamed-output opener and the one line fold behind
+    every command that writes a file or reads back what the simulator
+    wrote. *)
 
 val write_atomic : string -> string -> unit
 (** [write_atomic path text] writes [text] to [path ^ ".tmp"] and
@@ -31,28 +31,33 @@ val load : schema:string -> (Json.t -> ('a, string) result) -> string -> ('a, st
 
 (** {1 JSON lines} *)
 
-type lines = {
+type report = {
   label : string;  (** the file name, or ["<stdin>"] *)
-  lines : string list;  (** every line, untrimmed, in order *)
+  lines : int;  (** every line read, data or not *)
+  parsed : int;  (** data lines the parser accepted *)
+  malformed : int;  (** data lines it refused; the first five, numbered: *)
+  first_malformed : (int * string) list;
 }
+(** What a {!fold} saw, for each reader to judge: strictly ({!strict})
+    or leniently (not at all). *)
 
-val read_lines : string -> (lines, string) result
-(** All lines of a file, or of standard input when the name is ["-"]
-    (stdin is left open).  [Error] only when the file cannot be read. *)
+val fold :
+  label:string -> (string -> 'a option) -> ('s -> int -> 'a -> 's) -> 's -> In_channel.t ->
+  ('s * report, string) result
+(** [fold ~label parse step init ic] hands each data line of [ic] that
+    [parse] accepts to [step], with its 1-based line number, one line
+    at a time.  Data lines are trimmed; blank and ['#'] lines are
+    skipped but counted.  [Error] with the system's message when
+    reading fails. *)
 
-val data : lines -> (int * string) list
-(** The data lines, trimmed, with their 1-based line numbers: blank
-    lines and lines starting with ['#'] are skipped but still counted. *)
+val fold_file :
+  (string -> 'a option) -> ('s -> int -> 'a -> 's) -> 's -> string -> ('s * report, string) result
+(** {!fold} over a file, or over stdin (left open) when the name is
+    ["-"]; [Error] also when the file cannot be opened. *)
 
-val parse_lines :
-  what:string -> plural:string -> (string -> 'a option) -> lines -> ((int * 'a) list, string) result
-(** Strict: every data line must parse.  Otherwise [Error]
+val strict : what:string -> plural:string -> report -> (unit, string) result
+(** Every data line parsed, and there was one.  Otherwise [Error]
     ["LABEL: N malformed line(s)"] quoting the first five as
     ["line L: not WHAT: ..."] and counting the rest as
     ["(... M more not shown)"]; no data lines at all is
     ["LABEL: contains no PLURAL"]. *)
-
-val lenient : (string -> 'a option) -> string -> 'a list
-(** Every line of the file that parses, in order; nothing when it
-    cannot be read.  For files still being written, whose last line may
-    be torn. *)

@@ -457,11 +457,6 @@ let feed_text c ~line trimmed =
       (if String.length trimmed > 60 then String.sub trimmed 0 60 ^ "..."
        else trimmed)
 
-let check_lines ?limit (lines : Artifact.lines) =
-  let c = create ?limit () in
-  List.iter (fun (line, text) -> feed_text c ~line text) (Artifact.data lines);
-  finish c ~line:(List.length lines.lines)
-
 let to_json (r : report) =
   Json.to_string
     (Json.Obj
@@ -506,25 +501,30 @@ let print_invariants () =
     (fun i -> Printf.printf "%-12s %s\n" (invariant_id i) (invariant_doc i))
     all_invariants
 
-(* A telemetry mirror announces itself in its first data line. *)
-let is_telemetry lines =
-  match Artifact.data lines with
-  | (_, first) :: _ ->
-    Option.bind (Json.flat first) (fun fields -> Json.string (List.assoc_opt "schema" fields))
-    = Some Telemetry.schema
-  | [] -> false
+(* A telemetry mirror announces itself in its first data line, so one
+   pass over the file serves either reader. *)
+let is_mirror line =
+  Option.bind (Json.flat line) (fun fields -> Json.string (List.assoc_opt "schema" fields))
+  = Some Telemetry.schema
 
 let report_file ~limit ~json file =
-  match Artifact.read_lines file with
+  let c = create ~limit () and t = Telemetry.checker ~limit and mirror = ref None in
+  let parse line =
+    if !mirror = None then mirror := Some (is_mirror line);
+    if !mirror = Some true then Option.map Either.left (Telemetry.snapshot_of_json line)
+    else Some (Either.Right line)
+  in
+  let step () line = Either.fold ~left:(Telemetry.check_snapshot t) ~right:(feed_text c ~line) in
+  match Artifact.fold_file parse step () file with
   | Error _ as e -> e
-  | Ok lines when is_telemetry lines -> Telemetry.report_check ~limit ~json lines
-  | Ok lines ->
-    let report = check_lines ~limit lines in
+  | Ok ((), r) when !mirror = Some true -> Telemetry.report_check ~json t r
+  | Ok ((), r) ->
+    let report = finish c ~line:r.lines in
     if json then print_endline (to_json report) else print report;
     if ok report then Ok ()
     else
       Error
-        (Printf.sprintf "%s: %d invariant violation(s): %s" lines.label
+        (Printf.sprintf "%s: %d invariant violation(s): %s" r.label
            (List.fold_left (fun acc (_, n) -> acc + n) 0 report.counts)
            (String.concat ", "
               (List.map

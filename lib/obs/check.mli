@@ -63,14 +63,21 @@ val ok : report -> bool
 (** No violations of any invariant. *)
 
 val check_events : ?limit:int -> Event.t list -> report
-(** Validate an in-memory stream (e.g. from {!Sink.collect}).  [limit]
-    caps the individually-reported violations (default 50); [counts]
-    always reflects every violation. *)
+(** Validate an in-memory stream (e.g. from {!Sink.collect}) through
+    the steps below, with line numbers the 1-based positions in the
+    list. *)
 
-val check_lines : ?limit:int -> Artifact.lines -> report
-(** Validate trace lines already read ({!Artifact.read_lines}): blank
-    lines and [#] comments are skipped, as in {!Query.load}, and
-    unparsable lines are [Schema] violations in the report. *)
+type checker
+(** A check in progress: the run segment's tables and the counts. *)
+
+val create : ?limit:int -> unit -> checker
+(** [limit] caps the individually-reported violations (default 50). *)
+
+val feed_text : checker -> line:int -> string -> unit
+(** The next trace line, trimmed; unparsable is a [Schema] violation. *)
+
+val finish : checker -> line:int -> report
+(** Close the last run segment at [line], and report. *)
 
 val to_json : report -> string
 
@@ -82,8 +89,9 @@ val print_invariants : unit -> unit
 (** Every invariant id with its description, one per line on stdout. *)
 
 val report_file : limit:int -> json:bool -> string -> (unit, string) result
-(** The check command: read a file (["-"] is stdin) and, for a
-    dsas-telemetry/1 mirror, run {!Telemetry.report_check}; for a
-    trace, {!check_lines} and {!print} the report on stdout, or its
-    {!to_json}.  [Error] on an unreadable file or any violation,
-    naming the count per invariant. *)
+(** The check command: read a file (["-"] is stdin) line by line and,
+    when its first data line is a dsas-telemetry/1 snapshot, check it as
+    a mirror ({!Telemetry.report_check}); otherwise {!feed_text} every
+    line and {!print} the report on stdout, or its {!to_json}.  [Error]
+    on an unreadable file or any violation, naming the count per
+    invariant. *)

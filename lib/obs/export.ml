@@ -1,8 +1,7 @@
 (* Converters from our own artifacts to standard tooling formats.
    Chrome trace-event JSON (Perfetto, chrome://tracing), folded stacks
-   -> self-contained flamegraph SVG, telemetry -> CSV.  Pure
-   string-to-string transformations; all file handling lives in the
-   caller. *)
+   -> self-contained flamegraph SVG, telemetry -> CSV.  Deterministic
+   transformations; the file handling is [export]'s alone. *)
 
 (* --- Chrome trace events --- *)
 
@@ -16,9 +15,10 @@
 
    Records are written by one Event writer of about [chunk] bytes, an
    instant's args by Event's field writer.  Whenever the writer passes
-   [chunk] its bytes move to a list of chunks, joined once at the end,
-   so at its peak the export holds its output twice and one writer,
-   never a writer grown past the output.  A record's fixed text is one
+   [chunk] its bytes go to [emit]: a list of chunks joined once at the
+   end for {!chrome_of_events}, so at its peak it holds its output twice
+   and one writer, never a writer grown past the output; the output
+   channel itself for the export command.  A record's fixed text is one
    string, a track's [,"pid":P,"tid":T,"ts":] is written when the track
    changes and copied into each record, and kind names, io names and
    the announced labels are fixed identifiers, written without an
@@ -26,10 +26,10 @@
 
 let chunk = 65536
 
-let chrome_of_events events =
+(* The record writer: feed it each event, then finish it once. *)
+let chrome emit =
   (* room past [chunk] for the record that crosses it *)
   let w = Event.writer (chunk + 1024) in
-  let chunks = ref [] in
   let add s = Event.add_text w s in
   let int n = Event.add_int w n in
   let first = ref true in
@@ -57,83 +57,92 @@ let chrome_of_events events =
   let at = ref "" and tw = Event.writer 64 in
   add {|{"traceEvents":[|};
   let run = ref 0 in
-  List.iter
-    (fun (ev : Event.t) ->
-      (match ev.kind with Event.Run_start { run = r; _ } -> run := r | _ -> ());
-      let pid = !run in
-      let tid =
-        match ev.kind with
-        | Event.Shard_crash { shard; _ } | Event.Shard_restart { shard; _ }
-        | Event.Shard_checkpoint { shard; _ } -> shard + 1
-        | _ -> 0
-      in
-      (match !track with
-       | Some (p, t) when p = pid && t = tid -> ()
-       | _ ->
-         track := Some (pid, tid);
-         Event.add_text tw {|,"pid":|};
-         Event.add_int tw pid;
-         Event.add_text tw {|,"tid":|};
-         Event.add_int tw tid;
-         Event.add_text tw {|,"ts":|};
-         at := Event.take tw;
-         announce (pid, -1) ~pid ~tid:0 "process_name" (fun () ->
-             add "run ";
-             int pid);
-         announce (pid, tid) ~pid ~tid "thread_name" (fun () ->
-             if tid = 0 then add "engine"
-             else begin
-               add "shard ";
-               int (tid - 1)
-             end));
-      (match ev.kind with
-       | Event.Io_start { req; page; io } | Event.Io_done { req; page; io }
-       | Event.Io_error { req; page; io; _ } ->
-         add {|,{"name":"|};
-         add (Event.io_name io);
-         add
-           (match ev.kind with
-            | Event.Io_start _ -> {|","cat":"io","ph":"b","id":|}
-            | _ -> {|","cat":"io","ph":"e","id":|});
-         int req;
-         add !at;
-         int ev.t_us;
-         add {|,"args":{"req":|};
-         int req;
-         add {|,"page":|};
-         int page;
+  let event (ev : Event.t) =
+    (match ev.kind with Event.Run_start { run = r; _ } -> run := r | _ -> ());
+    let pid = !run in
+    let tid =
+      match ev.kind with
+      | Event.Shard_crash { shard; _ } | Event.Shard_restart { shard; _ }
+      | Event.Shard_checkpoint { shard; _ } -> shard + 1
+      | _ -> 0
+    in
+    (match !track with
+     | Some (p, t) when p = pid && t = tid -> ()
+     | _ ->
+       track := Some (pid, tid);
+       Event.add_text tw {|,"pid":|};
+       Event.add_int tw pid;
+       Event.add_text tw {|,"tid":|};
+       Event.add_int tw tid;
+       Event.add_text tw {|,"ts":|};
+       at := Event.take tw;
+       announce (pid, -1) ~pid ~tid:0 "process_name" (fun () ->
+           add "run ";
+           int pid);
+       announce (pid, tid) ~pid ~tid "thread_name" (fun () ->
+           if tid = 0 then add "engine"
+           else begin
+             add "shard ";
+             int (tid - 1)
+           end));
+    (match ev.kind with
+     | Event.Io_start { req; page; io } | Event.Io_done { req; page; io }
+     | Event.Io_error { req; page; io; _ } ->
+       add {|,{"name":"|};
+       add (Event.io_name io);
+       add
          (match ev.kind with
-          | Event.Io_error { attempts; _ } ->
-            add {|,"error":"terminal","attempts":|};
-            int attempts
-          | _ -> ());
-         add "}}"
-       | Event.Watchdog_fire { rule; snapshots } | Event.Watchdog_clear { rule; snapshots } ->
-         add {|,{"name":|};
-         Event.add_quoted w rule;
-         add
-           (match ev.kind with
-            | Event.Watchdog_fire _ -> {|,"cat":"watchdog","ph":"b","id":|}
-            | _ -> {|,"cat":"watchdog","ph":"e","id":|});
-         Event.add_quoted w rule;
-         add !at;
-         int ev.t_us;
-         add {|,"args":{"snapshots":|};
-         int snapshots;
-         add "}}"
-       | kind ->
-         add {|,{"name":"|};
-         add (Event.kind_name kind);
-         add {|","cat":"engine","ph":"i","s":"t"|};
-         add !at;
-         int ev.t_us;
-         add {|,"args":|};
-         Event.add_fields w kind;
-         add "}");
-      if Event.written w >= chunk then chunks := Event.take w :: !chunks)
-    events;
-  add {|],"displayTimeUnit":"ms"}|};
-  String.concat "" (List.rev (Event.take w :: !chunks))
+          | Event.Io_start _ -> {|","cat":"io","ph":"b","id":|}
+          | _ -> {|","cat":"io","ph":"e","id":|});
+       int req;
+       add !at;
+       int ev.t_us;
+       add {|,"args":{"req":|};
+       int req;
+       add {|,"page":|};
+       int page;
+       (match ev.kind with
+        | Event.Io_error { attempts; _ } ->
+          add {|,"error":"terminal","attempts":|};
+          int attempts
+        | _ -> ());
+       add "}}"
+     | Event.Watchdog_fire { rule; snapshots } | Event.Watchdog_clear { rule; snapshots } ->
+       add {|,{"name":|};
+       Event.add_quoted w rule;
+       add
+         (match ev.kind with
+          | Event.Watchdog_fire _ -> {|,"cat":"watchdog","ph":"b","id":|}
+          | _ -> {|,"cat":"watchdog","ph":"e","id":|});
+       Event.add_quoted w rule;
+       add !at;
+       int ev.t_us;
+       add {|,"args":{"snapshots":|};
+       int snapshots;
+       add "}}"
+     | kind ->
+       add {|,{"name":"|};
+       add (Event.kind_name kind);
+       add {|","cat":"engine","ph":"i","s":"t"|};
+       add !at;
+       int ev.t_us;
+       add {|,"args":|};
+       Event.add_fields w kind;
+       add "}");
+    if Event.written w >= chunk then emit (Event.take w)
+  in
+  let finish () =
+    add {|],"displayTimeUnit":"ms"}|};
+    emit (Event.take w)
+  in
+  (event, finish)
+
+let chrome_of_events events =
+  let chunks = ref [] in
+  let event, finish = chrome (fun chunk -> chunks := chunk :: !chunks) in
+  List.iter event events;
+  finish ();
+  String.concat "" (List.rev !chunks)
 
 (* --- folded stacks -> flamegraph SVG --- *)
 
@@ -161,24 +170,20 @@ let rec add_stack frame path weight =
     in
     add_stack child rest weight
 
-let parse_folded text =
-  let root = fresh_frame "" in
-  let ok = ref 0 in
-  String.split_on_char '\n' text
-  |> List.iter (fun line ->
-         let line = String.trim line in
-         if line <> "" && line.[0] <> '#' then
-           match String.rindex_opt line ' ' with
-           | None -> ()
-           | Some sp ->
-             let stack = String.sub line 0 sp in
-             let weight = String.sub line (sp + 1) (String.length line - sp - 1) in
-             (match float_of_string_opt weight with
-              | Some w when Float.is_finite w && w > 0. && String.trim stack <> "" ->
-                incr ok;
-                add_stack root (String.split_on_char ';' (String.trim stack)) w
-              | _ -> ()));
-  if !ok = 0 then None else Some root
+(* One folded-stacks line, trimmed, into the tree under [root]; blank
+   and ['#'] lines, and a line whose weight is not a positive finite
+   number, are skipped. *)
+let add_folded root line =
+  match String.rindex_opt line ' ' with
+  | None -> ()
+  | Some _ when line.[0] = '#' -> ()
+  | Some sp ->
+    let stack = String.trim (String.sub line 0 sp) in
+    let weight = String.sub line (sp + 1) (String.length line - sp - 1) in
+    (match float_of_string_opt weight with
+     | Some w when Float.is_finite w && w > 0. && stack <> "" ->
+       add_stack root (String.split_on_char ';' stack) w
+     | _ -> ())
 
 let svg_escape s =
   let buf = Buffer.create (String.length s) in
@@ -206,10 +211,9 @@ let color_of name =
 let rec depth_of frame =
   List.fold_left (fun acc f -> max acc (1 + depth_of f)) 1 frame.fr_children
 
-let flamegraph ?(title = "flamegraph") text =
-  match parse_folded text with
-  | None -> Error "no valid folded-stack lines (expected \"a;b;c WEIGHT\")"
-  | Some root ->
+let render_flamegraph ~title root =
+  if root.fr_children = [] then Error "no valid folded-stack lines (expected \"a;b;c WEIGHT\")"
+  else begin
     let width = 1200. in
     let row_h = 17. in
     let top_pad = 36. in
@@ -266,6 +270,12 @@ let flamegraph ?(title = "flamegraph") text =
       root.fr_children;
     Buffer.add_string buf "</svg>\n";
     Ok (Buffer.contents buf)
+  end
+
+let flamegraph ?(title = "flamegraph") text =
+  let root = fresh_frame "" in
+  List.iter (fun line -> add_folded root (String.trim line)) (String.split_on_char '\n' text);
+  render_flamegraph ~title root
 
 (* --- telemetry -> CSV --- *)
 
@@ -316,20 +326,34 @@ type format = Chrome | Flamegraph | Telemetry_csv
 
 let formats = [ ("chrome", Chrome); ("flamegraph", Flamegraph); ("telemetry-csv", Telemetry_csv) ]
 
-let render format file =
+(* Read [file] and hand the rendered output to [emit]: chunk by chunk
+   as the trace is read for [Chrome], whole for the others. *)
+let render format file emit =
   match format with
-  | Chrome -> Result.map (fun q -> chrome_of_events (Query.events q)) (Query.load file)
+  | Chrome ->
+    let event, finish = chrome emit in
+    Query.read_file { Query.add = (fun e -> event e.Query.ev); result = finish } file
   | Flamegraph ->
-    Result.bind (Artifact.read_lines file) (fun (lines : Artifact.lines) ->
-        Result.map_error (Printf.sprintf "%s: %s" lines.label)
-          (flamegraph (String.concat "\n" lines.lines)))
-  | Telemetry_csv -> Result.map telemetry_csv (Telemetry.load file)
+    let root = fresh_frame "" in
+    Result.bind (Artifact.fold_file Option.some (fun () _ -> add_folded root) () file)
+      (fun ((), (r : Artifact.report)) ->
+        render_flamegraph ~title:"flamegraph" root
+        |> Result.map_error (Printf.sprintf "%s: %s" r.label)
+        |> Result.map emit)
+  | Telemetry_csv ->
+    Result.bind (Artifact.fold_file Telemetry.snapshot_of_json (fun acc _ s -> s :: acc) [] file)
+      (fun (snaps, r) ->
+        Result.map (fun () -> emit (telemetry_csv (List.rev snaps))) (Telemetry.strict r))
 
 let export format ~out file =
   Result.bind (Artifact.writable (Option.to_list out)) (fun () ->
-      Result.map
-        (fun text ->
-          match out with
-          | None -> print_string text
-          | Some path -> Artifact.write_atomic path text)
-        (render format file))
+      match out with
+      | None -> render format file print_string
+      | Some path ->
+        let tmp = path ^ ".tmp" in
+        (match Out_channel.with_open_bin tmp (fun oc -> render format file (output_string oc)) with
+         | exception Sys_error msg -> Error msg
+         | Ok () -> Ok (Sys.rename tmp path)
+         | Error _ as e ->
+           Sys.remove tmp;
+           e))

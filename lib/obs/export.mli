@@ -42,9 +42,11 @@ val formats : (string * format) list
 
 val export : format -> out:string option -> string -> (unit, string) result
 (** The export command: read a file (["-"] is stdin) as a trace
-    ({!Query.load}, for [Chrome]), folded stacks ([Flamegraph]) or a
-    telemetry mirror ({!Telemetry.load}, for [Telemetry_csv]), render
-    it, and print it on stdout or write it to [out]
-    ({!Artifact.write_atomic}).  [Error] on unreadable input, or on an
-    [out] whose directory is missing, checked before the input is
-    read. *)
+    ({!Query.read_file}, for [Chrome]), folded stacks ([Flamegraph]) or
+    a telemetry mirror ([Telemetry_csv]), render it, and print it on
+    stdout or write it to [out] through [out ^ ".tmp"], renamed over
+    [out] once the whole input was read.  [Chrome]
+    writes each chunk of {!chrome_of_events}' writer as it fills, so on
+    stdout a damaged trace may have printed the records before its bad
+    line.  [Error] on unreadable or damaged input, or on an [out] whose
+    directory is missing, checked before the input is read. *)

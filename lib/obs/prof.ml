@@ -28,9 +28,11 @@ let stack : frame list ref = ref []
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
+(* [Gc.quick_stat]'s word counts move only at minor collections; these
+   are current to the word. *)
 let alloc_words_now () =
-  let q = Gc.quick_stat () in
-  q.Gc.minor_words +. q.Gc.major_words -. q.Gc.promoted_words
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let enable () =
   stack := [];

@@ -10,7 +10,8 @@
     disabled, [span] is a single flag test plus a tail call — engines
     keep their instrumentation unconditionally and pay (almost) nothing.
     Timing uses bechamel's monotonic clock, so spans are immune to
-    wall-clock adjustments; allocation deltas come from [Gc.quick_stat].
+    wall-clock adjustments; allocation deltas come from
+    [Gc.minor_words] and [Gc.counters].
 
     Not thread-safe: the span stack is global state, matching the
     single-domain simulator. *)

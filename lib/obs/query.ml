@@ -1,43 +1,34 @@
-type entry = { line : int; run : int; ev : Event.t }
+type entry = { run : int; ev : Event.t }
 
-type t = entry list
+type 'r reader = { add : entry -> unit; result : unit -> 'r }
 
-let tag numbered_events =
-  let _, entries =
-    List.fold_left
-      (fun (prev_run, acc) (line, (ev : Event.t)) ->
-        let run =
-          match ev.kind with Event.Run_start { run; _ } -> run | _ -> prev_run
-        in
-        (run, { line; run; ev } :: acc))
-      (0, []) numbered_events
-  in
-  List.rev entries
+(* The run tag: events before any run_start belong to run 0. *)
+let tagged r =
+  let run = ref 0 in
+  fun (ev : Event.t) ->
+    (match ev.kind with Event.Run_start { run = n; _ } -> run := n | _ -> ());
+    r.add { run = !run; ev }
 
-let of_events events = tag (List.mapi (fun i ev -> (i + 1, ev)) events)
+let read_events r events =
+  List.iter (tagged r) events;
+  r.result ()
 
-let load path =
-  Result.bind (Artifact.read_lines path) (fun lines ->
-      Result.map tag (Artifact.parse_lines ~what:"an event" ~plural:"events" Event.of_json lines))
-
-let length t = List.length t
-
-let entries t = t
-
-let events t = List.map (fun e -> e.ev) t
+let read_file r path =
+  let feed = tagged r in
+  Result.bind
+    (Artifact.fold_file Event.of_json (fun () _ ev -> feed ev) () path)
+    (fun ((), report) ->
+      Result.map r.result (Artifact.strict ~what:"an event" ~plural:"events" report))
 
 (* --- filtering --- *)
 
-let filter ?kinds ?run ?since_us ?until_us t =
-  let keep e =
-    (match kinds with
-     | None -> true
-     | Some ks -> List.mem (Event.kind_name e.ev.Event.kind) ks)
-    && (match run with None -> true | Some r -> e.run = r)
-    && (match since_us with None -> true | Some s -> e.ev.Event.t_us >= s)
-    && (match until_us with None -> true | Some u -> e.ev.Event.t_us <= u)
-  in
-  List.filter keep t
+let filter ?kinds ?run ?since_us ?until_us e =
+  (match kinds with
+   | None -> true
+   | Some ks -> List.mem (Event.kind_name e.ev.Event.kind) ks)
+  && (match run with None -> true | Some r -> e.run = r)
+  && (match since_us with None -> true | Some s -> e.ev.Event.t_us >= s)
+  && (match until_us with None -> true | Some u -> e.ev.Event.t_us <= u)
 
 (* --- grouping --- *)
 
@@ -53,7 +44,7 @@ let field_label fields name =
   | Some (Json.String s) -> Some s
   | _ -> None  (* an event's fields are ints and strings *)
 
-let group t ~key ~agg =
+let group ~key ~agg =
   let label_of e =
     match key with
     | By_kind -> Some (Event.kind_name e.ev.Event.kind)
@@ -61,40 +52,41 @@ let group t ~key ~agg =
     | By_field f -> field_label (Event.fields_of_kind e.ev.Event.kind) f
   in
   let table : (string, float ref * int ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      match label_of e with
-      | None -> ()
-      | Some label ->
-        let contribution =
-          match agg with
-          | Count -> Some 1.
-          | Sum f | Mean f -> field_value (Event.fields_of_kind e.ev.Event.kind) f
-        in
-        (match contribution with
-         | None -> ()
-         | Some v ->
-           let sum, n =
-             match Hashtbl.find_opt table label with
-             | Some cell -> cell
-             | None ->
-               let cell = (ref 0., ref 0) in
-               Hashtbl.replace table label cell;
-               cell
-           in
-           sum := !sum +. v;
-           incr n))
-    t;
-  List.sort
-    (fun (a, _) (b, _) -> compare a b)
-    (* lint: allow L3 — the bindings are sorted by the enclosing List.sort *)
-    (Hashtbl.fold
-       (fun label (sum, n) acc ->
-         match agg with
-         | Count | Sum _ -> (label, !sum) :: acc
-         | Mean _ ->
-           if !n = 0 then acc else (label, !sum /. float_of_int !n) :: acc)
-       table [])
+  let add e =
+    match label_of e with
+    | None -> ()
+    | Some label ->
+      let contribution =
+        match agg with
+        | Count -> Some 1.
+        | Sum f | Mean f -> field_value (Event.fields_of_kind e.ev.Event.kind) f
+      in
+      (match contribution with
+       | None -> ()
+       | Some v ->
+         let sum, n =
+           match Hashtbl.find_opt table label with
+           | Some cell -> cell
+           | None ->
+             let cell = (ref 0., ref 0) in
+             Hashtbl.replace table label cell;
+             cell
+         in
+         sum := !sum +. v;
+         incr n)
+  in
+  let result () =
+    List.sort
+      (fun (a, _) (b, _) -> compare a b)
+      (* lint: allow L3 — the bindings are sorted by the enclosing List.sort *)
+      (Hashtbl.fold
+         (fun label (sum, n) acc ->
+           match agg with
+           | Count | Sum _ -> (label, !sum) :: acc
+           | Mean _ -> if !n = 0 then acc else (label, !sum /. float_of_int !n) :: acc)
+         table [])
+  in
+  { add; result }
 
 let top n rows =
   let sorted =
@@ -107,87 +99,65 @@ let top n rows =
 
 (* --- pairing --- *)
 
-type pair_row = {
-  p_run : int;
-  req : int;
-  io : string;
-  start_us : int;
-  finish_us : int;
-  latency_us : int;
-}
-
 type pairing = {
-  rows : pair_row list;
+  latencies : int list;
   unmatched_starts : int;
   unmatched_dones : int;
 }
 
 let req_of (ev : Event.t) = Json.int (List.assoc_opt "req" (Event.fields_of_kind ev.kind))
 
-let io_of (ev : Event.t) =
-  Option.value (Json.string (List.assoc_opt "io" (Event.fields_of_kind ev.kind))) ~default:""
-
-let pair t ~start_kind ~done_kind =
-  if not (List.mem start_kind Event.all_kind_names) then
-    Error (Printf.sprintf "unknown event kind %S" start_kind)
-  else if not (List.mem done_kind Event.all_kind_names) then
-    Error (Printf.sprintf "unknown event kind %S" done_kind)
-  else begin
-    let opens : (int, entry) Hashtbl.t = Hashtbl.create 64 in
-    let rows = ref [] in
-    let unmatched_starts = ref 0 in
-    let unmatched_dones = ref 0 in
-    let missing_req = ref None in
-    let flush_opens () =
-      unmatched_starts := !unmatched_starts + Hashtbl.length opens;
-      Hashtbl.reset opens
-    in
-    List.iter
-      (fun e ->
-        let name = Event.kind_name e.ev.Event.kind in
-        if name = "run_start" then flush_opens ()
-        else if name = start_kind || name = done_kind then begin
-          match req_of e.ev with
-          | None -> if !missing_req = None then missing_req := Some name
-          | Some req ->
-            (* An event kind may be both start and done only if distinct;
-               match start first so self-pairing is impossible. *)
-            if name = start_kind then begin
-              (match Hashtbl.find_opt opens req with
-               | Some _ -> incr unmatched_starts  (* duplicate start *)
-               | None -> ());
-              Hashtbl.replace opens req e
-            end
-            else begin
-              match Hashtbl.find_opt opens req with
-              | None -> incr unmatched_dones
-              | Some s ->
-                Hashtbl.remove opens req;
-                rows :=
-                  {
-                    p_run = s.run;
-                    req;
-                    io = io_of s.ev;
-                    start_us = s.ev.Event.t_us;
-                    finish_us = e.ev.Event.t_us;
-                    latency_us = e.ev.Event.t_us - s.ev.Event.t_us;
-                  }
-                  :: !rows
-            end
-        end)
-      t;
+let pair ~start_kind ~done_kind =
+  let unknown =
+    List.find_opt (fun k -> not (List.mem k Event.all_kind_names)) [ start_kind; done_kind ]
+  in
+  (* req -> the start's t_us, within the current run *)
+  let opens : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let latencies = ref [] in
+  let unmatched_starts = ref 0 in
+  let unmatched_dones = ref 0 in
+  let missing_req = ref None in
+  let flush_opens () =
+    unmatched_starts := !unmatched_starts + Hashtbl.length opens;
+    Hashtbl.reset opens
+  in
+  let add e =
+    let name = Event.kind_name e.ev.Event.kind in
+    if unknown <> None then ()
+    else if name = "run_start" then flush_opens ()
+    else if name = start_kind || name = done_kind then begin
+      match req_of e.ev with
+      | None -> if !missing_req = None then missing_req := Some name
+      | Some req ->
+        (* An event kind may be both start and done only if distinct;
+           match start first so self-pairing is impossible. *)
+        if name = start_kind then begin
+          if Hashtbl.mem opens req then incr unmatched_starts (* duplicate start *);
+          Hashtbl.replace opens req e.ev.Event.t_us
+        end
+        else begin
+          match Hashtbl.find_opt opens req with
+          | None -> incr unmatched_dones
+          | Some start_us ->
+            Hashtbl.remove opens req;
+            latencies := (e.ev.Event.t_us - start_us) :: !latencies
+        end
+    end
+  in
+  let result () =
     flush_opens ();
-    match !missing_req with
-    | Some name ->
-      Error (Printf.sprintf "event kind %S carries no \"req\" field" name)
-    | None ->
+    match (unknown, !missing_req) with
+    | Some kind, _ -> Error (Printf.sprintf "unknown event kind %S" kind)
+    | None, Some name -> Error (Printf.sprintf "event kind %S carries no \"req\" field" name)
+    | None, None ->
       Ok
         {
-          rows = List.rev !rows;
+          latencies = List.rev !latencies;
           unmatched_starts = !unmatched_starts;
           unmatched_dones = !unmatched_dones;
         }
-  end
+  in
+  { add; result }
 
 type latency = {
   samples : int;
@@ -201,16 +171,16 @@ type latency = {
 }
 
 let latency_of p =
-  match p.rows with
+  match p.latencies with
   | [] -> None
-  | rows ->
+  | latencies ->
     let hist = Metrics.Histogram.log2 ~max_exponent:30 in
     let stats = Metrics.Stats.create () in
     List.iter
-      (fun r ->
-        Metrics.Histogram.add hist (max 0 r.latency_us);
-        Metrics.Stats.add stats (float_of_int r.latency_us))
-      rows;
+      (fun l ->
+        Metrics.Histogram.add hist (max 0 l);
+        Metrics.Stats.add stats (float_of_int l))
+      latencies;
     Some
       {
         samples = Metrics.Histogram.count hist;
@@ -232,25 +202,24 @@ type summary = {
   kinds : (string * int) list;
 }
 
-let kind_count s name = match List.assoc_opt name s.kinds with Some n -> n | None -> 0
-
-let to_summary t =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let name = Event.kind_name e.ev.Event.kind in
-      match Hashtbl.find_opt table name with
-      | Some r -> incr r
-      | None -> Hashtbl.replace table name (ref 1))
-    t;
-  {
-    events = List.length t;
-    t_first_us = (match t with [] -> 0 | e :: _ -> e.ev.Event.t_us);
-    t_last_us = List.fold_left (fun _ e -> e.ev.Event.t_us) 0 t;
-    kinds =
-      (* lint: allow L3 — the bindings are sorted by the enclosing List.sort *)
-      List.sort compare (Hashtbl.fold (fun k r l -> (k, !r) :: l) table []);
-  }
+let summary () =
+  let kinds = group ~key:By_kind ~agg:Count in
+  let events = ref 0 and t_first_us = ref 0 and t_last_us = ref 0 in
+  let add e =
+    incr events;
+    if !events = 1 then t_first_us := e.ev.Event.t_us;
+    t_last_us := e.ev.Event.t_us;
+    kinds.add e
+  in
+  let result () =
+    {
+      events = !events;
+      t_first_us = !t_first_us;
+      t_last_us = !t_last_us;
+      kinds = List.map (fun (kind, n) -> (kind, int_of_float n)) (kinds.result ());
+    }
+  in
+  { add; result }
 
 let summary_to_json s =
   Json.to_string
@@ -308,25 +277,31 @@ let agg_of_string s =
   | [ "mean"; f ] when f <> "" -> Ok (Mean f)
   | _ -> Error (Printf.sprintf "bad --agg %S: want count, sum:FIELD, or mean:FIELD" s)
 
-let report_groups t ~key ~agg ~limit ~json =
-  match (Option.fold ~none:(Ok By_kind) ~some:group_key_of_string key, agg_of_string agg) with
-  | Error msg, _ | _, Error msg -> Error msg
-  | Ok key, Ok agg ->
-    let rows = group t ~key ~agg in
-    let rows = match limit with None -> rows | Some n -> top n rows in
-    if json then
-      print_endline
-        (Json.to_string (Json.Obj (List.map (fun (label, v) -> (label, Json.Float v)) rows)))
-    else begin
-      Printf.printf "%d event(s) after filters\n" (length t);
-      List.iter
-        (fun (label, v) ->
-          match agg with
-          | Mean _ -> Printf.printf "%-24s %.3f\n" label v
-          | Count | Sum _ -> Printf.printf "%-24s %d\n" label (int_of_float v))
-        rows
-    end;
-    Ok ()
+(* The file is read before the flags are judged, so a bad file is
+   reported first, as before any flag. *)
+let report_groups ~keep ~key ~agg ~limit ~json file =
+  let ( let* ) = Result.bind in
+  let key = Option.fold ~none:(Ok By_kind) ~some:group_key_of_string key in
+  let agg = agg_of_string agg in
+  let g = group ~key:(Result.value key ~default:By_kind) ~agg:(Result.value agg ~default:Count) in
+  let kept = ref 0 in
+  let* rows = read_file { g with add = (fun e -> if keep e then (incr kept; g.add e)) } file in
+  let* _ = key in
+  let* agg = agg in
+  let rows = match limit with None -> rows | Some n -> top n rows in
+  if json then
+    print_endline
+      (Json.to_string (Json.Obj (List.map (fun (label, v) -> (label, Json.Float v)) rows)))
+  else begin
+    Printf.printf "%d event(s) after filters\n" !kept;
+    List.iter
+      (fun (label, v) ->
+        match agg with
+        | Mean _ -> Printf.printf "%-24s %.3f\n" label v
+        | Count | Sum _ -> Printf.printf "%-24s %d\n" label (int_of_float v))
+      rows
+  end;
+  Ok ()
 
 let latency_to_json p l =
   let latency =
@@ -357,7 +332,7 @@ let latency_to_json p l =
   Json.to_string
     (Json.Obj
        ([
-          ("pairs", Json.Int (List.length p.rows));
+          ("pairs", Json.Int (List.length p.latencies));
           ("unmatched_starts", Json.Int p.unmatched_starts);
           ("unmatched_dones", Json.Int p.unmatched_dones);
         ]
@@ -365,7 +340,7 @@ let latency_to_json p l =
 
 let print_pairing p l ~start_kind ~done_kind ~percentiles =
   Printf.printf "paired %d %s->%s (%d unmatched start(s), %d unmatched done(s))\n"
-    (List.length p.rows) start_kind done_kind p.unmatched_starts p.unmatched_dones;
+    (List.length p.latencies) start_kind done_kind p.unmatched_starts p.unmatched_dones;
   match l with
   | None -> print_endline "no pairs: no latency distribution"
   | Some l ->
@@ -378,13 +353,19 @@ let print_pairing p l ~start_kind ~done_kind ~percentiles =
         (Metrics.Histogram.bucket_counts l.hist)
     end
 
-let report_pairs t ~spec ~percentiles ~json =
-  match String.split_on_char ',' spec with
-  | [ start_kind; done_kind ] ->
-    Result.map
-      (fun p ->
-        let l = latency_of p in
-        if json then print_endline (latency_to_json p l)
-        else print_pairing p l ~start_kind ~done_kind ~percentiles)
-      (pair t ~start_kind ~done_kind)
-  | _ -> Error (Printf.sprintf "bad --pair %S: want START,DONE" spec)
+let report_pairs ~keep ~spec ~percentiles ~json file =
+  let ( let* ) = Result.bind in
+  let kinds =
+    match String.split_on_char ',' spec with
+    | [ start_kind; done_kind ] -> Ok (start_kind, done_kind)
+    | _ -> Error (Printf.sprintf "bad --pair %S: want START,DONE" spec)
+  in
+  let start_kind, done_kind = Result.value kinds ~default:("", "") in
+  let p = pair ~start_kind ~done_kind in
+  let* pairing = read_file { p with add = (fun e -> if keep e then p.add e) } file in
+  let* _ = kinds in
+  let* p = pairing in
+  let l = latency_of p in
+  if json then print_endline (latency_to_json p l)
+  else print_pairing p l ~start_kind ~done_kind ~percentiles;
+  Ok ()

@@ -1,53 +1,43 @@
 (** Trace analytics: composable queries over recorded event streams.
 
-    This module loads a JSONL trace (or takes in-memory events) into an
-    indexed form — every event tagged with its line number and run
-    segment — and offers filters, group-by aggregation, start/done
-    pairing into latency distributions, top-N tables and one fixed
-    roll-up ({!to_summary}).  The [dsas_sim query] subcommand is a thin shell
-    over these; [dsas_sim stats] is {!to_summary} of an unfiltered
-    {!load}.
+    A query is a {!reader}: a step fed one event at a time, tagged with
+    its run segment, that keeps only what its answer needs, over an
+    in-memory stream ({!read_events}) or a JSONL file read line by line
+    ({!read_file}).  Readers answer group-by aggregation, start/done
+    pairing into latency distributions, and one fixed roll-up
+    ({!summary}); {!filter} selects entries.  [dsas_sim query] is a
+    thin shell over these; [dsas_sim stats] is {!summary} of a file.
 
-    Loading is strict: a file that does not exist, contains malformed or
-    truncated lines, or holds no events at all is an [Error] with a
-    diagnostic, never a silently empty result. *)
+    Reading a file is strict: a file that does not exist, contains
+    malformed or truncated lines, or holds no events at all is an
+    [Error] with a diagnostic, never a silently empty result. *)
 
 type entry = {
-  line : int;  (** 1-based position in the source (file line) *)
   run : int;  (** enclosing run segment; events before any
                   [run_start] belong to run 0 *)
   ev : Event.t;
 }
 
-type t
-(** A loaded trace: entries in source order. *)
+type 'r reader = {
+  add : entry -> unit;  (** take the next entry *)
+  result : unit -> 'r;  (** the answer so far *)
+}
+(** One reader's state behind its step and its answer. *)
 
-val of_events : Event.t list -> t
-(** Tag an in-memory stream.  Line numbers are the 1-based positions in
-    the list. *)
+val read_events : 'r reader -> Event.t list -> 'r
+(** Feed an in-memory stream, in order. *)
 
-val load : string -> (t, string) result
-(** Read a JSONL trace file; the name ["-"] reads from stdin instead
-    (left open).  [Error] on an unreadable file, on any malformed line
-    (up to five are quoted in the diagnostic), and on a trace with
-    zero events. *)
-
-val length : t -> int
-
-val entries : t -> entry list
-
-val events : t -> Event.t list
+val read_file : 'r reader -> string -> ('r, string) result
+(** Feed a JSONL trace file line by line ({!Artifact.fold_file}); the
+    name ["-"] reads from stdin instead (left open).  [Error] on an
+    unreadable file, on any malformed line (up to five are quoted in
+    the diagnostic), and on a trace with zero events; then the answer
+    is not asked for. *)
 
 (** {1 Filtering} *)
 
-val filter :
-  ?kinds:string list ->
-  ?run:int ->
-  ?since_us:int ->
-  ?until_us:int ->
-  t ->
-  t
-(** Keep entries matching every given criterion: event kind-name in
+val filter : ?kinds:string list -> ?run:int -> ?since_us:int -> ?until_us:int -> entry -> bool
+(** Whether an entry matches every given criterion: event kind-name in
     [kinds], run segment = [run], and [since_us <= t_us <= until_us].
     Omitted criteria match everything. *)
 
@@ -65,7 +55,7 @@ type agg =
   | Sum of string  (** sum of a numeric payload field *)
   | Mean of string  (** mean of a numeric payload field *)
 
-val group : t -> key:group_key -> agg:agg -> (string * float) list
+val group : key:group_key -> agg:agg -> (string * float) list reader
 (** Aggregate over groups, sorted by group label.  [Sum]/[Mean] skip
     entries lacking the named numeric field; a group with no usable
     samples under [Mean] is dropped. *)
@@ -75,26 +65,18 @@ val top : int -> (string * float) list -> (string * float) list
 
 (** {1 Pairing and latency} *)
 
-type pair_row = {
-  p_run : int;
-  req : int;
-  io : string;  (** the start event's ["io"] field, [""] if absent *)
-  start_us : int;
-  finish_us : int;
-  latency_us : int;  (** [finish_us - start_us] *)
-}
-
 type pairing = {
-  rows : pair_row list;  (** in order of the done events *)
+  latencies : int list;  (** [done.t_us - start.t_us] per pair, in order of the done events *)
   unmatched_starts : int;  (** starts never closed (within their run) *)
   unmatched_dones : int;  (** dones with no open start *)
 }
 
-val pair : t -> start_kind:string -> done_kind:string -> (pairing, string) result
+val pair : start_kind:string -> done_kind:string -> (pairing, string) result reader
 (** Match [start_kind] events to [done_kind] events by their ["req"]
     payload field, scoped to run segments (a request left open when the
-    next run begins is unmatched).  [Error] if either kind name is
-    unknown or carries no ["req"] field. *)
+    next run begins is unmatched); it keeps the open starts and the
+    latencies.  [Error] if either kind name is unknown or carries no
+    ["req"] field. *)
 
 type latency = {
   samples : int;
@@ -108,7 +90,7 @@ type latency = {
 }
 
 val latency_of : pairing -> latency option
-(** Latency distribution of the paired rows; [None] if there are none.
+(** Latency distribution of the pairs; [None] if there are none.
     [p50_us]/[p90_us]/[p99_us] are the exact ceil-rank order statistics
     over the raw latencies ({!Metrics.Histogram.percentile}, the rule
     the metrics artifact uses too), not bucket lower bounds (which can
@@ -118,19 +100,24 @@ val latency_of : pairing -> latency option
 (** {1 The query command's reports} *)
 
 val report_groups :
-  t -> key:string option -> agg:string -> limit:int option -> json:bool -> (unit, string) result
-(** Group by [key] ([kind], [run] or [field:NAME]; default [kind]) and
+  keep:(entry -> bool) -> key:string option -> agg:string -> limit:int option -> json:bool ->
+  string -> (unit, string) result
+(** Read a trace file ({!read_file}) and group the entries [keep]
+    accepts by [key] ([kind], [run] or [field:NAME]; default [kind]),
     aggregate by [agg] ([count], [sum:FIELD] or [mean:FIELD]), keep the
     [limit] largest groups, and print them on stdout as a table after
-    the event count, or as one JSON object of label to value.  [Error]
-    names a malformed [key] or [agg]. *)
+    the count of kept entries, or as one JSON object of label to value.
+    [Error] names an unreadable file first, then a malformed [key] or
+    [agg]. *)
 
 val report_pairs :
-  t -> spec:string -> percentiles:bool -> json:bool -> (unit, string) result
-(** Pair [spec]'s [START,DONE] kinds ({!pair}) and print the match
-    counts and the latency distribution ({!latency_of}) on stdout, as
-    text (with p50, p90, p99 and the histogram buckets under
-    [percentiles]) or as one JSON object. *)
+  keep:(entry -> bool) -> spec:string -> percentiles:bool -> json:bool -> string ->
+  (unit, string) result
+(** Read a trace file, pair [spec]'s [START,DONE] kinds ({!pair}) among
+    the entries [keep] accepts, and print the match counts and the
+    latency distribution ({!latency_of}) on stdout, as text (with p50,
+    p90, p99 and the histogram buckets under [percentiles]) or as one
+    JSON object. *)
 
 (** {1 Summary} *)
 
@@ -141,10 +128,8 @@ type summary = {
   kinds : (string * int) list;  (** events per kind, sorted by name; zero counts omitted *)
 }
 
-val to_summary : t -> summary
-
-val kind_count : summary -> string -> int
-(** Events of one kind (by wire name), 0 if absent. *)
+val summary : unit -> summary reader
+(** Counts per kind and the first and last [t_us]. *)
 
 val summary_to_json : summary -> string
 

@@ -172,83 +172,70 @@ let merge streams =
 
 (* --- reading back --- *)
 
-let parse_lines lines =
-  Result.map (List.map snd)
-    (Artifact.parse_lines ~what:"a telemetry snapshot" ~plural:"telemetry snapshots"
-       snapshot_of_json lines)
-
-let load path = Result.bind (Artifact.read_lines path) parse_lines
+let strict = Artifact.strict ~what:"a telemetry snapshot" ~plural:"telemetry snapshots"
 
 (* --- stream validation --- *)
 
+(* Per producer (shard tag) its last two snapshots, for the check and
+   for top's rates; producers in first-appearance order. *)
+type checker = {
+  limit : int;
+  producers : (int option, snapshot option * snapshot) Hashtbl.t;
+  mutable order : int option list;  (* newest first *)
+  mutable snapshots : int;
+  mutable problems : int;
+  mutable kept : string list;  (* the first [limit] problems, newest first *)
+}
+
+let checker ~limit =
+  { limit; producers = Hashtbl.create 8; order = []; snapshots = 0; problems = 0; kept = [] }
+
+let check_snapshot c s =
+  let problem fmt =
+    Printf.ksprintf
+      (fun p ->
+        if c.problems < c.limit then c.kept <- p :: c.kept;
+        c.problems <- c.problems + 1)
+      fmt
+  in
+  let who = match s.sn_shard with Some k -> Printf.sprintf "shard %d" k | None -> "stream" in
+  c.snapshots <- c.snapshots + 1;
+  match Hashtbl.find_opt c.producers s.sn_shard with
+  | None ->
+    if s.sn_seq <> 0 then problem "%s: first snapshot has seq %d, expected 0" who s.sn_seq;
+    c.order <- s.sn_shard :: c.order;
+    Hashtbl.replace c.producers s.sn_shard (None, s)
+  | Some (_, prev) ->
+    if s.sn_seq <> prev.sn_seq + 1 then
+      problem "%s: seq %d follows seq %d (must be dense and increasing)" who s.sn_seq prev.sn_seq;
+    if s.sn_t_us < prev.sn_t_us then
+      problem "%s: t_us %d after t_us %d (must be monotone)" who s.sn_t_us prev.sn_t_us;
+    Hashtbl.replace c.producers s.sn_shard (Some prev, s)
+
 let check snaps =
-  let problems = ref [] in
-  let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let by_shard : (int option, snapshot) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      (match Hashtbl.find_opt by_shard s.sn_shard with
-       | None ->
-         if s.sn_seq <> 0 then
-           problem "%s: first snapshot has seq %d, expected 0"
-             (match s.sn_shard with
-              | Some k -> Printf.sprintf "shard %d" k
-              | None -> "stream")
-             s.sn_seq
-       | Some prev ->
-         let who =
-           match s.sn_shard with
-           | Some k -> Printf.sprintf "shard %d" k
-           | None -> "stream"
-         in
-         if s.sn_seq <> prev.sn_seq + 1 then
-           problem "%s: seq %d follows seq %d (must be dense and increasing)" who
-             s.sn_seq prev.sn_seq;
-         if s.sn_t_us < prev.sn_t_us then
-           problem "%s: t_us %d after t_us %d (must be monotone)" who s.sn_t_us
-             prev.sn_t_us);
-      Hashtbl.replace by_shard s.sn_shard s)
-    snaps;
-  List.rev !problems
+  let c = checker ~limit:max_int in
+  List.iter (check_snapshot c) snaps;
+  List.rev c.kept
 
 (* --- the check and top commands --- *)
 
-let report_check ~limit ~json (lines : Artifact.lines) =
-  Result.bind (parse_lines lines) (fun snaps ->
-      let problems = check snaps in
+let report_check ~json c (r : Artifact.report) =
+  Result.bind (strict r) (fun () ->
       if json then
         print_endline
           (Json.to_string
              (Json.Obj
                 [
                   ("schema", Json.String schema);
-                  ("snapshots", Json.Int (List.length snaps));
-                  ("problems", Json.Int (List.length problems));
+                  ("snapshots", Json.Int c.snapshots);
+                  ("problems", Json.Int c.problems);
                 ]))
       else begin
-        Printf.printf "%s: %d telemetry snapshot(s)\n" lines.label (List.length snaps);
-        List.iteri (fun i p -> if i < limit then Printf.printf "  %s\n" p) problems
+        Printf.printf "%s: %d telemetry snapshot(s)\n" r.label c.snapshots;
+        List.iter (Printf.printf "  %s\n") (List.rev c.kept)
       end;
-      if problems = [] then Ok ()
-      else
-        Error
-          (Printf.sprintf "%s: %d telemetry stream problem(s)" lines.label
-             (List.length problems)))
-
-(* The last two snapshots per producer (shard tag), for rates;
-   producers in first-appearance order. *)
-let producers snaps =
-  let table = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun sn ->
-      match Hashtbl.find_opt table sn.sn_shard with
-      | None ->
-        order := sn.sn_shard :: !order;
-        Hashtbl.replace table sn.sn_shard (None, sn)
-      | Some (_, last) -> Hashtbl.replace table sn.sn_shard (Some last, sn))
-    snaps;
-  List.rev_map (fun key -> (key, Hashtbl.find table key)) !order
+      if c.problems = 0 then Ok ()
+      else Error (Printf.sprintf "%s: %d telemetry stream problem(s)" r.label c.problems))
 
 (* A counter's rate per second of engine time since the previous
    snapshot. *)
@@ -259,9 +246,10 @@ let rate prev sn name value =
     Some (float_of_int (value - before) /. float_of_int (sn.sn_t_us - p.sn_t_us) *. 1e6)
   | _ -> None
 
-let print_top snaps =
-  Printf.printf "%d snapshot(s), %d producer(s)\n" (List.length snaps)
-    (List.length (producers snaps));
+let producers c = List.rev_map (fun key -> (key, Hashtbl.find c.producers key)) c.order
+
+let print_top c =
+  Printf.printf "%d snapshot(s), %d producer(s)\n" c.snapshots (List.length c.order);
   List.iter
     (fun (key, (prev, sn)) ->
       Printf.printf "%-10s seq %-6d t %8.1f ms\n"
@@ -275,10 +263,10 @@ let print_top snaps =
           | None -> Printf.printf "  %-24s %10d\n" name v)
         sn.sn_counters;
       List.iter (fun (name, v) -> Printf.printf "  %-24s %10.1f\n" name v) sn.sn_gauges)
-    (producers snaps);
+    (producers c);
   flush stdout
 
-let top_to_json snaps =
+let top_to_json c =
   let producer (key, (prev, sn)) =
     Json.Obj
       ((match key with Some s -> [ ("shard", Json.Int s) ] | None -> [])
@@ -297,13 +285,16 @@ let top_to_json snaps =
   Json.to_string
     (Json.Obj
        [
-         ("snapshots", Json.Int (List.length snaps));
-         ("producers", Json.List (List.map producer (producers snaps)));
+         ("snapshots", Json.Int c.snapshots);
+         ("producers", Json.List (List.map producer (producers c)));
        ])
 
+(* Lenient: a mirror may still be growing, its last line torn. *)
 let top ~json file =
-  match Artifact.lenient snapshot_of_json file with
-  | [] -> Error (Printf.sprintf "%s: no parseable telemetry snapshots" file)
-  | snaps ->
-    if json then print_endline (top_to_json snaps) else print_top snaps;
+  let c = checker ~limit:0 in
+  match Artifact.fold_file snapshot_of_json (fun () _ -> check_snapshot c) () file with
+  | Error _ | Ok ((), { parsed = 0; _ }) ->
+    Error (Printf.sprintf "%s: no parseable telemetry snapshots" file)
+  | Ok _ ->
+    if json then print_endline (top_to_json c) else print_top c;
     Ok ()

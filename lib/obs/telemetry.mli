@@ -82,31 +82,35 @@ val snapshot_of_json : string -> snapshot option
 (** Inverse of {!snapshot_to_json}; [None] on malformed input or a
     wrong/missing schema tag. *)
 
-val parse_lines : Artifact.lines -> (snapshot list, string) result
-(** Strict parse of mirror-file lines ({!Artifact.parse_lines}: blank
-    and [#] comment lines skipped): any malformed line, or an empty
-    stream, is an error. *)
+val strict : Artifact.report -> (unit, string) result
+(** {!Artifact.strict} for a mirror file: every data line a snapshot,
+    and at least one. *)
 
-val load : string -> (snapshot list, string) result
-(** {!parse_lines} over a file, or over stdin when the name is
-    ["-"]. *)
+type checker
+(** Each producer's last two snapshots, the counts and the first
+    [limit] problems: the state of the check and of {!top}. *)
+
+val checker : limit:int -> checker
+
+val check_snapshot : checker -> snapshot -> unit
+(** The next snapshot: per producer (shard tag), sequence numbers must
+    be dense and increasing from 0 and timestamps monotone. *)
 
 val check : snapshot list -> string list
-(** Structural problems in a snapshot stream, in input order: per
-    producer (shard tag), sequence numbers must be dense and increasing
-    from 0 and timestamps monotone non-decreasing.  Empty list = ok. *)
+(** Every problem in a stream, in input order.  Empty list = ok. *)
 
 (** {1 The check and top commands} *)
 
-val report_check : limit:int -> json:bool -> Artifact.lines -> (unit, string) result
-(** {!check} a mirror file's lines and print the snapshot count with
-    the first [limit] problems on stdout, or one JSON object of counts.
-    [Error] on a malformed stream or when any problem was found. *)
+val report_check : json:bool -> checker -> Artifact.report -> (unit, string) result
+(** Report a mirror file read through {!check_snapshot}: the snapshot
+    count and the kept problems on stdout, or one JSON object of
+    counts.  [Error] when the file is not strictly a mirror
+    ({!strict}), or when any problem was found. *)
 
 val top : json:bool -> string -> (unit, string) result
-(** Read a mirror leniently ({!Artifact.lenient}: it may still be
-    growing) and print, per producer in first-appearance order, the
-    latest snapshot: engine time, every counter with its rate per
-    second since the producer's previous snapshot, and every gauge — as
-    a table on stdout, or as one JSON object.  [Error] when no line
-    parses. *)
+(** Read a mirror leniently (it may still be growing, its last line
+    torn) and print, per producer in first-appearance order, the latest
+    snapshot: engine time, every counter with its rate per second since
+    the producer's previous snapshot, and every gauge — as a table on
+    stdout, or as one JSON object.  [Error] when no line parses or the
+    file cannot be read. *)

@@ -84,26 +84,15 @@ let parse_payload s =
     if List.length ints <> List.length parts then None
     else Some (Array.of_list ints)
 
-(* The first [n] event lines of [lines], or [None] at the first missing
-   or garbled one: a torn file, or a header claiming more events than
-   the body holds. *)
-let rec take_events n lines acc =
-  if n = 0 then Some (Array.of_list (List.rev acc))
-  else
-    match lines with
-    | [] -> None
-    | line :: rest ->
-      (match Obs.Event.of_json line with
-       | Some ev -> take_events (n - 1) rest (ev :: acc)
-       | None -> None)
-
-(* A file whose header names another shard is not this shard's
+(* The header on line 1 and its [events] body lines right after it,
+   kept raw until the body is whole; lines past those are not read as
+   events.  A line number out of step is a blank or comment line the
+   fold skipped, and refuses the file like a garbled line or a body cut
+   short.  A file whose header names another shard is not this shard's
    checkpoint, whatever its name says. *)
 let load_file ~shard path =
-  match Obs.Artifact.read_lines path with
-  | Error _ | Ok { lines = []; _ } -> None
-  | Ok { lines = first :: body; _ } ->
-    Option.bind (Obs.Json.flat first) (fun fields ->
+  let header line =
+    Option.bind (Obs.Json.flat line) (fun fields ->
         let int k = Obs.Json.int (List.assoc_opt k fields) in
         let str k = Obs.Json.string (List.assoc_opt k fields) in
         match
@@ -111,16 +100,28 @@ let load_file ~shard path =
             Option.bind (str "rng") Int64.of_string_opt,
             Option.bind (str "payload") parse_payload )
         with
-        | ( Some s, Some ck_shard, Some ck_progress, Some ck_clock_us, Some n_events,
+        | ( Some s, Some ck_shard, Some ck_progress, Some ck_clock_us, Some ck_count,
             Some ck_rng, Some ck_payload )
           when s = schema && ck_shard = shard && ck_progress >= 0 && ck_clock_us >= 0
-               && n_events >= 0 ->
-          Option.map
-            (fun ck_events ->
-              { ck_shard; ck_progress; ck_clock_us; ck_rng; ck_payload; ck_events;
-                ck_count = n_events })
-            (take_events n_events body [])
+               && ck_count >= 0 ->
+          Some
+            ( { ck_shard; ck_progress; ck_clock_us; ck_rng; ck_payload; ck_events = [||]; ck_count },
+              0,
+              [] )
         | _ -> None)
+  in
+  let step acc lineno line =
+    match acc with
+    | None -> if lineno = 1 then header line else None
+    | Some (st, k, _) when k = st.ck_count -> acc
+    | Some (st, k, body) -> if lineno = k + 2 then Some (st, k + 1, line :: body) else None
+  in
+  match Obs.Artifact.fold_file Option.some step None path with
+  | Ok (Some (st, k, body), _) when k = st.ck_count ->
+    let events = List.filter_map Obs.Event.of_json (List.rev body) in
+    if List.length events = st.ck_count then Some { st with ck_events = Array.of_list events }
+    else None
+  | Ok _ | Error _ -> None
 
 let load t =
   match !(t.latest) with

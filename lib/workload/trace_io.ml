@@ -1,40 +1,25 @@
-let with_out filename f =
-  let oc = open_out filename in
-  match f oc with
-  | () -> close_out oc
-  | exception e ->
-    close_out_noerr oc;
-    raise e
-
-(* Apply [parse] to every meaningful line, with 1-based line numbers in
-   errors. *)
-let fold_lines filename parse =
-  match open_in filename with
+(* Every meaningful line through [parse], or the first that fails with
+   its 1-based line number. *)
+let load filename parse =
+  match
+    In_channel.with_open_text filename
+      (Obs.Artifact.fold ~label:filename parse (fun acc _ v -> v :: acc) [])
+  with
   | exception Sys_error msg -> Error msg
-  | ic ->
-    let rec loop lineno acc =
-      match input_line ic with
-      | exception End_of_file -> Ok (List.rev acc)
-      | exception Sys_error msg -> Error msg
-      | line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then loop (lineno + 1) acc
-        else (
-          match parse line with
-          | Some v -> loop (lineno + 1) (v :: acc)
-          | None -> Error (Printf.sprintf "%s: line %d: cannot parse %S" filename lineno line))
-    in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> loop 1 [])
+  | Error _ as e -> e
+  | Ok (_, { Obs.Artifact.first_malformed = (lineno, line) :: _; _ }) ->
+    Error (Printf.sprintf "%s: line %d: cannot parse %S" filename lineno line)
+  | Ok (values, _) -> Ok (List.rev values)
 
 let write_trace oc trace =
   output_string oc "# dsas reference trace: one address per line\n";
   Array.iter (fun a -> Printf.fprintf oc "%d\n" a) trace
 
-let save_trace filename trace = with_out filename (fun oc -> write_trace oc trace)
+let save_trace filename trace = Out_channel.with_open_text filename (fun oc -> write_trace oc trace)
 
 let load_trace filename =
   Result.map Array.of_list
-    (fold_lines filename (fun line ->
+    (load filename (fun line ->
          match int_of_string_opt line with Some a when a >= 0 -> Some a | _ -> None))
 
 let event_line = function
@@ -57,6 +42,7 @@ let write_events oc events =
   output_string oc "# dsas allocation stream: 'a <id> <size>' or 'f <id>' per line\n";
   List.iter (fun e -> output_string oc (event_line e ^ "\n")) events
 
-let save_events filename events = with_out filename (fun oc -> write_events oc events)
+let save_events filename events =
+  Out_channel.with_open_text filename (fun oc -> write_events oc events)
 
-let load_events filename = fold_lines filename parse_event
+let load_events filename = load filename parse_event

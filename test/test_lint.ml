@@ -268,10 +268,9 @@ let test_corrupt_fixture () =
   let fixture =
     resolve [ "fixtures/corrupt_trace.jsonl"; "test/fixtures/corrupt_trace.jsonl" ]
   in
-  match Obs.Artifact.read_lines fixture with
+  match Readers.check_file fixture with
   | Error msg -> Alcotest.failf "fixture unreadable: %s" msg
-  | Ok lines ->
-    let r = Obs.Check.check_lines lines in
+  | Ok r ->
     check_bool "not ok" false (Obs.Check.ok r);
     let ids = counts_ids r in
     List.iter

@@ -214,10 +214,9 @@ let test_merged_stream_check_clean () =
   end
 
 let test_merged_fixture_check_clean () =
-  match Obs.Artifact.read_lines "fixtures/merged_par_trace.jsonl" with
+  match Readers.check_file "fixtures/merged_par_trace.jsonl" with
   | Error e -> Alcotest.failf "fixture unreadable: %s" e
-  | Ok lines ->
-    let report = Obs.Check.check_lines lines in
+  | Ok report ->
     if not (Obs.Check.ok report) then begin
       Obs.Check.print report;
       Alcotest.fail "committed merged fixture violated trace invariants"
@@ -875,10 +874,9 @@ let test_recovered_fixture_check_clean () =
   check_bool "records restarts" true (contains_substring body "shard_restart");
   check_bool "records checkpoints" true
     (contains_substring body "shard_checkpoint");
-  match Obs.Artifact.read_lines path with
+  match Readers.check_file path with
   | Error e -> Alcotest.failf "fixture unreadable: %s" e
-  | Ok lines ->
-    let report = Obs.Check.check_lines lines in
+  | Ok report ->
     if not (Obs.Check.ok report) then begin
       Obs.Check.print report;
       Alcotest.fail "committed recovered fixture violated trace invariants"

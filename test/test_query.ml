@@ -192,15 +192,19 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
+let scratch_dir () =
+  let dir = Filename.temp_file "dsas_readers" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  at_exit (fun () -> rm_rf dir);
+  dir
+
 (* Each reader of something the simulator writes, with one valid
    artifact and an acceptance test over raw bytes (file readers go
    through a scratch directory). *)
 let readers =
   lazy
-  (let dir = Filename.temp_file "dsas_readers" "" in
-   Sys.remove dir;
-   Sys.mkdir dir 0o755;
-   at_exit (fun () -> rm_rf dir);
+  (let dir = scratch_dir () in
   let in_file name text =
     let path = Filename.concat dir name in
     Out_channel.with_open_bin path (fun oc -> output_string oc text);
@@ -285,34 +289,136 @@ let test_readers_refuse_prefixes () =
       done)
     (Lazy.force readers)
 
-(* No reader raises on any single-byte mutation of its artifact. *)
+(* The commands that read a trace or a mirror back, line by line, each
+   with one file it reads (the acceptance test: the command's [Ok]).  A
+   JSONL file cut at a line boundary is a valid shorter one, so these
+   are not held to the strict-prefix test. *)
+let file_readers =
+  lazy
+  (let dir = scratch_dir () in
+   let file = Filename.concat dir "in.jsonl" in
+   let read f text =
+     Out_channel.with_open_bin file (fun oc -> output_string oc text);
+     Result.is_ok (f file)
+   in
+   let lines l = String.concat "" (List.map (fun s -> s ^ "\n") l) in
+   let trace = lines (List.map Obs.Event.to_json one_of_each) in
+   let mirror =
+     lines
+       (List.map Obs.Telemetry.snapshot_to_json
+          [
+            { Obs.Telemetry.sn_seq = 0; sn_t_us = 100; sn_shard = Some 1;
+              sn_counters = [ ("ev.fault", 2) ]; sn_gauges = [ ("io.inflight", 1.) ] };
+            { Obs.Telemetry.sn_seq = 1; sn_t_us = 200; sn_shard = Some 1;
+              sn_counters = [ ("ev.fault", 5) ]; sn_gauges = [ ("io.inflight", 0.) ] };
+          ])
+   in
+   let all _ = true in
+   [
+     ("check", trace, read (Obs.Check.report_file ~limit:50 ~json:false));
+     ("stats", trace, read (fun f -> Obs.Query.read_file (Obs.Query.summary ()) f));
+     ( "query --group-by",
+       trace,
+       read (Obs.Query.report_groups ~keep:all ~key:None ~agg:"count" ~limit:None ~json:false) );
+     ( "query --pair",
+       trace,
+       read (Obs.Query.report_pairs ~keep:all ~spec:"io_start,io_done" ~percentiles:true ~json:false) );
+     ( "export --format chrome",
+       trace,
+       read (Obs.Export.export Obs.Export.Chrome ~out:(Some (Filename.concat dir "out.json"))) );
+     ("top", mirror, read (Obs.Telemetry.top ~json:false));
+     ("check (telemetry)", mirror, read (Obs.Check.report_file ~limit:50 ~json:false));
+   ])
+
+(* No reader raises on any single-byte mutation of its artifact.  The 7
+   artifact readers draw about 3,000 cases between them, the 7 file
+   readers as many. *)
 let readers_total_property =
-  QCheck.Test.make ~name:"no reader raises on a single-byte mutation" ~count:3000
-    QCheck.(triple (int_bound 6) (int_bound 100_000) (int_bound 255))
+  QCheck.Test.make ~name:"no reader raises on a single-byte mutation" ~count:6000
+    QCheck.(triple (int_bound 13) (int_bound 100_000) (int_bound 255))
     (fun (which, at, byte) ->
-      let _, artifact, accepts = List.nth (Lazy.force readers) which in
+      let _, artifact, accepts =
+        List.nth (Lazy.force readers @ Lazy.force file_readers) which
+      in
       let b = Bytes.of_string artifact in
       Bytes.set b (at mod Bytes.length b) (Char.chr byte);
       match accepts (Bytes.to_string b) with
       | _ -> true
       | exception e -> QCheck.Test.fail_reportf "%s" (Printexc.to_string e))
 
-(* --- Query loading --- *)
+(* --- readers keep only what their answer needs --- *)
+
+(* A trace of [n] lines: the same 100 generated events over and over,
+   so that reads of 100 and of 100,000 lines end in the same state and
+   any difference is what the reader kept of the lines before. *)
+let generated_trace n =
+  let block =
+    QCheck.Gen.generate1 ~rand:(Random.State.make [| 27 |])
+      (Event_gen.stream_of (QCheck.Gen.return 100))
+  in
+  let path = Filename.temp_file "dsas_flat" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      for _ = 1 to n / 100 do
+        List.iter (fun e -> output_string oc (Obs.Event.to_json e ^ "\n")) block
+      done);
+  path
+
+(* The reachable words, after a full major collection, of what [read]
+   keeps of a trace of [n] lines. *)
+let words_after n read =
+  let path = generated_trace n in
+  let state = read path in
+  Sys.remove path;
+  Gc.full_major ();
+  Obj.reachable_words state
+
+let test_readers_keep_flat_state () =
+  let check path =
+    let c = Obs.Check.create () in
+    (match
+       Obs.Artifact.fold_file Option.some (fun () line text -> Obs.Check.feed_text c ~line text) () path
+     with
+     | Ok _ -> ()
+     | Error msg -> Alcotest.fail msg);
+    Obj.repr c
+  in
+  let query make path =
+    let r = make () in
+    (match Obs.Query.read_file r path with Ok _ -> () | Error msg -> Alcotest.fail msg);
+    Obj.repr r
+  in
+  List.iter
+    (fun (name, read) -> check_int name (words_after 100 read) (words_after 100_000 read))
+    [
+      ("check", check);
+      ("stats", query Obs.Query.summary);
+      ( "query --group-by kind",
+        query (fun () -> Obs.Query.group ~key:Obs.Query.By_kind ~agg:Obs.Query.Count) );
+    ]
+
+(* --- Query reading --- *)
+
+(* Every entry a reader is fed, in order. *)
+let entries () =
+  let acc = ref [] in
+  { Obs.Query.add = (fun e -> acc := e :: !acc); result = (fun () -> List.rev !acc) }
+
+let summary_of events = Obs.Query.read_events (Obs.Query.summary ()) events
 
 let test_load_missing () =
-  match Obs.Query.load "/no/such/file.jsonl" with
+  match Obs.Query.read_file (Obs.Query.summary ()) "/no/such/file.jsonl" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file loaded"
 
 let test_load_empty () =
   let path = temp_file "" in
-  (match Obs.Query.load path with
+  (match Obs.Query.read_file (Obs.Query.summary ()) path with
    | Error msg -> check_bool msg true (String.length msg > 0)
    | Ok _ -> Alcotest.fail "empty trace loaded");
   Sys.remove path
 
 let test_load_truncated_fixture () =
-  match Obs.Query.load (fixture "truncated_trace.jsonl") with
+  match Obs.Query.read_file (Obs.Query.summary ()) (fixture "truncated_trace.jsonl") with
   | Error msg ->
     check_bool ("mentions malformed: " ^ msg) true
       (contains_substring msg "malformed")
@@ -335,18 +441,17 @@ let test_load_skips_comments () =
       ^ String.concat "" (List.map (fun e -> Obs.Event.to_json e ^ "\n") events)
       ^ "   \n# trailing comment\n")
   in
-  let loaded = Obs.Query.load path in
+  let loaded = Obs.Query.read_file (Obs.Query.summary ()) path in
   Sys.remove path;
   match loaded with
   | Error msg -> Alcotest.failf "load failed: %s" msg
-  | Ok q ->
-    check_int "only the events" (List.length events) (Obs.Query.length q);
-    check_bool "same stats as the in-memory events" true
-      (Obs.Query.to_summary q = Obs.Query.to_summary (Obs.Query.of_events events))
+  | Ok stats ->
+    check_int "only the events" (List.length events) stats.Obs.Query.events;
+    check_bool "same stats as the in-memory events" true (stats = summary_of events)
 
 let test_load_names_bad_line () =
   let path = temp_file "{\"t_us\":1,\"ev\":\"fault\",\"page\":2}\nnot json\n" in
-  let loaded = Obs.Query.load path in
+  let loaded = Obs.Query.read_file (Obs.Query.summary ()) path in
   Sys.remove path;
   match loaded with
   | Error msg -> check_bool ("names line 2: " ^ msg) true (contains_substring msg "line 2")
@@ -355,20 +460,21 @@ let test_load_names_bad_line () =
 (* --- summary --- *)
 
 let test_summary_of_no_events () =
-  let stats = Obs.Query.to_summary (Obs.Query.of_events []) in
+  let stats = summary_of [] in
   check_int "events" 0 stats.Obs.Query.events;
   check_int "first" 0 stats.Obs.Query.t_first_us;
   check_int "last" 0 stats.Obs.Query.t_last_us;
   check_bool "kinds" true (stats.Obs.Query.kinds = [])
 
 let test_summary_of_events () =
-  let stats = Obs.Query.to_summary (Obs.Query.of_events one_of_each) in
+  let stats = summary_of one_of_each in
+  let kind_count stats name = Option.value (List.assoc_opt name stats.Obs.Query.kinds) ~default:0 in
   check_int "events" (List.length one_of_each) stats.Obs.Query.events;
   check_int "first" 0 stats.Obs.Query.t_first_us;
   check_int "last" 27 stats.Obs.Query.t_last_us;
-  check_int "faults" 1 (Obs.Query.kind_count stats "fault");
-  check_int "swaps" 2 (Obs.Query.kind_count stats "segment_swap");
-  check_int "absent kind" 0 (Obs.Query.kind_count stats "no_such");
+  check_int "faults" 1 (kind_count stats "fault");
+  check_int "swaps" 2 (kind_count stats "segment_swap");
+  check_int "absent kind" 0 (kind_count stats "no_such");
   check_bool "zero counts omitted" true
     (List.for_all (fun (_, n) -> n > 0) stats.Obs.Query.kinds)
 
@@ -387,38 +493,43 @@ let sample_events =
       ev ~t_us:25 (Alloc { addr = 128; size = 30 });
     ]
 
+(* A reader that sees only the entries [keep] accepts. *)
+let only keep (r : _ Obs.Query.reader) = { r with add = (fun e -> if keep e then r.add e) }
+
 let test_run_tagging () =
-  let q = Obs.Query.of_events sample_events in
-  check_int "all" 8 (Obs.Query.length q);
-  check_int "run 0" 4 (Obs.Query.length (Obs.Query.filter ~run:0 q));
-  check_int "run 1" 4 (Obs.Query.length (Obs.Query.filter ~run:1 q));
+  let q = Obs.Query.read_events (entries ()) sample_events in
+  let length l = List.length l in
+  check_int "all" 8 (length q);
+  check_int "run 0" 4 (length (List.filter (Obs.Query.filter ~run:0) q));
+  check_int "run 1" 4 (length (List.filter (Obs.Query.filter ~run:1) q));
   check_int "kinds" 3
-    (Obs.Query.length (Obs.Query.filter ~kinds:[ "fault" ] q));
+    (length (List.filter (Obs.Query.filter ~kinds:[ "fault" ]) q));
   check_int "window" 2
-    (Obs.Query.length (Obs.Query.filter ~run:0 ~since_us:10 ~until_us:20 q))
+    (length (List.filter (Obs.Query.filter ~run:0 ~since_us:10 ~until_us:20) q))
 
 let test_group_count () =
-  let q = Obs.Query.of_events sample_events in
-  let rows = Obs.Query.group q ~key:Obs.Query.By_kind ~agg:Obs.Query.Count in
+  let group ~key ~agg = Obs.Query.read_events (Obs.Query.group ~key ~agg) sample_events in
+  let rows = group ~key:Obs.Query.By_kind ~agg:Obs.Query.Count in
   check_bool "fault count" true (List.assoc_opt "fault" rows = Some 3.);
   check_bool "alloc count" true (List.assoc_opt "alloc" rows = Some 2.);
   let by_run =
-    Obs.Query.group
-      (Obs.Query.filter ~kinds:[ "fault" ] q)
-      ~key:Obs.Query.By_run ~agg:Obs.Query.Count
+    Obs.Query.read_events
+      (only (Obs.Query.filter ~kinds:[ "fault" ])
+         (Obs.Query.group ~key:Obs.Query.By_run ~agg:Obs.Query.Count))
+      sample_events
   in
   check_bool "run split" true
     (List.assoc_opt "0" by_run = Some 2. && List.assoc_opt "1" by_run = Some 1.)
 
 let test_group_field_aggs () =
-  let q = Obs.Query.of_events sample_events in
-  let sums = Obs.Query.group q ~key:Obs.Query.By_kind ~agg:(Obs.Query.Sum "size") in
+  let group ~key ~agg = Obs.Query.read_events (Obs.Query.group ~key ~agg) sample_events in
+  let sums = group ~key:Obs.Query.By_kind ~agg:(Obs.Query.Sum "size") in
   check_bool "sum over alloc sizes" true (List.assoc_opt "alloc" sums = Some 40.);
   (* events without the field contribute nothing *)
   check_bool "fault has no size" true (List.assoc_opt "fault" sums = None);
-  let means = Obs.Query.group q ~key:Obs.Query.By_kind ~agg:(Obs.Query.Mean "size") in
+  let means = group ~key:Obs.Query.By_kind ~agg:(Obs.Query.Mean "size") in
   check_bool "mean alloc size" true (List.assoc_opt "alloc" means = Some 20.);
-  let pages = Obs.Query.group q ~key:(Obs.Query.By_field "page") ~agg:Obs.Query.Count in
+  let pages = group ~key:(Obs.Query.By_field "page") ~agg:Obs.Query.Count in
   check_bool "page 2 twice... plus eviction of 1" true
     (List.assoc_opt "1" pages = Some 2. && List.assoc_opt "2" pages = Some 2.)
 
@@ -438,16 +549,16 @@ let oracle_percentile latencies p =
   let rank = max 1 (int_of_float (ceil (p *. float_of_int n))) in
   List.nth sorted (rank - 1)
 
+let io_pairs () = Obs.Query.pair ~start_kind:"io_start" ~done_kind:"io_done"
+
 let test_pair_fixture_oracle () =
-  match Obs.Query.load (fixture "pair_trace.jsonl") with
+  match Obs.Query.read_file (io_pairs ()) (fixture "pair_trace.jsonl") with
   | Error msg -> Alcotest.failf "fixture unreadable: %s" msg
-  | Ok q ->
-    (match Obs.Query.pair q ~start_kind:"io_start" ~done_kind:"io_done" with
+  | Ok pairing ->
+    (match pairing with
      | Error msg -> Alcotest.failf "pairing failed: %s" msg
      | Ok p ->
-       let latencies =
-         List.map (fun r -> r.Obs.Query.latency_us) p.Obs.Query.rows
-       in
+       let latencies = p.Obs.Query.latencies in
        check_bool "known latencies" true
          (List.sort compare latencies = [ 3; 9; 10; 77; 100; 1000; 2048 ]);
        check_int "unmatched starts (open across run boundary)" 1
@@ -490,12 +601,15 @@ let oracle_latencies entries =
     entries;
   List.rev !out
 
-let assert_pairing_matches_oracle q =
-  match Obs.Query.pair q ~start_kind:"io_start" ~done_kind:"io_done" with
+(* Feeds any reader the trace under test. *)
+type source = { read : 'r. 'r Obs.Query.reader -> 'r }
+
+let assert_pairing_matches_oracle source =
+  match source.read (io_pairs ()) with
   | Error msg -> Alcotest.failf "pairing failed: %s" msg
   | Ok p ->
-    let latencies = List.map (fun r -> r.Obs.Query.latency_us) p.Obs.Query.rows in
-    let oracle = oracle_latencies (Obs.Query.entries q) in
+    let latencies = p.Obs.Query.latencies in
+    let oracle = oracle_latencies (source.read (entries ())) in
     check_bool "has pairs" true (latencies <> []);
     check_bool "same latency multiset as the independent pairing" true
       (List.sort compare latencies = List.sort compare oracle);
@@ -512,22 +626,31 @@ let assert_pairing_matches_oracle q =
        check_int "max exact" (List.fold_left max 0 latencies) l.Obs.Query.max_us)
 
 let test_pair_fig3_fixture () =
-  match Obs.Query.load (fixture "fig3_quick_trace.jsonl") with
-  | Error msg -> Alcotest.failf "fixture unreadable: %s" msg
-  | Ok q -> assert_pairing_matches_oracle q
+  let path = fixture "fig3_quick_trace.jsonl" in
+  assert_pairing_matches_oracle
+    {
+      read =
+        (fun r ->
+          match Obs.Query.read_file r path with
+          | Ok v -> v
+          | Error msg -> Alcotest.failf "fixture unreadable: %s" msg);
+    }
 
 let test_pair_fig3_in_process () =
   let acc = ref [] in
   let obs = Obs.Sink.collect (fun e -> acc := e :: !acc) in
   ignore (Experiments.Fig3.measure ~quick:true ~obs ());
-  assert_pairing_matches_oracle (Obs.Query.of_events (List.rev !acc))
+  let events = List.rev !acc in
+  assert_pairing_matches_oracle { read = (fun r -> Obs.Query.read_events r events) }
 
 let test_pair_errors () =
-  let q = Obs.Query.of_events sample_events in
-  (match Obs.Query.pair q ~start_kind:"nope" ~done_kind:"io_done" with
+  let pair ~start_kind ~done_kind =
+    Obs.Query.read_events (Obs.Query.pair ~start_kind ~done_kind) sample_events
+  in
+  (match pair ~start_kind:"nope" ~done_kind:"io_done" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "unknown kind accepted");
-  (match Obs.Query.pair q ~start_kind:"fault" ~done_kind:"eviction" with
+  (match pair ~start_kind:"fault" ~done_kind:"eviction" with
    | Error msg ->
      check_bool ("mentions req: " ^ msg) true (contains_substring msg "req")
    | Ok _ -> Alcotest.fail "req-less kinds paired")
@@ -535,35 +658,20 @@ let test_pair_errors () =
 let test_latency_of_empty () =
   check_bool "no rows, no summary" true
     (Obs.Query.latency_of
-       { Obs.Query.rows = []; unmatched_starts = 0; unmatched_dones = 0 }
+       { Obs.Query.latencies = []; unmatched_starts = 0; unmatched_dones = 0 }
      = None)
 
 (* --- exact percentiles --- *)
 
-(* A synthetic pairing whose rows carry exactly these latencies. *)
+(* A synthetic pairing of exactly these latencies. *)
 let pairing_of_latencies latencies =
-  {
-    Obs.Query.rows =
-      List.mapi
-        (fun i l ->
-          {
-            Obs.Query.p_run = 0;
-            req = i;
-            io = "";
-            start_us = 0;
-            finish_us = l;
-            latency_us = l;
-          })
-        latencies;
-    unmatched_starts = 0;
-    unmatched_dones = 0;
-  }
+  { Obs.Query.latencies; unmatched_starts = 0; unmatched_dones = 0 }
 
 let test_exact_latency_fixture () =
-  match Obs.Query.load (fixture "pair_trace.jsonl") with
+  match Obs.Query.read_file (io_pairs ()) (fixture "pair_trace.jsonl") with
   | Error msg -> Alcotest.failf "fixture unreadable: %s" msg
-  | Ok q ->
-    (match Obs.Query.pair q ~start_kind:"io_start" ~done_kind:"io_done" with
+  | Ok pairing ->
+    (match pairing with
      | Error msg -> Alcotest.failf "pairing failed: %s" msg
      | Ok p ->
        (match Obs.Query.latency_of p with
@@ -645,9 +753,8 @@ let test_metrics_artifact_percentiles_match_query () =
     Obs.Sink.tee (Obs.Sink.collect (fun e -> acc := e :: !acc)) (Obs.Query.metrics_sink reg)
   in
   ignore (Experiments.Fig3.measure ~quick:true ~obs ());
-  let q = Obs.Query.of_events (List.rev !acc) in
   match
-    ( Result.to_option (Obs.Query.pair q ~start_kind:"io_start" ~done_kind:"io_done"),
+    ( Result.to_option (Obs.Query.read_events (io_pairs ()) (List.rev !acc)),
       Obs.Json.parse (Obs.Registry.to_json reg) )
   with
   | Some p, Some doc ->
@@ -747,6 +854,22 @@ let test_prof_exception_safety () =
   check_bool "stack unwound: next span is a root" true (List.mem "after" paths);
   check_bool "no nesting residue" true
     (not (List.exists (fun p -> p = "boom;after") paths));
+  Obs.Prof.reset ()
+
+(* A span is charged the words it allocates, not the collections that
+   happen to land in it: an array of 1,000 words (1,001 with its
+   header, made on the major heap) is counted even when no minor
+   collection runs inside the span. *)
+let test_prof_alloc_words () =
+  Obs.Prof.reset ();
+  Obs.Prof.enable ();
+  ignore (Obs.Prof.span "make" (fun () -> Sys.opaque_identity (Array.make 1000 0)));
+  Obs.Prof.disable ();
+  (match List.find_opt (fun r -> r.Obs.Prof.path = "make") (Obs.Prof.rows ()) with
+   | None -> Alcotest.fail "span not recorded"
+   | Some r ->
+     check_bool (Printf.sprintf "at least 1,001 words (got %.0f)" r.Obs.Prof.alloc_words) true
+       (r.Obs.Prof.alloc_words >= 1001.));
   Obs.Prof.reset ()
 
 let test_prof_outputs () =
@@ -870,6 +993,7 @@ let () =
         [
           Alcotest.test_case "every strict prefix refused" `Quick test_readers_refuse_prefixes;
           QCheck_alcotest.to_alcotest readers_total_property;
+          Alcotest.test_case "state flat in the lines read" `Quick test_readers_keep_flat_state;
         ] );
       ( "load",
         [
@@ -923,6 +1047,7 @@ let () =
             test_prof_disabled_is_transparent;
           Alcotest.test_case "nested spans aggregate by path" `Quick test_prof_nesting;
           Alcotest.test_case "spans survive exceptions" `Quick test_prof_exception_safety;
+          Alcotest.test_case "span allocation counted to the word" `Quick test_prof_alloc_words;
           Alcotest.test_case "folded and JSON outputs" `Quick test_prof_outputs;
           Alcotest.test_case "folded stacks round-trip to the rows" `Quick
             test_prof_folded_roundtrip;

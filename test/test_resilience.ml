@@ -575,10 +575,10 @@ let test_chaos_events_match_check () =
             Buffer.add_char buf '\n')
       in
       let s = Resilience.Chaos.run ~trace ~scenarios ~runs:4 ~seed:0xC7A05 () in
-      let report =
-        Obs.Check.check_lines
-          { Obs.Artifact.label; lines = String.split_on_char '\n' (Buffer.contents buf) }
-      in
+      let path = Readers.temp_file (Buffer.contents buf) in
+      let report = Readers.check_file path in
+      Sys.remove path;
+      let report = match report with Ok r -> r | Error e -> Alcotest.fail e in
       check_bool (label ^ " trace is clean") true (Obs.Check.ok report);
       check_int (label ^ " events = checked lines") report.Obs.Check.events
         s.Resilience.Chaos.events)

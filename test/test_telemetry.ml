@@ -118,22 +118,26 @@ let test_snapshot_json_rejects () =
        (Printf.sprintf {|{"schema":%S,"seq":0,"t_us":-5}|} Obs.Telemetry.schema)
     = None)
 
-let lines l = { Obs.Artifact.label = "<test>"; lines = l }
+let read_mirror lines =
+  let path = Readers.temp_file (String.concat "\n" lines) in
+  let snaps = Readers.snapshots_of_file path in
+  Sys.remove path;
+  snaps
 
 let test_parse_lines_strict () =
   let good =
     List.map Obs.Telemetry.snapshot_to_json
       [ snap ~seq:0 ~t:10 ~counters:[ ("c", 1) ] (); snap ~seq:1 ~t:20 () ]
   in
-  (match Obs.Telemetry.parse_lines (lines ("# comment" :: "" :: good)) with
+  (match read_mirror ("# comment" :: "" :: good) with
    | Error e -> Alcotest.failf "clean stream refused: %s" e
    | Ok snaps -> check_int "comments and blanks skipped" 2 (List.length snaps));
-  (match Obs.Telemetry.parse_lines (lines (good @ [ "{torn" ])) with
+  (match read_mirror (good @ [ "{torn" ]) with
    | Ok _ -> Alcotest.fail "malformed line accepted"
    | Error e ->
      check_bool ("mentions the line: " ^ e) true
        (contains_substring e "line 3"));
-  match Obs.Telemetry.parse_lines (lines [ "# only a comment" ]) with
+  match read_mirror [ "# only a comment" ] with
   | Ok _ -> Alcotest.fail "empty stream accepted"
   | Error e ->
     check_bool ("empty stream is an error: " ^ e) true
@@ -465,10 +469,9 @@ let chrome_chunks_match_reference =
 let test_chrome_fixtures_match_reference () =
   List.iter
     (fun name ->
-      match Obs.Query.load (Filename.concat "fixtures" name) with
+      match Readers.events_of_file (Filename.concat "fixtures" name) with
       | Error msg -> Alcotest.failf "%s: %s" name msg
-      | Ok q ->
-        let events = Obs.Query.events q in
+      | Ok events ->
         check_bool name true (Obs.Export.chrome_of_events events = reference_chrome events))
     [ "pair_trace.jsonl"; "merged_par_trace.jsonl"; "recovered_par_trace.jsonl";
       "watchdog_stall_trace.jsonl"; "fig3_quick_trace.jsonl" ]
@@ -548,25 +551,25 @@ let test_watchdog_paired_invariant () =
       {|{"t_us":20,"ev":"watchdog_clear","rule":"r","snapshots":4}|} ]
   in
   check_bool "clean episode passes" true
-    (Obs.Check.ok (Obs.Check.check_lines (lines clean)));
+    (Obs.Check.ok (Readers.check_lines clean));
   (* an episode left open at end of stream is legal (the run may be live) *)
   let open_ended =
     [ run_start; {|{"t_us":10,"ev":"watchdog_fire","rule":"r","snapshots":2}|} ]
   in
   check_bool "open episode passes" true
-    (Obs.Check.ok (Obs.Check.check_lines (lines open_ended)));
+    (Obs.Check.ok (Readers.check_lines open_ended));
   let double_fire =
     [ run_start;
       {|{"t_us":10,"ev":"watchdog_fire","rule":"r","snapshots":2}|};
       {|{"t_us":20,"ev":"watchdog_fire","rule":"r","snapshots":3}|} ]
   in
   check_bool "double fire violates watchdog-paired" true
-    (violated (Obs.Check.check_lines (lines double_fire)) Obs.Check.Watchdog_paired);
+    (violated (Readers.check_lines double_fire) Obs.Check.Watchdog_paired);
   let orphan_clear =
     [ run_start; {|{"t_us":10,"ev":"watchdog_clear","rule":"r","snapshots":1}|} ]
   in
   check_bool "clear without fire violates watchdog-paired" true
-    (violated (Obs.Check.check_lines (lines orphan_clear)) Obs.Check.Watchdog_paired)
+    (violated (Readers.check_lines orphan_clear) Obs.Check.Watchdog_paired)
 
 let test_watchdog_bounded_invariant () =
   let shrinking =
@@ -574,17 +577,16 @@ let test_watchdog_bounded_invariant () =
       {|{"t_us":10,"ev":"watchdog_fire","rule":"r","snapshots":5}|};
       {|{"t_us":20,"ev":"watchdog_clear","rule":"r","snapshots":2}|} ]
   in
-  let report = Obs.Check.check_lines (lines shrinking) in
+  let report = Readers.check_lines shrinking in
   check_bool "clear below fire violates watchdog-bounded" true
     (violated report Obs.Check.Watchdog_bounded);
   check_bool "pairing itself was fine" false
     (violated report Obs.Check.Watchdog_paired)
 
 let test_stall_fixture_must_fail () =
-  match Obs.Artifact.read_lines "fixtures/watchdog_stall_trace.jsonl" with
+  match Readers.check_file "fixtures/watchdog_stall_trace.jsonl" with
   | Error e -> Alcotest.failf "fixture unreadable: %s" e
-  | Ok lines ->
-    let report = Obs.Check.check_lines lines in
+  | Ok report ->
     check_bool "the committed stall fixture fails check" false (Obs.Check.ok report);
     check_bool "for pairing" true (violated report Obs.Check.Watchdog_paired);
     check_bool "and for bounds" true (violated report Obs.Check.Watchdog_bounded)
