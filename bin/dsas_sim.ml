@@ -454,7 +454,9 @@ let top_cmd =
   let follow_flag =
     Arg.(value & flag & info [ "follow"; "f" ]
            ~doc:"Keep re-reading the file and re-rendering every --interval \
-                 seconds until interrupted.")
+                 seconds until interrupted.  A file that does not exist yet \
+                 is waited for; one that exists but cannot be read is an \
+                 error.")
   in
   let interval_arg =
     Arg.(value & opt float 2.0 & info [ "interval" ] ~docv:"SEC"
@@ -467,19 +469,7 @@ let top_cmd =
     else if follow && json then
       `Error (false, "--follow is interactive; use one-shot --json and poll")
     else if not follow then usage (Obs.Telemetry.top ~json file)
-    else begin
-      (* Follow mode: re-read and re-render until interrupted.  No
-         cursor tricks — each tick prints a stanza, so the output also
-         works piped to a log. *)
-      while true do
-        (match Obs.Telemetry.top ~json:false file with
-         | Ok () -> ()
-         | Error _ -> Printf.printf "(no snapshots yet)\n%!");
-        print_newline ();
-        Unix.sleepf interval
-      done;
-      `Ok ()
-    end
+    else usage (Obs.Telemetry.follow ~interval ~sleep:Unix.sleepf file)
   in
   Cmd.v info
     Term.(ret (const action $ file_arg $ follow_flag $ interval_arg $ json_flag))

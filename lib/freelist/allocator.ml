@@ -3,9 +3,8 @@ type t = {
   base : int;
   len : int;
   policy : Policy.t;
-  mutable free_head : int;  (* region-relative offset, Block.null if none *)
-  mutable rover : int;  (* next-fit resume point *)
-  holes : Hole_index.t;  (* the free list's holes by offset *)
+  mutable rover : int;  (* next-fit resume point: a hole's offset, or Block.null *)
+  holes : Hole_index.t;  (* every hole, by offset: the free set *)
   by_size : Hole_index.t option;  (* best fit only: by size, then offset *)
   live : Bytes.t;  (* one bit per word, set at each allocated block's offset *)
   mutable live_words : int;  (* sum of payload words of live blocks *)
@@ -29,18 +28,19 @@ let policy t = t.policy
 
 let header t off = Block.read_header t.mem ~base:t.base off
 
-let next_free t off = Block.read_next t.mem ~base:t.base off
-
-let prev_free t off = Block.read_prev t.mem ~base:t.base off
-
-let set_next t off v = Block.write_next t.mem ~base:t.base off v
-
-let set_prev t off v = Block.write_prev t.mem ~base:t.base off v
-
-(* The host-side index mirrors every free-list edit below.  It answers
-   the searches the simulated supervisor would make by walking the
-   list; see [find_hole]. *)
+(* The store holds only the tags; which blocks are holes, in address
+   order, is the index's alone.  It answers the searches the simulated
+   supervisor would make by walking a free list; see [find_hole]. *)
 let size_key t off size = (size * (t.len + 1)) + off
+
+(* The lowest hole at or above [off], or [null]. *)
+let hole_from t off = Hole_index.first t.holes ~from:off ~needed:0
+
+let index_add t off size =
+  Hole_index.add t.holes ~key:off ~size;
+  match t.by_size with
+  | Some by_size -> Hole_index.add by_size ~key:(size_key t off size) ~size
+  | None -> ()
 
 let index_remove t off size =
   Hole_index.remove t.holes off;
@@ -55,50 +55,8 @@ let index_change t off size off' size' =
   match t.by_size with
   | Some by_size ->
     Hole_index.remove by_size (size_key t off size);
-    let (_ : int) = Hole_index.add by_size ~key:(size_key t off' size') ~size:size' in
-    ()
+    Hole_index.add by_size ~key:(size_key t off' size') ~size:size'
   | None -> ()
-
-let unlink t off size =
-  let next = next_free t off and prev = prev_free t off in
-  if prev = null then t.free_head <- next else set_next t prev next;
-  if next <> null then set_prev t next prev;
-  if t.rover = off then t.rover <- next;
-  index_remove t off size
-
-(* Move node [off] to [off'] at the same list position, when no other
-   hole lies between them, and return its list successor. *)
-let move_node t off ~size off' ~size' =
-  let next = next_free t off and prev = prev_free t off in
-  set_next t off' next;
-  set_prev t off' prev;
-  if prev = null then t.free_head <- off' else set_next t prev off';
-  if next <> null then set_prev t next off';
-  index_change t off size off' size';
-  next
-
-(* The new hole goes after its predecessor in address order, which
-   adding it to the index returns, without walking the list. *)
-let insert_ordered t off size =
-  let cur = Hole_index.add t.holes ~key:off ~size in
-  (match t.by_size with
-   | Some by_size ->
-     let (_ : int) = Hole_index.add by_size ~key:(size_key t off size) ~size in
-     ()
-   | None -> ());
-  if cur = null then begin
-    set_next t off t.free_head;
-    set_prev t off null;
-    if t.free_head <> null then set_prev t t.free_head off;
-    t.free_head <- off
-  end
-  else begin
-    let next = next_free t cur in
-    set_next t off next;
-    set_prev t off cur;
-    set_next t cur off;
-    if next <> null then set_prev t next off
-  end
 
 (* [free] trusts a header only where this host-side bit is set: a
    freed block's header survives in memory, inside the hole it joins
@@ -111,7 +69,7 @@ let set_live t off on =
 
 let mark_free t off size =
   Block.write_tags t.mem ~base:t.base off ~size ~allocated:false;
-  insert_ordered t off size
+  index_add t off size
 
 let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
   assert (len >= Block.min_block);
@@ -122,7 +80,6 @@ let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
       base;
       len;
       policy;
-      free_head = null;
       rover = null;
       holes = Hole_index.create ();
       by_size =
@@ -160,21 +117,18 @@ let find_hole t ~take_high ~needed =
   match t.policy with
   | Policy.First_fit -> lowest_fit t ~needed
   | Policy.Next_fit ->
-    if holes = 0 then null
+    (* Scan cyclically from the rover, or from the lowest hole. *)
+    let start = if t.rover <> null then t.rover else 0 in
+    let skipped = Hole_index.rank t.holes start in
+    let off = Hole_index.first t.holes ~from:start ~needed in
+    if off <> null then begin
+      t.examined <- Hole_index.rank t.holes off - skipped + 1;
+      off
+    end
     else begin
-      (* Scan cyclically from the rover, or from the head. *)
-      let start = if t.rover <> null then t.rover else t.free_head in
-      let skipped = Hole_index.rank t.holes start in
-      let off = Hole_index.first t.holes ~from:start ~needed in
-      if off <> null then begin
-        t.examined <- Hole_index.rank t.holes off - skipped + 1;
-        off
-      end
-      else begin
-        let off = Hole_index.first t.holes ~from:0 ~needed in
-        if off <> null then t.examined <- holes - skipped + Hole_index.rank t.holes off + 1;
-        off
-      end
+      let off = Hole_index.first t.holes ~from:0 ~needed in
+      if off <> null then t.examined <- holes - skipped + Hole_index.rank t.holes off + 1;
+      off
     end
   | Policy.Best_fit -> (
     (* Smallest sufficient size; the scan's strict [<] keeps the lowest
@@ -192,13 +146,16 @@ let find_hole t ~take_high ~needed =
     if take_high then Hole_index.last t.holes ~needed else lowest_fit t ~needed
 
 (* Mark the [size] words at [off], carved from the hole at [hole],
-   allocated and account for them.  A next-fit rove resumes at
-   [rover_after], the list successor of what is left of the hole. *)
-let grant t ~hole ~off ~size ~remainder ~rover_after =
+   allocated and account for them.  A next-fit rove resumes at the
+   lowest hole at or above [resume] (what is left of the hole, or else
+   the hole after it), wrapping to the lowest hole when there is none. *)
+let grant t ~hole ~off ~size ~remainder ~resume =
   Block.write_tags t.mem ~base:t.base off ~size ~allocated:true;
   set_live t off true;
   (match t.policy with
-   | Policy.Next_fit -> t.rover <- (if rover_after <> null then rover_after else t.free_head)
+   | Policy.Next_fit ->
+     let next = hole_from t resume in
+     t.rover <- (if next <> null then next else hole_from t 0)
    | Policy.First_fit | Policy.Best_fit | Policy.Worst_fit | Policy.Two_ends _ -> ());
   t.live_words <- t.live_words + size - Block.overhead;
   t.live_blocks <- t.live_blocks + 1;
@@ -229,22 +186,21 @@ let alloc t request =
       let size = Block.size (header t off) in
       let remainder = size - needed in
       if remainder < Block.min_block then begin
-        let succ = next_free t off in
-        unlink t off size;
-        grant t ~hole:off ~off ~size ~remainder ~rover_after:succ
+        index_remove t off size;
+        grant t ~hole:off ~off ~size ~remainder ~resume:off
       end
       else if take_high then begin
-        (* The hole shrinks in place; its links and position are
-           unchanged.  The allocation sits at its high end. *)
+        (* The hole shrinks in place.  The allocation sits at its high
+           end. *)
         Block.write_tags t.mem ~base:t.base off ~size:remainder ~allocated:false;
         index_change t off size off remainder;
-        grant t ~hole:off ~off:(off + remainder) ~size:needed ~remainder ~rover_after:off
+        grant t ~hole:off ~off:(off + remainder) ~size:needed ~remainder ~resume:off
       end
       else begin
         let rem_off = off + needed in
         Block.write_tags t.mem ~base:t.base rem_off ~size:remainder ~allocated:false;
-        let (_ : int) = move_node t off ~size rem_off ~size':remainder in
-        grant t ~hole:off ~off ~size:needed ~remainder ~rover_after:rem_off
+        index_change t off size rem_off remainder;
+        grant t ~hole:off ~off ~size:needed ~remainder ~resume:rem_off
       end
     end
   in
@@ -280,18 +236,16 @@ let free t addr =
   if t.tracing && new_size > size then
     emit t (Coalesce { addr = t.base + new_off; size = new_size });
   Block.write_tags t.mem ~base:t.base new_off ~size:new_size ~allocated:false;
-  (* A rover on a hole the merge absorbs moves to the merged hole's list
-     successor. *)
   if below_size > 0 then begin
-    if above_size > 0 then unlink t above above_size;
-    index_change t new_off below_size new_off new_size;
-    if t.rover = new_off then t.rover <- next_free t new_off
+    if above_size > 0 then index_remove t above above_size;
+    index_change t new_off below_size new_off new_size
   end
-  else if above_size > 0 then begin
-    let next = move_node t above ~size:above_size off ~size':new_size in
-    if t.rover = above then t.rover <- next
-  end
-  else insert_ordered t off size
+  else if above_size > 0 then index_change t above above_size off new_size
+  else index_add t off size;
+  (* A rover on a hole the merge absorbs moves to the next hole above
+     the merged one. *)
+  let merged_end = new_off + new_size in
+  if t.rover >= new_off && t.rover < merged_end then t.rover <- hole_from t merged_end
 
 let live_words t = t.live_words
 
@@ -324,7 +278,6 @@ let largest_free t = max 0 (Hole_index.largest t.holes - Block.overhead)
 let compact t channel ~relocate =
   let blocks = walk t in
   List.iter (fun b -> if not b.allocated then index_remove t b.off b.size) blocks;
-  t.free_head <- null;
   t.rover <- null;
   Bytes.fill t.live 0 (Bytes.length t.live) '\000';
   let place dst b =
@@ -391,22 +344,6 @@ let validate t =
   let walked_holes =
     List.filter_map (fun b -> if b.allocated then None else Some (b.off, b.size)) blocks
   in
-  let walked_free = List.map fst walked_holes in
-  let listed_free =
-    let rec loop off prev acc =
-      if off = null then List.rev acc
-      else begin
-        if prev_free t off <> prev then fail "validate: bad prev link at %d" off;
-        if prev <> null && off <= prev then fail "validate: free list not ascending at %d" off;
-        if Block.allocated (header t off) then fail "validate: allocated block %d on free list" off;
-        loop (next_free t off) off (off :: acc)
-      end
-    in
-    loop t.free_head null []
-  in
-  if walked_free <> listed_free then
-    fail "validate: free list (%d nodes) disagrees with walk (%d free blocks)"
-      (List.length listed_free) (List.length walked_free);
   let indexed = Hole_index.fold t.holes (fun off size holes -> (off, size) :: holes) [] in
   if indexed <> walked_holes then
     fail "validate: hole index (%d holes) disagrees with walk (%d free blocks)"
@@ -434,5 +371,5 @@ let validate t =
   let payload = List.fold_left (fun acc b -> acc + b.size - Block.overhead) 0 live in
   if payload <> t.live_words then
     fail "validate: live_words counter %d vs %d" t.live_words payload;
-  if t.rover <> null && not (List.mem t.rover listed_free) then
-    fail "validate: rover %d not on free list" t.rover
+  if t.rover <> null && not (List.mem_assoc t.rover walked_holes) then
+    fail "validate: rover %d not a hole" t.rover

@@ -1,14 +1,15 @@
-(** A variable-unit storage allocator whose bookkeeping lives {e inside}
-    the simulated store it manages, as a real supervisor's must.
+(** A variable-unit storage allocator whose blocks carry their boundary
+    tags ({!Block}) {e inside} the simulated store it manages, as a real
+    supervisor's must.
 
-    Blocks carry boundary tags ({!Block}); free blocks are threaded on a
-    doubly-linked, address-ordered free list whose link words occupy the
-    free blocks themselves.  Freeing coalesces with both neighbours
-    immediately, so the free list never contains adjacent blocks.
+    The free set, the holes in address order, is kept on the host in a
+    {!Hole_index}, not threaded through the holes themselves.  Freeing
+    reads the neighbours' tags and coalesces with both immediately, so
+    no two holes are adjacent.
 
-    Placement is pluggable ({!Policy.t}).  The simulator finds each
-    policy's hole in a host-side {!Hole_index} rather than by walking
-    the list, and reports what the walk would have cost.  {!compact}
+    Placement is pluggable ({!Policy.t}).  The index finds each
+    policy's hole and reports what a supervisor's walk of an
+    address-ordered free list would have cost.  {!compact}
     implements the paper's second "course of action" against
     fragmentation — moving information to consolidate holes — using the
     autonomous storage-to-storage channel, and is only sound because
@@ -71,9 +72,9 @@ val failures : t -> int
 (** Allocation requests that returned [None]. *)
 
 val search_stats : t -> Metrics.Stats.t
-(** Free-list nodes a linear scan of the list examines per allocation
-    attempt — the bookkeeping cost the paper weighs against
-    fragmentation. *)
+(** Holes a linear scan of an address-ordered free list examines per
+    allocation attempt, counted from their ranks in the index — the
+    bookkeeping cost the paper weighs against fragmentation. *)
 
 val compact : t -> Memstore.Channel.t -> relocate:(int -> int -> unit) -> unit
 (** Slide every live block to the low end of the region, leaving one
@@ -89,8 +90,8 @@ val walk : t -> walk_block list
 (** Every block in address order, read from raw memory. *)
 
 val validate : t -> unit
-(** Walk raw memory and the free list and check every invariant
-    (tags consistent, sizes tile the region, no adjacent free blocks,
-    free list = hole index = free blocks of the walk, live-block record
-    = allocated blocks of the walk, counters consistent).
+(** Walk raw memory and check every invariant against the walk (tags
+    consistent, sizes tile the region, no adjacent free blocks, both
+    hole indexes = free blocks, the next-fit rover on a hole, live-block
+    record = allocated blocks, counters consistent).
     Raises [Failure] describing the first violation. *)

@@ -19,11 +19,3 @@ let write_tags mem ~base off ~size ~allocated =
   let v = tag ~size ~allocated in
   Memstore.Physical.write_int mem (base + off) v;
   Memstore.Physical.write_int mem (base + off + size - 1) v
-
-let read_next mem ~base off = Memstore.Physical.read_int mem (base + off + 1)
-
-let read_prev mem ~base off = Memstore.Physical.read_int mem (base + off + 2)
-
-let write_next mem ~base off v = Memstore.Physical.write_int mem (base + off + 1) v
-
-let write_prev mem ~base off v = Memstore.Physical.write_int mem (base + off + 2) v

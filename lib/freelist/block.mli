@@ -4,24 +4,25 @@
 
     {v
       +0          header: (size lsl 1) lor allocated-bit
-      +1          free blocks: offset of next free block (-1 = none)
-      +2          free blocks: offset of previous free block (-1 = none)
       ...         payload (allocated blocks: words +1 .. size-2)
       +size-1     footer: same encoding as header
     v}
 
     The footer lets [free] find the preceding block for coalescing —
-    the "boundary tag" technique.  All offsets are region-relative word
-    offsets; the minimum representable block is {!min_block} words. *)
+    the "boundary tag" technique.  A free block's interior words are
+    not written: which blocks are free is the allocator's {!Hole_index}.
+    All offsets are region-relative word offsets; the minimum
+    representable block is {!min_block} words. *)
 
 val min_block : int
-(** 4: header + two link words + footer. *)
+(** 4: header, footer, and room for the two link words a supervisor's
+    doubly-linked free list would keep in each hole. *)
 
 val overhead : int
 (** 2: tag words unavailable to the payload of an allocated block. *)
 
 val null : int
-(** -1, the nil link. *)
+(** -1, no block. *)
 
 (** A tag is read and written as its encoded word, so reading one
     builds nothing on the host heap. *)
@@ -44,11 +45,3 @@ val read_footer : Memstore.Physical.t -> base:int -> int -> int
 
 val write_tags : Memstore.Physical.t -> base:int -> int -> size:int -> allocated:bool -> unit
 (** Write both header and footer of the block at region offset. *)
-
-val read_next : Memstore.Physical.t -> base:int -> int -> int
-
-val read_prev : Memstore.Physical.t -> base:int -> int -> int
-
-val write_next : Memstore.Physical.t -> base:int -> int -> int -> unit
-
-val write_prev : Memstore.Physical.t -> base:int -> int -> int -> unit

@@ -11,7 +11,6 @@ type t = {
   mutable root : int;
   mutable spare : int;
   mutable slots : int;  (* slots in use or on the spare chain, with the sentinel *)
-  mutable below : int;  (* [add]'s result *)
 }
 
 let nil = 0
@@ -28,7 +27,6 @@ let create () =
     root = nil;
     spare = nil;
     slots = 1;
-    below = -1;
   }
 
 let length t = t.count.(t.root)
@@ -107,7 +105,6 @@ let rec insert t n i =
     end
   end
   else begin
-    t.below <- t.key.(n);
     t.right.(n) <- insert t t.right.(n) i;
     if priority t.right.(n) > priority n then rotate_left t n
     else begin
@@ -116,12 +113,7 @@ let rec insert t n i =
     end
   end
 
-(* The last node at which the descent turns right holds the greatest key
-   below the new one. *)
-let add t ~key ~size =
-  t.below <- -1;
-  t.root <- insert t t.root (node t ~key ~size);
-  t.below
+let add t ~key ~size = t.root <- insert t t.root (node t ~key ~size)
 
 (* Join two treaps, every key of [a] below every key of [b]. *)
 let rec merge t a b =

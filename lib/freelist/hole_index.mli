@@ -1,5 +1,5 @@
-(** A host-side index over the holes of a free list (Stephenson's "fast
-    fits", SOSP 1983).
+(** A host-side index over the holes of a variable-unit store
+    (Stephenson's "fast fits", SOSP 1983).
 
     Each hole is one node keyed by an int (the allocator keys by block
     offset, or for best fit by size then offset) and carrying its size.
@@ -10,9 +10,10 @@
     it stands.  Its shape is deterministic, but depends on the history
     of edits as well as on the keys held; no query's answer does.
 
-    The index is bookkeeping of the simulator, not of the simulated
-    supervisor, whose free list stays in the store it manages; see
-    {!Allocator}. *)
+    The index is bookkeeping of the simulator, and {!Allocator}'s only
+    record of which blocks are holes: it answers each placement query,
+    and the cost of the free-list walk a supervisor would make instead
+    is computed from {!rank}. *)
 
 type t
 
@@ -21,10 +22,9 @@ val create : unit -> t
 
 val length : t -> int
 
-val add : t -> key:int -> size:int -> int
-(** Adds a node and returns the greatest key below the new one, or -1.
-    Keys are non-negative and distinct: adding a key already held
-    corrupts the index. *)
+val add : t -> key:int -> size:int -> unit
+(** Adds a node.  Keys are non-negative and distinct: adding a key
+    already held corrupts the index. *)
 
 val remove : t -> int -> unit
 (** Raises [Invalid_argument] if the key is not held. *)

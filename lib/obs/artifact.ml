@@ -37,7 +37,7 @@ type report = {
 let fold ~label parse step init ic =
   let rec go lineno st parsed malformed first =
     match In_channel.input_line ic with
-    | exception Sys_error msg -> Error msg
+    | exception Sys_error msg -> Error (label ^ ": " ^ msg)
     | None ->
       Ok (st, { label; lines = lineno; parsed; malformed; first_malformed = List.rev first })
     | Some line ->

@@ -47,13 +47,14 @@ val fold :
 (** [fold ~label parse step init ic] hands each data line of [ic] that
     [parse] accepts to [step], with its 1-based line number, one line
     at a time.  Data lines are trimmed; blank and ['#'] lines are
-    skipped but counted.  [Error] with the system's message when
-    reading fails. *)
+    skipped but counted.  [Error "LABEL: MSG"], [MSG] the system's
+    message, when reading fails. *)
 
 val fold_file :
   (string -> 'a option) -> ('s -> int -> 'a -> 's) -> 's -> string -> ('s * report, string) result
 (** {!fold} over a file, or over stdin (left open) when the name is
-    ["-"]; [Error] also when the file cannot be opened. *)
+    ["-"]; [Error] also when the file cannot be opened, with the
+    system's message, which names the file. *)
 
 val strict : what:string -> plural:string -> report -> (unit, string) result
 (** Every data line parsed, and there was one.  Otherwise [Error]

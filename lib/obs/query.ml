@@ -107,10 +107,13 @@ type pairing = {
 
 let req_of (ev : Event.t) = Json.int (List.assoc_opt "req" (Event.fields_of_kind ev.kind))
 
+let known_kinds kinds =
+  match List.find_opt (fun k -> not (List.mem k Event.all_kind_names)) kinds with
+  | Some kind -> Error (Printf.sprintf "unknown event kind %S" kind)
+  | None -> Ok ()
+
 let pair ~start_kind ~done_kind =
-  let unknown =
-    List.find_opt (fun k -> not (List.mem k Event.all_kind_names)) [ start_kind; done_kind ]
-  in
+  let known = known_kinds [ start_kind; done_kind ] in
   (* req -> the start's t_us, within the current run *)
   let opens : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let latencies = ref [] in
@@ -123,7 +126,7 @@ let pair ~start_kind ~done_kind =
   in
   let add e =
     let name = Event.kind_name e.ev.Event.kind in
-    if unknown <> None then ()
+    if Result.is_error known then ()
     else if name = "run_start" then flush_opens ()
     else if name = start_kind || name = done_kind then begin
       match req_of e.ev with
@@ -146,10 +149,10 @@ let pair ~start_kind ~done_kind =
   in
   let result () =
     flush_opens ();
-    match (unknown, !missing_req) with
-    | Some kind, _ -> Error (Printf.sprintf "unknown event kind %S" kind)
-    | None, Some name -> Error (Printf.sprintf "event kind %S carries no \"req\" field" name)
-    | None, None ->
+    match (known, !missing_req) with
+    | (Error _ as e), _ -> e
+    | Ok (), Some name -> Error (Printf.sprintf "event kind %S carries no \"req\" field" name)
+    | Ok (), None ->
       Ok
         {
           latencies = List.rev !latencies;
@@ -277,17 +280,15 @@ let agg_of_string s =
   | [ "mean"; f ] when f <> "" -> Ok (Mean f)
   | _ -> Error (Printf.sprintf "bad --agg %S: want count, sum:FIELD, or mean:FIELD" s)
 
-(* The file is read before the flags are judged, so a bad file is
-   reported first, as before any flag. *)
+(* The flags are judged before the file is opened, so a bad flag is
+   reported at once, also over a bad file. *)
 let report_groups ~keep ~key ~agg ~limit ~json file =
   let ( let* ) = Result.bind in
-  let key = Option.fold ~none:(Ok By_kind) ~some:group_key_of_string key in
-  let agg = agg_of_string agg in
-  let g = group ~key:(Result.value key ~default:By_kind) ~agg:(Result.value agg ~default:Count) in
+  let* key = Option.fold ~none:(Ok By_kind) ~some:group_key_of_string key in
+  let* agg = agg_of_string agg in
+  let g = group ~key ~agg in
   let kept = ref 0 in
   let* rows = read_file { g with add = (fun e -> if keep e then (incr kept; g.add e)) } file in
-  let* _ = key in
-  let* agg = agg in
   let rows = match limit with None -> rows | Some n -> top n rows in
   if json then
     print_endline
@@ -355,15 +356,14 @@ let print_pairing p l ~start_kind ~done_kind ~percentiles =
 
 let report_pairs ~keep ~spec ~percentiles ~json file =
   let ( let* ) = Result.bind in
-  let kinds =
+  let* start_kind, done_kind =
     match String.split_on_char ',' spec with
     | [ start_kind; done_kind ] -> Ok (start_kind, done_kind)
     | _ -> Error (Printf.sprintf "bad --pair %S: want START,DONE" spec)
   in
-  let start_kind, done_kind = Result.value kinds ~default:("", "") in
+  let* () = known_kinds [ start_kind; done_kind ] in
   let p = pair ~start_kind ~done_kind in
   let* pairing = read_file { p with add = (fun e -> if keep e then p.add e) } file in
-  let* _ = kinds in
   let* p = pairing in
   let l = latency_of p in
   if json then print_endline (latency_to_json p l)

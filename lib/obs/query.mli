@@ -107,8 +107,7 @@ val report_groups :
     aggregate by [agg] ([count], [sum:FIELD] or [mean:FIELD]), keep the
     [limit] largest groups, and print them on stdout as a table after
     the count of kept entries, or as one JSON object of label to value.
-    [Error] names an unreadable file first, then a malformed [key] or
-    [agg]. *)
+    A malformed [key] or [agg] is [Error] before the file is opened. *)
 
 val report_pairs :
   keep:(entry -> bool) -> spec:string -> percentiles:bool -> json:bool -> string ->
@@ -117,7 +116,8 @@ val report_pairs :
     the entries [keep] accepts, and print the match counts and the
     latency distribution ({!latency_of}) on stdout, as text (with p50,
     p90, p99 and the histogram buckets under [percentiles]) or as one
-    JSON object. *)
+    JSON object.  A malformed [spec], or one naming an unknown kind, is
+    [Error] before the file is opened. *)
 
 (** {1 Summary} *)
 

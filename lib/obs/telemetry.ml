@@ -289,12 +289,36 @@ let top_to_json c =
          ("producers", Json.List (List.map producer (producers c)));
        ])
 
-(* Lenient: a mirror may still be growing, its last line torn. *)
-let top ~json file =
+(* Lenient: a mirror may still be growing, its last line torn.  [None]
+   when no line holds a snapshot. *)
+let latest file =
   let c = checker ~limit:0 in
-  match Artifact.fold_file snapshot_of_json (fun () _ -> check_snapshot c) () file with
-  | Error _ | Ok ((), { parsed = 0; _ }) ->
-    Error (Printf.sprintf "%s: no parseable telemetry snapshots" file)
-  | Ok _ ->
+  Result.map
+    (fun ((), (r : Artifact.report)) -> if r.parsed = 0 then None else Some c)
+    (Artifact.fold_file snapshot_of_json (fun () _ -> check_snapshot c) () file)
+
+let no_snapshots file = Printf.sprintf "%s: no parseable telemetry snapshots" file
+
+let top ~json file =
+  match latest file with
+  | Error _ as e -> e
+  | Ok None -> Error (no_snapshots file)
+  | Ok (Some c) ->
     if json then print_endline (top_to_json c) else print_top c;
     Ok ()
+
+(* Each tick prints a stanza, with no cursor tricks, so the output also
+   works piped to a log.  A path that does not exist yet is waited for,
+   since the run that creates it may start after [top]. *)
+let rec follow ~interval ~sleep file =
+  let existed = Sys.file_exists file in
+  match latest file with
+  | Error _ as e when existed -> e
+  | shown ->
+    (match shown with
+     | Ok (Some c) -> print_top c
+     | Ok None -> print_endline (no_snapshots file)
+     | Error msg -> print_endline msg);
+    print_newline ();
+    sleep interval;
+    follow ~interval ~sleep file

@@ -112,5 +112,13 @@ val top : json:bool -> string -> (unit, string) result
     torn) and print, per producer in first-appearance order, the latest
     snapshot: engine time, every counter with its rate per second since
     the producer's previous snapshot, and every gauge — as a table on
-    stdout, or as one JSON object.  [Error] when no line parses or the
-    file cannot be read. *)
+    stdout, or as one JSON object.  [Error] with the system's message,
+    which names the file, when it cannot be read, and
+    ["FILE: no parseable telemetry snapshots"] when no line parses. *)
+
+val follow : interval:float -> sleep:(float -> unit) -> string -> (unit, string) result
+(** {!top}'s table again every [interval] seconds, until interrupted,
+    each followed by a blank line.  While the file does not exist or
+    holds no snapshot, each tick prints why instead, so [follow] can
+    start before the run that writes the file.  Returns [Error] only
+    when a file that exists cannot be read. *)

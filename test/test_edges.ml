@@ -98,21 +98,24 @@ let test_validate_catches_corrupted_header () =
      | () -> false
      | exception Failure _ -> true)
 
-let test_validate_catches_corrupted_free_link () =
+(* Both tags of a hole rewritten as allocated leave memory well formed:
+   the tags agree, the blocks tile the region and no two holes touch.
+   Only the hole index still holds the hole, and validate must say so. *)
+let test_validate_catches_retagged_hole () =
   let mem = Memstore.Physical.create ~name:"m" ~words:256 in
   let a = Freelist.Allocator.create mem ~base:0 ~len:256 ~policy:Freelist.Policy.First_fit in
   let x = Option.get (Freelist.Allocator.alloc a 10) in
   let y = Option.get (Freelist.Allocator.alloc a 10) in
   ignore (Freelist.Allocator.alloc a 10);
   Freelist.Allocator.free a x;
-  Freelist.Allocator.free a y;  (* two free blocks: x's and the tail *)
-  (* Corrupt the first free block's next pointer (word addr..). *)
-  Memstore.Physical.write mem x 99999L;
-  check_bool "validate detects bad link" true
+  Freelist.Allocator.free a y;  (* two holes: x's and y's merged at 0, and the tail *)
+  let tag = Int64.of_int (Freelist.Block.tag ~size:24 ~allocated:true) in
+  Memstore.Physical.write mem (x - 1) tag;
+  Memstore.Physical.write mem (x + 22) tag;
+  check_bool "validate names the hole index" true
     (match Freelist.Allocator.validate a with
      | () -> false
-     | exception Failure _ -> true
-     | exception Memstore.Physical.Bound_violation _ -> true)
+     | exception Failure msg -> String.starts_with ~prefix:"validate: hole index" msg)
 
 let test_rice_validate_catches_gap () =
   let mem = Memstore.Physical.create ~name:"m" ~words:64 in
@@ -204,7 +207,7 @@ let () =
       ( "failure injection",
         [
           Alcotest.test_case "corrupted header" `Quick test_validate_catches_corrupted_header;
-          Alcotest.test_case "corrupted free link" `Quick test_validate_catches_corrupted_free_link;
+          Alcotest.test_case "hole retagged as allocated" `Quick test_validate_catches_retagged_hole;
           Alcotest.test_case "rice tiling" `Quick test_rice_validate_catches_gap;
         ] );
       ( "limits",

@@ -232,8 +232,9 @@ let test_reads_flat_in_hole_count () =
 
 (* Store words one first-fit free reads and writes in each neighbour
    case.  The freed block lies below every other hole, and the tail of
-   the region is a hole above it.  Only a neighbour hole that moves or
-   leaves the list costs link words. *)
+   the region is a hole above it.  Whatever the neighbours, a free reads
+   its own header and both neighbours' tags, and writes the merged
+   hole's two tags: the free set lives in the index, not the store. *)
 let test_free_store_traffic () =
   let traffic ~blocks ~holes =
     let mem, a = make_allocator Freelist.Policy.First_fit in
@@ -246,10 +247,10 @@ let test_free_store_traffic () =
     traffic
   in
   let check name want got = Alcotest.(check (pair int int)) name want got in
-  check "no free neighbour: tags, links" (3, 5) (traffic ~blocks:3 ~holes:[]);
-  check "hole below grows: tags only" (3, 2) (traffic ~blocks:3 ~holes:[ 0 ]);
-  check "hole above moves down" (5, 5) (traffic ~blocks:4 ~holes:[ 2 ]);
-  check "both: hole above unlinked" (5, 4) (traffic ~blocks:4 ~holes:[ 0; 2 ])
+  check "no free neighbour" (3, 2) (traffic ~blocks:3 ~holes:[]);
+  check "hole below grows" (3, 2) (traffic ~blocks:3 ~holes:[ 0 ]);
+  check "hole above moves down" (3, 2) (traffic ~blocks:4 ~holes:[ 2 ]);
+  check "both merge" (3, 2) (traffic ~blocks:4 ~holes:[ 0; 2 ])
 
 (* --- compaction --- *)
 
@@ -542,7 +543,7 @@ let allocator_matches_model policy =
 (* Hole_index alone against a sorted (key, size) list: random adds,
    removes and changes that cross no other key.  After every operation
    the index and the list agree on their contents and on the queries
-   at a random probe, and each add returns the key below it. *)
+   at a random probe. *)
 let hole_index_matches_model =
   let module H = Freelist.Hole_index in
   QCheck.Test.make ~name:"hole index matches a sorted list" ~count:200
@@ -559,10 +560,7 @@ let hole_index_matches_model =
           let n = List.length keys in
           (match op with
            | (0 | 1) when not (List.mem_assoc x !model) ->
-             let below = List.fold_left (fun b k -> if k < x then k else b) (-1) keys in
-             let got = H.add t ~key:x ~size in
-             if got <> below then
-               QCheck.Test.fail_reportf "step %d: add %d returned %d, model %d" step x got below;
+             H.add t ~key:x ~size;
              model := List.sort compare ((x, size) :: !model)
            | 2 when n > 0 ->
              let k = List.nth keys (x mod n) in

@@ -410,6 +410,49 @@ let test_load_missing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file loaded"
 
+(* Every reader names the path it could not read; top too, rather than
+   finding no snapshots there. *)
+let test_unreadable_path_named () =
+  let dir = scratch_dir () in
+  let all _ = true in
+  List.iter
+    (fun (name, read) ->
+      match read dir with
+      | Error msg -> Alcotest.(check string) name (dir ^ ": Is a directory") msg
+      | Ok () -> Alcotest.failf "%s: a directory read" name)
+    [
+      ("stats", fun f -> Result.map ignore (Obs.Query.read_file (Obs.Query.summary ()) f));
+      ("check", Obs.Check.report_file ~limit:50 ~json:false);
+      ("query", Obs.Query.report_groups ~keep:all ~key:None ~agg:"count" ~limit:None ~json:false);
+      ("export", Obs.Export.export Obs.Export.Chrome ~out:None);
+      ("top", Obs.Telemetry.top ~json:false);
+    ]
+
+let test_top_missing_file () =
+  let missing = Filename.concat (scratch_dir ()) "missing.jsonl" in
+  Alcotest.(check (result unit string))
+    "the system's reason" (Error (missing ^ ": No such file or directory"))
+    (Obs.Telemetry.top ~json:false missing)
+
+(* A bad flag is judged before the file is opened: over a path that
+   does not exist, the flag's error wins. *)
+let test_flags_judged_first () =
+  let missing = "/no/such/file.jsonl" and all _ = true in
+  let expect name prefix = function
+    | Error msg -> check_bool (name ^ ": " ^ msg) true (String.starts_with ~prefix msg)
+    | Ok () -> Alcotest.failf "%s: accepted" name
+  in
+  expect "--agg" "bad --agg"
+    (Obs.Query.report_groups ~keep:all ~key:None ~agg:"bogus" ~limit:None ~json:false missing);
+  expect "--group-by" "bad --group-by"
+    (Obs.Query.report_groups ~keep:all ~key:(Some "bogus") ~agg:"count" ~limit:None ~json:false
+       missing);
+  expect "--pair" "bad --pair"
+    (Obs.Query.report_pairs ~keep:all ~spec:"nope" ~percentiles:false ~json:false missing);
+  expect "--pair kind" "unknown event kind"
+    (Obs.Query.report_pairs ~keep:all ~spec:"bogus,io_done" ~percentiles:false ~json:false
+       missing)
+
 let test_load_empty () =
   let path = temp_file "" in
   (match Obs.Query.read_file (Obs.Query.summary ()) path with
@@ -998,6 +1041,9 @@ let () =
       ( "load",
         [
           Alcotest.test_case "missing file is an error" `Quick test_load_missing;
+          Alcotest.test_case "unreadable path named" `Quick test_unreadable_path_named;
+          Alcotest.test_case "top names a missing file" `Quick test_top_missing_file;
+          Alcotest.test_case "bad flags judged before the file" `Quick test_flags_judged_first;
           Alcotest.test_case "empty trace is an error" `Quick test_load_empty;
           Alcotest.test_case "truncated line is an error" `Quick
             test_load_truncated_fixture;

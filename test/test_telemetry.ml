@@ -238,6 +238,27 @@ let test_check_catches_structural_problems () =
        (fun p -> contains_substring p "expected 0")
        (Obs.Telemetry.check late_start))
 
+(* [top --follow] waits for a path that does not exist yet, since the
+   run that creates it may start later, and stops at once on one that
+   exists but cannot be read. *)
+let test_follow_waits_only_for_missing () =
+  let missing = Filename.temp_file "dsas_mirror" ".jsonl" in
+  Sys.remove missing;
+  let dir = Filename.dirname missing in
+  let ticks = ref 0 in
+  let sleep _ =
+    incr ticks;
+    if !ticks = 3 then raise Exit
+  in
+  (match Obs.Telemetry.follow ~interval:0. ~sleep dir with
+   | Error msg -> check_string "a directory ends the wait" (dir ^ ": Is a directory") msg
+   | Ok () -> Alcotest.fail "follow returned Ok");
+  check_int "no tick on a directory" 0 !ticks;
+  (match Obs.Telemetry.follow ~interval:0. ~sleep missing with
+   | exception Exit -> ()
+   | Ok () | Error _ -> Alcotest.fail "follow gave up on a missing file");
+  check_int "a missing file is waited for" 3 !ticks
+
 (* --- Watch: the rule grammar ----------------------------------------- *)
 
 let parse_ok spec =
@@ -659,5 +680,10 @@ let () =
           Alcotest.test_case "watchdog-bounded" `Quick test_watchdog_bounded_invariant;
           Alcotest.test_case "stall fixture must fail" `Quick
             test_stall_fixture_must_fail;
+        ] );
+      ( "top",
+        [
+          Alcotest.test_case "follow waits only for a missing file" `Quick
+            test_follow_waits_only_for_missing;
         ] );
     ]
