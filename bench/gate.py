@@ -73,7 +73,7 @@ MINOR_WORDS_RATIO = 1.25
 # taken under OCaml 5.1.1 and CI runs 5.2, so it is a ratio, and a
 # ceiling only: a smaller heap is no failure.  1.25 still fails when
 # the Chrome export holds a buffer doubled past its output again:
-# sharded_trace then reads 15.96 MB against a ceiling of 13.78 MB.
+# sharded_trace then reads 15.96 MB against a ceiling of 13.23 MB.
 HEAP_RATIO = 1.25
 
 # Width 2 may be this much slower than width 1.  Both widths run the

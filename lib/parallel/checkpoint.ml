@@ -1,8 +1,7 @@
-(* Crash-consistent per-shard checkpoints.  A checkpoint captures
-   everything a shard body needs to resume mid-workload and re-emit a
-   byte-identical suffix: its progress counter, virtual clock, RNG
-   stream position, an engine-specific payload (the arena encoding, or
-   a verification digest), and the event prefix already emitted: the
+(* Crash-consistent per-shard checkpoints.  A checkpoint records what
+   a shard's replay must reproduce before it resumes mid-workload: its
+   progress counter, virtual clock, RNG stream position, a digest of
+   the engine's state, and the event prefix already emitted: the
    shard's own buffer and a count, since the shard never rewrites the
    cells below it.
 

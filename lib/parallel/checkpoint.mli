@@ -1,10 +1,11 @@
 (** Crash-consistent per-shard checkpoints for the supervised sharded
     engines.
 
-    A checkpoint is everything a shard body needs to resume mid-run
-    and re-emit a {e byte-identical} event suffix: workload progress,
-    virtual clock, RNG stream position, an engine-specific integer
-    payload, and the (already relabelled) event prefix emitted so far.
+    A checkpoint is what a resumed shard's replay must reproduce
+    before it goes on to emit a {e byte-identical} event suffix:
+    workload progress, virtual clock, RNG stream position, an integer
+    digest of the engine's state, and the (already relabelled) event
+    prefix emitted so far.
 
     A {!store} is owned by one shard and touched only on that shard's
     worker domain.  The authoritative copy is in memory; with a
@@ -16,8 +17,8 @@
 
 exception Inconsistent of string
 (** Raised by a shard body when a loaded checkpoint fails verification
-    (e.g. a replayed engine disagrees with the recorded clock, RNG or
-    digest).  The supervisor treats it as a crash with a poisoned
+    (its replay disagrees with the recorded progress, clock, RNG,
+    digest or events).  The supervisor treats it as a crash with a poisoned
     checkpoint: the checkpoint is discarded, a restart is consumed,
     and the next attempt starts from scratch. *)
 
@@ -26,7 +27,7 @@ type state = {
   ck_progress : int;  (** workload steps completed *)
   ck_clock_us : int;  (** the shard's virtual clock *)
   ck_rng : int64;  (** {!Sim.Rng.state} of the shard's stream *)
-  ck_payload : int array;  (** engine-specific encoding or digest *)
+  ck_payload : int array;  (** digest *)
   ck_events : Obs.Event.t array;
       (** holds the emitted event prefix, in order, in its first
           [ck_count] cells: a saved state shares the shard's buffer, and

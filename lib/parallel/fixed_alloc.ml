@@ -137,101 +137,3 @@ let total_stats t =
 let slots t = t.slots
 let slot_words t = t.slot_words
 let base t = t.base
-
-(* Checkpoint serialisation.  A quiescent single-cache allocator is a
-   pure function of (geometry, counters, the two private magazines'
-   live prefixes, the pool's magazine chain), so a flat int-array
-   encoding of those reproduces it exactly.  Magazine array LENGTHS
-   are recorded separately from their live prefixes because [free]
-   branches on [Array.length c.loaded], not on [top]. *)
-
-let snapshot (c : cache) =
-  let t = c.shared in
-  let out = ref [] in
-  let push v = out := v :: !out in
-  push c.allocs; push c.frees; push c.refills; push c.flushes; push c.failures;
-  push (Array.length c.loaded); push c.top;
-  for i = 0 to c.top - 1 do push c.loaded.(i) done;
-  push (Array.length c.prev); push c.prev_top;
-  for i = 0 to c.prev_top - 1 do push c.prev.(i) done;
-  let mags = Freestack.to_list t.pool in
-  push (List.length mags);
-  List.iter (fun m -> push (Array.length m); Array.iter push m) mags;
-  Array.of_list (List.rev !out)
-
-let restore ?(base = 0) ?(magazine = 64) ~slots ~slot_words enc =
-  if slots < 1 || slot_words < 1 || magazine < 1 then None
-  else begin
-    let n = Array.length enc in
-    let pos = ref 0 in
-    let ok = ref true in
-    let take () =
-      if !ok && !pos < n then begin
-        let v = enc.(!pos) in
-        incr pos;
-        v
-      end
-      else begin
-        ok := false;
-        0
-      end
-    in
-    let counter () =
-      let v = take () in
-      if v < 0 then ok := false;
-      v
-    in
-    let max_len = max slots magazine in
-    (* A magazine of length [len] whose first [live] entries are valid
-       slot indices; the rest is dead space free will overwrite. *)
-    let read_mag len live =
-      if len < 0 || len > max_len || live < 0 || live > len then begin
-        ok := false;
-        [||]
-      end
-      else begin
-        let a = Array.make len 0 in
-        for i = 0 to live - 1 do
-          let s = take () in
-          if s < 0 || s >= slots then ok := false else a.(i) <- s
-        done;
-        a
-      end
-    in
-    let allocs = counter () in
-    let frees = counter () in
-    let refills = counter () in
-    let flushes = counter () in
-    let failures = counter () in
-    let loaded_len = take () in
-    let top = take () in
-    let loaded = read_mag loaded_len top in
-    let prev_len = take () in
-    let prev_top = take () in
-    let prev = read_mag prev_len prev_top in
-    let nmags = take () in
-    let mags = ref [] in
-    if nmags < 0 || nmags > slots then ok := false
-    else
-      for _ = 1 to nmags do
-        if !ok then begin
-          let len = take () in
-          let m = read_mag len len in
-          mags := m :: !mags
-        end
-      done;
-    if (not !ok) || !pos <> n then None
-    else begin
-      let pool = Freestack.create () in
-      (* [mags] is the pool chain tail-first; pushing in that order
-         rebuilds the stack with the original head on top. *)
-      List.iter (fun m -> Freestack.push pool m) !mags;
-      let t = { base; slots; slot_words; magazine; pool; caches = Atomic.make [] } in
-      let c =
-        { shared = t; loaded; top; prev; prev_top;
-          allocs; frees; refills; flushes; failures }
-      in
-      register t c;
-      Some (t, c)
-    end
-  end

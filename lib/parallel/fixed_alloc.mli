@@ -16,7 +16,9 @@
     fixed sequence of private-state steps and LIFO pool transfers, so
     allocation addresses are a pure function of the call sequence.
     The sharded engines rely on this — each shard owns a private
-    allocator, so results cannot depend on how shards map to domains.
+    allocator, so results cannot depend on how shards map to domains,
+    and a restarted shard rebuilds its allocator by replaying the calls
+    before its checkpoint.
 
     Double frees are not detected (the constant-time design has no
     per-slot headers); freeing an address twice corrupts accounting
@@ -70,19 +72,3 @@ val slots : t -> int
 val slot_words : t -> int
 
 val base : t -> int
-
-val snapshot : cache -> int array
-(** Flat serialisation of a {e quiescent, single-cache} allocator: the
-    cache's counters and private magazines plus the shared pool's
-    magazine chain.  Only meaningful when [c] is the sole cache of its
-    allocator and no other domain touches the pool — exactly the
-    sharded engines' per-shard arenas. *)
-
-val restore :
-  ?base:int -> ?magazine:int -> slots:int -> slot_words:int ->
-  int array -> (t * cache) option
-(** [restore ~slots ~slot_words enc] rebuilds a fresh allocator and its
-    single cache from a {!snapshot} taken under the same geometry.
-    Subsequent [alloc]/[free] sequences behave identically to the
-    snapshotted original.  [None] if the encoding is truncated,
-    malformed, or names out-of-range slots. *)

@@ -22,5 +22,3 @@ let rec pop t =
 let is_empty t = match Atomic.get t.head with [] -> true | _ :: _ -> false
 
 let length t = List.length (Atomic.get t.head)
-
-let to_list t = Atomic.get t.head

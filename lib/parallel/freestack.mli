@@ -10,7 +10,8 @@
     Used single-threaded the stack is strictly deterministic: pops
     return pushes in exact LIFO order.  That is what lets one sharded
     engine run bit-identically whether its shards share one domain or
-    get one each — each shard owns a private stack. *)
+    get one each — each shard owns a private stack — and lets a
+    restarted shard replay its way back to the same stack. *)
 
 type 'a t
 
@@ -26,9 +27,3 @@ val is_empty : 'a t -> bool
 
 val length : 'a t -> int
 (** O(n) snapshot of the current chain; exact when quiescent. *)
-
-val to_list : 'a t -> 'a list
-(** Snapshot of the chain, head (most recently pushed) first; exact
-    when quiescent.  Re-pushing the reversed list onto a fresh stack
-    reproduces the same pop order — the checkpoint serialisation
-    hook. *)

@@ -5,14 +5,15 @@
    domain, after the join, via the deterministic Obs.Merge stage.
 
    One runner serves all four entry points.  An engine is a private
-   [engine] record whose start and resume build a [shard] (step,
-   checkpoint payload, report); [shard_run] drives it through the one
-   per-shard loop against a [tick] callback, called once per workload
-   step with the shard's clock and a lazy snapshot.  Plain runs pass a no-op tick and no
+   [engine] record whose start builds a [shard] (step, payload digest,
+   report); [shard_run] drives it through the one per-shard loop
+   against a [tick] callback, called once per workload step with the
+   shard's clock and a lazy snapshot.  Plain runs pass a no-op tick and no
    checkpoint; supervised runs wire tick to Supervisor.step, which is
-   what turns the same loop into a crash-restartable one.  A
-   zero-fault supervised run is byte-identical to the plain run by
-   construction. *)
+   what turns the same loop into a crash-restartable one.  A resumed
+   attempt replays its prefix in the same loop, so a zero-fault
+   supervised run and every recovered one are byte-identical to the
+   plain run by construction. *)
 
 (* Per-site rng defaults: distinct streams per shard under one master
    seed (see Sim.Rng.derive).  The multipliers keep alloc and paging
@@ -23,8 +24,7 @@ let paging_rng_site shard = 0x9A61B + (shard * 104729)
 (* A shard buffers its (already relabelled) events locally, in emission
    order, in an array that doubles as it fills.  The cells below [len]
    are never written again, so a checkpoint keeps the array and the
-   count instead of a copy.  A resumed attempt starts from a copy of its
-   checkpoint's prefix, which its first event grows. *)
+   count instead of a copy. *)
 type buffer = { mutable events : Obs.Event.t array; mutable len : int }
 
 let push b ev =
@@ -39,8 +39,8 @@ let push b ev =
 (* {2 The shard loop and the runner} *)
 
 (* A started shard: the clock and rng a checkpoint records, workload
-   step [i] (0-based), the engine's checkpoint payload, and its
-   end-of-run report given the number of events it buffered. *)
+   step [i] (0-based), a digest of the engine's state for checkpoints,
+   and its end-of-run report given the number of events it buffered. *)
 type 'r shard = {
   clock : Sim.Clock.t;
   rng : Sim.Rng.t;
@@ -49,36 +49,53 @@ type 'r shard = {
   report : events:int -> 'r;
 }
 
-(* What an engine supplies.  [start] builds a fresh shard; [resume]
-   rebuilds one from a checkpoint — the engine's own recovery code —
-   and raises Checkpoint.Inconsistent when it cannot trust it.  Both
-   emit into [obs], which is null when the run is untraced.  [collate]
-   builds the public report from the per-shard ones. *)
+(* What an engine supplies.  [start] builds a fresh shard that emits
+   into [obs], which is null when the run is untraced.  [collate] builds
+   the public report from the per-shard ones. *)
 type ('r, 'report) engine = {
   shards : int;
   steps : int;  (* workload steps per shard *)
   start : shard:int -> obs:Obs.Sink.t -> 'r shard;
-  resume : shard:int -> obs:Obs.Sink.t -> Checkpoint.state -> 'r shard;
   collate : 'r array -> events:int -> telemetry:Obs.Telemetry.snapshot array -> 'report;
 }
 
+(* The one way back from a crash: a resumed attempt starts afresh, runs
+   the checkpoint's steps without ticks, and must then agree with every
+   field the checkpoint recorded, its event prefix included.  Anything
+   else means the checkpoint cannot be trusted; Inconsistent poisons
+   it. *)
+let replay engine s buf shard (st : Checkpoint.state) =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Checkpoint.Inconsistent m)) fmt in
+  if st.ck_progress > engine.steps then
+    fail "shard %d checkpoint progress %d beyond %d steps" shard st.ck_progress engine.steps;
+  for i = 0 to st.ck_progress - 1 do
+    s.step i
+  done;
+  if Sim.Clock.now s.clock <> st.ck_clock_us then
+    fail "shard %d replay clock %d disagrees with checkpoint %d" shard (Sim.Clock.now s.clock)
+      st.ck_clock_us;
+  if Sim.Rng.state s.rng <> st.ck_rng then
+    fail "shard %d replay rng stream disagrees with checkpoint" shard;
+  if s.payload () <> st.ck_payload then
+    fail "shard %d replay digest disagrees with checkpoint" shard;
+  if buf.len <> st.ck_count then
+    fail "shard %d replay emitted %d events where checkpoint recorded %d" shard buf.len
+      st.ck_count;
+  for i = 0 to buf.len - 1 do
+    if buf.events.(i) <> st.ck_events.(i) then
+      fail "shard %d replay event %d disagrees with checkpoint" shard i
+  done
+
 let shard_run engine ~traced ~tick ~resume shard =
-  let start, buf =
-    match resume with
-    | None -> (0, { events = [||]; len = 0 })
-    | Some (st : Checkpoint.state) ->
-      if st.ck_progress > engine.steps then
-        raise
-          (Checkpoint.Inconsistent
-             (Printf.sprintf "shard %d checkpoint progress %d beyond %d steps" shard
-                st.ck_progress engine.steps));
-      (st.ck_progress, { events = Array.sub st.ck_events 0 st.ck_count; len = st.ck_count })
-  in
+  let buf = { events = [||]; len = 0 } in
   let obs = if traced then Obs.Sink.collect (fun ev -> push buf ev) else Obs.Sink.null in
-  let s =
+  let s = engine.start ~shard ~obs in
+  let start =
     match resume with
-    | None -> engine.start ~shard ~obs
-    | Some st -> engine.resume ~shard ~obs st
+    | None -> 0
+    | Some (st : Checkpoint.state) ->
+      replay engine s buf shard st;
+      st.ck_progress
   in
   for i = start to engine.steps - 1 do
     s.step i;
@@ -230,40 +247,27 @@ type alloc_report = {
   ar_telemetry : Obs.Telemetry.snapshot array;
 }
 
-(* Rebuild the arena and live set from a checkpoint payload
-   [live_n; live slots...; Fixed_alloc encoding...], or refuse it. *)
-let alloc_restore cfg shard (st : Checkpoint.state) =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Checkpoint.Inconsistent m)) fmt in
-  let p = st.ck_payload in
-  if Array.length p < 1 then fail "shard %d checkpoint payload empty" shard;
-  let live_n = p.(0) in
-  if live_n < 0 || live_n > cfg.a_slots_per_shard
-     || Array.length p < 1 + live_n
-  then fail "shard %d checkpoint live set malformed" shard;
-  let live = Array.make (max 1 cfg.a_slots_per_shard) 0 in
-  Array.blit p 1 live 0 live_n;
-  let arena_words = cfg.a_slots_per_shard * cfg.a_slot_words in
-  let enc = Array.sub p (1 + live_n) (Array.length p - 1 - live_n) in
-  match
-    Fixed_alloc.restore ~base:(shard * arena_words) ~slots:cfg.a_slots_per_shard
-      ~slot_words:cfg.a_slot_words enc
-  with
-  | None -> fail "shard %d checkpoint arena malformed" shard
-  | Some (_, cache) -> (cache, live, live_n)
-
 (* One shard of the mixed alloc/free workload.  The arena base puts the
    shard's addresses in a globally disjoint range, so Alloc/Free events
    need no relabelling.  The stream holds roughly half the arena live:
    below target it biases toward allocation, at the target it frees, in
-   between it flips the shard's coin.  A resumed shard restores its
-   arena directly from the checkpoint encoding. *)
+   between it flips the shard's coin.  The checkpoint digest is the
+   live count and the cache's counters. *)
 let alloc_engine cfg =
   let arena_words = cfg.a_slots_per_shard * cfg.a_slot_words in
   let target = max 1 (cfg.a_slots_per_shard / 2) in
   let size = cfg.a_slot_words in
-  let shard_of ~shard ~obs ~clock ~rng (cache, live, live_n0) =
+  let start ~shard ~obs =
+    let clock = Sim.Clock.create () in
+    let rng = Sim.Rng.derive ~override:cfg.a_seed (alloc_rng_site shard) in
+    let cache =
+      Fixed_alloc.cache
+        (Fixed_alloc.create ~base:(shard * arena_words) ~slots:cfg.a_slots_per_shard
+           ~slot_words:cfg.a_slot_words ())
+    in
+    let live = Array.make (max 1 cfg.a_slots_per_shard) 0 in
+    let live_n = ref 0 in
     let traced = Obs.Sink.is_active obs in
-    let live_n = ref live_n0 in
     let step _ =
       Sim.Clock.advance clock cfg.a_op_us;
       let do_alloc =
@@ -296,8 +300,9 @@ let alloc_engine cfg =
     { clock; rng; step;
       payload =
         (fun () ->
-          Array.concat
-            [ [| !live_n |]; Array.sub live 0 !live_n; Fixed_alloc.snapshot cache ]);
+          let st = Fixed_alloc.stats cache in
+          [| !live_n; st.Fixed_alloc.allocs; st.Fixed_alloc.frees; st.Fixed_alloc.refills;
+             st.Fixed_alloc.flushes; st.Fixed_alloc.failures |]);
       report =
         (fun ~events ->
           let st = Fixed_alloc.stats cache in
@@ -313,22 +318,7 @@ let alloc_engine cfg =
   in
   { shards = cfg.a_shards;
     steps = cfg.a_ops_per_shard;
-    start =
-      (fun ~shard ~obs ->
-        let rng = Sim.Rng.derive ~override:cfg.a_seed (alloc_rng_site shard) in
-        let fa =
-          Fixed_alloc.create ~base:(shard * arena_words)
-            ~slots:cfg.a_slots_per_shard ~slot_words:cfg.a_slot_words ()
-        in
-        shard_of ~shard ~obs ~clock:(Sim.Clock.create ()) ~rng
-          (Fixed_alloc.cache fa, Array.make (max 1 cfg.a_slots_per_shard) 0, 0));
-    resume =
-      (fun ~shard ~obs st ->
-        let restored = alloc_restore cfg shard st in
-        let clock = Sim.Clock.create () in
-        Sim.Clock.advance clock st.Checkpoint.ck_clock_us;
-        shard_of ~shard ~obs ~clock ~rng:(Sim.Rng.of_state st.Checkpoint.ck_rng)
-          restored);
+    start;
     collate =
       (fun ar_shards ~events ~telemetry ->
         { ar_shards; ar_events = events; ar_telemetry = telemetry }) }
@@ -404,31 +394,18 @@ let relabel ~page_off ~req_off (ev : Obs.Event.t) =
    bounds a shard's id range. *)
 let req_stride cfg = (4 * cfg.p_refs_per_shard) + 16
 
-(* The paging engine's state (frame tables, device queues, victim
-   policies) has no flat encoding, so a resumed shard {e replays}: it
-   rebuilds the engine and re-drives the references before the
-   checkpoint with emission suppressed, then verifies the replayed
-   clock, RNG stream, event count and fault/writeback digest against
-   the checkpoint before emitting the suffix.  Any disagreement means
-   the checkpoint cannot be trusted — Inconsistent poisons it. *)
+(* One paging engine per shard on the shard's clock.  The checkpoint
+   digest is the engine's fault and write-back counts. *)
 let paging_engine cfg =
   let pages = cfg.p_pages_per_shard in
-  let shard_of ~shard ~obs resume =
+  let start ~shard ~obs =
     let rng = Sim.Rng.derive ~override:cfg.p_seed (paging_rng_site shard) in
     let clock = Sim.Clock.create () in
     let page_off = shard * pages in
     let req_off = shard * req_stride cfg in
-    let start =
-      match resume with Some st -> st.Checkpoint.ck_progress | None -> 0
-    in
-    let traced = Obs.Sink.is_active obs in
-    let emitting = ref (start = 0) in
-    let suppressed = ref 0 in
     let engine_obs =
-      if traced then
-        Obs.Sink.collect (fun ev ->
-            if !emitting then Obs.Sink.emit obs (relabel ~page_off ~req_off ev)
-            else incr suppressed)
+      if Obs.Sink.is_active obs then
+        Obs.Sink.collect (fun ev -> Obs.Sink.emit obs (relabel ~page_off ~req_off ev))
       else Obs.Sink.null
     in
     (* Phase-structured local reference string, then word addresses with
@@ -466,33 +443,6 @@ let paging_engine cfg =
         let (_ : int64) = Paging.Demand.read engine addr in
         ()
     in
-    (match resume with
-     | None -> ()
-     | Some st ->
-       for i = 0 to start - 1 do
-         drive i
-       done;
-       let fail fmt =
-         Printf.ksprintf (fun m -> raise (Checkpoint.Inconsistent m)) fmt
-       in
-       if Sim.Clock.now clock <> st.Checkpoint.ck_clock_us then
-         fail "shard %d replay clock %d disagrees with checkpoint %d" shard
-           (Sim.Clock.now clock) st.Checkpoint.ck_clock_us;
-       if Sim.Rng.state rng <> st.Checkpoint.ck_rng then
-         fail "shard %d replay rng stream disagrees with checkpoint" shard;
-       if traced && !suppressed <> st.Checkpoint.ck_count then
-         fail "shard %d replay emitted %d events where checkpoint recorded %d"
-           shard !suppressed st.Checkpoint.ck_count;
-       (match st.Checkpoint.ck_payload with
-        | [| faults; writebacks |] ->
-          if Paging.Demand.faults engine <> faults
-             || Paging.Demand.writebacks engine <> writebacks
-          then
-            fail "shard %d replay digest %d/%d disagrees with checkpoint %d/%d"
-              shard (Paging.Demand.faults engine)
-              (Paging.Demand.writebacks engine) faults writebacks
-        | _ -> fail "shard %d checkpoint digest malformed" shard);
-       emitting := true);
     { clock; rng;
       step = drive;
       payload =
@@ -508,8 +458,7 @@ let paging_engine cfg =
   in
   { shards = cfg.p_shards;
     steps = cfg.p_refs_per_shard;
-    start = (fun ~shard ~obs -> shard_of ~shard ~obs None);
-    resume = (fun ~shard ~obs st -> shard_of ~shard ~obs (Some st));
+    start;
     collate =
       (fun pr_shards ~events ~telemetry ->
         { pr_shards; pr_events = events; pr_telemetry = telemetry }) }

@@ -12,9 +12,9 @@
     caller's sink.
 
     One runner.  All four entry points go through one runner and one
-    per-shard loop.  The loop owns the checkpoint-prefix event buffer,
-    the progress bound and the per-step tick; an engine supplies only
-    start, resume, step, checkpoint payload and report.  After the
+    per-shard loop.  The loop owns the event buffer, the replay of a
+    resumed attempt and the per-step tick; an engine supplies only
+    start, step, a checkpoint payload digest and report.  After the
     join, on the caller's domain, the runner derives each shard's
     {!Obs.Telemetry} stream from its buffered events
     ({!Obs.Telemetry.of_events}, in plain and supervised runs alike),
@@ -159,14 +159,15 @@ val run_paging :
       on a simulated wall timeline) is written separately to
       [supervision] and is itself deterministic.
 
-    An alloc shard resumes by restoring its arena directly from the
-    checkpoint encoding; a paging shard resumes by replaying the
-    references before the checkpoint with emission suppressed and
-    verifying clock, RNG, event count and fault digest against the
-    checkpoint ({!Checkpoint.Inconsistent} poisons an untrustworthy
-    checkpoint and costs a restart).  Each strategy is its engine's
-    [resume]; restarts follow {!Supervisor}'s fixed budget and
-    backoff.
+    A shard of either engine resumes the one way, by replay: it starts
+    afresh, runs the steps before its checkpoint without ticking the
+    supervisor, and must then match the checkpoint exactly — progress
+    within the step count, clock, RNG state, the engine's payload
+    digest (the alloc engine's live count and cache counters, the
+    paging engine's fault and write-back counts) and every buffered
+    event.  A mismatch raises {!Checkpoint.Inconsistent}, which
+    poisons the checkpoint and costs a restart.  Restarts follow
+    {!Supervisor}'s fixed budget and backoff.
 
     [checkpoint_every] counts workload steps (default 512; 0 disables
     checkpointing).  With [checkpoint_dir], checkpoints are mirrored

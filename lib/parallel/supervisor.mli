@@ -66,7 +66,7 @@ val inject_of_kills :
 type snap = {
   sn_clock_us : int;  (** the shard's virtual clock now *)
   sn_rng : int64;  (** {!Sim.Rng.state} of the shard's stream *)
-  sn_payload : int array;  (** engine-specific encoding or digest *)
+  sn_payload : int array;  (** digest *)
   sn_events : Obs.Event.t array;
       (** the shard's event buffer, shared, not copied: its first
           [sn_count] cells are the events emitted so far, in order, and

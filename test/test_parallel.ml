@@ -421,6 +421,17 @@ let with_temp_dir f =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
+let read_whole path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let write_whole path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
 (* Oldest-first JSON traces. *)
 let collect_fwd runner =
   let buf = ref [] in
@@ -498,6 +509,21 @@ let drawn_kills seed ~shards ~steps =
                s ~attempt
                ~progress:(Sim.Rng.int_in rng 1 (steps - 1)))))
 
+(* A replay that rejected an honest checkpoint would restart from
+   scratch and re-emit the same events, so the trace cannot show it; the
+   crash count can.  When every drawn kill fires (check_kills accepts
+   the schedule), the shards crash exactly once per kill. *)
+let expected_crashes kills ~steps ~checkpoint_every =
+  match Parallel.Supervisor.check_kills ~shards:4 ~steps ~checkpoint_every kills with
+  | Ok () -> Some (List.length kills)
+  | Error _ -> None
+
+let crashes_match expected outcomes =
+  match expected with
+  | None -> true
+  | Some n ->
+    n = Array.fold_left (fun acc o -> acc + o.Parallel.Supervisor.o_crashes) 0 outcomes
+
 let prop_supervised_alloc_recovery =
   QCheck.Test.make ~name:"alloc recovery bit-identical at every width"
     ~count:6
@@ -508,6 +534,7 @@ let prop_supervised_alloc_recovery =
         collect_fwd (fun obs -> Parallel.Sharded.run_alloc ~obs ~domains:1 cfg)
       in
       let kills = drawn_kills seed ~shards:4 ~steps:300 in
+      let crashes = expected_crashes kills ~steps:300 ~checkpoint_every:64 in
       let sup_ref = ref None in
       List.for_all
         (fun domains ->
@@ -517,7 +544,7 @@ let prop_supervised_alloc_recovery =
                   ~checkpoint_every:64 ~domains cfg)
           with
           | Error _, _, _ -> false
-          | Ok (report, _), trace, sup ->
+          | Ok (report, outcomes), trace, sup ->
             let sup_stable =
               match !sup_ref with
               | None ->
@@ -525,7 +552,8 @@ let prop_supervised_alloc_recovery =
                 true
               | Some s -> s = sup
             in
-            report = ref_report && trace = ref_trace && sup_stable)
+            report = ref_report && trace = ref_trace && sup_stable
+            && crashes_match crashes outcomes)
         [ 1; 2; 4 ])
 
 let prop_supervised_paging_recovery =
@@ -538,6 +566,7 @@ let prop_supervised_paging_recovery =
         collect_fwd (fun obs -> Parallel.Sharded.run_paging ~obs ~domains:1 cfg)
       in
       let kills = drawn_kills (seed + 1) ~shards:4 ~steps:150 in
+      let crashes = expected_crashes kills ~steps:150 ~checkpoint_every:32 in
       List.for_all
         (fun domains ->
           match
@@ -546,8 +575,8 @@ let prop_supervised_paging_recovery =
                   ~checkpoint_every:32 ~domains cfg)
           with
           | Error _, _, _ -> false
-          | Ok (report, _), trace, _ ->
-            report = ref_report && trace = ref_trace)
+          | Ok (report, outcomes), trace, _ ->
+            report = ref_report && trace = ref_trace && crashes_match crashes outcomes)
         [ 1; 2; 4 ])
 
 let test_supervised_escalates_shard_crashed () =
@@ -600,6 +629,95 @@ let test_supervised_checkpoint_dir_mirrors () =
           outcomes.(0).Parallel.Supervisor.o_crashes;
         check_bool "checkpoint mirrored to disk" true
           (Sys.file_exists (Filename.concat dir "shard0.ckpt")))
+
+(* A mirror that parses but lies.  A first traced run leaves every
+   shard's checkpoint in the directory; [edit] rewrites one line of
+   shard 0's, and a second run resumes from the mirrors.  Replay must
+   catch the edit: shard 0 crashes once, on the poisoned checkpoint,
+   every honest mirror is trusted, and the report and trace are the
+   fault-free ones. *)
+let check_lying_mirror what ~reference ~run ~edit =
+  with_temp_dir (fun dir ->
+      let recover () =
+        match collect_supervised (run ~checkpoint_dir:dir) with
+        | Error f, _, _ ->
+          Alcotest.failf "%s escalated: %s" what (Resilience.Failure.to_string f)
+        | Ok (report, outcomes), trace, _ -> (report, trace, outcomes)
+      in
+      let (_ : _ * _ * _) = recover () in
+      let path = Filename.concat dir "shard0.ckpt" in
+      let lines = Array.of_list (String.split_on_char '\n' (read_whole path)) in
+      let i, line = edit lines in
+      check_bool (what ^ ": the edit changes the line") true (line <> lines.(i));
+      lines.(i) <- line;
+      write_whole path (String.concat "\n" (Array.to_list lines));
+      let report, trace, outcomes = recover () in
+      check_bool (what ^ ": fault-free report") true (report = fst reference);
+      check_bool (what ^ ": fault-free trace") true (trace = snd reference);
+      check_int (what ^ ": shard 0 crashed once") 1 outcomes.(0).Parallel.Supervisor.o_crashes;
+      check_int (what ^ ": no other shard crashed") 1
+        (Array.fold_left (fun n o -> n + o.Parallel.Supervisor.o_crashes) 0 outcomes))
+
+(* The first body event, with [move] applied to its kind. *)
+let edit_first_event move lines =
+  match Obs.Event.of_json lines.(1) with
+  | Some ev -> (1, Obs.Event.to_json { ev with kind = move ev.Obs.Event.kind })
+  | None -> Alcotest.fail "checkpoint body unreadable"
+
+(* The header with one digit of its payload changed. *)
+let edit_payload_digit lines =
+  match Obs.Json.flat lines.(0) with
+  | Some fields ->
+    let bump = function
+      | "payload", Obs.Json.String p ->
+        let d = (Char.code p.[0] - Char.code '0' + 1) mod 10 in
+        let rest = String.sub p 1 (String.length p - 1) in
+        ("payload", Obs.Json.String (string_of_int d ^ rest))
+      | field -> field
+    in
+    (0, Obs.Json.to_string (Obs.Json.Obj (List.map bump fields)))
+  | None -> Alcotest.fail "checkpoint header unreadable"
+
+let test_lying_mirror_is_poisoned () =
+  let slot_words = 8 and pages = 12 in
+  let a_cfg =
+    Parallel.Sharded.alloc_config ~shards:2 ~ops_per_shard:300 ~slots_per_shard:64
+      ~slot_words ~seed:5 ()
+  in
+  let a_ref = collect_fwd (fun obs -> Parallel.Sharded.run_alloc ~obs ~domains:1 a_cfg) in
+  let a_run ~checkpoint_dir ~obs ~supervision =
+    Parallel.Sharded.run_alloc_supervised ~obs ~supervision ~checkpoint_every:32
+      ~checkpoint_dir ~domains:2 a_cfg
+  in
+  let move_addr = function
+    | Obs.Event.Alloc { addr; size } -> Obs.Event.Alloc { addr = addr + slot_words; size }
+    | Obs.Event.Free { addr; size } -> Obs.Event.Free { addr = addr + slot_words; size }
+    | k -> k
+  in
+  check_lying_mirror "alloc event" ~reference:a_ref ~run:a_run
+    ~edit:(edit_first_event move_addr);
+  check_lying_mirror "alloc payload" ~reference:a_ref ~run:a_run ~edit:edit_payload_digit;
+  let p_cfg =
+    Parallel.Sharded.paging_config ~shards:2 ~refs_per_shard:150 ~frames_per_shard:6
+      ~pages_per_shard:pages ~seed:5 ()
+  in
+  let p_ref = collect_fwd (fun obs -> Parallel.Sharded.run_paging ~obs ~domains:1 p_cfg) in
+  let p_run ~checkpoint_dir ~obs ~supervision =
+    Parallel.Sharded.run_paging_supervised ~obs ~supervision ~checkpoint_every:32
+      ~checkpoint_dir ~domains:2 p_cfg
+  in
+  (* one page along, staying inside shard 0's pages *)
+  let near page = if page + 1 < pages then page + 1 else page - 1 in
+  let move_page = function
+    | Obs.Event.Fault { page } -> Obs.Event.Fault { page = near page }
+    | Obs.Event.Cold_fault { page } -> Obs.Event.Cold_fault { page = near page }
+    | Obs.Event.Io_start { req; page; io } -> Obs.Event.Io_start { req; page = near page; io }
+    | Obs.Event.Io_done { req; page; io } -> Obs.Event.Io_done { req; page = near page; io }
+    | k -> k
+  in
+  check_lying_mirror "paging event" ~reference:p_ref ~run:p_run
+    ~edit:(edit_first_event move_page);
+  check_lying_mirror "paging payload" ~reference:p_ref ~run:p_run ~edit:edit_payload_digit
 
 (* --- Supervisor over a synthetic body: resume and poisoning --- *)
 
@@ -785,22 +903,13 @@ let test_checkpoint_torn_file_is_no_checkpoint () =
       in
       let st = Parallel.Checkpoint.store ~dir ~shard:0 () in
       Parallel.Checkpoint.save st (sample_state 0);
-      let whole =
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        s
-      in
+      let whole = read_whole path in
       check_bool "intact mirror loads" true (reload () <> None);
       (* a torn write: the file ends mid-record *)
-      let oc = open_out_bin path in
-      output_string oc (String.sub whole 0 (String.length whole / 2));
-      close_out oc;
+      write_whole path (String.sub whole 0 (String.length whole / 2));
       check_bool "torn mirror means no checkpoint" true (reload () = None);
       (* garbage is equally survivable *)
-      let oc = open_out_bin path in
-      output_string oc "this is not a checkpoint\n";
-      close_out oc;
+      write_whole path "this is not a checkpoint\n";
       check_bool "garbage mirror means no checkpoint" true (reload () = None);
       (* a header claiming far more events than the body holds *)
       let header = List.hd (String.split_on_char '\n' whole) in
@@ -814,19 +923,12 @@ let test_checkpoint_torn_file_is_no_checkpoint () =
                   fields))
         | None -> Alcotest.fail "checkpoint header unreadable"
       in
-      let oc = open_out_bin path in
-      output_string oc (inflated ^ "\n");
-      close_out oc;
+      write_whole path (inflated ^ "\n");
       check_bool "inflated event count means no checkpoint" true (reload () = None);
       (* another shard's intact checkpoint, copied over this shard's *)
       let other = Parallel.Checkpoint.store ~dir ~shard:1 () in
       Parallel.Checkpoint.save other (sample_state 1);
-      let ic = open_in_bin (Filename.concat dir "shard1.ckpt") in
-      let theirs = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let oc = open_out_bin path in
-      output_string oc theirs;
-      close_out oc;
+      write_whole path (read_whole (Filename.concat dir "shard1.ckpt"));
       check_bool "another shard's mirror means no checkpoint" true (reload () = None);
       (* and a missing file *)
       Sys.remove path;
@@ -852,12 +954,6 @@ let test_pool_joins_all_before_reraise () =
     (Atomic.get finished)
 
 (* --- The committed recovered-trace fixture --- *)
-
-let read_whole path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 
 let contains_substring haystack needle =
   let hl = String.length haystack and nl = String.length needle in
@@ -1082,6 +1178,8 @@ let () =
             test_supervised_escalates_shard_stalled;
           Alcotest.test_case "checkpoint dir mirrors and recovers" `Quick
             test_supervised_checkpoint_dir_mirrors;
+          Alcotest.test_case "well-formed but wrong mirror is poisoned" `Quick
+            test_lying_mirror_is_poisoned;
           Alcotest.test_case "restart resumes from the checkpoint" `Quick
             test_supervise_resumes_from_checkpoint;
           Alcotest.test_case "inconsistent checkpoint is poisoned" `Quick
