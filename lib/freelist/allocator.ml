@@ -105,10 +105,10 @@ let create ?(obs = Obs.Sink.null) ?clock mem ~base ~len ~policy =
    or [null].  The index finds the hole the linear scan of the
    simulated supervisor would pick, and [t.examined] is set to the
    number of free-list nodes that scan looks at, from the ranks of holes
-   in address order. *)
+   in address order: a hit's rank comes from the search that found it. *)
 let lowest_fit t ~needed =
   let off = Hole_index.first t.holes ~from:0 ~needed in
-  if off <> null then t.examined <- Hole_index.rank t.holes off + 1;
+  if off <> null then t.examined <- Hole_index.hit_rank t.holes + 1;
   off
 
 let find_hole t ~take_high ~needed =
@@ -122,12 +122,12 @@ let find_hole t ~take_high ~needed =
     let skipped = Hole_index.rank t.holes start in
     let off = Hole_index.first t.holes ~from:start ~needed in
     if off <> null then begin
-      t.examined <- Hole_index.rank t.holes off - skipped + 1;
+      t.examined <- Hole_index.hit_rank t.holes - skipped + 1;
       off
     end
     else begin
       let off = Hole_index.first t.holes ~from:0 ~needed in
-      if off <> null then t.examined <- holes - skipped + Hole_index.rank t.holes off + 1;
+      if off <> null then t.examined <- holes - skipped + Hole_index.hit_rank t.holes + 1;
       off
     end
   | Policy.Best_fit -> (
@@ -146,16 +146,20 @@ let find_hole t ~take_high ~needed =
     if take_high then Hole_index.last t.holes ~needed else lowest_fit t ~needed
 
 (* Mark the [size] words at [off], carved from the hole at [hole],
-   allocated and account for them.  A next-fit rove resumes at the
-   lowest hole at or above [resume] (what is left of the hole, or else
-   the hole after it), wrapping to the lowest hole when there is none. *)
-let grant t ~hole ~off ~size ~remainder ~resume =
+   allocated and account for them.  A next-fit rove resumes at [rest],
+   what is left of the hole, which needs no search.  After an exact fit
+   ([rest] null) it resumes at the next hole above, wrapping to the
+   lowest hole when there is none. *)
+let grant t ~hole ~off ~size ~remainder ~rest =
   Block.write_tags t.mem ~base:t.base off ~size ~allocated:true;
   set_live t off true;
   (match t.policy with
    | Policy.Next_fit ->
-     let next = hole_from t resume in
-     t.rover <- (if next <> null then next else hole_from t 0)
+     if rest <> null then t.rover <- rest
+     else begin
+       let next = hole_from t hole in
+       t.rover <- (if next <> null then next else hole_from t 0)
+     end
    | Policy.First_fit | Policy.Best_fit | Policy.Worst_fit | Policy.Two_ends _ -> ());
   t.live_words <- t.live_words + size - Block.overhead;
   t.live_blocks <- t.live_blocks + 1;
@@ -169,7 +173,7 @@ let grant t ~hole ~off ~size ~remainder ~resume =
 let alloc t request =
   assert (request >= 1);
   t.ops <- t.ops + 1;
-  let needed = max Block.min_block (request + Block.overhead) in
+  let needed = Int.max Block.min_block (request + Block.overhead) in
   (* Two-ends serves large requests from the highest sufficient hole. *)
   let take_high =
     match t.policy with
@@ -187,20 +191,20 @@ let alloc t request =
       let remainder = size - needed in
       if remainder < Block.min_block then begin
         index_remove t off size;
-        grant t ~hole:off ~off ~size ~remainder ~resume:off
+        grant t ~hole:off ~off ~size ~remainder ~rest:null
       end
       else if take_high then begin
         (* The hole shrinks in place.  The allocation sits at its high
            end. *)
         Block.write_tags t.mem ~base:t.base off ~size:remainder ~allocated:false;
         index_change t off size off remainder;
-        grant t ~hole:off ~off:(off + remainder) ~size:needed ~remainder ~resume:off
+        grant t ~hole:off ~off:(off + remainder) ~size:needed ~remainder ~rest:off
       end
       else begin
         let rem_off = off + needed in
         Block.write_tags t.mem ~base:t.base rem_off ~size:remainder ~allocated:false;
         index_change t off size rem_off remainder;
-        grant t ~hole:off ~off ~size:needed ~remainder ~resume:rem_off
+        grant t ~hole:off ~off ~size:needed ~remainder ~rest:rem_off
       end
     end
   in
@@ -273,7 +277,11 @@ let free_block_sizes t = Hole_index.fold t.holes (fun _ size sizes -> size :: si
 
 let free_words t = Hole_index.fold t.holes (fun _ size words -> words + size) 0
 
-let largest_free t = max 0 (Hole_index.largest t.holes - Block.overhead)
+let largest_free t = Int.max 0 (Hole_index.largest t.holes - Block.overhead)
+
+let index_visits t =
+  Hole_index.visits t.holes
+  + match t.by_size with Some by_size -> Hole_index.visits by_size | None -> 0
 
 let compact t channel ~relocate =
   let blocks = walk t in
@@ -341,6 +349,13 @@ let validate t =
     | [ _ ] | [] -> ()
   in
   adjacent blocks;
+  let check_index name index =
+    match Hole_index.check index with
+    | Ok () -> ()
+    | Error e -> fail "validate: %s index: %s" name e
+  in
+  check_index "hole" t.holes;
+  Option.iter (check_index "size") t.by_size;
   let walked_holes =
     List.filter_map (fun b -> if b.allocated then None else Some (b.off, b.size)) blocks
   in

@@ -76,6 +76,12 @@ val search_stats : t -> Metrics.Stats.t
     allocation attempt, counted from their ranks in the index — the
     bookkeeping cost the paper weighs against fragmentation. *)
 
+val index_visits : t -> int
+(** Index nodes the host has stepped to since {!create}, summed over
+    the allocator's hole indexes ({!Hole_index.visits}): the host's
+    search cost, where {!search_stats} counts the simulated
+    supervisor's. *)
+
 val compact : t -> Memstore.Channel.t -> relocate:(int -> int -> unit) -> unit
 (** Slide every live block to the low end of the region, leaving one
     maximal hole.  [relocate old_payload new_payload] is invoked for
@@ -92,6 +98,7 @@ val walk : t -> walk_block list
 val validate : t -> unit
 (** Walk raw memory and check every invariant against the walk (tags
     consistent, sizes tile the region, no adjacent free blocks, both
-    hole indexes = free blocks, the next-fit rover on a hole, live-block
+    hole indexes = free blocks and each well formed by
+    {!Hole_index.check}, the next-fit rover on a hole, live-block
     record = allocated blocks, counters consistent).
     Raises [Failure] describing the first violation. *)

@@ -7,13 +7,14 @@
     the placement queries below and {!rank} take O(log holes) time.
     The tree is a treap in flat int arrays whose priorities hash a
     node's slot, not its key, so that {!change} can re-key a node where
-    it stands.  Its shape is deterministic, but depends on the history
-    of edits as well as on the keys held; no query's answer does.
+    it stands.  Its shape is a function of the keys held and the slots
+    that hold them, so it depends on the history of edits only through
+    which slots were reused; no query's answer does.
 
     The index is bookkeeping of the simulator, and {!Allocator}'s only
     record of which blocks are holes: it answers each placement query,
     and the cost of the free-list walk a supervisor would make instead
-    is computed from {!rank}. *)
+    is computed from {!hit_rank} and {!rank}. *)
 
 type t
 
@@ -23,7 +24,8 @@ val create : unit -> t
 val length : t -> int
 
 val add : t -> key:int -> size:int -> unit
-(** Adds a node.  Keys are non-negative and distinct: adding a key
+(** Adds a node, in one descent that splits the subtree it lands on
+    at the new key.  Keys are non-negative and distinct: adding a key
     already held corrupts the index. *)
 
 val remove : t -> int -> unit
@@ -41,7 +43,11 @@ val rank : t -> int -> int
 
 val first : t -> from:int -> needed:int -> int
 (** The least key at or above [from] whose size is at least [needed],
-    or -1. *)
+    or -1.  A hit's rank comes from the same descent: see {!hit_rank}. *)
+
+val hit_rank : t -> int
+(** The number of keys below the key the last {!first} returned, when
+    that call found one; after a miss it is left as it was. *)
 
 val last : t -> needed:int -> int
 (** The greatest key whose size is at least [needed], or -1. *)
@@ -52,3 +58,14 @@ val largest : t -> int
 val fold : t -> (int -> int -> 'a -> 'a) -> 'a -> 'a
 (** [fold t f init] applies [f key size] from the greatest key down,
     so that consing yields a list in ascending key order. *)
+
+val visits : t -> int
+(** Nodes stepped to since {!create} by every edit and query above,
+    {!fold} included: the host's own work, where {!rank} gives the
+    simulated supervisor's.  {!check} counts none. *)
+
+val check : t -> (unit, string) result
+(** Walks the whole tree and checks that keys are in order, slot
+    priorities in heap order, and every node's count and largest size
+    equal to its children's and its own.  [Error] names the first node
+    found wrong. *)

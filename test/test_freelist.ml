@@ -230,6 +230,36 @@ let test_reads_flat_in_hole_count () =
       Freelist.Allocator.validate a)
     Freelist.Policy.all_standard
 
+(* What the store's counters cannot see: the host's own steps through
+   the hole index.  A search, an edit and the rover's moves each step
+   to O(log holes) nodes, and the logarithm grows by about 1.4x from
+   1,001 to 16,001 holes; a walk or fold of the index grows 16x. *)
+let test_index_work_flat_in_hole_count () =
+  let per_op policy ~blocks =
+    let words = (blocks * 16) + 33_536 in
+    let mem = Memstore.Physical.create ~name:"core" ~words in
+    let a = Freelist.Allocator.create mem ~base:0 ~len:words ~policy in
+    let addrs = Array.init blocks (fun _ -> Option.get (Freelist.Allocator.alloc a 14)) in
+    Array.iteri (fun i addr -> if i mod 2 = 0 then Freelist.Allocator.free a addr) addrs;
+    check_int "holes" ((blocks / 2) + 1) (List.length (Freelist.Allocator.free_block_sizes a));
+    let before = Freelist.Allocator.index_visits a in
+    let sizes = [| 5; 14; 30; 100; 300 |] in
+    for i = 0 to 199 do
+      let addr = Option.get (Freelist.Allocator.alloc a sizes.(i mod Array.length sizes)) in
+      Freelist.Allocator.free a addr
+    done;
+    let per_op = float_of_int (Freelist.Allocator.index_visits a - before) /. 400. in
+    Freelist.Allocator.validate a;
+    per_op
+  in
+  List.iter
+    (fun policy ->
+      let small = per_op policy ~blocks:2_000 and large = per_op policy ~blocks:32_000 in
+      if large >= 2. *. small then
+        Alcotest.failf "%s: %.1f index nodes per operation at 16,001 holes, %.1f at 1,001"
+          (Freelist.Policy.to_string policy) large small)
+    Freelist.Policy.all_standard
+
 (* Store words one first-fit free reads and writes in each neighbour
    case.  The freed block lies below every other hole, and the tail of
    the region is a hole above it.  Whatever the neighbours, a free reads
@@ -542,8 +572,9 @@ let allocator_matches_model policy =
 
 (* Hole_index alone against a sorted (key, size) list: random adds,
    removes and changes that cross no other key.  After every operation
-   the index and the list agree on their contents and on the queries
-   at a random probe. *)
+   the index is well formed, and it and the list agree on their
+   contents and on the queries at a random probe, the rank of
+   [first]'s hit included. *)
 let hole_index_matches_model =
   let module H = Freelist.Hole_index in
   QCheck.Test.make ~name:"hole index matches a sorted list" ~count:200
@@ -583,14 +614,18 @@ let hole_index_matches_model =
             if got <> want then
               QCheck.Test.fail_reportf "step %d: %s %d, model %d" step what got want
           in
+          (match H.check t with
+           | Ok () -> ()
+           | Error e -> QCheck.Test.fail_reportf "step %d: %s" step e);
           if H.fold t (fun k s acc -> (k, s) :: acc) [] <> m then
             QCheck.Test.fail_reportf "step %d: fold differs from the model" step;
           expect "length" (H.length t) (List.length m);
           expect "largest" (H.largest t) (List.fold_left (fun l (_, s) -> max l s) 0 m);
           expect "rank" (H.rank t probe) (List.length (List.filter (fun (k, _) -> k < probe) m));
-          expect "first"
-            (H.first t ~from:probe ~needed)
-            (key_of (List.find_opt (fun (k, s) -> k >= probe && fits (k, s)) m));
+          let hit = H.first t ~from:probe ~needed in
+          expect "first" hit (key_of (List.find_opt (fun (k, s) -> k >= probe && fits (k, s)) m));
+          if hit >= 0 then
+            expect "hit rank" (H.hit_rank t) (List.length (List.filter (fun (k, _) -> k < hit) m));
           expect "last" (H.last t ~needed) (key_of (List.find_opt fits (List.rev m))))
         ops;
       true)
@@ -936,6 +971,8 @@ let () =
           Alcotest.test_case "bad free rejected" `Quick test_free_bad_address_rejected;
           Alcotest.test_case "search stats" `Quick test_search_stats_recorded;
           Alcotest.test_case "reads flat in hole count" `Quick test_reads_flat_in_hole_count;
+          Alcotest.test_case "index work flat in hole count" `Quick
+            test_index_work_flat_in_hole_count;
           Alcotest.test_case "free store traffic" `Quick test_free_store_traffic;
         ] );
       ( "placement",
