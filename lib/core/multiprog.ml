@@ -58,7 +58,6 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
   let job_of s = s / stride in
   let key s = (job_of s lsl 32) lor (s mod stride) in
   let slot_of_key k = ((k lsr 32) * stride) + (k land 0xFFFF_FFFF) in
-  let resident = Paging.Resident.create ~capacity:frames in
   let ready_at = Array.make (Array.length jobs * stride) absent in
   let ready : int Queue.t = Queue.create () in
   let blocked : int Sim.Heap.t = Sim.Heap.create () in
@@ -78,22 +77,27 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
   (* An in-flight fetch whose completion the device has not yet
      committed to a time (requests queue and may be reordered). *)
   let in_flight = max_int in
+  (* The resident slots under the policy; a page whose fetch has not
+     completed is pinned. *)
+  let resident =
+    Paging.Frames.create
+      ~pinned:(fun s -> ready_at.(s) > !now)
+      ~capacity:frames ~keys:(Array.length jobs * stride) policy
+  in
   let emit kind = Obs.Sink.emit obs (Obs.Event.make ~t_us:!now kind) in
   if tracing then Array.iter (fun j -> emit (Obs.Event.Job_start { job = j.index })) jobs;
   let drop s =
-    Paging.Resident.remove resident s;
-    ready_at.(s) <- absent
+    Paging.Frames.remove resident ~page:s;
+    ready_at.(s) <- absent;
+    if tracing then emit (Obs.Event.Eviction { page = key s })
   in
   (* Drop every committed-resident page of job [idx] (its in-flight
-     pages, if any, stay resident and resolve on delivery). *)
+     pages, if any, stay resident and resolve on delivery), walking a
+     copy of the members, since [drop] shifts the set's own array. *)
   let evict_job_pages idx =
     Array.iter
-      (fun s ->
-        drop s;
-        policy.Paging.Replacement.on_evict ~page:s;
-        if tracing then emit (Obs.Event.Eviction { page = key s }))
-      (Paging.Resident.filter resident (fun s ->
-           job_of s = idx && ready_at.(s) <> in_flight))
+      (fun s -> if job_of s = idx && ready_at.(s) <> in_flight then drop s)
+      (Array.copy (Paging.Frames.elements resident))
   in
   let unpark j =
     if j.parked then begin
@@ -122,11 +126,9 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
        was parked; the failure empties its working set anyway, so the
        abort re-admits it rather than restarting a parked job. *)
     unpark j;
-    drop s;
     (* the fault announced page [s], and the policy saw it load; retract
        it before the job's committed pages go *)
-    policy.Paging.Replacement.on_evict ~page:s;
-    if tracing then emit (Obs.Event.Eviction { page = key s });
+    drop s;
     evict_job_pages j.index;
     if j.restarts < max_restarts then begin
       j.restarts <- j.restarts + 1;
@@ -151,27 +153,6 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
       Queue.add (job_of s) ready;
       Queue.transfer stalled ready
   in
-  let candidates () =
-    (* Frames whose fetch has completed; in-flight pages are pinned.
-       With none in flight, the resident array itself. *)
-    let members = Paging.Resident.elements resident in
-    let n = Array.length members and pinned = ref 0 in
-    for i = 0 to n - 1 do
-      if ready_at.(members.(i)) > !now then incr pinned
-    done;
-    if !pinned = 0 then members
-    else begin
-      let pool = Array.make (n - !pinned) 0 and kept = ref 0 in
-      for i = 0 to n - 1 do
-        let s = members.(i) in
-        if ready_at.(s) <= !now then begin
-          pool.(!kept) <- s;
-          incr kept
-        end
-      done;
-      pool
-    end
-  in
   let start_fetch j s =
     j.faults <- j.faults + 1;
     (match controller with
@@ -191,8 +172,7 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
            ~words:0
        in
        incr outstanding;
-       ready_at.(s) <- in_flight);
-    policy.Paging.Replacement.on_load ~page:s
+       ready_at.(s) <- in_flight)
   in
   (* Run job [j] until it faults, exhausts its quantum, or finishes.
      Returns true if it should be requeued as ready. *)
@@ -208,7 +188,9 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
       else if quantum = 0 then true
       else begin
         let s = (j.index * stride) + j.spec.Workload.Job.refs.(j.pos) in
-        policy.Paging.Replacement.on_reference ~page:s ~write:false;
+        (* a job that faulted here retries this reference once its page
+           lands, and the policy hears of it a second time *)
+        Paging.Frames.reference resident ~page:s ~write:false;
         let ready = ready_at.(s) in
         if ready <> absent && ready <= !now then begin
           j.pos <- j.pos + 1;
@@ -223,14 +205,13 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
           else Sim.Heap.add blocked ready j.index;
           false
         end
-        else if Paging.Resident.length resident < frames then begin
-          Paging.Resident.add resident s;
-          start_fetch j s;
-          false
-        end
         else begin
-          let pool = candidates () in
-          if Array.length pool = 0 then begin
+          let outcome =
+            if Paging.Frames.length resident < frames then Paging.Frames.fault resident ~page:s
+            else
+              Obs.Prof.span "multiprog.victim" (fun () -> Paging.Frames.fault resident ~page:s)
+          in
+          if outcome = Paging.Frames.stalled then begin
             (* Everything in flight: stall until something arrives. *)
             (match device with
              | Some _ -> Queue.add j.index stalled
@@ -238,20 +219,16 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
                let earliest =
                  Array.fold_left
                    (fun acc s -> Int.min acc ready_at.(s))
-                   max_int (Paging.Resident.elements resident)
+                   max_int (Paging.Frames.elements resident)
                in
                Sim.Heap.add blocked earliest j.index);
             false
           end
           else begin
-            let victim =
-              Obs.Prof.span "multiprog.victim" (fun () ->
-                  policy.Paging.Replacement.choose_victim ~candidates:pool)
-            in
-            Paging.Resident.replace resident ~victim s;
-            ready_at.(victim) <- absent;
-            policy.Paging.Replacement.on_evict ~page:victim;
-            if tracing then emit (Obs.Event.Eviction { page = key victim });
+            if outcome >= 0 then begin
+              ready_at.(outcome) <- absent;
+              if tracing then emit (Obs.Event.Eviction { page = key outcome })
+            end;
             start_fetch j s;
             false
           end
@@ -278,7 +255,9 @@ let run ?(quantum_refs = 50) ?(obs = Obs.Sink.null) ?device ?(max_restarts = 3)
     loop ()
   in
   let occupancy idx =
-    Array.length (Paging.Resident.filter resident (fun s -> job_of s = idx))
+    Array.fold_left
+      (fun n s -> if job_of s = idx then n + 1 else n)
+      0 (Paging.Frames.elements resident)
   in
   let shed_one c =
     let candidates =

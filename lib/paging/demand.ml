@@ -16,7 +16,7 @@ type t = {
   device : Device.Model.t option;  (* timed backing store; None = flat latency *)
   recovery : recovery;
   page_table : Page_table.t;
-  resident : Resident.t;  (* resident pages *)
+  frames : Frames.t;  (* resident pages under the policy, locked ones pinned *)
   free : Resident.t;  (* free frames, the lowest taken first *)
   ready_at : int array;  (* per page: completion time of an in-flight fetch *)
   space_time : Metrics.Space_time.t;
@@ -43,12 +43,16 @@ let create ?(obs = Obs.Sink.null) ?device ?(recovery = Mirror) cfg =
   for frame = 0 to cfg.frames - 1 do
     Resident.add free frame
   done;
+  let page_table = Page_table.create ~pages:cfg.pages in
   {
     cfg;
     device;
     recovery;
-    page_table = Page_table.create ~pages:cfg.pages;
-    resident = Resident.create ~capacity:cfg.frames;
+    page_table;
+    frames =
+      Frames.create
+        ~pinned:(fun page -> Page_table.locked page_table ~page)
+        ~capacity:cfg.frames ~keys:cfg.pages cfg.policy;
     free;
     ready_at = Array.make cfg.pages 0;
     space_time = Metrics.Space_time.create ();
@@ -81,7 +85,7 @@ let emit_io_pair t ~io ~page ~finish =
   Obs.Sink.emit t.obs (Obs.Event.make ~t_us:start (Obs.Event.Io_start { req; page; io }));
   Obs.Sink.emit t.obs (Obs.Event.make ~t_us:finish (Obs.Event.Io_done { req; page; io }))
 
-let resident_count t = Resident.length t.resident
+let resident_count t = Frames.length t.frames
 
 let resident_words t = resident_count t * t.cfg.page_size
 
@@ -95,9 +99,6 @@ let timed t state f =
   Metrics.Space_time.accrue t.space_time ~words ~dt state;
   Metrics.Timeline.record t.timeline ~at:before ~dt ~words state;
   result
-
-let candidates t =
-  Resident.filter t.resident (fun page -> not (Page_table.locked t.page_table ~page))
 
 let evict_page t page =
   let frame =
@@ -132,22 +133,17 @@ let evict_page t page =
     if t.tracing then emit t (Writeback { page })
   end;
   Page_table.evict t.page_table ~page;
-  Resident.remove t.resident page;
+  Frames.remove t.frames ~page;
   Resident.add t.free frame;
-  t.cfg.policy.Replacement.on_evict ~page;
   if t.tracing then emit t (Eviction { page })
 
 let free_a_frame t =
   match Resident.lowest t.free with
   | Some frame -> frame
   | None ->
-    let pool = candidates t in
+    let victim = Obs.Prof.span "demand.victim" (fun () -> Frames.choose t.frames) in
     (* lint: allow L4 — all frames locked is a documented fatal misconfiguration *)
-    if Array.length pool = 0 then failwith "Demand: every frame is locked";
-    let victim =
-      Obs.Prof.span "demand.victim" (fun () ->
-          t.cfg.policy.Replacement.choose_victim ~candidates:pool)
-    in
+    if victim = Frames.stalled then failwith "Demand: every frame is locked";
     evict_page t victim;
     (match Resident.lowest t.free with
      | Some frame -> frame
@@ -155,10 +151,9 @@ let free_a_frame t =
 
 let install t ~page ~frame ~finish =
   Resident.remove t.free frame;
-  Resident.add t.resident page;
   Page_table.install t.page_table ~page ~frame;
   t.ready_at.(page) <- finish;
-  t.cfg.policy.Replacement.on_load ~page
+  Frames.load t.frames ~page
 
 (* Start the page moving from backing store into a frame; the recorded
    ready time is when the data is usable.  With a device model the
@@ -278,7 +273,7 @@ let access t name ~write =
   t.refs <- t.refs + 1;
   timed t Metrics.Space_time.Active (fun () ->
       Sim.Clock.advance (clock t) t.cfg.compute_us_per_ref);
-  t.cfg.policy.Replacement.on_reference ~page ~write;
+  Frames.reference t.frames ~page ~write;
   let frame =
     match translate t page with
     | Some frame ->
@@ -375,7 +370,12 @@ let lock t ~page =
      await t page
    | Some _ -> ());
   Page_table.lock t.page_table ~page;
-  if Array.length (candidates t) = 0 && Resident.length t.free = 0 then begin
+  if
+    Resident.length t.free = 0
+    && Array.for_all
+         (fun page -> Page_table.locked t.page_table ~page)
+         (Frames.elements t.frames)
+  then begin
     Page_table.unlock t.page_table ~page;
     invalid_arg "Demand.lock: would leave no evictable frame"
   end

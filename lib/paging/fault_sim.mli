@@ -12,7 +12,7 @@
     timestamp (this engine has no clock); the default no-op sink costs
     one branch per emission site. *)
 
-type result = {
+type result = Frames.result = {
   refs : int;  (** references processed *)
   faults : int;  (** includes cold (first-touch) faults *)
   cold : int;  (** faults on first touch of each page *)
@@ -25,10 +25,10 @@ val run :
     The [policy] must be freshly created (policies carry state).
 
     Raises [Invalid_argument] if the trace holds a negative page.  The
-    run keeps one byte per page number up to the largest page
-    referenced, as OPT's tables already do, and the resident pages in
-    a {!Resident.t}: once every frame is full, its array is the
-    [candidates] of each victim choice. *)
+    run is a {!Frames} set over the page numbers up to the largest one
+    referenced (one state byte each, as OPT's tables already keep one
+    entry each) driven by {!Frames.run}: once every frame is full, its
+    member array is the [candidates] of each victim choice. *)
 
 val fault_rate : result -> float
 (** faults / refs (0. for an empty trace). *)

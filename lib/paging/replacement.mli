@@ -11,22 +11,23 @@
     plus CLOCK, NRU, LFU and working-set as the standard points of
     comparison.
 
-    A policy is a record of callbacks driven by the paging engine:
-    [on_reference] fires for {e every} reference in trace order (hit or
-    fault), [on_load]/[on_evict] on residency changes, and
+    A policy is a record of callbacks driven by a {!Frames} set:
+    [on_reference] fires for every reference in trace order (hit or
+    fault), and once more when a Multiprog job retries a faulted
+    reference; [on_load]/[on_evict] on residency changes; and
     [choose_victim] must return one of the [candidates] it is given
-    (already filtered for locked pages).
+    (Demand's locked pages and Multiprog's pages in flight left out).
 
     The [candidates] array is non-empty and strictly ascending, and it
     is lent for the call only: the engine may reuse it afterwards (the
-    fault simulator passes its own resident set), so a policy must
-    neither keep it nor modify it.  FIFO and CLOCK test membership by
-    binary search on that order.
+    frame set passes its own member array), so a policy must neither
+    keep it nor modify it.  FIFO and CLOCK test membership by binary
+    search on that order.
 
     [on_evict] fires for every page that leaves working storage, the
     policy's own victims and pages an engine drops outside any choice
     (Demand's [advise_wont_need], Multiprog's aborts and load shedding)
-    alike.
+    alike; a page whose fetch failed never loaded and gets neither.
 
     Keys are dense non-negative ints: every engine numbers its pages
     [0 .. n-1] for its [n] pages, in an order it keeps fixed.  A

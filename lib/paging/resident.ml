@@ -80,14 +80,3 @@ let replace t ~victim x =
 let lowest t = if t.n = 0 then None else Some t.set.(0)
 
 let elements t = if t.n = Array.length t.set then t.set else Array.sub t.set 0 t.n
-
-let filter t keep =
-  let out = Array.make t.n 0 and kept = ref 0 in
-  for i = 0 to t.n - 1 do
-    let x = t.set.(i) in
-    if keep x then begin
-      out.(!kept) <- x;
-      incr kept
-    end
-  done;
-  if !kept = t.n then out else Array.sub out 0 !kept

@@ -1,17 +1,15 @@
 (** The pages currently in working storage.
 
     Every replacement strategy chooses among exactly these pages, so
-    every paging engine keeps them here: a set of ints (page numbers,
-    job- or segment-tagged keys, or free frame numbers) held in one
-    ascending array of fixed capacity.  Membership finds a value by
-    bisection; insertion and removal find their slot the same way and
-    shift the members above it by one, and {!replace} does a fault's
-    removal and insertion as one shift between the two slots.  A victim
-    choice reads the array directly: {!elements} lends the array itself
-    once the set is full.  Demand, which skips locked pages, takes a
-    {!filter}ed copy; Multiprog, which skips pages still in flight,
-    hands on the lent array when none is and copies the rest when some
-    are. *)
+    every paging engine keeps them here, most through a {!Frames} set:
+    a set of ints (page numbers, job- or segment-tagged keys, or
+    Demand's free frame numbers) held in one ascending array of fixed
+    capacity.  Membership finds a value by bisection; insertion and
+    removal find their slot the same way and shift the members above it
+    by one, and {!replace} does a fault's removal and insertion as one
+    shift between the two slots.  A victim choice reads the array
+    directly: {!elements} lends the array itself once the set is full,
+    and a frame set with no page pinned hands that array on. *)
 
 type t
 
@@ -45,7 +43,3 @@ val elements : t -> int array
     {!replace} and must not be modified, which is what
     {!Replacement.t}'s [choose_victim] promises.  Otherwise it is a
     fresh copy. *)
-
-val filter : t -> (int -> bool) -> int array
-(** The members that satisfy the predicate, ascending, in a fresh
-    array. *)

@@ -9,8 +9,7 @@ type config = {
    dense key space, segment by segment. *)
 type pool = {
   capacity : int;
-  resident : Paging.Resident.t;
-  lru : Paging.Replacement.t;
+  frames : Paging.Frames.t;
   first : int array;  (* per segment, the key of its first page here *)
   mutable faults : int;
 }
@@ -40,8 +39,10 @@ let create cfg ~segments =
     done;
     {
       capacity;
-      resident = Paging.Resident.create ~capacity;
-      lru = Paging.Replacement.lru ();
+      frames =
+        Paging.Frames.create ~capacity
+          ~keys:(Array.fold_left (fun n length -> n + pages length) 0 segments)
+          (Paging.Replacement.lru ());
       first;
       faults = 0;
     }
@@ -62,25 +63,11 @@ let create cfg ~segments =
     refs = 0;
   }
 
-(* A pool of no frames faults on every reference and holds nothing. *)
+(* A pool of no frames faults on every reference, holds nothing and
+   never asks its LRU. *)
 let pool_touch pool key =
-  if pool.capacity = 0 then pool.faults <- pool.faults + 1
-  else begin
-    pool.lru.Paging.Replacement.on_reference ~page:key ~write:false;
-    if not (Paging.Resident.mem pool.resident key) then begin
-      pool.faults <- pool.faults + 1;
-      if Paging.Resident.length pool.resident >= pool.capacity then begin
-        let victim =
-          pool.lru.Paging.Replacement.choose_victim
-            ~candidates:(Paging.Resident.elements pool.resident)
-        in
-        Paging.Resident.replace pool.resident ~victim key;
-        pool.lru.Paging.Replacement.on_evict ~page:victim
-      end
-      else Paging.Resident.add pool.resident key;
-      pool.lru.Paging.Replacement.on_load ~page:key
-    end
-  end
+  if pool.capacity = 0 || Paging.Frames.touch pool.frames ~page:key ~write:false <> Paging.Frames.hit
+  then pool.faults <- pool.faults + 1
 
 let touch t ~segment ~offset ~write =
   ignore write;
@@ -105,15 +92,15 @@ let large_faults t = t.large.faults
 let faults t = t.small.faults + t.large.faults
 
 let resident_words t =
-  (Paging.Resident.length t.small.resident * t.cfg.small_page)
-  + (Paging.Resident.length t.large.resident * t.cfg.large_page)
+  (Paging.Frames.length t.small.frames * t.cfg.small_page)
+  + (Paging.Frames.length t.large.frames * t.cfg.large_page)
 
 (* Large pages lie wholly inside their segment's body. *)
 let resident_useful_words t =
   Array.fold_left
     (fun acc key -> acc + t.tail_words.(key))
-    (Paging.Resident.length t.large.resident * t.cfg.large_page)
-    (Paging.Resident.elements t.small.resident)
+    (Paging.Frames.length t.large.frames * t.cfg.large_page)
+    (Paging.Frames.elements t.small.frames)
 
 let core_words t =
   (t.cfg.small_frames * t.cfg.small_page) + (t.cfg.large_frames * t.cfg.large_page)

@@ -9,7 +9,7 @@ type t = {
   cfg : config;
   lengths : int array;  (* per segment, in words *)
   first : int array;  (* per segment, the key of its page 0 *)
-  resident : Paging.Resident.t;  (* resident page keys *)
+  frames : Paging.Frames.t;  (* resident page keys, under the policy *)
   mutable refs : int;
   mutable faults : int;
   mutable map_accesses : int;
@@ -18,15 +18,19 @@ type t = {
 let create cfg ~segments =
   assert (cfg.page_size > 0 && cfg.frames > 0);
   Array.iter (fun length -> assert (length >= 1)) segments;
+  let pages length = (length + cfg.page_size - 1) / cfg.page_size in
   let first = Array.make (Array.length segments) 0 in
   for i = 1 to Array.length segments - 1 do
-    first.(i) <- first.(i - 1) + ((segments.(i - 1) + cfg.page_size - 1) / cfg.page_size)
+    first.(i) <- first.(i - 1) + pages segments.(i - 1)
   done;
   {
     cfg;
     lengths = Array.copy segments;
     first;
-    resident = Paging.Resident.create ~capacity:cfg.frames;
+    frames =
+      Paging.Frames.create ~capacity:cfg.frames
+        ~keys:(Array.fold_left (fun n length -> n + pages length) 0 segments)
+        cfg.policy;
     refs = 0;
     faults = 0;
     map_accesses = 0;
@@ -40,35 +44,19 @@ let touch t ~segment ~offset ~write =
     raise (Descriptor.Subscript_violation { segment; index = offset; extent });
   let k = t.first.(segment) + (offset / t.cfg.page_size) in
   t.refs <- t.refs + 1;
-  t.cfg.policy.Paging.Replacement.on_reference ~page:k ~write;
-  let translated =
-    match t.cfg.tlb with
-    | Some tlb -> (match Paging.Tlb.lookup tlb k with Some _ -> true | None -> false)
-    | None -> false
-  in
-  if not translated then begin
+  match t.cfg.tlb with
+  | Some tlb when Option.is_some (Paging.Tlb.lookup tlb k) ->
+    Paging.Frames.reference t.frames ~page:k ~write
+  | tlb -> (
     (* Walk the segment table, then the page table: two map accesses. *)
     t.map_accesses <- t.map_accesses + 2;
-    if not (Paging.Resident.mem t.resident k) then begin
-      t.faults <- t.faults + 1;
-      if Paging.Resident.length t.resident >= t.cfg.frames then begin
-        let victim =
-          t.cfg.policy.Paging.Replacement.choose_victim
-            ~candidates:(Paging.Resident.elements t.resident)
-        in
-        Paging.Resident.replace t.resident ~victim k;
-        t.cfg.policy.Paging.Replacement.on_evict ~page:victim;
-        match t.cfg.tlb with
-        | Some tlb -> Paging.Tlb.invalidate tlb ~key:victim
-        | None -> ()
-      end
-      else Paging.Resident.add t.resident k;
-      t.cfg.policy.Paging.Replacement.on_load ~page:k
-    end;
-    match t.cfg.tlb with
-    | Some tlb -> Paging.Tlb.insert tlb ~key:k ~value:0
-    | None -> ()
-  end
+    let outcome = Paging.Frames.touch t.frames ~page:k ~write in
+    if outcome <> Paging.Frames.hit then t.faults <- t.faults + 1;
+    match tlb with
+    | Some tlb ->
+      if outcome >= 0 then Paging.Tlb.invalidate tlb ~key:outcome;
+      Paging.Tlb.insert tlb ~key:k ~value:0
+    | None -> ())
 
 let run_segmented t pairs =
   Array.iter (fun (segment, offset) -> touch t ~segment ~offset ~write:false) pairs
@@ -81,7 +69,7 @@ let map_accesses t = t.map_accesses
 
 let tlb t = t.cfg.tlb
 
-let resident_pages t = Paging.Resident.length t.resident
+let resident_pages t = Paging.Frames.length t.frames
 
 let effective_access_us t ~word_us =
   if t.refs = 0 then 0.

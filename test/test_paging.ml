@@ -58,8 +58,6 @@ let test_resident_lowest_first () =
   let all = Paging.Resident.elements free in
   Alcotest.(check (array int)) "ascending" [| 0; 1; 2 |] all;
   check_bool "lent when full" true (all == Paging.Resident.elements free);
-  Alcotest.(check (array int)) "filtered copy" [| 0; 2 |]
-    (Paging.Resident.filter free (fun f -> f <> 1));
   Paging.Resident.remove free 2;
   Alcotest.(check (array int)) "copy when not full" [| 0; 1 |] (Paging.Resident.elements free)
 
@@ -686,12 +684,80 @@ let dual_pager_oracle =
       && (large_frames > 0 || D.large_faults d = Array.length large)
       && (small_frames > 0 || D.small_faults d = Array.length small))
 
+(* --- One protocol: every engine's callback log against Fault_sim's ---
+
+   A policy that delegates to [inner] and logs every call it gets: each
+   reference with its write flag, each victim choice with its
+   candidates and the victim, each eviction and each load, every page
+   renamed by [key].  With [reload], each load is followed by a
+   reference of the same page, passed on to [inner] and logged: what
+   Multiprog's retry of a faulted reference adds. *)
+type call = Ref of int * bool | Choose of int list * int | Evict of int | Load of int
+
+let show_call = function
+  | Ref (p, w) -> Printf.sprintf "reference %d%s" p (if w then " (write)" else "")
+  | Choose (c, v) ->
+    Printf.sprintf "choose [%s] -> %d" (String.concat " " (List.map string_of_int c)) v
+  | Evict p -> Printf.sprintf "evict %d" p
+  | Load p -> Printf.sprintf "load %d" p
+
+let logged ?(reload = false) ?(key = Fun.id) (inner : Paging.Replacement.t) =
+  let log = ref [] in
+  let add c = log := c :: !log in
+  ( {
+      inner with
+      Paging.Replacement.on_reference =
+        (fun ~page ~write ->
+          add (Ref (key page, write));
+          inner.Paging.Replacement.on_reference ~page ~write);
+      on_load =
+        (fun ~page ->
+          add (Load (key page));
+          inner.Paging.Replacement.on_load ~page;
+          if reload then begin
+            add (Ref (key page, false));
+            inner.Paging.Replacement.on_reference ~page ~write:false
+          end);
+      on_evict =
+        (fun ~page ->
+          add (Evict (key page));
+          inner.Paging.Replacement.on_evict ~page);
+      choose_victim =
+        (fun ~candidates ->
+          let v = inner.Paging.Replacement.choose_victim ~candidates in
+          add (Choose (Array.to_list (Array.map key candidates), key v));
+          v);
+    },
+    fun () -> List.rev !log )
+
+(* The two logs are equal, or the report names the first call apart. *)
+let same_log label engine reference =
+  let rec go i = function
+    | [], [] -> true
+    | x :: xs, y :: ys when x = y -> go (i + 1) (xs, ys)
+    | x :: _, y :: _ ->
+      QCheck.Test.fail_reportf "%s, call %d: %s, Fault_sim %s" label i (show_call x) (show_call y)
+    | x :: _, [] -> QCheck.Test.fail_reportf "%s, call %d: %s after Fault_sim's last" label i (show_call x)
+    | [], y :: _ -> QCheck.Test.fail_reportf "%s: ended at call %d, Fault_sim %s" label i (show_call y)
+  in
+  go 0 (engine, reference)
+
+(* Frame counts are drawn as 0-5 plus one, so that shrinking stays in
+   range ([int_range] shrinks towards 0). *)
+let frames_1_6 = QCheck.(set_print string_of_int (map ~rev:pred succ (int_bound 5)))
+
+let with_opt = Paging.Spec.all_practical @ [ Paging.Spec.Opt ]
+
+let instantiate spec ~seed trace =
+  Paging.Spec.instantiate spec ~rng:(Sim.Rng.create seed) ~trace:(Some trace)
+
 (* Two_level without a TLB is Fault_sim over (segment, page) pairs: the
-   same faults as Fault_sim on the touched pairs renamed 0, 1, ... in
-   their own order, which keeps every policy's view of its candidates. *)
+   same calls as Fault_sim on the touched pairs renamed 0, 1, ... in
+   their own order, which keeps every policy's view of its candidates,
+   once Fault_sim's pages are named by Two_level's keys again. *)
 let two_level_oracle =
-  QCheck.Test.make ~name:"Two_level = Fault_sim on dense keys" ~count:60
-    QCheck.(triple (int_range 1 6) small_nat segmented_refs)
+  QCheck.Test.make ~name:"Two_level = Fault_sim on dense keys" ~count:200
+    QCheck.(triple frames_1_6 small_nat segmented_refs)
     (fun (frames, seed, segmented) ->
       let module T = Segmentation.Two_level in
       let lengths, refs = in_range segmented in
@@ -700,14 +766,88 @@ let two_level_oracle =
       let keys = Array.of_list (List.sort_uniq compare pages) in
       let rec rank p i = if keys.(i) = p then i else rank p (i + 1) in
       let dense = Array.of_list (List.map (fun p -> rank p 0) pages) in
+      (* Two_level's key: the pages of the segments before, plus the page *)
+      let own (s, p) =
+        let before = ref 0 in
+        for i = 0 to s - 1 do
+          before := !before + ((lengths.(i) + page_size - 1) / page_size)
+        done;
+        !before + p
+      in
+      let own_trace = Array.of_list (List.map own pages) in
       List.for_all
         (fun spec ->
-          let policy () = Paging.Spec.instantiate spec ~rng:(Sim.Rng.create seed) ~trace:None in
-          let t =
-            T.create { T.page_size; frames; tlb = None; policy = policy () } ~segments:lengths
-          in
+          let policy, log = logged (instantiate spec ~seed own_trace) in
+          let t = T.create { T.page_size; frames; tlb = None; policy } ~segments:lengths in
           List.iter (fun (segment, offset) -> T.touch t ~segment ~offset ~write:false) refs;
-          T.faults t = (Paging.Fault_sim.run ~frames ~policy:(policy ()) dense).faults)
+          let reference, reference_log = logged ~key:(fun d -> own keys.(d)) (instantiate spec ~seed dense) in
+          let r = Paging.Fault_sim.run ~frames ~policy:reference dense in
+          T.faults t = r.Paging.Fault_sim.faults
+          && same_log (Paging.Spec.to_string spec) (log ()) (reference_log ()))
+        with_opt)
+
+(* A Demand engine of 64-word pages over [policy], built by hand because
+   no [Spec.t] describes a wrapped policy. *)
+let demand_over ~frames ~pages policy =
+  let clock = Sim.Clock.create () in
+  let level device name words = Memstore.Level.make clock device ~name ~words in
+  Paging.Demand.create
+    {
+      Paging.Demand.page_size = 64;
+      frames;
+      pages;
+      core = level Memstore.Device.core "core" (frames * 64);
+      backing = level Memstore.Device.drum "drum" (pages * 64);
+      policy;
+      tlb = None;
+      compute_us_per_ref = 1;
+    }
+
+let log_case =
+  QCheck.(
+    triple frames_1_6 small_nat (list_of_size Gen.(int_range 1 150) (pair (int_bound 15) bool)))
+
+(* Demand with Mirror recovery, no device and no locks: its reads and
+   writes make exactly Fault_sim's calls. *)
+let demand_log_property =
+  QCheck.Test.make ~name:"callback log: Demand = Fault_sim" ~count:200 log_case
+    (fun (frames, seed, ops) ->
+      let trace = Array.of_list (List.map fst ops) in
+      let writes = Array.of_list (List.map snd ops) in
+      List.for_all
+        (fun spec ->
+          let policy, log = logged (instantiate spec ~seed trace) in
+          let t = demand_over ~frames ~pages:16 policy in
+          Array.iteri
+            (fun i page ->
+              if writes.(i) then Paging.Demand.write t (page * 64) 1L
+              else ignore (Paging.Demand.read t (page * 64)))
+            trace;
+          let reference, reference_log = logged (instantiate spec ~seed trace) in
+          let (_ : Paging.Fault_sim.result) =
+            Paging.Fault_sim.run_writes ~frames ~policy:reference ~write:(fun i -> writes.(i)) trace
+          in
+          same_log (Paging.Spec.to_string spec) (log ()) (reference_log ()))
+        with_opt)
+
+(* One job with no fetch time: a faulted reference runs again once its
+   page lands, so Multiprog makes Fault_sim's calls with a reference of
+   each page right after its load.  OPT counts references, so it is
+   left out. *)
+let multiprog_log_property =
+  QCheck.Test.make ~name:"callback log: Multiprog = Fault_sim" ~count:200 log_case
+    (fun (frames, seed, ops) ->
+      let trace = Array.of_list (List.map fst ops) in
+      List.for_all
+        (fun spec ->
+          let policy, log = logged (instantiate spec ~seed trace) in
+          let job = Workload.Job.make ~name:"0" ~refs:trace ~compute_us_per_ref:10 in
+          let (_ : Dsas.Multiprog.report) =
+            Dsas.Multiprog.run ~frames ~policy ~fetch_us:0 [ job ]
+          in
+          let reference, reference_log = logged ~reload:true (instantiate spec ~seed trace) in
+          let (_ : Paging.Fault_sim.result) = Paging.Fault_sim.run ~frames ~policy:reference trace in
+          same_log (Paging.Spec.to_string spec) (log ()) (reference_log ()))
         Paging.Spec.all_practical)
 
 (* --- Demand engine --- *)
@@ -741,22 +881,7 @@ let candidates_demand_property =
         (list_of_size Gen.(int_range 1 120) (pair (int_bound 3) (int_bound 15))))
     (fun (frames, ops) ->
       let policy, ok, _ = contract_policy ~keys:16 () in
-      (* by hand: a contract-checking policy, which no [Spec.t] describes *)
-      let clock = Sim.Clock.create () in
-      let level device name words = Memstore.Level.make clock device ~name ~words in
-      let t =
-        Paging.Demand.create
-          {
-            Paging.Demand.page_size = 64;
-            frames;
-            pages = 16;
-            core = level Memstore.Device.core "core" (frames * 64);
-            backing = level Memstore.Device.drum "drum" (16 * 64);
-            policy;
-            tlb = None;
-            compute_us_per_ref = 1;
-          }
-      in
+      let t = demand_over ~frames ~pages:16 policy in
       List.iter
         (fun (op, page) ->
           let addr = page * 64 in
@@ -966,6 +1091,43 @@ let test_fifo_after_multiprog_abort () =
   check_bool "jobs were aborted" true (report.Dsas.Multiprog.restarts > 0);
   check_bool "victims were chosen" true (!choices > 0);
   check_int "every victim the oldest candidate" 0 !wrong
+
+(* A policy that names a pinned page is refused before the engine
+   changes anything: Demand's locked page (modified, so a write-back
+   would show), and Multiprog's newest page, whose fetch has not landed. *)
+let test_pinned_victim_refused () =
+  let lru = Paging.Replacement.lru () in
+  let t =
+    demand_over ~frames:2 ~pages:16
+      { lru with Paging.Replacement.choose_victim = (fun ~candidates:_ -> 0) }
+  in
+  Paging.Demand.write t 0 7L;
+  Paging.Demand.lock t ~page:0;
+  ignore (Paging.Demand.read t 64);
+  check_bool "Demand refuses its locked page" true
+    (raises_invalid (fun () -> ignore (Paging.Demand.read t 128)));
+  check_int "no write-back" 0 (Paging.Demand.writebacks t);
+  check_bool "page 0 stays" true (Paging.Demand.frame_of t ~page:0 <> None);
+  check_bool "page 1 stays" true (Paging.Demand.frame_of t ~page:1 <> None);
+  let lru = Paging.Replacement.lru () and newest = ref (-1) in
+  let policy =
+    {
+      lru with
+      Paging.Replacement.on_load =
+        (fun ~page ->
+          newest := page;
+          lru.Paging.Replacement.on_load ~page);
+      choose_victim = (fun ~candidates:_ -> !newest);
+    }
+  in
+  (* job 0's page 0 lands at 1 s, job 1's page 0 at 2 s; at 1 s job 0
+     faults on its page 1 with both frames full *)
+  let job name refs = Workload.Job.make ~name ~refs ~compute_us_per_ref:10 in
+  check_bool "Multiprog refuses a page in flight" true
+    (raises_invalid (fun () ->
+         ignore
+           (Dsas.Multiprog.run ~frames:2 ~policy ~fetch_us:1_000_000
+              [ job "a" [| 0; 1 |]; job "b" [| 0 |] ])))
 
 let test_demand_lock_pins_page () =
   let t = make_demand ~frames:2 () in
@@ -1328,6 +1490,8 @@ let () =
           QCheck_alcotest.to_alcotest hierarchy_always_oracle;
           QCheck_alcotest.to_alcotest dual_pager_oracle;
           QCheck_alcotest.to_alcotest two_level_oracle;
+          QCheck_alcotest.to_alcotest demand_log_property;
+          QCheck_alcotest.to_alcotest multiprog_log_property;
         ] );
       ( "lifetime",
         [
@@ -1354,6 +1518,7 @@ let () =
           Alcotest.test_case "FIFO forgets an advised page" `Quick test_fifo_forgets_advised_page;
           Alcotest.test_case "FIFO after a Multiprog abort" `Quick test_fifo_after_multiprog_abort;
           Alcotest.test_case "lock pins page" `Quick test_demand_lock_pins_page;
+          Alcotest.test_case "pinned victim refused" `Quick test_pinned_victim_refused;
           Alcotest.test_case "bound violation" `Quick test_demand_bound_violation;
           Alcotest.test_case "timeline grows with residency" `Quick
             test_demand_timeline_grows_with_residency;

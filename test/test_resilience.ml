@@ -172,6 +172,69 @@ let test_demand_surface_fails () =
     (Result.is_error (Paging.Demand.read_result engine 0));
   check_int "both surfaced" 2 (Paging.Demand.hard_failures engine)
 
+(* A fetch that fails after its victim went: under Surface recovery the
+   victim is chosen and evicted before the transfer is tried, so the
+   policy hears of the victim's eviction, and nothing at all of the page
+   whose fetch failed (neither a load nor an eviction). *)
+type call = Reference of int | Choice of int | Eviction of int | Load of int
+
+let test_demand_surface_evicts_first () =
+  let inner = Paging.Replacement.lru () and log = ref [] in
+  let add c = log := c :: !log in
+  let policy =
+    {
+      inner with
+      Paging.Replacement.on_reference =
+        (fun ~page ~write ->
+          add (Reference page);
+          inner.Paging.Replacement.on_reference ~page ~write);
+      on_load = (fun ~page -> add (Load page); inner.Paging.Replacement.on_load ~page);
+      on_evict = (fun ~page -> add (Eviction page); inner.Paging.Replacement.on_evict ~page);
+      choose_victim =
+        (fun ~candidates ->
+          let v = inner.Paging.Replacement.choose_victim ~candidates in
+          add (Choice v);
+          v);
+    }
+  in
+  let clock = Sim.Clock.create () in
+  let level device name words = Memstore.Level.make clock device ~name ~words in
+  let engine =
+    Paging.Demand.create
+      ~device:(model ~fault:(fail_all ~read_error_prob:0.5 ~permanent_prob:1.0 ()) ())
+      ~recovery:Paging.Demand.Surface
+      {
+        Paging.Demand.page_size;
+        frames = 2;
+        pages;
+        core = level Memstore.Device.core "core" (2 * page_size);
+        backing = level Memstore.Device.drum "drum" (pages * page_size);
+        policy;
+        tlb = None;
+        compute_us_per_ref = 30;
+      }
+  in
+  (* read page after page until a fetch fails with both frames full *)
+  let rec first_failure page =
+    if page = pages then Alcotest.fail "no fetch failed with every frame full"
+    else begin
+      let full = Paging.Demand.resident_count engine = 2 in
+      log := [];
+      match Paging.Demand.read_result engine (page * page_size) with
+      | Error _ when full -> page
+      | Error _ | Ok _ -> first_failure (page + 1)
+    end
+  in
+  let failed = first_failure 0 in
+  (match List.rev !log with
+   | [ Reference r; Choice v; Eviction e ] ->
+     check_int "the reference" failed r;
+     check_int "the victim evicted" v e;
+     check_bool "the victim is another page" true (v <> failed)
+   | calls -> Alcotest.failf "expected reference, choice, eviction; got %d calls" (List.length calls));
+  check_bool "failed page not installed" true (Paging.Demand.frame_of engine ~page:failed = None);
+  check_int "one frame left resident" 1 (Paging.Demand.resident_count engine)
+
 (* --- Swapping.Swapper: surfaced swap-ins, mirrored write-outs --- *)
 
 let swapper ~fault ~words =
@@ -634,6 +697,8 @@ let () =
         [
           Alcotest.test_case "demand mirror" `Quick test_demand_mirror_recovers;
           Alcotest.test_case "demand surface" `Quick test_demand_surface_fails;
+          Alcotest.test_case "demand surface evicts first" `Quick
+            test_demand_surface_evicts_first;
           Alcotest.test_case "swapper swap-in failure" `Quick
             test_swapper_permanent_swap_in_failure;
           Alcotest.test_case "swapper mirror write" `Quick test_swapper_mirror_write;
